@@ -1,15 +1,13 @@
-"""Gateway throughput bench: multi-tenant serving vs single-session prover.
+"""Gateway throughput bench: multi-tenant serving vs single-session serving.
 
-Not a paper figure — this bench guards the multi-tenant gateway
-(``repro.argument.serve``) against the deployment it replaces.  The §5
-breakeven economics want one prover amortized over many verifiers and
-many programs; the single-program, single-session ``ProverServer``
-forces concurrent verifiers into busy-shed exponential backoff, and
-rebuilds the QAP + query schedule from scratch for every session.  The
-gateway admits the same load into a bounded queue (so the prover core
-never idles while clients sleep out their backoff), dispatches by
-program hash, and serves every session from the registry's pre-warmed
-artifacts and schedule LRU.
+Not a paper figure — this bench guards the gateway's admission layer
+(``repro.argument.serve``).  The §5 breakeven economics want one prover
+amortized over many verifiers and many programs; a server that runs
+one session at a time and sheds the rest forces concurrent verifiers
+into busy-shed exponential backoff.  The gateway admits the same load
+into a bounded queue (so the prover core never idles while clients
+sleep out their backoff), dispatches by program hash, and serves every
+session from the registry's pre-warmed artifacts and schedule LRU.
 
 Scenarios, measured at ``--clients`` concurrent verifiers over
 ``--programs`` hosted programs for ``--duration`` seconds each:
@@ -19,9 +17,9 @@ Scenarios, measured at ``--clients`` concurrent verifiers over
   time, overflow shed immediately.  Isolates exactly what the
   admission layer buys.
 * ``baseline_per_program_servers`` (informational) — one
-  ``ProverServer(max_sessions=1)`` per program, the deployment the
-  gateway replaces; verifiers ride the stock ``RetryPolicy`` through
-  the busy-shed storms.
+  single-program ``ProverServer(max_sessions=1, accept_queue=0)`` per
+  program; verifiers ride the stock ``RetryPolicy`` through the
+  busy-shed storms.
 * ``gateway`` — one ``GatewayServer`` hosting every program with
   ``max_sessions == clients`` handler lanes and a bounded accept
   queue; busy frames (if any) carry ``retry_after`` hints the client
@@ -191,9 +189,10 @@ def bench_baseline(programs, clients: int, duration: float) -> dict:
 
 
 def bench_per_program_servers(programs, clients: int, duration: float) -> dict:
-    """One single-session ProverServer per program (the old deployment)."""
+    """One single-session, single-program server per program."""
     servers = [
-        ProverServer(prog, CONFIG, max_sessions=1).start() for prog in programs
+        ProverServer(prog, CONFIG, max_sessions=1, accept_queue=0).start()
+        for prog in programs
     ]
     try:
         for prog, server in zip(programs, servers):

@@ -20,16 +20,19 @@ from .hybrid import EncodingDecision, HybridArgument, choose_encoding
 from .net import (
     Deadlines,
     NetworkBatchResult,
-    ProtocolViolation,
-    ProverServer,
     RetryPolicy,
-    SessionProver,
     fetch_stats,
     program_hash,
     verify_remote,
 )
 from .parallel import ParallelBatchResult, SessionWorkerPool, run_parallel_batch
-from .serve import GatewayServer, ProgramRegistry, RegisteredProgram
+from .serve import (
+    GatewayServer,
+    ProgramRegistry,
+    ProverServer,
+    RegisteredProgram,
+    SessionProver,
+)
 from .protocol import (
     FAILURE_CODES,
     ArgumentConfig,
@@ -37,6 +40,7 @@ from .protocol import (
     FailureSummary,
     GingerArgument,
     InstanceResult,
+    ProtocolViolation,
     ZaatarArgument,
     classify_failure,
 )

@@ -41,16 +41,14 @@ import itertools
 import os
 import random
 import signal
-import struct
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from .. import telemetry
+from .framing import HEADER
 from .protocol import ProtocolViolation
-
-_HEADER = struct.Struct("!I")
 
 ACTIONS = ("drop", "delay", "truncate", "corrupt")
 DIRECTIONS = ("send", "recv")
@@ -249,10 +247,10 @@ class FaultySocket:
         elif rule.action == "drop":
             self._sock.close()  # the frame is lost with the connection
         elif rule.action == "truncate":
-            self._sock.sendall(data[: max(len(data) // 2, _HEADER.size)])
+            self._sock.sendall(data[: max(len(data) // 2, HEADER.size)])
             self._sock.close()
         elif rule.action == "corrupt":
-            head, payload = data[: _HEADER.size], bytearray(data[_HEADER.size :])
+            head, payload = data[: HEADER.size], bytearray(data[HEADER.size :])
             # dedup with the first (guaranteed offset-0) flip winning, so
             # colliding random offsets can never cancel it out
             flips = dict(reversed(self._plan.corruption("send", frame, len(payload))))
@@ -273,13 +271,13 @@ class FaultySocket:
         view = memoryview(data)
         while len(view):
             if self._rx_left is None:
-                take = min(_HEADER.size - len(self._rx_header), len(view))
+                take = min(HEADER.size - len(self._rx_header), len(view))
                 self._rx_header += bytes(view[:take])
                 out += view[:take]
                 view = view[take:]
-                if len(self._rx_header) < _HEADER.size:
+                if len(self._rx_header) < HEADER.size:
                     continue
-                (length,) = _HEADER.unpack(self._rx_header)
+                (length,) = HEADER.unpack(self._rx_header)
                 self._rx_left = length
                 self._rx_offset = 0
                 self._rx_rule = self._plan.claim("recv", self._recv_frame)
@@ -515,7 +513,7 @@ class LinkSocket:
             return
         if corrupt:
             telemetry.count("net.link.corrupted")
-            head, payload = data[: _HEADER.size], bytearray(data[_HEADER.size :])
+            head, payload = data[: HEADER.size], bytearray(data[HEADER.size :])
             if payload:
                 payload[0] ^= self._rng.randrange(1, 256)
             data = bytes(head) + bytes(payload)

@@ -1,12 +1,13 @@
-"""Multi-tenant prover gateway: many programs, sharded sessions, admission.
+"""The prover server: every program in a registry, sharded sessions, admission.
 
 The §5 breakeven economics assume one prover amortizes its fixed costs
-over *many* verifiers and *many* outsourced computations at once.  The
-single-program, thread-per-session :class:`~repro.argument.net.ProverServer`
-(the §5.1 two-party deployment) cannot model that; this module is the
-deployment-shaped answer, three layers on the same wire protocol:
+over *many* verifiers and *many* outsourced computations at once; the
+§5.1 two-party deployment is the one-program case of the same server
+(:func:`ProverServer` registers one program and returns a
+:class:`GatewayServer`).  It speaks the session protocol that
+:func:`~repro.argument.net.verify_remote` drives, in three layers:
 
-* :class:`ProgramRegistry` — the gateway's program table, keyed by the
+* :class:`ProgramRegistry` — the server's program table, keyed by the
   canonical ``program_hash`` from the ``hello`` frame.  Registration
   **pre-warms** each program's proving artifacts (the QAP's subproduct
   tree / NTT plans, divisor polynomial, barycentric weights, and
@@ -16,7 +17,7 @@ deployment-shaped answer, three layers on the same wire protocol:
   regeneration entirely).
 * **Session sharding** — with ``shards > 0`` the proving work of each
   session is pinned to one process from a
-  :class:`~repro.argument.parallel.SessionWorkerPool` (the PR-4
+  :class:`~repro.argument.parallel.SessionWorkerPool` (the
   crash-surviving fork pool, leased for whole sessions because the
   commitment provers built in the ``prove`` step must survive into the
   ``answer`` step).  A worker that dies mid-session becomes a
@@ -25,8 +26,8 @@ deployment-shaped answer, three layers on the same wire protocol:
 * **Admission control** — a bounded accept queue in front of
   ``max_sessions`` handler threads, a global admitted-connections
   limit (``max_sessions + accept_queue``), and an optional per-program
-  in-flight cap.  Load is shed with the existing ``busy`` vocabulary
-  plus a ``retry_after`` hint (seconds, estimated from the p50 session
+  in-flight cap.  Load is shed with the ``busy`` vocabulary plus a
+  ``retry_after`` hint (seconds, estimated from the p50 session
   latency and the current backlog) that
   :func:`~repro.argument.net.verify_remote` honors instead of blind
   exponential backoff.  Shutdown answers every queued or late-arriving
@@ -53,32 +54,39 @@ import time
 from collections import Counter, OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .. import telemetry
 from ..telemetry import metrics as metrics_mod
 from ..compiler import CompiledProgram
-from ..crypto import FieldPRG
+from ..crypto import CommitmentProver, FieldPRG
+from ..crypto.commitment import CommitRequest, DecommitChallenge
 from ..pcp import SoundnessParams
 from ..pcp import zaatar as zaatar_pcp
-from ..qap import build_qap
+from ..qap import build_proof_vector, build_qap
+from . import framing
 from .faults import LinkProfile, ProcessFaultPlan
-from .net import (
-    _MAX_TRACE_BYTES,
-    Deadlines,
-    SessionProver,
-    _bound_poke,
-    _expect,
-    _get,
-    _tune_socket,
-    _unhex_ciphertexts,
-    parse_hello_params,
-    program_hash,
+from .framing import (
+    expect,
+    hex_list,
     recv_frame,
+    require,
     send_frame,
+    unhex_ciphertexts,
+    unhex_list,
 )
+from .net import Deadlines, program_hash
 from .parallel import SessionWorkerPool
 from .protocol import ArgumentConfig, ProtocolViolation, classify_failure
+
+#: cap on the repetition counts a client may request; the paper's
+#: production setting is ρ_lin=20, ρ=8 — anything far beyond that is a
+#: resource-exhaustion request, not a soundness need
+_MAX_RHO = 128
+#: server-side budget for the serialized ``trace`` field of the final
+#: frame: past this the span records are dropped down to the session
+#: root so a chatty trace can never dwarf the protocol payload
+_MAX_TRACE_BYTES = 1_000_000
 
 #: seed-derived query schedules kept per program (LRU); one entry per
 #: distinct (qap_mode, params, seed) a verifier population uses
@@ -87,6 +95,171 @@ _SCHEDULE_CACHE = 32
 #: deterministic fault-plan "attempt" index for each shard step, so a
 #: test can kill a worker precisely between ``prove`` and ``answer``
 _FAULT_STEP = {"prove": 1, "answer": 2}
+
+
+def parse_hello_params(hello: dict) -> tuple[SoundnessParams, bytes]:
+    """Validate a ``hello`` frame's soundness params and query seed.
+
+    Enforces the ``_MAX_RHO`` resource cap before any schedule is
+    derived from the parameters.
+    """
+    params_spec = require(hello, "params")
+    try:
+        params = SoundnessParams(
+            delta=params_spec["delta"],
+            rho_lin=int(params_spec["rho_lin"]),
+            rho=int(params_spec["rho"]),
+        )
+        seed = bytes.fromhex(require(hello, "seed"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ProtocolViolation(
+            f"malformed hello parameters: {exc}", code="bad-frame"
+        ) from exc
+    if not (1 <= params.rho_lin <= _MAX_RHO and 1 <= params.rho <= _MAX_RHO):
+        raise ProtocolViolation(
+            f"soundness repetitions out of range (max {_MAX_RHO})",
+            code="bad-request",
+        )
+    return params, seed
+
+
+def _send_error(conn, code: str, message: str, **fields) -> None:
+    """Best-effort structured ``error`` frame; the peer may already be gone.
+
+    ``fields`` left at None (a ``retry_after`` with no hint, a refusal
+    with no session id) are omitted from the frame.
+    """
+    frame = {"type": "error", "code": code, "message": message}
+    frame.update((key, value) for key, value in fields.items() if value is not None)
+    try:
+        conn.settimeout(1.0)
+        send_frame(conn, frame)
+    except OSError:
+        pass
+
+
+def _bound_poke(sock_family, address) -> tuple[socket.socket, tuple, tuple]:
+    """A pre-bound socket for waking a server's blocked ``accept()``.
+
+    Returns ``(socket, local_address, connect_target)`` with the socket
+    bound but **not yet connected** — the caller records the local
+    address first and only then connects, so the accept loop can never
+    observe the poke before its address is known (it must tell the poke
+    apart from a real client racing the shutdown).
+    """
+    host = address[0]
+    if host in ("0.0.0.0", "::"):
+        host = "127.0.0.1" if sock_family == socket.AF_INET else "::1"
+    sock = socket.socket(sock_family, socket.SOCK_STREAM)
+    sock.bind((host, 0))
+    sock.settimeout(1)
+    return sock, sock.getsockname(), (host,) + tuple(address[1:])
+
+
+# -- prover-side session state machine ----------------------------------------
+
+
+class SessionProver:
+    """The prover half of one session, detached from any transport.
+
+    Holds exactly the state a session accumulates between frames — the
+    registry's QAP and seed-derived query schedule, and the
+    per-instance commitment provers — and exposes the two server-side
+    protocol steps: :meth:`prove` (commit + inputs → outputs payload)
+    and :meth:`answer` (challenge → answers payload).  All inputs and
+    outputs use the wire encoding (hex strings), so the same object
+    serves a handler thread or a shard worker on the far side of a
+    process boundary.
+
+    Failures raise :class:`ProtocolViolation` with the structured code
+    vocabulary; the transport owner turns them into error frames.
+    """
+
+    def __init__(self, program: CompiledProgram, config: ArgumentConfig, qap, schedule):
+        self.program = program
+        self.config = config
+        self.field = program.field
+        self.qap = qap
+        self.schedule = schedule
+        self._request: CommitRequest | None = None
+        self._provers: list[CommitmentProver] = []
+
+    def commit(self, enc_r) -> None:
+        """Decode and hold the commit frame's Enc(r) ciphertexts.
+
+        Decoding happens here, at frame-receipt time, so a malformed
+        commit is answered immediately — not after the server has
+        waited on an inputs frame the client may never send.
+        """
+        self._request = CommitRequest(
+            unhex_ciphertexts(enc_r, what="commit enc_r")
+        )
+
+    def prove(
+        self,
+        batch_spec,
+        *,
+        budget_check: Callable[[], None] | None = None,
+    ) -> list[dict]:
+        """Run every instance of the batch; returns the outputs payload.
+
+        ``batch_spec`` is the inputs frame's batch, still wire-encoded;
+        :meth:`commit` must have run first.  ``budget_check`` (if
+        given) runs before each instance so a session wall-clock budget
+        can abort a long batch mid-way.
+        """
+        request = self._request
+        if request is None:
+            raise ProtocolViolation("prove before commit", code="internal")
+        if not isinstance(batch_spec, list):
+            raise ProtocolViolation("inputs 'batch' must be a list", code="bad-frame")
+        batch = [
+            unhex_list(x, what="input vector", p=self.field.p) for x in batch_spec
+        ]
+        group = self.config.group(self.field)
+        outputs_payload = []
+        for index, input_values in enumerate(batch):
+            if budget_check is not None:
+                budget_check()
+            with telemetry.span("prover.instance", index=index):
+                try:
+                    with telemetry.span("prover.solve_constraints"):
+                        sol = self.program.solve(input_values, check=False)
+                    with telemetry.span("prover.construct_u"):
+                        proof = build_proof_vector(self.qap, sol.quadratic_witness)
+                    prover = CommitmentProver(self.field, group, proof.vector)
+                    with telemetry.span("prover.crypto_ops"):
+                        commitment = prover.commit(request)
+                except (ValueError, TypeError, KeyError, IndexError) as exc:
+                    raise ProtocolViolation(
+                        f"cannot prove instance {index}: {exc}", code="bad-request"
+                    ) from exc
+            self._provers.append(prover)
+            outputs_payload.append(
+                {
+                    "y": hex_list(sol.output_values),
+                    "commitment": [format(commitment.c1, "x"), format(commitment.c2, "x")],
+                }
+            )
+        return outputs_payload
+
+    def answer(self, t_spec) -> list[list[str]]:
+        """Answer the decommit challenge; returns the answers payload."""
+        t = unhex_list(t_spec, what="consistency query", p=self.field.p)
+        if len(t) != len(self.schedule.queries[0]):
+            raise ProtocolViolation(
+                f"consistency query length {len(t)} != proof vector "
+                f"length {len(self.schedule.queries[0])}",
+                code="bad-request",
+            )
+        queries = [list(q) for q in self.schedule.queries] + [t]
+        challenge = DecommitChallenge(queries)
+        answers_payload = []
+        with telemetry.span("prover.answer_queries", instances=len(self._provers)):
+            for prover in self._provers:
+                response = prover.answer(challenge)
+                answers_payload.append(hex_list(response.answers))
+        return answers_payload
 
 
 # -- program registry ---------------------------------------------------------
@@ -117,7 +290,7 @@ class RegisteredProgram:
         qap.subproduct_tree
         qap.divisor_poly
         qap.barycentric_weights
-        qap.divisor_inverse_series
+        qap.divisor_inverse_series()
         return self
 
     def qap(self, qap_mode: str):
@@ -162,20 +335,12 @@ class RegisteredProgram:
     ) -> tuple[SessionProver, bool]:
         """A fresh per-session prover over the cached QAP + schedule."""
         sched, hit = self.schedule(qap_mode, params, seed)
-        prover = SessionProver(
-            self.program,
-            self.config,
-            params,
-            seed,
-            qap_mode,
-            qap=self.qap(qap_mode),
-            schedule=sched,
-        )
+        prover = SessionProver(self.program, self.config, self.qap(qap_mode), sched)
         return prover, hit
 
 
 class ProgramRegistry:
-    """The gateway's program table, keyed by canonical program hash."""
+    """The server's program table, keyed by canonical program hash."""
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -326,8 +491,7 @@ class _SessionContext:
     the registry entry, the hello's validated parameters, and — on the
     inline path — the already-built :class:`SessionProver` so a resume
     skips schedule regeneration.  ``token`` is None when resume tokens
-    are disabled (or for the single-program :class:`ProverServer`,
-    which never parks).
+    are disabled, and such a session is never parked.
     """
 
     token: str | None
@@ -346,12 +510,12 @@ class _SessionContext:
 class GatewayServer:
     """Serves every program in a registry to concurrent verifiers.
 
-    Speaks exactly the :mod:`repro.argument.net` session protocol — a
-    verifier cannot tell a gateway from a dedicated ``ProverServer``
-    except that the ``hello``'s program hash is looked up in the
-    registry instead of compared against one program (a miss is the
-    ``unknown-program`` error), busy frames carry a ``retry_after``
-    hint, and shutdown refusals use ``shutting-down``.
+    Speaks the session protocol :func:`~repro.argument.net.verify_remote`
+    drives: the ``hello``'s program hash is looked up in the registry
+    (a miss is the ``unknown-program`` error), busy frames carry a
+    ``retry_after`` hint, and shutdown refusals use ``shutting-down``.
+    A one-program registry is the §5.1 two-party deployment
+    (:func:`ProverServer`).
 
     Threading model: one listener thread admits connections into a
     bounded queue; ``max_sessions`` handler threads drain it.  With
@@ -427,9 +591,16 @@ class GatewayServer:
         self._storm_rng = random.Random(metrics_seed)
         self._bucket_level = float(self.accept_burst)
         self._bucket_at = time.monotonic()
+        # the first program doubles as the headline identity, as in the
+        # stats frame, so `repro top` and the exposition's info line name it
+        first = registry.entries()[0]
         self.metrics = metrics_mod.MetricsRegistry(
             seed=metrics_seed,
             role="gateway",
+            program=first.name,
+            program_hash=first.hash[:16],
+            field=first.program.field.name,
+            backend=getattr(first.program.field.backend, "name", "?"),
             programs=len(registry),
             max_sessions=self.max_sessions,
             shards=self.shards,
@@ -573,7 +744,7 @@ class GatewayServer:
                 conn, peer = self._sock.accept()
             except OSError:
                 return  # listener closed
-            _tune_socket(conn)
+            framing.tune_socket(conn)
             if self._stop.is_set():
                 if peer == self._poke_addr:
                     conn.close()
@@ -582,14 +753,30 @@ class GatewayServer:
                 self._drain_backlog()
                 return
             if self.accept_rate is not None and not self._storm_admit():
-                self._shed_storm(conn)
+                # every client of a killed link reconnects at the same
+                # instant; an un-jittered hint would replay the collision
+                # one backoff later, so spread it over ~two refill periods
+                period = 1.0 / self.accept_rate if self.accept_rate else 1.0
+                self._shed(
+                    conn,
+                    "storm",
+                    f"reconnect storm: accepts paced to "
+                    f"{self.accept_rate:.1f}/s (burst {self.accept_burst})",
+                    round(period * (0.5 + 1.5 * self._storm_rng.random()), 3),
+                )
                 continue
             with self._stats_lock:
                 admitted = self._admitted
                 if admitted < limit:
                     self._admitted += 1
             if admitted >= limit:
-                self._shed(conn)
+                self._shed(
+                    conn,
+                    "global",
+                    f"gateway at capacity ({self.max_sessions} sessions"
+                    f" + {self.accept_queue} queued)",
+                    self.retry_after_hint(),
+                )
                 continue
             self._accept_q.put((conn, time.monotonic()))
             self.metrics.set_gauge(
@@ -611,29 +798,16 @@ class GatewayServer:
         estimate = per_session * (backlog + 1) / self.max_sessions
         return round(min(max(estimate, 0.05), 30.0), 3)
 
-    def _shed(self, conn: socket.socket) -> None:
-        """Refuse at the admission limit: busy frame + retry_after hint."""
+    def _shed(
+        self, conn: socket.socket, reason: str, message: str, retry_after: float
+    ) -> None:
+        """Refuse at admission: busy frame + hint, ``gateway.shed.<reason>``."""
         self._bump("sessions_rejected")
         telemetry.count("net.sessions_rejected")
         self.metrics.inc("sessions_rejected")
-        self.metrics.inc("gateway.shed.global")
-        try:
-            with conn:
-                conn.settimeout(1.0)
-                send_frame(
-                    conn,
-                    {
-                        "type": "error",
-                        "code": "busy",
-                        "message": (
-                            f"gateway at capacity ({self.max_sessions} sessions"
-                            f" + {self.accept_queue} queued)"
-                        ),
-                        "retry_after": self.retry_after_hint(),
-                    },
-                )
-        except OSError:
-            pass
+        self.metrics.inc(f"gateway.shed.{reason}")
+        with conn:
+            _send_error(conn, "busy", message, retry_after=retry_after)
 
     def _storm_admit(self) -> bool:
         """One token from the accept bucket, refilled at ``accept_rate``/s."""
@@ -649,59 +823,23 @@ class GatewayServer:
                 return True
         return False
 
-    def _shed_storm(self, conn: socket.socket) -> None:
-        """Pace a reconnect storm: busy frame + *jittered* retry hint.
-
-        Every client of a killed link reconnects at the same instant;
-        an un-jittered hint would replay the same collision one backoff
-        later.  The hint spreads retries over roughly two bucket-refill
-        periods using the gateway's seeded RNG.
-        """
-        self._bump("sessions_rejected")
-        telemetry.count("net.sessions_rejected")
-        self.metrics.inc("sessions_rejected")
-        self.metrics.inc("gateway.shed.storm")
-        period = 1.0 / self.accept_rate if self.accept_rate else 1.0
-        retry_after = round(period * (0.5 + 1.5 * self._storm_rng.random()), 3)
-        try:
-            with conn:
-                conn.settimeout(1.0)
-                send_frame(
-                    conn,
-                    {
-                        "type": "error",
-                        "code": "busy",
-                        "message": (
-                            f"reconnect storm: accepts paced to "
-                            f"{self.accept_rate:.1f}/s (burst {self.accept_burst})"
-                        ),
-                        "retry_after": retry_after,
-                    },
-                )
-        except OSError:
-            pass
-
     def _refuse_shutdown(self, conn: socket.socket) -> None:
-        """Best-effort ``shutting-down`` frame to a late or queued client."""
+        """``shutting-down`` frame to a late or queued client.
+
+        The retry hint is jittered so a reconnect herd against a
+        restarting prover spreads out instead of stampeding the
+        replacement in lockstep.
+        """
         self._bump("sessions_refused_shutdown")
         self.metrics.inc("sessions_refused_shutdown")
         telemetry.count("net.sessions_refused_shutdown")
-        try:
-            with conn:
-                conn.settimeout(1.0)
-                send_frame(
-                    conn,
-                    {
-                        "type": "error",
-                        "code": "shutting-down",
-                        "message": "gateway is shutting down",
-                        "retry_after": round(
-                            0.1 + 0.4 * self._storm_rng.random(), 3
-                        ),
-                    },
-                )
-        except OSError:
-            pass
+        with conn:
+            _send_error(
+                conn,
+                "shutting-down",
+                "prover is shutting down; retry another endpoint",
+                retry_after=round(0.1 + 0.4 * self._storm_rng.random(), 3),
+            )
 
     def _drain_backlog(self) -> None:
         """Refuse every connection still queued in the kernel backlog."""
@@ -845,21 +983,9 @@ class GatewayServer:
         message: str,
         retry_after: float | None = None,
     ) -> None:
-        """Best-effort structured error frame, then count the failure."""
+        """Count the failure, then send its structured error frame."""
         self._count_error(code)
-        frame = {
-            "type": "error",
-            "code": code,
-            "message": message,
-            "session": session_id,
-        }
-        if retry_after is not None:
-            frame["retry_after"] = retry_after
-        try:
-            conn.settimeout(1.0)
-            send_frame(conn, frame)
-        except OSError:
-            pass  # the peer may already be gone
+        _send_error(conn, code, message, session=session_id, retry_after=retry_after)
 
     # -- parking and resume ------------------------------------------------
 
@@ -884,7 +1010,7 @@ class GatewayServer:
         — so it propagates to the deadline reaper instead.
         """
         try:
-            return _expect(recv_frame(conn), "commit")
+            return expect(recv_frame(conn), "commit")
         except TimeoutError:
             raise
         except ProtocolViolation as exc:
@@ -900,7 +1026,7 @@ class GatewayServer:
 
     def _resume_session(self, conn, budget, first: dict, session_id: int) -> None:
         """Continue a parked session on a fresh connection."""
-        token = _get(first, "token")
+        token = require(first, "token")
         ctx = None
         if isinstance(token, str) and token:
             with self._parked_lock:
@@ -944,11 +1070,7 @@ class GatewayServer:
         self.metrics.inc("gateway.resume_rejected")
         self.metrics.inc(f"gateway.resume_rejected.{code}")
         telemetry.count("net.gateway_resume_rejected")
-        try:
-            conn.settimeout(1.0)
-            send_frame(conn, {"type": "error", "code": code, "message": message})
-        except OSError:
-            pass
+        _send_error(conn, code, message)
         raise _ResumeRejected()
 
     def _expire_parked(self, ctx: _SessionContext) -> None:
@@ -999,8 +1121,8 @@ class GatewayServer:
             self._resume_session(conn, budget, first, session_id)
             return
         self._mark_started(counted)
-        hello = _expect(first, "hello")
-        phash = _get(hello, "program")
+        hello = expect(first, "hello")
+        phash = require(hello, "program")
         entry = self.registry.lookup(phash)
         if entry is None:
             self.metrics.inc("gateway.unknown_program")
@@ -1114,9 +1236,9 @@ class GatewayServer:
         else:
             prover = ctx.prover  # resumed: schedule already derived
         commit = self._recv_commit(conn, ctx)
-        prover.commit(_get(commit, "enc_r"))
-        inputs_msg = _expect(recv_frame(conn), "inputs")
-        batch_spec = _get(inputs_msg, "batch")
+        prover.commit(require(commit, "enc_r"))
+        inputs_msg = expect(recv_frame(conn), "inputs")
+        batch_spec = require(inputs_msg, "batch")
         if isinstance(batch_spec, list):
             self.metrics.observe("session_batch_size", len(batch_spec))
         outputs_payload = prover.prove(
@@ -1124,9 +1246,9 @@ class GatewayServer:
             budget_check=lambda: self._budget_check(budget),
         )
         send_frame(conn, {"type": "outputs", "instances": outputs_payload})
-        challenge_msg = _expect(recv_frame(conn), "challenge")
+        challenge_msg = expect(recv_frame(conn), "challenge")
         self._budget_check(budget)
-        return prover.answer(_get(challenge_msg, "t"))
+        return prover.answer(require(challenge_msg, "t"))
 
     def _exchange_sharded(
         self, conn, budget, ctx: _SessionContext, greeting, tracer, span
@@ -1160,9 +1282,9 @@ class GatewayServer:
             # decode-validate at receipt so a malformed commit is
             # answered before we wait on inputs (the shard decodes for
             # real when the whole exchange ships over)
-            _unhex_ciphertexts(_get(commit, "enc_r"), what="commit enc_r")
-            inputs_msg = _expect(recv_frame(conn), "inputs")
-            batch_spec = _get(inputs_msg, "batch")
+            unhex_ciphertexts(require(commit, "enc_r"), what="commit enc_r")
+            inputs_msg = expect(recv_frame(conn), "inputs")
+            batch_spec = require(inputs_msg, "batch")
             if isinstance(batch_spec, list):
                 self.metrics.observe("session_batch_size", len(batch_spec))
             prove_payload = (
@@ -1170,7 +1292,7 @@ class GatewayServer:
                 (params.delta, params.rho_lin, params.rho),
                 seed.hex(),
                 ctx.qap_mode,
-                _get(commit, "enc_r"),
+                require(commit, "enc_r"),
                 batch_spec,
                 tracer.trace_id if tracer is not None else None,
             )
@@ -1178,11 +1300,11 @@ class GatewayServer:
                 worker, ("prove", session_id, prove_payload), budget, tracer, span
             )
             send_frame(conn, {"type": "outputs", "instances": outputs_payload})
-            challenge_msg = _expect(recv_frame(conn), "challenge")
+            challenge_msg = expect(recv_frame(conn), "challenge")
             self._budget_check(budget)
             return self._shard_call(
                 worker,
-                ("answer", session_id, _get(challenge_msg, "t")),
+                ("answer", session_id, require(challenge_msg, "t")),
                 budget,
                 tracer,
                 span,
@@ -1237,3 +1359,20 @@ class GatewayServer:
             raise ProtocolViolation(
                 f"shard failed during {kind!r} step: {message}", code=code
             )
+
+
+# -- single-program serving ---------------------------------------------------
+
+
+def ProverServer(
+    program: CompiledProgram, config: ArgumentConfig | None = None, **kwargs
+) -> GatewayServer:
+    """Serve one program: a :class:`GatewayServer` over a one-entry registry.
+
+    The §5.1 two-party deployment is the one-program case of the
+    gateway, so it gets the gateway's defaults; every keyword goes to
+    :class:`GatewayServer` unchanged.
+    """
+    registry = ProgramRegistry()
+    registry.register(program, config)
+    return GatewayServer(registry, **kwargs)

@@ -41,7 +41,6 @@ from .argument import (
     ZaatarArgument,
     choose_encoding,
     fetch_stats,
-    program_hash,
     run_parallel_batch,
     verify_remote,
 )
@@ -453,68 +452,46 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    """``repro serve``: run a prover server (or multi-tenant gateway).
+    """``repro serve``: run the prover server over one or more programs.
 
-    The default serves one compiled program through ``ProverServer``.
-    With ``--registry`` (repeatable, more programs to host) and/or
-    ``--shards`` (prover worker processes) it becomes a
-    ``GatewayServer``: every listed program is registered and
-    pre-warmed, sessions are dispatched by the ``hello`` frame's
-    program hash, and admission control (``--accept-queue``,
-    ``--per-program-sessions``) sheds overload with ``busy`` frames
-    carrying retry hints.  Serves until interrupted (or for
-    ``--duration`` seconds); ``--metrics-port`` additionally serves the
-    live metrics registry over HTTP as a Prometheus-style plaintext
-    page (``/json`` for the snapshot form that ``repro top`` renders).
+    The program (plus every ``--registry`` program, repeatable) is
+    registered and pre-warmed in a ``GatewayServer``; sessions are
+    dispatched by the ``hello`` frame's program hash, ``--shards``
+    pins proving to crash-surviving worker processes (0: inline), and
+    admission control (``--accept-queue``, ``--per-program-sessions``)
+    sheds overload with ``busy`` frames carrying retry hints.  Serves
+    until interrupted (or for ``--duration`` seconds);
+    ``--metrics-port`` additionally serves the live metrics registry
+    over HTTP as a Prometheus-style plaintext page (``/json`` for the
+    snapshot form that ``repro top`` renders).
     """
     field = _field(args.field)
-    program = _load_program(args.program, field, args.bit_width)
-    deadlines = Deadlines(read=args.read_timeout, session=args.session_budget)
-    gateway_mode = bool(args.registry) or args.shards is not None
-    if gateway_mode:
-        registry = ProgramRegistry()
-        registry.register(program, ArgumentConfig())
-        for path in args.registry:
-            extra = _load_program(path, field, args.bit_width)
-            registry.register(extra, ArgumentConfig())
-        server = GatewayServer(
-            registry,
-            host=args.host,
-            port=args.port,
-            max_sessions=args.max_sessions,
-            shards=args.shards or 0,
-            accept_queue=args.accept_queue,
-            per_program_sessions=args.per_program_sessions,
-            deadlines=deadlines,
-            accept_rate=args.accept_rate,
-            resume_timeout=args.resume_timeout,
-        )
-        server.start()
-        host, port = server.address
-        print(
-            f"gateway on {host}:{port} ({len(registry)} programs, "
-            f"max {args.max_sessions} sessions + {args.accept_queue} queued, "
-            f"{args.shards or 0} shard workers)"
-        )
-        for entry in registry:
-            print(f"  {entry.name}  hash {entry.hash[:16]}…")
-    else:
-        server = ProverServer(
-            program,
-            ArgumentConfig(),
-            host=args.host,
-            port=args.port,
-            max_sessions=args.max_sessions,
-            deadlines=deadlines,
-        )
-        server.start()
-        host, port = server.address
-        print(
-            f"serving {program.name} on {host}:{port} "
-            f"(hash {program_hash(program)[:16]}…, max {args.max_sessions} sessions, "
-            f"read deadline {args.read_timeout:g}s"
-            + (f", session budget {args.session_budget:g}s)" if args.session_budget else ")")
-        )
+    registry = ProgramRegistry()
+    for path in [args.program, *args.registry]:
+        registry.register(_load_program(path, field, args.bit_width), ArgumentConfig())
+    server = GatewayServer(
+        registry,
+        host=args.host,
+        port=args.port,
+        max_sessions=args.max_sessions,
+        shards=args.shards,
+        accept_queue=args.accept_queue,
+        per_program_sessions=args.per_program_sessions,
+        deadlines=Deadlines(read=args.read_timeout, session=args.session_budget),
+        accept_rate=args.accept_rate,
+        resume_timeout=args.resume_timeout,
+    )
+    server.start()
+    host, port = server.address
+    count = len(registry)
+    print(
+        f"gateway on {host}:{port} serving {count} program{'s' * (count != 1)} "
+        f"(max {args.max_sessions} sessions + {args.accept_queue} queued, "
+        f"{args.shards} shard workers, read deadline {args.read_timeout:g}s"
+        + (f", session budget {args.session_budget:g}s)" if args.session_budget else ")")
+    )
+    for entry in registry:
+        print(f"  {entry.name}  hash {entry.hash[:16]}…")
     exporter = None
     if args.metrics_port is not None:
         exporter = telemetry.start_http_exporter(
@@ -584,7 +561,7 @@ def _render_top(doc: dict) -> str:
     ]
     for name, label in (
         ("session_latency_seconds", "latency"),
-        ("session_queue_wait_seconds", "queue wait"),
+        ("gateway.queue_wait_seconds", "queue wait"),
     ):
         hist = hists.get(name)
         if hist:
@@ -940,7 +917,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve = sub.add_parser(
         "serve",
         parents=[common],
-        help="run a prover server for one compiled program",
+        help="run a prover server for one or more compiled programs",
     )
     p_serve.add_argument("program", help="path to a .zr source file")
     p_serve.add_argument("--bit-width", type=int, default=32)
@@ -950,7 +927,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-sessions",
         type=int,
         default=8,
-        help="concurrent session cap; extra clients get a 'busy' error frame",
+        help="concurrent session cap; extra clients wait in the accept queue",
     )
     p_serve.add_argument(
         "--read-timeout",
@@ -982,31 +959,31 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         default=[],
         metavar="PROGRAM.zr",
-        help="host this additional program too (repeatable; turns the "
-        "server into a multi-tenant gateway keyed by program hash)",
+        help="host this additional program too (repeatable; sessions are "
+        "dispatched by program hash)",
     )
     p_serve.add_argument(
         "--shards",
         type=int,
-        default=None,
+        default=0,
         metavar="N",
-        help="gateway mode: pin each session's proving to one of N "
-        "crash-surviving worker processes (0 proves on the session thread)",
+        help="pin each session's proving to one of N crash-surviving "
+        "worker processes (0 proves on the session thread)",
     )
     p_serve.add_argument(
         "--accept-queue",
         type=int,
         default=16,
         metavar="N",
-        help="gateway mode: admitted connections may wait in a queue this "
-        "deep; past it clients are shed with busy + retry_after",
+        help="admitted connections may wait in a queue this deep; past it "
+        "clients are shed with busy + retry_after",
     )
     p_serve.add_argument(
         "--per-program-sessions",
         type=int,
         default=None,
         metavar="N",
-        help="gateway mode: cap concurrent sessions per hosted program "
+        help="cap concurrent sessions per hosted program "
         "(default: no per-program cap)",
     )
     p_serve.add_argument(
@@ -1014,7 +991,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="PER_SEC",
-        help="gateway mode: token-bucket accept pacing against reconnect "
+        help="token-bucket accept pacing against reconnect "
         "storms; excess connects get busy + jittered retry_after "
         "(default: off)",
     )
@@ -1023,7 +1000,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=30.0,
         metavar="SECONDS",
-        help="gateway mode: how long a disconnected pre-commit session "
+        help="how long a disconnected pre-commit session "
         "may park awaiting a resume before it is reaped (default: 30)",
     )
     p_serve.set_defaults(fn=cmd_serve)

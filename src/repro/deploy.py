@@ -51,7 +51,7 @@ from .argument import (
     program_hash,
     verify_remote,
 )
-from .argument.net import recv_frame, send_frame
+from .argument.framing import recv_frame, send_frame
 
 #: named WAN shapes for the grid's ``link`` axis (LinkProfile kwargs;
 #: the seed is supplied per side at wrap time)

@@ -25,7 +25,7 @@ their span records and the parent re-inserts them with
 Distributed traces: every :class:`Tracer` carries a ``trace_id`` that
 is stamped onto each span it starts, and a thread may *override* the
 installed tracer with :func:`thread_tracer` — that is how a
-``ProverServer`` session records its spans into a private per-session
+prover-server session records its spans into a private per-session
 tracer (created with the client's propagated ``trace_id``) without
 touching whatever global trace the server process may be running.
 Span records exported by :meth:`Tracer.records_since` carry an
@@ -308,7 +308,7 @@ class Tracer:
 
 _tracer: Tracer | None = None
 _install_lock = threading.Lock()
-# per-thread tracer override (ProverServer session tracing); checked
+# per-thread tracer override (prover-server session tracing); checked
 # before the global tracer by every entry point below
 _thread_ctx = threading.local()
 

@@ -3,7 +3,7 @@
 Spans (``telemetry.core``) answer *where did one run's time go*; this
 module answers *what is the service doing right now* — the
 fleet-observability side of the §5 evaluation once the prover runs as
-a long-lived :class:`~repro.argument.net.ProverServer`.  A
+a long-lived :class:`~repro.argument.serve.GatewayServer`.  A
 :class:`MetricsRegistry` holds three instrument kinds:
 
 * **counters** — monotonically increasing totals (sessions started,
@@ -19,7 +19,7 @@ Like tracing, metrics are **off by default** and the disabled hooks
 are designed to cost one thread-local read and a ``None`` check (the
 zero-overhead guard in ``tests/telemetry/test_overhead.py`` pins the
 dispatch-path delta).  A registry is bound either per thread
-(:func:`use` — how ``ProverServer`` scopes a registry to its session
+(:func:`use` — how the prover server scopes a registry to its session
 threads) or process-wide (:func:`install`).
 
 Exposition: ``registry.render_text()`` emits a Prometheus-style
@@ -282,7 +282,7 @@ def install(registry: MetricsRegistry | None) -> MetricsRegistry | None:
 def use(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
     """Bind ``registry`` as THIS thread's registry for the block.
 
-    How ``ProverServer`` scopes its registry to session threads: hooks
+    How the prover server scopes its registry to session threads: hooks
     fired while the session runs (including the field-backend
     throughput ticks during proving) land in the server's registry
     without disturbing any other server in the process.

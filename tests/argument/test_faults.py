@@ -125,6 +125,21 @@ class TestPostCommitFaults:
             stats = server.stats
         assert stats["sessions_started"] == 1
 
+    def test_refused_resume_keeps_the_root_cause(self, sumsq_program):
+        """The truncated outputs arm a resume the server must refuse
+        (the session was past its commit); the refusal's code survives
+        and the truncation stays attached as the cause."""
+        plan = FaultPlan(
+            [FaultRule(frame=OUTPUTS, action="truncate", direction="recv")], seed=23
+        )
+        with ProverServer(sumsq_program, FAST) as server:
+            with pytest.raises(ProtocolViolation) as excinfo:
+                run(sumsq_program, server, plan)
+        assert excinfo.value.code == "resume-invalid"
+        cause = excinfo.value.__cause__
+        assert isinstance(cause, ProtocolViolation) and cause.code == "io"
+        assert "mid-frame" in str(cause)
+
     def test_corrupt_answers_fails_fast(self, sumsq_program):
         plan = FaultPlan(
             [FaultRule(frame=ANSWERS, action="corrupt", direction="recv")], seed=24

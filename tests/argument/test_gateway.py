@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro import telemetry
 from repro.argument import (
     ArgumentConfig,
     Deadlines,
@@ -90,6 +91,16 @@ class TestRegistry:
         entry = registry.lookup(program_hash(sumsq_program))
         # registration warmed the QAP: a session must find it cached
         assert entry.qap(FAST.qap_mode) is entry.qap(FAST.qap_mode)
+
+    def test_registration_builds_the_divisor_inverse(self, sumsq_program):
+        """Regression: warm() named ``divisor_inverse_series`` without
+        calling it, leaving the Newton inverse to the first session."""
+        entry = ProgramRegistry().register(sumsq_program, FAST)
+        with telemetry.session() as tracer:
+            entry.qap(FAST.qap_mode).divisor_inverse_series()
+        totals = tracer.total_counters()
+        assert totals.get("poly.plan_hits") == 1
+        assert not totals.get("poly.plan_misses")
 
     def test_schedule_cache_hits_on_repeat_seed(self, registry, sumsq_program):
         entry = registry.lookup(program_hash(sumsq_program))

@@ -101,6 +101,29 @@ class TestRemoteVerification:
         # ...while the answers scale with the query count
         assert r_many.bytes_received > 2 * r_few.bytes_received
 
+    def test_sequential_sessions_build_the_qap_once(
+        self, sumsq_program, monkeypatch
+    ):
+        """Single-program serving proves from the registry's QAP: the
+        second session reuses what registration built."""
+        import repro.argument.serve as serve_mod
+
+        builds = []
+        real_build = serve_mod.build_qap
+
+        def counting_build(*args, **kwargs):
+            builds.append(args)
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(serve_mod, "build_qap", counting_build)
+        with ProverServer(sumsq_program, FAST) as srv:
+            for trial in range(2):
+                result = verify_remote(
+                    sumsq_program, [[trial, 1, 1]], srv.address, FAST
+                )
+                assert result.all_accepted
+        assert len(builds) == 1
+
     def test_program_hash_stability(self, sumsq_program, gold):
         assert program_hash(sumsq_program) == program_hash(sumsq_program)
 
@@ -441,29 +464,20 @@ class TestFraming:
 class TestCheatingOverNetwork:
     def test_lying_server_rejected(self, gold, sumsq_program):
         """A server that doctors its outputs fails verification."""
-
-        class LyingServer(ProverServer):
-            def _session(self, conn, session_id):
-                # intercept by monkeypatching solve output: easiest is to
-                # wrap the program object
-                original_solve = self.program.solve
-
-                def bad_solve(inputs, check=False):
-                    sol = original_solve(inputs, check=check)
-                    sol.output_values[0] = (sol.output_values[0] + 1) % gold.p
-                    sol.y[0] = sol.output_values[0]
-                    return sol
-
-                self.program.solve = bad_solve
-                try:
-                    super()._session(conn, session_id)
-                finally:
-                    self.program.solve = original_solve
-
         import copy
 
         prog_copy = copy.copy(sumsq_program)
-        with LyingServer(prog_copy, FAST) as srv:
+        original_solve = prog_copy.solve
+
+        def bad_solve(inputs, check=False):
+            sol = original_solve(inputs, check=check)
+            sol.output_values[0] = (sol.output_values[0] + 1) % gold.p
+            sol.y[0] = sol.output_values[0]
+            return sol
+
+        with ProverServer(prog_copy, FAST) as srv:
+            # tamper with the registered program's solve
+            srv.registry.entries()[0].program.solve = bad_solve
             result = verify_remote(sumsq_program, [[1, 2, 3]], srv.address, FAST)
         assert not result.all_accepted
         assert not result.instances[0].pcp_ok

@@ -78,7 +78,9 @@ class TestConcurrentSessions:
         assert stats["sessions_started"] == 6 + stats.get("session_errors", 0)
 
     def test_busy_rejection_is_structured_and_retryable(self, sumsq_program):
-        with ProverServer(sumsq_program, FAST, max_sessions=1) as server:
+        with ProverServer(
+            sumsq_program, FAST, max_sessions=1, accept_queue=0
+        ) as server:
             # occupy the single slot with a half-open session
             holder = socket.create_connection(server.address, timeout=5)
             try:
@@ -188,10 +190,10 @@ class TestWireTuning:
         """Nagle + delayed-ACK stalls every frame of a chatty protocol
         by ~40ms; both the dialing and the accepting socket must opt
         out."""
-        import repro.argument.net as net_mod
+        import repro.argument.framing as framing
 
         seen = []
-        original = net_mod._tune_socket
+        original = framing.tune_socket
 
         def spy(sock):
             original(sock)
@@ -199,14 +201,14 @@ class TestWireTuning:
                 sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
             )
 
-        net_mod._tune_socket = spy
+        framing.tune_socket = spy
         try:
             with ProverServer(sumsq_program, FAST) as server:
                 result = verify_remote(
                     sumsq_program, [[1, 2, 3]], server.address, FAST
                 )
         finally:
-            net_mod._tune_socket = original
+            framing.tune_socket = original
         assert result.all_accepted
         # one accept-side socket + one (or more) client dials
         assert len(seen) >= 2

@@ -382,6 +382,37 @@ class TestTopCommand:
         assert "started" in out
         assert "p50=" in out and "p99=" in out
 
+    def test_once_against_a_gateway_names_backend_field_and_queue_wait(
+        self, program_file, capsys, tmp_path
+    ):
+        from repro.argument import (
+            ArgumentConfig,
+            GatewayServer,
+            ProgramRegistry,
+            verify_remote,
+        )
+        from repro.cli import _field, _load_program
+        from repro.pcp import SoundnessParams
+
+        square_file = tmp_path / "square.zr"
+        square_file.write_text("input x\noutput y\ny = x * x\n")
+        field = _field("goldilocks")
+        config = ArgumentConfig(params=SoundnessParams(rho_lin=2, rho=1))
+        program = _load_program(program_file, field, 32)
+        registry = ProgramRegistry()
+        registry.register(program, config)
+        registry.register(_load_program(str(square_file), field, 32), config)
+        with GatewayServer(registry) as server:
+            verify_remote(program, [[3, 4]], server.address, config)
+            host, port = server.address
+            rc = main(["top", f"{host}:{port}", "--once"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "queue wait" in out
+        assert f"backend {field.backend.name}" in out
+        assert f"field {field.name}" in out
+        assert "backend ?" not in out and "field ?" not in out
+
     def test_unreachable_server_is_an_error(self, capsys):
         import socket
 
