@@ -21,6 +21,14 @@ stay bit-identical to the per-row route, and the CRT residue-plane
 product must beat the object-dtype stacked-NTT route it replaces by
 ``BATCH_MIN_SPEEDUP`` on the fixed gate shape.
 
+Its commitment section times the commitment round's two exponentiation
+loops, the verifier's Enc(r) and the prover's fold ∏ Enc(r_i)^{u_i},
+at n ∈ ``COMMIT_SIZES`` on the 512-bit groups: the per-element ``pow``
+oracle (``tests/crypto/pow_oracle.py``) against the kernels of
+``repro.crypto.multiexp``.  Under ``--check`` the ciphertexts must be
+equal and the kernels must beat the oracle by ``COMMIT_MIN_SPEEDUP`` at
+n = ``COMMIT_GATE_N``; the rows land in ``BENCH_kernels.json``.
+
 Standalone::
 
     PYTHONPATH=src python benchmarks/bench_kernels.py --size 4096 --reps 5 --check
@@ -39,11 +47,13 @@ import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # the pow oracle
 
 from _harness import FIELD, RESULTS, emit_results, fmt_seconds, print_table
 
 from repro import telemetry
-from repro.field import GOLDILOCKS, HAVE_NUMPY, PrimeField
+from repro.crypto import ElGamalKeypair, FieldPRG, homomorphic_inner_product, named_group
+from repro.field import GOLDILOCKS, HAVE_NUMPY, NAMED_FIELDS, PrimeField
 from repro.poly import (
     SubproductTree,
     clear_plan_caches,
@@ -80,6 +90,18 @@ BATCH_MIN_BATCH = 32
 #: issue criterion asks for; the speedup grows with both dimensions)
 BATCH_GATE_M = 4096
 BATCH_GATE_BATCH = 64
+
+#: commitment section: (group, field) pairs and vector lengths timed —
+#: the gateway's smallest vector and the p128-b8 proof-vector length
+COMMIT_GROUPS = (("goldilocks-512", "goldilocks"), ("p128-512", "p128"))
+COMMIT_SIZES = (12, 666)
+#: under --check, Enc(r) and the fold must each beat the pow oracle by
+#: at least this factor at n = COMMIT_GATE_N (measured 5.2-6.1x for
+#: Enc(r) and 5.9-7.5x for the fold on a 2-core Xeon; the margin
+#: absorbs CI noise while still catching a kernel that fell back to
+#: per-element work)
+COMMIT_MIN_SPEEDUP = 2.0
+COMMIT_GATE_N = 666
 
 
 def _best_of(fn, reps: int) -> float:
@@ -373,6 +395,55 @@ def _bench_batch_product(reps: int, rng: random.Random) -> dict | None:
     }
 
 
+def _bench_commitment(reps: int, rng: random.Random) -> list[dict]:
+    """Enc(r) and the fold: one ``pow`` per exponentiation vs the kernels.
+
+    Each row times one Enc(r) of an n-element vector (a table for the
+    key is built inside every call, as in the protocol) and one fold of
+    those ciphertexts with dense weights.  The group's generator table
+    is built before timing: the process pays for it once.
+    """
+    from tests.crypto.pow_oracle import encrypt_vector_pow, inner_product_pow
+
+    rows = []
+    for group_name, field_name in COMMIT_GROUPS:
+        group = named_group(group_name)
+        field = PrimeField(NAMED_FIELDS[field_name], check_prime=False)
+        public = ElGamalKeypair.generate(group, FieldPRG(field, b"bench", "key")).public
+        for n in COMMIT_SIZES:
+            messages = [rng.randrange(group.order) for _ in range(n)]
+            weights = [rng.randrange(1, group.order) for _ in range(n)]
+            cts = public.encrypt_vector(messages, FieldPRG(field, b"bench", "enc"))
+            oracle_cts = encrypt_vector_pow(
+                public, messages, FieldPRG(field, b"bench", "enc")
+            )
+            folded = homomorphic_inner_product(group, cts, weights)
+            identical = cts == oracle_cts and folded == inner_product_pow(
+                group, cts, weights
+            )
+            prg = FieldPRG(field, b"bench", "timing")
+            enc_pow = _best_of(lambda: encrypt_vector_pow(public, messages, prg), reps)
+            enc_kernel = _best_of(lambda: public.encrypt_vector(messages, prg), reps)
+            fold_pow = _best_of(lambda: inner_product_pow(group, cts, weights), reps)
+            fold_kernel = _best_of(
+                lambda: homomorphic_inner_product(group, cts, weights), reps
+            )
+            rows.append(
+                {
+                    "group": group_name,
+                    "n": n,
+                    "enc_pow_seconds": enc_pow,
+                    "enc_kernel_seconds": enc_kernel,
+                    "enc_speedup": enc_pow / enc_kernel,
+                    "fold_pow_seconds": fold_pow,
+                    "fold_kernel_seconds": fold_kernel,
+                    "fold_speedup": fold_pow / fold_kernel,
+                    "bit_identical": identical,
+                }
+            )
+    return rows
+
+
 def run_bench(size: int, reps: int) -> dict:
     rng = random.Random(0xC0DE)
     out = {
@@ -382,6 +453,7 @@ def run_bench(size: int, reps: int) -> dict:
         "counters": _bench_counters(size),
         "backends": _bench_backends(size, reps, rng),
         "batch": _bench_batch(size, reps, rng),
+        "commitment": _bench_commitment(reps, rng),
     }
     for label, row in out.items():
         if label == "backends":
@@ -432,6 +504,17 @@ def check(results: dict) -> list[str]:
             failures.append(
                 f"batch: batched H pipeline differs at batch={row['batch']}"
             )
+    for row in results["commitment"]:
+        where = f"commitment: {row['group']} n={row['n']}"
+        if not row["bit_identical"]:
+            failures.append(f"{where}: kernel ciphertexts differ from the pow oracle")
+        if row["n"] == COMMIT_GATE_N:
+            for op in ("enc", "fold"):
+                if row[f"{op}_speedup"] < COMMIT_MIN_SPEEDUP:
+                    failures.append(
+                        f"{where}: {op} kernel only {row[f'{op}_speedup']:.2f}x "
+                        f"over pow (need {COMMIT_MIN_SPEEDUP}x)"
+                    )
     product = results["batch"]["product"]
     if product is not None:
         if not product["bit_identical"]:
@@ -474,6 +557,27 @@ def _report(results: dict) -> None:
     print(
         f"\nplan cache over 2 instances: {counters['plan_hits']} hits / "
         f"{counters['plan_misses']} misses ({counters['cache_entries']})"
+    )
+
+    rows = [
+        [
+            f"{row['group']} n={row['n']}",
+            fmt_seconds(row["enc_pow_seconds"]),
+            fmt_seconds(row["enc_kernel_seconds"]),
+            f"{row['enc_speedup']:.2f}x",
+            fmt_seconds(row["fold_pow_seconds"]),
+            fmt_seconds(row["fold_kernel_seconds"]),
+            f"{row['fold_speedup']:.2f}x",
+            "yes" if row["bit_identical"] else "NO",
+        ]
+        for row in results["commitment"]
+    ]
+    print()
+    print_table(
+        "commitment round: per-element pow vs fixed-base tables / Pippenger",
+        ["vector", "Enc pow", "Enc kernel", "speedup", "fold pow", "fold kernel",
+         "speedup", "identical"],
+        rows,
     )
 
     backends = results["backends"]

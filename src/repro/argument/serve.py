@@ -905,14 +905,21 @@ class GatewayServer:
             conn = self.link.wrap(conn)
         self.metrics.observe("gateway.queue_wait_seconds", started - queued_at)
         self.metrics.add_gauge("sessions_in_flight", 1)
+        ok = False
         try:
             with conn, metrics_mod.use(self.metrics):
-                self._session(conn, session_id)
+                ok = self._session(conn, session_id)
         finally:
             self.metrics.add_gauge("sessions_in_flight", -1)
             self.metrics.observe(
                 "session_latency_seconds", time.monotonic() - started
             )
+        if ok:
+            # counted after the latency sample, so a stats reader that
+            # sees the session as ok also sees its latency
+            self._bump("sessions_ok")
+            telemetry.count("net.sessions_ok")
+            self.metrics.inc("sessions_ok")
 
     def _mark_started(self, counted: list) -> None:
         """Count this connection as a started session, exactly once.
@@ -931,7 +938,8 @@ class GatewayServer:
         telemetry.count("net.sessions_started")
         self.metrics.inc("sessions_started")
 
-    def _session(self, conn, session_id: int) -> None:
+    def _session(self, conn, session_id: int) -> bool:
+        """Serve one connection; True iff its session completed ok."""
         conn.settimeout(self.deadlines.read)
         budget = None
         if self.deadlines.session is not None:
@@ -964,9 +972,8 @@ class GatewayServer:
             self._fail(conn, session_id, "internal", f"{type(exc).__name__}: {exc}")
         else:
             self._mark_started(counted)
-            self._bump("sessions_ok")
-            telemetry.count("net.sessions_ok")
-            self.metrics.inc("sessions_ok")
+            return True
+        return False
 
     def _count_error(self, code: str) -> None:
         self._bump("session_errors")

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 from .. import telemetry
 from .groups import SchnorrGroup
+from .multiexp import FixedBaseTable, multi_pow_pair, window_width
 from .prg import FieldPRG
 
 
@@ -42,22 +43,29 @@ class ElGamalPublicKey:
 
     def encrypt(self, message: int, prg: FieldPRG) -> ElGamalCiphertext:
         """Encrypt a field element (carried in the exponent)."""
-        if telemetry.enabled():
-            telemetry.count("crypto.encryptions")
-            telemetry.count("crypto.exponentiations", 3)
-        group = self.group
-        k = prg.next_below(group.order)
-        c1 = pow(group.generator, k, group.modulus)
-        c2 = (
-            pow(group.generator, message % group.order, group.modulus)
-            * pow(self.h, k, group.modulus)
-            % group.modulus
-        )
-        return ElGamalCiphertext(c1, c2)
+        return self.encrypt_vector([message], prg)[0]
 
     def encrypt_vector(self, messages: list[int], prg: FieldPRG) -> list[ElGamalCiphertext]:
-        """Componentwise encryption (the commit request's Enc(r))."""
-        return [self.encrypt(m, prg) for m in messages]
+        """Componentwise encryption (the commit request's Enc(r)).
+
+        Draws one k per message, in order, and computes (g^k, g^m · h^k)
+        from the group's generator table and a table for h built for
+        this call (h is fresh per key, so per batch).
+        """
+        group = self.group
+        P, q = group.modulus, group.order
+        n = len(messages)
+        if telemetry.enabled():
+            telemetry.count("crypto.encryptions", n)
+            telemetry.count("crypto.exponentiations", 3 * n)
+        ks = [prg.next_below(q) for _ in range(n)]
+        g = group.generator_table
+        bits = q.bit_length()
+        h = FixedBaseTable(self.h, P, bits, window_width(n, bits))
+        return [
+            ElGamalCiphertext(g.pow(k), g.pow(m % q) * h.pow(k) % P)
+            for m, k in zip(messages, ks)
+        ]
 
 
 @dataclass(frozen=True)
@@ -68,8 +76,7 @@ class ElGamalKeypair:
     @classmethod
     def generate(cls, group: SchnorrGroup, prg: FieldPRG) -> "ElGamalKeypair":
         x = prg.next_below(group.order - 1) + 1
-        h = pow(group.generator, x, group.modulus)
-        return cls(ElGamalPublicKey(group, h), x)
+        return cls(ElGamalPublicKey(group, group.encode(x)), x)
 
     def decrypt_to_group(self, ct: ElGamalCiphertext) -> int:
         """Recover g^m (not m itself — the exponent stays hidden)."""
@@ -103,21 +110,22 @@ def homomorphic_inner_product(
     Each term is the cost-model parameter ``h`` ("ciphertext add plus
     multiply", §5.1); the prover pays one ``h`` per entry of the proof
     vector (Figure 3, "Issue responses").  Zero weights are skipped,
-    matching what an optimized prover does for sparse vectors.
+    matching what an optimized prover does for sparse vectors.  The
+    terms are folded together by one Pippenger pass over both
+    ciphertext components (``multiexp.multi_pow_pair``).
     """
     if len(ciphertexts) != len(weights):
         raise ValueError("ciphertext/weight length mismatch")
-    P = group.modulus
-    acc1, acc2 = 1, 1
-    terms = 0
+    q = group.order
+    bases = []
+    scalars = []
     for ct, w in zip(ciphertexts, weights):
-        if w == 0:
-            continue
-        terms += 1
-        s = w % group.order
-        acc1 = acc1 * pow(ct.c1, s, P) % P
-        acc2 = acc2 * pow(ct.c2, s, P) % P
+        if w:
+            bases.append((ct.c1, ct.c2))
+            scalars.append(w % q)
     if telemetry.enabled():
-        telemetry.count("crypto.ciphertext_ops", terms)
-        telemetry.count("crypto.exponentiations", 2 * terms)
-    return ElGamalCiphertext(acc1, acc2)
+        telemetry.count("crypto.ciphertext_ops", len(scalars))
+        telemetry.count("crypto.exponentiations", 2 * len(scalars))
+    return ElGamalCiphertext(
+        *multi_pow_pair(bases, scalars, group.modulus, q.bit_length())
+    )

@@ -15,8 +15,10 @@ Miller-Rabin search and are verified by ``tests/crypto/test_groups.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..field import GOLDILOCKS, P128, P220, PrimeField
+from .multiexp import MAX_WINDOW, FixedBaseTable
 
 
 @dataclass(frozen=True)
@@ -39,7 +41,21 @@ class SchnorrGroup:
 
     def encode(self, m: int) -> int:
         """g^m — the exponent embedding used by the commitment check."""
-        return pow(self.generator, m % self.order, self.modulus)
+        return self.generator_table.pow(m % self.order)
+
+    @cached_property
+    def generator_table(self) -> FixedBaseTable:
+        """Fixed-base table for g at the widest window, built on first use.
+
+        Every g^x of the commitment (key generation, Enc, ``encode``)
+        reads it, so one build serves the process.  The table is built
+        fully before it is stored on the group and never mutated after,
+        so threads racing on the first use each get a complete table; a
+        racing double build stores one of the identical copies.
+        """
+        return FixedBaseTable(
+            self.generator, self.modulus, self.order.bit_length(), MAX_WINDOW
+        )
 
 
 #: 512-bit group of order GOLDILOCKS (test configurations).
