@@ -29,6 +29,15 @@ oracle (``tests/crypto/pow_oracle.py``) against the kernels of
 equal and the kernels must beat the oracle by ``COMMIT_MIN_SPEEDUP`` at
 n = ``COMMIT_GATE_N``; the rows land in ``BENCH_kernels.json``.
 
+Its keystream section times ChaCha20 keystream generation at the
+block counts in ``KEYSTREAM_BLOCKS``: the per-block ``chacha20_block``
+loop against the multi-block numpy kernel ``chacha20_blocks``, from a
+counter that wraps past 2^32 inside the longest read.  Under
+``--check`` the bytes must be identical at every count and the kernel
+must beat the loop by ``KEYSTREAM_MIN_SPEEDUP`` at
+``KEYSTREAM_GATE_BLOCKS`` blocks (one p128 query repetition); the rows
+land in ``BENCH_kernels.json``.  Without numpy the section is skipped.
+
 Standalone::
 
     PYTHONPATH=src python benchmarks/bench_kernels.py --size 4096 --reps 5 --check
@@ -52,7 +61,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # the pow oracle
 from _harness import FIELD, RESULTS, emit_results, fmt_seconds, print_table
 
 from repro import telemetry
-from repro.crypto import ElGamalKeypair, FieldPRG, homomorphic_inner_product, named_group
+from repro.crypto import (
+    ElGamalKeypair,
+    FieldPRG,
+    chacha20_block,
+    chacha20_blocks,
+    homomorphic_inner_product,
+    named_group,
+)
 from repro.field import GOLDILOCKS, HAVE_NUMPY, NAMED_FIELDS, PrimeField
 from repro.poly import (
     SubproductTree,
@@ -102,6 +118,17 @@ COMMIT_SIZES = (12, 666)
 #: per-element work)
 COMMIT_MIN_SPEEDUP = 2.0
 COMMIT_GATE_N = 666
+
+#: keystream section: block counts timed — around the kernel's
+#: crossover, and one p128 LCS m=4 query repetition (5,328 16-byte
+#: samples = 1,332 blocks)
+KEYSTREAM_BLOCKS = (1, 2, 4, 8, 1332)
+#: under --check, the kernel must beat the per-block loop by at least
+#: this factor at KEYSTREAM_GATE_BLOCKS (measured ~200x on a 2-core
+#: Xeon; the margin absorbs CI noise while still catching a kernel
+#: that fell back to per-block work)
+KEYSTREAM_MIN_SPEEDUP = 10.0
+KEYSTREAM_GATE_BLOCKS = 1332
 
 
 def _best_of(fn, reps: int) -> float:
@@ -444,6 +471,42 @@ def _bench_commitment(reps: int, rng: random.Random) -> list[dict]:
     return rows
 
 
+def _bench_keystream(reps: int, rng: random.Random) -> list[dict]:
+    """ChaCha20 keystream: the per-block loop vs one multi-block call.
+
+    The counter starts just below 2^32, so the longest read wraps it
+    the way ``ChaChaStream`` does.  Empty when numpy is absent.
+    """
+    if not HAVE_NUMPY:
+        return []
+    key, nonce = rng.randbytes(32), rng.randbytes(12)
+    counter = 2**32 - 100
+
+    def loop(blocks: int) -> bytes:
+        return b"".join(
+            chacha20_block(key, (counter + j) & 0xFFFFFFFF, nonce)
+            for j in range(blocks)
+        )
+
+    rows = []
+    for blocks in KEYSTREAM_BLOCKS:
+        identical = chacha20_blocks(key, counter, nonce, blocks) == loop(blocks)
+        loop_seconds = _best_of(lambda: loop(blocks), min(reps, 2) if blocks > 64 else reps)
+        kernel_seconds = _best_of(
+            lambda: chacha20_blocks(key, counter, nonce, blocks), reps
+        )
+        rows.append(
+            {
+                "blocks": blocks,
+                "loop_seconds": loop_seconds,
+                "kernel_seconds": kernel_seconds,
+                "speedup": loop_seconds / kernel_seconds,
+                "bit_identical": identical,
+            }
+        )
+    return rows
+
+
 def run_bench(size: int, reps: int) -> dict:
     rng = random.Random(0xC0DE)
     out = {
@@ -454,6 +517,7 @@ def run_bench(size: int, reps: int) -> dict:
         "backends": _bench_backends(size, reps, rng),
         "batch": _bench_batch(size, reps, rng),
         "commitment": _bench_commitment(reps, rng),
+        "keystream": _bench_keystream(reps, rng),
     }
     for label, row in out.items():
         if label == "backends":
@@ -515,6 +579,17 @@ def check(results: dict) -> list[str]:
                         f"{where}: {op} kernel only {row[f'{op}_speedup']:.2f}x "
                         f"over pow (need {COMMIT_MIN_SPEEDUP}x)"
                     )
+    for row in results["keystream"]:
+        where = f"keystream: {row['blocks']} blocks"
+        if not row["bit_identical"]:
+            failures.append(f"{where}: kernel bytes differ from the per-block loop")
+        if row["blocks"] == KEYSTREAM_GATE_BLOCKS and (
+            row["speedup"] < KEYSTREAM_MIN_SPEEDUP
+        ):
+            failures.append(
+                f"{where}: kernel only {row['speedup']:.2f}x over the "
+                f"per-block loop (need {KEYSTREAM_MIN_SPEEDUP}x)"
+            )
     product = results["batch"]["product"]
     if product is not None:
         if not product["bit_identical"]:
@@ -579,6 +654,24 @@ def _report(results: dict) -> None:
          "speedup", "identical"],
         rows,
     )
+
+    if results["keystream"]:
+        rows = [
+            [
+                f"{row['blocks']} blocks",
+                fmt_seconds(row["loop_seconds"]),
+                fmt_seconds(row["kernel_seconds"]),
+                f"{row['speedup']:.2f}x",
+                "yes" if row["bit_identical"] else "NO",
+            ]
+            for row in results["keystream"]
+        ]
+        print()
+        print_table(
+            "ChaCha20 keystream: per-block loop vs multi-block kernel",
+            ["read", "loop", "kernel", "speedup", "identical"],
+            rows,
+        )
 
     backends = results["backends"]
     if not backends["numpy_available"]:

@@ -1,6 +1,6 @@
 """Cryptographic substrate: ChaCha PRG, ElGamal, linear commitment."""
 
-from .chacha import ChaChaStream, chacha20_block, chacha20_encrypt
+from .chacha import ChaChaStream, chacha20_block, chacha20_blocks, chacha20_encrypt
 from .commitment import (
     CommitmentOpCounts,
     CommitmentProver,
@@ -14,8 +14,6 @@ from .elgamal import (
     ElGamalCiphertext,
     ElGamalKeypair,
     ElGamalPublicKey,
-    ciphertext_mul,
-    ciphertext_pow,
     homomorphic_inner_product,
 )
 from .groups import (
@@ -47,9 +45,8 @@ __all__ = [
     "GROUP_P220_1024",
     "SchnorrGroup",
     "chacha20_block",
+    "chacha20_blocks",
     "chacha20_encrypt",
-    "ciphertext_mul",
-    "ciphertext_pow",
     "group_for_field",
     "homomorphic_inner_product",
     "named_group",

@@ -111,7 +111,7 @@ class CommitmentVerifier:
 
     def commit_request(self) -> CommitRequest:
         """Draw the secret r and encrypt it componentwise (once per batch)."""
-        self._r = [self._prg.next_element() for _ in range(self.n)]
+        self._r = self._prg.next_vector(self.n)
         cts = self._keypair.public.encrypt_vector(self._r, self._prg)
         self.counts.encryptions += self.n
         return CommitRequest(cts)
@@ -122,7 +122,7 @@ class CommitmentVerifier:
         """Append the consistency query t = r + Σ αᵢ·qᵢ to the PCP queries."""
         if self._r is None:
             raise RuntimeError("commit_request must run before decommit")
-        self._alphas = [self._prg.next_element() for _ in range(len(queries))]
+        self._alphas = self._prg.next_vector(len(queries))
         t = list(self._r)
         for alpha, q in zip(self._alphas, queries):
             if len(q) != self.n:

@@ -58,7 +58,7 @@ class ElGamalPublicKey:
         if telemetry.enabled():
             telemetry.count("crypto.encryptions", n)
             telemetry.count("crypto.exponentiations", 3 * n)
-        ks = [prg.next_below(q) for _ in range(n)]
+        ks = prg.next_below_vector(q, n)
         g = group.generator_table
         bits = q.bit_length()
         h = FixedBaseTable(self.h, P, bits, window_width(n, bits))
@@ -85,21 +85,6 @@ class ElGamalKeypair:
             telemetry.count("crypto.exponentiations")
         P = self.public.group.modulus
         return ct.c2 * pow(ct.c1, P - 1 - self.secret, P) % P
-
-
-def ciphertext_mul(group: SchnorrGroup, a: ElGamalCiphertext, b: ElGamalCiphertext) -> ElGamalCiphertext:
-    """Enc(m1) ⊙ Enc(m2) = Enc(m1 + m2)."""
-    P = group.modulus
-    return ElGamalCiphertext(a.c1 * b.c1 % P, a.c2 * b.c2 % P)
-
-
-def ciphertext_pow(group: SchnorrGroup, ct: ElGamalCiphertext, scalar: int) -> ElGamalCiphertext:
-    """Enc(m)^s = Enc(s · m)."""
-    if telemetry.enabled():
-        telemetry.count("crypto.exponentiations", 2)
-    P = group.modulus
-    s = scalar % group.order
-    return ElGamalCiphertext(pow(ct.c1, s, P), pow(ct.c2, s, P))
 
 
 def homomorphic_inner_product(

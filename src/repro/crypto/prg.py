@@ -23,8 +23,10 @@ class FieldPRG:
         self.field = field
         key = _derive_key(seed, domain)
         self._stream = ChaChaStream(key)
-        # Sample ceil(bits/8) + 8 bytes and reduce the rejection rate by
-        # reading a few spare bits; strict rejection keeps uniformity.
+        # Each sample is exactly ceil(bits/8) bytes, rejected unless it
+        # falls below the largest multiple of p that fits; the width is
+        # part of every transcript.  (``next_below`` is the draw that
+        # reads a spare byte, to keep its rejection rate low.)
         self._sample_bytes = (field.p.bit_length() + 7) // 8
         self._mask = (1 << (self._sample_bytes * 8)) - 1
         self._limit = self._mask + 1 - ((self._mask + 1) % field.p)
@@ -44,8 +46,9 @@ class FieldPRG:
                 return v
 
     def next_vector(self, n: int) -> list[int]:
-        """n uniform field elements."""
-        return [self.next_element() for _ in range(n)]
+        """n uniform field elements: ``[next_element() for _ in range(n)]``
+        in one keystream read (plus one per refill)."""
+        return self._samples(n, self._sample_bytes, self._limit, self.field.p)
 
     def next_bytes(self, n: int) -> bytes:
         """Raw keystream bytes (for non-field randomness)."""
@@ -53,13 +56,43 @@ class FieldPRG:
 
     def next_below(self, bound: int) -> int:
         """Uniform draw from [0, bound); used for exponent sampling."""
-        nbytes = (bound.bit_length() + 15) // 8
-        space = 1 << (nbytes * 8)
-        limit = space - (space % bound)
+        nbytes, limit = _below_sampling(bound)
         while True:
             raw = int.from_bytes(self._stream.read(nbytes), "little")
             if raw < limit:
                 return raw % bound
+
+    def next_below_vector(self, bound: int, n: int) -> list[int]:
+        """``[next_below(bound) for _ in range(n)]`` in one keystream read
+        (plus one per refill)."""
+        return self._samples(n, *_below_sampling(bound), bound)
+
+    def _samples(self, n: int, width: int, limit: int, modulus: int) -> list[int]:
+        """n accepted ``width``-byte samples, reduced mod ``modulus``.
+
+        Samples are accepted in stream order while below ``limit``.  When
+        some are rejected, only the shortfall is read again, so this
+        consumes exactly the bytes n one-at-a-time draws would.
+        """
+        out: list[int] = []
+        from_bytes = int.from_bytes
+        while len(out) < n:
+            size = (n - len(out)) * width
+            data = self._stream.read(size)
+            out += [
+                raw % modulus
+                for i in range(0, size, width)
+                if (raw := from_bytes(data[i : i + width], "little")) < limit
+            ]
+        return out
+
+
+def _below_sampling(bound: int) -> tuple[int, int]:
+    """(sample width in bytes, rejection limit) for draws below ``bound``:
+    one spare byte over the bound's width keeps rejections rare."""
+    nbytes = (bound.bit_length() + 15) // 8
+    space = 1 << (nbytes * 8)
+    return nbytes, space - (space % bound)
 
 
 def _derive_key(seed: bytes | str | int, domain: str) -> bytes:

@@ -21,6 +21,7 @@ commitment layer binds one linear function over the concatenation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 from ..crypto.prg import FieldPRG
@@ -96,16 +97,19 @@ def generate_schedule(
         idx_q5 = idx_q8 = -1
         first_q5: list[int] = []
         first_q8: list[int] = []
+        # this repetition's 4·ρ_lin linearity vectors in one draw, sliced
+        # q5, q6, q8, q9 per iteration (the order is part of every transcript)
+        draws = iter(prg.next_vector(params.rho_lin * 2 * (n_prime + h_len)))
         for it in range(params.rho_lin):
-            q5 = prg.next_vector(n_prime)
-            q6 = prg.next_vector(n_prime)
+            q5 = list(islice(draws, n_prime))
+            q6 = list(islice(draws, n_prime))
             q7 = vec_add(field, q5, q6)
             i5 = push(embed_z_query(qap, q5))
             i6 = push(embed_z_query(qap, q6))
             i7 = push(embed_z_query(qap, q7))
             lin_z.append(LinearityTriple(i5, i6, i7))
-            q8 = prg.next_vector(h_len)
-            q9 = prg.next_vector(h_len)
+            q8 = list(islice(draws, h_len))
+            q9 = list(islice(draws, h_len))
             q10 = vec_add(field, q8, q9)
             i8 = push(embed_h_query(qap, q8))
             i9 = push(embed_h_query(qap, q9))

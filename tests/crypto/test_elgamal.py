@@ -5,8 +5,6 @@ import pytest
 from repro.crypto import (
     ElGamalKeypair,
     FieldPRG,
-    ciphertext_mul,
-    ciphertext_pow,
     group_for_field,
     homomorphic_inner_product,
 )
@@ -45,16 +43,16 @@ class TestEncryptDecrypt:
 class TestHomomorphisms:
     def test_additive(self, setup):
         _, group, prg, keypair = setup
-        ct = ciphertext_mul(
+        ct = homomorphic_inner_product(
             group,
-            keypair.public.encrypt(10, prg),
-            keypair.public.encrypt(32, prg),
+            [keypair.public.encrypt(10, prg), keypair.public.encrypt(32, prg)],
+            [1, 1],
         )
         assert keypair.decrypt_to_group(ct) == group.encode(42)
 
     def test_scalar(self, setup):
         _, group, prg, keypair = setup
-        ct = ciphertext_pow(group, keypair.public.encrypt(5, prg), 9)
+        ct = homomorphic_inner_product(group, [keypair.public.encrypt(5, prg)], [9])
         assert keypair.decrypt_to_group(ct) == group.encode(45)
 
     def test_inner_product(self, setup):

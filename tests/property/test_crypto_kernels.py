@@ -1,4 +1,8 @@
-"""Parity suite: the commitment kernels against the per-element ``pow`` oracle.
+"""Parity suite: the crypto kernels against their one-at-a-time oracles.
+
+The commitment kernels are checked against the per-element ``pow``
+oracle, the keystream kernel against the per-block ``chacha20_block``
+loop, and the PRG's bulk draws against one draw at a time.
 
 ``repro.crypto.multiexp`` replaces one ``pow`` per exponentiation with
 fixed-base tables (Enc(r), ``encode``, key generation) and a Pippenger
@@ -18,6 +22,15 @@ four commitment groups:
   values (``int(…, 16)`` accepts them) and non-subgroup elements;
 * Enc(r) must also leave the PRG exactly where n scalar encryptions
   leave it, so later verifier draws are unchanged.
+
+The keystream and PRG sections (after the commitment ones) check that
+``chacha20_blocks`` equals the per-block loop at every block count up
+to past the crossover and at one p128 query repetition, from counters
+that wrap past 2^32; that any sequence of ``ChaChaStream.read`` sizes
+equals one whole read; and that ``FieldPRG.next_vector`` and
+``next_below_vector`` equal n scalar draws and leave the PRG where
+those leave it, on all four fields and on a modulus just above 2^63
+that rejects about half of its samples.
 """
 
 from __future__ import annotations
@@ -37,14 +50,18 @@ from repro.crypto import (
     GROUP_P128_512,
     GROUP_P128_1024,
     GROUP_P220_1024,
+    ChaChaStream,
     ElGamalCiphertext,
     ElGamalKeypair,
     FieldPRG,
     SchnorrGroup,
+    chacha20_block,
+    chacha20_blocks,
     homomorphic_inner_product,
 )
+from repro.crypto.chacha import KERNEL_MIN_BLOCKS
 from repro.crypto.multiexp import MAX_WINDOW, window_width
-from repro.field import GOLDILOCKS, P128, P220, PrimeField
+from repro.field import GOLDILOCKS, HAVE_NUMPY, P128, P192, P220, PrimeField
 
 from ..crypto.pow_oracle import encrypt_vector_pow, inner_product_pow
 
@@ -273,3 +290,151 @@ def test_generator_table_first_use_race():
     table = group.generator_table
     assert len(table.rows) == -(-_bits(group) // MAX_WINDOW)
     assert all(len(row) == 1 << MAX_WINDOW for row in table.rows)
+
+
+# -- keystream ----------------------------------------------------------------
+
+needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="the kernel needs numpy")
+
+#: keystream blocks one p128 LCS m=4 query repetition reads
+#: (5,328 samples of 16 bytes)
+REPETITION_BLOCKS = 1332
+
+_keys = st.binary(min_size=32, max_size=32)
+_nonces = st.binary(min_size=12, max_size=12)
+#: counters near 2^32, so long reads wrap, or anywhere
+_counters = st.one_of(
+    st.integers(2**32 - 2 * REPETITION_BLOCKS, 2**32 - 1), st.integers(0, 2**32 - 1)
+)
+
+
+def _block_loop(key: bytes, counter: int, nonce: bytes, count: int) -> bytes:
+    return b"".join(
+        chacha20_block(key, (counter + j) & 0xFFFFFFFF, nonce) for j in range(count)
+    )
+
+
+@needs_numpy
+@pytest.mark.parametrize("count", range(KERNEL_MIN_BLOCKS + 5))
+@settings(max_examples=10, deadline=None)
+@given(key=_keys, nonce=_nonces, counter=_counters)
+def test_keystream_kernel_matches_block_loop(count, key, nonce, counter):
+    assert chacha20_blocks(key, counter, nonce, count) == _block_loop(
+        key, counter, nonce, count
+    )
+
+
+@needs_numpy
+@settings(max_examples=2, deadline=None)
+@given(key=_keys, nonce=_nonces, counter=_counters)
+def test_keystream_kernel_matches_block_loop_at_repetition(key, nonce, counter):
+    assert chacha20_blocks(key, counter, nonce, REPETITION_BLOCKS) == _block_loop(
+        key, counter, nonce, REPETITION_BLOCKS
+    )
+
+
+@needs_numpy
+def test_keystream_kernel_wraps_the_counter():
+    key, nonce = bytes(range(32)), bytes(range(12))
+    stream = chacha20_blocks(key, 2**32 - 2, nonce, 4)
+    assert stream[128:] == _block_loop(key, 0, nonce, 2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    key=_keys,
+    nonce=_nonces,
+    counter=_counters,
+    sizes=st.lists(
+        st.one_of(st.integers(0, 200), st.integers(200, 64 * (KERNEL_MIN_BLOCKS + 4))),
+        max_size=10,
+    ),
+)
+def test_stream_reads_equal_one_whole_read(key, nonce, counter, sizes):
+    pieces = ChaChaStream(key, nonce, counter)
+    whole = ChaChaStream(key, nonce, counter)
+    total = sum(sizes)
+    data = b"".join(pieces.read(n) for n in sizes)
+    assert data == whole.read(total)
+    # both streams are left at the same position
+    after = pieces.read(100)
+    assert after == whole.read(100)
+    blocks = -(-(total + 100) // 64)
+    assert data + after == _block_loop(key, counter, nonce, blocks)[: total + 100]
+
+
+# -- field PRG ----------------------------------------------------------------
+
+#: the smallest prime above 2^63: 8-byte samples, about half rejected
+P_REJECT = 2**63 + 29
+_PRG_FIELDS = {
+    **{
+        params.name: PrimeField(params, check_prime=False)
+        for params in (GOLDILOCKS, P128, P192, P220)
+    },
+    "p63+29": PrimeField(P_REJECT),
+}
+
+
+def _prg_pair(field: PrimeField, seed: bytes) -> tuple[FieldPRG, FieldPRG]:
+    return FieldPRG(field, seed, "parity"), FieldPRG(field, seed, "parity")
+
+
+def _count_reads(prg: FieldPRG) -> list[int]:
+    """Record the size of every keystream read ``prg`` makes from now on."""
+    reads: list[int] = []
+    read = prg._stream.read
+    prg._stream.read = lambda n: reads.append(n) or read(n)
+    return reads
+
+
+@pytest.mark.parametrize("name", _PRG_FIELDS)
+@settings(max_examples=15, deadline=None)
+@given(seed=st.binary(max_size=16), sizes=st.lists(st.integers(0, 400), max_size=4))
+def test_next_vector_matches_next_element(name, seed, sizes):
+    bulk, single = _prg_pair(_PRG_FIELDS[name], seed)
+    for n in sizes:
+        assert bulk.next_vector(n) == [single.next_element() for _ in range(n)]
+    # the PRG is left where the scalar draws leave it
+    assert bulk.next_element() == single.next_element()
+    assert bulk.next_bytes(100) == single.next_bytes(100)
+
+
+@pytest.mark.parametrize("name", _PRG_FIELDS)
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.binary(max_size=16),
+    bound=st.one_of(
+        st.sampled_from([1, 2, 7, 256, 2**63 + 1, P_REJECT]), st.integers(1, 2**256)
+    ),
+    sizes=st.lists(st.integers(0, 400), max_size=4),
+)
+def test_next_below_vector_matches_next_below(name, seed, bound, sizes):
+    bulk, single = _prg_pair(_PRG_FIELDS[name], seed)
+    for n in sizes:
+        assert bulk.next_below_vector(bound, n) == [
+            single.next_below(bound) for _ in range(n)
+        ]
+    assert bulk.next_below(bound) == single.next_below(bound)
+    assert bulk.next_vector(3) == single.next_vector(3)
+
+
+@pytest.mark.parametrize("name", _PRG_FIELDS)
+def test_next_vector_at_repetition_length(name):
+    """One query repetition's draw (LCS m=4: 8 vectors of 666)."""
+    bulk, single = _prg_pair(_PRG_FIELDS[name], b"repetition")
+    assert bulk.next_vector(8 * 666) == [single.next_element() for _ in range(8 * 666)]
+    assert bulk.next_nonzero() == single.next_nonzero()
+
+
+def test_rejections_refill_only_the_shortfall():
+    """Near 2^63 about half the samples are rejected, so the refill loop
+    runs; it reads only the shortfall, so the PRG ends where n scalar
+    draws leave it."""
+    bulk, single = _prg_pair(_PRG_FIELDS["p63+29"], b"reject")
+    reads = _count_reads(bulk)
+    n = 1000
+    assert bulk.next_vector(n) == [single.next_element() for _ in range(n)]
+    assert reads[0] == 8 * n and len(reads) > 5
+    assert all(later <= earlier for earlier, later in zip(reads, reads[1:]))
+    assert bulk.next_bytes(64) == single.next_bytes(64)
