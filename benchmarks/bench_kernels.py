@@ -10,10 +10,10 @@ the CI ``kernel-bench`` job runs; the JSON artifact lands in
 
 It also sweeps the field-arithmetic backends (``repro.field.backend``):
 scalar vs numpy on NTT round-trips, elementwise products, and inner
-products over the 64-bit field, at sizes bracketing ``--size``.  Under
-``--check`` the backends must agree bit-for-bit and the numpy NTT must
-beat scalar at sizes >= 2^12; the sweep lands in
-``benchmarks/out/BENCH_backends.json``.
+products over the 64-bit field, at ``BACKEND_SMALL_SIZES`` and at sizes
+bracketing ``--size``.  Under ``--check`` the backends must agree
+bit-for-bit and the numpy NTT must beat scalar at sizes >= 2^12; the
+sweep lands in ``benchmarks/out/BENCH_backends.json``.
 
 Finally it exercises the batch-axis prover path on the 128-bit modulus
 (``benchmarks/out/BENCH_batch.json``): the batched H(t) pipeline must
@@ -94,6 +94,13 @@ CHECK_MARGIN = 1.25
 #: absorbs CI noise while still catching a broken vector path)
 NUMPY_NTT_MIN_SPEEDUP = 2.0
 NUMPY_NTT_MIN_SIZE = 4096
+
+#: backend sweep rows where a row's time is mostly fixed per-call cost:
+#: at 8, between the gateway's vector lengths (6 and 12), both backends
+#: run the scalar loops, so the ratio is the numpy dispatch overhead;
+#: 32 is ``NumpyBackend.MIN_VECTOR``, where the uint64 kernel takes
+#: over.  Reported, not gated.
+BACKEND_SMALL_SIZES = (8, 32)
 
 #: under --check, the CRT residue-plane batched product must beat the
 #: object-dtype stacked-NTT route it replaces by at least this factor
@@ -258,7 +265,7 @@ def _bench_backends(size: int, reps: int, rng: random.Random) -> dict:
         else None
     )
     p = scalar_field.p
-    sizes = sorted({max(256, size // 4), size, size * 4})
+    sizes = sorted({*BACKEND_SMALL_SIZES, max(256, size // 4), size, size * 4})
     ops = {
         "ntt_roundtrip": lambda f, a, b: intt(f, ntt(f, a)),
         "hadamard": lambda f, a, b: f.hadamard(a, b),
@@ -379,7 +386,9 @@ def _bench_batch_product(reps: int, rng: random.Random) -> dict | None:
 
     Isolates the multiply that :func:`repro.poly.batch.mat_poly_mul`
     routes — the CRT fast path versus the stacked object-dtype
-    transforms the same call falls back to when the fast path declines.
+    transforms the same call falls back to when the fast path declines
+    (their pointwise product runs on the scalar loops, like every
+    big-modulus elementwise op).
     This is the stage the batch-axis work accelerates (interpolation
     and division bracket it identically on both routes), measured on
     the fixed gate shape rather than ``--size`` so the CI floor always

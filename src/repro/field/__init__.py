@@ -6,7 +6,6 @@ from .backend import (
     FieldBackend,
     NumpyBackend,
     ScalarBackend,
-    available_backends,
     resolve_backend,
 )
 from .counting import CountingField, counting_field
@@ -19,17 +18,7 @@ from .prime_field import (
     checked_field,
     is_probable_prime,
 )
-from .vector import (
-    hadamard,
-    inner,
-    outer,
-    powers,
-    vec_add,
-    vec_addmul,
-    vec_neg,
-    vec_scale,
-    vec_sub,
-)
+from .vector import outer, powers
 
 __all__ = [
     "BACKEND_ENV_VAR",
@@ -42,7 +31,6 @@ __all__ = [
     "PLANE_TWO_ADICITY",
     "mat_polymul_crt",
     "ScalarBackend",
-    "available_backends",
     "resolve_backend",
     "FieldElement",
     "FieldParams",
@@ -55,14 +43,7 @@ __all__ = [
     "checked_field",
     "counting_field",
     "field_params",
-    "hadamard",
-    "inner",
     "is_probable_prime",
     "outer",
     "powers",
-    "vec_add",
-    "vec_addmul",
-    "vec_neg",
-    "vec_scale",
-    "vec_sub",
 ]

@@ -15,17 +15,18 @@ Two backends exist:
   bit-for-bit (the ``tests/property/test_backend_parity.py`` harness
   enforces this differentially).
 * :class:`NumpyBackend` — batched kernels over ``numpy`` arrays,
-  selected per modulus:
+  chosen from the modulus:
 
-  - the 64-bit Goldilocks test field gets an exact ``uint64``
-    limb-arithmetic kernel (64×64→128-bit products via 32-bit limbs,
-    then the classic ``2^64 ≡ 2^32 − 1 (mod p)`` reduction);
-  - moduli below ``2^32`` get a direct ``uint64`` kernel (products
-    fit without splitting);
-  - the big 128/192/220-bit moduli fall back to *chunked* big-int
-    kernels (``object``-dtype arrays, processed in fixed-size chunks
-    so memory stays bounded) for elementwise ops and dot products,
-    and delegate transforms/scans to the scalar kernels.
+  - the 64-bit Goldilocks field gets an exact ``uint64``
+    limb-arithmetic kernel for every op (64×64→128-bit products via
+    32-bit limbs, then the classic ``2^64 ≡ 2^32 − 1 (mod p)``
+    reduction);
+  - every other modulus (the 128/192/220-bit fields, and any modulus
+    a user supplies) runs transforms as butterflies over
+    ``object``-dtype arrays and batched polynomial products on CRT
+    residue planes (``repro.field.crt``); its elementwise ops, dot
+    products and inversions stay on the scalar kernels, which measure
+    faster than object arrays there.
 
 Selection order: an explicit ``PrimeField(backend=...)`` argument, the
 ``REPRO_FIELD_BACKEND`` environment variable (``scalar`` / ``numpy`` /
@@ -35,21 +36,19 @@ single warning, never an error, so the system imports and runs cleanly
 on minimal installs.
 
 Beyond the 1-D vector kernels, every backend exposes **2-D batch-axis
-kernels** (``mat_add`` … ``mat_ntt`` … ``mat_batch_inv``) operating on
-a ``batch × n`` matrix of rows at once — the shape of a Zaatar batch,
-where one fixed QAP proves many instances and the H(t) pipeline is
-SIMD across the *instance* axis.  The stacked NTT reuses one
+kernels** (``mat_add`` … ``mat_ntt``) operating on a ``batch × n``
+matrix of rows at once — the shape of a Zaatar batch, where one fixed
+QAP proves many instances and the H(t) pipeline is SIMD across the
+*instance* axis.  The stacked NTT reuses one
 :class:`~repro.poly.plan.NTTPlan`'s cached twiddle/permutation arrays
-across all rows, and ``mat_batch_inv`` runs a single prefix/suffix
-scan over the flattened matrix (one modular inversion for the whole
-batch).  For the big 128/192/220-bit moduli, ``mat_polymul`` lifts
-batched polynomial products off the object-dtype slow path entirely
-via CRT residue planes (see ``repro.field.crt``).
+across all rows.  For moduli without a uint64 kernel, ``mat_polymul``
+lifts batched polynomial products off big-int arithmetic entirely via
+CRT residue planes.
 
 Every backend reports ``backend.<name>.calls`` / ``backend.<name>.elements``
 counters to telemetry, attributed to whichever kernel actually ran
-(a numpy backend that delegates a tiny vector to its scalar fallback
-ticks the scalar counters), so ``repro trace`` can show where the
+(a numpy backend that delegates a vector to its scalar kernels ticks
+the scalar counters), so ``repro trace`` can show where the
 vector work landed.  The 2-D entry points additionally tick
 ``backend.<name>.batch_calls`` / ``backend.<name>.batch_rows`` so
 batched work is distinguishable from an equal volume of 1-D calls.
@@ -88,11 +87,6 @@ class _ScalarFallback(Exception):
     """Internal: a numpy kernel declining an input it cannot handle
     exactly (non-canonical or unconvertible values); the dispatching
     backend retries on the scalar kernel, which is tolerant."""
-
-
-def available_backends() -> list[str]:
-    """Names accepted by :func:`resolve_backend` on this install."""
-    return ["scalar", "numpy"] if HAVE_NUMPY else ["scalar"]
 
 
 class FieldBackend:
@@ -164,18 +158,6 @@ class ScalarBackend(FieldBackend):
         p = self.p
         return [(x + y) % p for x, y in zip(a, b)]
 
-    def vec_sub(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
-        """Componentwise difference via ``% p`` list comprehension."""
-        self._tick(len(a))
-        p = self.p
-        return [(x - y) % p for x, y in zip(a, b)]
-
-    def vec_neg(self, a: Sequence[int]) -> list[int]:
-        """Componentwise negation via ``% p`` list comprehension."""
-        self._tick(len(a))
-        p = self.p
-        return [(-x) % p for x in a]
-
     def vec_scale(self, c: int, a: Sequence[int]) -> list[int]:
         """Scalar multiple c·a via ``% p`` list comprehension."""
         self._tick(len(a))
@@ -228,10 +210,9 @@ class ScalarBackend(FieldBackend):
 
     # -- 2-D batch-axis kernels (the semantic reference) -----------------------
     #
-    # Each mat_* result equals the corresponding vec_* applied per row
-    # (and mat_batch_inv equals batch_inv of the flattened matrix,
-    # reshaped); the numpy backend's 2-D kernels must match these
-    # bit-for-bit on canonical inputs.
+    # Each mat_* result equals the corresponding 1-D op applied per
+    # row; the numpy backend's 2-D kernels must match these bit-for-bit
+    # on canonical inputs.
 
     def _mat_elems(self, rows) -> int:
         return sum(len(r) for r in rows)
@@ -254,50 +235,6 @@ class ScalarBackend(FieldBackend):
         p = self.p
         return [[x * y % p for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
-    def mat_addmul(self, a, c, b) -> list[list[int]]:
-        """Row-wise a + c·b."""
-        self._tick_batch(len(a), self._mat_elems(a))
-        p = self.p
-        return [[(x + c * y) % p for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-    def mat_inner_product(self, a, b) -> list[int]:
-        """One lazily-reduced dot product per row."""
-        self._tick_batch(len(a), self._mat_elems(a))
-        p = self.p
-        out = []
-        for ra, rb in zip(a, b):
-            acc = 0
-            for x, y in zip(ra, rb):
-                acc += x * y
-            out.append(acc % p)
-        return out
-
-    def mat_batch_inv(self, rows) -> list[list[int]]:
-        """Montgomery inversion over the flattened matrix: ONE real
-        inversion for the whole batch, then reshape."""
-        self._tick_batch(len(rows), self._mat_elems(rows))
-        flat: list[int] = []
-        for row in rows:
-            flat.extend(row)
-        p = self.p
-        n = len(flat)
-        prefix = [1] * (n + 1)
-        for i, v in enumerate(flat):
-            if v % p == 0:
-                raise ZeroDivisionError("batch_inv of 0")
-            prefix[i + 1] = prefix[i] * v % p
-        inv_all = pow(prefix[n], -1, p)
-        inv_flat = [0] * n
-        for i in range(n - 1, -1, -1):
-            inv_flat[i] = prefix[i] * inv_all % p
-            inv_all = inv_all * flat[i] % p
-        out: list[list[int]] = []
-        pos = 0
-        for row in rows:
-            out.append(inv_flat[pos : pos + len(row)])
-            pos += len(row)
-        return out
-
     def mat_ntt(self, plan, rows, invert: bool) -> list[list[int]]:
         """Per-row plan butterflies (rows transformed independently)."""
         self._tick_batch(len(rows), len(rows) * plan.n)
@@ -309,28 +246,58 @@ class ScalarBackend(FieldBackend):
 # -- numpy kernels --------------------------------------------------------------
 
 
-class _U64KernelBase:
-    """Shared structure of the exact ``uint64`` kernels.
+class _GoldilocksKernel:
+    """Exact uint64 kernel for p = 2^64 − 2^32 + 1.
 
-    Subclasses supply ``mulmod``/``addmod``/``submod`` over uint64
-    arrays; the butterfly schedule, reduction trees, and the prefix/
-    suffix scans of Montgomery batch inversion live here.  Everything
-    is exact integer arithmetic, so results are the same canonical
-    field elements the scalar kernels produce.
+    Products are formed as full 128-bit integers from 32-bit limbs
+    (every partial product fits a uint64), then reduced with the
+    field's defining identities ``2^64 ≡ 2^32 − 1`` and
+    ``2^96 ≡ −1 (mod p)``.  ``mulmod`` is exact for *any* uint64
+    inputs; the compare-based ``addmod``/``submod`` require canonical
+    operands, which ``_load(canonical=True)`` enforces (falling back
+    to scalar otherwise).  The butterfly schedule, reduction trees and
+    the prefix/suffix scans of Montgomery batch inversion are built on
+    these three.  Everything is exact integer arithmetic, so results
+    are the same canonical field elements the scalar kernels produce;
+    the parity suite fuzzes this against pure Python across the edge
+    values 0, 1, p−1.
     """
 
-    supports_ntt = True
-    supports_batch_inv = True
-    supports_mat_ntt = True
-    supports_mat_batch_inv = True
-
-    def __init__(self, p: int):
-        self.p = p
-        self.pu = _np.uint64(p)
+    def __init__(self):
+        self.p = _GOLDILOCKS_P
+        self.pu = _np.uint64(_GOLDILOCKS_P)
         self.m32 = _np.uint64(0xFFFFFFFF)
         self.s32 = _np.uint64(32)
+        self.eps = _np.uint64(2**32 - 1)
 
-    # subclasses: mulmod(a, b), addmod(u, v), submod(u, v)
+    def mulmod(self, a, b):
+        m32, s32 = self.m32, self.s32
+        a0 = a & m32
+        a1 = a >> s32
+        b0 = b & m32
+        b1 = b >> s32
+        ll = a0 * b0
+        # standard 64×64 → (hi, lo) recombination; no partial overflows
+        mid = a0 * b1 + (ll >> s32)
+        mid2 = a1 * b0 + (mid & m32)
+        hi = a1 * b1 + (mid >> s32) + (mid2 >> s32)
+        lo = (mid2 << s32) | (ll & m32)
+        # reduce hi·2^64 + lo:  2^64 ≡ 2^32 − 1,  2^96 ≡ −1 (mod p)
+        hi1 = hi >> s32
+        hi0 = hi & m32
+        t0 = lo - hi1 - (self.eps * (lo < hi1).astype(_np.uint64))
+        t1 = hi0 * self.eps
+        res = t0 + t1
+        res = res + self.eps * (res < t1).astype(_np.uint64)
+        return res - self.pu * (res >= self.pu).astype(_np.uint64)
+
+    def addmod(self, u, v):
+        # u + v − p, then add p back where the true sum was below p
+        s = u + (v - self.pu)
+        return s + self.pu * (u < (self.pu - v)).astype(_np.uint64)
+
+    def submod(self, u, v):
+        return u - v + self.pu * (u < v).astype(_np.uint64)
 
     def _load(self, values: Sequence[int], *, canonical: bool):
         """List → uint64 array; refuse anything the kernel can't do exactly."""
@@ -347,26 +314,10 @@ class _U64KernelBase:
             raise _ScalarFallback()
         return _np.uint64(c)
 
-    def _canon(self, arr):
-        """One conditional subtraction, [0, 2p) → [0, p).
-
-        Every loadable uint64 value lies below 2p for these kernels
-        (Goldilocks has 2p > 2^64; the small-modulus kernel only loads
-        canonical values), so this fully canonicalizes inputs that are
-        ≡ 0 (mod p) without being the literal zero — the case the zero
-        guard in :meth:`batch_inv` must catch.
-        """
-        return arr - self.pu * (arr >= self.pu).astype(_np.uint64)
-
     def _load_mat(self, rows, *, canonical: bool):
         """List of equal-length rows → (batch × n) uint64 array."""
-        try:
-            arr = _np.asarray(rows, dtype=_np.uint64)
-        except (OverflowError, TypeError, ValueError) as exc:
-            raise _ScalarFallback() from exc
+        arr = self._load(rows, canonical=canonical)
         if arr.ndim != 2:
-            raise _ScalarFallback()
-        if canonical and arr.size and bool((arr >= self.pu).any()):
             raise _ScalarFallback()
         return arr
 
@@ -374,13 +325,6 @@ class _U64KernelBase:
 
     def vec_add(self, a, b):
         return self.addmod(self._load(a, canonical=True), self._load(b, canonical=True)).tolist()
-
-    def vec_sub(self, a, b):
-        return self.submod(self._load(a, canonical=True), self._load(b, canonical=True)).tolist()
-
-    def vec_neg(self, a):
-        arr = self._load(a, canonical=True)
-        return (self.pu * (arr > 0).astype(_np.uint64) - arr).tolist()
 
     def vec_scale(self, c, a):
         return self.mulmod(self._load(a, canonical=False), self._scalar_operand(c)).tolist()
@@ -428,12 +372,19 @@ class _U64KernelBase:
             shift <<= 1
         return out
 
-    def _inv_scan(self, arr):
-        """Vectorized Montgomery inversion of a 1-D canonical array."""
+    def batch_inv(self, values):
+        """Vectorized Montgomery inversion via prefix/suffix product scans."""
+        arr = self._load(values, canonical=False)
+        # canonicalize BEFORE the zero guard: an input ≡ 0 (mod p) that
+        # is not the literal 0 (p itself) must raise ZeroDivisionError
+        # exactly like the scalar kernel does.  One conditional
+        # subtraction suffices because 2p > 2^64 bounds every uint64.
+        arr = arr - self.pu * (arr >= self.pu).astype(_np.uint64)
+        if bool((arr == 0).any()):
+            raise ZeroDivisionError("batch_inv of 0")
         n = arr.size
         inclusive = self._scan_products(arr)
-        total = int(inclusive[-1])
-        inv_total = _np.uint64(pow(total, -1, self.p))
+        inv_total = _np.uint64(pow(int(inclusive[-1]), -1, self.p))
         # exclusive prefix / suffix products
         prefix = _np.empty_like(arr)
         prefix[0] = 1
@@ -442,16 +393,7 @@ class _U64KernelBase:
         suffix[-1] = 1
         if n > 1:
             suffix[:-1] = self._scan_products(arr[::-1])[:-1][::-1]
-        return self.mulmod(self.mulmod(prefix, suffix), inv_total)
-
-    def batch_inv(self, values):
-        # canonicalize BEFORE the zero guard: an input ≡ 0 (mod p) that
-        # is not the literal 0 (e.g. p itself, for Goldilocks) must
-        # raise ZeroDivisionError exactly like the scalar kernel does
-        arr = self._canon(self._load(values, canonical=False))
-        if bool((arr == 0).any()):
-            raise ZeroDivisionError("batch_inv of 0")
-        return self._inv_scan(arr).tolist()
+        return self.mulmod(self.mulmod(prefix, suffix), inv_total).tolist()
 
     # -- transforms -----------------------------------------------------------
 
@@ -521,46 +463,6 @@ class _U64KernelBase:
             self._load_mat(a, canonical=False), self._load_mat(b, canonical=False)
         ).tolist()
 
-    def mat_addmul(self, a, c, b):
-        prod = self.mulmod(self._load_mat(b, canonical=False), self._scalar_operand(c))
-        return self.addmod(self._load_mat(a, canonical=True), prod).tolist()
-
-    def _row_split_sums(self, x) -> list[int]:
-        """Exact per-row Σ of a 2-D uint64 array, as Python ints: the
-        32-bit halves are summed separately (each stays below 2^64 for
-        any realistic row length) and recombined without overflow."""
-        hi = (x >> self.s32).sum(axis=1)
-        lo = (x & self.m32).sum(axis=1)
-        return [(h << 32) + l for h, l in zip(hi.tolist(), lo.tolist())]
-
-    def mat_inner_product(self, a, b) -> list[int]:
-        av = self._load_mat(a, canonical=False)
-        bv = self._load_mat(b, canonical=False)
-        if av.shape[1] == 0:
-            return [0] * av.shape[0]
-        # per-row version of the four 32×32 partial-product sums
-        a0 = av & self.m32
-        a1 = av >> self.s32
-        b0 = bv & self.m32
-        b1 = bv >> self.s32
-        s00 = self._row_split_sums(a0 * b0)
-        s01 = self._row_split_sums(a0 * b1)
-        s10 = self._row_split_sums(a1 * b0)
-        s11 = self._row_split_sums(a1 * b1)
-        p = self.p
-        return [
-            (x00 + ((x01 + x10) << 32) + (x11 << 64)) % p
-            for x00, x01, x10, x11 in zip(s00, s01, s10, s11)
-        ]
-
-    def mat_batch_inv(self, rows):
-        # one flattened prefix/suffix scan — ONE modular inversion for
-        # the whole batch — then reshape back to rows
-        arr = self._canon(self._load_mat(rows, canonical=False))
-        if bool((arr == 0).any()):
-            raise ZeroDivisionError("batch_inv of 0")
-        return self._inv_scan(arr.reshape(-1)).reshape(arr.shape).tolist()
-
     def mat_ntt(self, plan, rows, invert: bool):
         scratch = self._scratch(plan)
         arr = self._load_mat(rows, canonical=True)
@@ -573,172 +475,20 @@ class _U64KernelBase:
         return self._transform(plan, a, invert).tolist()
 
 
-class _GoldilocksKernel(_U64KernelBase):
-    """Exact uint64 kernel for p = 2^64 − 2^32 + 1.
-
-    Products are formed as full 128-bit integers from 32-bit limbs
-    (every partial product fits a uint64), then reduced with the
-    field's defining identities ``2^64 ≡ 2^32 − 1`` and
-    ``2^96 ≡ −1 (mod p)``.  ``mulmod`` is exact for *any* uint64
-    inputs; the compare-based ``addmod``/``submod`` require canonical
-    operands, which ``_load(canonical=True)`` enforces (falling back
-    to scalar otherwise).  The parity suite fuzzes this against pure
-    Python across the edge values 0, 1, p−1.
-    """
-
-    _EPS = None  # set in __init__ (numpy may be absent at class-creation time)
-
-    def __init__(self, p: int):
-        assert p == _GOLDILOCKS_P
-        super().__init__(p)
-        self.eps = _np.uint64(2**32 - 1)
-
-    def mulmod(self, a, b):
-        m32, s32 = self.m32, self.s32
-        a0 = a & m32
-        a1 = a >> s32
-        b0 = b & m32
-        b1 = b >> s32
-        ll = a0 * b0
-        # standard 64×64 → (hi, lo) recombination; no partial overflows
-        mid = a0 * b1 + (ll >> s32)
-        mid2 = a1 * b0 + (mid & m32)
-        hi = a1 * b1 + (mid >> s32) + (mid2 >> s32)
-        lo = (mid2 << s32) | (ll & m32)
-        # reduce hi·2^64 + lo:  2^64 ≡ 2^32 − 1,  2^96 ≡ −1 (mod p)
-        hi1 = hi >> s32
-        hi0 = hi & m32
-        t0 = lo - hi1 - (self.eps * (lo < hi1).astype(_np.uint64))
-        t1 = hi0 * self.eps
-        res = t0 + t1
-        res = res + self.eps * (res < t1).astype(_np.uint64)
-        return res - self.pu * (res >= self.pu).astype(_np.uint64)
-
-    def addmod(self, u, v):
-        # u + v − p, then add p back where the true sum was below p
-        s = u + (v - self.pu)
-        return s + self.pu * (u < (self.pu - v)).astype(_np.uint64)
-
-    def submod(self, u, v):
-        return u - v + self.pu * (u < v).astype(_np.uint64)
-
-
-class _Small64Kernel(_U64KernelBase):
-    """Direct uint64 kernel for moduli below 2^32: products fit as-is."""
-
-    def __init__(self, p: int):
-        assert p < 2**32
-        super().__init__(p)
-
-    def _load(self, values, *, canonical: bool):
-        # products only stay below 2^64 for canonical operands, so
-        # *every* op needs the canonical check here
-        return super()._load(values, canonical=True)
-
-    def _load_mat(self, rows, *, canonical: bool):
-        return super()._load_mat(rows, canonical=True)
-
-    def _scalar_operand(self, c: int):
-        if not 0 <= c < self.p:
-            raise _ScalarFallback()
-        return _np.uint64(c)
-
-    def mulmod(self, a, b):
-        return (a * b) % self.pu
-
-    def addmod(self, u, v):
-        return (u + v) % self.pu
-
-    def submod(self, u, v):
-        return (u + (self.pu - v)) % self.pu
-
-    def inner_product(self, a, b) -> int:
-        av = self._load(a, canonical=True)
-        bv = self._load(b, canonical=True)
-        if av.size == 0:
-            return 0
-        # both operands below 2^32, so the plain product never wraps
-        return self._split_sum(av * bv) % self.p
-
-    def mat_inner_product(self, a, b) -> list[int]:
-        av = self._load_mat(a, canonical=True)
-        bv = self._load_mat(b, canonical=True)
-        if av.shape[1] == 0:
-            return [0] * av.shape[0]
-        return [s % self.p for s in self._row_split_sums(av * bv)]
-
-
 class _ObjectKernel:
-    """Chunked big-int kernel for the 128/192/220-bit moduli.
+    """Transforms for every modulus without a uint64 kernel.
 
-    ``object``-dtype arrays keep the per-element dispatch loop in C
-    while the arithmetic stays arbitrary-precision Python ints, and
-    fixed-size chunks bound the transient allocation on long vectors.
-    The (inherently sequential) 1-D batch-inversion scan stays on the
-    scalar kernels — for big moduli the big-int multiply dominates and
-    vectorizing the loop shell buys little there.  Transforms run the
-    plan's butterfly schedule over object arrays (cached object-dtype
-    twiddles in ``plan.np_scratch["obj"]``): one C-level dispatch per
-    level instead of one per butterfly, which is what makes the *2-D*
-    stacked transform worthwhile for a whole batch of rows at once.
+    Runs the plan's butterfly schedule over ``object``-dtype arrays
+    (cached object-dtype twiddles in ``plan.np_scratch["obj"]``): one
+    C-level dispatch per level instead of one per butterfly, while the
+    arithmetic stays arbitrary-precision Python ints.  That is what
+    makes the *2-D* stacked transform worthwhile for a whole batch of
+    rows at once.  Elementwise ops and dot products have no kernel
+    here: on object arrays they measure slower than the scalar loops.
     """
-
-    supports_ntt = True
-    supports_batch_inv = False
-    supports_mat_ntt = True
-    supports_mat_batch_inv = False
-
-    #: elements per chunk; big-int entries make huge arrays expensive
-    CHUNK = 8192
 
     def __init__(self, p: int):
         self.p = p
-
-    def _chunked(self, n: int):
-        for start in range(0, n, self.CHUNK):
-            yield start, min(start + self.CHUNK, n)
-
-    def _binary(self, a, b, op) -> list[int]:
-        out: list[int] = []
-        for lo, hi in self._chunked(len(a)):
-            xa = _np.asarray(a[lo:hi], dtype=object)
-            xb = _np.asarray(b[lo:hi], dtype=object)
-            out.extend(op(xa, xb) % self.p)
-        return out
-
-    def vec_add(self, a, b):
-        return self._binary(a, b, lambda x, y: x + y)
-
-    def vec_sub(self, a, b):
-        return self._binary(a, b, lambda x, y: x - y)
-
-    def vec_neg(self, a):
-        out: list[int] = []
-        for lo, hi in self._chunked(len(a)):
-            out.extend((-_np.asarray(a[lo:hi], dtype=object)) % self.p)
-        return out
-
-    def vec_scale(self, c, a):
-        out: list[int] = []
-        for lo, hi in self._chunked(len(a)):
-            out.extend((_np.asarray(a[lo:hi], dtype=object) * c) % self.p)
-        return out
-
-    def vec_addmul(self, a, c, b):
-        return self._binary(a, b, lambda x, y: x + y * c)
-
-    def hadamard(self, a, b):
-        return self._binary(a, b, lambda x, y: x * y)
-
-    def inner_product(self, a, b) -> int:
-        acc = 0
-        for lo, hi in self._chunked(len(a)):
-            xa = _np.asarray(a[lo:hi], dtype=object)
-            xb = _np.asarray(b[lo:hi], dtype=object)
-            acc += int((xa * xb).sum())
-        return acc % self.p
-
-    # -- transforms -----------------------------------------------------------
 
     def _scratch(self, plan):
         scratch = plan.np_scratch.get("obj")
@@ -790,41 +540,6 @@ class _ObjectKernel:
         a = _np.asarray(values, dtype=object)[self._scratch(plan)["perm"]]
         return self._transform(plan, a, invert).tolist()
 
-    # -- 2-D batch-axis kernels -----------------------------------------------
-
-    def _rows_per_chunk(self, n: int) -> int:
-        return max(1, self.CHUNK // max(1, n))
-
-    def _mat_binary(self, a, b, op) -> list[list[int]]:
-        out: list[list[int]] = []
-        step = self._rows_per_chunk(len(a[0]) if a else 0)
-        for lo in range(0, len(a), step):
-            xa = _np.asarray(a[lo : lo + step], dtype=object)
-            xb = _np.asarray(b[lo : lo + step], dtype=object)
-            out.extend((op(xa, xb) % self.p).tolist())
-        return out
-
-    def mat_add(self, a, b):
-        return self._mat_binary(a, b, lambda x, y: x + y)
-
-    def mat_sub(self, a, b):
-        return self._mat_binary(a, b, lambda x, y: x - y)
-
-    def mat_hadamard(self, a, b):
-        return self._mat_binary(a, b, lambda x, y: x * y)
-
-    def mat_addmul(self, a, c, b):
-        return self._mat_binary(a, b, lambda x, y: x + y * c)
-
-    def mat_inner_product(self, a, b) -> list[int]:
-        out: list[int] = []
-        step = self._rows_per_chunk(len(a[0]) if a else 0)
-        for lo in range(0, len(a), step):
-            xa = _np.asarray(a[lo : lo + step], dtype=object)
-            xb = _np.asarray(b[lo : lo + step], dtype=object)
-            out.extend(int(s) % self.p for s in (xa * xb).sum(axis=1))
-        return out
-
     def mat_ntt(self, plan, rows, invert: bool):
         scratch = self._scratch(plan)
         if any(len(row) != plan.n for row in rows):
@@ -837,21 +552,17 @@ class _ObjectKernel:
         return self._transform(plan, a, invert).tolist()
 
 
-def _kernel_for(p: int):
-    if p == _GOLDILOCKS_P:
-        return _GoldilocksKernel(p)
-    if p < 2**32:
-        return _Small64Kernel(p)
-    return _ObjectKernel(p)
-
-
 class NumpyBackend(FieldBackend):
-    """Batched kernels over numpy arrays, per-modulus (see module docs).
+    """Batched kernels over numpy arrays, chosen from the modulus.
 
-    Small vectors delegate to the scalar kernels (numpy call overhead
-    would dominate), as does any input the exact kernels decline
-    (non-canonical or unconvertible values) — so results match the
-    scalar backend on every input the scalar backend accepts.
+    Goldilocks runs every op on the exact uint64 kernel.  Any other
+    modulus runs transforms on object-array butterflies and batched
+    polynomial products on CRT residue planes; its other ops go to the
+    scalar kernels (see module docs).  Small inputs also stay scalar
+    (numpy call overhead would dominate), as does any input the exact
+    kernels decline (non-canonical or unconvertible values) — so
+    results match the scalar backend on every input the scalar backend
+    accepts.
     """
 
     name = "numpy"
@@ -866,85 +577,59 @@ class NumpyBackend(FieldBackend):
             raise RuntimeError("NumpyBackend requires numpy")
         super().__init__(p)
         self.scalar = ScalarBackend(p)
-        self.kernel = _kernel_for(p)
+        #: the kernel for every op, when the modulus has a uint64 kernel
+        self.u64 = _GoldilocksKernel() if p == _GOLDILOCKS_P else None
+        #: the kernel that runs transforms
+        self.kernel = self.u64 or _ObjectKernel(p)
 
-    def _dispatch(self, n: int, kernel_op, scalar_op):
-        if n < self.MIN_VECTOR:
-            return scalar_op()
-        try:
-            result = kernel_op()
-        except _ScalarFallback:
-            return scalar_op()
-        self._tick(n)
-        return result
+    def _vector(self, op: str, n: int, *args):
+        """1-D ``op`` on the uint64 kernel when the modulus has one and
+        ``n`` reaches ``MIN_VECTOR``, else on the scalar kernels."""
+        if self.u64 is not None and n >= self.MIN_VECTOR:
+            try:
+                result = getattr(self.u64, op)(*args)
+            except _ScalarFallback:
+                pass
+            else:
+                self._tick(n)
+                return result
+        return getattr(self.scalar, op)(*args)
 
     def vec_add(self, a, b):
-        """Componentwise sum on the per-modulus kernel."""
-        return self._dispatch(
-            len(a), lambda: self.kernel.vec_add(a, b), lambda: self.scalar.vec_add(a, b)
-        )
-
-    def vec_sub(self, a, b):
-        """Componentwise difference on the per-modulus kernel."""
-        return self._dispatch(
-            len(a), lambda: self.kernel.vec_sub(a, b), lambda: self.scalar.vec_sub(a, b)
-        )
-
-    def vec_neg(self, a):
-        """Componentwise negation on the per-modulus kernel."""
-        return self._dispatch(
-            len(a), lambda: self.kernel.vec_neg(a), lambda: self.scalar.vec_neg(a)
-        )
+        """Componentwise sum."""
+        return self._vector("vec_add", len(a), a, b)
 
     def vec_scale(self, c, a):
-        """Scalar multiple c·a on the per-modulus kernel."""
-        return self._dispatch(
-            len(a), lambda: self.kernel.vec_scale(c, a), lambda: self.scalar.vec_scale(c, a)
-        )
+        """Scalar multiple c·a."""
+        return self._vector("vec_scale", len(a), c, a)
 
     def vec_addmul(self, a, c, b):
-        """a + c·b on the per-modulus kernel."""
-        return self._dispatch(
-            len(a),
-            lambda: self.kernel.vec_addmul(a, c, b),
-            lambda: self.scalar.vec_addmul(a, c, b),
-        )
+        """a + c·b."""
+        return self._vector("vec_addmul", len(a), a, c, b)
 
     def hadamard(self, a, b):
-        """Componentwise product on the per-modulus kernel."""
-        return self._dispatch(
-            len(a), lambda: self.kernel.hadamard(a, b), lambda: self.scalar.hadamard(a, b)
-        )
+        """Componentwise product."""
+        return self._vector("hadamard", len(a), a, b)
 
     def inner_product(self, a, b):
         """<a, b> via limb-split partial-product sums."""
-        return self._dispatch(
-            len(a),
-            lambda: self.kernel.inner_product(a, b),
-            lambda: self.scalar.inner_product(a, b),
-        )
+        return self._vector("inner_product", len(a), a, b)
 
     def batch_inv(self, values):
         """Montgomery inversion via prefix/suffix product scans."""
-        if not self.kernel.supports_batch_inv or len(values) < self.MIN_VECTOR:
-            return self.scalar.batch_inv(values)
-        try:
-            result = self.kernel.batch_inv(values)
-        except _ScalarFallback:
-            return self.scalar.batch_inv(values)
-        self._tick(len(values))
-        return result
+        return self._vector("batch_inv", len(values), values)
 
     def ntt(self, plan, a, invert):
         """Vectorized butterfly levels over the plan's cached arrays."""
-        if not self.kernel.supports_ntt or plan.n < self.MIN_NTT:
-            return self.scalar.ntt(plan, a, invert)
-        try:
-            result = self.kernel.ntt(plan, a, invert)
-        except _ScalarFallback:
-            return self.scalar.ntt(plan, a, invert)
-        self._tick(plan.n)
-        return result
+        if plan.n >= self.MIN_NTT:
+            try:
+                result = self.kernel.ntt(plan, a, invert)
+            except _ScalarFallback:
+                pass
+            else:
+                self._tick(plan.n)
+                return result
+        return self.scalar.ntt(plan, a, invert)
 
     # -- 2-D batch-axis entry points ------------------------------------------
 
@@ -961,91 +646,58 @@ class NumpyBackend(FieldBackend):
                 return None
         return n * len(rows)
 
-    def _dispatch_mat(self, rows, kernel_op, scalar_op):
-        elems = self._rect(rows)
-        if elems is None or elems < self.MIN_VECTOR:
-            return scalar_op()
-        try:
-            result = kernel_op()
-        except _ScalarFallback:
-            return scalar_op()
-        self._tick_batch(len(rows), elems)
-        return result
+    def _matrix(self, op: str, a, b):
+        """Row-wise ``op`` on the uint64 kernel when the modulus has one
+        and ``a`` is a rectangular matrix of at least ``MIN_VECTOR``
+        elements, else on the scalar kernels."""
+        if self.u64 is not None:
+            elems = self._rect(a)
+            if elems is not None and elems >= self.MIN_VECTOR:
+                try:
+                    result = getattr(self.u64, op)(a, b)
+                except _ScalarFallback:
+                    pass
+                else:
+                    self._tick_batch(len(a), elems)
+                    return result
+        return getattr(self.scalar, op)(a, b)
 
     def mat_add(self, a, b):
         """Row-wise sums in one 2-D kernel call."""
-        return self._dispatch_mat(
-            a, lambda: self.kernel.mat_add(a, b), lambda: self.scalar.mat_add(a, b)
-        )
+        return self._matrix("mat_add", a, b)
 
     def mat_sub(self, a, b):
         """Row-wise differences in one 2-D kernel call."""
-        return self._dispatch_mat(
-            a, lambda: self.kernel.mat_sub(a, b), lambda: self.scalar.mat_sub(a, b)
-        )
+        return self._matrix("mat_sub", a, b)
 
     def mat_hadamard(self, a, b):
         """Row-wise componentwise products in one 2-D kernel call."""
-        return self._dispatch_mat(
-            a,
-            lambda: self.kernel.mat_hadamard(a, b),
-            lambda: self.scalar.mat_hadamard(a, b),
-        )
-
-    def mat_addmul(self, a, c, b):
-        """Row-wise a + c·b in one 2-D kernel call."""
-        return self._dispatch_mat(
-            a,
-            lambda: self.kernel.mat_addmul(a, c, b),
-            lambda: self.scalar.mat_addmul(a, c, b),
-        )
-
-    def mat_inner_product(self, a, b):
-        """One dot product per row, via per-row limb-split sums."""
-        return self._dispatch_mat(
-            a,
-            lambda: self.kernel.mat_inner_product(a, b),
-            lambda: self.scalar.mat_inner_product(a, b),
-        )
-
-    def mat_batch_inv(self, rows):
-        """One flattened Montgomery scan for the whole matrix."""
-        elems = self._rect(rows)
-        if (
-            elems is None
-            or elems < self.MIN_VECTOR
-            or not self.kernel.supports_mat_batch_inv
-        ):
-            return self.scalar.mat_batch_inv(rows)
-        try:
-            result = self.kernel.mat_batch_inv(rows)
-        except _ScalarFallback:
-            return self.scalar.mat_batch_inv(rows)
-        self._tick_batch(len(rows), elems)
-        return result
+        return self._matrix("mat_hadamard", a, b)
 
     def mat_ntt(self, plan, rows, invert):
         """Stacked transforms sharing one plan's cached twiddles."""
-        if not rows or not self.kernel.supports_mat_ntt or plan.n < self.MIN_NTT:
-            return self.scalar.mat_ntt(plan, rows, invert)
-        try:
-            result = self.kernel.mat_ntt(plan, rows, invert)
-        except _ScalarFallback:
-            return self.scalar.mat_ntt(plan, rows, invert)
-        self._tick_batch(len(rows), len(rows) * plan.n)
-        return result
+        if rows and plan.n >= self.MIN_NTT:
+            try:
+                result = self.kernel.mat_ntt(plan, rows, invert)
+            except _ScalarFallback:
+                pass
+            else:
+                self._tick_batch(len(rows), len(rows) * plan.n)
+                return result
+        return self.scalar.mat_ntt(plan, rows, invert)
 
     def mat_polymul(self, rows_a, rows_b):
-        """CRT residue-plane batched convolution for the big moduli.
+        """CRT residue-plane batched convolution.
 
         Splits each row into k uint64 residue planes modulo 31-bit NTT
         primes, convolves every plane with stacked uint64 transforms,
         and reconstructs exact integer convolutions via Garner/CRT —
         bit-identical to per-row ``poly_mul`` (see ``repro.field.crt``).
-        Returns None (no fast path) for moduli that already have native
-        uint64 transforms, or shapes the CRT path cannot cover.
+        Returns None (no fast path) for a modulus with a uint64 kernel,
+        whose stacked transforms are already native, or shapes the CRT
+        path cannot cover.
         """
-        if not isinstance(self.kernel, _ObjectKernel):
+        if self.u64 is not None:
             return None
         from .crt import mat_polymul_crt
 

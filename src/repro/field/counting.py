@@ -5,7 +5,8 @@ pay zero overhead when nobody is measuring (the zero-overhead guard
 test enforces this).  When a run *should* count field work — the
 ``repro trace`` subcommand, the benchmark harness — it compiles the
 program against a :class:`CountingField`, whose arithmetic reports
-``field.*`` counters to the innermost active telemetry span.
+``field.*`` counters to the innermost active telemetry span.  What each
+op charges is its row's cost in the op table (``repro.field.ops``).
 
 Counter names (see docs/OBSERVABILITY.md):
 
@@ -21,12 +22,38 @@ Counter names (see docs/OBSERVABILITY.md):
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from .. import telemetry
-from .prime_field import PrimeField
+from .ops import FieldOp, derive
+from .prime_field import PrimeField, twin
 
 
+def _counted(op: FieldOp, base):
+    """``base`` preceded by charging the row's cost to telemetry."""
+    cost = op.cost
+    if cost is None:
+
+        def method(self, *args, **kwargs):
+            return None
+
+    elif callable(cost):
+
+        def method(self, *args, **kwargs):
+            for name, amount in cost(*args, **kwargs).items():
+                telemetry.count(name, amount)
+            return base(self, *args, **kwargs)
+
+    else:
+        charges = tuple(cost.items())
+
+        def method(self, *args, **kwargs):
+            for name, amount in charges:
+                telemetry.count(name, amount)
+            return base(self, *args, **kwargs)
+
+    return method
+
+
+@derive(_counted)
 class CountingField(PrimeField):
     """A ``PrimeField`` whose operations report telemetry counters.
 
@@ -37,181 +64,7 @@ class CountingField(PrimeField):
 
     __slots__ = ()
 
-    def add(self, a: int, b: int) -> int:
-        """a + b mod p, counted as ``field.add``."""
-        telemetry.count("field.add")
-        return super().add(a, b)
-
-    def sub(self, a: int, b: int) -> int:
-        """a − b mod p, counted as ``field.add``."""
-        telemetry.count("field.add")
-        return super().sub(a, b)
-
-    def neg(self, a: int) -> int:
-        """−a mod p, counted as ``field.add``."""
-        telemetry.count("field.add")
-        return super().neg(a)
-
-    def mul(self, a: int, b: int) -> int:
-        """a · b mod p, counted as ``field.mul``."""
-        telemetry.count("field.mul")
-        return super().mul(a, b)
-
-    def mul_lazy(self, a: int, b: int) -> int:
-        """Unreduced product, counted as ``field.mul``."""
-        telemetry.count("field.mul")
-        return super().mul_lazy(a, b)
-
-    def square(self, a: int) -> int:
-        """a² mod p, counted as ``field.mul``."""
-        telemetry.count("field.mul")
-        return super().square(a)
-
-    def pow(self, a: int, e: int) -> int:
-        """a^e mod p, counted as ``field.pow``."""
-        telemetry.count("field.pow")
-        return super().pow(a, e)
-
-    def inv(self, a: int) -> int:
-        """a⁻¹ mod p, counted as ``field.inv``."""
-        telemetry.count("field.inv")
-        return super().inv(a)
-
-    def div(self, a: int, b: int) -> int:
-        """a / b mod p, counted as ``field.div``."""
-        telemetry.count("field.div")
-        return super().div(a, b)
-
-    def inner_product(self, a: Sequence[int], b: Sequence[int]) -> int:
-        """Σ aᵢbᵢ mod p, counted as ``len(a)`` muls and adds."""
-        telemetry.count("field.mul", len(a))
-        telemetry.count("field.add", len(a))
-        return super().inner_product(a, b)
-
-    def batch_inv(self, values: Sequence[int]) -> list[int]:
-        """Montgomery batch inversion: 3n ``field.mul`` + one ``field.inv``."""
-        # Montgomery's trick: 3n muls + one real inversion
-        telemetry.count("field.mul", 3 * len(values))
-        telemetry.count("field.inv")
-        return super().batch_inv(values)
-
-    # -- vector kernels -------------------------------------------------------
-    #
-    # Counted per *element*, not per call, and by the canonical algorithm's
-    # cost — never by what the active backend happens to execute — so the
-    # Figure 5 op-count tables are identical under every backend.  (The
-    # parity suite pins this cross-backend.)
-
-    def vec_add(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
-        """Componentwise sum: ``len(a)`` ``field.add``."""
-        telemetry.count("field.add", len(a))
-        return super().vec_add(a, b)
-
-    def vec_sub(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
-        """Componentwise difference: ``len(a)`` ``field.add``."""
-        telemetry.count("field.add", len(a))
-        return super().vec_sub(a, b)
-
-    def vec_neg(self, a: Sequence[int]) -> list[int]:
-        """Componentwise negation: ``len(a)`` ``field.add``."""
-        telemetry.count("field.add", len(a))
-        return super().vec_neg(a)
-
-    def vec_scale(self, c: int, a: Sequence[int]) -> list[int]:
-        """Scalar multiple: ``len(a)`` ``field.mul``."""
-        telemetry.count("field.mul", len(a))
-        return super().vec_scale(c, a)
-
-    def vec_addmul(self, a: Sequence[int], c: int, b: Sequence[int]) -> list[int]:
-        """a + c·b: ``len(a)`` ``field.mul`` + ``len(a)`` ``field.add``."""
-        telemetry.count("field.mul", len(a))
-        telemetry.count("field.add", len(a))
-        return super().vec_addmul(a, c, b)
-
-    def hadamard(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
-        """Componentwise product: ``len(a)`` ``field.mul``."""
-        telemetry.count("field.mul", len(a))
-        return super().hadamard(a, b)
-
-    def transform(self, plan, values: list[int], invert: bool = False) -> list[int]:
-        """Size-n radix-2 NTT: (n/2)·log₂n muls + n·log₂n adds.
-
-        The inverse transform's fused n⁻¹ scaling adds n more muls.
-        """
-        n = plan.n
-        levels = n.bit_length() - 1
-        telemetry.count("field.mul", (n >> 1) * levels + (n if invert else 0))
-        telemetry.count("field.add", n * levels)
-        return super().transform(plan, values, invert)
-
-    # -- 2-D batch-axis kernels ----------------------------------------------
-    #
-    # Same rule: the canonical per-element cost, independent of whether
-    # the backend ran one fused array program or B separate rows.
-
-    @staticmethod
-    def _mat_elems(rows) -> int:
-        return sum(len(row) for row in rows)
-
-    def mat_add(self, a, b) -> list[list[int]]:
-        """Row-wise sums: one ``field.add`` per element."""
-        telemetry.count("field.add", self._mat_elems(a))
-        return super().mat_add(a, b)
-
-    def mat_sub(self, a, b) -> list[list[int]]:
-        """Row-wise differences: one ``field.add`` per element."""
-        telemetry.count("field.add", self._mat_elems(a))
-        return super().mat_sub(a, b)
-
-    def mat_hadamard(self, a, b) -> list[list[int]]:
-        """Row-wise products: one ``field.mul`` per element."""
-        telemetry.count("field.mul", self._mat_elems(a))
-        return super().mat_hadamard(a, b)
-
-    def mat_addmul(self, a, c: int, b) -> list[list[int]]:
-        """Row-wise a + c·b: one mul and one add per element."""
-        elems = self._mat_elems(a)
-        telemetry.count("field.mul", elems)
-        telemetry.count("field.add", elems)
-        return super().mat_addmul(a, c, b)
-
-    def mat_inner_product(self, a, b) -> list[int]:
-        """Per-row inner products: one mul and one add per element."""
-        elems = self._mat_elems(a)
-        telemetry.count("field.mul", elems)
-        telemetry.count("field.add", elems)
-        return super().mat_inner_product(a, b)
-
-    def mat_batch_inv(self, rows) -> list[list[int]]:
-        """Flattened Montgomery scan: 3n muls + ONE real inversion."""
-        telemetry.count("field.mul", 3 * self._mat_elems(rows))
-        telemetry.count("field.inv")
-        return super().mat_batch_inv(rows)
-
-    def mat_transform(self, plan, rows, invert: bool = False) -> list[list[int]]:
-        """B stacked transforms cost B × the 1-D transform."""
-        n = plan.n
-        levels = n.bit_length() - 1
-        batch = len(rows)
-        telemetry.count(
-            "field.mul", batch * ((n >> 1) * levels + (n if invert else 0))
-        )
-        telemetry.count("field.add", batch * n * levels)
-        return super().mat_transform(plan, rows, invert)
-
-    def mat_polymul(self, rows_a, rows_b):
-        """No fast path under counting: the CRT route's residue-plane
-        op mix has no canonical ``field.*`` equivalent, so counting
-        runs always take the transform/poly_mul route it replaces."""
-        return None
-
 
 def counting_field(base: PrimeField) -> CountingField:
     """A counting twin of ``base`` (same modulus, name, NTT structure)."""
-    if isinstance(base, CountingField):
-        return base
-    twin = CountingField(base.p, check_prime=False, backend=base.backend)
-    twin.name = base.name
-    twin.two_adicity = base.two_adicity
-    twin._two_adic_generator = base._two_adic_generator
-    return twin
+    return twin(CountingField, base)

@@ -1,7 +1,7 @@
 """CRT residue planes: exact batched big-modulus convolution on uint64.
 
 The 128/192/220-bit moduli have no native machine-word kernel, so their
-polynomial products normally run on the chunked ``object``-dtype path —
+polynomial products normally run on ``object``-dtype transforms —
 every multiply a Python big-int multiply.  This module lifts *batched*
 polynomial products off that path entirely.
 
@@ -39,7 +39,8 @@ recovers the exact integer convolution, so the reduced result equals
 against the scalar backend (``tests/property/test_backend_parity.py``).
 
 Entry point: :func:`mat_polymul_crt`, called by
-``NumpyBackend.mat_polymul`` for object-kernel moduli.  It returns
+``NumpyBackend.mat_polymul`` for every modulus without a uint64
+kernel (all but Goldilocks).  It returns
 ``None`` for any shape it cannot cover exactly (ragged rows,
 non-canonical values, convolutions beyond ``2^20``), and callers fall
 back to the existing routes — the fast path is an optimization, never

@@ -3,7 +3,10 @@
 ``PrimeField`` is the workhorse: it operates on plain Python integers in
 ``[0, p)`` so that hot loops (NTTs, inner products over proof vectors)
 pay no wrapper overhead.  ``FieldElement`` (see ``element.py``) layers an
-ergonomic operator API on top for application code.
+ergonomic operator API on top for application code.  Every arithmetic
+method has one row in the op table (``repro.field.ops``), from which
+the checked twin here and the counting twin (``counting.py``) derive
+their overrides.
 
 The microbenchmark parameters of the paper's cost model (§5.1) map onto
 methods here: ``f`` is ``mul``, ``f_lazy`` is ``mul_lazy`` (no final
@@ -14,9 +17,10 @@ reduction), ``f_div`` is ``div``, and ``c`` is a pseudorandom draw (see
 from __future__ import annotations
 
 import random
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .backend import FieldBackend, resolve_backend
+from .ops import ELEM, ROWS, VEC, FieldOp, derive, parameters
 from .params import FieldParams, field_params
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -59,8 +63,8 @@ class PrimeField:
     (in ``[0, p)``) and *silently return out-of-range results*
     otherwise — they trade the ``%`` reduction for a single compare,
     which is what makes the prover's inner loops affordable in pure
-    Python.  ``mul``/``square``/``pow``/``inv``/``div`` reduce fully
-    and tolerate any integer operand.  Callers bringing external or
+    Python.  ``mul``/``pow``/``inv``/``div`` reduce fully and tolerate
+    any integer operand.  Callers bringing external or
     signed values into the field must go through :meth:`reduce` /
     :meth:`from_signed` first; :class:`CheckedPrimeField` enforces the
     precondition at runtime for tests and debugging.
@@ -166,10 +170,6 @@ class PrimeField:
         """
         return a * b
 
-    def square(self, a: int) -> int:
-        """a² mod p."""
-        return a * a % self.p
-
     def pow(self, a: int, e: int) -> int:
         """a^e mod p."""
         return pow(a, e, self.p)
@@ -222,15 +222,6 @@ class PrimeField:
         self._require_same_length(a, b)
         return self.backend.vec_add(a, b)
 
-    def vec_sub(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
-        """Componentwise difference (fully reduced)."""
-        self._require_same_length(a, b)
-        return self.backend.vec_sub(a, b)
-
-    def vec_neg(self, a: Sequence[int]) -> list[int]:
-        """Componentwise negation (fully reduced)."""
-        return self.backend.vec_neg(a)
-
     def vec_scale(self, c: int, a: Sequence[int]) -> list[int]:
         """Scalar multiple c·a (fully reduced)."""
         return self.backend.vec_scale(c, a)
@@ -258,10 +249,9 @@ class PrimeField:
     #
     # The mat_* family operates on a batch × n matrix of rows at once —
     # the shape of a Zaatar batch, where one fixed QAP proves many
-    # instances.  Semantics are exactly the corresponding vec_* op
-    # applied per row (and mat_batch_inv is batch_inv of the flattened
-    # matrix); backends may execute the whole matrix as one array
-    # program (see repro.field.backend).
+    # instances.  Semantics are exactly the corresponding 1-D op
+    # applied per row; backends may execute the whole matrix as one
+    # array program (see repro.field.backend).
 
     def _require_same_shape(self, a, b) -> None:
         if len(a) != len(b):
@@ -285,21 +275,6 @@ class PrimeField:
         self._require_same_shape(a, b)
         return self.backend.mat_hadamard(a, b)
 
-    def mat_addmul(self, a, c: int, b) -> list[list[int]]:
-        """Row-wise a + c·b with one shared scalar c."""
-        self._require_same_shape(a, b)
-        return self.backend.mat_addmul(a, c, b)
-
-    def mat_inner_product(self, a, b) -> list[int]:
-        """One inner product per row pair."""
-        self._require_same_shape(a, b)
-        return self.backend.mat_inner_product(a, b)
-
-    def mat_batch_inv(self, rows) -> list[list[int]]:
-        """Elementwise inverses of a whole matrix: one real inversion
-        (Montgomery's trick over the flattened matrix)."""
-        return self.backend.mat_batch_inv(rows)
-
     def mat_transform(self, plan, rows, invert: bool = False) -> list[list[int]]:
         """Run one :class:`~repro.poly.plan.NTTPlan` over every row.
 
@@ -314,29 +289,14 @@ class PrimeField:
 
         ``rows_a[i] * rows_b[i]`` as full untrimmed convolutions when
         the backend has a dedicated fast path (the CRT residue-plane
-        route for big moduli), else None — callers fall back to
-        transforms or per-row ``poly_mul``.
+        route for moduli without a uint64 kernel), else None — callers
+        fall back to transforms or per-row ``poly_mul``.
         """
         if len(rows_a) != len(rows_b):
             raise ValueError(
                 f"batch size mismatch: {len(rows_a)} vs {len(rows_b)}"
             )
         return self.backend.mat_polymul(rows_a, rows_b)
-
-    # -- randomness ----------------------------------------------------------
-
-    def random_element(self, rng: random.Random) -> int:
-        """Uniform draw from [0, p) using a host RNG (tests only)."""
-        return rng.randrange(self.p)
-
-    def random_vector(self, n: int, rng: random.Random) -> list[int]:
-        """n uniform draws (tests only; protocol code uses FieldPRG)."""
-        p = self.p
-        return [rng.randrange(p) for _ in range(n)]
-
-    def random_nonzero(self, rng: random.Random) -> int:
-        """Uniform draw from [1, p)."""
-        return rng.randrange(1, self.p)
 
     # -- roots of unity -------------------------------------------------------
 
@@ -373,15 +333,37 @@ class PrimeField:
         return cached
 
 
+def _checked(op: FieldOp, base):
+    """``base`` behind a canonical-form check of each element operand."""
+    names = parameters(base)
+    kinds = dict(zip(names, op.operands))
+
+    def method(self, *args, **kwargs):
+        for name, value in [*zip(names, args), *kwargs.items()]:
+            kind = kinds.get(name)
+            if kind == ELEM:
+                self._require_canonical(value)
+            elif kind == VEC:
+                self._require_canonical(*value)
+            elif kind == ROWS:
+                for row in value:
+                    self._require_canonical(*row)
+        return base(self, *args, **kwargs)
+
+    return method
+
+
+@derive(_checked)
 class CheckedPrimeField(PrimeField):
     """A ``PrimeField`` that enforces the canonical-form precondition.
 
     ``add``/``sub``/``neg`` on the base class silently produce
     out-of-range results when fed non-canonical operands; this subclass
-    raises ``ValueError`` instead, on every scalar and batch entry
-    point.  It is a debugging and testing tool — hot paths keep the
-    unchecked base class — and interoperates with plan caches and
-    ``CountingField`` because equality/hashing stay modulus-based.
+    raises ``ValueError`` instead, on every element operand of every op
+    in the table (``repro.field.ops``).  It is a debugging and testing
+    tool — hot paths keep the unchecked base class — and interoperates
+    with plan caches and ``CountingField`` because equality/hashing stay
+    modulus-based.
     """
 
     __slots__ = ()
@@ -395,155 +377,19 @@ class CheckedPrimeField(PrimeField):
                     "reduce() or from_signed() it first"
                 )
 
-    def add(self, a: int, b: int) -> int:
-        """Checked a + b mod p; raises on non-canonical operands."""
-        self._require_canonical(a, b)
-        return super().add(a, b)
 
-    def sub(self, a: int, b: int) -> int:
-        """Checked a - b mod p; raises on non-canonical operands."""
-        self._require_canonical(a, b)
-        return super().sub(a, b)
-
-    def neg(self, a: int) -> int:
-        """Checked -a mod p; raises on a non-canonical operand."""
-        self._require_canonical(a)
-        return super().neg(a)
-
-    def mul(self, a: int, b: int) -> int:
-        """Checked a · b mod p; raises on non-canonical operands."""
-        self._require_canonical(a, b)
-        return super().mul(a, b)
-
-    def square(self, a: int) -> int:
-        """Checked a² mod p; raises on a non-canonical operand."""
-        self._require_canonical(a)
-        return super().square(a)
-
-    def inv(self, a: int) -> int:
-        """Checked a⁻¹ mod p; raises on a non-canonical operand."""
-        self._require_canonical(a)
-        return super().inv(a)
-
-    def div(self, a: int, b: int) -> int:
-        """Checked a / b mod p; raises on non-canonical operands."""
-        self._require_canonical(a, b)
-        return super().div(a, b)
-
-    def inner_product(self, a: Sequence[int], b: Sequence[int]) -> int:
-        """Checked <a, b>; raises on any non-canonical entry."""
-        self._require_canonical(*a)
-        self._require_canonical(*b)
-        return super().inner_product(a, b)
-
-    def batch_inv(self, values: Sequence[int]) -> list[int]:
-        """Checked batch inversion; raises on any non-canonical entry."""
-        self._require_canonical(*values)
-        return super().batch_inv(values)
-
-    def vec_add(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
-        """Checked componentwise sum; raises on any non-canonical entry."""
-        self._require_canonical(*a)
-        self._require_canonical(*b)
-        return super().vec_add(a, b)
-
-    def vec_sub(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
-        """Checked componentwise difference; raises on any non-canonical entry."""
-        self._require_canonical(*a)
-        self._require_canonical(*b)
-        return super().vec_sub(a, b)
-
-    def vec_neg(self, a: Sequence[int]) -> list[int]:
-        """Checked componentwise negation; raises on any non-canonical entry."""
-        self._require_canonical(*a)
-        return super().vec_neg(a)
-
-    def vec_scale(self, c: int, a: Sequence[int]) -> list[int]:
-        """Checked scalar multiple; raises on any non-canonical entry."""
-        self._require_canonical(c, *a)
-        return super().vec_scale(c, a)
-
-    def vec_addmul(self, a: Sequence[int], c: int, b: Sequence[int]) -> list[int]:
-        """Checked a + c·b; raises on any non-canonical entry."""
-        self._require_canonical(c, *a)
-        self._require_canonical(*b)
-        return super().vec_addmul(a, c, b)
-
-    def hadamard(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
-        """Checked componentwise product; raises on any non-canonical entry."""
-        self._require_canonical(*a)
-        self._require_canonical(*b)
-        return super().hadamard(a, b)
-
-    def transform(self, plan, values: list[int], invert: bool = False) -> list[int]:
-        """Checked transform; raises on any non-canonical entry."""
-        self._require_canonical(*values)
-        return super().transform(plan, values, invert)
-
-    def _require_canonical_rows(self, rows) -> None:
-        for row in rows:
-            self._require_canonical(*row)
-
-    def mat_add(self, a, b) -> list[list[int]]:
-        """Checked row-wise sums; raises on any non-canonical entry."""
-        self._require_canonical_rows(a)
-        self._require_canonical_rows(b)
-        return super().mat_add(a, b)
-
-    def mat_sub(self, a, b) -> list[list[int]]:
-        """Checked row-wise differences; raises on any non-canonical entry."""
-        self._require_canonical_rows(a)
-        self._require_canonical_rows(b)
-        return super().mat_sub(a, b)
-
-    def mat_hadamard(self, a, b) -> list[list[int]]:
-        """Checked row-wise products; raises on any non-canonical entry."""
-        self._require_canonical_rows(a)
-        self._require_canonical_rows(b)
-        return super().mat_hadamard(a, b)
-
-    def mat_addmul(self, a, c: int, b) -> list[list[int]]:
-        """Checked row-wise a + c·b; raises on any non-canonical entry."""
-        self._require_canonical(c)
-        self._require_canonical_rows(a)
-        self._require_canonical_rows(b)
-        return super().mat_addmul(a, c, b)
-
-    def mat_inner_product(self, a, b) -> list[int]:
-        """Checked per-row inner products; raises on any non-canonical entry."""
-        self._require_canonical_rows(a)
-        self._require_canonical_rows(b)
-        return super().mat_inner_product(a, b)
-
-    def mat_batch_inv(self, rows) -> list[list[int]]:
-        """Checked matrix inversion; raises on any non-canonical entry."""
-        self._require_canonical_rows(rows)
-        return super().mat_batch_inv(rows)
-
-    def mat_transform(self, plan, rows, invert: bool = False) -> list[list[int]]:
-        """Checked stacked transform; raises on any non-canonical entry."""
-        self._require_canonical_rows(rows)
-        return super().mat_transform(plan, rows, invert)
-
-    def mat_polymul(self, rows_a, rows_b):
-        """Checked batched convolution; raises on any non-canonical entry."""
-        self._require_canonical_rows(rows_a)
-        self._require_canonical_rows(rows_b)
-        return super().mat_polymul(rows_a, rows_b)
+def twin(cls: type, base: PrimeField):
+    """A ``cls`` twin of ``base`` (same modulus, name, NTT structure and
+    backend), or ``base`` itself when it already is one."""
+    if isinstance(base, cls):
+        return base
+    field = cls(base.p, check_prime=False, backend=base.backend)
+    field.name = base.name
+    field.two_adicity = base.two_adicity
+    field._two_adic_generator = base._two_adic_generator
+    return field
 
 
 def checked_field(base: PrimeField) -> CheckedPrimeField:
     """A checked twin of ``base`` (same modulus, name, NTT structure)."""
-    if isinstance(base, CheckedPrimeField):
-        return base
-    twin = CheckedPrimeField(base.p, check_prime=False, backend=base.backend)
-    twin.name = base.name
-    twin.two_adicity = base.two_adicity
-    twin._two_adic_generator = base._two_adic_generator
-    return twin
-
-
-def elements(field: PrimeField, values: Iterable[int]) -> list[int]:
-    """Canonicalize an iterable of ints into field representation."""
-    p = field.p
-    return [v % p for v in values]
+    return twin(CheckedPrimeField, base)

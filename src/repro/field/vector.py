@@ -1,11 +1,11 @@
-"""Vector operations over prime fields.
+"""Vector constructions over prime fields.
 
 The argument system is dominated by operations on long vectors of field
 elements: the proof vector u, query vectors q_i, and their inner
-products.  These helpers are thin wrappers over the field's vector
-methods, which dispatch to the active kernel backend
-(``repro.field.backend``) — pure-Python scalar loops or batched numpy
-kernels, bit-identical either way.
+products.  The arithmetic itself is ``PrimeField``'s (``vec_add``,
+``inner_product``, ...), which dispatches to the active kernel backend
+(``repro.field.backend``); this module holds the two vector shapes the
+protocol builds from scratch.
 """
 
 from __future__ import annotations
@@ -13,38 +13,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from .prime_field import PrimeField
-
-
-def vec_add(field: PrimeField, a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Componentwise sum."""
-    return field.vec_add(a, b)
-
-
-def vec_sub(field: PrimeField, a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Componentwise difference."""
-    return field.vec_sub(a, b)
-
-
-def vec_neg(field: PrimeField, a: Sequence[int]) -> list[int]:
-    """Componentwise negation."""
-    return field.vec_neg(a)
-
-
-def vec_scale(field: PrimeField, c: int, a: Sequence[int]) -> list[int]:
-    """Scalar multiple c·a."""
-    return field.vec_scale(c, a)
-
-
-def vec_addmul(
-    field: PrimeField, a: Sequence[int], c: int, b: Sequence[int]
-) -> list[int]:
-    """a + c*b, the FMA shape used when folding queries together."""
-    return field.vec_addmul(a, c, b)
-
-
-def inner(field: PrimeField, a: Sequence[int], b: Sequence[int]) -> int:
-    """<a, b> with a single final reduction."""
-    return field.inner_product(a, b)
 
 
 def outer(field: PrimeField, a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -58,11 +26,6 @@ def outer(field: PrimeField, a: Sequence[int], b: Sequence[int]) -> list[int]:
     for x in a:
         out.extend(x * y % p for y in b)
     return out
-
-
-def hadamard(field: PrimeField, a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Componentwise product."""
-    return field.hadamard(a, b)
 
 
 def powers(field: PrimeField, x: int, count: int) -> list[int]:

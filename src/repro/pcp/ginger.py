@@ -32,7 +32,7 @@ from typing import Sequence
 
 from ..constraints import GingerSystem
 from ..crypto.prg import FieldPRG
-from ..field import PrimeField, outer, vec_add
+from ..field import PrimeField, outer
 from .oracle import LinearOracle
 from .soundness import SoundnessParams
 
@@ -148,14 +148,14 @@ def generate_schedule(
         for it in range(params.rho_lin):
             q5 = prg.next_vector(n)
             q6 = prg.next_vector(n)
-            q7 = vec_add(field, q5, q6)
+            q7 = field.vec_add(q5, q6)
             i5 = push(_embed1(gsys, q5))
             i6 = push(_embed1(gsys, q6))
             i7 = push(_embed1(gsys, q7))
             lin1.append((i5, i6, i7))
             q8 = prg.next_vector(nn)
             q9 = prg.next_vector(nn)
-            q10 = vec_add(field, q8, q9)
+            q10 = field.vec_add(q8, q9)
             i8 = push(_embed2(gsys, q8))
             i9 = push(_embed2(gsys, q9))
             i10 = push(_embed2(gsys, q10))
@@ -167,13 +167,13 @@ def generate_schedule(
         q_a = prg.next_vector(n)
         q_b = prg.next_vector(n)
         q_ab = outer(field, q_a, q_b)
-        idx_qa = push(_embed1(gsys, vec_add(field, q_a, first_q5)))
-        idx_qb = push(_embed1(gsys, vec_add(field, q_b, first_q5)))
-        idx_qab = push(_embed2(gsys, vec_add(field, q_ab, first_q8)))
+        idx_qa = push(_embed1(gsys, field.vec_add(q_a, first_q5)))
+        idx_qb = push(_embed1(gsys, field.vec_add(q_b, first_q5)))
+        idx_qab = push(_embed2(gsys, field.vec_add(q_ab, first_q8)))
 
         circuit = _circuit_query(gsys, prg)
-        idx_g1 = push(_embed1(gsys, vec_add(field, circuit.gamma1, first_q5)))
-        idx_g2 = push(_embed2(gsys, vec_add(field, circuit.gamma2, first_q8)))
+        idx_g1 = push(_embed1(gsys, field.vec_add(circuit.gamma1, first_q5)))
+        idx_g2 = push(_embed2(gsys, field.vec_add(circuit.gamma2, first_q8)))
         repetitions.append(
             GingerRepetition(
                 lin1=lin1,

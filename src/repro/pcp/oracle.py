@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from typing import Protocol, Sequence
 
-from ..field import PrimeField, inner
+from ..field import PrimeField
 
 
 class LinearOracle(Protocol):
@@ -33,7 +33,7 @@ class VectorOracle:
 
     def query(self, q: Sequence[int]) -> int:
         """<q, u>."""
-        return inner(self.field, q, self.u)
+        return self.field.inner_product(q, self.u)
 
 
 class NonLinearOracle:
@@ -84,7 +84,7 @@ class MostlyLinearOracle:
 
     def query(self, q: Sequence[int]) -> int:
         """Honest answer, shifted on a sticky random δ-fraction of queries."""
-        value = inner(self.field, q, self.u)
+        value = self.field.inner_product(q, self.u)
         key = tuple(q)
         if key not in self._decisions:
             self._decisions[key] = self._rng.random() < self.corrupt_fraction
@@ -134,4 +134,4 @@ class TargetedCheatOracle:
         """Honest everywhere except the one targeted query."""
         if list(q) == self.target:
             return self.answer
-        return inner(self.field, q, self.u)
+        return self.field.inner_product(q, self.u)

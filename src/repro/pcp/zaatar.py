@@ -25,7 +25,7 @@ from itertools import islice
 from typing import Sequence
 
 from ..crypto.prg import FieldPRG
-from ..field import PrimeField, vec_add
+from ..field import PrimeField
 from ..qap import (
     CircuitQueries,
     QAPInstance,
@@ -103,14 +103,14 @@ def generate_schedule(
         for it in range(params.rho_lin):
             q5 = list(islice(draws, n_prime))
             q6 = list(islice(draws, n_prime))
-            q7 = vec_add(field, q5, q6)
+            q7 = field.vec_add(q5, q6)
             i5 = push(embed_z_query(qap, q5))
             i6 = push(embed_z_query(qap, q6))
             i7 = push(embed_z_query(qap, q7))
             lin_z.append(LinearityTriple(i5, i6, i7))
             q8 = list(islice(draws, h_len))
             q9 = list(islice(draws, h_len))
-            q10 = vec_add(field, q8, q9)
+            q10 = field.vec_add(q8, q9)
             i8 = push(embed_h_query(qap, q8))
             i9 = push(embed_h_query(qap, q9))
             i10 = push(embed_h_query(qap, q10))
@@ -128,10 +128,10 @@ def generate_schedule(
                 break
             except ValueError:
                 continue
-        idx_q1 = push(embed_z_query(qap, vec_add(field, circuit.qa, first_q5)))
-        idx_q2 = push(embed_z_query(qap, vec_add(field, circuit.qb, first_q5)))
-        idx_q3 = push(embed_z_query(qap, vec_add(field, circuit.qc, first_q5)))
-        idx_q4 = push(embed_h_query(qap, vec_add(field, circuit.qd, first_q8)))
+        idx_q1 = push(embed_z_query(qap, field.vec_add(circuit.qa, first_q5)))
+        idx_q2 = push(embed_z_query(qap, field.vec_add(circuit.qb, first_q5)))
+        idx_q3 = push(embed_z_query(qap, field.vec_add(circuit.qc, first_q5)))
+        idx_q4 = push(embed_h_query(qap, field.vec_add(circuit.qd, first_q8)))
         repetitions.append(
             ZaatarRepetition(
                 lin_z=lin_z,

@@ -82,9 +82,10 @@ def mat_poly_mul(
     plus trailing zeros where the true product has lower degree.
 
     Routing, in preference order: the backend's dedicated batched
-    convolution (the CRT residue-plane path for big moduli), stacked
-    NTTs over one shared plan, then per-row ``poly_mul`` (tiny shapes
-    or fields without a long-enough transform).
+    convolution (the CRT residue-plane path for moduli without a uint64
+    kernel), stacked NTTs over one shared plan, then per-row
+    ``poly_mul`` (tiny shapes or fields without a long-enough
+    transform).
     """
     batch = len(rows_a)
     if len(rows_b) != batch:

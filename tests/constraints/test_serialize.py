@@ -31,7 +31,6 @@ class TestQuadraticRoundtrip:
 
     def test_restored_system_builds_working_qap(self, gold, sumsq_program):
         """A verifier can go straight from JSON to queries."""
-        from repro.field import inner
         from repro.qap import (
             build_proof_vector,
             build_qap,
@@ -50,10 +49,10 @@ class TestQuadraticRoundtrip:
             gold,
             q,
             scalars,
-            inner(gold, q.qa, proof.z),
-            inner(gold, q.qb, proof.z),
-            inner(gold, q.qc, proof.z),
-            inner(gold, q.qd, proof.h),
+            gold.inner_product(q.qa, proof.z),
+            gold.inner_product(q.qb, proof.z),
+            gold.inner_product(q.qc, proof.z),
+            gold.inner_product(q.qd, proof.h),
         )
 
     def test_large_coefficients_survive(self, p128):

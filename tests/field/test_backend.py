@@ -18,15 +18,17 @@ from repro.field import (
     BACKEND_ENV_VAR,
     GOLDILOCKS,
     HAVE_NUMPY,
+    P128,
     NumpyBackend,
     PrimeField,
     ScalarBackend,
-    available_backends,
     checked_field,
     counting_field,
     resolve_backend,
 )
 from repro.field import backend as backend_module
+from repro.field.ops import ELEM, OPS, OTHER, ROWS, VEC
+from repro.poly import get_ntt_plan
 from repro.poly.ntt import intt, ntt
 
 
@@ -66,11 +68,6 @@ class TestSelection:
 
     def test_backends_cached_per_modulus(self):
         assert _gold(backend="scalar").backend is _gold(backend="scalar").backend
-
-    def test_available_backends(self):
-        names = available_backends()
-        assert "scalar" in names
-        assert ("numpy" in names) == HAVE_NUMPY
 
 
 class TestDegradation:
@@ -113,10 +110,27 @@ class TestTwins:
         assert counting_field(base).backend is base.backend
 
     def test_checked_field_still_rejects_noncanonical_vectors(self):
+        """One bad entry in any vector or row operand of any table op
+        raises before the op runs (operands that are not field elements,
+        such as plans and flags, are never inspected)."""
         chk = checked_field(_gold())
-        good = list(range(40))
+        good = list(range(64))
+        bad = [-1] + good[1:]
+        fill = {ELEM: 1, VEC: good, ROWS: [good, good], OTHER: None}
+        probed = set()
+        for op in OPS:
+            for i, kind in enumerate(op.operands):
+                if kind not in (VEC, ROWS):
+                    continue
+                args = [fill[k] for k in op.operands]
+                args[i] = bad if kind == VEC else [good, bad]
+                with pytest.raises(ValueError, match="non-canonical"):
+                    getattr(chk, op.name)(*args)
+                probed.add(op.name)
+        assert {"inner_product", "transform", "mat_transform", "mat_polymul"} <= probed
+        # operands passed by keyword are checked too
         with pytest.raises(ValueError, match="non-canonical"):
-            chk.vec_add(good, [-1] + good[1:])
+            chk.mat_transform(None, rows=[good, bad])
 
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy absent")
@@ -210,8 +224,6 @@ def _counting_workload(backend_name: str) -> dict[str, float]:
     try:
         with telemetry.span("workload"):
             field.vec_add(a, b)
-            field.vec_sub(a, b)
-            field.vec_neg(a)
             field.vec_scale(5, a)
             field.vec_addmul(a, 5, b)
             field.hadamard(a, b)
@@ -225,15 +237,41 @@ def _counting_workload(backend_name: str) -> dict[str, float]:
     }
 
 
+def _counting_mat_workload(backend_name: str) -> dict[str, float]:
+    """The 2-D ops the batched prover runs, on a 4 × 64 matrix."""
+    field = counting_field(_gold(backend=backend_name))
+    n = 64
+    rows_a = [[(i * 17 + j * 5 + 3) % field.p for i in range(n)] for j in range(4)]
+    rows_b = [[(i * 29 + j * 3 + 7) % field.p for i in range(n)] for j in range(4)]
+    plan = get_ntt_plan(field, n)
+    tracer = telemetry.enable()
+    try:
+        with telemetry.span("workload"):
+            field.mat_add(rows_a, rows_b)
+            field.mat_sub(rows_a, rows_b)
+            field.mat_hadamard(rows_a, rows_b)
+            field.mat_transform(plan, field.mat_transform(plan, rows_a), invert=True)
+    finally:
+        telemetry.disable()
+    return {
+        k: v for k, v in tracer.total_counters().items() if k.startswith("field.")
+    }
+
+
 class TestCountingBackendIndependence:
     """CountingField counts per element by the canonical algorithm, so the
     Figure 5 op tables are identical no matter which kernels execute."""
 
-    # n=64 workload above: adds = 64*4 (add/sub/neg/addmul)
-    #   + 64 (inner) + 64*6*2 (two transforms, n·log2 n each) = 1088
+    # n=64 workload above: adds = 64*2 (add/addmul)
+    #   + 64 (inner) + 64*6*2 (two transforms, n·log2 n each) = 960
     # muls = 64*3 (scale/addmul/hadamard) + 64 (inner) + 3*64 (batch_inv)
     #   + 32*6*2 (transform butterflies) + 64 (fused n⁻¹) = 896
-    EXPECTED = {"field.add": 1088.0, "field.mul": 896.0, "field.inv": 1.0}
+    EXPECTED = {"field.add": 960.0, "field.mul": 896.0, "field.inv": 1.0}
+
+    # 4 × 64 matrix workload: adds = 256*2 (mat_add/mat_sub)
+    #   + 4*64*6*2 (two stacked transforms) = 3584
+    # muls = 256 (mat_hadamard) + 4*32*6*2 (butterflies) + 4*64 (n⁻¹) = 2048
+    EXPECTED_MAT = {"field.add": 3584.0, "field.mul": 2048.0}
 
     def test_scalar_counts_match_closed_form(self):
         assert _counting_workload("scalar") == self.EXPECTED
@@ -241,3 +279,27 @@ class TestCountingBackendIndependence:
     @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy absent")
     def test_counts_identical_across_backends(self):
         assert _counting_workload("scalar") == _counting_workload("numpy")
+
+    def test_scalar_mat_counts_match_closed_form(self):
+        assert _counting_mat_workload("scalar") == self.EXPECTED_MAT
+
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy absent")
+    def test_mat_counts_identical_across_backends(self):
+        assert _counting_mat_workload("numpy") == self.EXPECTED_MAT
+
+    @pytest.mark.parametrize("backend_name", ["scalar", "numpy"])
+    def test_mat_polymul_declines_under_counting(self, backend_name):
+        """The CRT product has no canonical cost, so counted runs must
+        take the transform route: the counting twin returns None even
+        where the plain field has the fast path (p128 on numpy)."""
+        base = PrimeField(P128, check_prime=False, backend=backend_name)
+        rows = [[1, 2, 3], [4, 5, 6]]
+        tracer = telemetry.enable()
+        try:
+            with telemetry.span("workload"):
+                assert counting_field(base).mat_polymul(rows, rows) is None
+        finally:
+            telemetry.disable()
+        assert not any(k.startswith("field.") for k in tracer.total_counters())
+        if backend_name == "numpy" and HAVE_NUMPY:
+            assert base.mat_polymul(rows, rows) is not None

@@ -10,7 +10,6 @@ so a lie planted on the raw q_a never gets hit.
 import pytest
 
 from repro.crypto import FieldPRG
-from repro.field import inner
 from repro.pcp import (
     MostlyLinearOracle,
     SoundnessParams,
@@ -63,9 +62,9 @@ class TestTargetedCheat:
         q = circuit_queries(qap, tau)
         scalars = instance_scalars(qap, q, sol.x, bad_y)
         # compute the h-answer that would make the bad claim pass
-        pi_a = inner(field, q.qa, proof.z)
-        pi_b = inner(field, q.qb, proof.z)
-        pi_c = inner(field, q.qc, proof.z)
+        pi_a = field.inner_product(q.qa, proof.z)
+        pi_b = field.inner_product(q.qb, proof.z)
+        pi_c = field.inner_product(q.qc, proof.z)
         need = (
             ((pi_a + scalars.l_a) * (pi_b + scalars.l_b) - (pi_c + scalars.l_c))
             * field.inv(q.d_tau)

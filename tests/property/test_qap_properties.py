@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.compiler import compile_program
 from repro.constraints import split_assignment
-from repro.field import GOLDILOCKS, PrimeField, inner
+from repro.field import GOLDILOCKS, PrimeField
 from repro.qap import (
     build_proof_vector,
     build_qap,
@@ -50,10 +50,10 @@ def test_claim_a1_satisfying_direction(xs, tau_seed):
             FIELD,
             q,
             scalars,
-            inner(FIELD, q.qa, proof.z),
-            inner(FIELD, q.qb, proof.z),
-            inner(FIELD, q.qc, proof.z),
-            inner(FIELD, q.qd, proof.h),
+            FIELD.inner_product(q.qa, proof.z),
+            FIELD.inner_product(q.qb, proof.z),
+            FIELD.inner_product(q.qc, proof.z),
+            FIELD.inner_product(q.qd, proof.h),
         )
 
 
@@ -96,8 +96,8 @@ def test_query_schedule_instance_independent(xs1, xs2):
             FIELD,
             q,
             scalars,
-            inner(FIELD, q.qa, proof.z),
-            inner(FIELD, q.qb, proof.z),
-            inner(FIELD, q.qc, proof.z),
-            inner(FIELD, q.qd, proof.h),
+            FIELD.inner_product(q.qa, proof.z),
+            FIELD.inner_product(q.qb, proof.z),
+            FIELD.inner_product(q.qc, proof.z),
+            FIELD.inner_product(q.qd, proof.h),
         )

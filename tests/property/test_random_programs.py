@@ -21,7 +21,7 @@ from repro.compiler import (
     select,
 )
 from repro.constraints import split_assignment
-from repro.field import GOLDILOCKS, PrimeField, inner
+from repro.field import GOLDILOCKS, PrimeField
 from repro.qap import (
     build_proof_vector,
     build_qap,
@@ -145,10 +145,10 @@ def test_random_program_pipeline(data):
         FIELD,
         queries,
         scalars,
-        inner(FIELD, queries.qa, proof.z),
-        inner(FIELD, queries.qb, proof.z),
-        inner(FIELD, queries.qc, proof.z),
-        inner(FIELD, queries.qd, proof.h),
+        FIELD.inner_product(queries.qa, proof.z),
+        FIELD.inner_product(queries.qb, proof.z),
+        FIELD.inner_product(queries.qc, proof.z),
+        FIELD.inner_product(queries.qd, proof.h),
     )
 
     # Figure-9 identities
@@ -200,8 +200,8 @@ def test_random_program_rejects_wrong_output(data, delta):
         FIELD,
         queries,
         scalars,
-        inner(FIELD, queries.qa, proof.z),
-        inner(FIELD, queries.qb, proof.z),
-        inner(FIELD, queries.qc, proof.z),
-        inner(FIELD, queries.qd, proof.h),
+        FIELD.inner_product(queries.qa, proof.z),
+        FIELD.inner_product(queries.qb, proof.z),
+        FIELD.inner_product(queries.qc, proof.z),
+        FIELD.inner_product(queries.qd, proof.h),
     )

@@ -5,7 +5,6 @@ import pytest
 from repro.compiler import compile_program
 from repro.constraints import LinearCombination, QuadraticSystem, split_assignment
 from repro.crypto import FieldPRG
-from repro.field import inner
 from repro.pcp import SoundnessParams, VectorOracle, zaatar
 from repro.qap import build_proof_vector, build_qap
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.constraints import split_assignment
-from repro.field import inner
 from repro.qap import (
     build_proof_vector,
     build_qap,
@@ -77,10 +76,10 @@ class TestDivisibilityCheck:
                 field,
                 q,
                 scalars,
-                inner(field, q.qa, proof.z),
-                inner(field, q.qb, proof.z),
-                inner(field, q.qc, proof.z),
-                inner(field, q.qd, proof.h),
+                field.inner_product(q.qa, proof.z),
+                field.inner_product(q.qb, proof.z),
+                field.inner_product(q.qc, proof.z),
+                field.inner_product(q.qd, proof.h),
             )
 
     def test_soundness_wrong_output(self, setup, rng):
@@ -96,10 +95,10 @@ class TestDivisibilityCheck:
                 field,
                 q,
                 scalars,
-                inner(field, q.qa, proof.z),
-                inner(field, q.qb, proof.z),
-                inner(field, q.qc, proof.z),
-                inner(field, q.qd, proof.h),
+                field.inner_product(q.qa, proof.z),
+                field.inner_product(q.qb, proof.z),
+                field.inner_product(q.qc, proof.z),
+                field.inner_product(q.qd, proof.h),
             )
             rejections += not ok
         assert rejections == 8  # whp: failure probability ≤ 2|C|/|F|
@@ -116,10 +115,10 @@ class TestDivisibilityCheck:
             field,
             q,
             scalars,
-            inner(field, q.qa, proof.z),
-            inner(field, q.qb, proof.z),
-            inner(field, q.qc, proof.z),
-            inner(field, q.qd, proof.h),
+            field.inner_product(q.qa, proof.z),
+            field.inner_product(q.qb, proof.z),
+            field.inner_product(q.qc, proof.z),
+            field.inner_product(q.qd, proof.h),
         )
 
     def test_io_length_validated(self, setup, rng):
