@@ -305,7 +305,8 @@ def _bench_batch(size: int, reps: int, rng: random.Random) -> dict:
     Mirrors the QAP prover's roots-mode H(t) construction — interpolate
     three evaluation rows, multiply, subtract, divide by ``t^m − 1`` —
     once per row (the object-dtype route big moduli used to be stuck
-    on) and once as stacked 2-D kernels (one shared plan; the multiply
+    on; each row's division is a one-row call of the 2-D divider) and
+    once as stacked 2-D kernels (one shared plan; the multiply
     drops into the CRT residue planes).  ``evals_c = a ∘ b`` makes every
     row exactly divisible, so the telescoped division runs end to end.
     """
@@ -318,10 +319,7 @@ def _bench_batch(size: int, reps: int, rng: random.Random) -> dict:
         poly_sub,
         trim,
     )
-    from repro.qap.prover import (
-        _divide_by_subgroup_vanishing,
-        _mat_divide_by_subgroup_vanishing,
-    )
+    from repro.qap.prover import _mat_divide_by_subgroup_vanishing
 
     m = max(256, size // 2)
     field = PrimeField(NAMED_FIELDS["p128"], check_prime=False, backend="numpy")
@@ -334,7 +332,7 @@ def _bench_batch(size: int, reps: int, rng: random.Random) -> dict:
             pb = interpolate_at_roots_of_unity(field, eb)
             pc = interpolate_at_roots_of_unity(field, ec)
             p_w = poly_sub(field, poly_mul(field, pa, pb), pc)
-            out.append(_divide_by_subgroup_vanishing(field, p_w, m))
+            out.append(_mat_divide_by_subgroup_vanishing(field, [p_w], m)[0])
         return out
 
     def batched(evals):

@@ -49,10 +49,6 @@ from typing import Callable, Iterator, Sequence
 from .. import telemetry
 from ..compiler import CompiledProgram
 from ..constraints import quadratic_to_json
-from ..crypto import CommitmentVerifier, FieldPRG
-from ..crypto.commitment import CommitRequest, DecommitChallenge, DecommitResponse
-from ..pcp import zaatar as zaatar_pcp
-from ..qap import build_qap
 from . import framing
 from .framing import (
     expect,
@@ -68,6 +64,8 @@ from .protocol import (
     InstanceResult,
     ProtocolViolation,
     ProverStats,
+    ZaatarArgument,
+    check_instance,
 )
 
 #: client-side ceiling on a peer-supplied ``trace`` payload; anything
@@ -248,22 +246,12 @@ def verify_remote(
     ``ProtocolViolation[bad-frame]``.
     """
     config = config or ArgumentConfig()
+    if not config.use_commitment:
+        raise ValueError("the network protocol requires the commitment layer")
     retry = retry or RetryPolicy()
     deadlines = deadlines or Deadlines()
-    field = program.field
     with telemetry.span("verifier.query_setup"):
-        qap = build_qap(program.quadratic, mode=config.qap_mode)
-        schedule = zaatar_pcp.generate_schedule(
-            qap, config.params, FieldPRG(field, config.seed, "queries")
-        )
-        commitment_verifier = CommitmentVerifier(
-            field,
-            config.group(field),
-            len(schedule.queries[0]),
-            FieldPRG(field, config.seed, "commitment"),
-        )
-        request = commitment_verifier.commit_request()
-        challenge = commitment_verifier.decommit_challenge(schedule.queries)
+        setup = ZaatarArgument(program, config).verifier_setup()
 
     delays = retry.delays()
     attempts = 0
@@ -288,10 +276,7 @@ def verify_remote(
                     program,
                     batch_inputs,
                     config,
-                    schedule,
-                    commitment_verifier,
-                    request,
-                    challenge,
+                    setup,
                     sock,
                     committed,
                     remote_span=remote_span,
@@ -372,10 +357,7 @@ def _drive_session(
     program: CompiledProgram,
     batch_inputs: Sequence[Sequence[int]],
     config: ArgumentConfig,
-    schedule,
-    commitment_verifier: CommitmentVerifier,
-    request: CommitRequest,
-    challenge: DecommitChallenge,
+    setup,
     sock,
     committed: list[bool],
     remote_span=None,
@@ -384,6 +366,7 @@ def _drive_session(
     resume: _ResumeState | None = None,
 ) -> list[InstanceResult]:
     """One connection's worth of the client protocol (no retry logic)."""
+    _, _, request, challenge = setup
     field = program.field
     tracer = telemetry.current()
     if collect_trace is None:
@@ -470,10 +453,7 @@ def _drive_session(
             answers = unhex_list(answer_hex, what="answers", p=field.p)
             x = [v % field.p for v in input_values]
             try:
-                commit_ok = commitment_verifier.verify(
-                    commitment, DecommitResponse(answers)
-                )
-                pcp = zaatar_pcp.check_answers(schedule, answers[:-1], x, y)
+                commit_ok, pcp = check_instance(setup, commitment, answers, x, y)
             except (ValueError, IndexError) as exc:
                 raise ProtocolViolation(
                     f"malformed answers: {exc}", code="bad-frame"

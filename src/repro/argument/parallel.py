@@ -51,7 +51,6 @@ from typing import Sequence
 
 from .. import telemetry
 from ..telemetry import metrics as metrics_mod
-from ..pcp import zaatar as zaatar_pcp
 from .checkpoint import BatchCheckpoint, instance_record, result_from_record
 from .faults import ProcessFaultPlan
 from .net import RetryPolicy
@@ -61,6 +60,7 @@ from .protocol import (
     BatchStats,
     InstanceResult,
     ZaatarArgument,
+    check_instance,
     classify_failure,
 )
 from .stats import PhaseTimer, ProverStats, VerifierStats
@@ -91,22 +91,9 @@ class _ProofPayload:
     records: list | None
 
 
-def _prove_payload(index: int, input_values: Sequence[int]) -> _ProofPayload:
-    argument: ZaatarArgument = _WORKER_STATE["argument"]
-    setup = _WORKER_STATE["setup"]
-    # In forked workers the inherited tracer's spans die with the
-    # process, so export the records this task produced and let the
-    # parent re-insert them (Tracer.adopt).  Inline execution records
-    # directly into the live tracer.
-    tracer = telemetry.current()
-    collect = bool(_WORKER_STATE.get("collect_spans")) and tracer is not None
-    mark = tracer.mark() if collect else 0
-    stats = ProverStats()
-    with telemetry.span("prover.instance", index=index):
-        sol, commitment, response, answers = argument.prove_instance(
-            input_values, setup, stats
-        )
-    records = tracer.records_since(mark) if collect else None
+def _payload(index: int, entry, stats: ProverStats, records=None) -> _ProofPayload:
+    """The engine's message for one proved ``prove_batch`` entry."""
+    sol, commitment, _, answers = entry
     return _ProofPayload(
         index=index,
         input_values=list(sol.input_values),
@@ -124,6 +111,25 @@ def _prove_payload(index: int, input_values: Sequence[int]) -> _ProofPayload:
         ),
         records=records,
     )
+
+
+def _prove_payload(index: int, input_values: Sequence[int]) -> _ProofPayload:
+    """Prove one instance in a forked worker, as a one-row batch."""
+    argument: ZaatarArgument = _WORKER_STATE["argument"]
+    # The inherited tracer's spans die with the worker process, so
+    # export the records this task produced and let the parent
+    # re-insert them (Tracer.adopt).
+    tracer = telemetry.current()
+    collect = tracer is not None
+    mark = tracer.mark() if collect else 0
+    stats = ProverStats()
+    (entry,) = argument.prove_batch(
+        [input_values], _WORKER_STATE["setup"], indices=[index], per_stats=[stats]
+    )
+    if isinstance(entry, Exception):
+        raise entry
+    records = tracer.records_since(mark) if collect else None
+    return _payload(index, entry, stats, records)
 
 
 def _worker_main(task_q, result_q) -> None:
@@ -368,22 +374,10 @@ class _Engine:
         into the instance's outcome like any other failure."""
         if payload.records:
             self.adopted.append(payload.records)
-        schedule, commitment_verifier, _, _ = self.setup
-        prover_stats = ProverStats(*payload.stat_tuple)
         try:
             with self.timer.phase("per_instance"):
-                if self.argument.config.use_commitment:
-                    from ..crypto.commitment import DecommitResponse
-
-                    commit_ok = commitment_verifier.verify(
-                        payload.commitment, DecommitResponse(list(payload.answers))
-                    )
-                    pcp_answers = payload.answers[:-1]
-                else:
-                    commit_ok = True
-                    pcp_answers = payload.answers
-                pcp_result = zaatar_pcp.check_answers(
-                    schedule, pcp_answers, payload.x, payload.y
+                commit_ok, pcp_result = check_instance(
+                    self.setup, payload.commitment, payload.answers, payload.x, payload.y
                 )
         except Exception as exc:  # noqa: BLE001 - isolate bad instances
             self.handle_failure(
@@ -399,7 +393,7 @@ class _Engine:
                 commitment_ok=commit_ok,
                 pcp_ok=pcp_result.accepted,
                 output_values=payload.output_values,
-                prover_stats=prover_stats,
+                prover_stats=ProverStats(*payload.stat_tuple),
                 index=state.index,
                 attempts=state.attempts,
             ),
@@ -442,85 +436,53 @@ class _Engine:
 
     # -- inline execution --------------------------------------------------
 
-    def _prove_inline_batched(
-        self, states: list[_InstanceState]
-    ) -> list[_InstanceState]:
-        """One batched prover pass; returns states left for the loop.
-
-        The whole group moves through ``ZaatarArgument.prove_batch``
-        (stacked 2-D kernels, one shared construct_u pass) with
-        byte-identical proofs.  Per-instance failures either finish
-        with a structured outcome or — when retryable — fall back to
-        the classic per-instance loop below.
-        """
-        for state in states:
-            state.attempts += 1
-        per_stats = [ProverStats() for _ in states]
-        entries = self.argument.prove_batch(
-            [state.inputs for state in states],
-            self.setup,
-            indices=[state.index for state in states],
-            per_stats=per_stats,
-        )
-        leftover: list[_InstanceState] = []
-        for state, entry, stats in zip(states, entries, per_stats):
-            self.last_prove_done = time.monotonic()
-            if isinstance(entry, Exception):
-                if self.handle_failure(
-                    state, classify_failure(entry), f"{type(entry).__name__}: {entry}"
-                ):
-                    leftover.append(state)
-                continue
-            sol, commitment, _, answers = entry
-            self.handle_success(
-                state,
-                _ProofPayload(
-                    index=state.index,
-                    input_values=list(sol.input_values),
-                    x=sol.x,
-                    y=sol.y,
-                    output_values=sol.output_values,
-                    commitment=commitment,
-                    answers=list(answers),
-                    stat_tuple=(
-                        stats.solve_constraints,
-                        stats.construct_u,
-                        stats.crypto_ops,
-                        stats.answer_queries,
-                        stats.wall,
-                    ),
-                    records=None,
-                ),
-            )
-        return leftover
-
     def run_inline(self, states: list[_InstanceState]) -> None:
-        """Single-process execution (1 worker, or fork unavailable)."""
+        """Single-process execution (1 worker, or fork unavailable).
+
+        Each round proves every instance whose retry backoff has
+        elapsed as one ``prove_batch`` call; a retryable failure waits
+        out its backoff and joins a later round.
+        """
         plan: ProcessFaultPlan | None = _WORKER_STATE.get("process_faults")
-        if plan is None and self.argument.use_batch_prover(len(states)):
-            # fault injection targets the per-instance path, so the
-            # batched fast pass only runs on fault-free configurations
-            states = self._prove_inline_batched(states)
-        pending = deque(states)
+        pending = list(states)
         while pending:
-            state = pending.popleft()
-            wait = state.ready_at - time.monotonic()
+            wait = min(state.ready_at for state in pending) - time.monotonic()
             if wait > 0:
                 time.sleep(wait)
-            state.attempts += 1
-            try:
-                if plan is not None:
-                    plan.apply(state.index, state.attempts, inline=True)
-                payload = _prove_payload(state.index, state.inputs)
-            except Exception as exc:  # noqa: BLE001 - isolate, maybe retry
+            now = time.monotonic()
+            ready = [state for state in pending if state.ready_at <= now]
+            pending = [state for state in pending if state.ready_at > now]
+            proving: list[_InstanceState] = []
+            for state in ready:
+                state.attempts += 1
+                try:
+                    if plan is not None:
+                        plan.apply(state.index, state.attempts, inline=True)
+                except Exception as exc:  # noqa: BLE001 - isolate, maybe retry
+                    self.last_prove_done = time.monotonic()
+                    if self.handle_failure(
+                        state, classify_failure(exc), f"{type(exc).__name__}: {exc}"
+                    ):
+                        pending.append(state)
+                else:
+                    proving.append(state)
+            if not proving:
+                continue
+            per_stats = [ProverStats() for _ in proving]
+            entries = self.argument.prove_batch(
+                [state.inputs for state in proving],
+                self.setup,
+                indices=[state.index for state in proving],
+                per_stats=per_stats,
+            )
+            for state, entry, stats in zip(proving, entries, per_stats):
                 self.last_prove_done = time.monotonic()
-                if self.handle_failure(
-                    state, classify_failure(exc), f"{type(exc).__name__}: {exc}"
+                if not isinstance(entry, Exception):
+                    self.handle_success(state, _payload(state.index, entry, stats))
+                elif self.handle_failure(
+                    state, classify_failure(entry), f"{type(entry).__name__}: {entry}"
                 ):
                     pending.append(state)
-            else:
-                self.last_prove_done = time.monotonic()
-                self.handle_success(state, payload)
 
     # -- multiprocess execution --------------------------------------------
 
@@ -700,7 +662,6 @@ def run_parallel_batch(
 
         _WORKER_STATE["argument"] = argument
         _WORKER_STATE["setup"] = setup
-        _WORKER_STATE["collect_spans"] = num_workers > 1
         _WORKER_STATE["process_faults"] = process_faults
         start = time.monotonic()
         try:

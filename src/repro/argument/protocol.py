@@ -20,7 +20,7 @@ the paper itself falls back to the cost model at benchmark scale).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .. import telemetry
 from ..compiler import CompiledProgram
@@ -31,11 +31,14 @@ from ..crypto import (
     SchnorrGroup,
     group_for_field,
 )
+from ..crypto.commitment import DecommitResponse
 from ..pcp import SoundnessParams, TEST_PARAMS
 from ..pcp import ginger as ginger_pcp
 from ..pcp import zaatar as zaatar_pcp
 from ..pcp.ginger import build_ginger_proof
-from ..qap import QAPInstance, build_proof_vector, build_qap
+# ``build_proof_vector`` is re-exported: perfbench times H(t) through
+# this module's ``compute_h_batch`` and ``build_proof_vector`` names
+from ..qap import QAPInstance, build_proof_vector, build_qap  # noqa: F401
 from ..qap.prover import compute_h_batch
 from .stats import BatchStats, PhaseTimer, ProverStats, VerifierStats
 
@@ -141,11 +144,6 @@ class ArgumentConfig:
     #: skip the ElGamal layer entirely (PCP-only runs for benches that
     #: study the proof encoding in isolation)
     use_commitment: bool = True
-    #: batched-prover routing: "auto" (batched whenever the batch has
-    #: ≥ 2 instances), "always", or "never" (the classic per-instance
-    #: loop).  Both routes produce byte-identical transcripts — the
-    #: batched H(t) pipeline is bit-exact (see ``repro.qap.prover``).
-    batch_prover: str = "auto"
 
     def group(self, field) -> SchnorrGroup:
         """The commitment group matching this config and field."""
@@ -241,6 +239,101 @@ class BatchResult:
         return FailureSummary(total=self.num_failed, by_code=by_code)
 
 
+def solve_and_build(
+    program: CompiledProgram,
+    qap: QAPInstance,
+    batch_inputs: Sequence[Sequence[int]],
+    *,
+    indices: Sequence[int] | None = None,
+    per_stats: Sequence[ProverStats] | None = None,
+    after_solve: Callable[[int, object], None] | None = None,
+) -> list:
+    """Solve every input, then build each live instance's proof vector
+    u = (z, h) with one ``compute_h_batch`` call for the whole batch.
+
+    Returns one entry per input: ``(sol, u)``, or the exception its
+    solve or its division raised (failure isolation).  ``indices``
+    name the inputs in spans (default 0..B−1); ``per_stats`` receive
+    their phase clocks.  ``after_solve(position, sol_or_exception)``
+    runs after each solve, outside the isolation, so it can abort the
+    whole call before the next solve and before H(t) (the gateway's
+    fail-fast and session budget).
+
+    Spans: one ``prover.solve_constraints`` per input (attr ``index``),
+    then one shared ``prover.construct_u`` (attrs ``batch_size`` and
+    ``indices``) whose clocks are split evenly across the batch — the
+    shares ``BatchStats.from_trace`` rebuilds from the span.
+    """
+    batch = len(batch_inputs)
+    if not batch:
+        return []
+    indices = list(range(batch)) if indices is None else list(indices)
+    if per_stats is None:
+        per_stats = [ProverStats() for _ in range(batch)]
+    results: list = []
+    for position, (values, index, stats) in enumerate(
+        zip(batch_inputs, indices, per_stats)
+    ):
+        try:
+            with PhaseTimer(stats).phase("solve_constraints", index=index):
+                results.append(program.solve(values, check=False))
+        except Exception as exc:  # noqa: BLE001 - isolate bad instances
+            results.append(exc)
+        if after_solve is not None:
+            after_solve(position, results[-1])
+    live = [i for i, sol in enumerate(results) if not isinstance(sol, Exception)]
+    shared = ProverStats()
+    with PhaseTimer(shared).phase("construct_u", batch_size=batch, indices=indices):
+        h_rows = compute_h_batch(qap, [results[i].quadratic_witness for i in live])
+    for i, h in zip(live, h_rows):
+        sol = results[i]
+        z = list(sol.quadratic_witness[1 : qap.n_prime + 1])
+        results[i] = h if isinstance(h, Exception) else (sol, z + h)
+    cpu_share = shared.construct_u / batch
+    wall_share = shared.wall["construct_u"] / batch
+    for stats in per_stats:
+        stats.construct_u += cpu_share
+        stats.wall["construct_u"] = stats.wall.get("construct_u", 0.0) + wall_share
+    return results
+
+
+def _commit_and_answer(
+    field, config: ArgumentConfig, vector, queries, request, challenge, timer: PhaseTimer
+):
+    """One proof vector's commitment round: commit to u under Enc(r),
+    then answer every query plus the consistency query t.
+
+    Without the commitment layer the PCP queries are answered directly.
+    Returns ``(commitment, response, answers)``.
+    """
+    if not config.use_commitment:
+        with timer.phase("answer_queries"):
+            return None, None, [field.inner_product(q, vector) for q in queries]
+    prover = CommitmentProver(field, config.group(field), vector)
+    with timer.phase("crypto_ops"):
+        commitment = prover.commit(request)
+    with timer.phase("answer_queries"):
+        response = prover.answer(challenge)
+    return commitment, response, response.answers
+
+
+def check_instance(setup, commitment, answers: Sequence[int], x, y):
+    """One instance's verifier checks: the commitment consistency test,
+    then every PCP test (Fig. 10) on the answers it vouches for.
+
+    ``setup`` is :meth:`ZaatarArgument.verifier_setup`'s tuple; with the
+    commitment layer off, the answers go straight to the PCP tests.
+    Returns ``(commitment_ok, pcp_result)``.  Malformed answers raise
+    ``ValueError`` or ``IndexError``; each caller maps that onto its own
+    error.
+    """
+    schedule, commitment_verifier, _, _ = setup
+    if commitment_verifier is None:
+        return True, zaatar_pcp.check_answers(schedule, answers, x, y)
+    commit_ok = commitment_verifier.verify(commitment, DecommitResponse(list(answers)))
+    return commit_ok, zaatar_pcp.check_answers(schedule, answers[:-1], x, y)
+
+
 class ZaatarArgument:
     """One compiled program + config, runnable on batches of inputs."""
 
@@ -279,48 +372,21 @@ class ZaatarArgument:
         with timer.phase("query_setup"):
             return _generate()
 
-    # -- prover per instance -----------------------------------------------------
+    # -- prover ------------------------------------------------------------------
 
     def prove_instance(self, input_values: Sequence[int], setup, stats: ProverStats):
-        """Solve, build u, commit, answer — the whole per-instance prover."""
-        schedule, _, request, challenge = setup
-        timer = PhaseTimer(stats)
-        with timer.phase("solve_constraints"):
-            sol = self.program.solve(input_values, check=False)
-        with timer.phase("construct_u"):
-            proof = build_proof_vector(self.qap, sol.quadratic_witness)
-            vector = proof.vector
-        commitment = None
-        prover = None
-        if self.config.use_commitment:
-            prover = CommitmentProver(self.field, self.config.group(self.field), vector)
-            with timer.phase("crypto_ops"):
-                commitment = prover.commit(request)
-        with timer.phase("answer_queries"):
-            if prover is not None:
-                response = prover.answer(challenge)
-                answers = response.answers
-            else:
-                response = None
-                answers = [self.field.inner_product(q, vector) for q in schedule.queries]
-        return sol, commitment, response, answers
+        """Prove one instance: a one-row batch, and the override hook.
 
-    # -- prover per batch --------------------------------------------------------
-
-    def use_batch_prover(self, batch_size: int) -> bool:
-        """Whether ``config.batch_prover`` routes this batch batched."""
-        if type(self).prove_instance is not ZaatarArgument.prove_instance:
-            # a subclass customized the per-instance prover (e.g. the
-            # adversary harness) — the batched route would bypass it
-            return False
-        mode = self.config.batch_prover
-        if mode == "never":
-            return False
-        if mode == "always":
-            return True
-        if mode != "auto":
-            raise ValueError(f"unknown batch_prover mode: {mode!r}")
-        return batch_size >= 2
+        Subclasses that misbehave on purpose (the adversary harness,
+        the cheating provers in ``examples/`` and the tests) override
+        this; :meth:`prove_batch` then sends every instance through the
+        override.  An override may call this to get the honest
+        ``(sol, commitment, response, answers)`` and tamper with it.
+        """
+        (entry,) = self._prove_rows([input_values], setup, [0], [stats])
+        if isinstance(entry, Exception):
+            raise entry
+        return entry
 
     def prove_batch(
         self,
@@ -330,92 +396,68 @@ class ZaatarArgument:
         indices: Sequence[int] | None = None,
         per_stats: Sequence[ProverStats] | None = None,
     ):
-        """The whole batch through the prover as one array program.
+        """The Zaatar prover, at every batch size (B = 1 included).
 
-        Equivalent to ``prove_instance`` per input — same solutions,
-        commitments, responses, and answers, byte for byte — but the
-        H(t) construction runs once over the stacked instance axis
-        (``compute_h_batch``), so the batch shares one NTT plan and,
-        on big moduli, the CRT residue-plane convolution.
+        Solves each input, builds h for every live instance with one
+        ``compute_h_batch`` call (one NTT plan and, on big moduli, one
+        CRT convolution for the whole batch), then commits and answers
+        per instance.  An instance's messages do not depend on its
+        batchmates: a batch of B gives the same bytes as B batches of 1.
 
         Returns one entry per input: the ``(sol, commitment, response,
         answers)`` tuple, or the exception that instance raised
-        (failure isolation — batchmates are unaffected).
+        (failure isolation — batchmates are unaffected).  ``indices``
+        name the inputs in spans (default 0..B−1); ``per_stats``
+        receive each instance's phase clocks.
 
-        Span taxonomy: a ``prover.batch`` span wraps per-instance
-        ``prover.solve_constraints`` spans (each carrying ``index``),
-        one shared ``prover.construct_u`` span carrying ``batch_size``
-        (its clocks are split evenly across the batch's stats — the
-        same shares ``BatchStats.from_trace`` reconstructs), then
-        per-instance ``prover.instance`` spans for the crypto phases.
+        Span layout: a ``prover.batch`` span (attr ``size``) wraps one
+        ``prover.solve_constraints`` per input (attr ``index``), one
+        shared ``prover.construct_u`` (attrs ``batch_size`` and
+        ``indices``; its clocks are split evenly across the batch),
+        then one ``prover.instance`` per live instance (attr ``index``)
+        around its ``prover.crypto_ops`` and ``prover.answer_queries``.
+        When a subclass overrides :meth:`prove_instance`, each input
+        instead gets one ``prover.instance`` span around the override.
         """
-        schedule, _, request, challenge = setup
         batch = len(batch_inputs)
-        if indices is None:
-            indices = range(batch)
+        indices = list(range(batch)) if indices is None else list(indices)
         if per_stats is None:
             per_stats = [ProverStats() for _ in range(batch)]
-        qap = self.qap
-        results: list = [None] * batch
-        sols: list = [None] * batch
         with telemetry.span("prover.batch", size=batch):
-            for i, input_values in enumerate(batch_inputs):
-                timer = PhaseTimer(per_stats[i])
+            if type(self).prove_instance is ZaatarArgument.prove_instance:
+                return self._prove_rows(batch_inputs, setup, indices, per_stats)
+            results: list = []
+            for values, index, stats in zip(batch_inputs, indices, per_stats):
                 try:
-                    with timer.phase("solve_constraints", index=indices[i]):
-                        sols[i] = self.program.solve(input_values, check=False)
+                    with telemetry.span("prover.instance", index=index):
+                        results.append(self.prove_instance(values, setup, stats))
                 except Exception as exc:  # noqa: BLE001 - isolate bad instances
-                    results[i] = exc
-            live = [i for i in range(batch) if results[i] is None]
-            shared = ProverStats()
-            with PhaseTimer(shared).phase("construct_u", batch_size=batch):
-                h_rows = compute_h_batch(
-                    qap, [sols[i].quadratic_witness for i in live]
-                )
-            vectors: dict[int, list[int]] = {}
-            for i, h in zip(live, h_rows):
-                if isinstance(h, Exception):
-                    results[i] = h
-                else:
-                    z = list(sols[i].quadratic_witness[1 : qap.n_prime + 1])
-                    vectors[i] = z + h
-            # the shared pass is everyone's construct_u cost: equal
-            # shares, one add per instance (from_trace mirrors this)
-            cpu_share = shared.construct_u / batch if batch else 0.0
-            wall_share = shared.wall.get("construct_u", 0.0) / batch if batch else 0.0
-            for stats in per_stats:
-                stats.construct_u += cpu_share
-                stats.wall["construct_u"] = (
-                    stats.wall.get("construct_u", 0.0) + wall_share
-                )
-            for i in range(batch):
-                if results[i] is not None:
-                    continue
-                timer = PhaseTimer(per_stats[i])
-                try:
-                    with telemetry.span("prover.instance", index=indices[i]):
-                        vector = vectors[i]
-                        commitment = None
-                        prover = None
-                        if self.config.use_commitment:
-                            prover = CommitmentProver(
-                                self.field, self.config.group(self.field), vector
-                            )
-                            with timer.phase("crypto_ops"):
-                                commitment = prover.commit(request)
-                        with timer.phase("answer_queries"):
-                            if prover is not None:
-                                response = prover.answer(challenge)
-                                answers = response.answers
-                            else:
-                                response = None
-                                answers = [
-                                    self.field.inner_product(q, vector)
-                                    for q in schedule.queries
-                                ]
-                    results[i] = (sols[i], commitment, response, answers)
-                except Exception as exc:  # noqa: BLE001 - isolate bad instances
-                    results[i] = exc
+                    results.append(exc)
+            return results
+
+    def _prove_rows(self, batch_inputs, setup, indices, per_stats) -> list:
+        """The honest prover: solve, one H(t) pass, commit and answer."""
+        schedule, _, request, challenge = setup
+        results = solve_and_build(
+            self.program, self.qap, batch_inputs, indices=indices, per_stats=per_stats
+        )
+        for i, entry in enumerate(results):
+            if isinstance(entry, Exception):
+                continue
+            sol, vector = entry
+            try:
+                with telemetry.span("prover.instance", index=indices[i]):
+                    results[i] = (sol,) + _commit_and_answer(
+                        self.field,
+                        self.config,
+                        vector,
+                        schedule.queries,
+                        request,
+                        challenge,
+                        PhaseTimer(per_stats[i]),
+                    )
+            except Exception as exc:  # noqa: BLE001 - isolate bad instances
+                results[i] = exc
         return results
 
     # -- full batch ------------------------------------------------------------------
@@ -427,62 +469,23 @@ class ZaatarArgument:
         ):
             return self._run_batch(batch_inputs)
 
-    def _verify_instance(self, setup, timer: PhaseTimer, sol, commitment, response, answers):
-        """One instance's verifier-side checks (shared by both routes)."""
-        schedule, commitment_verifier, _, _ = setup
-        with timer.phase("per_instance"):
-            if self.config.use_commitment:
-                commit_ok = commitment_verifier.verify(commitment, response)
-                pcp_answers = answers[:-1]
-            else:
-                commit_ok = True
-                pcp_answers = answers
-            pcp_result = zaatar_pcp.check_answers(schedule, pcp_answers, sol.x, sol.y)
-        return commit_ok, pcp_result
-
     def _run_batch(self, batch_inputs: Sequence[Sequence[int]]) -> BatchResult:
         verifier_stats = VerifierStats()
         setup = self.verifier_setup(verifier_stats)
         timer = PhaseTimer(verifier_stats)
+        per_stats = [ProverStats() for _ in batch_inputs]
+        proved = self.prove_batch(batch_inputs, setup, per_stats=per_stats)
         results: list[InstanceResult] = []
-        batch = BatchStats(batch_size=len(batch_inputs), verifier=verifier_stats)
-        if self.use_batch_prover(len(batch_inputs)):
-            per_stats = [ProverStats() for _ in batch_inputs]
-            proved = self.prove_batch(batch_inputs, setup, per_stats=per_stats)
-            for index, (entry, prover_stats) in enumerate(zip(proved, per_stats)):
-                if isinstance(entry, Exception):
-                    results.append(record_instance_failure(index, entry))
-                else:
-                    sol, commitment, response, answers = entry
-                    try:
-                        commit_ok, pcp_result = self._verify_instance(
-                            setup, timer, sol, commitment, response, answers
-                        )
-                    except Exception as exc:  # noqa: BLE001 - one bad instance
-                        results.append(record_instance_failure(index, exc))
-                    else:
-                        results.append(
-                            InstanceResult(
-                                accepted=commit_ok and pcp_result.accepted,
-                                commitment_ok=commit_ok,
-                                pcp_ok=pcp_result.accepted,
-                                output_values=sol.output_values,
-                                prover_stats=prover_stats,
-                                index=index,
-                            )
-                        )
-                batch.prover_per_instance.append(prover_stats)
-            return BatchResult(instances=results, stats=batch)
-        for index, input_values in enumerate(batch_inputs):
-            prover_stats = ProverStats()
+        for index, (entry, prover_stats) in enumerate(zip(proved, per_stats)):
+            if isinstance(entry, Exception):
+                results.append(record_instance_failure(index, entry))
+                continue
+            sol, commitment, _, answers = entry
             try:
-                with telemetry.span("prover.instance", index=index):
-                    sol, commitment, response, answers = self.prove_instance(
-                        input_values, setup, prover_stats
+                with timer.phase("per_instance"):
+                    commit_ok, pcp_result = check_instance(
+                        setup, commitment, answers, sol.x, sol.y
                     )
-                commit_ok, pcp_result = self._verify_instance(
-                    setup, timer, sol, commitment, response, answers
-                )
             except Exception as exc:  # noqa: BLE001 - one bad instance
                 # must not abort the rest of the batch
                 results.append(record_instance_failure(index, exc))
@@ -497,7 +500,11 @@ class ZaatarArgument:
                         index=index,
                     )
                 )
-            batch.prover_per_instance.append(prover_stats)
+        batch = BatchStats(
+            batch_size=len(batch_inputs),
+            prover_per_instance=per_stats,
+            verifier=verifier_stats,
+        )
         return BatchResult(instances=results, stats=batch)
 
 
@@ -547,22 +554,15 @@ class GingerArgument:
                         sol = self.program.solve(input_values, check=False)
                     with ptimer.phase("construct_u"):
                         vector = build_ginger_proof(gsys, sol.ginger_witness)
-                    commitment = None
-                    prover = None
-                    if cfg.use_commitment:
-                        prover = CommitmentProver(self.field, cfg.group(self.field), vector)
-                        with ptimer.phase("crypto_ops"):
-                            commitment = prover.commit(request)
-                    with ptimer.phase("answer_queries"):
-                        if prover is not None:
-                            response = prover.answer(challenge)
-                            answers = response.answers
-                        else:
-                            response = None
-                            answers = [
-                                self.field.inner_product(q, vector)
-                                for q in schedule.queries
-                            ]
+                    commitment, response, answers = _commit_and_answer(
+                        self.field,
+                        cfg,
+                        vector,
+                        schedule.queries,
+                        request,
+                        challenge,
+                        ptimer,
+                    )
                 with timer.phase("per_instance"):
                     if cfg.use_commitment:
                         commit_ok = commitment_verifier.verify(commitment, response)

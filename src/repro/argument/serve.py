@@ -63,7 +63,7 @@ from ..crypto import CommitmentProver, FieldPRG
 from ..crypto.commitment import CommitRequest, DecommitChallenge
 from ..pcp import SoundnessParams
 from ..pcp import zaatar as zaatar_pcp
-from ..qap import build_proof_vector, build_qap
+from ..qap import build_qap
 from . import framing
 from .faults import LinkProfile, ProcessFaultPlan
 from .framing import (
@@ -77,7 +77,12 @@ from .framing import (
 )
 from .net import Deadlines, program_hash
 from .parallel import SessionWorkerPool
-from .protocol import ArgumentConfig, ProtocolViolation, classify_failure
+from .protocol import (
+    ArgumentConfig,
+    ProtocolViolation,
+    classify_failure,
+    solve_and_build,
+)
 
 #: cap on the repetition counts a client may request; the paper's
 #: production setting is ρ_lin=20, ρ=8 — anything far beyond that is a
@@ -159,6 +164,17 @@ def _bound_poke(sock_family, address) -> tuple[socket.socket, tuple, tuple]:
 # -- prover-side session state machine ----------------------------------------
 
 
+@contextmanager
+def _instance_errors(index: int) -> Iterator[None]:
+    """Map an instance's input-shaped failure onto ``bad-request``."""
+    try:
+        yield
+    except (ValueError, TypeError, KeyError, IndexError) as exc:
+        raise ProtocolViolation(
+            f"cannot prove instance {index}: {exc}", code="bad-request"
+        ) from exc
+
+
 class SessionProver:
     """The prover half of one session, detached from any transport.
 
@@ -204,9 +220,14 @@ class SessionProver:
         """Run every instance of the batch; returns the outputs payload.
 
         ``batch_spec`` is the inputs frame's batch, still wire-encoded;
-        :meth:`commit` must have run first.  ``budget_check`` (if
-        given) runs before each instance so a session wall-clock budget
-        can abort a long batch mid-way.
+        :meth:`commit` must have run first.  The batch takes the
+        in-process prover's solve → ``compute_h_batch`` core
+        (``solve_and_build``), then each instance commits.  The first
+        instance that cannot be proved fails the session with
+        ``bad-request`` at once (a failed solve before any later solve
+        or H(t)).  ``budget_check`` (if given) runs before each
+        instance's solve, before H(t) and before each instance's commit
+        so a session wall-clock budget can abort a long batch mid-way.
         """
         request = self._request
         if request is None:
@@ -216,24 +237,30 @@ class SessionProver:
         batch = [
             unhex_list(x, what="input vector", p=self.field.p) for x in batch_spec
         ]
+        check = budget_check or (lambda: None)
+
+        def after_solve(index: int, sol) -> None:
+            if isinstance(sol, Exception):
+                with _instance_errors(index):
+                    raise sol
+            check()
+
+        check()
+        built = solve_and_build(
+            self.program, self.qap, batch, after_solve=after_solve
+        )
         group = self.config.group(self.field)
         outputs_payload = []
-        for index, input_values in enumerate(batch):
-            if budget_check is not None:
-                budget_check()
-            with telemetry.span("prover.instance", index=index):
-                try:
-                    with telemetry.span("prover.solve_constraints"):
-                        sol = self.program.solve(input_values, check=False)
-                    with telemetry.span("prover.construct_u"):
-                        proof = build_proof_vector(self.qap, sol.quadratic_witness)
-                    prover = CommitmentProver(self.field, group, proof.vector)
+        for index, entry in enumerate(built):
+            check()
+            with _instance_errors(index):
+                if isinstance(entry, Exception):
+                    raise entry
+                sol, vector = entry
+                prover = CommitmentProver(self.field, group, vector)
+                with telemetry.span("prover.instance", index=index):
                     with telemetry.span("prover.crypto_ops"):
                         commitment = prover.commit(request)
-                except (ValueError, TypeError, KeyError, IndexError) as exc:
-                    raise ProtocolViolation(
-                        f"cannot prove instance {index}: {exc}", code="bad-request"
-                    ) from exc
             self._provers.append(prover)
             outputs_payload.append(
                 {

@@ -159,48 +159,55 @@ class BatchStats:
     def from_trace(cls, trace) -> "BatchStats":
         """Rebuild batch stats from a trace (``telemetry.Trace``).
 
-        Classic (sequential) traces nest every prover phase under a
-        ``prover.instance`` span, whose subtree is that instance's
-        stats.  Batched-prover traces (``prover.batch``) additionally
-        leave two kinds of span *outside* any instance subtree:
+        ``ZaatarArgument.prove_batch`` leaves three kinds of prover
+        span, at every batch size:
 
-        - ``prover.solve_constraints`` spans carrying an ``index``
-          attr — attributed to that instance directly;
-        - one ``prover.construct_u`` span carrying ``batch_size`` —
-          its clocks are an equal per-instance share, exactly the
-          ``cpu/B`` / ``wall/B`` amounts the live protocol adds, so
-          trace-derived stats still match the accumulated ones.
+        - a ``prover.instance`` span per instance (attr ``index``),
+          whose subtree is that instance's stats — the crypto phases,
+          or everything a ``prove_instance`` override did.  One nested
+          in another counts once, with its outermost ancestor;
+        - ``prover.solve_constraints`` spans outside any instance
+          subtree, carrying ``index``;
+        - one ``prover.construct_u`` span per batch outside any
+          instance subtree, carrying the batch's ``indices`` — its
+          clocks are split evenly across them, exactly the ``cpu/B`` /
+          ``wall/B`` shares the live protocol adds, so trace-derived
+          stats match the accumulated ones.
+
+        The result lists one entry per instance index found, in index
+        order (a resumed batch yields only the re-proved instances).
         """
         by_index: dict[int, ProverStats] = {}
+        subtrees = {s.span_id: trace.subtree(s) for s in trace.find("prover.instance")}
+        nested = {s.span_id for tree in subtrees.values() for s in tree[1:]}
         claimed: set[int] = set()
         for span in trace.find("prover.instance"):
-            idx = span.attrs.get("index", len(by_index))
-            subtree = trace.subtree(span)
+            if span.span_id in nested:
+                continue
+            subtree = subtrees[span.span_id]
             claimed.update(s.span_id for s in subtree)
+            idx = span.attrs.get("index", len(by_index))
             by_index.setdefault(idx, ProverStats()).merge(
                 ProverStats.from_spans(subtree)
             )
+
+        def add(idx: int, phase: str, cpu: float, wall: float) -> None:
+            stats = by_index.setdefault(idx, ProverStats())
+            setattr(stats, phase, getattr(stats, phase) + cpu)
+            stats.wall[phase] = stats.wall.get(phase, 0.0) + wall
+
         for span in trace.find("prover.solve_constraints"):
             idx = span.attrs.get("index")
-            if span.span_id in claimed or idx is None:
-                continue
-            stats = by_index.setdefault(idx, ProverStats())
-            stats.solve_constraints += span.cpu_seconds
-            stats.wall["solve_constraints"] = (
-                stats.wall.get("solve_constraints", 0.0) + span.wall_seconds
-            )
+            if span.span_id not in claimed and idx is not None:
+                add(idx, "solve_constraints", span.cpu_seconds, span.wall_seconds)
         for span in trace.find("prover.construct_u"):
-            bs = span.attrs.get("batch_size")
-            if span.span_id in claimed or not bs:
+            indices = span.attrs.get("indices")
+            if span.span_id in claimed or not indices:
                 continue
-            cpu_share = span.cpu_seconds / bs
-            wall_share = span.wall_seconds / bs
-            for idx in range(bs):
-                stats = by_index.setdefault(idx, ProverStats())
-                stats.construct_u += cpu_share
-                stats.wall["construct_u"] = (
-                    stats.wall.get("construct_u", 0.0) + wall_share
-                )
+            cpu_share = span.cpu_seconds / len(indices)
+            wall_share = span.wall_seconds / len(indices)
+            for idx in indices:
+                add(idx, "construct_u", cpu_share, wall_share)
         per_instance = [by_index[idx] for idx in sorted(by_index)]
         return cls(
             batch_size=len(per_instance),

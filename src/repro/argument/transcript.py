@@ -23,9 +23,7 @@ from dataclasses import dataclass
 from ..compiler import CompiledProgram
 from ..crypto.elgamal import ElGamalCiphertext
 from ..pcp import SoundnessParams
-from ..pcp import zaatar as zaatar_pcp
-from .protocol import ArgumentConfig, ZaatarArgument
-from .stats import ProverStats
+from .protocol import ArgumentConfig, ZaatarArgument, check_instance
 
 TRANSCRIPT_FORMAT = "repro-transcript-v1"
 
@@ -132,23 +130,14 @@ def record_batch(
         raise ValueError("transcripts require the commitment layer")
     argument = ZaatarArgument(program, config)
     setup = argument.verifier_setup()
-    schedule, commitment_verifier, _, _ = setup
     records: list[InstanceRecord] = []
     all_ok = True
-    if argument.use_batch_prover(len(batch_inputs)):
-        # the batched prover produces byte-identical messages, so the
-        # resulting transcript is the same object either way — a prover
-        # error here is a recording failure, not an auditable rejection
-        entries = argument.prove_batch(batch_inputs, setup)
-        for entry in entries:
-            if isinstance(entry, Exception):
-                raise entry
-    else:
-        entries = [
-            argument.prove_instance(input_values, setup, ProverStats())
-            for input_values in batch_inputs
-        ]
-    for sol, commitment, response, answers in entries:
+    for entry in argument.prove_batch(batch_inputs, setup):
+        if isinstance(entry, Exception):
+            # a prover error is a recording failure, not an auditable
+            # rejection
+            raise entry
+        sol, commitment, response, answers = entry
         records.append(
             InstanceRecord(
                 input_values=list(sol.input_values),
@@ -157,9 +146,8 @@ def record_batch(
                 answers=list(response.answers),
             )
         )
-        ok = commitment_verifier.verify(commitment, response)
-        pcp = zaatar_pcp.check_answers(schedule, answers[:-1], sol.x, sol.y)
-        all_ok = all_ok and ok and pcp.accepted
+        commit_ok, pcp = check_instance(setup, commitment, answers, sol.x, sol.y)
+        all_ok = all_ok and commit_ok and pcp.accepted
     transcript = Transcript(
         seed=config.seed,
         params=config.params,
@@ -179,25 +167,18 @@ def replay_transcript(program: CompiledProgram, transcript: Transcript) -> list[
     by the PCP checks are recomputed from the recorded inputs/outputs
     in canonical order.
     """
-    from ..crypto.commitment import DecommitResponse
-
     config = ArgumentConfig(
         params=transcript.params,
         qap_mode=transcript.qap_mode,
         paper_scale_crypto=transcript.paper_scale_crypto,
         seed=transcript.seed,
     )
-    argument = ZaatarArgument(program, config)
-    setup = argument.verifier_setup()
-    schedule, commitment_verifier, _, _ = setup
-    field = program.field
+    setup = ZaatarArgument(program, config).verifier_setup()
+    p = program.field.p
     verdicts: list[bool] = []
     for rec in transcript.instances:
-        commit_ok = commitment_verifier.verify(
-            rec.commitment, DecommitResponse(list(rec.answers))
-        )
-        x = [v % field.p for v in rec.input_values]
-        y = [v % field.p for v in rec.claimed_outputs]
-        pcp = zaatar_pcp.check_answers(schedule, rec.answers[:-1], x, y)
+        x = [v % p for v in rec.input_values]
+        y = [v % p for v in rec.claimed_outputs]
+        commit_ok, pcp = check_instance(setup, rec.commitment, rec.answers, x, y)
         verdicts.append(commit_ok and pcp.accepted)
     return verdicts

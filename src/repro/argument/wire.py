@@ -128,8 +128,8 @@ def transport_costs(
     bytes, so the roundtrip is honest.  Returns (tally, all_accepted).
     """
     from ..crypto import FieldPRG
-    from ..crypto.commitment import DecommitResponse
     from ..pcp import zaatar as zaatar_pcp
+    from .protocol import check_instance
 
     if mode not in ("full", "seeded"):
         raise ValueError(f"unknown transport mode {mode!r}")
@@ -138,7 +138,7 @@ def transport_costs(
     tally = NetworkTally()
 
     setup = argument.verifier_setup()
-    schedule, commitment_verifier, request, challenge = setup
+    schedule, _, request, challenge = setup
     if not cfg.use_commitment:
         raise ValueError("transport accounting requires the commitment layer")
 
@@ -164,13 +164,12 @@ def transport_costs(
 
     # --- per instance ------------------------------------------------------
     all_ok = True
-    for input_values in batch_inputs:
+    proved = argument.prove_batch(batch_inputs, setup)
+    for input_values, entry in zip(batch_inputs, proved):
+        if isinstance(entry, Exception):
+            raise entry
+        sol, commitment, response, _ = entry
         tally.send_v_to_p("inputs x", len(encode_elements(field, list(input_values))))
-        from .stats import ProverStats
-
-        sol, commitment, response, answers = argument.prove_instance(
-            input_values, setup, ProverStats()
-        )
         tally.send_p_to_v("outputs y", len(encode_elements(field, sol.y)))
         commitment_bytes = encode_ciphertexts(group, [commitment])
         tally.send_p_to_v("commitment e", len(commitment_bytes))
@@ -178,11 +177,12 @@ def transport_costs(
         tally.send_p_to_v("answers", len(answer_bytes))
 
         # verifier decodes and checks
-        decoded_commitment = decode_ciphertexts(group, commitment_bytes)[0]
-        decoded_answers = decode_elements(field, answer_bytes)
-        ok = commitment_verifier.verify(
-            decoded_commitment, DecommitResponse(decoded_answers)
+        commit_ok, pcp = check_instance(
+            setup,
+            decode_ciphertexts(group, commitment_bytes)[0],
+            decode_elements(field, answer_bytes),
+            sol.x,
+            sol.y,
         )
-        pcp = zaatar_pcp.check_answers(schedule, decoded_answers[:-1], sol.x, sol.y)
-        all_ok = all_ok and ok and pcp.accepted
+        all_ok = all_ok and commit_ok and pcp.accepted
     return tally, all_ok

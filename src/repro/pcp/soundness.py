@@ -79,10 +79,12 @@ class SoundnessParams:
         return self.pcp_error + self.commitment_error(field_size, num_queries)
 
 
-#: the paper's production parameters
+#: the paper's production parameters: κ ≈ 0.177, so the PCP soundness
+#: error is κ^ρ ≈ 9.5·10⁻⁷, for 992 queries per proof
 PAPER_PARAMS = SoundnessParams()
 
-#: cheap parameters for tests and fast demos: soundness error ≈ 3%,
-#: plenty to catch a cheating prover across a few repetitions while
-#: keeping query counts small.
+#: cheap parameters for tests and fast demos: κ ≈ 0.707, so the PCP
+#: soundness error κ^ρ is ≈ 0.4999 — a cheating prover may pass up to
+#: half the time — for 56 queries per proof.  Use PAPER_PARAMS for the
+#: paper's bound.
 TEST_PARAMS = SoundnessParams(delta=0.0294, rho_lin=4, rho=2)

@@ -29,7 +29,7 @@ from typing import Sequence
 
 from .. import telemetry
 from ..field import PrimeField
-from .ntt import max_ntt_size
+from .multiply import mul_strategy, poly_mul
 from .plan import get_ntt_plan
 
 
@@ -81,11 +81,17 @@ def mat_poly_mul(
     coefficients per-row :func:`~repro.poly.multiply.poly_mul` yields
     plus trailing zeros where the true product has lower degree.
 
-    Routing, in preference order: the backend's dedicated batched
+    Routing follows :func:`~repro.poly.multiply.mul_strategy`, as
+    per-row ``poly_mul`` does, priced for the whole batch: B products
+    of ``la × lb`` cost what one product of a ``max(la, lb)``-long
+    operand by a ``B·min(la, lb)``-long one does under the schoolbook
+    and Karatsuba algorithms, so that is the shape it judges (at B = 1,
+    exactly ``poly_mul``'s own choice).  Shapes it does not mark
+    ``"ntt"`` (tiny products, mid-size ones in small batches, fields
+    without a long-enough transform) go row by row through
+    ``poly_mul``.  The rest take the backend's dedicated batched
     convolution (the CRT residue-plane path for moduli without a uint64
-    kernel), stacked NTTs over one shared plan, then per-row
-    ``poly_mul`` (tiny shapes or fields without a long-enough
-    transform).
+    kernel) or else stacked NTTs over one shared plan.
     """
     batch = len(rows_a)
     if len(rows_b) != batch:
@@ -99,25 +105,23 @@ def mat_poly_mul(
     if la == 0 or lb == 0:
         return [[] for _ in range(batch)]
     out_len = la + lb - 1
+    if mul_strategy(field, max(la, lb), batch * min(la, lb)) != "ntt":
+        out = []
+        for ra, rb in zip(rows_a, rows_b):
+            conv = poly_mul(field, ra, rb)
+            out.append(conv + [0] * (out_len - len(conv)))
+        return out
     fast = field.mat_polymul(rows_a, rows_b)
     if fast is not None:
         return fast
     size = 2
     while size < out_len:
         size <<= 1
-    if size <= max_ntt_size(field):
-        if telemetry.enabled():
-            telemetry.count("poly.ntt_calls", 3 * batch)
-            telemetry.count("poly.ntt_points", 3 * batch * size)
-        plan = get_ntt_plan(field, size)
-        fa = field.mat_transform(plan, pad_rows(rows_a, size))
-        fb = field.mat_transform(plan, pad_rows(rows_b, size))
-        out = field.mat_transform(plan, field.mat_hadamard(fa, fb), invert=True)
-        return [row[:out_len] for row in out]
-    from .multiply import poly_mul  # local import to avoid a cycle
-
-    out = []
-    for ra, rb in zip(rows_a, rows_b):
-        conv = poly_mul(field, ra, rb)
-        out.append(conv + [0] * (out_len - len(conv)))
-    return out
+    if telemetry.enabled():
+        telemetry.count("poly.ntt_calls", 3 * batch)
+        telemetry.count("poly.ntt_points", 3 * batch * size)
+    plan = get_ntt_plan(field, size)
+    fa = field.mat_transform(plan, pad_rows(rows_a, size))
+    fb = field.mat_transform(plan, pad_rows(rows_b, size))
+    out = field.mat_transform(plan, field.mat_hadamard(fa, fb), invert=True)
+    return [row[:out_len] for row in out]

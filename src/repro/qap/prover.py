@@ -22,14 +22,10 @@ from typing import Sequence
 
 from .. import telemetry
 from ..poly import (
-    interpolate_at_roots_of_unity,
     mat_interpolate_at_roots_of_unity,
     mat_poly_mul,
-    max_ntt_size,
     pad_rows,
     poly_div_exact,
-    poly_mul,
-    poly_sub,
     trim,
 )
 from ..poly.divide import _NEWTON_CUTOFF
@@ -83,131 +79,56 @@ def witness_poly_evaluations(
 def compute_h(qap: QAPInstance, w: Sequence[int]) -> list[int]:
     """Coefficients of H_w(t) = P_w(t)/D(t), padded to ``qap.h_length``.
 
-    Raises ``ValueError`` (from exact division) if w does not satisfy
-    the constraints — by Claim A.1 divisibility is equivalent to
-    satisfiability.
+    A one-row :func:`compute_h_batch`.  Raises ``ValueError`` if w does
+    not satisfy the constraints — by Claim A.1 divisibility is
+    equivalent to satisfiability.
     """
-    field = qap.field
-    with telemetry.span("qap.witness_evals"):
-        evals_a, evals_b, evals_c = witness_poly_evaluations(qap, w)
-    with telemetry.span("qap.interpolate", mode=qap.mode):
-        if qap.mode == "roots":
-            poly_a = interpolate_at_roots_of_unity(field, evals_a)
-            poly_b = interpolate_at_roots_of_unity(field, evals_b)
-            poly_c = interpolate_at_roots_of_unity(field, evals_c)
-        else:
-            tree = qap.subproduct_tree
-            poly_a = tree.interpolate(evals_a)
-            poly_b = tree.interpolate(evals_b)
-            poly_c = tree.interpolate(evals_c)
-    with telemetry.span("qap.multiply"):
-        p_w = poly_sub(field, poly_mul(field, poly_a, poly_b), poly_c)
-    with telemetry.span("qap.divide", mode=qap.mode):
-        if qap.mode == "roots":
-            h = _divide_by_subgroup_vanishing(field, p_w, qap.m)
-        elif qap.m >= _NEWTON_CUTOFF:
-            # batch-amortized fast division: the QAP caches rev(D)⁻¹,
-            # so instances after the first skip the Newton iteration
-            h = poly_div_exact(
-                field, p_w, qap.divisor_poly, inv_rev_den=qap.divisor_inverse_series()
-            )
-        else:
-            h = poly_div_exact(field, p_w, qap.divisor_poly)
-    if len(h) > qap.h_length:
-        raise AssertionError("H(t) degree exceeds the protocol bound")
-    return h + [0] * (qap.h_length - len(h))
-
-
-def _divide_by_subgroup_vanishing(field, p_w: list[int], m: int) -> list[int]:
-    """Exact division by t^m − 1 in O(deg) operations.
-
-    From P = (t^m − 1)·H: p_k = h_{k−m} − h_k, so h_{k−m} = p_k + h_k,
-    walking k downward from deg(P).
-    """
-    p = field.p
-    if not p_w:
-        return []
-    deg_p = len(p_w) - 1
-    if deg_p < m:
-        if any(p_w):
-            raise ValueError("polynomial is not divisible by t^m - 1")
-        return []
-    h = [0] * (deg_p - m + 1)
-    for k in range(deg_p, m - 1, -1):
-        h[k - m] = (p_w[k] + (h[k] if k < len(h) else 0)) % p
-    # verify the low-order remainder vanishes: p_k = −h_k for k < m
-    for k in range(min(m, len(p_w))):
-        expected = (-h[k]) % p if k < len(h) else 0
-        if p_w[k] % p != expected:
-            raise ValueError(
-                "polynomial is not divisible by t^m - 1 "
-                "(witness does not satisfy the constraints?)"
-            )
+    (h,) = compute_h_batch(qap, [w])
+    if isinstance(h, Exception):
+        raise h
     return h
 
 
 def _mat_divide_by_subgroup_vanishing(field, p_rows, m: int):
-    """Batched telescoped division of every row by t^m − 1.
+    """Exact division of every row by t^m − 1 (roots mode).
 
-    For deg(P) ≤ 2m − 1 the recurrence h_{k−m} = p_k + h_k collapses:
-    every h index on the right is ≥ m, where h vanishes, so the
-    quotient is literally ``P[m:2m]`` and the remainder condition is
-    ``P[:m] + P[m:2m] ≡ 0`` — one batched add and a zero test instead
-    of a per-coefficient walk.  Returns one length-m quotient row (the
-    true quotient plus trailing zeros) per input row; a row that fails
-    the remainder check yields the exact ``ValueError`` the scalar
-    :func:`_divide_by_subgroup_vanishing` raises for it (failure
+    For deg(P) ≤ 2m − 1 write P = P_lo + t^m·P_hi with both halves of
+    length m; then P = (t^m − 1)·P_hi + (P_lo + P_hi), so the quotient
+    is ``P[m:2m]`` and the division is exact iff ``P[:m] + P[m:2m] ≡ 0``
+    — one batched add and a zero test.  Returns one length-m quotient
+    row (the true quotient plus trailing zeros) per input row, or a
+    ``ValueError`` for a row that leaves a remainder (failure
     isolation — one bad witness never poisons its batchmates).
     """
-    width = 2 * m
-    padded = pad_rows(p_rows, width)
+    padded = pad_rows(p_rows, 2 * m)
     heads = [row[:m] for row in padded]
     tails = [row[m:] for row in padded]
     checks = field.mat_add(heads, tails)
-    out: list = []
-    for i, check in enumerate(checks):
-        if any(check):
-            # re-run the scalar division for the row to reproduce its
-            # exact exception (deg < m vs nonzero-remainder message)
-            try:
-                _divide_by_subgroup_vanishing(field, trim(list(p_rows[i])), m)
-            except ValueError as exc:
-                out.append(exc)
-                continue
-            raise AssertionError(
-                "batched remainder check disagreed with scalar division"
-            )  # pragma: no cover - the two are algebraically identical
-        out.append(tails[i])
-    return out
-
-
-def _compute_h_rows_sequential(qap: QAPInstance, witnesses):
-    """Per-witness fallback: ``compute_h`` each row, capturing failures."""
-    out: list = []
-    for w in witnesses:
-        try:
-            out.append(compute_h(qap, w))
-        except ValueError as exc:
-            out.append(exc)
-    return out
+    return [
+        ValueError(
+            "polynomial is not divisible by t^m - 1 "
+            "(witness does not satisfy the constraints?)"
+        )
+        if any(check)
+        else tail
+        for check, tail in zip(checks, tails)
+    ]
 
 
 def compute_h_batch(qap: QAPInstance, witnesses: Sequence[Sequence[int]]) -> list:
     """H_w(t) rows for many witnesses against one fixed QAP.
 
-    The batch-axis twin of :func:`compute_h`: the interpolate/multiply/
-    divide pipeline runs as stacked 2-D kernels (one plan, one array
-    program per step — see ``repro.poly.batch``), and each returned
-    entry is either the padded coefficient list ``compute_h`` returns
-    for that witness or the ``ValueError`` it raises (failure
-    isolation).  Results are bit-identical to the sequential route;
-    ``tests/qap/test_prover.py`` pins this per mode.
+    The prover's only H(t) pipeline, at every batch size: interpolate,
+    multiply and divide run as stacked 2-D kernels (one plan, one array
+    program per step — see ``repro.poly.batch``).  Each returned entry
+    is either the coefficient list padded to ``qap.h_length`` or the
+    ``ValueError`` that witness's division raised (failure isolation).
+    A witness's row does not depend on its batchmates, so a batch of B
+    gives the same rows as B one-row calls.
     """
     batch = len(witnesses)
     if batch == 0:
         return []
-    if batch == 1:
-        return _compute_h_rows_sequential(qap, witnesses)
     field = qap.field
     with telemetry.span("qap.witness_evals", rows=batch):
         triples = [witness_poly_evaluations(qap, w) for w in witnesses]
@@ -216,8 +137,6 @@ def compute_h_batch(qap: QAPInstance, witnesses: Sequence[Sequence[int]]) -> lis
     evals_c = [t[2] for t in triples]
     if qap.mode == "roots":
         m = qap.m
-        if 2 * m > max_ntt_size(field):  # pragma: no cover - tiny two-adicity
-            return _compute_h_rows_sequential(qap, witnesses)
         with telemetry.span("qap.interpolate", mode=qap.mode, rows=batch):
             rows_a = mat_interpolate_at_roots_of_unity(field, evals_a)
             rows_b = mat_interpolate_at_roots_of_unity(field, evals_b)
@@ -234,34 +153,22 @@ def compute_h_batch(qap: QAPInstance, witnesses: Sequence[Sequence[int]]) -> lis
             polys_b = [tree.interpolate(e) for e in evals_b]
             polys_c = [tree.interpolate(e) for e in evals_c]
         with telemetry.span("qap.multiply", rows=batch):
-            la = max((len(r) for r in polys_a), default=0)
-            lb = max((len(r) for r in polys_b), default=0)
-            if la and lb:
-                prod = mat_poly_mul(
-                    field, pad_rows(polys_a, la), pad_rows(polys_b, lb)
-                )
-            else:
-                prod = [[] for _ in range(batch)]
-            width = max(
-                la + lb - 1 if la and lb else 0,
-                max((len(r) for r in polys_c), default=0),
-            )
+            la = max(len(r) for r in polys_a)
+            lb = max(len(r) for r in polys_b)
+            prod = mat_poly_mul(field, pad_rows(polys_a, la), pad_rows(polys_b, lb))
+            width = max(len(prod[0]), max(len(r) for r in polys_c))
             p_rows = field.mat_sub(pad_rows(prod, width), pad_rows(polys_c, width))
         with telemetry.span("qap.divide", mode=qap.mode, rows=batch):
-            inv_rev = (
-                qap.divisor_inverse_series() if qap.m >= _NEWTON_CUTOFF else None
-            )
+            # the QAP caches rev(D)⁻¹, so no row pays the Newton iteration
+            inv_rev = qap.divisor_inverse_series() if qap.m >= _NEWTON_CUTOFF else None
             h_rows = []
             for row in p_rows:
                 try:
-                    p_w = trim(list(row))
-                    if inv_rev is not None:
-                        h = poly_div_exact(
-                            field, p_w, qap.divisor_poly, inv_rev_den=inv_rev
+                    h_rows.append(
+                        poly_div_exact(
+                            field, trim(list(row)), qap.divisor_poly, inv_rev_den=inv_rev
                         )
-                    else:
-                        h = poly_div_exact(field, p_w, qap.divisor_poly)
-                    h_rows.append(h)
+                    )
                 except ValueError as exc:
                     h_rows.append(exc)
     out: list = []
@@ -279,8 +186,7 @@ def compute_h_batch(qap: QAPInstance, witnesses: Sequence[Sequence[int]]) -> lis
 def build_proof_vector(qap: QAPInstance, witness: Sequence[int]) -> QAPProof:
     """u = (z, h) from a full canonical assignment (witness[0] == 1)."""
     z = list(witness[1 : qap.n_prime + 1])
-    h = compute_h(qap, witness)
-    return QAPProof(z=z, h=h)
+    return QAPProof(z=z, h=compute_h(qap, witness))
 
 
 def embed_z_query(qap: QAPInstance, q: Sequence[int]) -> list[int]:

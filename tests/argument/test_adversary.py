@@ -73,14 +73,18 @@ class TestEveryMutationRejected:
             assert not (instance.commitment_ok and instance.pcp_ok)
 
     def test_rejected_through_parallel_engine(self, sumsq_program):
-        adversary = AdversarialProver(
-            sumsq_program, FAST, mutation="tamper-witness", seed=0
-        )
-        result = run_parallel_batch(
-            adversary, [[1, 2, 3], [2, 3, 4]], num_workers=1
-        )
-        assert all(r.ok for r in result.result.instances)
-        assert not any(r.accepted for r in result.result.instances)
+        """Every mutation, in the inline pass and in forked workers."""
+        for mutation in MUTATIONS:
+            adversary = AdversarialProver(
+                sumsq_program, FAST, mutation=mutation, seed=0
+            )
+            for workers in (1, 2):
+                result = run_parallel_batch(
+                    adversary, [[1, 2, 3], [2, 3, 4]], num_workers=workers
+                )
+                outcomes = result.result.instances
+                assert all(r.ok for r in outcomes), (mutation, workers)
+                assert not any(r.accepted for r in outcomes), (mutation, workers)
 
     def test_mutations_are_counted(self, sumsq_program):
         from repro import telemetry

@@ -12,6 +12,8 @@ means a backend computed a different field element somewhere.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.argument import (
@@ -23,7 +25,6 @@ from repro.argument import (
     transcript_from_checkpoint,
 )
 from repro.argument.checkpoint import CHECKPOINT_FILENAME
-from repro.argument.stats import ProverStats
 from repro.compiler import compile_program
 from repro.field import GOLDILOCKS, HAVE_NUMPY, NAMED_FIELDS, PrimeField
 from repro.pcp import SoundnessParams
@@ -63,45 +64,44 @@ def _named_program(name: str, backend: str):
     return compile_program(field, build_sum_of_squares(), name="sumsq")
 
 
+def _recorded_instances(program, batch):
+    """The per-instance records (inputs, outputs, commitment, answers)
+    of an accepted ``record_batch`` transcript."""
+    transcript, ok = record_batch(program, batch, FAST)
+    assert ok
+    return json.loads(transcript.to_json())["instances"]
+
+
 @pytest.mark.parametrize("name", ["goldilocks", "p128", "p220"])
 def test_batched_prover_transcripts_byte_identical(name):
-    """The batched prover route (stacked kernels + CRT planes) records
-    the same transcript bytes as the sequential scalar route."""
-    base = record_batch(
-        _named_program(name, "scalar"),
-        BATCH,
-        ArgumentConfig(params=FAST.params, batch_prover="never"),
-    )[0].to_json()
+    """An input's commitment and answers do not depend on its batch:
+    proved alone (B = 1) or at position i of a batch of 3 (stacked
+    kernels, CRT planes on the big moduli), on either backend, it
+    records the same transcript bytes."""
+    batch = BATCH[:3]
+    alone = [
+        _recorded_instances(_named_program(name, "scalar"), [values])[0]
+        for values in batch
+    ]
     for backend in ("scalar", "numpy"):
-        batched, ok = record_batch(
-            _named_program(name, backend),
-            BATCH,
-            ArgumentConfig(params=FAST.params, batch_prover="always"),
-        )
-        assert ok
-        assert batched.to_json() == base, (name, backend)
+        together = _recorded_instances(_named_program(name, backend), batch)
+        assert together == alone, (name, backend)
 
 
 def test_batched_prover_answers_identical_p192():
     """p192 has no commitment group, so transcripts cannot cover it;
-    compare the raw PCP query answers between routes instead."""
-    cfg = ArgumentConfig(
-        params=FAST.params, use_commitment=False, batch_prover="never"
-    )
-    seq_arg = ZaatarArgument(_named_program("p192", "scalar"), cfg)
-    setup = seq_arg.verifier_setup()
-    expected = [
-        seq_arg.prove_instance(values, setup, ProverStats())[3] for values in BATCH
-    ]
+    compare the raw PCP query answers of each input proved alone and
+    inside a batch of 3 instead."""
+    cfg = ArgumentConfig(params=FAST.params, use_commitment=False)
+    batch = BATCH[:3]
+
+    def answers(backend, rows):
+        arg = ZaatarArgument(_named_program("p192", backend), cfg)
+        return [entry[3] for entry in arg.prove_batch(rows, arg.verifier_setup())]
+
+    alone = [answers("scalar", [values])[0] for values in batch]
     for backend in ("scalar", "numpy"):
-        arg = ZaatarArgument(
-            _named_program("p192", backend),
-            ArgumentConfig(
-                params=FAST.params, use_commitment=False, batch_prover="always"
-            ),
-        )
-        entries = arg.prove_batch(BATCH, arg.verifier_setup())
-        assert [entry[3] for entry in entries] == expected, backend
+        assert answers(backend, batch) == alone, backend
 
 
 def test_checkpoint_files_byte_identical(tmp_path):
@@ -115,8 +115,6 @@ def test_checkpoint_files_byte_identical(tmp_path):
     ``transcript_from_checkpoint`` (the PR-4 digest machinery's
     deterministic view of the file).
     """
-    import json
-
     lines = {}
     transcripts = {}
     for backend in ("scalar", "numpy"):

@@ -16,6 +16,7 @@ from repro.argument import (
     ProgramRegistry,
     ProtocolViolation,
     RetryPolicy,
+    ZaatarArgument,
     fetch_stats,
     program_hash,
     verify_remote,
@@ -113,6 +114,60 @@ class TestRegistry:
     def test_empty_registry_rejected(self):
         with pytest.raises(ValueError, match="no programs"):
             GatewayServer(ProgramRegistry())
+
+
+class TestSessionProver:
+    """The inline (shards=0) prover's per-session work bounds."""
+
+    @staticmethod
+    def _committed_prover(registry, program):
+        entry = registry.lookup(program_hash(program))
+        prover, _ = entry.session_prover(FAST.params, b"\x05" * 32, FAST.qap_mode)
+        request = ZaatarArgument(program, FAST).verifier_setup()[2]
+        prover.commit(
+            [[format(c.c1, "x"), format(c.c2, "x")] for c in request.ciphertexts]
+        )
+        return prover
+
+    def test_budget_expiring_after_the_solves_stops_before_any_commit(
+        self, registry, sumsq_program, monkeypatch
+    ):
+        import repro.argument.protocol as protocol_mod
+
+        expired = []
+        real_compute_h_batch = protocol_mod.compute_h_batch
+
+        def compute_h_then_expire(qap, witnesses):
+            rows = real_compute_h_batch(qap, witnesses)
+            expired.append(True)  # the budget runs out during H(t)
+            return rows
+
+        def budget_check():
+            if expired:
+                raise ProtocolViolation("budget exhausted", code="deadline")
+
+        monkeypatch.setattr(protocol_mod, "compute_h_batch", compute_h_then_expire)
+        prover = self._committed_prover(registry, sumsq_program)
+        batch = [["1", "2", "3"], ["2", "2", "2"], ["3", "1", "4"]]
+        with telemetry.session() as tracer:
+            with pytest.raises(ProtocolViolation) as excinfo:
+                prover.prove(batch, budget_check=budget_check)
+        assert excinfo.value.code == "deadline"
+        assert len(tracer.find("prover.solve_constraints")) == 3
+        assert len(tracer.find("prover.construct_u")) == 1
+        assert not tracer.find("prover.crypto_ops")
+
+    def test_unprovable_instance_fails_before_later_solves_and_h(
+        self, registry, sumsq_program
+    ):
+        prover = self._committed_prover(registry, sumsq_program)
+        batch = [["1", "2"], ["2", "2", "2"], ["3", "1", "4"]]  # wrong arity first
+        with telemetry.session() as tracer:
+            with pytest.raises(ProtocolViolation, match="instance 0") as excinfo:
+                prover.prove(batch)
+        assert excinfo.value.code == "bad-request"
+        assert len(tracer.find("prover.solve_constraints")) == 1
+        assert not tracer.find("prover.construct_u")
 
 
 class TestMultiProgramDispatch:

@@ -2,7 +2,7 @@
 
 ``CheckedPrimeField`` raises on any non-canonical element operand of
 any op in the field-op table, including ``mul_lazy`` and ``pow``.
-Compiling and proving a paper app against it, on both prover routes,
+Compiling and proving a paper app against it, alone and in a batch,
 certifies that no protocol path feeds the field a non-canonical value.
 The transcript must also equal the plain field's byte for byte: the
 checks observe, they never change a result.
@@ -21,12 +21,12 @@ from repro.poly.plan import clear_plan_caches
 SIZES = {"m": 4, "alphabet_bits": 3}
 
 
-@pytest.mark.parametrize("route", ["never", "always"])
+@pytest.mark.parametrize("batch_size", [1, 2], ids=lambda b: f"b{b}")
 @pytest.mark.parametrize("params", [GOLDILOCKS, P128], ids=lambda p: p.name)
-def test_lcs_batch_under_checked_field(params, route):
+def test_lcs_batch_under_checked_field(params, batch_size):
     rng = random.Random(f"checked:{params.name}")
-    batch = [LCS.generate_inputs(rng, SIZES) for _ in range(2)]
-    config = ArgumentConfig(seed=b"checked-field", batch_prover=route)
+    batch = [LCS.generate_inputs(rng, SIZES) for _ in range(batch_size)]
+    config = ArgumentConfig(seed=b"checked-field")
     transcripts = []
     for make in (lambda f: f, checked_field):
         # cold plan caches, so the checked run builds (and checks) its

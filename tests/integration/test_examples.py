@@ -40,3 +40,25 @@ class TestFastExamples:
         out = run_example("cost_explorer.py")
         assert "breakeven" in out
         assert "root_finding_bisection" in out
+
+    def test_cheating_prover(self):
+        """Each cheat overrides ``prove_instance``; every one must be
+        rejected, by the layer the demo names."""
+        out = run_example("cheating_prover.py")
+        assert "[ACCEPTED]" in out  # the honest prover
+        assert "BUG" not in out
+        for label, layer in (
+            ("wrong output claim", "PCP checks"),
+            ("answers != committed function", "commitment consistency"),
+            ("non-linear proof function", "commitment consistency"),
+            ("linear but wrong-form (bogus h)", "PCP checks"),
+        ):
+            line = next(line for line in out.splitlines() if label in line)
+            assert f"REJECTED by {layer}" in line, line
+
+    def test_verified_shortest_paths(self):
+        """The honest batch verifies; the ``prove_instance`` override
+        that corrupts one distance is rejected."""
+        out = run_example("verified_shortest_paths.py")
+        assert "verified 3 topologies" in out
+        assert "tampered distance matrix: REJECTED" in out

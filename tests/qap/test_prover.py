@@ -111,8 +111,8 @@ class TestProofVector:
 
 
 class TestComputeHBatch:
-    """The batched H(t) pipeline must be bit-identical to the
-    sequential one — values *and* failures."""
+    """``compute_h`` is a one-row ``compute_h_batch``: a witness's row
+    must not depend on its batchmates — values *and* failures."""
 
     def _witnesses(self, sumsq_program, count):
         return [
@@ -139,8 +139,8 @@ class TestComputeHBatch:
     def test_failure_isolation_with_exact_messages(
         self, qap_and_witness, sumsq_program
     ):
-        """A bad witness yields the exact sequential ValueError for its
-        row; batchmates are unaffected."""
+        """A bad witness yields the ValueError ``compute_h`` raises for
+        it; batchmates are unaffected."""
         from repro.qap.prover import compute_h_batch
 
         qap, _ = qap_and_witness
@@ -160,17 +160,25 @@ class TestComputeHBatch:
 
 
 class TestSubgroupDivision:
+    """Roots mode divides every row by t^m − 1 in one batched step."""
+
     def test_divide_by_vanishing_matches_generic(self, gold, rng):
-        from repro.qap.prover import _divide_by_subgroup_vanishing
+        from repro.qap.prover import _mat_divide_by_subgroup_vanishing
 
         m = 16
-        h = [rng.randrange(gold.p) for _ in range(m - 1)]
+        quotients = [[rng.randrange(gold.p) for _ in range(m - k)] for k in (1, 2)]
         vanishing = [gold.p - 1] + [0] * (m - 1) + [1]  # t^m - 1
-        p_w = poly_mul(gold, vanishing, h)
-        assert _divide_by_subgroup_vanishing(gold, p_w, m) == h
+        rows = [poly_mul(gold, vanishing, h) for h in quotients]
+        out = _mat_divide_by_subgroup_vanishing(gold, rows, m)
+        # each quotient comes back at width m, zero-extended
+        assert out == [h + [0] * (m - len(h)) for h in quotients]
 
     def test_inexact_raises(self, gold):
-        from repro.qap.prover import _divide_by_subgroup_vanishing
+        from repro.qap.prover import _mat_divide_by_subgroup_vanishing
 
-        with pytest.raises(ValueError):
-            _divide_by_subgroup_vanishing(gold, [1, 2, 3], 2)
+        m = 2
+        good = poly_mul(gold, [gold.p - 1, 0, 1], [5])  # 5·(t^2 − 1)
+        out = _mat_divide_by_subgroup_vanishing(gold, [[1, 2, 3], good, [7]], m)
+        assert isinstance(out[0], ValueError)  # nonzero remainder
+        assert out[1] == [5, 0]  # a batchmate is unaffected
+        assert isinstance(out[2], ValueError)  # degree below m

@@ -17,6 +17,7 @@ from repro.argument import (
     verify_remote,
 )
 from repro.argument.parallel import run_parallel_batch
+from repro.argument.stats import ProverStats
 from repro.compiler import compile_program
 from repro.field import GOLDILOCKS, PrimeField, counting_field
 from repro.pcp import SoundnessParams
@@ -43,7 +44,8 @@ def counted_program():
 
 class TestTraceShape:
     def test_span_taxonomy_and_counters(self, counted_program):
-        """Batched-prover taxonomy: batches of ≥ 2 run the batched route."""
+        """The prove_batch taxonomy: per-instance solves, one shared
+        construct_u, then per-instance crypto under prover.instance."""
         with telemetry.session() as tracer:
             result = ZaatarArgument(counted_program, FAST).run_batch([[1, 2, 3], [4, 5, 6]])
         assert result.all_accepted
@@ -57,6 +59,7 @@ class TestTraceShape:
         assert sorted(s.attrs["index"] for s in solves) == [0, 1]
         (construct,) = trace.find("prover.construct_u")
         assert construct.attrs["batch_size"] == 2
+        assert construct.attrs["indices"] == [0, 1]
         assert "prover.construct_u" in batch_names
 
         instances = trace.find("prover.instance")
@@ -74,21 +77,26 @@ class TestTraceShape:
         assert totals.get("crypto.encryptions", 0) > 0
         assert totals.get("poly.interpolations", 0) > 0
 
-    def test_classic_taxonomy_when_batching_disabled(self, counted_program):
-        cfg = ArgumentConfig(
-            params=SoundnessParams(rho_lin=2, rho=1), batch_prover="never"
-        )
+    def test_single_instance_taxonomy(self, counted_program):
+        """B = 1 runs the same layout as any batch: one prover.batch
+        span holding all four prover phases, each exactly once."""
         with telemetry.session() as tracer:
-            result = ZaatarArgument(counted_program, cfg).run_batch([[1, 2, 3], [4, 5, 6]])
+            result = ZaatarArgument(counted_program, FAST).run_batch([[1, 2, 3]])
         assert result.all_accepted
         trace = Trace.from_tracer(tracer)
-        assert not trace.find("prover.batch")
-        instances = trace.find("prover.instance")
-        assert [s.attrs["index"] for s in instances] == [0, 1]
-        for inst in instances:
-            names = [s.name for s in trace.subtree(inst)]
-            for phase in PROVER_PHASES:
-                assert phase in names, f"missing {phase}"
+        (batch_span,) = trace.find("prover.batch")
+        assert batch_span.attrs["size"] == 1
+        names = [s.name for s in trace.subtree(batch_span)]
+        for phase in PROVER_PHASES:
+            assert names.count(phase) == 1, f"{phase} in {names}"
+        (solve,) = trace.find("prover.solve_constraints")
+        assert solve.attrs["index"] == 0
+        (construct,) = trace.find("prover.construct_u")
+        assert construct.attrs["indices"] == [0]
+        (inst,) = trace.find("prover.instance")
+        assert inst.attrs["index"] == 0
+        inst_names = {s.name for s in trace.subtree(inst)}
+        assert {"prover.crypto_ops", "prover.answer_queries"} <= inst_names
 
     def test_field_counters_attributed_to_prover_phases(self, counted_program):
         with telemetry.session() as tracer:
@@ -103,23 +111,75 @@ class TestTraceShape:
         assert sub_counters.get("field.mul", 0) > 0
 
 
-class TestStatsEquivalence:
-    def test_trace_derived_stats_match_legacy_exactly(self, counted_program):
-        """BatchStats.from_trace == the timer-accumulated stats, exactly."""
-        with telemetry.session() as tracer:
-            result = ZaatarArgument(counted_program, FAST).run_batch(
-                [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
-            )
-        derived = BatchStats.from_trace(Trace.from_tracer(tracer))
+def _resumed_inline_run(argument, rows, directory):
+    """A 6-instance inline run whose checkpoint already holds instances
+    0–2, so the run re-proves 3–5 only."""
+    from repro.argument.checkpoint import CHECKPOINT_FILENAME
 
-        legacy_mean = result.stats.mean_prover()
-        derived_mean = derived.mean_prover()
-        for phase in ("solve_constraints", "construct_u", "crypto_ops", "answer_queries"):
-            assert getattr(derived_mean, phase) == getattr(legacy_mean, phase), phase
-        assert derived_mean.e2e == legacy_mean.e2e
-        assert derived.verifier.query_setup == result.stats.verifier.query_setup
-        assert derived.verifier.per_instance == result.stats.verifier.per_instance
-        assert derived.batch_size == 3
+    run_parallel_batch(argument, rows, num_workers=1, checkpoint=directory)
+    path = directory / CHECKPOINT_FILENAME
+    header_and_three = path.read_text().splitlines()[:4]
+    path.write_text("\n".join(header_and_three) + "\n")
+    with telemetry.session() as tracer:
+        pr = run_parallel_batch(argument, rows, num_workers=1, checkpoint=directory)
+    assert pr.resumed == 3
+    return pr.result, tracer, [3, 4, 5]
+
+
+class _PassThroughProver(ZaatarArgument):
+    def prove_instance(self, input_values, setup, stats):
+        return super().prove_instance(input_values, setup, stats)
+
+
+class TestStatsEquivalence:
+    def test_trace_derived_stats_match_legacy_exactly(self, counted_program, tmp_path):
+        """BatchStats.from_trace == the timer-accumulated stats, exactly,
+        for every way a batch reaches the prover."""
+        from repro.argument.adversary import AdversarialProver
+
+        rows = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
+        six = rows + [[2, 3, 4], [5, 6, 7], [8, 9, 1]]
+
+        def traced(run, proved):
+            with telemetry.session() as tracer:
+                result = run()
+            return result, tracer, proved
+
+        honest = ZaatarArgument(counted_program, FAST)
+        cases = {
+            "B=1": lambda: traced(lambda: honest.run_batch(rows[:1]), [0]),
+            "B=3": lambda: traced(lambda: honest.run_batch(rows), [0, 1, 2]),
+            "resumed inline": lambda: _resumed_inline_run(honest, six, tmp_path),
+            "2 workers": lambda: traced(
+                lambda: run_parallel_batch(honest, rows, num_workers=2).result,
+                [0, 1, 2],
+            ),
+            "adversary": lambda: traced(
+                lambda: AdversarialProver(
+                    counted_program, FAST, mutation="wrong-h"
+                ).run_batch(rows),
+                [0, 1, 2],
+            ),
+            # an override that wraps the honest one-row prover: its
+            # prover.instance spans nest, and must count once
+            "override calling super": lambda: traced(
+                lambda: _PassThroughProver(counted_program, FAST).run_batch(rows),
+                [0, 1, 2],
+            ),
+        }
+        for case, run in cases.items():
+            result, tracer, proved = run()
+            derived = BatchStats.from_trace(Trace.from_tracer(tracer))
+            assert derived.batch_size == len(proved), case
+            legacy = [result.stats.prover_per_instance[i] for i in proved]
+            for got, want in zip(derived.prover_per_instance, legacy):
+                for phase in ProverStats.PHASES:
+                    assert getattr(got, phase) == getattr(want, phase), (case, phase)
+                assert got.wall == want.wall, case
+                assert got.e2e == want.e2e, case
+            verifier = result.stats.verifier
+            assert derived.verifier.query_setup == verifier.query_setup, case
+            assert derived.verifier.per_instance == verifier.per_instance, case
 
     def test_phase_timer_records_wall_and_cpu(self, counted_program):
         """Satellite (a): both clocks recorded, wall >= 0, keys match."""
@@ -135,6 +195,8 @@ class TestStatsEquivalence:
 
 class TestParallelAdoption:
     def test_worker_spans_adopted_into_parent_trace(self, counted_program):
+        """Each forked worker proves a one-row batch; its prover.batch
+        subtree comes home under the run span with all four phases."""
         with telemetry.session() as tracer:
             pr = run_parallel_batch(
                 ZaatarArgument(counted_program, FAST),
@@ -144,11 +206,13 @@ class TestParallelAdoption:
         assert pr.result.all_accepted
         trace = Trace.from_tracer(tracer)
         run = trace.find("argument.run_parallel_batch")[0]
-        instances = [s for s in trace.find("prover.instance")]
-        assert len(instances) == 2
-        for inst in instances:
-            assert inst.parent_id == run.span_id
-            names = [s.name for s in trace.subtree(inst)]
+        batches = trace.find("prover.batch")
+        assert len(batches) == 2
+        assert len(trace.find("prover.instance")) == 2
+        for batch in batches:
+            assert batch.parent_id == run.span_id
+            assert batch.attrs["size"] == 1
+            names = [s.name for s in trace.subtree(batch)]
             for phase in PROVER_PHASES:
                 assert phase in names
 
