@@ -15,11 +15,17 @@ bracketing ``--size``.  Under ``--check`` the backends must agree
 bit-for-bit and the numpy NTT must beat scalar at sizes >= 2^12; the
 sweep lands in ``benchmarks/out/BENCH_backends.json``.
 
-Finally it exercises the batch-axis prover path on the 128-bit modulus
-(``benchmarks/out/BENCH_batch.json``): the batched H(t) pipeline must
-stay bit-identical to the per-row route, and the CRT residue-plane
-product must beat the object-dtype stacked-NTT route it replaces by
-``BATCH_MIN_SPEEDUP`` on the fixed gate shape.
+It exercises the batch-axis prover path on the 128-bit modulus
+(``benchmarks/out/BENCH_batch.json``): the batched roots-mode H(t)
+pipeline must stay bit-identical to the per-row route, and the CRT
+residue-plane product must beat the object-dtype stacked-NTT route it
+replaces by ``BATCH_MIN_SPEEDUP`` on the fixed gate shape.  Its
+arithmetic-mode row times ``compute_h_batch`` (H built from
+evaluations) against the paper's route — interpolate three times,
+multiply, divide — kept as the test oracle
+(``tests/qap/h_oracle.py``), on LCS m=4 over p128 at B =
+``H_GATE_BATCH``.  Under ``--check`` every row must be identical and
+the pipeline must beat the oracle by ``H_MIN_SPEEDUP``.
 
 Its commitment section times the commitment round's two exponentiation
 loops, the verifier's Enc(r) and the prover's fold ∏ Enc(r_i)^{u_i},
@@ -56,7 +62,7 @@ import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # the pow oracle
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # the test oracles
 
 from _harness import FIELD, RESULTS, emit_results, fmt_seconds, print_table
 
@@ -113,6 +119,15 @@ BATCH_MIN_BATCH = 32
 #: issue criterion asks for; the speedup grows with both dimensions)
 BATCH_GATE_M = 4096
 BATCH_GATE_BATCH = 64
+
+#: arithmetic-mode H(t) row: LCS m=4 over p128 (341 constraints, the
+#: p128-b8 perfbench shape) at this batch size; under --check
+#: ``compute_h_batch`` must beat the division oracle by H_MIN_SPEEDUP
+#: (measured 1.85-1.96x, best of 3, on a 2-core Xeon; the margin absorbs
+#: CI noise while still catching a pipeline that fell back to three
+#: interpolations or a division)
+H_GATE_BATCH = 8
+H_MIN_SPEEDUP = 1.5
 
 #: commitment section: (group, field) pairs and vector lengths timed —
 #: the gateway's smallest vector and the p128-b8 proof-vector length
@@ -376,6 +391,46 @@ def _bench_batch(size: int, reps: int, rng: random.Random) -> dict:
         "numpy_available": HAVE_NUMPY,
         "batches": rows,
         "product": _bench_batch_product(reps, rng),
+        "arithmetic": _bench_h_arithmetic(reps, rng),
+    }
+
+
+def _bench_h_arithmetic(reps: int, rng: random.Random) -> dict:
+    """Arithmetic-mode H(t): ``compute_h_batch`` vs the division oracle.
+
+    One batch of ``H_GATE_BATCH`` LCS m=4 witnesses over p128, timed
+    best-of-``reps`` with the two routes alternating.  Both routes'
+    per-QAP structures (tree, divisor inverse, H tables) are built
+    before timing: a batch reuses them.
+    """
+    from repro.apps import ALL_APPS
+    from repro.qap import build_qap
+    from repro.qap.prover import compute_h_batch
+    from tests.qap.h_oracle import compute_h_batch_divide
+
+    field = PrimeField(NAMED_FIELDS["p128"], check_prime=False)
+    app = ALL_APPS["longest_common_subsequence"]
+    sizes = {"m": 4}
+    program = app.compile(field, sizes)
+    qap = build_qap(program.quadratic)
+    witnesses = [
+        program.solve(app.generate_inputs(rng, sizes)).quadratic_witness
+        for _ in range(H_GATE_BATCH)
+    ]
+    identical = compute_h_batch(qap, witnesses) == compute_h_batch_divide(qap, witnesses)
+    routes = {"oracle": compute_h_batch_divide, "pipeline": compute_h_batch}
+    seconds = {name: float("inf") for name in routes}
+    for _ in range(reps):  # alternate, so host drift hits both routes
+        for name, route in routes.items():
+            seconds[name] = min(seconds[name], _best_of(lambda: route(qap, witnesses), 1))
+    return {
+        "modulus": "p128",
+        "constraints": qap.m,
+        "batch": H_GATE_BATCH,
+        "oracle_seconds": seconds["oracle"],
+        "pipeline_seconds": seconds["pipeline"],
+        "speedup": seconds["oracle"] / seconds["pipeline"],
+        "bit_identical": identical,
     }
 
 
@@ -575,6 +630,15 @@ def check(results: dict) -> list[str]:
             failures.append(
                 f"batch: batched H pipeline differs at batch={row['batch']}"
             )
+    arithmetic = results["batch"]["arithmetic"]
+    where = f"batch: arithmetic-mode H(t) at B={arithmetic['batch']}"
+    if not arithmetic["bit_identical"]:
+        failures.append(f"{where}: rows differ from the division oracle")
+    if arithmetic["speedup"] < H_MIN_SPEEDUP:
+        failures.append(
+            f"{where}: only {arithmetic['speedup']:.2f}x over the division "
+            f"oracle (need {H_MIN_SPEEDUP}x)"
+        )
     for row in results["commitment"]:
         where = f"commitment: {row['group']} n={row['n']}"
         if not row["bit_identical"]:
@@ -721,6 +785,15 @@ def _report(results: dict) -> None:
         "per-row vs 2-D + CRT",
         ["batch", "per-row", "batched", "speedup", "bit-identical"],
         rows,
+    )
+    arithmetic = batch["arithmetic"]
+    print(
+        f"\narithmetic-mode H(t) ({arithmetic['modulus']}, "
+        f"{arithmetic['constraints']} constraints, batch={arithmetic['batch']}): "
+        f"division oracle {fmt_seconds(arithmetic['oracle_seconds'])} vs "
+        f"from evaluations {fmt_seconds(arithmetic['pipeline_seconds'])} — "
+        f"{arithmetic['speedup']:.2f}x, bit-identical: "
+        f"{'yes' if arithmetic['bit_identical'] else 'NO'}"
     )
     product = batch.get("product")
     if product is not None:

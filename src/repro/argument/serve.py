@@ -10,10 +10,10 @@ over *many* verifiers and *many* outsourced computations at once; the
 * :class:`ProgramRegistry` — the server's program table, keyed by the
   canonical ``program_hash`` from the ``hello`` frame.  Registration
   **pre-warms** each program's proving artifacts (the QAP's subproduct
-  tree / NTT plans, divisor polynomial, barycentric weights, and
-  divisor-inverse power series) so the first session pays compile-time
-  costs zero times, and keeps a small LRU of seed-derived query
-  schedules (repeat verifiers with a stable seed skip schedule
+  tree / NTT plans, barycentric weights, and the tables the prover's
+  H(t) construction multiplies by) so the first session pays
+  compile-time costs zero times, and keeps a small LRU of seed-derived
+  query schedules (repeat verifiers with a stable seed skip schedule
   regeneration entirely).
 * **Session sharding** — with ``shards > 0`` the proving work of each
   session is pinned to one process from a
@@ -308,16 +308,16 @@ class RegisteredProgram:
         """Build the QAP and touch every lazily-computed artifact.
 
         Registration-time warming moves the one-time costs (subproduct
-        tree for the NTT evaluation domain, divisor polynomial and its
-        inverse power series, barycentric weights) out of the first
-        session's latency — and, when the gateway forks shard workers,
-        into memory the children inherit copy-on-write.
+        tree for the NTT evaluation domain, barycentric weights, and in
+        arithmetic mode the H(t) tables) out of the first session's
+        latency — and, when the gateway forks shard workers, into
+        memory the children inherit copy-on-write.
         """
         qap = self.qap(qap_mode or self.config.qap_mode)
         qap.subproduct_tree
-        qap.divisor_poly
         qap.barycentric_weights
-        qap.divisor_inverse_series()
+        if qap.mode == "arithmetic":
+            qap.h_tables
         return self
 
     def qap(self, qap_mode: str):

@@ -1,14 +1,13 @@
 """Batch-axis polynomial kernels: a whole Zaatar batch as one array program.
 
 A batched argument proves many instances against one fixed QAP, so the
-prover's H(t) pipeline — interpolate, multiply, divide — runs the *same*
-transform shapes for every instance.  These helpers stack the instance
-axis into a ``batch × n`` matrix and push it through the field layer's
-2-D kernels (``repro.field.backend``): one
-:class:`~repro.poly.plan.NTTPlan` lookup and one set of cached twiddle
-arrays serve every row, and for the big 128/192/220-bit moduli the
-product drops into the CRT residue-plane fast path
-(``repro.field.crt``) instead of the object-dtype slow path.
+prover's H(t) pipeline runs the *same* transform shapes for every
+instance.  These helpers stack the instance axis into a ``batch × n``
+matrix and push it through the field layer's 2-D kernels
+(``repro.field.backend``): one :class:`~repro.poly.plan.NTTPlan` lookup
+and one set of cached twiddle arrays serve every row, and for the big
+128/192/220-bit moduli the product drops into the CRT residue-plane
+fast path (``repro.field.crt``) instead of the object-dtype slow path.
 
 Bit-identity: every helper produces exactly the canonical coefficients
 the corresponding per-row route produces (the convolution values of a

@@ -1,9 +1,13 @@
 """Polynomial division: schoolbook divmod and Newton-iteration fast division.
 
-Step 3 of the prover's pipeline (§A.3) divides P_w(t) by the divisor
+Step 3 of the paper's prover (§A.3) divides P_w(t) by the divisor
 polynomial D(t) to obtain H(t); the paper budgets ≈ f·|C|·log|C| for it,
 which requires the FFT-based algorithm implemented here (reversal +
-Newton inversion of a power series + two multiplications).
+Newton inversion of a power series + two multiplications).  This
+repository's prover builds H from evaluations and divides nothing
+(``repro.qap.prover``); the division route stays as its test oracle
+(``tests/qap/h_oracle.py``) and as the subproduct tree's multipoint
+evaluation.
 """
 
 from __future__ import annotations
@@ -130,11 +134,11 @@ def poly_div_exact(
 ) -> list[int]:
     """Division known to be exact; raises if a remainder appears.
 
-    The Zaatar prover uses this for H(t) = P_w(t)/D(t): Claim A.1
+    The paper's prover uses this for H(t) = P_w(t)/D(t): Claim A.1
     guarantees exactness precisely when z is a satisfying assignment, so
-    a nonzero remainder here means the witness is wrong — surfacing that
-    early beats producing a proof the verifier will reject.  The
-    batch-amortized path passes the QAP's cached ``inv_rev_den``.
+    a nonzero remainder here means the witness is wrong.  The H(t)
+    oracle in the tests divides this way, passing the QAP's cached
+    ``inv_rev_den``.
     """
     quot, rem = poly_divmod(field, num, den, inv_rev_den=inv_rev_den)
     if rem:

@@ -2,11 +2,13 @@
 
 Two consumers, per §A.3:
 
-* The **prover** interpolates A_w(t), B_w(t), C_w(t) from their values
-  at the distinguished points {σ_j} ("multipoint interpolation", budget
-  ≈ f·|C|·log²|C|).  That is the subproduct-tree algorithm here; when
-  the σ are successive powers of a root of unity it degenerates into an
-  inverse NTT (see ``interpolate_at_roots_of_unity``).
+* The **prover** interpolates from values at the distinguished points
+  {σ_j} ("multipoint interpolation", budget ≈ f·|C|·log²|C|).  The
+  paper interpolates A_w(t), B_w(t), C_w(t); ``repro.qap.prover``
+  interpolates only H_w, once per proof.  That is the subproduct-tree
+  algorithm here; when the σ are successive powers of a root of unity
+  it degenerates into an inverse NTT (see
+  ``interpolate_at_roots_of_unity``).
 
 * The **verifier** never interpolates: it evaluates every A_i, B_i, C_i
   at one random τ using barycentric Lagrange weights [14], exploiting
@@ -31,8 +33,8 @@ class SubproductTree:
 
     Building the tree costs O(M(n) log n); it is then reused for any
     number of multipoint evaluations and interpolations at those points
-    (the prover interpolates three polynomials per proof instance over
-    the same σ set).
+    (the prover interpolates once per proof instance over the same σ
+    set).
     """
 
     def __init__(self, field: PrimeField, points: Sequence[int]):

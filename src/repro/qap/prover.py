@@ -1,13 +1,30 @@
 """The QAP prover pipeline: from witness to the proof vector (z, h).
 
-§A.3, "The prover": three FFT-flavoured steps costing
-≈ 3·f·|C|·log²|C| —
+§A.3, "The prover", builds H_w(t) = P_w(t)/D(t) in three FFT-flavoured
+steps costing ≈ 3·f·|C|·log²|C| (the prover term of the paper's
+Figure 3, which ``repro.costmodel`` keeps for paper-scale projections):
+interpolate A_w, B_w and C_w from their values at the σ_j (free: the
+value at σ_j is just the j-th constraint's p_A/p_B/p_C evaluated at w),
+multiply to P_w = A_w·B_w − C_w, and divide exactly by D(t).
 
-1. evaluate A_w, B_w, C_w at the interpolation points (free: the value
-   at σ_j is just the j-th constraint's p_A/p_B/p_C evaluated at w) and
-   interpolate to coefficient form;
-2. multiply: P_w(t) = A_w(t)·B_w(t) − C_w(t);
-3. divide exactly by D(t) to get H_w(t).
+``compute_h_batch`` builds the same H_w from evaluations instead.  In
+arithmetic mode (σ_j = j, n = |C| + 1 points 0..|C|):
+
+1. check A_w(j)·B_w(j) = C_w(j) for j = 1..|C|.  D has the distinct
+   roots σ_j, so by Claim A.1 this is exactly D | P_w and replaces
+   the exact division;
+2. extend A_w, B_w and C_w (degree < n) from 0..|C| to n..2n−1 with
+   one convolution each against the fixed kernel 1/l (Bostan, Gaudry
+   and Schost, SIAM J. Comput. 36(6), 2007);
+3. form H(n+k) = P_w(n+k)/D(n+k) pointwise — D(n+k) is a fixed
+   table, so this divides nothing at proof time;
+4. interpolate G(t) = H(t + n) once on the subproduct tree over
+   0..|C| and Taylor-shift it back by −n with one more convolution.
+
+That is one interpolation per instance instead of three, and no
+polynomial division; the coefficients are the same field elements.
+Roots mode keeps the paper's steps with inverse NTTs, where division
+by D(t) = t^m − 1 is one add.
 
 ``build_proof_vector`` assembles u = (z, h), the two linear functions
 π_z, π_h of §3, as one flat vector (the commitment layer treats them
@@ -21,15 +38,15 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .. import telemetry
-from ..poly import (
-    mat_interpolate_at_roots_of_unity,
-    mat_poly_mul,
-    pad_rows,
-    poly_div_exact,
-    trim,
-)
-from ..poly.divide import _NEWTON_CUTOFF
+from ..poly import mat_interpolate_at_roots_of_unity, mat_poly_mul, pad_rows, trim
 from .qap import QAPInstance
+
+#: the arithmetic-mode rejection: by Claim A.1 the pointwise check fails
+#: exactly when dividing P_w(t) by D(t) would leave a remainder
+_UNSATISFIED = (
+    "polynomial division has a nonzero remainder "
+    "(witness does not satisfy the constraints?)"
+)
 
 
 @dataclass
@@ -115,16 +132,68 @@ def _mat_divide_by_subgroup_vanishing(field, p_rows, m: int):
     ]
 
 
+def _middle_product(field, rows, kernel: list[int]) -> list[list[int]]:
+    """Columns n−1..2n−2 of each width-n row convolved with ``kernel``."""
+    n = len(rows[0])
+    conv = mat_poly_mul(field, rows, [kernel] * len(rows))
+    return [row[n - 1 : 2 * n - 1] for row in conv]
+
+
+def _h_from_evaluations(qap: QAPInstance, evals_a, evals_b, evals_c) -> list:
+    """Arithmetic mode: H_w's coefficients (width n) from the values of
+    A_w, B_w and C_w at 0..m, or the row's ``ValueError`` (steps 1–4 of
+    the module docstring)."""
+    field = qap.field
+    batch = len(evals_a)
+    with telemetry.span("qap.divide", mode=qap.mode, rows=batch):
+        products = field.mat_hadamard(evals_a, evals_b)
+        live = [i for i in range(batch) if products[i] == evals_c[i]]
+    h_rows: list = [ValueError(_UNSATISFIED) for _ in range(batch)]
+    if not live:
+        return h_rows
+    tables = qap.h_tables
+    rows = len(live)
+
+    def table(values: list[int]) -> list[list[int]]:
+        return [values] * rows
+
+    with telemetry.span("qap.multiply", rows=rows):
+        # one B-row product per polynomial keeps the peak at one
+        # (3n−2)-wide matrix; only the n middle columns survive it
+        a_ext, b_ext, c_ext = (
+            _middle_product(
+                field,
+                field.mat_hadamard([evals[i] for i in live], table(tables.weights)),
+                tables.kernel,
+            )
+            for evals in (evals_a, evals_b, evals_c)
+        )
+        values = field.mat_sub(
+            field.mat_hadamard(field.mat_hadamard(a_ext, b_ext), table(tables.scale)),
+            field.mat_hadamard(c_ext, table(tables.point)),
+        )
+    with telemetry.span("qap.interpolate", mode=qap.mode, rows=rows):
+        tree = qap.subproduct_tree
+        g_rows = pad_rows([tree.interpolate(v) for v in values], qap.h_length)
+        shifted = _middle_product(
+            field, field.mat_hadamard(g_rows, table(tables.fact)), tables.shift
+        )
+        for i, h in zip(live, field.mat_hadamard(shifted, table(tables.inv_fact))):
+            h_rows[i] = h
+    return h_rows
+
+
 def compute_h_batch(qap: QAPInstance, witnesses: Sequence[Sequence[int]]) -> list:
     """H_w(t) rows for many witnesses against one fixed QAP.
 
-    The prover's only H(t) pipeline, at every batch size: interpolate,
-    multiply and divide run as stacked 2-D kernels (one plan, one array
-    program per step — see ``repro.poly.batch``).  Each returned entry
+    The prover's only H(t) pipeline, at every batch size: each step
+    runs as stacked 2-D kernels over the batch (one plan, one array
+    program per step — see ``repro.poly.batch``), and arithmetic mode
+    builds H from evaluations (module docstring).  Each returned entry
     is either the coefficient list padded to ``qap.h_length`` or the
-    ``ValueError`` that witness's division raised (failure isolation).
-    A witness's row does not depend on its batchmates, so a batch of B
-    gives the same rows as B one-row calls.
+    ``ValueError`` for a witness that does not satisfy the constraints
+    (failure isolation).  A witness's row does not depend on its
+    batchmates, so a batch of B gives the same rows as B one-row calls.
     """
     batch = len(witnesses)
     if batch == 0:
@@ -147,30 +216,7 @@ def compute_h_batch(qap: QAPInstance, witnesses: Sequence[Sequence[int]]) -> lis
         with telemetry.span("qap.divide", mode=qap.mode, rows=batch):
             h_rows = _mat_divide_by_subgroup_vanishing(field, p_rows, m)
     else:
-        with telemetry.span("qap.interpolate", mode=qap.mode, rows=batch):
-            tree = qap.subproduct_tree
-            polys_a = [tree.interpolate(e) for e in evals_a]
-            polys_b = [tree.interpolate(e) for e in evals_b]
-            polys_c = [tree.interpolate(e) for e in evals_c]
-        with telemetry.span("qap.multiply", rows=batch):
-            la = max(len(r) for r in polys_a)
-            lb = max(len(r) for r in polys_b)
-            prod = mat_poly_mul(field, pad_rows(polys_a, la), pad_rows(polys_b, lb))
-            width = max(len(prod[0]), max(len(r) for r in polys_c))
-            p_rows = field.mat_sub(pad_rows(prod, width), pad_rows(polys_c, width))
-        with telemetry.span("qap.divide", mode=qap.mode, rows=batch):
-            # the QAP caches rev(D)⁻¹, so no row pays the Newton iteration
-            inv_rev = qap.divisor_inverse_series() if qap.m >= _NEWTON_CUTOFF else None
-            h_rows = []
-            for row in p_rows:
-                try:
-                    h_rows.append(
-                        poly_div_exact(
-                            field, trim(list(row)), qap.divisor_poly, inv_rev_den=inv_rev
-                        )
-                    )
-                except ValueError as exc:
-                    h_rows.append(exc)
+        h_rows = _h_from_evaluations(qap, evals_a, evals_b, evals_c)
     out: list = []
     for h in h_rows:
         if isinstance(h, Exception):

@@ -17,8 +17,10 @@ that Gennaro et al. observe is sufficient (§A.3).
 Two σ-point placements are supported (the DESIGN.md ablation):
 
 * ``"arithmetic"`` — σ_j = j, the paper's choice (§A.3: "a convenient
-  choice is 1, 2, ..., |C|"), with subproduct-tree interpolation for
-  the prover and O(|C|) barycentric weights for the verifier;
+  choice is 1, 2, ..., |C|"), with one subproduct-tree interpolation
+  per proof for the prover (see ``repro.qap.prover``) and O(|C|)
+  barycentric weights for the verifier.  The prover inverts 1..2|C|+1,
+  so the field needs p > 2|C| + 1;
 * ``"roots"`` — σ_j ranges over a power-of-two subgroup (constraints
   padded with trivial 0·0=0 rows), turning the prover's interpolation
   into inverse NTTs and making D(t) = t^m − 1.
@@ -37,6 +39,37 @@ from ..poly.divide import _series_inverse
 
 #: sparse map: variable index -> [(constraint_index_1based, coefficient)]
 SparseColumns = dict[int, list[tuple[int, int]]]
+
+
+@dataclass(frozen=True)
+class HTables:
+    """The fixed vectors arithmetic-mode H(t) construction reads.
+
+    With n = m + 1 points 0..m, ``repro.qap.prover`` extends A_w, B_w
+    and C_w from their values at 0..m to m+1..2m+1 with one
+    convolution each, forms H there pointwise, interpolates once and
+    shifts back.  Everything it multiplies by is a function of (p, n)
+    alone:
+
+    * ``weights[j]`` — the barycentric weight w_j of point j (the
+      shared cache entry behind ``QAPInstance.barycentric_weights``);
+    * ``kernel[l − 1] = 1/l`` for l = 1..2n−1, so that column n−1+k of
+      (f(j)·w_j)_j convolved with it is Σ_j f(j)·w_j/(n+k−j) = f(n+k)/L_k
+      with L_k = (n+k)!/k!;
+    * ``scale[k] = (n+k)·L_k`` and ``point[k] = n+k``: since
+      D(n+k) = L_k/(n+k), H(n+k) = scale[k]·Ã_k·B̃_k − point[k]·C̃_k;
+    * ``fact[j] = j!``, ``shift[s] = (−n)^(m−s)/(m−s)!`` and
+      ``inv_fact[i] = 1/i!``: the Taylor shift G(t) ↦ G(t − n) as one
+      convolution, h_i = inv_fact[i]·((g ∘ fact) * shift)[m + i].
+    """
+
+    weights: list[int]
+    kernel: list[int]
+    scale: list[int]
+    point: list[int]
+    fact: list[int]
+    shift: list[int]
+    inv_fact: list[int]
 
 
 @dataclass
@@ -63,6 +96,12 @@ class QAPInstance:
         n_constraints = self.system.num_constraints
         if self.mode == "arithmetic":
             self.m = n_constraints
+            if field.p <= 2 * self.m + 1:
+                raise ValueError(
+                    f"an arithmetic-mode QAP over {self.m} constraints needs "
+                    f"p > 2m + 1 = {2 * self.m + 1} (the prover inverts "
+                    f"1..2m+1), but p = {field.p}"
+                )
             self.sigma = list(range(1, self.m + 1))
         else:
             size = 1
@@ -128,12 +167,54 @@ class QAPInstance:
     @cached_property
     def divisor_poly(self) -> list[int]:
         """D(t) coefficients.  Arithmetic mode only — roots mode never
-        materializes D (it is t^m − 1)."""
+        materializes D (it is t^m − 1).
+
+        The prover no longer reads it (it checks D | P_w pointwise, see
+        ``repro.qap.prover``); it stays because the repository benchmark
+        (``perfbench/workloads.py``'s ``warm_qap``) builds it.
+        """
         return poly_from_roots(self.field, self.sigma)
+
+    @cached_property
+    def h_tables(self) -> HTables:
+        """The tables the arithmetic-mode prover multiplies by, built once.
+
+        See :class:`HTables`; one ``batch_inv`` of 1..2m+1 plus O(m)
+        products.  Arithmetic mode only.
+        """
+        field = self.field
+        p = field.p
+        n = self.h_length
+        inv = field.batch_inv(list(range(1, 2 * n)))  # inv[l − 1] = 1/l
+        fact = [1] * n
+        inv_fact = [1] * n
+        for i in range(1, n):
+            fact[i] = fact[i - 1] * i % p
+            inv_fact[i] = inv_fact[i - 1] * inv[i - 1] % p
+        scale = [0] * n
+        ell = fact[n - 1] * n % p  # L_0 = n!
+        for k in range(n):
+            scale[k] = (n + k) * ell % p
+            ell = ell * (n + k + 1) % p * inv[k] % p  # L_{k+1} = L_k·(n+k+1)/(k+1)
+        shift = [0] * n
+        power = 1  # (−n)^l
+        for l in range(n):
+            shift[n - 1 - l] = power * inv_fact[l] % p
+            power = power * -n % p
+        return HTables(
+            weights=self.barycentric_weights,
+            kernel=inv,
+            scale=scale,
+            point=list(range(n, 2 * n)),  # below p, by the capacity check
+            fact=fact,
+            shift=shift,
+            inv_fact=inv_fact,
+        )
 
     @property
     def barycentric_weights(self) -> list[int]:
-        """Verifier-side weights over ``prover_points`` (arithmetic mode).
+        """Barycentric weights over ``prover_points`` (arithmetic mode),
+        read by the verifier's queries and the prover's ``h_tables``.
 
         Backed by the process-wide plan cache (the points are 0, 1,
         ..., m — exactly the arithmetic progression), so the vector is
@@ -147,11 +228,13 @@ class QAPInstance:
         """Newton inverse of the reversed D(t), to precision |C| + 1.
 
         ``poly_div_exact`` needs rev(D)⁻¹ mod t^qlen with qlen ≤ m + 1
-        (deg P_w ≤ 2m and deg D = m); computing it once per QAP means
-        every batch instance after the first skips ``_series_inverse``
-        entirely — the dominant share of the division step.  The list
-        is padded (not trimmed) to m + 1 so callers can check its
-        precision by length.
+        (deg P_w ≤ 2m and deg D = m), so dividing many P_w by D through
+        this cached series skips ``_series_inverse`` after the first.
+        The list is padded (not trimmed) to m + 1 so callers can check
+        its precision by length.
+
+        The prover no longer divides; this stays because the repository
+        benchmark (``perfbench/workloads.py``'s ``warm_qap``) builds it.
         """
         if self._divisor_inverse is None:
             telemetry.count("poly.plan_misses")

@@ -93,15 +93,20 @@ class TestRegistry:
         # registration warmed the QAP: a session must find it cached
         assert entry.qap(FAST.qap_mode) is entry.qap(FAST.qap_mode)
 
-    def test_registration_builds_the_divisor_inverse(self, sumsq_program):
-        """Regression: warm() named ``divisor_inverse_series`` without
-        calling it, leaving the Newton inverse to the first session."""
+    def test_registration_builds_the_h_tables(self, sumsq_program):
+        """Registration builds what the arithmetic-mode prover reads (the
+        tree and the H(t) tables), so the first session builds nothing;
+        the divisor polynomial and its inverse, which it no longer
+        reads, are left unbuilt."""
         entry = ProgramRegistry().register(sumsq_program, FAST)
+        qap = entry.qap(FAST.qap_mode)
+        assert qap.mode == "arithmetic"
+        built = vars(qap)
+        assert "subproduct_tree" in built and "h_tables" in built
+        assert "divisor_poly" not in built and qap._divisor_inverse is None
         with telemetry.session() as tracer:
-            entry.qap(FAST.qap_mode).divisor_inverse_series()
-        totals = tracer.total_counters()
-        assert totals.get("poly.plan_hits") == 1
-        assert not totals.get("poly.plan_misses")
+            qap.barycentric_weights
+        assert tracer.total_counters().get("poly.plan_hits") == 1
 
     def test_schedule_cache_hits_on_repeat_seed(self, registry, sumsq_program):
         entry = registry.lookup(program_hash(sumsq_program))

@@ -1,8 +1,13 @@
 """Batch-amortized QAP structures: caches are shared, not rebuilt."""
 
+import math
+
 import pytest
 
+from repro.field import NAMED_FIELDS, PrimeField
 from repro.qap import build_qap, compute_h
+
+from .test_qap import power_chain
 
 
 class TestCachedStructures:
@@ -17,6 +22,28 @@ class TestCachedStructures:
     def test_barycentric_weights_cached(self, sumsq_program):
         qap = build_qap(sumsq_program.quadratic)
         assert qap.barycentric_weights is qap.barycentric_weights
+
+    def test_h_tables_cached(self, sumsq_program):
+        qap = build_qap(sumsq_program.quadratic)
+        assert qap.h_tables is qap.h_tables
+
+    @pytest.mark.parametrize("name", ["goldilocks", "p192"])
+    def test_h_tables_match_their_definitions(self, name):
+        """Each QAP's tables come from its own modulus and size."""
+        field = PrimeField(NAMED_FIELDS[name], check_prime=False)
+        qap = build_qap(power_chain(field, 5))
+        tables, p, n = qap.h_tables, field.p, qap.h_length
+        assert [l * tables.kernel[l - 1] % p for l in range(1, 2 * n)] == [1] * (2 * n - 1)
+        assert tables.point == [n + k for k in range(n)]
+        assert tables.scale == [
+            (n + k) * math.factorial(n + k) // math.factorial(k) % p for k in range(n)
+        ]
+        assert tables.fact == [math.factorial(j) % p for j in range(n)]
+        assert [f * g % p for f, g in zip(tables.fact, tables.inv_fact)] == [1] * n
+        assert tables.shift == [
+            (-n) ** (n - 1 - s) * tables.inv_fact[n - 1 - s] % p for s in range(n)
+        ]
+        assert tables.weights == qap.barycentric_weights
 
     def test_one_qap_serves_many_instances(self, sumsq_program):
         """The same QAP instance proves every batch member (the shared
@@ -75,13 +102,14 @@ class TestPaperScaleCompiles:
 
 class TestDivisorInverseCache:
     """The Newton inverse of the (reversed) divisor polynomial is a
-    batch-level artifact: computed for the first instance, reused
-    bit-identically by every later one."""
+    batch-level artifact, built once per QAP.  The prover no longer
+    divides (it builds H from evaluations), so ``compute_h`` neither
+    builds nor reads it; the division oracle in ``h_oracle`` does."""
 
     @pytest.fixture()
     def big_qap(self, gold):
-        """A QAP over the Newton cutoff, so compute_h actually divides
-        through the cached series (small systems use schoolbook)."""
+        """A QAP over the Newton cutoff, where ``poly_div_exact`` would
+        divide through the cached series (small systems use schoolbook)."""
         import random
 
         from repro.apps import MATMUL
@@ -111,21 +139,23 @@ class TestDivisorInverseCache:
         assert trim(prod[: qap.h_length]) == [1]
 
     def test_compute_h_bit_identical_to_uncached(self, big_qap):
-        """Dividing through the cached inverse must change nothing —
-        same h, instance after instance, as a fresh uncached QAP."""
+        """The per-QAP caches must change nothing — same h, instance
+        after instance, as a fresh uncached QAP."""
         prog, qap, inputs = big_qap
         w = prog.solve(inputs).quadratic_witness
-        h_first = compute_h(qap, w)  # builds the cache
-        h_again = compute_h(qap, w)  # uses it
+        h_first = compute_h(qap, w)  # builds the QAP's caches
+        h_again = compute_h(qap, w)  # uses them
         assert h_again == h_first
         fresh_qap = build_qap(prog.quadratic)
         assert compute_h(fresh_qap, w) == h_first
 
     def test_plan_hits_after_first_instance(self, big_qap):
+        """The first instance builds the per-QAP caches; the second
+        only hits them."""
         from repro import telemetry
 
         prog, _, inputs = big_qap
-        qap = build_qap(prog.quadratic)  # fresh: no warm divisor inverse
+        qap = build_qap(prog.quadratic)  # fresh: nothing warm
         w = prog.solve(inputs).quadratic_witness
         tracer = telemetry.enable()
         try:
@@ -142,8 +172,7 @@ class TestDivisorInverseCache:
         assert totals.get("poly.plan_misses", 0) == first.get("poly.plan_misses", 0)
 
     def test_small_systems_skip_series_path(self, sumsq_program):
-        """Below the cutoff the prover keeps schoolbook division: the
-        divisor-inverse cache is never populated."""
+        """The prover never populates the divisor-inverse cache."""
         from repro.poly.divide import _NEWTON_CUTOFF
 
         qap = build_qap(sumsq_program.quadratic)

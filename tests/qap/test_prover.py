@@ -1,7 +1,11 @@
 """Unit tests for the QAP prover pipeline (H computation, §A.3)."""
 
+import random
+
 import pytest
 
+from repro.apps import ALL_APPS
+from repro.field import HAVE_NUMPY, NAMED_FIELDS, PrimeField
 from repro.poly import poly_eval, poly_from_roots, poly_mul, poly_sub
 from repro.qap import (
     build_proof_vector,
@@ -11,6 +15,15 @@ from repro.qap import (
     embed_z_query,
     witness_poly_evaluations,
 )
+from repro.qap.prover import compute_h_batch
+
+from ..integration.test_end_to_end import TINY_SIZES
+from .h_oracle import compute_h_batch_divide
+from .test_edge_cases import single_constraint_system
+from .test_qap import power_chain
+
+#: without numpy a numpy request degrades to the scalar kernels
+BACKENDS = ("scalar", "numpy") if HAVE_NUMPY else ("scalar",)
 
 
 @pytest.fixture(params=["arithmetic", "roots"])
@@ -157,6 +170,79 @@ class TestComputeHBatch:
                 assert str(result) == str(excinfo.value)
             else:
                 assert result == compute_h(qap, witness)
+
+
+class TestMatchesDivisionOracle:
+    """Arithmetic mode builds H from evaluations; every row must equal
+    the paper's route (interpolate ×3, multiply, divide exactly) kept
+    in ``h_oracle``, values and failures alike."""
+
+    @staticmethod
+    def _witnesses(field, app_name, count, seed=18):
+        app = ALL_APPS[app_name]
+        sizes = TINY_SIZES[app_name]
+        prog = app.compile(field, sizes)
+        rng = random.Random(seed)
+        witnesses = [
+            prog.solve(app.generate_inputs(rng, sizes)).quadratic_witness
+            for _ in range(count)
+        ]
+        return build_qap(prog.quadratic), witnesses
+
+    @pytest.mark.parametrize("field_name", ["goldilocks", "p128", "p220"])
+    @pytest.mark.parametrize("app_name", sorted(TINY_SIZES))
+    def test_paper_apps(self, app_name, field_name):
+        """On the suite's backend (CI runs it under both)."""
+        field = PrimeField(NAMED_FIELDS[field_name], check_prime=False)
+        qap, witnesses = self._witnesses(field, app_name, 3)
+        expected = compute_h_batch_divide(qap, witnesses)
+        assert compute_h_batch(qap, witnesses[:1]) == expected[:1]
+        assert compute_h_batch(qap, witnesses) == expected
+
+    @pytest.mark.parametrize("field_name", ["goldilocks", "p128"])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_batch_sizes_and_backends(self, backend, field_name):
+        field = PrimeField(NAMED_FIELDS[field_name], check_prime=False, backend=backend)
+        qap, witnesses = self._witnesses(field, "longest_common_subsequence", 3)
+        expected = compute_h_batch_divide(qap, witnesses)
+        assert compute_h_batch(qap, witnesses[:1]) == expected[:1]
+        assert compute_h_batch(qap, witnesses) == expected
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_tampered_witness_at_position_1(self, backend):
+        field = PrimeField(NAMED_FIELDS["p128"], check_prime=False, backend=backend)
+        qap, witnesses = self._witnesses(field, "longest_common_subsequence", 3)
+        clean = compute_h_batch(qap, witnesses)
+        bad = list(witnesses[1])
+        bad[1] = (bad[1] + 1) % field.p
+        witnesses[1] = bad
+        expected = compute_h_batch_divide(qap, witnesses)
+        got = compute_h_batch(qap, witnesses)
+        assert isinstance(expected[1], ValueError)
+        assert isinstance(got[1], ValueError)
+        assert str(got[1]) == str(expected[1])
+        assert got[0] == expected[0] == clean[0]
+        assert got[2] == expected[2] == clean[2]
+
+    def test_tiny_systems(self, gold):
+        """``test_single_multiplication``'s program (two constraints) and
+        a one-constraint system (m = 1: two points, a width-3 kernel)."""
+        prog = single_constraint_system(gold)
+        cases = [
+            (
+                build_qap(prog.quadratic),
+                [prog.solve([x]).quadratic_witness for x in (7, 0, 12345)],
+            ),
+            (
+                build_qap(power_chain(gold, 1)),
+                [[1, x * x % gold.p, x] for x in (7, 0, gold.p - 1)],
+            ),
+        ]
+        assert [qap.m for qap, _ in cases] == [2, 1]
+        for qap, witnesses in cases:
+            expected = compute_h_batch_divide(qap, witnesses)
+            assert compute_h_batch(qap, witnesses[:1]) == expected[:1]
+            assert compute_h_batch(qap, witnesses) == expected
 
 
 class TestSubgroupDivision:

@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.constraints import LinearCombination, QuadraticSystem
+from repro.field import PrimeField
 from repro.poly import poly_eval
-from repro.qap import build_qap
+from repro.qap import build_qap, compute_h
+
+from .h_oracle import compute_h_batch_divide
 
 
 @pytest.fixture(params=["arithmetic", "roots"])
@@ -55,6 +59,35 @@ class TestConstruction:
     def test_unknown_mode_rejected(self, sumsq_program):
         with pytest.raises(ValueError):
             build_qap(sumsq_program.quadratic, mode="fancy")
+
+
+def power_chain(field, m: int) -> QuadraticSystem:
+    """z_1 = x·x and z_{j+1} = z_j·x: m constraints over z_1..z_m and x."""
+    x = m + 1
+    system = QuadraticSystem(field=field, num_vars=m + 1, input_vars=[x])
+    v = LinearCombination.variable
+    system.add(v(x), v(x), v(1))
+    for j in range(1, m):
+        system.add(v(j), v(x), v(j + 1))
+    return system
+
+
+class TestFieldCapacity:
+    """The arithmetic-mode prover inverts 1..2m+1, so the QAP build
+    rejects a field with p <= 2m + 1 instead of the proof failing."""
+
+    def test_small_field_rejected_at_build(self):
+        field = PrimeField(97)
+        for m in (48, 60):
+            with pytest.raises(ValueError, match=rf"p > 2m \+ 1 = {2 * m + 1}"):
+                build_qap(power_chain(field, m))
+
+    def test_largest_system_the_field_allows_proves(self):
+        field = PrimeField(97)
+        qap = build_qap(power_chain(field, 47))  # 2m + 1 = 95 < 97
+        x = 3
+        witness = [1] + [pow(x, j + 1, field.p) for j in range(1, 48)] + [x]
+        assert compute_h(qap, witness) == compute_h_batch_divide(qap, [witness])[0]
 
 
 class TestDivisor:
