@@ -37,7 +37,7 @@ def test_compute_h_by_mode(benchmark, witness, mode):
     prog, w = witness
     qap = build_qap(prog.quadratic, mode=mode)
     if mode == "arithmetic":  # warm the per-QAP structures a batch reuses
-        _ = qap.subproduct_tree, qap.h_tables
+        _ = qap.h_tables
     benchmark.pedantic(compute_h, args=(qap, w), rounds=3, iterations=1)
 
 
@@ -49,7 +49,7 @@ def test_sigma_placement_comparison(benchmark, witness):
         for mode in ("arithmetic", "roots"):
             qap = build_qap(prog.quadratic, mode=mode)
             if mode == "arithmetic":
-                _ = qap.subproduct_tree, qap.h_tables  # precompute (batch-amortized)
+                _ = qap.h_tables  # precompute (batch-amortized)
             start = time.process_time()
             h = compute_h(qap, w)
             out[mode] = (time.process_time() - start, len(h))
@@ -66,5 +66,5 @@ def test_sigma_placement_comparison(benchmark, witness):
         ["sigma mode", "compute_h time", "|h|"],
         rows,
     )
-    # The NTT path must beat the subproduct tree at this size.
+    # The NTT path must beat Newton interpolation at this size.
     assert results["roots"][0] < results["arithmetic"][0]

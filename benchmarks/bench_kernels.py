@@ -25,7 +25,12 @@ evaluations) against the paper's route — interpolate three times,
 multiply, divide — kept as the test oracle
 (``tests/qap/h_oracle.py``), on LCS m=4 over p128 at B =
 ``H_GATE_BATCH``.  Under ``--check`` every row must be identical and
-the pipeline must beat the oracle by ``H_MIN_SPEEDUP``.
+the pipeline must beat the oracle by ``H_MIN_SPEEDUP``.  Its Newton row
+times the pipeline's interpolation step alone at the same shape:
+``mat_interpolate_newton`` against the route it replaced, per-row
+``SubproductTree.interpolate`` plus a Taylor shift
+(``h_oracle.TreeShiftInterpolator``).  Under ``--check`` the rows must
+be identical and Newton must win by ``NEWTON_MIN_SPEEDUP``.
 
 Its commitment section times the commitment round's two exponentiation
 loops, the verifier's Enc(r) and the prover's fold ∏ Enc(r_i)^{u_i},
@@ -123,11 +128,19 @@ BATCH_GATE_BATCH = 64
 #: arithmetic-mode H(t) row: LCS m=4 over p128 (341 constraints, the
 #: p128-b8 perfbench shape) at this batch size; under --check
 #: ``compute_h_batch`` must beat the division oracle by H_MIN_SPEEDUP
-#: (measured 1.85-1.96x, best of 3, on a 2-core Xeon; the margin absorbs
-#: CI noise while still catching a pipeline that fell back to three
-#: interpolations or a division)
+#: (measured 1.85-1.96x with a tree interpolation, 3.14x with Newton's,
+#: best of 3, on a 2-core Xeon; the margin absorbs CI noise while still
+#: catching a pipeline that fell back to three interpolations or a
+#: division)
 H_GATE_BATCH = 8
 H_MIN_SPEEDUP = 1.5
+
+#: Newton row: the same shape's interpolation step (n = 342 points,
+#: H_GATE_BATCH rows over p128); under --check ``mat_interpolate_newton``
+#: must beat the tree plus Taylor shift by NEWTON_MIN_SPEEDUP (measured
+#: 2.07-2.13x, best of 3 to 7, on a 2-core Xeon; the margin absorbs CI
+#: noise while still catching a kernel that fell back to per-row work)
+NEWTON_MIN_SPEEDUP = 1.5
 
 #: commitment section: (group, field) pairs and vector lengths timed —
 #: the gateway's smallest vector and the p128-b8 proof-vector length
@@ -392,6 +405,7 @@ def _bench_batch(size: int, reps: int, rng: random.Random) -> dict:
         "batches": rows,
         "product": _bench_batch_product(reps, rng),
         "arithmetic": _bench_h_arithmetic(reps, rng),
+        "newton": _bench_newton(reps, rng),
     }
 
 
@@ -430,6 +444,43 @@ def _bench_h_arithmetic(reps: int, rng: random.Random) -> dict:
         "oracle_seconds": seconds["oracle"],
         "pipeline_seconds": seconds["pipeline"],
         "speedup": seconds["oracle"] / seconds["pipeline"],
+        "bit_identical": identical,
+    }
+
+
+def _bench_newton(reps: int, rng: random.Random) -> dict:
+    """H(t)'s interpolation step: batched Newton vs tree plus Taylor shift.
+
+    ``H_GATE_BATCH`` random value rows at LCS m=4's n = 342 points over
+    p128, timed best-of-``reps`` with the two routes alternating.  Both
+    routes' fixed tables are built before timing, and Newton reads the
+    values pre-scaled by 1/j! (the prover folds that scale into the
+    step before).
+    """
+    from repro.poly import mat_interpolate_newton
+    from tests.qap.h_oracle import TreeShiftInterpolator, newton_inputs
+
+    field = PrimeField(NAMED_FIELDS["p128"], check_prime=False)
+    n = 342
+    tree_shift = TreeShiftInterpolator(field, n)
+    rows = [[rng.randrange(field.p) for _ in range(n)] for _ in range(H_GATE_BATCH)]
+    scaled, differences, levels = newton_inputs(field, rows)
+    routes = {
+        "tree_shift": lambda: tree_shift(rows),
+        "newton": lambda: mat_interpolate_newton(field, scaled, differences, levels),
+    }
+    identical = routes["tree_shift"]() == routes["newton"]()
+    seconds = {name: float("inf") for name in routes}
+    for _ in range(reps):  # alternate, so host drift hits both routes
+        for name, route in routes.items():
+            seconds[name] = min(seconds[name], _best_of(route, 1))
+    return {
+        "modulus": "p128",
+        "points": n,
+        "batch": H_GATE_BATCH,
+        "tree_shift_seconds": seconds["tree_shift"],
+        "newton_seconds": seconds["newton"],
+        "speedup": seconds["tree_shift"] / seconds["newton"],
         "bit_identical": identical,
     }
 
@@ -639,6 +690,15 @@ def check(results: dict) -> list[str]:
             f"{where}: only {arithmetic['speedup']:.2f}x over the division "
             f"oracle (need {H_MIN_SPEEDUP}x)"
         )
+    newton = results["batch"]["newton"]
+    where = f"batch: Newton interpolation at n={newton['points']} B={newton['batch']}"
+    if not newton["bit_identical"]:
+        failures.append(f"{where}: rows differ from the tree plus Taylor shift")
+    if newton["speedup"] < NEWTON_MIN_SPEEDUP:
+        failures.append(
+            f"{where}: only {newton['speedup']:.2f}x over the tree plus "
+            f"Taylor shift (need {NEWTON_MIN_SPEEDUP}x)"
+        )
     for row in results["commitment"]:
         where = f"commitment: {row['group']} n={row['n']}"
         if not row["bit_identical"]:
@@ -794,6 +854,14 @@ def _report(results: dict) -> None:
         f"from evaluations {fmt_seconds(arithmetic['pipeline_seconds'])} — "
         f"{arithmetic['speedup']:.2f}x, bit-identical: "
         f"{'yes' if arithmetic['bit_identical'] else 'NO'}"
+    )
+    newton = batch["newton"]
+    print(
+        f"\nH(t) interpolation ({newton['modulus']}, {newton['points']} points, "
+        f"batch={newton['batch']}): tree + Taylor shift "
+        f"{fmt_seconds(newton['tree_shift_seconds'])} vs Newton "
+        f"{fmt_seconds(newton['newton_seconds'])} — {newton['speedup']:.2f}x, "
+        f"bit-identical: {'yes' if newton['bit_identical'] else 'NO'}"
     )
     product = batch.get("product")
     if product is not None:

@@ -9,9 +9,9 @@ over *many* verifiers and *many* outsourced computations at once; the
 
 * :class:`ProgramRegistry` — the server's program table, keyed by the
   canonical ``program_hash`` from the ``hello`` frame.  Registration
-  **pre-warms** each program's proving artifacts (the QAP's subproduct
-  tree / NTT plans, barycentric weights, and the tables the prover's
-  H(t) construction multiplies by) so the first session pays
+  **pre-warms** each program's proving artifacts (the QAP's
+  barycentric weights and the tables the prover's H(t) construction
+  multiplies by) so the first session pays
   compile-time costs zero times, and keeps a small LRU of seed-derived
   query schedules (repeat verifiers with a stable seed skip schedule
   regeneration entirely).
@@ -305,16 +305,17 @@ class RegisteredProgram:
         self._schedules: OrderedDict = OrderedDict()
 
     def warm(self, qap_mode: str | None = None) -> "RegisteredProgram":
-        """Build the QAP and touch every lazily-computed artifact.
+        """Build the QAP and touch every lazily-computed artifact a
+        session reads.
 
-        Registration-time warming moves the one-time costs (subproduct
-        tree for the NTT evaluation domain, barycentric weights, and in
-        arithmetic mode the H(t) tables) out of the first session's
-        latency — and, when the gateway forks shard workers, into
-        memory the children inherit copy-on-write.
+        Registration-time warming moves the one-time costs (barycentric
+        weights, and in arithmetic mode the H(t) tables with their
+        Newton levels) out of the first session's latency — and, when
+        the gateway forks shard workers, into memory the children
+        inherit copy-on-write.  The subproduct tree is left unbuilt: no
+        prover reads it, in either mode.
         """
         qap = self.qap(qap_mode or self.config.qap_mode)
-        qap.subproduct_tree
         qap.barycentric_weights
         if qap.mode == "arithmetic":
             qap.h_tables

@@ -1,6 +1,12 @@
 """Polynomial algebra substrate (dense polys, NTT, fast division, interpolation)."""
 
-from .batch import mat_interpolate_at_roots_of_unity, mat_poly_mul, pad_rows
+from .batch import (
+    mat_interpolate_at_roots_of_unity,
+    mat_interpolate_newton,
+    mat_poly_mul,
+    newton_levels,
+    pad_rows,
+)
 from .dense import (
     degree,
     is_zero,
@@ -49,9 +55,11 @@ __all__ = [
     "intt",
     "is_zero",
     "mat_interpolate_at_roots_of_unity",
+    "mat_interpolate_newton",
     "mat_poly_mul",
     "max_ntt_size",
     "mul_strategy",
+    "newton_levels",
     "pad_rows",
     "ntt",
     "ntt_mul",

@@ -16,10 +16,10 @@ differs, and callers that care — the QAP prover — trim or slice at
 fixed protocol widths).  ``tests/qap/test_prover.py`` and the parity
 suite pin this.
 
-Telemetry: the batched interpolation reports the same
-``poly.interpolations`` / ``poly.interpolation_points`` /
-``poly.ntt_calls`` / ``poly.ntt_points`` totals as the per-row calls it
-replaces, so Figure-5-style op accounting is batching-invariant.
+Telemetry: the batched interpolations report the same
+``poly.interpolations`` / ``poly.interpolation_points`` totals as the
+per-row calls they replace (one per row, n points each), so
+Figure-5-style op accounting is batching-invariant.
 """
 
 from __future__ import annotations
@@ -124,3 +124,87 @@ def mat_poly_mul(
     fb = field.mat_transform(plan, pad_rows(rows_b, size))
     out = field.mat_transform(plan, field.mat_hadamard(fa, fb), invert=True)
     return [row[:out_len] for row in out]
+
+
+def newton_levels(field: PrimeField, start: int, n: int) -> list[list[list[int]]]:
+    """The up-sweep multipliers of :func:`mat_interpolate_newton`.
+
+    For the n points x_j = start + j, level d (d = 0..⌈log₂ n⌉ − 1)
+    merges coefficient blocks of width 2^d in pairs; ``levels[d][b]`` is
+    the left block's M_L = ∏ (t − x_j) over j ∈ [2b·2^d, (2b+1)·2^d),
+    width 2^d + 1, for the ⌈n/2^(d+1)⌉ pairs that hold any of the n
+    coefficients.  A pair whose right block is all padding multiplies
+    only zeros, so its M_L may take points past x_(n−1) (reduced mod p).
+
+    The nodes are built bottom-up, one stacked :func:`mat_poly_mul`
+    per level, over just the blocks some M_L needs.
+    """
+    depth = (n - 1).bit_length() if n > 1 else 0
+    pairs = [-(-n >> (d + 1)) for d in range(depth)]  # ⌈n / 2^(d+1)⌉
+    need = [0] * (depth + 1)  # nodes built at each level
+    for d in reversed(range(depth)):
+        need[d] = max(2 * pairs[d] - 1, 2 * need[d + 1])
+    p = field.p
+    nodes = [[-(start + j) % p, 1] for j in range(need[0])]
+    levels = []
+    for d in range(depth):
+        levels.append(nodes[: 2 * pairs[d] : 2])
+        built = 2 * need[d + 1]
+        nodes = mat_poly_mul(field, nodes[:built:2], nodes[1:built:2])
+    return levels
+
+
+def mat_interpolate_newton(
+    field: PrimeField,
+    rows: Sequence[Sequence[int]],
+    differences: Sequence[int],
+    levels: Sequence[Sequence[Sequence[int]]],
+) -> list[list[int]]:
+    """Batched interpolation on the progression x_j = x_0 + j, j < n.
+
+    Row i holds f_i(x_j)/j! for j = 0..n−1; the result row holds f_i's
+    n coefficients (untrimmed, as the other batched kernels).
+    ``differences`` is the kernel (−1)^k/k!, k < n, and ``levels`` is
+    :func:`newton_levels` for (x_0, n).  On a unit-step progression
+    (Bostan and Schost, J. Complexity 21(4), 2005):
+
+    1. the Newton coefficients c_k = Σ_{j≤k} f(x_j)/j!·(−1)^(k−j)/(k−j)!
+       are the first n columns of one B-row product with the kernel;
+    2. the Newton-to-monomial up-sweep merges coefficient blocks in
+       pairs, P = P_L + M_L·P_R, with rows zero-padded past n: one
+       stacked :func:`mat_poly_mul` over every instance's pairs and one
+       ``mat_add`` per level, ⌈log₂ n⌉ levels.
+
+    The caller keeps n ≤ p, so that the points are distinct mod p and
+    every j! is invertible.
+    """
+    batch = len(rows)
+    if batch == 0:
+        return []
+    n = len(rows[0])
+    if any(len(row) != n for row in rows):
+        raise ValueError("interpolation rows must have equal lengths")
+    if len(differences) != n:
+        raise ValueError(f"difference kernel has {len(differences)} entries, need {n}")
+    if telemetry.enabled():
+        telemetry.count("poly.interpolations", batch)
+        telemetry.count("poly.interpolation_points", batch * n)
+    if n == 0:
+        return [[] for _ in rows]
+    coeffs = [row[:n] for row in mat_poly_mul(field, rows, [differences] * batch)]
+    width = 1
+    for level in levels:
+        pairs, span = len(level), 2 * width
+        starts = range(0, pairs * span, span)
+        coeffs = pad_rows(coeffs, pairs * span)
+        lefts = [row[k : k + width] for row in coeffs for k in starts]
+        rights = [row[k + width : k + span] for row in coeffs for k in starts]
+        products = mat_poly_mul(field, rights, list(level) * batch)
+        lows = field.mat_add([prod[:width] for prod in products], lefts)
+        merged = [low + prod[width:] for low, prod in zip(lows, products)]
+        coeffs = [
+            [c for block in merged[i : i + pairs] for c in block]
+            for i in range(0, len(merged), pairs)
+        ]
+        width = span
+    return [row[:n] for row in coeffs]

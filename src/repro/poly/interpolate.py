@@ -4,10 +4,14 @@ Two consumers, per §A.3:
 
 * The **prover** interpolates from values at the distinguished points
   {σ_j} ("multipoint interpolation", budget ≈ f·|C|·log²|C|).  The
-  paper interpolates A_w(t), B_w(t), C_w(t); ``repro.qap.prover``
-  interpolates only H_w, once per proof.  That is the subproduct-tree
-  algorithm here; when the σ are successive powers of a root of unity
-  it degenerates into an inverse NTT (see
+  paper interpolates A_w(t), B_w(t), C_w(t) on the subproduct tree
+  here.  ``repro.qap.prover`` interpolates only H_w, once per proof, on
+  the progression |C|+1..2|C|+1, where Newton form needs one product
+  per tree node instead of the tree's two
+  (``repro.poly.batch.mat_interpolate_newton``); the tree stays as the
+  general-points reference the tests and the division oracle use.
+  When the σ are successive powers of a root of unity, interpolation
+  degenerates into an inverse NTT (see
   ``interpolate_at_roots_of_unity``).
 
 * The **verifier** never interpolates: it evaluates every A_i, B_i, C_i

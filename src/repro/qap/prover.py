@@ -16,10 +16,15 @@ arithmetic mode (σ_j = j, n = |C| + 1 points 0..|C|):
 2. extend A_w, B_w and C_w (degree < n) from 0..|C| to n..2n−1 with
    one convolution each against the fixed kernel 1/l (Bostan, Gaudry
    and Schost, SIAM J. Comput. 36(6), 2007);
-3. form H(n+k) = P_w(n+k)/D(n+k) pointwise — D(n+k) is a fixed
-   table, so this divides nothing at proof time;
-4. interpolate G(t) = H(t + n) once on the subproduct tree over
-   0..|C| and Taylor-shift it back by −n with one more convolution.
+3. form H(n+k)/k! = P_w(n+k)/(D(n+k)·k!) pointwise — D(n+k)·k! is a
+   fixed table, so this divides nothing at proof time;
+4. interpolate H by Newton form on the points n..2n−1
+   (``repro.poly.batch.mat_interpolate_newton``, Bostan and Schost,
+   J. Complexity 21(4), 2005): its Newton coefficients are one more
+   convolution of those values with the fixed kernel (−1)^k/k!, and
+   the up-sweep to monomial coefficients is one stacked product per
+   tree level across the whole batch, P = P_L + M_L·P_R, with the
+   M_L fixed per QAP (``QAPInstance.h_tables``).
 
 That is one interpolation per instance instead of three, and no
 polynomial division; the coefficients are the same field elements.
@@ -38,7 +43,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .. import telemetry
-from ..poly import mat_interpolate_at_roots_of_unity, mat_poly_mul, pad_rows, trim
+from ..poly import (
+    mat_interpolate_at_roots_of_unity,
+    mat_interpolate_newton,
+    mat_poly_mul,
+    pad_rows,
+    trim,
+)
 from .qap import QAPInstance
 
 #: the arithmetic-mode rejection: by Claim A.1 the pointwise check fails
@@ -173,13 +184,9 @@ def _h_from_evaluations(qap: QAPInstance, evals_a, evals_b, evals_c) -> list:
             field.mat_hadamard(c_ext, table(tables.point)),
         )
     with telemetry.span("qap.interpolate", mode=qap.mode, rows=rows):
-        tree = qap.subproduct_tree
-        g_rows = pad_rows([tree.interpolate(v) for v in values], qap.h_length)
-        shifted = _middle_product(
-            field, field.mat_hadamard(g_rows, table(tables.fact)), tables.shift
-        )
-        for i, h in zip(live, field.mat_hadamard(shifted, table(tables.inv_fact))):
-            h_rows[i] = h
+        h_live = mat_interpolate_newton(field, values, tables.differences, tables.levels)
+    for i, h in zip(live, h_live):
+        h_rows[i] = h
     return h_rows
 
 

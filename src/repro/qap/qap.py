@@ -17,10 +17,11 @@ that Gennaro et al. observe is sufficient (§A.3).
 Two σ-point placements are supported (the DESIGN.md ablation):
 
 * ``"arithmetic"`` — σ_j = j, the paper's choice (§A.3: "a convenient
-  choice is 1, 2, ..., |C|"), with one subproduct-tree interpolation
-  per proof for the prover (see ``repro.qap.prover``) and O(|C|)
-  barycentric weights for the verifier.  The prover inverts 1..2|C|+1,
-  so the field needs p > 2|C| + 1;
+  choice is 1, 2, ..., |C|"), with one Newton-form interpolation per
+  proof for the prover, on the progression |C|+1..2|C|+1 where it
+  forms H (see ``repro.qap.prover``), and O(|C|) barycentric weights
+  for the verifier.  The prover inverts 1..2|C|+1, so the field needs
+  p > 2|C| + 1 (which also keeps the Newton points distinct);
 * ``"roots"`` — σ_j ranges over a power-of-two subgroup (constraints
   padded with trivial 0·0=0 rows), turning the prover's interpolation
   into inverse NTTs and making D(t) = t^m − 1.
@@ -34,7 +35,12 @@ from functools import cached_property
 from .. import telemetry
 from ..constraints import QuadraticSystem
 from ..field import PrimeField
-from ..poly import SubproductTree, get_barycentric_weights, poly_from_roots
+from ..poly import (
+    SubproductTree,
+    get_barycentric_weights,
+    newton_levels,
+    poly_from_roots,
+)
 from ..poly.divide import _series_inverse
 
 #: sparse map: variable index -> [(constraint_index_1based, coefficient)]
@@ -46,30 +52,31 @@ class HTables:
     """The fixed vectors arithmetic-mode H(t) construction reads.
 
     With n = m + 1 points 0..m, ``repro.qap.prover`` extends A_w, B_w
-    and C_w from their values at 0..m to m+1..2m+1 with one
-    convolution each, forms H there pointwise, interpolates once and
-    shifts back.  Everything it multiplies by is a function of (p, n)
-    alone:
+    and C_w from their values at 0..m to n..2n−1 with one convolution
+    each, forms H(n+k)/k! there pointwise and interpolates it by Newton
+    form (:func:`~repro.poly.batch.mat_interpolate_newton`).  Everything
+    it multiplies by is a function of (p, n) alone:
 
     * ``weights[j]`` — the barycentric weight w_j of point j (the
       shared cache entry behind ``QAPInstance.barycentric_weights``);
     * ``kernel[l − 1] = 1/l`` for l = 1..2n−1, so that column n−1+k of
       (f(j)·w_j)_j convolved with it is Σ_j f(j)·w_j/(n+k−j) = f(n+k)/L_k
       with L_k = (n+k)!/k!;
-    * ``scale[k] = (n+k)·L_k`` and ``point[k] = n+k``: since
-      D(n+k) = L_k/(n+k), H(n+k) = scale[k]·Ã_k·B̃_k − point[k]·C̃_k;
-    * ``fact[j] = j!``, ``shift[s] = (−n)^(m−s)/(m−s)!`` and
-      ``inv_fact[i] = 1/i!``: the Taylor shift G(t) ↦ G(t − n) as one
-      convolution, h_i = inv_fact[i]·((g ∘ fact) * shift)[m + i].
+    * ``scale[k] = (n+k)·L_k/k!`` and ``point[k] = (n+k)/k!``: since
+      D(n+k) = L_k/(n+k), H(n+k)/k! = scale[k]·Ã_k·B̃_k − point[k]·C̃_k,
+      the values Newton interpolation on n..2n−1 takes;
+    * ``differences[k] = (−1)^k/k!`` — the kernel whose convolution
+      with those values gives H's Newton coefficients;
+    * ``levels`` — the up-sweep's M_L = ∏ (t − x) per level and pair
+      (:func:`~repro.poly.batch.newton_levels` over n..2n−1).
     """
 
     weights: list[int]
     kernel: list[int]
     scale: list[int]
     point: list[int]
-    fact: list[int]
-    shift: list[int]
-    inv_fact: list[int]
+    differences: list[int]
+    levels: list[list[list[int]]]
 
 
 @dataclass
@@ -161,7 +168,14 @@ class QAPInstance:
 
     @cached_property
     def subproduct_tree(self) -> SubproductTree:
-        """Shared tree over ``prover_points`` (arithmetic mode only)."""
+        """Shared tree over ``prover_points`` (arithmetic mode only).
+
+        No prover reads it (arithmetic mode interpolates H by Newton
+        form from ``h_tables``).  It stays because the repository
+        benchmark (``perfbench/workloads.py``'s ``warm_qap``) builds it,
+        and a performance change may not edit the benchmark, and because
+        the division oracle (``tests/qap/h_oracle.py``) interpolates on it.
+        """
         return SubproductTree(self.field, self.prover_points)
 
     @cached_property
@@ -179,36 +193,32 @@ class QAPInstance:
     def h_tables(self) -> HTables:
         """The tables the arithmetic-mode prover multiplies by, built once.
 
-        See :class:`HTables`; one ``batch_inv`` of 1..2m+1 plus O(m)
-        products.  Arithmetic mode only.
+        See :class:`HTables`; one ``batch_inv`` of 1..2m+1, O(m)
+        products and the Newton levels (a product tree over n..2n−1,
+        one stacked product per level).  Arithmetic mode only.
         """
         field = self.field
         p = field.p
         n = self.h_length
         inv = field.batch_inv(list(range(1, 2 * n)))  # inv[l − 1] = 1/l
-        fact = [1] * n
-        inv_fact = [1] * n
-        for i in range(1, n):
-            fact[i] = fact[i - 1] * i % p
-            inv_fact[i] = inv_fact[i - 1] * inv[i - 1] % p
-        scale = [0] * n
-        ell = fact[n - 1] * n % p  # L_0 = n!
+        ell = 1  # L_0 = n!
+        for i in range(2, n + 1):
+            ell = ell * i % p
+        inv_fact = 1  # 1/k!
+        scale, point, differences = [0] * n, [0] * n, [0] * n
         for k in range(n):
-            scale[k] = (n + k) * ell % p
+            point[k] = (n + k) * inv_fact % p
+            scale[k] = point[k] * ell % p
+            differences[k] = inv_fact if k % 2 == 0 else p - inv_fact
             ell = ell * (n + k + 1) % p * inv[k] % p  # L_{k+1} = L_k·(n+k+1)/(k+1)
-        shift = [0] * n
-        power = 1  # (−n)^l
-        for l in range(n):
-            shift[n - 1 - l] = power * inv_fact[l] % p
-            power = power * -n % p
+            inv_fact = inv_fact * inv[k] % p
         return HTables(
             weights=self.barycentric_weights,
             kernel=inv,
             scale=scale,
-            point=list(range(n, 2 * n)),  # below p, by the capacity check
-            fact=fact,
-            shift=shift,
-            inv_fact=inv_fact,
+            point=point,
+            differences=differences,
+            levels=newton_levels(field, n, n),
         )
 
     @property

@@ -95,18 +95,21 @@ class TestRegistry:
 
     def test_registration_builds_the_h_tables(self, sumsq_program):
         """Registration builds what the arithmetic-mode prover reads (the
-        tree and the H(t) tables), so the first session builds nothing;
-        the divisor polynomial and its inverse, which it no longer
-        reads, are left unbuilt."""
+        H(t) tables, Newton levels included), so the first session
+        builds nothing; the subproduct tree, the divisor polynomial and
+        its inverse, which no prover reads, are left unbuilt."""
         entry = ProgramRegistry().register(sumsq_program, FAST)
         qap = entry.qap(FAST.qap_mode)
         assert qap.mode == "arithmetic"
         built = vars(qap)
-        assert "subproduct_tree" in built and "h_tables" in built
+        assert "h_tables" in built and built["h_tables"].levels
+        assert "subproduct_tree" not in built
         assert "divisor_poly" not in built and qap._divisor_inverse is None
         with telemetry.session() as tracer:
             qap.barycentric_weights
         assert tracer.total_counters().get("poly.plan_hits") == 1
+        # roots mode interpolates by inverse NTTs: no tree there either
+        assert "subproduct_tree" not in vars(entry.warm("roots").qap("roots"))
 
     def test_schedule_cache_hits_on_repeat_seed(self, registry, sumsq_program):
         entry = registry.lookup(program_hash(sumsq_program))

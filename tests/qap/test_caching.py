@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.field import NAMED_FIELDS, PrimeField
+from repro.poly import poly_from_roots
 from repro.qap import build_qap, compute_h
 
 from .test_qap import power_chain
@@ -33,16 +34,24 @@ class TestCachedStructures:
         field = PrimeField(NAMED_FIELDS[name], check_prime=False)
         qap = build_qap(power_chain(field, 5))
         tables, p, n = qap.h_tables, field.p, qap.h_length
+        fact = [math.factorial(k) % p for k in range(n)]
         assert [l * tables.kernel[l - 1] % p for l in range(1, 2 * n)] == [1] * (2 * n - 1)
-        assert tables.point == [n + k for k in range(n)]
-        assert tables.scale == [
+        assert [x * f % p for x, f in zip(tables.point, fact)] == [n + k for k in range(n)]
+        assert [x * f % p for x, f in zip(tables.scale, fact)] == [
             (n + k) * math.factorial(n + k) // math.factorial(k) % p for k in range(n)
         ]
-        assert tables.fact == [math.factorial(j) % p for j in range(n)]
-        assert [f * g % p for f, g in zip(tables.fact, tables.inv_fact)] == [1] * n
-        assert tables.shift == [
-            (-n) ** (n - 1 - s) * tables.inv_fact[n - 1 - s] % p for s in range(n)
+        assert [x * f % p for x, f in zip(tables.differences, fact)] == [
+            (-1) ** k % p for k in range(n)
         ]
+        # levels[d][b] = ∏ (t − x) over the left block's points x = n + j,
+        # j ∈ [2b·2^d, (2b+1)·2^d), for the ⌈n/2^(d+1)⌉ pairs of level d
+        assert len(tables.levels) == (n - 1).bit_length()
+        for d, level in enumerate(tables.levels):
+            width = 1 << d
+            assert len(level) == -(-n // (2 * width))
+            for b, node in enumerate(level):
+                roots = [n + j for j in range(2 * b * width, (2 * b + 1) * width)]
+                assert node == poly_from_roots(field, roots)
         assert tables.weights == qap.barycentric_weights
 
     def test_one_qap_serves_many_instances(self, sumsq_program):
@@ -149,27 +158,48 @@ class TestDivisorInverseCache:
         fresh_qap = build_qap(prog.quadratic)
         assert compute_h(fresh_qap, w) == h_first
 
-    def test_plan_hits_after_first_instance(self, big_qap):
-        """The first instance builds the per-QAP caches; the second
-        only hits them."""
+    def test_plan_hits_after_first_instance(self, big_qap, monkeypatch):
+        """The first instance builds the per-QAP H tables, Newton levels
+        included; the second builds nothing, so it does exactly the work
+        of every later instance."""
         from repro import telemetry
+        from repro.qap import qap as qap_module
 
+        real_levels = qap_module.newton_levels
+        level_builds = []
+
+        def counted_levels(*args):
+            level_builds.append(args)
+            return real_levels(*args)
+
+        monkeypatch.setattr(qap_module, "newton_levels", counted_levels)
         prog, _, inputs = big_qap
         qap = build_qap(prog.quadratic)  # fresh: nothing warm
         w = prog.solve(inputs).quadratic_witness
+        work, builds, built = [], [], []
         tracer = telemetry.enable()
         try:
-            with telemetry.span("batch"):
-                compute_h(qap, w)
-                first = dict(tracer.total_counters())
-                compute_h(qap, w)
+            for _ in range(3):
+                before = dict(tracer.total_counters())
+                with telemetry.span("instance"):
+                    compute_h(qap, w)
+                after = tracer.total_counters()
+                work.append(
+                    {k: v - before.get(k, 0) for k, v in after.items() if v != before.get(k, 0)}
+                )
+                builds.append(len(level_builds))
+                built.append(set(vars(qap)))
         finally:
             telemetry.disable()
-        totals = tracer.total_counters()
-        assert first.get("poly.plan_misses", 0) >= 1  # first instance builds
-        # the second instance adds hits but no new divisor-inverse miss
-        assert totals.get("poly.plan_hits", 0) > first.get("poly.plan_hits", 0)
-        assert totals.get("poly.plan_misses", 0) == first.get("poly.plan_misses", 0)
+        first, second, third = work
+        n = qap.h_length
+        assert builds == [1, 1, 1] and level_builds == [(qap.field, n, n)]
+        assert "h_tables" in built[0] and built[0] == built[1] == built[2]
+        assert len(qap.h_tables.levels) == (n - 1).bit_length()
+        assert "subproduct_tree" not in built[2]  # the prover never reads it
+        assert first != second  # the table build's own work
+        assert second == third
+        assert second.get("poly.plan_misses", 0) == 0
 
     def test_small_systems_skip_series_path(self, sumsq_program):
         """The prover never populates the divisor-inverse cache."""
