@@ -50,7 +50,6 @@ from pathlib import Path
 from typing import Sequence
 
 from .. import telemetry
-from ..telemetry import metrics as metrics_mod
 from .checkpoint import BatchCheckpoint, instance_record, result_from_record
 from .faults import ProcessFaultPlan
 from .net import RetryPolicy
@@ -213,8 +212,7 @@ class SessionWorkerPool:
     queue per worker, liveness checks): :meth:`lease` checks a worker
     out for exclusive use, :meth:`release` returns it, and
     :meth:`replace` retires a dead or poisoned worker and forks a
-    fresh one so the pool never shrinks.  ``deaths`` counts
-    replacements of dead workers.
+    fresh one so the pool never shrinks.
     """
 
     def __init__(self, target, size: int, *, ctx=None):
@@ -232,7 +230,6 @@ class SessionWorkerPool:
         self._lock = threading.Lock()
         self._idle: queue_mod.Queue = queue_mod.Queue()
         self._workers: list[_Worker] = []
-        self.deaths = 0
         for _ in range(size):
             self._spawn()
 
@@ -292,7 +289,6 @@ class SessionWorkerPool:
             if worker not in self._workers:
                 return None
             self._workers.remove(worker)
-        self.deaths += 1
         if worker.process.is_alive():  # poisoned, not dead: put it down
             worker.process.kill()
         worker.process.join(timeout=1.0)
@@ -420,12 +416,9 @@ class _Engine:
                 state.ready_at = time.monotonic() + delay
                 self.retries += 1
                 telemetry.count("batch.retries")
-                metrics_mod.inc("batch.retries")
                 return True
         telemetry.count("batch.instances_failed")
         telemetry.count(f"batch.instances_failed.{code}")
-        metrics_mod.inc("batch.instances_failed")
-        metrics_mod.inc(f"batch.instances_failed.{code}")
         self._finish(
             InstanceResult.failure(
                 state.index, code, message, attempts=state.attempts
@@ -496,7 +489,6 @@ class _Engine:
         workers = [
             _Worker(ctx, result_q) for _ in range(min(num_workers, len(states)))
         ]
-        metrics_mod.set_gauge("batch.workers_alive", len(workers))
         try:
             while not target <= self.outcomes.keys():
                 now = time.monotonic()
@@ -514,7 +506,6 @@ class _Engine:
                 self._reap_dead(ctx, result_q, workers, pending, waiting)
         finally:
             self._shutdown(workers, result_q)
-            metrics_mod.set_gauge("batch.workers_alive", 0)
 
     @staticmethod
     def _drain(result_q, timeout: float) -> list[tuple]:
@@ -559,7 +550,6 @@ class _Engine:
             if state is not None:
                 self.worker_deaths += 1
                 telemetry.count("batch.worker_deaths")
-                metrics_mod.inc("batch.worker_deaths")
                 self.last_prove_done = time.monotonic()
                 if self.handle_failure(
                     state,
@@ -573,10 +563,6 @@ class _Engine:
             )
             if outstanding >= len(workers) + 1:
                 workers.append(_Worker(ctx, result_q))
-            metrics_mod.set_gauge(
-                "batch.workers_alive",
-                sum(1 for w in workers if w.process.is_alive()),
-            )
 
     @staticmethod
     def _shutdown(workers, result_q) -> None:

@@ -279,8 +279,8 @@ class SessionProver:
                 f"length {len(self.schedule.queries[0])}",
                 code="bad-request",
             )
-        queries = [list(q) for q in self.schedule.queries] + [t]
-        challenge = DecommitChallenge(queries)
+        # the schedule's lists are shared, not copied: answering only reads them
+        challenge = DecommitChallenge([*self.schedule.queries, t])
         answers_payload = []
         with telemetry.span("prover.answer_queries", instances=len(self._provers)):
             for prover in self._provers:
@@ -605,8 +605,8 @@ class GatewayServer:
         self._poke_addr: tuple | None = None
         self._accept_q: queue_mod.Queue = queue_mod.Queue()
         self._session_ids = itertools.count(1)
-        self._stats: Counter = Counter()
-        self._stats_lock = threading.Lock()
+        # guards admission state: _admitted, _per_program, the token bucket
+        self._lock = threading.Lock()
         self._admitted = 0  # connections accepted but not yet finished
         self._per_program: Counter = Counter()
         self._pool: SessionWorkerPool | None = None
@@ -722,20 +722,20 @@ class GatewayServer:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    @property
-    def stats(self) -> dict[str, int]:
-        """Lifetime session counters (wire ``stats`` frame form)."""
-        with self._stats_lock:
-            return dict(self._stats)
+    def _count(self, name: str) -> None:
+        """Count one gateway event: registry counter ``name`` and trace
+        counter ``net.<name>``.
 
-    def _bump(self, key: str) -> None:
-        with self._stats_lock:
-            self._stats[key] += 1
+        The trace counter ticks first, so a reader that sees the
+        registry counter move also finds the trace counter.
+        """
+        telemetry.count(f"net.{name}")
+        self.metrics.inc(name)
 
     @property
     def admitted(self) -> int:
         """Connections admitted and not yet finished (queued + in flight)."""
-        with self._stats_lock:
+        with self._lock:
             return self._admitted
 
     @property
@@ -751,7 +751,7 @@ class GatewayServer:
         no connection still admitted, no parked resume token, no
         program slot held, and (pre-close) every shard alive.
         """
-        with self._stats_lock:
+        with self._lock:
             admitted = self._admitted
             program_slots = {
                 k: v for k, v in self._per_program.items() if v
@@ -793,7 +793,7 @@ class GatewayServer:
                     round(period * (0.5 + 1.5 * self._storm_rng.random()), 3),
                 )
                 continue
-            with self._stats_lock:
+            with self._lock:
                 admitted = self._admitted
                 if admitted < limit:
                     self._admitted += 1
@@ -830,17 +830,15 @@ class GatewayServer:
         self, conn: socket.socket, reason: str, message: str, retry_after: float
     ) -> None:
         """Refuse at admission: busy frame + hint, ``gateway.shed.<reason>``."""
-        self._bump("sessions_rejected")
-        telemetry.count("net.sessions_rejected")
-        self.metrics.inc("sessions_rejected")
-        self.metrics.inc(f"gateway.shed.{reason}")
+        self._count("sessions_rejected")
+        self._count(f"gateway.shed.{reason}")
         with conn:
             _send_error(conn, "busy", message, retry_after=retry_after)
 
     def _storm_admit(self) -> bool:
         """One token from the accept bucket, refilled at ``accept_rate``/s."""
         now = time.monotonic()
-        with self._stats_lock:
+        with self._lock:
             self._bucket_level = min(
                 float(self.accept_burst),
                 self._bucket_level + (now - self._bucket_at) * self.accept_rate,
@@ -858,9 +856,7 @@ class GatewayServer:
         restarting prover spreads out instead of stampeding the
         replacement in lockstep.
         """
-        self._bump("sessions_refused_shutdown")
-        self.metrics.inc("sessions_refused_shutdown")
-        telemetry.count("net.sessions_refused_shutdown")
+        self._count("sessions_refused_shutdown")
         with conn:
             _send_error(
                 conn,
@@ -892,12 +888,12 @@ class GatewayServer:
         if limit is None:
             yield
             return
-        with self._stats_lock:
+        with self._lock:
             held = self._per_program[entry.hash]
             if held < limit:
                 self._per_program[entry.hash] += 1
         if held >= limit:
-            self.metrics.inc("gateway.shed.program")
+            self._count("gateway.shed.program")
             raise ProtocolViolation(
                 f"program {entry.name!r} at its session limit ({limit})",
                 code="busy",
@@ -906,7 +902,7 @@ class GatewayServer:
         try:
             yield
         finally:
-            with self._stats_lock:
+            with self._lock:
                 self._per_program[entry.hash] -= 1
 
     # -- session handling --------------------------------------------------
@@ -923,7 +919,7 @@ class GatewayServer:
                 else:
                     self._session_entry(conn, queued_at)
             finally:
-                with self._stats_lock:
+                with self._lock:
                     self._admitted -= 1
 
     def _session_entry(self, conn: socket.socket, queued_at: float) -> None:
@@ -945,26 +941,20 @@ class GatewayServer:
         if ok:
             # counted after the latency sample, so a stats reader that
             # sees the session as ok also sees its latency
-            self._bump("sessions_ok")
-            telemetry.count("net.sessions_ok")
-            self.metrics.inc("sessions_ok")
+            self._count("sessions_ok")
 
     def _mark_started(self, counted: list) -> None:
         """Count this connection as a started session, exactly once.
 
-        The bump happens after first-frame classification (not at
+        The count happens after first-frame classification (not at
         accept time) because a ``resume`` connection *continues* a
-        session that was already counted — bumping again would break
-        ``sessions_started == sessions_ok + session_errors``.  The
-        wire-stats counter and the metrics counter still move together,
-        so the stats frame and the exposition page cannot disagree.
+        session that was already counted — counting again would break
+        ``sessions_started == sessions_ok + session_errors``.
         """
         if counted[0]:
             return
         counted[0] = True
-        self._bump("sessions_started")
-        telemetry.count("net.sessions_started")
-        self.metrics.inc("sessions_started")
+        self._count("sessions_started")
 
     def _session(self, conn, session_id: int) -> bool:
         """Serve one connection; True iff its session completed ok."""
@@ -987,9 +977,8 @@ class GatewayServer:
             # deadline; reaping it is the deadline error it always was,
             # now also visible in the churn ledger
             self._mark_started(counted)
-            self.metrics.inc("gateway.reaped")
-            self.metrics.inc("gateway.reaped.idle")
-            telemetry.count("net.gateway_reaped")
+            self._count("gateway.reaped")
+            self._count("gateway.reaped.idle")
             self._fail(conn, session_id, "deadline", f"read deadline exceeded: {exc}")
         except OSError as exc:
             self._mark_started(counted)
@@ -1004,11 +993,8 @@ class GatewayServer:
         return False
 
     def _count_error(self, code: str) -> None:
-        self._bump("session_errors")
-        telemetry.count("net.session_errors")
-        telemetry.count(f"net.session_errors.{code}")
-        self.metrics.inc("session_errors")
-        self.metrics.inc(f"session_errors.{code}")
+        self._count("session_errors")
+        self._count(f"session_errors.{code}")
 
     def _fail(
         self,
@@ -1030,9 +1016,7 @@ class GatewayServer:
         with self._parked_lock:
             self._parked[ctx.token] = ctx
             self.metrics.set_gauge("gateway.pending_resumes", len(self._parked))
-        self._bump("sessions_parked")
-        self.metrics.inc("gateway.parked")
-        telemetry.count("net.gateway_parked")
+        self._count("gateway.parked")
 
     def _recv_commit(self, conn, ctx: _SessionContext | None) -> dict:
         """The awaiting-commit read — the only parkable protocol state.
@@ -1084,9 +1068,7 @@ class GatewayServer:
                 "session-expired",
                 f"parked session expired after {self.resume_timeout:.1f}s",
             )
-        self._bump("sessions_resumed")
-        self.metrics.inc("gateway.resumed")
-        telemetry.count("net.gateway_resumed")
+        self._count("gateway.resumed")
         greeting = {"type": "resume-ok", "resume": ctx.token}
         with self._program_slot(ctx.entry):
             answers_payload = self._serve_proofs(
@@ -1101,20 +1083,16 @@ class GatewayServer:
         tried to continue already settled its ledger entry (or never
         existed), so it gets its own counters instead of ``_fail``.
         """
-        self._bump("sessions_resume_rejected")
-        self.metrics.inc("gateway.resume_rejected")
-        self.metrics.inc(f"gateway.resume_rejected.{code}")
-        telemetry.count("net.gateway_resume_rejected")
+        self._count("gateway.resume_rejected")
+        self._count(f"gateway.resume_rejected.{code}")
         _send_error(conn, code, message)
         raise _ResumeRejected()
 
     def _expire_parked(self, ctx: _SessionContext) -> None:
         """Close a parked session's ledger entry as ``session-expired``."""
-        self._bump("sessions_reaped")
         self._count_error("session-expired")
-        self.metrics.inc("gateway.reaped")
-        self.metrics.inc("gateway.reaped.expired")
-        telemetry.count("net.gateway_reaped")
+        self._count("gateway.reaped")
+        self._count("gateway.reaped.expired")
 
     def _reap_parked(self, expire_all: bool = False) -> None:
         now = time.monotonic()
@@ -1147,11 +1125,11 @@ class GatewayServer:
         first = recv_frame(conn)
         if first.get("type") == "stats":
             self._mark_started(counted)
-            self.metrics.inc("stats_requests")
-            send_frame(conn, self._stats_frame())
+            self._count("stats_requests")
+            send_frame(conn, self._snapshot_frame())
             return
         if first.get("type") == "resume":
-            # continues an already-counted session: no started bump
+            # continues an already-counted session: not counted again
             counted[0] = True
             self._resume_session(conn, budget, first, session_id)
             return
@@ -1160,13 +1138,13 @@ class GatewayServer:
         phash = require(hello, "program")
         entry = self.registry.lookup(phash)
         if entry is None:
-            self.metrics.inc("gateway.unknown_program")
+            self._count("gateway.unknown_program")
             raise ProtocolViolation(
                 f"unknown program {str(phash)[:16]}: not registered with "
                 f"this gateway ({len(self.registry)} programs hosted)",
                 code="unknown-program",
             )
-        self.metrics.inc(f"gateway.sessions.{entry.name}")
+        self._count(f"gateway.sessions.{entry.name}")
         params, seed = parse_hello_params(hello)
         qap_mode = hello.get("qap_mode", entry.config.qap_mode)
         token = os.urandom(16).hex() if self.resume_tokens else None
@@ -1204,7 +1182,9 @@ class GatewayServer:
                 frame = {"type": "answers", "instances": answers_payload}
         send_frame(conn, frame)
 
-    def _stats_frame(self) -> dict:
+    def _snapshot_frame(self) -> dict:
+        """The reply to a ``stats`` request: server identity plus the
+        registry snapshot."""
         entries = self.registry.entries()
         return {
             "type": "stats",
@@ -1221,7 +1201,6 @@ class GatewayServer:
                 "programs": [
                     {"name": e.name, "program_hash": e.hash} for e in entries
                 ],
-                "stats": self.stats,
             },
             "metrics": self.metrics.snapshot(),
         }
@@ -1263,7 +1242,7 @@ class GatewayServer:
             prover, cache_hit = ctx.entry.session_prover(
                 ctx.params, ctx.seed, ctx.qap_mode
             )
-            self.metrics.inc(
+            self._count(
                 "gateway.schedule_cache_hits" if cache_hit
                 else "gateway.schedule_cache_misses"
             )
@@ -1304,7 +1283,7 @@ class GatewayServer:
         with self.metrics.time("gateway.lease_wait_seconds"):
             worker = self._pool.lease(timeout=lease_timeout)
         if worker is None:
-            self.metrics.inc("gateway.shed.lease")
+            self._count("gateway.shed.lease")
             raise ProtocolViolation(
                 f"no prover shard free within {lease_timeout:.1f}s",
                 code="busy",
@@ -1366,9 +1345,7 @@ class GatewayServer:
                 msg = worker.result_q.get(timeout=0.05)
             except queue_mod.Empty:
                 if not worker.process.is_alive():
-                    self._bump("worker_deaths")
-                    self.metrics.inc("gateway.worker_deaths")
-                    telemetry.count("net.gateway_worker_deaths")
+                    self._count("gateway.worker_deaths")
                     raise ProtocolViolation(
                         f"prover shard died during {kind!r} step; "
                         f"the session is safe to retry",

@@ -511,16 +511,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
         if exporter is not None:
             exporter.shutdown()
         server.close()
-        stats = server.stats
+        count = server.metrics.counter_value
         line = (
-            f"sessions: {stats.get('sessions_ok', 0)} ok, "
-            f"{stats.get('session_errors', 0)} failed, "
-            f"{stats.get('sessions_rejected', 0)} rejected at capacity"
+            f"sessions: {count('sessions_ok')} ok, "
+            f"{count('session_errors')} failed, "
+            f"{count('sessions_rejected')} rejected at capacity"
         )
-        if stats.get("worker_deaths"):
-            line += f", {stats['worker_deaths']} shard deaths"
-        if stats.get("sessions_refused_shutdown"):
-            line += f", {stats['sessions_refused_shutdown']} refused at shutdown"
+        if count("gateway.worker_deaths"):
+            line += f", {count('gateway.worker_deaths')} shard deaths"
+        if count("sessions_refused_shutdown"):
+            line += f", {count('sessions_refused_shutdown')} refused at shutdown"
         print(line)
     return 0
 
@@ -589,9 +589,9 @@ def _render_top(doc: dict) -> str:
             "errors by code   "
             + "   ".join(f"{code}={value:.0f}" for code, value in error_codes)
         )
-    workers = gauges.get("batch.workers_alive")
-    if workers is not None:
-        lines.append(f"workers alive {workers:.0f}")
+    shards = gauges.get("gateway.shards_alive")
+    if shards is not None:
+        lines.append(f"shards alive {shards:.0f}")
     backend_counts = sorted(
         (key, value) for key, value in counters.items() if key.startswith("backend.")
     )

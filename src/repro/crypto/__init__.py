@@ -2,7 +2,6 @@
 
 from .chacha import ChaChaStream, chacha20_block, chacha20_blocks, chacha20_encrypt
 from .commitment import (
-    CommitmentOpCounts,
     CommitmentProver,
     CommitmentVerifier,
     CommitRequest,
@@ -30,7 +29,6 @@ from .prg import FieldPRG
 __all__ = [
     "ChaChaStream",
     "CommitRequest",
-    "CommitmentOpCounts",
     "CommitmentProver",
     "CommitmentVerifier",
     "DecommitChallenge",

@@ -18,14 +18,16 @@ The soundness error this adds on top of the PCP is bounded by
 9·μ·|F|^(−1/3) per [53, Apdx A.2]; ``repro.pcp.soundness`` carries the
 numbers.
 
-Both sides count their expensive operations (`e`, `d`, `h` of the §5.1
-microbenchmark table) so tests can validate the Figure-3 cost model
-against actual op counts.
+The expensive operations (`e`, `d`, `h` of the §5.1 microbenchmark
+table) are counted where they happen, in ``repro.crypto.elgamal``, as
+the ``crypto.encryptions``, ``crypto.decryptions`` and
+``crypto.ciphertext_ops`` telemetry counters, so a traced run can be
+checked against the Figure-3 cost model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .. import telemetry
@@ -37,23 +39,6 @@ from .elgamal import (
 )
 from .groups import SchnorrGroup
 from .prg import FieldPRG
-
-
-@dataclass
-class CommitmentOpCounts:
-    """Operation tally mapped to the paper's microbenchmark parameters."""
-
-    encryptions: int = 0       # e
-    decryptions: int = 0       # d
-    ciphertext_ops: int = 0    # h (one per nonzero proof-vector entry)
-    field_muls: int = 0        # f (query-answer inner products)
-
-    def merge(self, other: "CommitmentOpCounts") -> None:
-        """Accumulate another tally into this one."""
-        self.encryptions += other.encryptions
-        self.decryptions += other.decryptions
-        self.ciphertext_ops += other.ciphertext_ops
-        self.field_muls += other.field_muls
 
 
 @dataclass
@@ -96,7 +81,6 @@ class CommitmentVerifier:
         self.group = group
         self.n = vector_length
         self._prg = prg
-        self.counts = CommitmentOpCounts()
         self._keypair = ElGamalKeypair.generate(group, prg)
         self._r: list[int] | None = None
         self._alphas: list[int] | None = None
@@ -112,9 +96,7 @@ class CommitmentVerifier:
     def commit_request(self) -> CommitRequest:
         """Draw the secret r and encrypt it componentwise (once per batch)."""
         self._r = self._prg.next_vector(self.n)
-        cts = self._keypair.public.encrypt_vector(self._r, self._prg)
-        self.counts.encryptions += self.n
-        return CommitRequest(cts)
+        return CommitRequest(self._keypair.public.encrypt_vector(self._r, self._prg))
 
     # -- phase 2: decommit --------------------------------------------------------
 
@@ -128,10 +110,8 @@ class CommitmentVerifier:
             if len(q) != self.n:
                 raise ValueError(f"query length {len(q)} != vector length {self.n}")
             t = self.field.vec_addmul(t, alpha, q)
-        self.counts.field_muls += sum(
-            1 for q in queries for qi in q if qi
-        )
-        return DecommitChallenge([list(q) for q in queries] + [t])
+        # the challenge shares the caller's query lists; nothing mutates them
+        return DecommitChallenge([*queries, t])
 
     def verify(self, commitment: ElGamalCiphertext, response: DecommitResponse) -> bool:
         """Consistency test in the exponent; True iff the answers bind to
@@ -147,15 +127,7 @@ class CommitmentVerifier:
         for alpha, a in zip(self._alphas, answers):
             expected_exp = (expected_exp - alpha * a) % p
         decrypted = self._keypair.decrypt_to_group(commitment)
-        self.counts.decryptions += 1
         return self.group.encode(expected_exp) == decrypted
-
-    @property
-    def pcp_answers_of(self):
-        """Split a response into PCP answers (dropping the consistency answer)."""
-        def split(response: DecommitResponse) -> list[int]:
-            return response.answers[:-1]
-        return split
 
 
 class CommitmentProver:
@@ -171,7 +143,6 @@ class CommitmentProver:
         self.field = field
         self.group = group
         self.u = list(proof_vector)
-        self.counts = CommitmentOpCounts()
 
     def commit(self, request: CommitRequest) -> ElGamalCiphertext:
         """e = Enc(π(r)), computed homomorphically — binds this prover to u."""
@@ -180,16 +151,12 @@ class CommitmentProver:
                 f"commit request length {len(request.ciphertexts)} != proof vector "
                 f"length {len(self.u)}"
             )
-        self.counts.ciphertext_ops += sum(1 for w in self.u if w)
         telemetry.count("crypto.commitments")
         return homomorphic_inner_product(self.group, request.ciphertexts, self.u)
 
     def answer(self, challenge: DecommitChallenge) -> DecommitResponse:
         """π applied to every challenge query by inner product."""
-        answers = []
-        for q in challenge.queries:
-            answers.append(self.field.inner_product(q, self.u))
-            self.counts.field_muls += sum(1 for qi in q if qi)
+        answers = [self.field.inner_product(q, self.u) for q in challenge.queries]
         telemetry.count("crypto.decommit_answers", len(answers))
         return DecommitResponse(answers)
 

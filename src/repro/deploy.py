@@ -353,7 +353,6 @@ def run_cell(
     wall = time.monotonic() - started_at
     drain()
 
-    stats = gw.stats
     counters = gw.metrics.snapshot()["counters"]
     leak = gw.leak_check()
 
@@ -380,8 +379,8 @@ def run_cell(
         or live_shards == cell.shards,
         # the churn ledger balances even though sessions parked,
         # resumed, expired, and died mid-flight
-        "ledger_balanced": stats.get("sessions_started", 0)
-        == stats.get("sessions_ok", 0) + stats.get("session_errors", 0),
+        "ledger_balanced": counters.get("sessions_started", 0)
+        == counters.get("sessions_ok", 0) + counters.get("session_errors", 0),
         "park_ledger_closed": parked == resumed + expired,
         # every session a verifier reports complete actually verified
         "all_completed_verified": all(r.get("accepted") for r in completed),
@@ -400,9 +399,9 @@ def run_cell(
         "outcomes": by_outcome,
         "client_error_codes": error_codes,
         "gateway": {
-            "started": stats.get("sessions_started", 0),
-            "ok": stats.get("sessions_ok", 0),
-            "errors": stats.get("session_errors", 0),
+            "started": counters.get("sessions_started", 0),
+            "ok": counters.get("sessions_ok", 0),
+            "errors": counters.get("session_errors", 0),
             "parked": parked,
             "resumed": resumed,
             "expired": expired,

@@ -10,7 +10,6 @@ from .backend import (
 )
 from .counting import CountingField, counting_field
 from .crt import MAX_CONV, PLANE_TWO_ADICITY, mat_polymul_crt
-from .element import FieldElement
 from .params import GOLDILOCKS, NAMED_FIELDS, P128, P192, P220, FieldParams, field_params
 from .prime_field import (
     CheckedPrimeField,
@@ -32,7 +31,6 @@ __all__ = [
     "mat_polymul_crt",
     "ScalarBackend",
     "resolve_backend",
-    "FieldElement",
     "FieldParams",
     "GOLDILOCKS",
     "NAMED_FIELDS",

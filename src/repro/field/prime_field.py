@@ -2,11 +2,9 @@
 
 ``PrimeField`` is the workhorse: it operates on plain Python integers in
 ``[0, p)`` so that hot loops (NTTs, inner products over proof vectors)
-pay no wrapper overhead.  ``FieldElement`` (see ``element.py``) layers an
-ergonomic operator API on top for application code.  Every arithmetic
-method has one row in the op table (``repro.field.ops``), from which
-the checked twin here and the counting twin (``counting.py``) derive
-their overrides.
+pay no wrapper overhead.  Every arithmetic method has one row in the
+op table (``repro.field.ops``), from which the checked twin here and
+the counting twin (``counting.py``) derive their overrides.
 
 The microbenchmark parameters of the paper's cost model (§5.1) map onto
 methods here: ``f`` is ``mul``, ``f_lazy`` is ``mul_lazy`` (no final

@@ -50,9 +50,9 @@ def _gateway(registry, **kwargs):
     return GatewayServer(registry, **kwargs)
 
 
-def _balanced(stats: dict) -> bool:
-    return stats.get("sessions_started", 0) == (
-        stats.get("sessions_ok", 0) + stats.get("session_errors", 0)
+def _balanced(counters: dict) -> bool:
+    return counters.get("sessions_started", 0) == (
+        counters.get("sessions_ok", 0) + counters.get("session_errors", 0)
     )
 
 
@@ -181,11 +181,10 @@ class TestResume:
         # close() joined the handler threads, so the server-side ledger
         # is final: the resumed connection continued the *same* session —
         # one started, one ok, zero errors — and the park ledger closed
-        stats = gw.stats
         counters = gw.metrics.snapshot()["counters"]
-        assert stats["sessions_started"] == 1
-        assert stats["sessions_ok"] == 1
-        assert stats.get("session_errors", 0) == 0
+        assert counters["sessions_started"] == 1
+        assert counters["sessions_ok"] == 1
+        assert counters.get("session_errors", 0) == 0
         assert counters["gateway.parked"] == 1
         assert counters["gateway.resumed"] == 1
         assert counters.get("gateway.reaped", 0) == 0
@@ -207,7 +206,7 @@ class TestResume:
             # the park released its lease; the resume leased again
             assert gw._pool.alive == 1
         assert gw.metrics.counter_value("gateway.resumed") == 1
-        assert _balanced(gw.stats)
+        assert _balanced(gw.metrics.snapshot()["counters"])
 
     def test_abandoned_park_expires_and_closes_the_ledger(
         self, sumsq_program, registry
@@ -239,13 +238,12 @@ class TestResume:
             while gw.metrics.counter_value("gateway.reaped") < 1:
                 assert time.monotonic() < deadline, "park never reaped"
                 time.sleep(0.05)
-            stats = gw.stats
             counters = gw.metrics.snapshot()["counters"]
         assert counters["gateway.parked"] == 1
         assert counters["gateway.reaped.expired"] == 1
         assert counters["session_errors.session-expired"] == 1
-        assert stats["sessions_started"] == 1
-        assert _balanced(stats)
+        assert counters["sessions_started"] == 1
+        assert _balanced(counters)
         assert gw.pending_resumes == 0
 
     def test_bogus_resume_token_is_rejected(self, registry):
@@ -258,11 +256,10 @@ class TestResume:
             assert reply["type"] == "error"
             assert reply["code"] == "resume-invalid"
             counters = gw.metrics.snapshot()["counters"]
-            stats = gw.stats
         # a rejected resume is not a session: the ledger is untouched
         assert counters["gateway.resume_rejected.resume-invalid"] == 1
-        assert stats.get("sessions_started", 0) == 0
-        assert _balanced(stats)
+        assert counters.get("sessions_started", 0) == 0
+        assert _balanced(counters)
 
     def test_expired_token_reconnect_gets_session_expired(
         self, sumsq_program, registry
@@ -287,8 +284,8 @@ class TestResume:
             # material must not be replayed against a fresh session
             assert err.value.code in ("session-expired", "resume-invalid")
             assert not err.value.retryable
-            stats = gw.stats
-        assert _balanced(stats)
+            counters = gw.metrics.snapshot()["counters"]
+        assert _balanced(counters)
 
     def test_post_commit_disconnect_still_fails_fast(
         self, sumsq_program, registry
@@ -307,7 +304,7 @@ class TestResume:
                     deadlines=DEADLINES,
                     socket_wrapper=plan.wrap,
                 )
-            assert gw.stats["sessions_started"] == 1
+            assert gw.metrics.counter_value("sessions_started") == 1
             assert gw.metrics.counter_value("gateway.resumed") == 0
 
     def test_tokens_can_be_disabled(self, sumsq_program, registry):

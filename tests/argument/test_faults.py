@@ -101,9 +101,9 @@ class TestPostCommitFaults:
             with pytest.raises(ProtocolViolation) as excinfo:
                 run(sumsq_program, server, plan)
             server.close()
-            stats = server.stats
         assert excinfo.value.code == "bad-frame"
-        assert stats["sessions_started"] == 1  # the commit was never replayed
+        # the commit was never replayed
+        assert server.metrics.counter_value("sessions_started") == 1
 
     def test_dropped_challenge_fails_fast(self, sumsq_program):
         plan = FaultPlan([FaultRule(frame=CHALLENGE, action="drop")], seed=22)
@@ -111,8 +111,7 @@ class TestPostCommitFaults:
             with pytest.raises(ProtocolViolation, match="after commit"):
                 run(sumsq_program, server, plan)
             server.close()
-            stats = server.stats
-        assert stats["sessions_started"] == 1
+        assert server.metrics.counter_value("sessions_started") == 1
 
     def test_truncated_outputs_fails_fast(self, sumsq_program):
         plan = FaultPlan(
@@ -122,8 +121,7 @@ class TestPostCommitFaults:
             with pytest.raises(ProtocolViolation, match="mid-frame"):
                 run(sumsq_program, server, plan)
             server.close()
-            stats = server.stats
-        assert stats["sessions_started"] == 1
+        assert server.metrics.counter_value("sessions_started") == 1
 
     def test_refused_resume_keeps_the_root_cause(self, sumsq_program):
         """The truncated outputs arm a resume the server must refuse
@@ -148,9 +146,8 @@ class TestPostCommitFaults:
             with pytest.raises(ProtocolViolation) as excinfo:
                 run(sumsq_program, server, plan)
             server.close()
-            stats = server.stats
         assert excinfo.value.code == "bad-frame"
-        assert stats["sessions_started"] == 1
+        assert server.metrics.counter_value("sessions_started") == 1
 
 
 class TestFaultPlanMechanics:

@@ -205,7 +205,7 @@ class TestMultiProgramDispatch:
             assert not excinfo.value.retryable
             assert "not registered" in str(excinfo.value)
             # the default retry policy must not have replayed the session
-            assert gw.stats["sessions_started"] == 1
+            assert gw.metrics.counter_value("sessions_started") == 1
         assert gw.metrics.counter_value("gateway.unknown_program") == 1
 
     def test_repeat_seed_hits_schedule_cache(self, registry, sumsq_program):
@@ -220,37 +220,58 @@ class TestMultiProgramDispatch:
             # the final answers frame can race the session's own
             # bookkeeping by a hair; wait for the session to retire
             deadline = time.monotonic() + 5.0
-            while not gw.stats.get("sessions_ok") and time.monotonic() < deadline:
+            while (
+                not gw.metrics.counter_value("sessions_ok")
+                and time.monotonic() < deadline
+            ):
                 time.sleep(0.01)
             payload = fetch_stats(gw.address)
         server = payload["server"]
         assert server["role"] == "gateway"
         assert {p["name"] for p in server["programs"]} == {"sumsq", "affine"}
         assert server["max_sessions"] == 3
-        assert server["stats"]["sessions_ok"] >= 1
+        # the registry snapshot is the frame's only ledger
+        assert "stats" not in server
+        assert payload["metrics"]["counters"]["sessions_ok"] >= 1
         assert payload["metrics"]["info"]["role"] == "gateway"
 
     def test_stats_and_metrics_counters_agree(
         self, registry, sumsq_program, gold
     ):
-        """The wire-stats counters and the metrics registry must move
-        together — one ok session and one failed session may never make
-        the stats frame and the exposition page disagree."""
+        """After one ok and one failed session, three sources tell one
+        ledger: the stats frame's registry snapshot, the live registry,
+        and a loopback trace's ``net.*`` counters."""
 
         def build(b):
             b.output(b.input() - 1)
 
         unhosted = compile_program(gold, build)
+        names = ("sessions_started", "sessions_ok", "session_errors")
         with GatewayServer(registry) as gw:
-            verify_remote(sumsq_program, [[1, 2, 3]], gw.address, FAST)
-            with pytest.raises(ProtocolViolation):
-                verify_remote(unhosted, [[1]], gw.address, FAST)
-        stats = gw.stats
-        for key in ("sessions_started", "sessions_ok", "session_errors"):
-            assert stats[key] == gw.metrics.counter_value(key), key
-        assert stats["sessions_started"] == 2
-        assert stats["sessions_ok"] == 1
-        assert stats["session_errors"] == 1
+            with telemetry.session() as tracer:
+                verify_remote(sumsq_program, [[1, 2, 3]], gw.address, FAST)
+                with pytest.raises(ProtocolViolation):
+                    verify_remote(unhosted, [[1]], gw.address, FAST)
+                # the final answers frame can race the session's own
+                # bookkeeping by a hair; wait for the session to retire
+                deadline = time.monotonic() + 5.0
+                while (
+                    not gw.metrics.counter_value("sessions_ok")
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.01)
+            live = {name: gw.metrics.counter_value(name) for name in names}
+            wire = fetch_stats(gw.address)["metrics"]["counters"]
+        traced = tracer.total_counters()
+        assert live == {"sessions_started": 2, "sessions_ok": 1, "session_errors": 1}
+        assert {name: traced[f"net.{name}"] for name in names} == live
+        # the stats request is a session too: started, but not yet
+        # settled while its own frame is built
+        assert wire["stats_requests"] == 1
+        assert {name: wire[name] for name in names} == {
+            **live,
+            "sessions_started": live["sessions_started"] + 1,
+        }
 
 
 class TestAdmissionControl:
@@ -268,7 +289,7 @@ class TestAdmissionControl:
                 assert 0.05 <= frame["retry_after"] <= 30.0
             finally:
                 held.close()
-        assert gw.stats["sessions_rejected"] >= 1
+        assert gw.metrics.counter_value("sessions_rejected") >= 1
         assert gw.metrics.counter_value("gateway.shed.global") >= 1
 
     def test_queued_connection_is_served_after_release(
@@ -335,7 +356,6 @@ class TestShutdown:
         assert frame["type"] == "error"
         assert frame["code"] == "shutting-down"
         gw.close()
-        assert gw.stats["sessions_refused_shutdown"] == 1
         assert gw.metrics.counter_value("sessions_refused_shutdown") == 1
 
     def test_kernel_backlog_drained_with_frames(self, registry):
@@ -355,7 +375,7 @@ class TestShutdown:
         finally:
             for sock in clients:
                 sock.close()
-        assert gw.stats["sessions_refused_shutdown"] == 3
+        assert gw.metrics.counter_value("sessions_refused_shutdown") == 3
 
     def test_shutdown_under_load_answers_every_client(
         self, registry, sumsq_program
@@ -403,7 +423,7 @@ class TestShutdown:
         for thread in threads:
             thread.join(timeout=10)
         assert outcomes == ["shutting-down"] * 4
-        assert gw.stats["sessions_refused_shutdown"] == 4
+        assert gw.metrics.counter_value("sessions_refused_shutdown") == 4
 
 
 class TestSharding:
@@ -415,7 +435,7 @@ class TestSharding:
             r2 = verify_remote(affine_program, [[2]], gw.address, FAST)
         assert r1.all_accepted and r2.all_accepted
         assert [r.output_values for r in r1.instances] == [[14], [77]]
-        assert gw.stats.get("worker_deaths", 0) == 0
+        assert gw.metrics.counter_value("gateway.worker_deaths") == 0
 
     @pytest.mark.parametrize("step", ["prove", "answer"])
     def test_worker_death_mid_session_is_retryable_error(
@@ -441,7 +461,6 @@ class TestSharding:
             assert gw._pool.alive == 1  # replacement forked
             result = verify_remote(sumsq_program, [[4, 5, 6]], gw.address, FAST)
             assert result.all_accepted
-        assert gw.stats["worker_deaths"] == 1
         assert gw.metrics.counter_value("gateway.worker_deaths") == 1
 
     def test_shard_lease_starvation_sheds_busy(self, registry, sumsq_program):
@@ -497,8 +516,8 @@ class TestSharding:
             assert leak["pending_resumes"] == 0
             assert leak["shards_alive"] == 1
             assert not leak["program_slots"]
-        assert gw.metrics.counter_value("gateway.reaped.expired") == 1
-        stats = gw.stats
-        assert stats["sessions_started"] == stats.get("sessions_ok", 0) + stats.get(
-            "session_errors", 0
+        count = gw.metrics.counter_value
+        assert count("gateway.reaped.expired") == 1
+        assert count("sessions_started") == count("sessions_ok") + count(
+            "session_errors"
         )

@@ -147,7 +147,7 @@ class TestProtocolErrors:
         assert not excinfo.value.retryable
         assert "program" in str(excinfo.value)
         # the default retry policy must not have replayed the session
-        assert server.stats["sessions_started"] == 1
+        assert server.metrics.counter_value("sessions_started") == 1
 
     def test_garbage_frame_does_not_kill_server(self, sumsq_program, server):
         with socket.create_connection(server.address, timeout=5) as sock:
@@ -281,11 +281,11 @@ class TestIoClassification:
             sock.sendall(b"\x00\x00\x01")  # partial header, then RST/close
         deadline = time.monotonic() + 5
         while (
-            server.stats.get("session_errors", 0) < 1
+            server.metrics.counter_value("session_errors") < 1
             and time.monotonic() < deadline
         ):
             time.sleep(0.01)
-        assert server.stats["session_errors"] == 1
+        assert server.metrics.counter_value("session_errors") == 1
         assert server.metrics.counter_value("session_errors.io") == 1
 
 
@@ -301,7 +301,6 @@ class TestShutdownRace:
         assert frame["type"] == "error"
         assert frame["code"] == "shutting-down"
         server.close()
-        assert server.stats["sessions_refused_shutdown"] == 1
         assert server.metrics.counter_value("sessions_refused_shutdown") == 1
 
     def test_kernel_backlog_drained_with_frames(self, sumsq_program):
@@ -323,7 +322,7 @@ class TestShutdownRace:
         finally:
             for sock in clients:
                 sock.close()
-        assert server.stats["sessions_refused_shutdown"] == 3
+        assert server.metrics.counter_value("sessions_refused_shutdown") == 3
 
     def test_clean_close_refuses_nobody(self, sumsq_program):
         # the close() poke itself must never be counted as a refused
@@ -332,7 +331,7 @@ class TestShutdownRace:
         for _ in range(5):
             server = ProverServer(sumsq_program, FAST).start()
             server.close()
-            assert "sessions_refused_shutdown" not in server.stats
+            assert server.metrics.counter_value("sessions_refused_shutdown") == 0
 
 
 class TestRetryPolicy:

@@ -69,13 +69,13 @@ class TestConcurrentSessions:
                 sumsq_program, server.address, 6, retry=retry
             )
             server.close()
-            stats = server.stats
+            count = server.metrics.counter_value
         for i, result in results.items():
             assert not isinstance(result, Exception), f"client {i}: {result!r}"
             assert result.all_accepted
-        assert stats["sessions_ok"] == 6
+        assert count("sessions_ok") == 6
         # every connection was either served or cleanly rejected
-        assert stats["sessions_started"] == 6 + stats.get("session_errors", 0)
+        assert count("sessions_started") == 6 + count("session_errors")
 
     def test_busy_rejection_is_structured_and_retryable(self, sumsq_program):
         with ProverServer(
@@ -168,7 +168,7 @@ class TestGracefulShutdown:
         thread = threading.Thread(target=client)
         thread.start()
         deadline = time.monotonic() + 10
-        while server.stats.get("sessions_started", 0) < 1:
+        while server.metrics.counter_value("sessions_started") < 1:
             assert time.monotonic() < deadline, "session never started"
             time.sleep(0.005)
         server.close()  # must drain, not kill, the in-flight session
@@ -176,7 +176,7 @@ class TestGracefulShutdown:
         result = results[0]
         assert not isinstance(result, Exception), repr(result)
         assert result.all_accepted
-        assert server.stats["sessions_ok"] == 1
+        assert server.metrics.counter_value("sessions_ok") == 1
 
     def test_close_with_no_sessions_is_quick(self, sumsq_program):
         server = ProverServer(sumsq_program, FAST).start()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import telemetry
 from repro.argument import ArgumentConfig, ZaatarArgument
 from repro.costmodel import ComputationProfile, zaatar_costs, run_microbench
 from repro.pcp import SoundnessParams
@@ -23,9 +24,11 @@ class TestOpCountAgreement:
         group = group_for_field(gold)
         verifier = CommitmentVerifier(gold, group, len(proof.vector), FieldPRG(gold, b"oc"))
         prover = CommitmentProver(gold, group, proof.vector)
-        prover.commit(verifier.commit_request())
+        request = verifier.commit_request()
+        with telemetry.session() as tracer:
+            prover.commit(request)
         nonzero = sum(1 for v in proof.vector if v)
-        assert prover.counts.ciphertext_ops == nonzero
+        assert tracer.total_counters()["crypto.ciphertext_ops"] == nonzero
         assert nonzero <= qap.proof_vector_length
 
     def test_verifier_encryption_count_is_u(self, gold, sumsq_program):
@@ -33,10 +36,10 @@ class TestOpCountAgreement:
         arg = ZaatarArgument(
             sumsq_program, ArgumentConfig(params=SoundnessParams(rho_lin=2, rho=1))
         )
-        setup = arg.verifier_setup()
-        _, commitment_verifier, _, _ = setup
+        with telemetry.session() as tracer:
+            arg.verifier_setup()
         assert (
-            commitment_verifier.counts.encryptions
+            tracer.total_counters()["crypto.encryptions"]
             == arg.qap.proof_vector_length
         )
 
@@ -48,13 +51,14 @@ class TestOpCountAgreement:
         _, commitment_verifier, _, _ = setup
         from repro.argument.stats import ProverStats
 
-        for i, inputs in enumerate([[1, 1, 1], [2, 2, 2], [3, 3, 3]], start=1):
-            sol, commitment, response, _ = arg.prove_instance(
-                inputs, setup, ProverStats()
-            )
-            commitment_verifier.verify(commitment, response)
-            # Figure 3: one `d` per instance
-            assert commitment_verifier.counts.decryptions == i
+        with telemetry.session() as tracer:
+            for i, inputs in enumerate([[1, 1, 1], [2, 2, 2], [3, 3, 3]], start=1):
+                sol, commitment, response, _ = arg.prove_instance(
+                    inputs, setup, ProverStats()
+                )
+                commitment_verifier.verify(commitment, response)
+                # Figure 3: one `d` per instance
+                assert tracer.total_counters()["crypto.decryptions"] == i
 
 
 class TestProfileConstruction:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import telemetry
 from repro.crypto import (
     CommitmentProver,
     CommitmentVerifier,
@@ -51,11 +52,13 @@ class TestHonestRun:
     def test_op_counts(self, gold, parties, rng):
         verifier, prover, u, n = parties()
         queries = [[rng.randrange(gold.p) for _ in range(n)]]
-        run_commitment_round(verifier, prover, queries)
-        assert verifier.counts.encryptions == n       # e per vector entry
-        assert verifier.counts.decryptions == 1       # d per instance
+        with telemetry.session() as tracer:
+            run_commitment_round(verifier, prover, queries)
+        totals = tracer.total_counters()
+        assert totals["crypto.encryptions"] == n       # e per vector entry
+        assert totals["crypto.decryptions"] == 1       # d per instance
         nonzero_u = sum(1 for v in u if v)
-        assert prover.counts.ciphertext_ops == nonzero_u  # h per entry
+        assert totals["crypto.ciphertext_ops"] == nonzero_u  # h per entry
 
 
 class TestCheatingProvers:

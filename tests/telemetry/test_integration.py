@@ -250,29 +250,47 @@ class TestWireCounters:
     def test_server_stats_and_metrics_counters_stay_in_sync(
         self, counted_program
     ):
-        """The wire-stats counter and the metrics counter are bumped at
-        the same point, so after any mix of ok and failed sessions the
-        ``stats`` frame and the exposition page agree exactly."""
+        """Every server event ticks its registry counter and the trace
+        counter of the same name prefixed ``net.`` at one point, so after
+        any mix of ok and failed sessions a loopback trace and the
+        registry agree exactly."""
+        import time
+
+        from repro.argument import ProtocolViolation, RetryPolicy
+
         other = compile_program(
             counted_program.field, lambda b: b.output(b.input() + 5)
         )
         with ProverServer(counted_program, FAST) as server:
-            result = verify_remote(
-                counted_program, [[1, 2, 3]], server.address, FAST
-            )
-            assert result.all_accepted
-            from repro.argument import ProtocolViolation, RetryPolicy
-
-            with pytest.raises(ProtocolViolation):
-                verify_remote(
-                    other, [[1]], server.address, FAST, retry=RetryPolicy.none()
+            with telemetry.session() as tracer:
+                result = verify_remote(
+                    counted_program, [[1, 2, 3]], server.address, FAST
                 )
-        stats = server.stats
-        for key in ("sessions_started", "sessions_ok", "session_errors"):
-            assert stats[key] == server.metrics.counter_value(key), key
-        assert stats["sessions_started"] == 2
-        assert stats["sessions_ok"] == 1
-        assert stats["session_errors"] == 1
+                assert result.all_accepted
+                with pytest.raises(ProtocolViolation):
+                    verify_remote(
+                        other, [[1]], server.address, FAST, retry=RetryPolicy.none()
+                    )
+                # the ok session retires just after its answers frame
+                deadline = time.monotonic() + 5.0
+                while (
+                    not server.metrics.counter_value("sessions_ok")
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.01)
+        totals = tracer.total_counters()
+        count = server.metrics.counter_value
+        for key in (
+            "sessions_started",
+            "sessions_ok",
+            "session_errors",
+            "session_errors.unknown-program",
+            "gateway.unknown_program",
+        ):
+            assert totals[f"net.{key}"] == count(key), key
+        assert count("sessions_started") == 2
+        assert count("sessions_ok") == 1
+        assert count("session_errors") == 1
 
 
 class TestGatewayTraces:

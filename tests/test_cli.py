@@ -413,6 +413,23 @@ class TestTopCommand:
         assert f"field {field.name}" in out
         assert "backend ?" not in out and "field ?" not in out
 
+    def test_once_against_a_sharded_gateway_shows_live_shards(
+        self, program_file, capsys
+    ):
+        from repro.argument import ArgumentConfig, GatewayServer, ProgramRegistry
+        from repro.cli import _field, _load_program
+        from repro.pcp import SoundnessParams
+
+        config = ArgumentConfig(params=SoundnessParams(rho_lin=2, rho=1))
+        registry = ProgramRegistry()
+        registry.register(_load_program(program_file, _field("goldilocks"), 32), config)
+        with GatewayServer(registry, shards=1) as server:
+            host, port = server.address
+            rc = main(["top", f"{host}:{port}", "--once"])
+        assert rc == 0
+        # the gateway's own gauge, not the batch engine's
+        assert "shards alive 1" in capsys.readouterr().out
+
     def test_unreachable_server_is_an_error(self, capsys):
         import socket
 
