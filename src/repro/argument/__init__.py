@@ -25,7 +25,7 @@ from .net import (
     program_hash,
     verify_remote,
 )
-from .parallel import ParallelBatchResult, SessionWorkerPool, run_parallel_batch
+from .parallel import ParallelBatchResult, WorkerPool, run_parallel_batch
 from .serve import (
     GatewayServer,
     ProgramRegistry,
@@ -97,7 +97,7 @@ __all__ = [
     "ProverServer",
     "RegisteredProgram",
     "SessionProver",
-    "SessionWorkerPool",
+    "WorkerPool",
     "fetch_stats",
     "program_hash",
     "verify_remote",

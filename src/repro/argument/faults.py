@@ -94,7 +94,7 @@ class ProcessFaultRule:
 class ProcessFaultPlan:
     """Seeded process-level fault rules for the batch engine.
 
-    Installed in the worker state *before* fork, so every worker —
+    Bound into the worker loop *before* fork, so every worker —
     including replacements spawned after a crash — inherits the same
     rules.  Actions:
 

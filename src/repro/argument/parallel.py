@@ -15,11 +15,12 @@ Robustness (docs/RESILIENCE.md has the full failure model):
   in a structured :class:`~repro.argument.protocol.InstanceResult`
   (``ok`` or ``failed[code]``, reusing the network error-code
   vocabulary), and the rest of the batch completes.
-* **Worker-crash recovery** — each worker process owns a private task
-  queue, so the engine always knows which instance a worker holds; a
-  worker that dies mid-task (kill -9) is detected by liveness polling,
-  its in-flight instance is reassigned, and the pool is replenished —
-  never a deadlock on a joined queue.
+* **Worker-crash recovery** — each worker process owns a private pipe
+  that carries its tasks and exactly one reply per task, so the engine
+  always knows which instance a worker holds, and a worker killed
+  mid-task (kill -9), even mid-reply, garbles nothing but its own
+  pipe.  Its death shows on the process sentinel, its in-flight
+  instance is reassigned, and a fresh fork replaces it.
 * **Retries** — transient failures (worker loss, injected faults, any
   retryable error code) are retried per instance under a seeded
   :class:`~repro.argument.net.RetryPolicy`; deterministic failures
@@ -38,8 +39,10 @@ phase is scaled by a configurable factor.
 
 from __future__ import annotations
 
+import functools
 import logging
 import multiprocessing
+import multiprocessing.connection
 import os
 import queue as queue_mod
 import threading
@@ -47,7 +50,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .. import telemetry
 from .checkpoint import BatchCheckpoint, instance_record, result_from_record
@@ -65,9 +68,6 @@ from .protocol import (
 from .stats import PhaseTimer, ProverStats, VerifierStats
 
 logger = logging.getLogger(__name__)
-
-# Worker state installed before fork; children inherit it via COW.
-_WORKER_STATE: dict = {}
 
 
 def _fork_available() -> bool:
@@ -112,9 +112,10 @@ def _payload(index: int, entry, stats: ProverStats, records=None) -> _ProofPaylo
     )
 
 
-def _prove_payload(index: int, input_values: Sequence[int]) -> _ProofPayload:
+def _prove_payload(
+    argument: ZaatarArgument, setup, index: int, input_values: Sequence[int]
+) -> _ProofPayload:
     """Prove one instance in a forked worker, as a one-row batch."""
-    argument: ZaatarArgument = _WORKER_STATE["argument"]
     # The inherited tracer's spans die with the worker process, so
     # export the records this task produced and let the parent
     # re-insert them (Tracer.adopt).
@@ -123,7 +124,7 @@ def _prove_payload(index: int, input_values: Sequence[int]) -> _ProofPayload:
     mark = tracer.mark() if collect else 0
     stats = ProverStats()
     (entry,) = argument.prove_batch(
-        [input_values], _WORKER_STATE["setup"], indices=[index], per_stats=[stats]
+        [input_values], setup, indices=[index], per_stats=[stats]
     )
     if isinstance(entry, Exception):
         raise entry
@@ -131,35 +132,28 @@ def _prove_payload(index: int, input_values: Sequence[int]) -> _ProofPayload:
     return _payload(index, entry, stats, records)
 
 
-def _worker_main(task_q, result_q) -> None:
-    """Worker loop: prove tasks from a private queue until sentinel.
+def _prove_worker(
+    argument: ZaatarArgument, setup, plan: ProcessFaultPlan | None, conn
+) -> None:
+    """Worker loop: prove tasks from the pipe until the ``None`` sentinel.
 
-    Every outcome — success or classified failure — is reported as a
-    message; nothing escapes as an exception (a raise here would kill
-    the worker and turn a per-instance problem into a pool problem).
+    Every outcome — success or classified failure — goes back as the
+    task's one reply; nothing escapes as an exception (a raise here
+    would kill the worker and turn a per-instance problem into a pool
+    problem).
     """
-    plan: ProcessFaultPlan | None = _WORKER_STATE.get("process_faults")
     while True:
-        task = task_q.get()
+        task = conn.recv()
         if task is None:
             return
         index, attempt, input_values = task
         try:
             if plan is not None:
                 plan.apply(index, attempt)
-            payload = _prove_payload(index, input_values)
+            reply = ("ok", _prove_payload(argument, setup, index, input_values))
         except Exception as exc:  # noqa: BLE001 - report, keep serving
-            result_q.put(
-                (
-                    "err",
-                    index,
-                    attempt,
-                    classify_failure(exc),
-                    f"{type(exc).__name__}: {exc}",
-                )
-            )
-        else:
-            result_q.put(("ok", index, attempt, payload))
+            reply = ("err", classify_failure(exc), f"{type(exc).__name__}: {exc}")
+        conn.send(reply)
 
 
 class _InstanceState:
@@ -180,80 +174,87 @@ class _InstanceState:
 
 
 class _Worker:
-    """One pool member: a forked process plus its private task queue.
+    """One pool member: a forked process and the parent's end of its pipe."""
 
-    ``target`` defaults to the batch engine's :func:`_worker_main`; the
-    session pool below forks workers around its own loop (a closure —
-    fine, fork inherits it).
+    __slots__ = ("process", "conn", "busy")
+
+    def __init__(self, process, conn):
+        self.process = process
+        self.conn = conn
+        #: a task was sent and its reply has not been read
+        self.busy = False
+
+    def exited(self) -> bool:
+        """Whether the process has ended (its sentinel fired)."""
+        return bool(multiprocessing.connection.wait([self.process.sentinel], 0))
+
+
+class WorkerPool:
+    """Crash-surviving pool of forked workers, each on a private pipe.
+
+    ``target(conn)`` is the worker loop: it reads tasks from ``conn``
+    until ``None`` and sends exactly one reply per task from its main
+    thread.  Workers are forked, so ``target`` may close over compiled
+    programs, which hold closures and cannot be pickled; bind them in
+    with :func:`functools.partial`.  The batch engine (one task per
+    instance attempt) and the gateway's shards (one worker *leased*
+    for a whole session, because the commitment provers built in the
+    ``prove`` step must still be alive for the ``answer`` step) drive
+    it the same way: :meth:`lease`, :meth:`send`, :meth:`wait`,
+    :meth:`release`.
+
+    A pipe has no feeder thread and no lock shared between processes,
+    so a worker killed mid-reply garbles only its own pipe, and
+    :meth:`release` discards that pipe with the worker.  Death is read
+    from the process sentinel or the pipe's EOF, never from
+    ``is_alive()``, which can still read True just after the sentinel
+    fires.
     """
 
-    __slots__ = ("task_q", "result_q", "process", "state")
-
-    def __init__(self, ctx, result_q, target=None):
-        self.task_q = ctx.SimpleQueue()
-        self.result_q = result_q
-        self.process = ctx.Process(
-            target=target or _worker_main, args=(self.task_q, result_q), daemon=True
-        )
-        self.process.start()
-        self.state: _InstanceState | None = None
-
-
-class SessionWorkerPool:
-    """Crash-surviving pool of forked workers *leased* for whole sessions.
-
-    The batch engine below fans independent instances out task by task;
-    the multi-tenant gateway (:mod:`repro.argument.serve`) instead pins
-    one worker to one session across a multi-step exchange — the
-    commitment provers built by the ``prove`` step must still be alive
-    in the same process for the ``answer`` step.  This pool provides
-    that shape on the engine's substrate (fork inheritance for
-    unpicklable compiled programs, a private task queue and result
-    queue per worker, liveness checks): :meth:`lease` checks a worker
-    out for exclusive use, :meth:`release` returns it, and
-    :meth:`replace` retires a dead or poisoned worker and forks a
-    fresh one so the pool never shrinks.
-    """
-
-    def __init__(self, target, size: int, *, ctx=None):
+    def __init__(self, target: Callable[..., None], size: int):
         if size < 1:
             raise ValueError("pool size must be >= 1")
-        if ctx is None:
-            if not _fork_available():
-                raise RuntimeError(
-                    "SessionWorkerPool needs the fork start method: compiled "
-                    "programs hold closures that cannot be pickled for spawn"
-                )
-            ctx = multiprocessing.get_context("fork")
-        self._ctx = ctx
+        if not _fork_available():
+            raise RuntimeError(
+                "WorkerPool needs the fork start method: compiled "
+                "programs hold closures that cannot be pickled for spawn"
+            )
+        self._ctx = multiprocessing.get_context("fork")
         self._target = target
         self._lock = threading.Lock()
         self._idle: queue_mod.Queue = queue_mod.Queue()
         self._workers: list[_Worker] = []
-        for _ in range(size):
-            self._spawn()
-
-    def _spawn(self) -> _Worker:
-        worker = _Worker(self._ctx, self._ctx.Queue(), target=self._target)
         with self._lock:
-            self._workers.append(worker)
+            for _ in range(size):
+                self._spawn()
+
+    def _spawn(self) -> None:
+        """Fork one worker into the idle set; call with ``_lock`` held.
+
+        The lock keeps sibling forks out of the window between this
+        fork and the parent closing the child's end of the pipe: a
+        sibling holding that end would keep the pipe open after this
+        worker dies, and reading a half-written reply would never see
+        EOF.
+        """
+        conn, child_conn = self._ctx.Pipe()
+        process = self._ctx.Process(
+            target=self._target, args=(child_conn,), daemon=True
+        )
+        process.start()
+        child_conn.close()
+        worker = _Worker(process, conn)
+        self._workers.append(worker)
         self._idle.put(worker)
-        return worker
-
-    @property
-    def size(self) -> int:
-        """Workers currently in the pool (leased or idle)."""
-        with self._lock:
-            return len(self._workers)
 
     @property
     def alive(self) -> int:
-        """Workers whose process currently reports alive."""
+        """Workers whose process has not exited."""
         with self._lock:
-            return sum(1 for w in self._workers if w.process.is_alive())
+            return sum(1 for w in self._workers if not w.exited())
 
     def lease(self, timeout: float | None = None) -> _Worker | None:
-        """Check out a worker for exclusive use; None on timeout.
+        """Check out an idle worker for exclusive use; None on timeout.
 
         A worker that died while idle is replaced transparently — the
         caller only ever sees a live lease or a timeout.
@@ -261,59 +262,100 @@ class SessionWorkerPool:
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             try:
-                if deadline is None:
-                    worker = self._idle.get()
-                else:
-                    worker = self._idle.get(
-                        timeout=max(deadline - time.monotonic(), 0)
-                    )
+                worker = self._idle.get(
+                    timeout=None
+                    if deadline is None
+                    else max(deadline - time.monotonic(), 0)
+                )
             except queue_mod.Empty:
                 return None
-            if worker.process.is_alive():
+            if not worker.exited():
                 return worker
-            self.replace(worker)
+            self.release(worker)
+
+    @staticmethod
+    def send(worker: _Worker, task) -> None:
+        """Send one task down a leased worker's pipe.
+
+        The worker owes a reply from here until :meth:`wait` reads it.
+        A send to a dead worker is dropped: :meth:`wait` reports the
+        death.
+        """
+        worker.busy = True
+        try:
+            worker.conn.send(task)
+        except ConnectionError:
+            pass
+
+    @staticmethod
+    def wait(
+        workers: Sequence[_Worker], timeout: float | None = None
+    ) -> list[tuple[_Worker, object]]:
+        """Block until some of the leased ``workers`` reply or die.
+
+        Returns ``(worker, reply)`` pairs, ``reply`` None for a worker
+        that died: its sentinel fired, or its pipe hit EOF, possibly
+        mid-reply.  Returns ``[]`` once ``timeout`` seconds pass (None:
+        no limit).
+        """
+        handles = {}
+        for worker in workers:
+            handles[worker.conn] = handles[worker.process.sentinel] = worker
+        ready = set(multiprocessing.connection.wait(list(handles), timeout))
+        replies = []
+        for worker in workers:
+            if worker.process.sentinel in ready:
+                replies.append((worker, None))
+            elif worker.conn in ready:
+                try:
+                    reply = worker.conn.recv()
+                except (EOFError, ConnectionError):
+                    reply = None
+                else:
+                    worker.busy = False
+                replies.append((worker, reply))
+        return replies
 
     def release(self, worker: _Worker) -> None:
-        """Return a healthy leased worker to the idle set."""
-        self._idle.put(worker)
+        """Return a leased worker: to the idle set if it is alive and
+        owes no reply, else kill it and fork a replacement.
 
-    def replace(self, worker: _Worker) -> _Worker | None:
-        """Retire ``worker`` and fork a replacement into the idle set.
-
-        The retired worker's queues die with it, so a half-written
-        result from the old process can never be read as a later
-        session's answer.  Idempotent: replacing an already-replaced
-        worker is a no-op returning None.
+        A worker still owing a reply (its caller stopped waiting) or
+        one that died would hand the next lease a stale or half-written
+        reply; neither is ever reused.  A no-op once :meth:`close` has
+        retired the worker.
         """
+        if not worker.busy and not worker.exited():
+            self._idle.put(worker)
+            return
         with self._lock:
             if worker not in self._workers:
-                return None
+                return
             self._workers.remove(worker)
-        if worker.process.is_alive():  # poisoned, not dead: put it down
             worker.process.kill()
+            self._spawn()
         worker.process.join(timeout=1.0)
-        worker.result_q.cancel_join_thread()
-        worker.result_q.close()
-        return self._spawn()
+        worker.conn.close()
 
     def close(self) -> None:
-        """Sentinel every worker, join, kill stragglers."""
+        """Stop every worker: the idle ones exit on the ``None``
+        sentinel, the busy ones are killed; stragglers are killed too."""
         with self._lock:
-            workers = list(self._workers)
-            self._workers.clear()
+            workers, self._workers = self._workers, []
         for worker in workers:
+            if worker.busy:
+                worker.process.kill()
+                continue
             try:
-                worker.task_q.put(None)
-            except (OSError, ValueError):  # pragma: no cover - dead queue
+                worker.conn.send(None)
+            except ConnectionError:
                 pass
         deadline = time.monotonic() + 5.0
         for worker in workers:
             worker.process.join(timeout=max(deadline - time.monotonic(), 0.1))
-            if worker.process.is_alive():  # pragma: no cover - stuck worker
-                worker.process.kill()
-                worker.process.join(timeout=1.0)
-            worker.result_q.cancel_join_thread()
-            worker.result_q.close()
+            worker.process.kill()  # no-op unless the join timed out
+            worker.process.join(timeout=1.0)
+            worker.conn.close()
 
 
 @dataclass
@@ -339,12 +381,14 @@ class _Engine:
         verifier_stats: VerifierStats,
         retry: RetryPolicy,
         checkpoint: BatchCheckpoint | None,
+        process_faults: ProcessFaultPlan | None,
     ):
         self.argument = argument
         self.setup = setup
         self.timer = PhaseTimer(verifier_stats)
         self.retry = retry
         self.checkpoint = checkpoint
+        self.process_faults = process_faults
         self.outcomes: dict[int, InstanceResult] = {}
         self.retries = 0
         self.worker_deaths = 0
@@ -436,7 +480,7 @@ class _Engine:
         elapsed as one ``prove_batch`` call; a retryable failure waits
         out its backoff and joins a later round.
         """
-        plan: ProcessFaultPlan | None = _WORKER_STATE.get("process_faults")
+        plan = self.process_faults
         pending = list(states)
         while pending:
             wait = min(state.ready_at for state in pending) - time.monotonic()
@@ -480,105 +524,55 @@ class _Engine:
     # -- multiprocess execution --------------------------------------------
 
     def run_pool(self, states: list[_InstanceState], num_workers: int) -> None:
-        """Fan out over forked workers; survive their deaths."""
-        ctx = multiprocessing.get_context("fork")
-        result_q = ctx.Queue()
+        """Fan out over forked workers; survive their deaths.
+
+        Each attempt leases an idle worker, sends it the instance, and
+        releases it once its reply or its death is in; releasing a dead
+        worker forks its replacement.
+        """
+        pool = WorkerPool(
+            functools.partial(
+                _prove_worker, self.argument, self.setup, self.process_faults
+            ),
+            min(num_workers, len(states)),
+        )
         pending: deque[_InstanceState] = deque(states)
         waiting: list[_InstanceState] = []  # backoff not yet elapsed
-        target = {s.index for s in states}
-        workers = [
-            _Worker(ctx, result_q) for _ in range(min(num_workers, len(states)))
-        ]
+        leased: dict[_Worker, _InstanceState] = {}
         try:
-            while not target <= self.outcomes.keys():
+            while pending or waiting or leased:
                 now = time.monotonic()
                 for state in [s for s in waiting if s.ready_at <= now]:
                     waiting.remove(state)
                     pending.append(state)
-                for worker in workers:
-                    if worker.state is None and pending:
-                        state = pending.popleft()
-                        state.attempts += 1
-                        worker.state = state
-                        worker.task_q.put((state.index, state.attempts, state.inputs))
-                for msg in self._drain(result_q, timeout=0.02):
-                    self._handle_message(workers, pending, waiting, msg)
-                self._reap_dead(ctx, result_q, workers, pending, waiting)
+                while pending and (worker := pool.lease(timeout=0)) is not None:
+                    state = pending.popleft()
+                    state.attempts += 1
+                    pool.send(worker, (state.index, state.attempts, state.inputs))
+                    leased[worker] = state
+                # with nothing in flight, this sleeps out the next backoff
+                backoff = min((s.ready_at for s in waiting), default=None)
+                timeout = None if backoff is None else max(backoff - now, 0)
+                for worker, reply in pool.wait(list(leased), timeout):
+                    state = leased.pop(worker)
+                    pool.release(worker)
+                    self.last_prove_done = time.monotonic()
+                    if reply is None:
+                        self.worker_deaths += 1
+                        telemetry.count("batch.worker_deaths")
+                        code, message = "io", (
+                            f"worker pid {worker.process.pid} died while "
+                            f"proving instance {state.index}"
+                        )
+                    elif reply[0] == "ok":
+                        self.handle_success(state, reply[1])
+                        continue
+                    else:
+                        _, code, message = reply
+                    if self.handle_failure(state, code, message):
+                        waiting.append(state)
         finally:
-            self._shutdown(workers, result_q)
-
-    @staticmethod
-    def _drain(result_q, timeout: float) -> list[tuple]:
-        """Every queued result message (briefly blocking for the first)."""
-        msgs: list[tuple] = []
-        try:
-            msgs.append(result_q.get(timeout=timeout))
-            while True:
-                msgs.append(result_q.get_nowait())
-        except queue_mod.Empty:
-            pass
-        return msgs
-
-    def _handle_message(self, workers, pending, waiting, msg) -> None:
-        kind, index, attempt, *rest = msg
-        worker = next(
-            (
-                w
-                for w in workers
-                if w.state is not None
-                and w.state.index == index
-                and w.state.attempts == attempt
-            ),
-            None,
-        )
-        if worker is None:
-            return  # late result for an attempt already written off
-        state, worker.state = worker.state, None
-        self.last_prove_done = time.monotonic()
-        if kind == "ok":
-            self.handle_success(state, rest[0])
-        else:
-            code, message = rest
-            if self.handle_failure(state, code, message):
-                waiting.append(state)
-
-    def _reap_dead(self, ctx, result_q, workers, pending, waiting) -> None:
-        """Detect killed workers, reassign their instances, replenish."""
-        for worker in [w for w in workers if not w.process.is_alive()]:
-            state, worker.state = worker.state, None
-            workers.remove(worker)
-            if state is not None:
-                self.worker_deaths += 1
-                telemetry.count("batch.worker_deaths")
-                self.last_prove_done = time.monotonic()
-                if self.handle_failure(
-                    state,
-                    "io",
-                    f"worker pid {worker.process.pid} died while proving "
-                    f"instance {state.index}",
-                ):
-                    waiting.append(state)
-            outstanding = len(pending) + len(waiting) + sum(
-                1 for w in workers if w.state is not None
-            )
-            if outstanding >= len(workers) + 1:
-                workers.append(_Worker(ctx, result_q))
-
-    @staticmethod
-    def _shutdown(workers, result_q) -> None:
-        for worker in workers:
-            try:
-                worker.task_q.put(None)
-            except (OSError, ValueError):  # pragma: no cover - dead queue
-                pass
-        deadline = time.monotonic() + 5.0
-        for worker in workers:
-            worker.process.join(timeout=max(deadline - time.monotonic(), 0.1))
-            if worker.process.is_alive():  # pragma: no cover - stuck worker
-                worker.process.kill()
-                worker.process.join(timeout=1.0)
-        result_q.cancel_join_thread()
-        result_q.close()
+            pool.close()
 
 
 def run_parallel_batch(
@@ -623,16 +617,17 @@ def run_parallel_batch(
         batch_size=len(batch_inputs),
         workers=num_workers,
     )
-    # Everything below runs under the span; a failure must not leave
-    # _WORKER_STATE populated (it pins the argument/setup objects for
-    # the life of the process) or the run span dangling open (which
-    # corrupts every later trace built on this thread's span stack).
+    # Everything below runs under the span; a failure must not leave the
+    # run span dangling open (which corrupts every later trace built on
+    # this thread's span stack).
     try:
         verifier_stats = VerifierStats()
         setup = argument.verifier_setup(verifier_stats)
         inputs = [list(v) for v in batch_inputs]
 
-        engine = _Engine(argument, setup, verifier_stats, retry, checkpoint)
+        engine = _Engine(
+            argument, setup, verifier_stats, retry, checkpoint, process_faults
+        )
         resumed = 0
         if checkpoint is not None:
             for index, record in checkpoint.begin(argument, inputs).items():
@@ -646,18 +641,12 @@ def run_parallel_batch(
             if i not in engine.outcomes
         ]
 
-        _WORKER_STATE["argument"] = argument
-        _WORKER_STATE["setup"] = setup
-        _WORKER_STATE["process_faults"] = process_faults
         start = time.monotonic()
-        try:
-            if states:
-                if num_workers == 1:
-                    engine.run_inline(states)
-                else:
-                    engine.run_pool(states, num_workers)
-        finally:
-            _WORKER_STATE.clear()
+        if states:
+            if num_workers == 1:
+                engine.run_inline(states)
+            else:
+                engine.run_pool(states, num_workers)
         wall = (engine.last_prove_done or time.monotonic()) - start
 
         tracer = telemetry.current()

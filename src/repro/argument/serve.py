@@ -17,12 +17,14 @@ over *many* verifiers and *many* outsourced computations at once; the
   regeneration entirely).
 * **Session sharding** — with ``shards > 0`` the proving work of each
   session is pinned to one process from a
-  :class:`~repro.argument.parallel.SessionWorkerPool` (the
-  crash-surviving fork pool, leased for whole sessions because the
-  commitment provers built in the ``prove`` step must survive into the
-  ``answer`` step).  A worker that dies mid-session becomes a
-  structured, retryable ``internal`` error frame for that one client;
-  the pool forks a replacement and ``gateway.worker_deaths`` counts it.
+  :class:`~repro.argument.parallel.WorkerPool` (the crash-surviving
+  fork pool the batch engine also runs on, leased for whole sessions
+  because the commitment provers built in the ``prove`` step must
+  survive into the ``answer`` step).  A worker that dies mid-session
+  becomes a structured, retryable ``internal`` error frame for that one
+  client; the pool forks a replacement and ``gateway.worker_deaths``
+  counts it.  A shard abandoned mid-step (the session budget ran out)
+  is replaced too, never handed to the next session.
 * **Admission control** — a bounded accept queue in front of
   ``max_sessions`` handler threads, a global admitted-connections
   limit (``max_sessions + accept_queue``), and an optional per-program
@@ -76,7 +78,7 @@ from .framing import (
     unhex_list,
 )
 from .net import Deadlines, program_hash
-from .parallel import SessionWorkerPool
+from .parallel import WorkerPool
 from .protocol import (
     ArgumentConfig,
     ProtocolViolation,
@@ -415,10 +417,7 @@ class ProgramRegistry:
 
 
 def _shard_worker_main(
-    registry: ProgramRegistry,
-    faults: ProcessFaultPlan | None,
-    task_q,
-    result_q,
+    registry: ProgramRegistry, faults: ProcessFaultPlan | None, conn
 ) -> None:
     """One shard's loop: whole-session exchanges in two steps.
 
@@ -426,15 +425,16 @@ def _shard_worker_main(
     ``("answer", session_id, payload)``; the :class:`SessionProver`
     built by ``prove`` is held until its ``answer`` arrives (the lease
     discipline in the gateway guarantees no interleaving).  Every
-    outcome is a message — an exception here would kill the shard and
-    turn one bad session into a pool problem.  Fork inheritance gives
-    each shard the registry (and its pre-warmed artifacts) for free.
+    outcome is the task's one reply — an exception here would kill the
+    shard and turn one bad session into a pool problem.  Fork
+    inheritance gives each shard the registry (and its pre-warmed
+    artifacts) for free.
     """
     session: SessionProver | None = None
     tracer: telemetry.Tracer | None = None
     mark = 0
     while True:
-        task = task_q.get()
+        task = conn.recv()
         if task is None:
             return
         kind, session_id, payload = task
@@ -464,7 +464,6 @@ def _shard_worker_main(
                     out = prover.prove(batch_spec)
                     records = None
                 session = prover
-                result_q.put(("ok", session_id, kind, out, records))
             elif kind == "answer":
                 if session is None:
                     raise ProtocolViolation(
@@ -478,20 +477,13 @@ def _shard_worker_main(
                     out = session.answer(payload)
                     records = None
                 session = tracer = None
-                result_q.put(("ok", session_id, kind, out, records))
             else:
                 raise ProtocolViolation(f"unknown shard task {kind!r}", code="internal")
+            reply = ("ok", out, records)
         except Exception as exc:  # noqa: BLE001 - report, keep serving
             session = tracer = None
-            result_q.put(
-                (
-                    "err",
-                    session_id,
-                    kind,
-                    classify_failure(exc),
-                    f"{type(exc).__name__}: {exc}",
-                )
-            )
+            reply = ("err", classify_failure(exc), f"{type(exc).__name__}: {exc}")
+        conn.send(reply)
 
 
 # -- churn survival -----------------------------------------------------------
@@ -609,7 +601,7 @@ class GatewayServer:
         self._lock = threading.Lock()
         self._admitted = 0  # connections accepted but not yet finished
         self._per_program: Counter = Counter()
-        self._pool: SessionWorkerPool | None = None
+        self._pool: WorkerPool | None = None
         # churn survival: parked awaiting-commit sessions by resume
         # token, a reaper that expires them, and a token bucket that
         # paces accepts through a reconnect storm
@@ -643,7 +635,7 @@ class GatewayServer:
             # fork AFTER registration so the children inherit every
             # pre-warmed artifact copy-on-write (compiled programs hold
             # closures and cannot be pickled for spawn)
-            self._pool = SessionWorkerPool(
+            self._pool = WorkerPool(
                 functools.partial(
                     _shard_worker_main, self.registry, self.process_faults
                 ),
@@ -696,7 +688,7 @@ class GatewayServer:
             self._accept_thread.join(timeout=5)
         if poke is not None:
             poke.close()
-        self._drain_backlog()
+        self._refuse_backlog()
         self._sock.close()
         # handlers see _stop and answer every queued connection with a
         # shutting-down frame, then exit on their sentinel (which the
@@ -778,7 +770,7 @@ class GatewayServer:
                     conn.close()
                 else:
                     self._refuse_shutdown(conn)
-                self._drain_backlog()
+                self._refuse_backlog()
                 return
             if self.accept_rate is not None and not self._storm_admit():
                 # every client of a killed link reconnects at the same
@@ -865,7 +857,7 @@ class GatewayServer:
                 retry_after=round(0.1 + 0.4 * self._storm_rng.random(), 3),
             )
 
-    def _drain_backlog(self) -> None:
+    def _refuse_backlog(self) -> None:
         """Refuse every connection still queued in the kernel backlog."""
         try:
             self._sock.settimeout(0)
@@ -935,9 +927,10 @@ class GatewayServer:
                 ok = self._session(conn, session_id)
         finally:
             self.metrics.add_gauge("sessions_in_flight", -1)
-            self.metrics.observe(
-                "session_latency_seconds", time.monotonic() - started
-            )
+            if ok is not None:  # a stats poll is not a session
+                self.metrics.observe(
+                    "session_latency_seconds", time.monotonic() - started
+                )
         if ok:
             # counted after the latency sample, so a stats reader that
             # sees the session as ok also sees its latency
@@ -956,15 +949,16 @@ class GatewayServer:
         counted[0] = True
         self._count("sessions_started")
 
-    def _session(self, conn, session_id: int) -> bool:
-        """Serve one connection; True iff its session completed ok."""
+    def _session(self, conn, session_id: int) -> bool | None:
+        """Serve one connection; True iff its session completed ok, None
+        for a stats poll."""
         conn.settimeout(self.deadlines.read)
         budget = None
         if self.deadlines.session is not None:
             budget = time.monotonic() + self.deadlines.session
         counted = [False]
         try:
-            self._run_session(conn, budget, session_id, counted)
+            is_session = self._run_session(conn, budget, session_id, counted)
         except _SessionParked:
             pass  # outcome deferred until the verifier resumes (or expires)
         except _ResumeRejected:
@@ -988,6 +982,8 @@ class GatewayServer:
             self._mark_started(counted)
             self._fail(conn, session_id, "internal", f"{type(exc).__name__}: {exc}")
         else:
+            if not is_session:
+                return None
             self._mark_started(counted)
             return True
         return False
@@ -1121,18 +1117,23 @@ class GatewayServer:
 
     def _run_session(
         self, conn, budget: float | None, session_id: int, counted: list
-    ) -> None:
+    ) -> bool:
+        """Serve the connection's frames; False if it was a stats poll.
+
+        A stats poll is not a session: it ticks ``stats_requests`` only,
+        so polling never moves the session ledger or the latency
+        histogram that busy hints read.
+        """
         first = recv_frame(conn)
         if first.get("type") == "stats":
-            self._mark_started(counted)
             self._count("stats_requests")
             send_frame(conn, self._snapshot_frame())
-            return
+            return False
         if first.get("type") == "resume":
             # continues an already-counted session: not counted again
             counted[0] = True
             self._resume_session(conn, budget, first, session_id)
-            return
+            return True
         self._mark_started(counted)
         hello = expect(first, "hello")
         phash = require(hello, "program")
@@ -1181,6 +1182,7 @@ class GatewayServer:
                 )
                 frame = {"type": "answers", "instances": answers_payload}
         send_frame(conn, frame)
+        return True
 
     def _snapshot_frame(self) -> dict:
         """The reply to a ``stats`` request: server identity plus the
@@ -1324,53 +1326,49 @@ class GatewayServer:
                 span,
             )
         finally:
-            if worker.process.is_alive():
-                self._pool.release(worker)
-            else:
-                self._pool.replace(worker)
+            self._pool.release(worker)
             self.metrics.set_gauge("gateway.shards_alive", self._pool.alive)
 
     def _shard_call(self, worker, task, budget, tracer, span):
-        """One task round trip to a leased shard; survives its death.
+        """One task round trip to a leased shard, bounded by the budget.
 
         A dead worker turns into a structured, *retryable* ``internal``
-        error for this client (the replacement fork happens in the
-        lease's ``finally``); stale messages from an exchange a prior
-        session abandoned on this worker are filtered by (session, step).
+        error for this client, and a budget that runs out first into
+        ``deadline``; either way the lease's ``finally`` replaces the
+        worker instead of reusing it.
         """
-        kind, session_id = task[0], task[1]
-        worker.task_q.put(task)
-        while True:
-            try:
-                msg = worker.result_q.get(timeout=0.05)
-            except queue_mod.Empty:
-                if not worker.process.is_alive():
-                    self._count("gateway.worker_deaths")
-                    raise ProtocolViolation(
-                        f"prover shard died during {kind!r} step; "
-                        f"the session is safe to retry",
-                        code="internal",
-                    ) from None
-                self._budget_check(budget)
-                continue
-            status, msg_sid, msg_kind, *rest = msg
-            if msg_sid != session_id or msg_kind != kind:
-                continue  # stale result from an abandoned exchange
-            if status == "ok":
-                payload, records = rest
-                if records and tracer is not None:
-                    try:
-                        tracer.adopt(
-                            records,
-                            parent_id=span.span_id if span is not None else None,
-                        )
-                    except (KeyError, TypeError, ValueError):
-                        pass  # diagnostic data never fails a session
-                return payload
-            code, message = rest
-            raise ProtocolViolation(
-                f"shard failed during {kind!r} step: {message}", code=code
+        kind = task[0]
+        self._pool.send(worker, task)
+        replies = []
+        while not replies:
+            self._budget_check(budget)
+            replies = self._pool.wait(
+                [worker], None if budget is None else budget - time.monotonic()
             )
+        ((_, reply),) = replies
+        if reply is None:
+            self._count("gateway.worker_deaths")
+            raise ProtocolViolation(
+                f"prover shard died during {kind!r} step; "
+                f"the session is safe to retry",
+                code="internal",
+            )
+        status, *rest = reply
+        if status == "ok":
+            payload, records = rest
+            if records and tracer is not None:
+                try:
+                    tracer.adopt(
+                        records,
+                        parent_id=span.span_id if span is not None else None,
+                    )
+                except (KeyError, TypeError, ValueError):
+                    pass  # diagnostic data never fails a session
+            return payload
+        code, message = rest
+        raise ProtocolViolation(
+            f"shard failed during {kind!r} step: {message}", code=code
+        )
 
 
 # -- single-program serving ---------------------------------------------------

@@ -482,24 +482,24 @@ def cmd_serve(args: argparse.Namespace) -> int:
         resume_timeout=args.resume_timeout,
     )
     server.start()
-    host, port = server.address
-    count = len(registry)
-    print(
-        f"gateway on {host}:{port} serving {count} program{'s' * (count != 1)} "
-        f"(max {args.max_sessions} sessions + {args.accept_queue} queued, "
-        f"{args.shards} shard workers, read deadline {args.read_timeout:g}s"
-        + (f", session budget {args.session_budget:g}s)" if args.session_budget else ")")
-    )
-    for entry in registry:
-        print(f"  {entry.name}  hash {entry.hash[:16]}…")
     exporter = None
-    if args.metrics_port is not None:
-        exporter = telemetry.start_http_exporter(
-            server.metrics, host=args.host, port=args.metrics_port
-        )
-        mhost, mport = exporter.server_address[:2]
-        print(f"metrics on http://{mhost}:{mport}/ (plaintext; /json for snapshot)")
     try:
+        host, port = server.address
+        count = len(registry)
+        print(
+            f"gateway on {host}:{port} serving {count} program{'s' * (count != 1)} "
+            f"(max {args.max_sessions} sessions + {args.accept_queue} queued, "
+            f"{args.shards} shard workers, read deadline {args.read_timeout:g}s"
+            + (f", session budget {args.session_budget:g}s)" if args.session_budget else ")")
+        )
+        for entry in registry:
+            print(f"  {entry.name}  hash {entry.hash[:16]}…")
+        if args.metrics_port is not None:
+            exporter = telemetry.start_http_exporter(
+                server.metrics, host=args.host, port=args.metrics_port
+            )
+            mhost, mport = exporter.server_address[:2]
+            print(f"metrics on http://{mhost}:{mport}/ (plaintext; /json for snapshot)")
         if args.duration is not None:
             time.sleep(args.duration)
         else:  # pragma: no cover - interactive foreground loop

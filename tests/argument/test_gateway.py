@@ -265,13 +265,32 @@ class TestMultiProgramDispatch:
         traced = tracer.total_counters()
         assert live == {"sessions_started": 2, "sessions_ok": 1, "session_errors": 1}
         assert {name: traced[f"net.{name}"] for name in names} == live
-        # the stats request is a session too: started, but not yet
-        # settled while its own frame is built
+        # the stats request is not a session: it leaves the ledger alone
         assert wire["stats_requests"] == 1
-        assert {name: wire[name] for name in names} == {
-            **live,
-            "sessions_started": live["sessions_started"] + 1,
-        }
+        assert {name: wire[name] for name in names} == live
+
+    def test_stats_polls_are_not_sessions(self, registry, sumsq_program):
+        """Polling the stats frame must not move the session ledger or
+        the latency histogram that ``retry_after`` hints read."""
+        names = ("sessions_started", "sessions_ok", "session_errors")
+        with GatewayServer(registry) as gw:
+            verify_remote(sumsq_program, [[1, 2, 3]], gw.address, FAST)
+            deadline = time.monotonic() + 5.0
+            while (
+                not gw.metrics.counter_value("sessions_ok")
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.01)
+            polls = [fetch_stats(gw.address)["metrics"] for _ in range(3)]
+            live = gw.metrics.snapshot()
+        for doc in (*polls, live):
+            assert {name: doc["counters"].get(name, 0) for name in names} == {
+                "sessions_started": 1,
+                "sessions_ok": 1,
+                "session_errors": 0,
+            }
+            assert doc["histograms"]["session_latency_seconds"]["count"] == 1
+        assert live["counters"]["stats_requests"] == 3
 
 
 class TestAdmissionControl:
@@ -462,6 +481,33 @@ class TestSharding:
             result = verify_remote(sumsq_program, [[4, 5, 6]], gw.address, FAST)
             assert result.all_accepted
         assert gw.metrics.counter_value("gateway.worker_deaths") == 1
+
+    def test_budget_abandoned_shard_is_replaced_not_reused(
+        self, registry, sumsq_program
+    ):
+        """A session whose budget runs out mid-prove fails with
+        ``deadline``; its shard, still proving, must not serve the next
+        session."""
+        plan = ProcessFaultPlan(
+            [ProcessFaultRule(index=1, action="slow", attempt=1, delay=10.0)]
+        )
+        with GatewayServer(
+            registry,
+            shards=1,
+            max_sessions=2,
+            deadlines=Deadlines(session=1.0),
+            process_faults=plan,
+        ) as gw:
+            with pytest.raises(ProtocolViolation) as excinfo:
+                verify_remote(
+                    sumsq_program, [[1, 2, 3]], gw.address, FAST, retry=NO_RETRY
+                )
+            assert excinfo.value.code == "deadline"
+            result = verify_remote(
+                sumsq_program, [[4, 5, 6]], gw.address, FAST, retry=NO_RETRY
+            )
+            assert result.all_accepted
+            assert gw._pool.alive == 1
 
     def test_shard_lease_starvation_sheds_busy(self, registry, sumsq_program):
         """With every shard leased out, a session is shed with ``busy``

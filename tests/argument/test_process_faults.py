@@ -8,6 +8,10 @@ exhaustion, and the fork-unavailable degradation path.
 """
 
 import logging
+import os
+import signal
+import threading
+import time
 
 import pytest
 
@@ -17,6 +21,7 @@ from repro.argument import (
     ProcessFaultPlan,
     ProcessFaultRule,
     RetryPolicy,
+    WorkerPool,
     ZaatarArgument,
     run_parallel_batch,
 )
@@ -159,6 +164,47 @@ class TestPoolFaults:
         assert result.result.all_accepted
         assert result.worker_deaths == 0
         assert result.retries == 1
+
+
+def _echo_worker(conn):
+    """A pool target that echoes each task, except ``"big"``: that one
+    starts an 8 MiB reply and SIGKILLs this worker 0.2 s into it."""
+    while True:
+        task = conn.recv()
+        if task is None:
+            return
+        if task == "big":
+            threading.Timer(0.2, os.kill, (os.getpid(), signal.SIGKILL)).start()
+            conn.send(b"x" * (8 << 20))
+        else:
+            conn.send(task)
+
+
+class TestWorkerPool:
+    def test_kill_mid_reply_loses_only_that_worker(self):
+        """A worker killed with half its reply in its pipe is reported
+        dead; its sibling's reply still arrives, and releasing both
+        leaves a full pool."""
+        pool = WorkerPool(_echo_worker, 2)
+        try:
+            big, small = pool.lease(timeout=5), pool.lease(timeout=5)
+            pool.send(big, "big")
+            time.sleep(0.5)  # the reply fills the pipe; the kill lands
+            pool.send(small, "small")
+            replies = {}
+            deadline = time.monotonic() + 5
+            while len(replies) < 2 and time.monotonic() < deadline:
+                waiting = [w for w in (big, small) if w not in replies]
+                for worker, reply in pool.wait(
+                    waiting, deadline - time.monotonic()
+                ):
+                    replies[worker] = reply
+            assert replies == {big: None, small: "small"}
+            pool.release(big)
+            pool.release(small)
+            assert pool.alive == 2
+        finally:
+            pool.close()
 
 
 class TestForkUnavailable:

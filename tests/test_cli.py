@@ -288,6 +288,54 @@ class TestServeGateway:
         thread.join(timeout=30)
 
 
+class TestServeSigterm:
+    def test_sigterm_stops_the_shards_and_frees_the_port(self, program_file):
+        """SIGTERM takes the Ctrl-C path: ``repro serve`` exits 0 after
+        stopping its shard workers, which hold the inherited listener,
+        so the port binds again."""
+        import os
+        import signal
+        import socket
+        import subprocess
+        import sys
+        import time
+        from pathlib import Path
+
+        import repro
+        from repro.argument import fetch_stats
+
+        placeholder = socket.create_server(("127.0.0.1", 0))
+        port = placeholder.getsockname()[1]
+        placeholder.close()
+        src = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", program_file,
+             "--port", str(port), "--shards", "2"],
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=subprocess.DEVNULL,
+            start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while True:
+                try:
+                    fetch_stats(("127.0.0.1", port))
+                    break
+                except OSError:
+                    assert proc.poll() is None, "repro serve exited early"
+                    assert time.monotonic() < deadline, "repro serve never served"
+                    time.sleep(0.1)
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=10) == 0
+            socket.create_server(("127.0.0.1", port)).close()
+        finally:
+            try:  # whatever a failure left behind, shard workers too
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
+
+
 class TestParser:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
