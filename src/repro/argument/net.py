@@ -353,6 +353,25 @@ def verify_remote(
                 sock.close()
 
 
+def hello_frame(program: CompiledProgram, config: ArgumentConfig) -> dict:
+    """The ``hello`` frame that opens a session of ``program``.
+
+    Names the program by its canonical hash and carries the soundness
+    parameters, QAP mode and query seed of ``config``.
+    """
+    return {
+        "type": "hello",
+        "program": program_hash(program),
+        "params": {
+            "delta": config.params.delta,
+            "rho_lin": config.params.rho_lin,
+            "rho": config.params.rho,
+        },
+        "qap_mode": config.qap_mode,
+        "seed": config.seed.hex(),
+    }
+
+
 def _drive_session(
     program: CompiledProgram,
     batch_inputs: Sequence[Sequence[int]],
@@ -378,17 +397,7 @@ def _drive_session(
         send_frame(sock, {"type": "resume", "token": resume.token})
         reply = expect(recv_frame(sock), "resume-ok")
     else:
-        hello = {
-            "type": "hello",
-            "program": program_hash(program),
-            "params": {
-                "delta": config.params.delta,
-                "rho_lin": config.params.rho_lin,
-                "rho": config.params.rho,
-            },
-            "qap_mode": config.qap_mode,
-            "seed": config.seed.hex(),
-        }
+        hello = hello_frame(program, config)
         if collect_trace and tracer is not None:
             hello["trace"] = {
                 "trace_id": tracer.trace_id,

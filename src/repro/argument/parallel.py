@@ -50,7 +50,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .. import telemetry
 from .checkpoint import BatchCheckpoint, instance_record, result_from_record
@@ -132,21 +132,30 @@ def _prove_payload(
     return _payload(index, entry, stats, records)
 
 
+def worker_tasks(conn) -> Iterator:
+    """A pool worker's tasks, until the ``None`` stop signal or EOF.
+
+    EOF means every parent end of the pipe is closed: the parent is
+    gone, so the worker stops as it would on ``None``.
+    """
+    try:
+        while (task := conn.recv()) is not None:
+            yield task
+    except EOFError:
+        return
+
+
 def _prove_worker(
     argument: ZaatarArgument, setup, plan: ProcessFaultPlan | None, conn
 ) -> None:
-    """Worker loop: prove tasks from the pipe until the ``None`` sentinel.
+    """Worker loop: prove tasks from the pipe until it stops.
 
     Every outcome — success or classified failure — goes back as the
     task's one reply; nothing escapes as an exception (a raise here
     would kill the worker and turn a per-instance problem into a pool
     problem).
     """
-    while True:
-        task = conn.recv()
-        if task is None:
-            return
-        index, attempt, input_values = task
+    for index, attempt, input_values in worker_tasks(conn):
         try:
             if plan is not None:
                 plan.apply(index, attempt)
@@ -189,19 +198,32 @@ class _Worker:
         return bool(multiprocessing.connection.wait([self.process.sentinel], 0))
 
 
+def _run_worker(target: Callable[..., None], inherited: list, conn) -> None:
+    """A forked worker's entry: drop the parent's pipe ends, then loop.
+
+    The fork copied the parent's end of this worker's pipe and of every
+    live sibling's.  Closing them leaves the parent their only holder,
+    so when the parent dies, however it dies, every worker reads EOF
+    and exits instead of outliving it with the parent's sockets.
+    """
+    for parent_end in inherited:
+        parent_end.close()
+    target(conn)
+
+
 class WorkerPool:
     """Crash-surviving pool of forked workers, each on a private pipe.
 
     ``target(conn)`` is the worker loop: it reads tasks from ``conn``
-    until ``None`` and sends exactly one reply per task from its main
-    thread.  Workers are forked, so ``target`` may close over compiled
-    programs, which hold closures and cannot be pickled; bind them in
-    with :func:`functools.partial`.  The batch engine (one task per
-    instance attempt) and the gateway's shards (one worker *leased*
-    for a whole session, because the commitment provers built in the
-    ``prove`` step must still be alive for the ``answer`` step) drive
-    it the same way: :meth:`lease`, :meth:`send`, :meth:`wait`,
-    :meth:`release`.
+    (:func:`worker_tasks`: until ``None`` or EOF) and sends exactly one
+    reply per task from its main thread.  Workers are forked, so
+    ``target`` may close over compiled programs, which hold closures
+    and cannot be pickled; bind them in with :func:`functools.partial`.
+    The batch engine (one task per instance attempt) and the gateway's
+    shards (one worker *leased* for a whole session, because the
+    commitment provers built in the ``prove`` step must still be alive
+    for the ``answer`` step) drive it the same way: :meth:`lease`,
+    :meth:`send`, :meth:`wait`, :meth:`release`.
 
     A pipe has no feeder thread and no lock shared between processes,
     so a worker killed mid-reply garbles only its own pipe, and
@@ -235,11 +257,15 @@ class WorkerPool:
         fork and the parent closing the child's end of the pipe: a
         sibling holding that end would keep the pipe open after this
         worker dies, and reading a half-written reply would never see
-        EOF.
+        EOF.  The other way round, the child closes the parent ends it
+        inherits (:func:`_run_worker`).
         """
         conn, child_conn = self._ctx.Pipe()
+        inherited = [conn, *(worker.conn for worker in self._workers)]
         process = self._ctx.Process(
-            target=self._target, args=(child_conn,), daemon=True
+            target=_run_worker,
+            args=(self._target, inherited, child_conn),
+            daemon=True,
         )
         process.start()
         child_conn.close()

@@ -15,8 +15,9 @@ over *many* verifiers and *many* outsourced computations at once; the
   compile-time costs zero times, and keeps a small LRU of seed-derived
   query schedules (repeat verifiers with a stable seed skip schedule
   regeneration entirely).
-* **Session sharding** — with ``shards > 0`` the proving work of each
-  session is pinned to one process from a
+* **Session sharding** — one exchange drives every session's frames;
+  its ``prove`` and ``answer`` steps run on the handler thread with
+  ``shards = 0``, and with ``shards > 0`` on one process from a
   :class:`~repro.argument.parallel.WorkerPool` (the crash-surviving
   fork pool the batch engine also runs on, leased for whole sessions
   because the commitment provers built in the ``prove`` step must
@@ -54,7 +55,7 @@ import socket
 import threading
 import time
 from collections import Counter, OrderedDict
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -78,7 +79,7 @@ from .framing import (
     unhex_list,
 )
 from .net import Deadlines, program_hash
-from .parallel import WorkerPool
+from .parallel import WorkerPool, worker_tasks
 from .protocol import (
     ArgumentConfig,
     ProtocolViolation,
@@ -102,6 +103,9 @@ _SCHEDULE_CACHE = 32
 #: deterministic fault-plan "attempt" index for each shard step, so a
 #: test can kill a worker precisely between ``prove`` and ``answer``
 _FAULT_STEP = {"prove": 1, "answer": 2}
+
+#: how long ``close()`` waits for in-flight sessions to drain
+_DRAIN_SECONDS = 10.0
 
 
 def parse_hello_params(hello: dict) -> tuple[SoundnessParams, bytes]:
@@ -177,17 +181,32 @@ def _instance_errors(index: int) -> Iterator[None]:
         ) from exc
 
 
+def _budget_check(budget: float | None) -> None:
+    """``deadline`` once the session's wall-clock budget has run out.
+
+    ``budget`` is a ``time.monotonic()`` instant, which a forked shard
+    reads on the same clock as the gateway.
+    """
+    if budget is not None and time.monotonic() > budget:
+        raise ProtocolViolation(
+            "session wall-clock budget exhausted", code="deadline"
+        )
+
+
+def _decode_commit(enc_r) -> CommitRequest:
+    """The commit frame's Enc(r), decoded from its hex pairs."""
+    return CommitRequest(unhex_ciphertexts(enc_r, what="commit enc_r"))
+
+
 class SessionProver:
     """The prover half of one session, detached from any transport.
 
     Holds exactly the state a session accumulates between frames — the
-    registry's QAP and seed-derived query schedule, and the
-    per-instance commitment provers — and exposes the two server-side
-    protocol steps: :meth:`prove` (commit + inputs → outputs payload)
-    and :meth:`answer` (challenge → answers payload).  All inputs and
-    outputs use the wire encoding (hex strings), so the same object
-    serves a handler thread or a shard worker on the far side of a
-    process boundary.
+    registry's QAP and seed-derived query schedule, the decoded commit
+    request, and the per-instance commitment provers — and exposes the
+    two server-side protocol steps: :meth:`prove` (commit + inputs →
+    outputs payload) and :meth:`answer` (challenge → answers payload).
+    Inputs and outputs use the wire encoding (hex strings).
 
     Failures raise :class:`ProtocolViolation` with the structured code
     vocabulary; the transport owner turns them into error frames.
@@ -199,19 +218,14 @@ class SessionProver:
         self.field = program.field
         self.qap = qap
         self.schedule = schedule
-        self._request: CommitRequest | None = None
+        #: the commit frame's Enc(r); the gateway decodes it when the
+        #: frame arrives, so a malformed commit is answered at once
+        self.request: CommitRequest | None = None
         self._provers: list[CommitmentProver] = []
 
     def commit(self, enc_r) -> None:
-        """Decode and hold the commit frame's Enc(r) ciphertexts.
-
-        Decoding happens here, at frame-receipt time, so a malformed
-        commit is answered immediately — not after the server has
-        waited on an inputs frame the client may never send.
-        """
-        self._request = CommitRequest(
-            unhex_ciphertexts(enc_r, what="commit enc_r")
-        )
+        """Decode and hold the commit frame's Enc(r) ciphertexts."""
+        self.request = _decode_commit(enc_r)
 
     def prove(
         self,
@@ -222,7 +236,7 @@ class SessionProver:
         """Run every instance of the batch; returns the outputs payload.
 
         ``batch_spec`` is the inputs frame's batch, still wire-encoded;
-        :meth:`commit` must have run first.  The batch takes the
+        the commit request must be held first.  The batch takes the
         in-process prover's solve → ``compute_h_batch`` core
         (``solve_and_build``), then each instance commits.  The first
         instance that cannot be proved fails the session with
@@ -231,7 +245,7 @@ class SessionProver:
         instance's solve, before H(t) and before each instance's commit
         so a session wall-clock budget can abort a long batch mid-way.
         """
-        request = self._request
+        request = self.request
         if request is None:
             raise ProtocolViolation("prove before commit", code="internal")
         if not isinstance(batch_spec, list):
@@ -413,75 +427,82 @@ class ProgramRegistry:
         return iter(self.entries())
 
 
-# -- shard workers ------------------------------------------------------------
+# -- the prove and answer steps -----------------------------------------------
+
+
+class _SessionSteps:
+    """The two server-side steps of a session, wherever its prover lives.
+
+    :meth:`run` is the one step function: the handler thread calls it
+    with ``shards=0``, and with ``shards > 0`` a shard worker calls it
+    for the session that leased it.  The :class:`SessionProver` that
+    ``prove`` builds is held until ``answer`` finishes it, one session
+    at a time.
+    """
+
+    def __init__(self, registry: ProgramRegistry):
+        self.registry = registry
+        self.prover: SessionProver | None = None
+
+    def run(self, kind: str, payload):
+        """Run one step; its result is the next frame's payload.
+
+        ``prove`` takes ``(program hash, params, seed, qap_mode,
+        request, batch, budget)`` and returns the outputs payload and
+        whether the query schedule came from the registry's LRU;
+        ``answer`` takes the challenge's ``t`` and returns the answers
+        payload.
+        """
+        prover, self.prover = self.prover, None
+        if kind == "prove":
+            phash, params, seed, qap_mode, request, batch_spec, budget = payload
+            entry = self.registry.lookup(phash)
+            if entry is None:  # gateway validated; a forked registry re-checks
+                raise ProtocolViolation(
+                    f"unknown program {str(phash)[:16]}", code="unknown-program"
+                )
+            prover, cache_hit = entry.session_prover(params, seed, qap_mode)
+            prover.request = request
+            outputs = prover.prove(
+                batch_spec, budget_check=functools.partial(_budget_check, budget)
+            )
+            self.prover = prover
+            return outputs, cache_hit
+        if kind == "answer":
+            if prover is None:
+                raise ProtocolViolation(
+                    "answer step without a live prove step", code="internal"
+                )
+            return prover.answer(payload)
+        raise ProtocolViolation(f"unknown session step {kind!r}", code="internal")
 
 
 def _shard_worker_main(
     registry: ProgramRegistry, faults: ProcessFaultPlan | None, conn
 ) -> None:
-    """One shard's loop: whole-session exchanges in two steps.
+    """One shard's loop: each task is one step of the leasing session.
 
-    Tasks are ``("prove", session_id, payload)`` then
-    ``("answer", session_id, payload)``; the :class:`SessionProver`
-    built by ``prove`` is held until its ``answer`` arrives (the lease
-    discipline in the gateway guarantees no interleaving).  Every
+    Tasks are ``(kind, session_id, trace_id, payload)``, a ``prove``
+    then its ``answer`` (the gateway's lease keeps sessions from
+    interleaving).  With a ``trace_id`` the step records into a tracer
+    of that trace and its span records ride back with the reply.  Every
     outcome is the task's one reply — an exception here would kill the
     shard and turn one bad session into a pool problem.  Fork
-    inheritance gives each shard the registry (and its pre-warmed
-    artifacts) for free.
+    inheritance gives each shard the registry (its pre-warmed artifacts
+    and its own copy of the schedule LRU) for free.
     """
-    session: SessionProver | None = None
-    tracer: telemetry.Tracer | None = None
-    mark = 0
-    while True:
-        task = conn.recv()
-        if task is None:
-            return
-        kind, session_id, payload = task
+    steps = _SessionSteps(registry)
+    for kind, session_id, trace_id, payload in worker_tasks(conn):
         try:
             if faults is not None:
                 faults.apply(session_id, _FAULT_STEP.get(kind, 1))
-            if kind == "prove":
-                phash, params_tuple, seed_hex, qap_mode, enc_r, batch_spec, trace_id = payload
-                entry = registry.lookup(phash)
-                if entry is None:  # gateway validated; a shard must re-check
-                    raise ProtocolViolation(
-                        f"unknown program {str(phash)[:16]}", code="unknown-program"
-                    )
-                delta, rho_lin, rho = params_tuple
-                params = SoundnessParams(delta=delta, rho_lin=rho_lin, rho=rho)
-                prover, _ = entry.session_prover(
-                    params, bytes.fromhex(seed_hex), qap_mode
-                )
-                prover.commit(enc_r)
-                tracer = telemetry.Tracer(trace_id=trace_id) if trace_id else None
-                if tracer is not None:
-                    with telemetry.thread_tracer(tracer):
-                        out = prover.prove(batch_spec)
-                    mark = tracer.mark()
-                    records = tracer.records_since(0)
-                else:
-                    out = prover.prove(batch_spec)
-                    records = None
-                session = prover
-            elif kind == "answer":
-                if session is None:
-                    raise ProtocolViolation(
-                        "answer step without a live prove step", code="internal"
-                    )
-                if tracer is not None:
-                    with telemetry.thread_tracer(tracer):
-                        out = session.answer(payload)
-                    records = tracer.records_since(mark)
-                else:
-                    out = session.answer(payload)
-                    records = None
-                session = tracer = None
-            else:
-                raise ProtocolViolation(f"unknown shard task {kind!r}", code="internal")
-            reply = ("ok", out, records)
+            tracer = telemetry.Tracer(trace_id=trace_id) if trace_id else None
+            with telemetry.thread_tracer(tracer) if tracer else nullcontext():
+                result = steps.run(kind, payload)
+            records = tracer.records_since(0) if tracer else None
+            reply = ("ok", result, records)
         except Exception as exc:  # noqa: BLE001 - report, keep serving
-            session = tracer = None
+            steps.prover = None
             reply = ("err", classify_failure(exc), f"{type(exc).__name__}: {exc}")
         conn.send(reply)
 
@@ -508,19 +529,17 @@ class _SessionContext:
     """What one session carries through the exchange (and into a park).
 
     Everything needed to continue the protocol on a later connection:
-    the registry entry, the hello's validated parameters, and — on the
-    inline path — the already-built :class:`SessionProver` so a resume
-    skips schedule regeneration.  ``token`` is None when resume tokens
-    are disabled, and such a session is never parked.
+    the resume token, the registry entry and the hello's validated
+    parameters.  A session parks only while it awaits the commit,
+    before any prove step, so it carries no prover state.
     """
 
-    token: str | None
+    token: str
     entry: RegisteredProgram
     params: SoundnessParams
     seed: bytes
     qap_mode: str
     session_id: int
-    prover: SessionProver | None = None
     expires_at: float = 0.0
 
 
@@ -538,12 +557,13 @@ class GatewayServer:
     (:func:`ProverServer`).
 
     Threading model: one listener thread admits connections into a
-    bounded queue; ``max_sessions`` handler threads drain it.  With
-    ``shards > 0`` the CPU-heavy prove/answer steps run in leased
-    worker processes; ``shards = 0`` proves inline on the handler
-    thread.  ``process_faults`` (tests) installs a deterministic
-    :class:`~repro.argument.faults.ProcessFaultPlan` in the shard
-    workers, keyed by (session_id, step).
+    bounded queue; ``max_sessions`` handler threads drain it.  Every
+    session runs one exchange; with ``shards > 0`` its CPU-heavy
+    prove/answer steps run in a leased worker process, and with
+    ``shards = 0`` inline on the handler thread.  A reaper thread
+    expires parked sessions.  ``process_faults`` (tests) installs a
+    deterministic :class:`~repro.argument.faults.ProcessFaultPlan` in
+    the shard workers, keyed by (session_id, step).
     """
 
     def __init__(
@@ -557,9 +577,7 @@ class GatewayServer:
         accept_queue: int = 16,
         per_program_sessions: int | None = None,
         deadlines: Deadlines | None = None,
-        drain_timeout: float = 10.0,
         lease_timeout: float = 30.0,
-        resume_tokens: bool = True,
         resume_timeout: float = 30.0,
         accept_rate: float | None = None,
         accept_burst: int = 8,
@@ -577,9 +595,7 @@ class GatewayServer:
         self.accept_queue = max(0, accept_queue)
         self.per_program_sessions = per_program_sessions
         self.deadlines = deadlines or Deadlines(read=120.0)
-        self.drain_timeout = drain_timeout
         self.lease_timeout = lease_timeout
-        self.resume_tokens = resume_tokens
         self.resume_timeout = resume_timeout
         self.accept_rate = accept_rate
         self.accept_burst = max(1, accept_burst)
@@ -654,11 +670,10 @@ class GatewayServer:
             target=self._accept_loop, name="gateway-accept", daemon=True
         )
         self._accept_thread.start()
-        if self.resume_tokens:
-            self._reaper = threading.Thread(
-                target=self._reaper_loop, name="gateway-reaper", daemon=True
-            )
-            self._reaper.start()
+        self._reaper = threading.Thread(
+            target=self._reaper_loop, name="gateway-reaper", daemon=True
+        )
+        self._reaper.start()
         return self
 
     def close(self, *, drain: bool = True) -> None:
@@ -668,7 +683,7 @@ class GatewayServer:
         still waiting in the accept queue and those queued in the
         kernel backlog — is answered with a structured frame before the
         listener closes; in-flight sessions run to completion (bounded
-        by ``drain_timeout``).
+        by ``_DRAIN_SECONDS``).
         """
         self._stop.set()
         poke = None
@@ -696,7 +711,7 @@ class GatewayServer:
         for _ in self._handlers:
             self._accept_q.put(None)
         if drain:
-            deadline = time.monotonic() + self.drain_timeout
+            deadline = time.monotonic() + _DRAIN_SECONDS
             for thread in self._handlers:
                 thread.join(timeout=max(deadline - time.monotonic(), 0))
         if self._reaper is not None:
@@ -915,76 +930,83 @@ class GatewayServer:
                     self._admitted -= 1
 
     def _session_entry(self, conn: socket.socket, queued_at: float) -> None:
-        session_id = next(self._session_ids)
-        started = time.monotonic()
+        """Serve one admitted connection, as its first frame says.
+
+        A ``stats`` poll gets its reply and ticks ``stats_requests``
+        only.  Any other connection — a session, or the resume of one —
+        moves the in-flight gauge and the queue-wait and latency
+        histograms once, and the session ledger at most once (a refused
+        resume settles nothing).
+        """
+        picked_up = time.monotonic()
         if self.link is not None:
             conn = self.link.wrap(conn)
-        self.metrics.observe("gateway.queue_wait_seconds", started - queued_at)
-        self.metrics.add_gauge("sessions_in_flight", 1)
-        ok = False
-        try:
-            with conn, metrics_mod.use(self.metrics):
-                ok = self._session(conn, session_id)
-        finally:
-            self.metrics.add_gauge("sessions_in_flight", -1)
-            if ok is not None:  # a stats poll is not a session
+        with conn, metrics_mod.use(self.metrics):
+            conn.settimeout(self.deadlines.read)
+            try:
+                first = recv_frame(conn)
+            except Exception as exc:  # noqa: BLE001 - a session that failed
+                first = exc  # at its first frame; _session answers it
+            if isinstance(first, dict) and first["type"] == "stats":
+                self._count("stats_requests")
+                with suppress(OSError):  # the poller left: still no session
+                    send_frame(conn, self._snapshot_frame())
+                return
+            self.metrics.observe("gateway.queue_wait_seconds", picked_up - queued_at)
+            self.metrics.add_gauge("sessions_in_flight", 1)
+            try:
+                ok = self._session(conn, first, picked_up)
+            finally:
+                self.metrics.add_gauge("sessions_in_flight", -1)
                 self.metrics.observe(
-                    "session_latency_seconds", time.monotonic() - started
+                    "session_latency_seconds", time.monotonic() - picked_up
                 )
-        if ok:
-            # counted after the latency sample, so a stats reader that
-            # sees the session as ok also sees its latency
-            self._count("sessions_ok")
+            if ok:
+                # counted after the latency sample, so a stats reader that
+                # sees the session as ok also sees its latency
+                self._count("sessions_ok")
 
-    def _mark_started(self, counted: list) -> None:
-        """Count this connection as a started session, exactly once.
+    def _session(self, conn, first, picked_up: float) -> bool:
+        """Serve one session connection; True iff it completed ok.
 
-        The count happens after first-frame classification (not at
-        accept time) because a ``resume`` connection *continues* a
-        session that was already counted — counting again would break
-        ``sessions_started == sessions_ok + session_errors``.
+        ``first`` is the connection's first frame, or the exception that
+        reading it raised.  A ``resume`` continues a session whose
+        ``hello`` was already counted as started; any other first frame
+        starts one here.
         """
-        if counted[0]:
-            return
-        counted[0] = True
-        self._count("sessions_started")
-
-    def _session(self, conn, session_id: int) -> bool | None:
-        """Serve one connection; True iff its session completed ok, None
-        for a stats poll."""
-        conn.settimeout(self.deadlines.read)
+        session_id = next(self._session_ids)
         budget = None
         if self.deadlines.session is not None:
-            budget = time.monotonic() + self.deadlines.session
-        counted = [False]
+            budget = picked_up + self.deadlines.session
+        resume = isinstance(first, dict) and first["type"] == "resume"
+        if not resume:
+            self._count("sessions_started")
         try:
-            is_session = self._run_session(conn, budget, session_id, counted)
-        except _SessionParked:
-            pass  # outcome deferred until the verifier resumes (or expires)
-        except _ResumeRejected:
-            pass  # refusal frame already sent and counted
+            if isinstance(first, Exception):
+                raise first
+            if resume:
+                self._resume_session(conn, budget, first)
+            else:
+                self._hello_session(conn, budget, first, session_id)
+        except (_SessionParked, _ResumeRejected):
+            # parked: the outcome waits for a resume or the reaper;
+            # rejected: the refusal frame was already sent and counted
+            return False
         except ProtocolViolation as exc:
-            self._mark_started(counted)
             self._fail(conn, session_id, exc.code, str(exc), exc.retry_after)
         except TimeoutError as exc:
             # an idle or half-open peer held a handler past the read
             # deadline; reaping it is the deadline error it always was,
             # now also visible in the churn ledger
-            self._mark_started(counted)
             self._count("gateway.reaped")
             self._count("gateway.reaped.idle")
             self._fail(conn, session_id, "deadline", f"read deadline exceeded: {exc}")
         except OSError as exc:
-            self._mark_started(counted)
             self._fail(conn, session_id, "io", f"transport failure: {exc}")
         except Exception as exc:  # noqa: BLE001 - a bad session must never
             # take the gateway down; report it and keep serving
-            self._mark_started(counted)
             self._fail(conn, session_id, "internal", f"{type(exc).__name__}: {exc}")
         else:
-            if not is_session:
-                return None
-            self._mark_started(counted)
             return True
         return False
 
@@ -1004,6 +1026,60 @@ class GatewayServer:
         self._count_error(code)
         _send_error(conn, code, message, session=session_id, retry_after=retry_after)
 
+    def _hello_session(self, conn, budget, first: dict, session_id: int) -> None:
+        """Open a session from its ``hello`` frame and run its exchange."""
+        hello = expect(first, "hello")
+        phash = require(hello, "program")
+        entry = self.registry.lookup(phash)
+        if entry is None:
+            self._count("gateway.unknown_program")
+            raise ProtocolViolation(
+                f"unknown program {str(phash)[:16]}: not registered with "
+                f"this gateway ({len(self.registry)} programs hosted)",
+                code="unknown-program",
+            )
+        self._count(f"gateway.sessions.{entry.name}")
+        params, seed = parse_hello_params(hello)
+        ctx = _SessionContext(
+            token=os.urandom(16).hex(),
+            entry=entry,
+            params=params,
+            seed=seed,
+            qap_mode=hello.get("qap_mode", entry.config.qap_mode),
+            session_id=session_id,
+        )
+        tracer = None
+        trace_req = hello.get("trace")
+        if self.trace_sessions and isinstance(trace_req, dict):
+            tracer = telemetry.Tracer(
+                trace_id=str(trace_req.get("trace_id", "") or telemetry.new_trace_id())
+            )
+        greeting = {"type": "hello-ok", "resume": ctx.token}
+        self._exchange(conn, budget, ctx, greeting, tracer)
+
+    def _snapshot_frame(self) -> dict:
+        """The reply to a ``stats`` request: server identity plus the
+        registry snapshot."""
+        entries = self.registry.entries()
+        return {
+            "type": "stats",
+            "server": {
+                "role": "gateway",
+                # first program doubles as the headline identity so
+                # single-program tooling (repro top) renders something
+                "program": entries[0].name if entries else "?",
+                "program_hash": entries[0].hash if entries else "",
+                "address": list(self.address),
+                "max_sessions": self.max_sessions,
+                "shards": self.shards,
+                "accept_queue": self.accept_queue,
+                "programs": [
+                    {"name": e.name, "program_hash": e.hash} for e in entries
+                ],
+            },
+            "metrics": self.metrics.snapshot(),
+        }
+
     # -- parking and resume ------------------------------------------------
 
     def _park(self, ctx: _SessionContext) -> None:
@@ -1014,7 +1090,7 @@ class GatewayServer:
             self.metrics.set_gauge("gateway.pending_resumes", len(self._parked))
         self._count("gateway.parked")
 
-    def _recv_commit(self, conn, ctx: _SessionContext | None) -> dict:
+    def _recv_commit(self, conn, ctx: _SessionContext) -> dict:
         """The awaiting-commit read — the only parkable protocol state.
 
         A disconnect here is provably pre-commit: nothing of the
@@ -1029,17 +1105,15 @@ class GatewayServer:
         except TimeoutError:
             raise
         except ProtocolViolation as exc:
-            if exc.code == "io" and ctx is not None and ctx.token is not None:
-                self._park(ctx)
-                raise _SessionParked() from exc
-            raise
+            if exc.code != "io":
+                raise
+            self._park(ctx)
+            raise _SessionParked() from exc
         except OSError as exc:
-            if ctx is not None and ctx.token is not None:
-                self._park(ctx)
-                raise _SessionParked() from exc
-            raise
+            self._park(ctx)
+            raise _SessionParked() from exc
 
-    def _resume_session(self, conn, budget, first: dict, session_id: int) -> None:
+    def _resume_session(self, conn, budget, first: dict) -> None:
         """Continue a parked session on a fresh connection."""
         token = require(first, "token")
         ctx = None
@@ -1066,11 +1140,7 @@ class GatewayServer:
             )
         self._count("gateway.resumed")
         greeting = {"type": "resume-ok", "resume": ctx.token}
-        with self._program_slot(ctx.entry):
-            answers_payload = self._serve_proofs(
-                conn, budget, ctx, greeting, None
-            )
-        send_frame(conn, {"type": "answers", "instances": answers_payload})
+        self._exchange(conn, budget, ctx, greeting, None)
 
     def _refuse_resume(self, conn, code: str, message: str) -> None:
         """Reject a resume attempt (counted apart from session errors).
@@ -1108,104 +1178,76 @@ class GatewayServer:
         while not self._stop.wait(interval):
             self._reap_parked()
 
-    @staticmethod
-    def _budget_check(budget: float | None) -> None:
-        if budget is not None and time.monotonic() > budget:
-            raise ProtocolViolation(
-                "session wall-clock budget exhausted", code="deadline"
-            )
+    # -- the exchange ------------------------------------------------------
 
-    def _run_session(
-        self, conn, budget: float | None, session_id: int, counted: list
-    ) -> bool:
-        """Serve the connection's frames; False if it was a stats poll.
+    def _exchange(
+        self,
+        conn,
+        budget: float | None,
+        ctx: _SessionContext,
+        greeting: dict,
+        tracer: telemetry.Tracer | None,
+    ) -> None:
+        """A session's frames, in one sequence for both proving modes.
 
-        A stats poll is not a session: it ticks ``stats_requests`` only,
-        so polling never moves the session ledger or the latency
-        histogram that busy hints read.
+        In one of the program's slots: send the greeting, read the
+        commit (decoding its Enc(r) as it arrives), the inputs and the
+        challenge, and write the outputs and answers.  The ``prove`` and
+        ``answer`` steps go to :meth:`_SessionSteps.run`: directly with
+        ``shards=0``, else on a shard worker leased before the greeting
+        and released on the way out.  A park releases it too: nothing of
+        the session reaches the worker before the commit, so a resume
+        simply leases again.  A traced session records under its own
+        tracer and ships the records in the answers frame.
         """
-        first = recv_frame(conn)
-        if first.get("type") == "stats":
-            self._count("stats_requests")
-            send_frame(conn, self._snapshot_frame())
-            return False
-        if first.get("type") == "resume":
-            # continues an already-counted session: not counted again
-            counted[0] = True
-            self._resume_session(conn, budget, first, session_id)
-            return True
-        self._mark_started(counted)
-        hello = expect(first, "hello")
-        phash = require(hello, "program")
-        entry = self.registry.lookup(phash)
-        if entry is None:
-            self._count("gateway.unknown_program")
-            raise ProtocolViolation(
-                f"unknown program {str(phash)[:16]}: not registered with "
-                f"this gateway ({len(self.registry)} programs hosted)",
-                code="unknown-program",
+        bind = telemetry.thread_tracer(tracer) if tracer is not None else nullcontext()
+        with self._program_slot(ctx.entry), bind:
+            span = telemetry.start_span(
+                "wire.prover_session", session=ctx.session_id, program=ctx.entry.name
             )
-        self._count(f"gateway.sessions.{entry.name}")
-        params, seed = parse_hello_params(hello)
-        qap_mode = hello.get("qap_mode", entry.config.qap_mode)
-        token = os.urandom(16).hex() if self.resume_tokens else None
-        ctx = _SessionContext(
-            token=token,
-            entry=entry,
-            params=params,
-            seed=seed,
-            qap_mode=qap_mode,
-            session_id=session_id,
-        )
-        greeting = {"type": "hello-ok"}
-        if token is not None:
-            greeting["resume"] = token
-
-        session_tracer: telemetry.Tracer | None = None
-        trace_req = hello.get("trace")
-        if self.trace_sessions and isinstance(trace_req, dict):
-            session_tracer = telemetry.Tracer(
-                trace_id=str(trace_req.get("trace_id", "") or telemetry.new_trace_id())
-            )
-
-        with self._program_slot(entry):
-            if session_tracer is not None:
-                with telemetry.thread_tracer(session_tracer):
-                    answers_payload = self._serve_proofs(
-                        conn, budget, ctx, greeting, session_tracer
+            worker = None
+            try:
+                if self._pool is None:
+                    step = _SessionSteps(self.registry).run
+                else:
+                    worker = self._lease(budget)
+                    step = functools.partial(
+                        self._shard_call, worker, ctx.session_id, budget, tracer, span
                     )
-                frame = {"type": "answers", "instances": answers_payload}
-                frame["trace"] = self._bounded_trace(session_tracer)
-            else:
-                answers_payload = self._serve_proofs(
-                    conn, budget, ctx, greeting, None
+                _budget_check(budget)
+                send_frame(conn, greeting)
+                commit = self._recv_commit(conn, ctx)
+                request = _decode_commit(require(commit, "enc_r"))
+                batch_spec = require(expect(recv_frame(conn), "inputs"), "batch")
+                if isinstance(batch_spec, list):
+                    self.metrics.observe("session_batch_size", len(batch_spec))
+                prove_payload = (
+                    ctx.entry.hash,
+                    ctx.params,
+                    ctx.seed,
+                    ctx.qap_mode,
+                    request,
+                    batch_spec,
+                    budget,
                 )
-                frame = {"type": "answers", "instances": answers_payload}
+                outputs, cache_hit = step("prove", prove_payload)
+                self._count(
+                    "gateway.schedule_cache_hits" if cache_hit
+                    else "gateway.schedule_cache_misses"
+                )
+                send_frame(conn, {"type": "outputs", "instances": outputs})
+                t_spec = require(expect(recv_frame(conn), "challenge"), "t")
+                _budget_check(budget)
+                answers = step("answer", t_spec)
+            finally:
+                if worker is not None:
+                    self._pool.release(worker)
+                    self.metrics.set_gauge("gateway.shards_alive", self._pool.alive)
+                telemetry.end_span(span)
+        frame = {"type": "answers", "instances": answers}
+        if tracer is not None:
+            frame["trace"] = self._bounded_trace(tracer)
         send_frame(conn, frame)
-        return True
-
-    def _snapshot_frame(self) -> dict:
-        """The reply to a ``stats`` request: server identity plus the
-        registry snapshot."""
-        entries = self.registry.entries()
-        return {
-            "type": "stats",
-            "server": {
-                "role": "gateway",
-                # first program doubles as the headline identity so
-                # single-program tooling (repro top) renders something
-                "program": entries[0].name if entries else "?",
-                "program_hash": entries[0].hash if entries else "",
-                "address": list(self.address),
-                "max_sessions": self.max_sessions,
-                "shards": self.shards,
-                "accept_queue": self.accept_queue,
-                "programs": [
-                    {"name": e.name, "program_hash": e.hash} for e in entries
-                ],
-            },
-            "metrics": self.metrics.snapshot(),
-        }
 
     def _bounded_trace(self, tracer: telemetry.Tracer) -> list[dict]:
         """Span records capped at ``max_trace_bytes`` (root survives)."""
@@ -1216,132 +1258,36 @@ class GatewayServer:
             records = [root]
         return records
 
-    # -- the prove/answer exchange ----------------------------------------
-
-    def _serve_proofs(
-        self,
-        conn,
-        budget: float | None,
-        ctx: _SessionContext,
-        greeting: dict,
-        tracer: telemetry.Tracer | None,
-    ) -> list:
-        span = telemetry.start_span(
-            "wire.prover_session", session=ctx.session_id, program=ctx.entry.name
-        )
-        try:
-            if self._pool is not None:
-                return self._exchange_sharded(conn, budget, ctx, greeting, tracer, span)
-            return self._exchange_inline(conn, budget, ctx, greeting)
-        finally:
-            telemetry.end_span(span)
-
-    def _exchange_inline(self, conn, budget, ctx: _SessionContext, greeting) -> list:
-        """Prove on the handler thread (shards=0)."""
-        self._budget_check(budget)
-        send_frame(conn, greeting)
-        if ctx.prover is None:
-            prover, cache_hit = ctx.entry.session_prover(
-                ctx.params, ctx.seed, ctx.qap_mode
-            )
-            self._count(
-                "gateway.schedule_cache_hits" if cache_hit
-                else "gateway.schedule_cache_misses"
-            )
-            ctx.prover = prover  # survives a park into the resume
-        else:
-            prover = ctx.prover  # resumed: schedule already derived
-        commit = self._recv_commit(conn, ctx)
-        prover.commit(require(commit, "enc_r"))
-        inputs_msg = expect(recv_frame(conn), "inputs")
-        batch_spec = require(inputs_msg, "batch")
-        if isinstance(batch_spec, list):
-            self.metrics.observe("session_batch_size", len(batch_spec))
-        outputs_payload = prover.prove(
-            batch_spec,
-            budget_check=lambda: self._budget_check(budget),
-        )
-        send_frame(conn, {"type": "outputs", "instances": outputs_payload})
-        challenge_msg = expect(recv_frame(conn), "challenge")
-        self._budget_check(budget)
-        return prover.answer(require(challenge_msg, "t"))
-
-    def _exchange_sharded(
-        self, conn, budget, ctx: _SessionContext, greeting, tracer, span
-    ) -> list:
-        """Pin the session to a leased shard worker for both steps.
-
-        A disconnect while awaiting the commit parks the session *and
-        releases the lease* (the ``finally`` below runs on the way
-        out): nothing session-specific has shipped to the worker yet,
-        so a resume simply leases again.  Post-commit disconnects also
-        release — they fail the session for good.
-        """
-        entry, params, seed = ctx.entry, ctx.params, ctx.seed
-        session_id = ctx.session_id
-        lease_timeout = self.lease_timeout
+    def _lease(self, budget: float | None):
+        """A shard for the session's steps; ``busy`` if none frees in time."""
+        timeout = self.lease_timeout
         if budget is not None:
-            lease_timeout = min(lease_timeout, max(budget - time.monotonic(), 0))
+            timeout = min(timeout, max(budget - time.monotonic(), 0))
         with self.metrics.time("gateway.lease_wait_seconds"):
-            worker = self._pool.lease(timeout=lease_timeout)
+            worker = self._pool.lease(timeout=timeout)
         if worker is None:
             self._count("gateway.shed.lease")
             raise ProtocolViolation(
-                f"no prover shard free within {lease_timeout:.1f}s",
+                f"no prover shard free within {timeout:.1f}s",
                 code="busy",
                 retry_after=self.retry_after_hint(),
             )
-        try:
-            self._budget_check(budget)
-            send_frame(conn, greeting)
-            commit = self._recv_commit(conn, ctx)
-            # decode-validate at receipt so a malformed commit is
-            # answered before we wait on inputs (the shard decodes for
-            # real when the whole exchange ships over)
-            unhex_ciphertexts(require(commit, "enc_r"), what="commit enc_r")
-            inputs_msg = expect(recv_frame(conn), "inputs")
-            batch_spec = require(inputs_msg, "batch")
-            if isinstance(batch_spec, list):
-                self.metrics.observe("session_batch_size", len(batch_spec))
-            prove_payload = (
-                entry.hash,
-                (params.delta, params.rho_lin, params.rho),
-                seed.hex(),
-                ctx.qap_mode,
-                require(commit, "enc_r"),
-                batch_spec,
-                tracer.trace_id if tracer is not None else None,
-            )
-            outputs_payload = self._shard_call(
-                worker, ("prove", session_id, prove_payload), budget, tracer, span
-            )
-            send_frame(conn, {"type": "outputs", "instances": outputs_payload})
-            challenge_msg = expect(recv_frame(conn), "challenge")
-            self._budget_check(budget)
-            return self._shard_call(
-                worker,
-                ("answer", session_id, require(challenge_msg, "t")),
-                budget,
-                tracer,
-                span,
-            )
-        finally:
-            self._pool.release(worker)
-            self.metrics.set_gauge("gateway.shards_alive", self._pool.alive)
+        return worker
 
-    def _shard_call(self, worker, task, budget, tracer, span):
-        """One task round trip to a leased shard, bounded by the budget.
+    def _shard_call(self, worker, session_id, budget, tracer, span, kind, payload):
+        """Run one step on the session's leased shard, bounded by the budget.
 
         A dead worker turns into a structured, *retryable* ``internal``
         error for this client, and a budget that runs out first into
-        ``deadline``; either way the lease's ``finally`` replaces the
-        worker instead of reusing it.
+        ``deadline``; either way the lease's release replaces the
+        worker instead of reusing it.  The step's span records come
+        back with its reply and are adopted under the session span.
         """
-        kind = task[0]
-        self._pool.send(worker, task)
+        trace_id = tracer.trace_id if tracer is not None else None
+        self._pool.send(worker, (kind, session_id, trace_id, payload))
         replies = []
         while not replies:
-            self._budget_check(budget)
+            _budget_check(budget)
             replies = self._pool.wait(
                 [worker], None if budget is None else budget - time.monotonic()
             )
@@ -1355,7 +1301,7 @@ class GatewayServer:
             )
         status, *rest = reply
         if status == "ok":
-            payload, records = rest
+            result, records = rest
             if records and tracer is not None:
                 try:
                     tracer.adopt(
@@ -1364,7 +1310,7 @@ class GatewayServer:
                     )
                 except (KeyError, TypeError, ValueError):
                     pass  # diagnostic data never fails a session
-            return payload
+            return result
         code, message = rest
         raise ProtocolViolation(
             f"shard failed during {kind!r} step: {message}", code=code

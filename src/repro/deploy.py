@@ -48,10 +48,10 @@ from .argument import (
     ProgramRegistry,
     ProtocolViolation,
     RetryPolicy,
-    program_hash,
     verify_remote,
 )
 from .argument.framing import recv_frame, send_frame
+from .argument.net import hello_frame
 
 #: named WAN shapes for the grid's ``link`` axis (LinkProfile kwargs;
 #: the seed is supplied per side at wrap time)
@@ -135,20 +135,6 @@ def churn_plan(cell: DeployCell, seed: int, slot: int) -> list[str]:
     return decisions
 
 
-def _hello_frame(program, config: ArgumentConfig) -> dict:
-    return {
-        "type": "hello",
-        "program": program_hash(program),
-        "params": {
-            "delta": config.params.delta,
-            "rho_lin": config.params.rho_lin,
-            "rho": config.params.rho,
-        },
-        "qap_mode": config.qap_mode,
-        "seed": config.seed.hex(),
-    }
-
-
 def _flush(queue, record: dict) -> None:
     """Enqueue and flush (the feeder thread must drain before _exit)."""
     queue.put(record)
@@ -187,7 +173,7 @@ def _verifier_main(
             try:
                 with socket.create_connection(address, timeout=10) as sock:
                     sock.settimeout(10)
-                    send_frame(sock, _hello_frame(program, config))
+                    send_frame(sock, hello_frame(program, config))
                     reply = recv_frame(sock)
                     started = reply.get("type") == "hello-ok"
             except (OSError, ProtocolViolation):

@@ -29,7 +29,7 @@ from repro.argument import (
     RetryPolicy,
     verify_remote,
 )
-from repro.argument.net import recv_frame, send_frame
+from repro.argument.net import hello_frame, recv_frame, send_frame
 from repro.pcp import SoundnessParams
 
 FAST = ArgumentConfig(params=SoundnessParams(rho_lin=2, rho=1))
@@ -214,22 +214,7 @@ class TestResume:
         with _gateway(registry, resume_timeout=0.3) as gw:
             sock = socket.create_connection(gw.address, timeout=5)
             sock.settimeout(5)
-            send_frame(
-                sock,
-                {
-                    "type": "hello",
-                    "program": __import__(
-                        "repro.argument", fromlist=["program_hash"]
-                    ).program_hash(sumsq_program),
-                    "params": {
-                        "delta": FAST.params.delta,
-                        "rho_lin": FAST.params.rho_lin,
-                        "rho": FAST.params.rho,
-                    },
-                    "qap_mode": FAST.qap_mode,
-                    "seed": FAST.seed.hex(),
-                },
-            )
+            send_frame(sock, hello_frame(sumsq_program, FAST))
             reply = recv_frame(sock)
             assert reply["type"] == "hello-ok"
             assert isinstance(reply.get("resume"), str)
@@ -306,21 +291,6 @@ class TestResume:
                 )
             assert gw.metrics.counter_value("sessions_started") == 1
             assert gw.metrics.counter_value("gateway.resumed") == 0
-
-    def test_tokens_can_be_disabled(self, sumsq_program, registry):
-        plan = FaultPlan([FaultRule(frame=1, action="drop", direction="send")])
-        with _gateway(registry, resume_tokens=False) as gw:
-            with pytest.raises(ProtocolViolation, match="after commit"):
-                verify_remote(
-                    sumsq_program,
-                    [[1, 2, 3]],
-                    gw.address,
-                    FAST,
-                    retry=RetryPolicy(max_attempts=3, base_delay=0.1),
-                    deadlines=DEADLINES,
-                    socket_wrapper=plan.wrap,
-                )
-            assert gw.pending_resumes == 0
 
 
 # -- storm admission ----------------------------------------------------------

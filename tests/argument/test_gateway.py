@@ -21,7 +21,8 @@ from repro.argument import (
     program_hash,
     verify_remote,
 )
-from repro.argument.net import recv_frame, send_frame
+from repro.argument.framing import hex_list
+from repro.argument.net import hello_frame, recv_frame, send_frame
 from repro.compiler import compile_program
 from repro.pcp import SoundnessParams
 
@@ -48,26 +49,27 @@ def registry(sumsq_program, affine_program):
     return reg
 
 
-def _hello_frame(program, config=FAST):
-    """The client hello for ``program`` (for half-open raw sessions)."""
-    return {
-        "type": "hello",
-        "program": program_hash(program),
-        "params": {
-            "delta": config.params.delta,
-            "rho_lin": config.params.rho_lin,
-            "rho": config.params.rho,
-        },
-        "qap_mode": config.qap_mode,
-        "seed": config.seed.hex(),
-    }
+def _raw_session(address, program, setup, batch):
+    """Drive one untraced session frame by frame with a fixed verifier
+    ``setup``; returns the gateway's outputs and answers frames."""
+    _, _, request, challenge = setup
+    with socket.create_connection(address, timeout=5) as sock:
+        sock.settimeout(30)
+        send_frame(sock, hello_frame(program, FAST))
+        assert recv_frame(sock)["type"] == "hello-ok"
+        enc_r = [[format(c.c1, "x"), format(c.c2, "x")] for c in request.ciphertexts]
+        send_frame(sock, {"type": "commit", "enc_r": enc_r})
+        send_frame(sock, {"type": "inputs", "batch": [hex_list(x) for x in batch]})
+        outputs = recv_frame(sock)
+        send_frame(sock, {"type": "challenge", "t": hex_list(challenge.queries[-1])})
+        return outputs, recv_frame(sock)
 
 
 def _hold_session(address, program):
     """Open a session and stall after hello-ok, pinning a handler/slot."""
     sock = socket.create_connection(address, timeout=5)
     sock.settimeout(10)
-    send_frame(sock, _hello_frame(program))
+    send_frame(sock, hello_frame(program, FAST))
     reply = recv_frame(sock)
     assert reply["type"] == "hello-ok"
     return sock
@@ -208,11 +210,18 @@ class TestMultiProgramDispatch:
             assert gw.metrics.counter_value("sessions_started") == 1
         assert gw.metrics.counter_value("gateway.unknown_program") == 1
 
-    def test_repeat_seed_hits_schedule_cache(self, registry, sumsq_program):
-        with GatewayServer(registry) as gw:
+    @pytest.mark.parametrize("shards", [0, 1])
+    def test_repeat_seed_hits_schedule_cache(self, sumsq_program, shards):
+        """The prove step reports its schedule lookup in both proving
+        modes: a fresh registry misses once, then hits on the repeat."""
+        registry = ProgramRegistry()
+        registry.register(sumsq_program, FAST)
+        with GatewayServer(registry, shards=shards) as gw:
             verify_remote(sumsq_program, [[1, 1, 1]], gw.address, FAST)
             verify_remote(sumsq_program, [[2, 2, 2]], gw.address, FAST)
-        assert gw.metrics.counter_value("gateway.schedule_cache_hits") >= 1
+        count = gw.metrics.counter_value
+        assert count("gateway.schedule_cache_misses") == 1
+        assert count("gateway.schedule_cache_hits") == 1
 
     def test_stats_frame_lists_every_program(self, registry, sumsq_program):
         with GatewayServer(registry, max_sessions=3, shards=0) as gw:
@@ -270,8 +279,9 @@ class TestMultiProgramDispatch:
         assert {name: wire[name] for name in names} == live
 
     def test_stats_polls_are_not_sessions(self, registry, sumsq_program):
-        """Polling the stats frame must not move the session ledger or
-        the latency histogram that ``retry_after`` hints read."""
+        """Polling the stats frame must not move the session ledger, the
+        in-flight gauge, the queue-wait histogram or the latency
+        histogram that ``retry_after`` hints read."""
         names = ("sessions_started", "sessions_ok", "session_errors")
         with GatewayServer(registry) as gw:
             verify_remote(sumsq_program, [[1, 2, 3]], gw.address, FAST)
@@ -290,6 +300,8 @@ class TestMultiProgramDispatch:
                 "session_errors": 0,
             }
             assert doc["histograms"]["session_latency_seconds"]["count"] == 1
+            assert doc["gauges"]["sessions_in_flight"] == 0
+            assert doc["histograms"]["gateway.queue_wait_seconds"]["count"] == 1
         assert live["counters"]["stats_requests"] == 3
 
 
@@ -406,7 +418,6 @@ class TestShutdown:
             max_sessions=1,
             accept_queue=8,
             deadlines=Deadlines(read=1.0),
-            drain_timeout=10.0,
         ).start()
         held = _hold_session(gw.address, sumsq_program)
         outcomes = []
@@ -455,6 +466,22 @@ class TestSharding:
         assert r1.all_accepted and r2.all_accepted
         assert [r.output_values for r in r1.instances] == [[14], [77]]
         assert gw.metrics.counter_value("gateway.worker_deaths") == 0
+
+    def test_inline_and_sharded_sessions_send_identical_frames(
+        self, registry, sumsq_program
+    ):
+        """One exchange serves both proving modes: the same seed, Enc(r),
+        inputs and challenge draw the same outputs and answers frames."""
+        setup = ZaatarArgument(sumsq_program, FAST).verifier_setup()
+        batch = [[1, 2, 3], [4, 5, 6]]
+        frames = []
+        for shards in (0, 1):
+            with GatewayServer(registry, shards=shards) as gw:
+                frames.append(_raw_session(gw.address, sumsq_program, setup, batch))
+        (outputs, answers), sharded = frames
+        assert (outputs["type"], answers["type"]) == ("outputs", "answers")
+        assert len(answers["instances"]) == len(batch)
+        assert sharded == (outputs, answers)
 
     @pytest.mark.parametrize("step", ["prove", "answer"])
     def test_worker_death_mid_session_is_retryable_error(
@@ -523,7 +550,7 @@ class TestSharding:
             sock = socket.create_connection(gw.address, timeout=5)
             sock.settimeout(10)
             try:
-                send_frame(sock, _hello_frame(sumsq_program))
+                send_frame(sock, hello_frame(sumsq_program, FAST))
                 # the sharded exchange leases its worker before sending
                 # hello-ok, so once it arrives the pool is exhausted
                 assert recv_frame(sock)["type"] == "hello-ok"

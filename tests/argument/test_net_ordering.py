@@ -9,8 +9,8 @@ import socket
 
 import pytest
 
-from repro.argument import ArgumentConfig, ProverServer, program_hash, verify_remote
-from repro.argument.net import recv_frame, send_frame
+from repro.argument import ArgumentConfig, ProverServer, verify_remote
+from repro.argument.net import hello_frame, recv_frame, send_frame
 from repro.pcp import SoundnessParams
 
 FAST = ArgumentConfig(params=SoundnessParams(rho_lin=2, rho=1))
@@ -20,16 +20,6 @@ FAST = ArgumentConfig(params=SoundnessParams(rho_lin=2, rho=1))
 def server(sumsq_program):
     with ProverServer(sumsq_program, FAST) as srv:
         yield srv
-
-
-def hello_payload(program):
-    return {
-        "type": "hello",
-        "program": program_hash(program),
-        "params": {"delta": FAST.params.delta, "rho_lin": 2, "rho": 1},
-        "qap_mode": "arithmetic",
-        "seed": FAST.seed.hex(),
-    }
 
 
 def assert_error_reply(sock, *, code=None):
@@ -45,7 +35,7 @@ def assert_error_reply(sock, *, code=None):
 class TestPhaseOrdering:
     def test_challenge_before_commit_rejected(self, sumsq_program, server):
         with socket.create_connection(server.address, timeout=5) as sock:
-            send_frame(sock, hello_payload(sumsq_program))
+            send_frame(sock, hello_frame(sumsq_program, FAST))
             assert recv_frame(sock)["type"] == "hello-ok"
             # jump straight to the challenge: the server must refuse
             # with a structured error, never leak answers
@@ -57,7 +47,7 @@ class TestPhaseOrdering:
 
     def test_inputs_before_commit_rejected(self, sumsq_program, server):
         with socket.create_connection(server.address, timeout=5) as sock:
-            send_frame(sock, hello_payload(sumsq_program))
+            send_frame(sock, hello_frame(sumsq_program, FAST))
             assert recv_frame(sock)["type"] == "hello-ok"
             send_frame(sock, {"type": "inputs", "batch": [["1", "2", "3"]]})
             assert_error_reply(sock)
@@ -72,7 +62,7 @@ class TestPhaseOrdering:
 
     def test_malformed_hex_in_commit_rejected(self, sumsq_program, server):
         with socket.create_connection(server.address, timeout=5) as sock:
-            send_frame(sock, hello_payload(sumsq_program))
+            send_frame(sock, hello_frame(sumsq_program, FAST))
             assert recv_frame(sock)["type"] == "hello-ok"
             send_frame(sock, {"type": "commit", "enc_r": [["zz", "qq"]]})
             assert_error_reply(sock, code="bad-frame")
@@ -80,6 +70,6 @@ class TestPhaseOrdering:
 
     def test_abrupt_disconnect_midway(self, sumsq_program, server):
         sock = socket.create_connection(server.address, timeout=5)
-        send_frame(sock, hello_payload(sumsq_program))
+        send_frame(sock, hello_frame(sumsq_program, FAST))
         sock.close()  # vanish mid-session
         assert verify_remote(sumsq_program, [[4, 4, 4]], server.address, FAST).all_accepted

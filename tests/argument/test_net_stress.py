@@ -19,10 +19,9 @@ from repro.argument import (
     ProtocolViolation,
     ProverServer,
     RetryPolicy,
-    program_hash,
     verify_remote,
 )
-from repro.argument.net import recv_frame, send_frame
+from repro.argument.net import hello_frame, recv_frame, send_frame
 from repro.pcp import SoundnessParams
 
 FAST = ArgumentConfig(params=SoundnessParams(rho_lin=2, rho=1))
@@ -84,20 +83,7 @@ class TestConcurrentSessions:
             # occupy the single slot with a half-open session
             holder = socket.create_connection(server.address, timeout=5)
             try:
-                send_frame(
-                    holder,
-                    {
-                        "type": "hello",
-                        "program": program_hash(sumsq_program),
-                        "params": {
-                            "delta": FAST.params.delta,
-                            "rho_lin": 2,
-                            "rho": 1,
-                        },
-                        "qap_mode": "arithmetic",
-                        "seed": FAST.seed.hex(),
-                    },
-                )
+                send_frame(holder, hello_frame(sumsq_program, FAST))
                 assert recv_frame(holder)["type"] == "hello-ok"
                 # the next client must get a structured busy error
                 with pytest.raises(ProtocolViolation) as excinfo:

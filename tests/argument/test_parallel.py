@@ -1,9 +1,25 @@
 """Tests for the multiprocess distributed prover."""
 
-from repro.argument import ArgumentConfig, ZaatarArgument, run_parallel_batch
+import time
+
+from repro.argument import (
+    ArgumentConfig,
+    WorkerPool,
+    ZaatarArgument,
+    run_parallel_batch,
+)
 from repro.pcp import SoundnessParams
 
 FAST = ArgumentConfig(params=SoundnessParams(rho_lin=2, rho=1))
+
+
+def _wait_for_stop(conn):
+    """A pool target that exits on the ``None`` stop signal or on EOF."""
+    try:
+        while conn.recv() is not None:
+            pass
+    except EOFError:
+        pass
 
 
 class TestParallelBatch:
@@ -93,3 +109,24 @@ class TestFailureIsolation:
         assert failed.result.num_failed == 1
         result = run_parallel_batch(arg, [[1, 2, 3]], num_workers=1)
         assert result.result.all_accepted
+
+
+class TestWorkerPool:
+    def test_workers_exit_when_every_parent_end_closes(self):
+        """A parent that dies closes every parent end of the pipes
+        without sending ``None``; each worker must then read EOF and
+        exit, which it cannot while it or a sibling still holds an
+        inherited copy of a parent end."""
+        pool = WorkerPool(_wait_for_stop, 2)
+        workers = [pool.lease(timeout=5), pool.lease(timeout=5)]
+        try:
+            for worker in workers:
+                worker.conn.close()
+            deadline = time.monotonic() + 5
+            for worker in workers:
+                worker.process.join(timeout=max(deadline - time.monotonic(), 0))
+            assert [w.process.exitcode for w in workers] == [0, 0]
+        finally:
+            for worker in workers:
+                worker.process.kill()
+                worker.process.join(timeout=5)
