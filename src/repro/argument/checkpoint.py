@@ -11,13 +11,16 @@ header — a checkpoint from a different program, seed, or batch is
 refused loudly — then replays the recorded outcomes and proves only the
 missing instances.
 
-Because every verifier draw is a pure function of ``config.seed`` and
-every prover message is a pure function of (program, seed, inputs), a
-resumed run reproduces *bit-identical* prover messages for the
-remaining instances; ``transcript_from_checkpoint`` turns a completed
-checkpoint into the same :class:`~repro.argument.transcript.Transcript`
-an uninterrupted run records (tested in
-``tests/argument/test_checkpoint.py``).
+An ok instance's record is the transcript's own
+:class:`~repro.argument.transcript.InstanceRecord` (inputs, claimed
+outputs, commitment, answers, written with its ``to_json``) beside the
+verdict and the prover's phase clocks.  Because every verifier draw is
+a pure function of ``config.seed`` and every prover message is a pure
+function of (program, seed, inputs), a resumed run reproduces
+*bit-identical* prover messages for the remaining instances;
+``transcript_from_checkpoint`` reads the records back into the same
+:class:`~repro.argument.transcript.Transcript` an uninterrupted run
+records (tested in ``tests/argument/test_checkpoint.py``).
 
 Records are flushed and fsync'd individually, so a kill -9 of the
 engine loses at most the instance in flight; a torn trailing line from
@@ -32,7 +35,6 @@ import os
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from ..crypto.elgamal import ElGamalCiphertext
 from ..pcp import SoundnessParams
 from .stats import ProverStats
 from .transcript import InstanceRecord, Transcript
@@ -40,7 +42,9 @@ from .transcript import InstanceRecord, Transcript
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .protocol import InstanceResult, ZaatarArgument
 
-CHECKPOINT_FORMAT = "repro-batch-checkpoint-v1"
+#: changes whenever a record's keys do (v2: the transcript's instance
+#: record replaced v1's ``x``/``y``); ``begin`` refuses any other format
+CHECKPOINT_FORMAT = "repro-batch-checkpoint-v2"
 CHECKPOINT_FILENAME = "batch.ckpt.jsonl"
 
 
@@ -83,12 +87,7 @@ class BatchCheckpoint:
             "type": "header",
             "format": CHECKPOINT_FORMAT,
             "program": program_hash(argument.program),
-            "seed": cfg.seed.hex(),
-            "params": {
-                "delta": cfg.params.delta,
-                "rho_lin": cfg.params.rho_lin,
-                "rho": cfg.params.rho,
-            },
+            **cfg.params.encode(cfg.seed),
             "qap_mode": cfg.qap_mode,
             "paper_scale_crypto": cfg.paper_scale_crypto,
             "use_commitment": cfg.use_commitment,
@@ -164,15 +163,10 @@ class BatchCheckpoint:
 # -- record <-> result bridging ------------------------------------------------
 
 
-def instance_record(
-    result: "InstanceResult",
-    *,
-    input_values=None,
-    commitment=None,
-    answers=None,
-) -> dict:
-    """Serialize one finished instance (with its prover messages when it
-    produced any — that is what makes resumed transcripts possible)."""
+def instance_record(result: "InstanceResult") -> dict:
+    """Serialize one finished instance; an ok one with its
+    :class:`~repro.argument.transcript.InstanceRecord`, which is what
+    makes resumed transcripts possible."""
     record: dict = {
         "type": "instance",
         "index": result.index,
@@ -188,23 +182,14 @@ def instance_record(
             "accepted": result.accepted,
             "commitment_ok": result.commitment_ok,
             "pcp_ok": result.pcp_ok,
-            "y": [format(v, "x") for v in result.output_values],
             "stats": {
                 phase: getattr(result.prover_stats, phase)
                 for phase in ProverStats.PHASES
             },
             "wall": dict(result.prover_stats.wall),
+            **result.record.to_json(),
         }
     )
-    if input_values is not None:
-        record["x"] = [format(v, "x") for v in input_values]
-    if commitment is not None:
-        record["commitment"] = [
-            format(commitment.c1, "x"),
-            format(commitment.c2, "x"),
-        ]
-    if answers is not None:
-        record["answers"] = [format(v, "x") for v in answers]
     return record
 
 
@@ -226,14 +211,16 @@ def result_from_record(record: dict) -> "InstanceResult":
             **{phase: record["stats"][phase] for phase in ProverStats.PHASES},
             wall=dict(record.get("wall", {})),
         )
+        proved = InstanceRecord.from_json(record)
         return InstanceResult(
             accepted=bool(record["accepted"]),
             commitment_ok=bool(record["commitment_ok"]),
             pcp_ok=bool(record["pcp_ok"]),
-            output_values=[int(v, 16) for v in record["y"]],
+            output_values=proved.claimed_outputs,
             prover_stats=stats,
             index=index,
             attempts=attempts,
+            record=proved,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed instance record: {exc}") from exc
@@ -244,14 +231,19 @@ def transcript_from_checkpoint(
 ) -> Transcript:
     """A completed checkpoint as a replayable session transcript.
 
-    Every instance must be present, ``ok``, and carry its prover
-    messages (commitment + answers) — i.e. the run finished with the
-    commitment layer on.  The result is byte-identical to the
-    transcript :func:`~repro.argument.transcript.record_batch` records
-    for an uninterrupted run with the same config.
+    Every instance must be present and ``ok``, and its record must
+    carry a commitment — i.e. the run finished with the commitment
+    layer on.  The records are read back with the transcript's own
+    instance codec, so the result is byte-identical to the transcript
+    :func:`~repro.argument.transcript.record_batch` records for an
+    uninterrupted run with the same config.
     """
     if header is None:
         raise CheckpointError("checkpoint has no header")
+    if header.get("format") != CHECKPOINT_FORMAT:
+        raise CheckpointError(
+            f"checkpoint format {header.get('format')!r}, want {CHECKPOINT_FORMAT!r}"
+        )
     size = int(header.get("batch_size", 0))
     instances: list[InstanceRecord] = []
     for index in range(size):
@@ -264,29 +256,17 @@ def transcript_from_checkpoint(
                 "no prover messages to transcribe"
             )
         try:
-            instances.append(
-                InstanceRecord(
-                    input_values=[int(v, 16) for v in record["x"]],
-                    claimed_outputs=[int(v, 16) for v in record["y"]],
-                    commitment=ElGamalCiphertext(
-                        int(record["commitment"][0], 16),
-                        int(record["commitment"][1], 16),
-                    ),
-                    answers=[int(v, 16) for v in record["answers"]],
-                )
-            )
+            instances.append(InstanceRecord.from_json(record))
+            if instances[-1].commitment is None:
+                raise ValueError("no commitment")
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(
                 f"instance {index} lacks transcript material: {exc}"
             ) from exc
     try:
-        params = SoundnessParams(
-            delta=header["params"]["delta"],
-            rho_lin=header["params"]["rho_lin"],
-            rho=header["params"]["rho"],
-        )
+        params, seed = SoundnessParams.decode(header)
         return Transcript(
-            seed=bytes.fromhex(header["seed"]),
+            seed=seed,
             params=params,
             qap_mode=header["qap_mode"],
             paper_scale_crypto=header["paper_scale_crypto"],

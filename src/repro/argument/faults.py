@@ -413,6 +413,23 @@ class _LinkScheduler:
 _SCHEDULER = _LinkScheduler()
 
 
+def _fresh_scheduler() -> None:
+    """Give a forked child its own scheduler.
+
+    The child inherits the parent's ``_thread`` record but not the
+    thread, and possibly ``_cond`` held by it, so every frame a child's
+    :class:`LinkSocket` scheduled on the inherited one would stay
+    queued forever.  The parent's pending frames are not the child's
+    to deliver either.
+    """
+    global _SCHEDULER
+    _SCHEDULER = _LinkScheduler()
+
+
+if hasattr(os, "register_at_fork"):  # absent where processes cannot fork
+    os.register_at_fork(after_in_child=_fresh_scheduler)
+
+
 @dataclass
 class LinkProfile:
     """A seeded emulated network link, applied per connection.

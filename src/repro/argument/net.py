@@ -362,13 +362,8 @@ def hello_frame(program: CompiledProgram, config: ArgumentConfig) -> dict:
     return {
         "type": "hello",
         "program": program_hash(program),
-        "params": {
-            "delta": config.params.delta,
-            "rho_lin": config.params.rho_lin,
-            "rho": config.params.rho,
-        },
+        **config.params.encode(config.seed),
         "qap_mode": config.qap_mode,
-        "seed": config.seed.hex(),
     }
 
 

@@ -1,5 +1,10 @@
 """Distributed prover: a failure-isolating, resumable batch engine.
 
+The engine is the only code that proves and verifies an in-process
+Zaatar batch: ``ZaatarArgument.run_batch`` is its one-worker case, and
+every proved instance comes back as the transcript's
+:class:`~repro.argument.transcript.InstanceRecord`.
+
 The paper's prover "can be distributed over multiple machines, with
 each machine computing a subset of a batch" (§5.1) and achieves
 near-linear speedup (Figure 6).  Our stand-in distributes across CPU
@@ -62,10 +67,10 @@ from .protocol import (
     BatchStats,
     InstanceResult,
     ZaatarArgument,
-    check_instance,
     classify_failure,
 )
 from .stats import PhaseTimer, ProverStats, VerifierStats
+from .transcript import InstanceRecord
 
 logger = logging.getLogger(__name__)
 
@@ -75,61 +80,33 @@ def _fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-@dataclass
-class _ProofPayload:
-    """Everything one proved instance sends back to the engine."""
-
-    index: int
-    input_values: list[int]
-    x: list[int]
-    y: list[int]
-    output_values: list[int]
-    commitment: object
-    answers: list[int]
-    stat_tuple: tuple
-    records: list | None
-
-
-def _payload(index: int, entry, stats: ProverStats, records=None) -> _ProofPayload:
-    """The engine's message for one proved ``prove_batch`` entry."""
+def _instance_record(entry) -> InstanceRecord:
+    """The record of one proved ``prove_batch`` entry: the claim the
+    verifier checks (the solution's x and y) and the prover's messages."""
     sol, commitment, _, answers = entry
-    return _ProofPayload(
-        index=index,
-        input_values=list(sol.input_values),
-        x=sol.x,
-        y=sol.y,
-        output_values=sol.output_values,
-        commitment=commitment,
-        answers=list(answers),
-        stat_tuple=(
-            stats.solve_constraints,
-            stats.construct_u,
-            stats.crypto_ops,
-            stats.answer_queries,
-            stats.wall,
-        ),
-        records=records,
-    )
+    return InstanceRecord(list(sol.x), list(sol.y), commitment, list(answers))
 
 
-def _prove_payload(
+def _prove_one(
     argument: ZaatarArgument, setup, index: int, input_values: Sequence[int]
-) -> _ProofPayload:
-    """Prove one instance in a forked worker, as a one-row batch."""
-    # The inherited tracer's spans die with the worker process, so
-    # export the records this task produced and let the parent
-    # re-insert them (Tracer.adopt).
+) -> tuple:
+    """Prove one instance in a forked worker, as a one-row batch.
+
+    The reply is ``("ok", record, stats, spans)``.  The inherited
+    tracer's spans die with the worker process, so ``spans`` exports
+    the records this task produced (None untraced) and the parent
+    re-inserts them (Tracer.adopt).
+    """
     tracer = telemetry.current()
-    collect = tracer is not None
-    mark = tracer.mark() if collect else 0
+    mark = tracer.mark() if tracer is not None else 0
     stats = ProverStats()
     (entry,) = argument.prove_batch(
         [input_values], setup, indices=[index], per_stats=[stats]
     )
     if isinstance(entry, Exception):
         raise entry
-    records = tracer.records_since(mark) if collect else None
-    return _payload(index, entry, stats, records)
+    spans = tracer.records_since(mark) if tracer is not None else None
+    return "ok", _instance_record(entry), stats, spans
 
 
 def worker_tasks(conn) -> Iterator:
@@ -159,7 +136,7 @@ def _prove_worker(
         try:
             if plan is not None:
                 plan.apply(index, attempt)
-            reply = ("ok", _prove_payload(argument, setup, index, input_values))
+            reply = _prove_one(argument, setup, index, input_values)
         except Exception as exc:  # noqa: BLE001 - report, keep serving
             reply = ("err", classify_failure(exc), f"{type(exc).__name__}: {exc}")
         conn.send(reply)
@@ -423,34 +400,24 @@ class _Engine:
 
     # -- outcome handling --------------------------------------------------
 
-    def _finish(self, result: InstanceResult, payload: _ProofPayload | None) -> None:
+    def _finish(self, result: InstanceResult) -> None:
         self.outcomes[result.index] = result
         if self.checkpoint is not None:
-            self.checkpoint.append(
-                instance_record(
-                    result,
-                    input_values=payload.input_values if payload else None,
-                    commitment=payload.commitment if payload else None,
-                    answers=payload.answers if payload else None,
-                )
-            )
+            self.checkpoint.append(instance_record(result))
 
-    def handle_success(self, state: _InstanceState, payload: _ProofPayload) -> None:
+    def handle_success(
+        self, state: _InstanceState, record: InstanceRecord, stats: ProverStats
+    ) -> None:
         """Verify one proved instance; verification errors are isolated
         into the instance's outcome like any other failure."""
-        if payload.records:
-            self.adopted.append(payload.records)
         try:
             with self.timer.phase("per_instance"):
-                commit_ok, pcp_result = check_instance(
-                    self.setup, payload.commitment, payload.answers, payload.x, payload.y
-                )
+                commit_ok, pcp_result = record.check(self.setup, self.argument.field.p)
         except Exception as exc:  # noqa: BLE001 - isolate bad instances
             self.handle_failure(
                 state,
                 classify_failure(exc),
                 f"verification error: {type(exc).__name__}: {exc}",
-                payload=None,
             )
             return
         self._finish(
@@ -458,22 +425,15 @@ class _Engine:
                 accepted=commit_ok and pcp_result.accepted,
                 commitment_ok=commit_ok,
                 pcp_ok=pcp_result.accepted,
-                output_values=payload.output_values,
-                prover_stats=ProverStats(*payload.stat_tuple),
+                output_values=record.claimed_outputs,
+                prover_stats=stats,
                 index=state.index,
                 attempts=state.attempts,
-            ),
-            payload,
+                record=record,
+            )
         )
 
-    def handle_failure(
-        self,
-        state: _InstanceState,
-        code: str,
-        message: str,
-        *,
-        payload: _ProofPayload | None = None,
-    ) -> bool:
+    def handle_failure(self, state: _InstanceState, code: str, message: str) -> bool:
         """Record or retry one failed attempt.
 
         Returns True when the instance was requeued for retry (the
@@ -490,10 +450,7 @@ class _Engine:
         telemetry.count("batch.instances_failed")
         telemetry.count(f"batch.instances_failed.{code}")
         self._finish(
-            InstanceResult.failure(
-                state.index, code, message, attempts=state.attempts
-            ),
-            payload,
+            InstanceResult.failure(state.index, code, message, attempts=state.attempts)
         )
         return False
 
@@ -541,7 +498,7 @@ class _Engine:
             for state, entry, stats in zip(proving, entries, per_stats):
                 self.last_prove_done = time.monotonic()
                 if not isinstance(entry, Exception):
-                    self.handle_success(state, _payload(state.index, entry, stats))
+                    self.handle_success(state, _instance_record(entry), stats)
                 elif self.handle_failure(
                     state, classify_failure(entry), f"{type(entry).__name__}: {entry}"
                 ):
@@ -591,7 +548,10 @@ class _Engine:
                             f"proving instance {state.index}"
                         )
                     elif reply[0] == "ok":
-                        self.handle_success(state, reply[1])
+                        _, record, stats, spans = reply
+                        if spans:
+                            self.adopted.append(spans)
+                        self.handle_success(state, record, stats)
                         continue
                     else:
                         _, code, message = reply
@@ -621,13 +581,16 @@ def run_parallel_batch(
     exceptions / stragglers (tests); ``checkpoint`` names a directory
     (or a :class:`~repro.argument.checkpoint.BatchCheckpoint`) where
     finished instances are durably recorded so a killed run resumes
-    without re-proving them.
+    without re-proving them.  Fewer than one worker raises
+    ``ValueError`` before any setup runs.
 
     Returns wall-clock latency of the proving fan-out (the quantity
     Figure 6 reports as speedup versus the single-core configuration).
     """
     if num_workers is None:
         num_workers = max(1, (os.cpu_count() or 2) - 1)
+    if num_workers < 1:
+        raise ValueError(f"num_workers must be at least 1, got {num_workers}")
     if num_workers > 1 and not _fork_available():
         logger.warning(
             "fork start method unavailable on this platform; the batch "
@@ -637,59 +600,78 @@ def run_parallel_batch(
         num_workers = 1
     if checkpoint is not None and not isinstance(checkpoint, BatchCheckpoint):
         checkpoint = BatchCheckpoint(checkpoint)
-    retry = retry or RetryPolicy()
-    run_span = telemetry.start_span(
+    with telemetry.span(
         "argument.run_parallel_batch",
         batch_size=len(batch_inputs),
         workers=num_workers,
+    ):
+        return run_engine(
+            argument,
+            batch_inputs,
+            num_workers,
+            retry or RetryPolicy(),
+            checkpoint,
+            process_faults,
+        )
+
+
+def run_engine(
+    argument: ZaatarArgument,
+    batch_inputs: Sequence[Sequence[int]],
+    num_workers: int,
+    retry: RetryPolicy,
+    checkpoint: BatchCheckpoint | None = None,
+    process_faults: ProcessFaultPlan | None = None,
+) -> ParallelBatchResult:
+    """The batch engine, under its caller's span: the verifier setup,
+    then proving (in this process with one worker, else on a
+    :class:`WorkerPool`), serial verification and checkpointing.
+
+    :func:`run_parallel_batch` validates its arguments and calls this;
+    :meth:`ZaatarArgument.run_batch` calls it with one worker, no
+    retries and no checkpoint.  Worker spans are adopted under the
+    caller's span.
+    """
+    verifier_stats = VerifierStats()
+    setup = argument.verifier_setup(verifier_stats)
+    inputs = [list(v) for v in batch_inputs]
+
+    engine = _Engine(argument, setup, verifier_stats, retry, checkpoint, process_faults)
+    resumed = 0
+    if checkpoint is not None:
+        for index, record in checkpoint.begin(argument, inputs).items():
+            if 0 <= index < len(inputs):
+                engine.outcomes[index] = result_from_record(record)
+                resumed += 1
+                telemetry.count("batch.resumed")
+    states = [
+        _InstanceState(i, vec, retry)
+        for i, vec in enumerate(inputs)
+        if i not in engine.outcomes
+    ]
+
+    start = time.monotonic()
+    if states:
+        if num_workers == 1:
+            engine.run_inline(states)
+        else:
+            engine.run_pool(states, num_workers)
+    wall = (engine.last_prove_done or time.monotonic()) - start
+
+    tracer = telemetry.current()
+    if tracer is not None:
+        parent = tracer.current_span()
+        for spans in engine.adopted:
+            tracer.adopt(spans, parent_id=parent.span_id if parent else None)
+
+    results = [engine.outcomes[i] for i in range(len(inputs))]
+    batch = BatchStats(batch_size=len(inputs), verifier=verifier_stats)
+    batch.prover_per_instance.extend(r.prover_stats for r in results)
+    return ParallelBatchResult(
+        result=BatchResult(instances=results, stats=batch),
+        wall_seconds=wall,
+        num_workers=num_workers,
+        retries=engine.retries,
+        worker_deaths=engine.worker_deaths,
+        resumed=resumed,
     )
-    # Everything below runs under the span; a failure must not leave the
-    # run span dangling open (which corrupts every later trace built on
-    # this thread's span stack).
-    try:
-        verifier_stats = VerifierStats()
-        setup = argument.verifier_setup(verifier_stats)
-        inputs = [list(v) for v in batch_inputs]
-
-        engine = _Engine(
-            argument, setup, verifier_stats, retry, checkpoint, process_faults
-        )
-        resumed = 0
-        if checkpoint is not None:
-            for index, record in checkpoint.begin(argument, inputs).items():
-                if 0 <= index < len(inputs):
-                    engine.outcomes[index] = result_from_record(record)
-                    resumed += 1
-                    telemetry.count("batch.resumed")
-        states = [
-            _InstanceState(i, vec, retry)
-            for i, vec in enumerate(inputs)
-            if i not in engine.outcomes
-        ]
-
-        start = time.monotonic()
-        if states:
-            if num_workers == 1:
-                engine.run_inline(states)
-            else:
-                engine.run_pool(states, num_workers)
-        wall = (engine.last_prove_done or time.monotonic()) - start
-
-        tracer = telemetry.current()
-        if tracer is not None and run_span is not None:
-            for records in engine.adopted:
-                tracer.adopt(records, parent_id=run_span.span_id)
-
-        results = [engine.outcomes[i] for i in range(len(inputs))]
-        batch = BatchStats(batch_size=len(inputs), verifier=verifier_stats)
-        batch.prover_per_instance.extend(r.prover_stats for r in results)
-        return ParallelBatchResult(
-            result=BatchResult(instances=results, stats=batch),
-            wall_seconds=wall,
-            num_workers=num_workers,
-            retries=engine.retries,
-            worker_deaths=engine.worker_deaths,
-            resumed=resumed,
-        )
-    finally:
-        telemetry.end_span(run_span)

@@ -20,7 +20,7 @@ the paper itself falls back to the cost model at benchmark scale).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .. import telemetry
 from ..compiler import CompiledProgram
@@ -41,6 +41,9 @@ from ..pcp.ginger import build_ginger_proof
 from ..qap import QAPInstance, build_proof_vector, build_qap  # noqa: F401
 from ..qap.prover import compute_h_batch
 from .stats import BatchStats, PhaseTimer, ProverStats, VerifierStats
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .transcript import InstanceRecord
 
 #: Structured ``error``-frame codes a client must *not* retry: the
 #: failure is a property of the request itself, so resending the same
@@ -152,6 +155,14 @@ class ArgumentConfig:
 
 @dataclass
 class InstanceResult:
+    """One instance's outcome: the verdict, or the coded failure.
+
+    A proved instance of an in-process batch also carries its
+    ``record`` (inputs, claimed outputs, commitment, answers): the
+    same :class:`~repro.argument.transcript.InstanceRecord` that
+    transcripts store and checkpoints write.
+    """
+
     accepted: bool
     commitment_ok: bool
     pcp_ok: bool
@@ -169,6 +180,9 @@ class InstanceResult:
     error_message: str = ""
     #: proving attempts consumed (1 = no retries)
     attempts: int = 1
+    #: what the prover sent for this instance (None when not ``ok``,
+    #: and on results built outside the batch engine)
+    record: "InstanceRecord | None" = None
 
     @classmethod
     def failure(
@@ -463,49 +477,21 @@ class ZaatarArgument:
     # -- full batch ------------------------------------------------------------------
 
     def run_batch(self, batch_inputs: Sequence[Sequence[int]]) -> BatchResult:
-        """Prove and verify a whole batch (queries generated once)."""
+        """Prove and verify a whole batch (queries generated once).
+
+        This is the batch engine's one-worker case
+        (:func:`~repro.argument.parallel.run_parallel_batch` in this
+        process, with no retries and no checkpoint): every instance
+        ends in a structured outcome, a failure included.
+        """
+        # local: both modules import this one
+        from .net import RetryPolicy
+        from .parallel import run_engine
+
         with telemetry.span(
             "argument.run_batch", system="zaatar", batch_size=len(batch_inputs)
         ):
-            return self._run_batch(batch_inputs)
-
-    def _run_batch(self, batch_inputs: Sequence[Sequence[int]]) -> BatchResult:
-        verifier_stats = VerifierStats()
-        setup = self.verifier_setup(verifier_stats)
-        timer = PhaseTimer(verifier_stats)
-        per_stats = [ProverStats() for _ in batch_inputs]
-        proved = self.prove_batch(batch_inputs, setup, per_stats=per_stats)
-        results: list[InstanceResult] = []
-        for index, (entry, prover_stats) in enumerate(zip(proved, per_stats)):
-            if isinstance(entry, Exception):
-                results.append(record_instance_failure(index, entry))
-                continue
-            sol, commitment, _, answers = entry
-            try:
-                with timer.phase("per_instance"):
-                    commit_ok, pcp_result = check_instance(
-                        setup, commitment, answers, sol.x, sol.y
-                    )
-            except Exception as exc:  # noqa: BLE001 - one bad instance
-                # must not abort the rest of the batch
-                results.append(record_instance_failure(index, exc))
-            else:
-                results.append(
-                    InstanceResult(
-                        accepted=commit_ok and pcp_result.accepted,
-                        commitment_ok=commit_ok,
-                        pcp_ok=pcp_result.accepted,
-                        output_values=sol.output_values,
-                        prover_stats=prover_stats,
-                        index=index,
-                    )
-                )
-        batch = BatchStats(
-            batch_size=len(batch_inputs),
-            prover_per_instance=per_stats,
-            verifier=verifier_stats,
-        )
-        return BatchResult(instances=results, stats=batch)
+            return run_engine(self, batch_inputs, 1, RetryPolicy.none()).result
 
 
 class GingerArgument:

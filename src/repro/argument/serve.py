@@ -114,14 +114,8 @@ def parse_hello_params(hello: dict) -> tuple[SoundnessParams, bytes]:
     Enforces the ``_MAX_RHO`` resource cap before any schedule is
     derived from the parameters.
     """
-    params_spec = require(hello, "params")
     try:
-        params = SoundnessParams(
-            delta=params_spec["delta"],
-            rho_lin=int(params_spec["rho_lin"]),
-            rho=int(params_spec["rho"]),
-        )
-        seed = bytes.fromhex(require(hello, "seed"))
+        params, seed = SoundnessParams.decode(hello)
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolViolation(
             f"malformed hello parameters: {exc}", code="bad-frame"
@@ -222,10 +216,6 @@ class SessionProver:
         #: frame arrives, so a malformed commit is answered at once
         self.request: CommitRequest | None = None
         self._provers: list[CommitmentProver] = []
-
-    def commit(self, enc_r) -> None:
-        """Decode and hold the commit frame's Enc(r) ciphertexts."""
-        self.request = _decode_commit(enc_r)
 
     def prove(
         self,

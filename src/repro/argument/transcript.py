@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from ..compiler import CompiledProgram
 from ..crypto.elgamal import ElGamalCiphertext
 from ..pcp import SoundnessParams
+from .framing import hex_list
 from .protocol import ArgumentConfig, ZaatarArgument, check_instance
 
 TRANSCRIPT_FORMAT = "repro-transcript-v1"
@@ -32,12 +33,57 @@ class TranscriptError(ValueError):
     """Malformed transcript data."""
 
 
+def _unhex(values) -> list[int]:
+    return [int(v, 16) for v in values]
+
+
 @dataclass
 class InstanceRecord:
+    """One proved instance: its inputs, its claimed outputs and the
+    prover's messages (the commitment to u and the query answers).
+
+    Transcripts store one per instance, the batch engine carries one on
+    every proved :class:`~repro.argument.protocol.InstanceResult`, and
+    checkpoints write it with :meth:`to_json`.  ``commitment`` is None
+    only when the commitment layer is off, which transcripts refuse.
+    """
+
     input_values: list[int]
     claimed_outputs: list[int]
-    commitment: ElGamalCiphertext
+    commitment: ElGamalCiphertext | None
     answers: list[int]
+
+    def to_json(self) -> dict:
+        """The JSON-safe form: every value a hex string."""
+        record = {
+            "inputs": hex_list(self.input_values),
+            "outputs": hex_list(self.claimed_outputs),
+        }
+        if self.commitment is not None:
+            record["commitment"] = hex_list([self.commitment.c1, self.commitment.c2])
+        record["answers"] = hex_list(self.answers)
+        return record
+
+    @classmethod
+    def from_json(cls, record: dict) -> "InstanceRecord":
+        """Inverse of :meth:`to_json`; raises ``KeyError``, ``TypeError``
+        or ``ValueError`` on malformed input."""
+        commitment = record.get("commitment")
+        if commitment is not None:
+            commitment = ElGamalCiphertext(*_unhex(commitment))
+        return cls(
+            input_values=_unhex(record["inputs"]),
+            claimed_outputs=_unhex(record["outputs"]),
+            commitment=commitment,
+            answers=_unhex(record["answers"]),
+        )
+
+    def check(self, setup, p: int):
+        """:func:`~repro.argument.protocol.check_instance` on this
+        record's claim, its inputs and outputs reduced mod ``p``."""
+        x = [v % p for v in self.input_values]
+        y = [v % p for v in self.claimed_outputs]
+        return check_instance(setup, self.commitment, self.answers, x, y)
 
 
 @dataclass
@@ -55,26 +101,10 @@ class Transcript:
         return json.dumps(
             {
                 "format": TRANSCRIPT_FORMAT,
-                "seed": self.seed.hex(),
-                "params": {
-                    "delta": self.params.delta,
-                    "rho_lin": self.params.rho_lin,
-                    "rho": self.params.rho,
-                },
+                **self.params.encode(self.seed),
                 "qap_mode": self.qap_mode,
                 "paper_scale_crypto": self.paper_scale_crypto,
-                "instances": [
-                    {
-                        "inputs": [format(v, "x") for v in rec.input_values],
-                        "outputs": [format(v, "x") for v in rec.claimed_outputs],
-                        "commitment": [
-                            format(rec.commitment.c1, "x"),
-                            format(rec.commitment.c2, "x"),
-                        ],
-                        "answers": [format(v, "x") for v in rec.answers],
-                    }
-                    for rec in self.instances
-                ],
+                "instances": [rec.to_json() for rec in self.instances],
             }
         )
 
@@ -87,24 +117,12 @@ class Transcript:
         if payload.get("format") != TRANSCRIPT_FORMAT:
             raise TranscriptError(f"unexpected format {payload.get('format')!r}")
         try:
-            params = SoundnessParams(
-                delta=payload["params"]["delta"],
-                rho_lin=payload["params"]["rho_lin"],
-                rho=payload["params"]["rho"],
-            )
-            instances = [
-                InstanceRecord(
-                    input_values=[int(v, 16) for v in rec["inputs"]],
-                    claimed_outputs=[int(v, 16) for v in rec["outputs"]],
-                    commitment=ElGamalCiphertext(
-                        int(rec["commitment"][0], 16), int(rec["commitment"][1], 16)
-                    ),
-                    answers=[int(v, 16) for v in rec["answers"]],
-                )
-                for rec in payload["instances"]
-            ]
+            params, seed = SoundnessParams.decode(payload)
+            instances = [InstanceRecord.from_json(rec) for rec in payload["instances"]]
+            if any(rec.commitment is None for rec in instances):
+                raise ValueError("an instance has no commitment")
             return cls(
-                seed=bytes.fromhex(payload["seed"]),
+                seed=seed,
                 params=params,
                 qap_mode=payload["qap_mode"],
                 paper_scale_crypto=payload["paper_scale_crypto"],
@@ -119,43 +137,33 @@ def record_batch(
     batch_inputs: list[list[int]],
     config: ArgumentConfig | None = None,
 ) -> tuple[Transcript, bool]:
-    """Run a batch and capture everything needed for replay.
+    """Run a batch with :meth:`ZaatarArgument.run_batch` and capture
+    everything needed for replay: each proved instance's record.
 
     Returns (transcript, all_accepted).  The transcript is recorded
     regardless of acceptance — rejected sessions are exactly the ones
-    worth auditing.
+    worth auditing.  An instance that failed to produce a proof is a
+    recording failure, not an auditable rejection: it raises
+    :class:`TranscriptError` naming the instance and its code.
     """
     config = config or ArgumentConfig()
     if not config.use_commitment:
         raise ValueError("transcripts require the commitment layer")
-    argument = ZaatarArgument(program, config)
-    setup = argument.verifier_setup()
-    records: list[InstanceRecord] = []
-    all_ok = True
-    for entry in argument.prove_batch(batch_inputs, setup):
-        if isinstance(entry, Exception):
-            # a prover error is a recording failure, not an auditable
-            # rejection
-            raise entry
-        sol, commitment, response, answers = entry
-        records.append(
-            InstanceRecord(
-                input_values=list(sol.input_values),
-                claimed_outputs=list(sol.output_values),
-                commitment=commitment,
-                answers=list(response.answers),
+    result = ZaatarArgument(program, config).run_batch(batch_inputs)
+    for instance in result.instances:
+        if not instance.ok:
+            raise TranscriptError(
+                f"instance {instance.index} failed [{instance.error_code}]: "
+                f"{instance.error_message}"
             )
-        )
-        commit_ok, pcp = check_instance(setup, commitment, answers, sol.x, sol.y)
-        all_ok = all_ok and commit_ok and pcp.accepted
     transcript = Transcript(
         seed=config.seed,
         params=config.params,
         qap_mode=config.qap_mode,
         paper_scale_crypto=config.paper_scale_crypto,
-        instances=records,
+        instances=[instance.record for instance in result.instances],
     )
-    return transcript, all_ok
+    return transcript, result.all_accepted
 
 
 def replay_transcript(program: CompiledProgram, transcript: Transcript) -> list[bool]:
@@ -174,11 +182,8 @@ def replay_transcript(program: CompiledProgram, transcript: Transcript) -> list[
         seed=transcript.seed,
     )
     setup = ZaatarArgument(program, config).verifier_setup()
-    p = program.field.p
     verdicts: list[bool] = []
     for rec in transcript.instances:
-        x = [v % p for v in rec.input_values]
-        y = [v % p for v in rec.claimed_outputs]
-        commit_ok, pcp = check_instance(setup, rec.commitment, rec.answers, x, y)
+        commit_ok, pcp = rec.check(setup, program.field.p)
         verdicts.append(commit_ok and pcp.accepted)
     return verdicts

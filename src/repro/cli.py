@@ -32,7 +32,6 @@ from pathlib import Path
 from . import telemetry
 from .argument import (
     ArgumentConfig,
-    CheckpointError,
     Deadlines,
     GatewayServer,
     ProgramRegistry,
@@ -95,10 +94,10 @@ def _parse_batch(specs: list[str]) -> list[list[int]] | None:
 def cmd_prove(args: argparse.Namespace) -> int:
     """``repro prove``: run the batched argument on input vectors.
 
-    With ``--workers`` > 1 or ``--checkpoint`` the batch runs on the
-    resilient engine (docs/RESILIENCE.md): failed instances become
-    structured outcomes instead of aborting the batch, and a killed
-    checkpointed run resumes without re-proving finished instances.
+    The batch runs on the resilient engine (docs/RESILIENCE.md) with
+    ``--workers`` processes: failed instances become structured
+    outcomes instead of aborting the batch, and a killed
+    ``--checkpoint`` run resumes without re-proving finished instances.
     """
     field = _field(args.field)
     program = _load_program(args.program, field, args.bit_width)
@@ -115,21 +114,14 @@ def cmd_prove(args: argparse.Namespace) -> int:
     )
     config = ArgumentConfig(params=params, use_commitment=not args.no_commitment)
     argument = ZaatarArgument(program, config)
-    resumed = retries = worker_deaths = 0
-    if args.workers > 1 or args.checkpoint:
-        try:
-            engine_result = run_parallel_batch(
-                argument, batch, num_workers=args.workers, checkpoint=args.checkpoint
-            )
-        except CheckpointError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        result = engine_result.result
-        resumed = engine_result.resumed
-        retries = engine_result.retries
-        worker_deaths = engine_result.worker_deaths
-    else:
-        result = argument.run_batch(batch)
+    try:
+        engine = run_parallel_batch(
+            argument, batch, num_workers=args.workers, checkpoint=args.checkpoint
+        )
+    except ValueError as exc:  # a refused checkpoint, or fewer than one worker
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    result = engine.result
     for inputs, instance in zip(batch, result.instances):
         if not instance.ok:
             print(
@@ -149,10 +141,10 @@ def cmd_prove(args: argparse.Namespace) -> int:
     v = result.stats.verifier
     print(f"verifier: setup={v.query_setup:.3f}s per-instance={v.per_instance / max(len(batch), 1):.3f}s")
     print(f"failures: {result.failures}")
-    if resumed or retries or worker_deaths:
+    if engine.resumed or engine.retries or engine.worker_deaths:
         print(
-            f"engine: {resumed} resumed from checkpoint, {retries} retries, "
-            f"{worker_deaths} worker deaths"
+            f"engine: {engine.resumed} resumed from checkpoint, "
+            f"{engine.retries} retries, {engine.worker_deaths} worker deaths"
         )
     return 0 if result.all_accepted else 1
 
@@ -805,7 +797,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="prover worker processes (>1 uses the resilient batch engine)",
+        help="prover worker processes for the batch engine (1: prove in "
+        "this process; at least 1)",
     )
     p_prove.add_argument(
         "--checkpoint",

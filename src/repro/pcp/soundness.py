@@ -78,6 +78,32 @@ class SoundnessParams:
         """PCP error plus commitment error — the full argument bound."""
         return self.pcp_error + self.commitment_error(field_size, num_queries)
 
+    def encode(self, seed: bytes) -> dict:
+        """These params and a query seed as JSON, the way transcripts,
+        checkpoint headers and ``hello`` frames carry them:
+        ``{"seed": hex, "params": {"delta", "rho_lin", "rho"}}``."""
+        return {
+            "seed": seed.hex(),
+            "params": {"delta": self.delta, "rho_lin": self.rho_lin, "rho": self.rho},
+        }
+
+    @classmethod
+    def decode(cls, spec) -> tuple["SoundnessParams", bytes]:
+        """``(params, seed)`` from :meth:`encode`'s JSON.
+
+        Raises ``KeyError``, ``TypeError`` or ``ValueError`` on
+        malformed input; each caller maps them onto its own error.
+        """
+        params = spec["params"]
+        return (
+            cls(
+                delta=float(params["delta"]),
+                rho_lin=int(params["rho_lin"]),
+                rho=int(params["rho"]),
+            ),
+            bytes.fromhex(spec["seed"]),
+        )
+
 
 #: the paper's production parameters: κ ≈ 0.177, so the PCP soundness
 #: error is κ^ρ ≈ 9.5·10⁻⁷, for 992 queries per proof

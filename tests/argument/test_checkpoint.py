@@ -176,6 +176,32 @@ class TestHeaderValidation:
             run_parallel_batch(arg, BATCH, num_workers=1, checkpoint=tmp_path)
 
 
+    def test_v1_checkpoint_refused(self, sumsq_program, tmp_path):
+        """A v1 file stored x/y where v2 stores the transcript's own
+        instance record; resuming it or transcribing it is refused."""
+        arg = ZaatarArgument(sumsq_program, FAST)
+        run_parallel_batch(arg, BATCH, num_workers=1, checkpoint=tmp_path)
+        path = tmp_path / CHECKPOINT_FILENAME
+        header, *records = [json.loads(line) for line in path.read_text().splitlines()]
+        header["format"] = "repro-batch-checkpoint-v1"
+        for record in records:
+            record["x"] = record.pop("inputs")
+            record["y"] = record.pop("outputs")
+        path.write_text("".join(json.dumps(r) + "\n" for r in [header, *records]))
+        with pytest.raises(CheckpointError, match="format mismatch"):
+            run_parallel_batch(arg, BATCH, num_workers=1, checkpoint=tmp_path)
+        with pytest.raises(CheckpointError, match="checkpoint-v1"):
+            transcript_from_checkpoint(*BatchCheckpoint(tmp_path).load())
+
+    def test_malformed_header_params_refused(self, sumsq_program, tmp_path):
+        arg = ZaatarArgument(sumsq_program, FAST)
+        run_parallel_batch(arg, BATCH, num_workers=1, checkpoint=tmp_path)
+        header, records = BatchCheckpoint(tmp_path).load()
+        del header["params"]["rho"]
+        with pytest.raises(CheckpointError, match="malformed checkpoint header"):
+            transcript_from_checkpoint(header, records)
+
+
 class TestCrashTolerance:
     def test_torn_tail_is_dropped(self, sumsq_program, tmp_path):
         arg = ZaatarArgument(sumsq_program, FAST)

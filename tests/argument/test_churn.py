@@ -12,6 +12,7 @@ many verifiers coming and going over real (emulated) networks:
   instead of silently burning the read timeout).
 """
 
+import multiprocessing
 import socket
 import time
 
@@ -57,6 +58,12 @@ def _balanced(counters: dict) -> bool:
 
 
 # -- link emulation -----------------------------------------------------------
+
+
+def _send_from_child(sock) -> None:
+    """A forked child's link-emulated send; it lives until killed."""
+    send_frame(LinkProfile(latency=0.01, seed=19).wrap(sock), {"type": "child"})
+    time.sleep(30)
 
 
 class TestLinkEmulation:
@@ -136,6 +143,31 @@ class TestLinkEmulation:
             rngs = [link.wrap(None)._rng for _ in range(3)]
             decisions.append([rng.random() for rng in rngs])
         assert decisions[0] == decisions[1]
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+    )
+    def test_forked_child_delivers_its_own_frames(self):
+        """A child forked after its parent used link emulation inherits
+        no delivery thread; its frames must still arrive."""
+        a, b = self._pipe()
+        parent_link = LinkProfile(latency=0.01, seed=17).wrap(a)
+        send_frame(parent_link, {"type": "parent"})
+        assert recv_frame(b) == {"type": "parent"}
+        c, d = self._pipe()
+        child = multiprocessing.get_context("fork").Process(
+            target=_send_from_child, args=(c,), daemon=True
+        )
+        child.start()
+        try:
+            d.settimeout(2)
+            assert recv_frame(d) == {"type": "child"}
+        finally:
+            child.kill()
+            child.join(timeout=5)
+            for sock in (parent_link, b, c, d):
+                sock.close()
+        assert not child.is_alive()
 
     def test_end_to_end_verification_over_wan_link(self, sumsq_program, registry):
         link = LinkProfile(latency=0.02, jitter=0.005, seed=13)

@@ -23,6 +23,7 @@ from repro.argument import (
 )
 from repro.argument.framing import hex_list
 from repro.argument.net import hello_frame, recv_frame, send_frame
+from repro.argument.serve import parse_hello_params
 from repro.compiler import compile_program
 from repro.pcp import SoundnessParams
 
@@ -126,6 +127,35 @@ class TestRegistry:
             GatewayServer(ProgramRegistry())
 
 
+class TestHelloParams:
+    """The gateway decodes a hello's params with the shared codec but
+    keeps its own error codes and its resource cap."""
+
+    def test_hello_frame_roundtrips(self, sumsq_program):
+        assert parse_hello_params(hello_frame(sumsq_program, FAST)) == (
+            FAST.params,
+            FAST.seed,
+        )
+
+    @pytest.mark.parametrize(
+        "change, code",
+        [
+            ({"params": None}, "bad-frame"),
+            ({"seed": "not hex"}, "bad-frame"),
+            # an unhashable delta used to pass the hello and fail the
+            # session as ``internal`` in the schedule cache
+            ({"params": {"delta": [1], "rho_lin": 2, "rho": 1}}, "bad-frame"),
+            ({"params": {"delta": 0.03, "rho_lin": 0, "rho": 1}}, "bad-request"),
+            ({"params": {"delta": 0.03, "rho_lin": 2, "rho": 129}}, "bad-request"),
+        ],
+    )
+    def test_bad_params_keep_the_wire_codes(self, sumsq_program, change, code):
+        hello = {**hello_frame(sumsq_program, FAST), **change}
+        with pytest.raises(ProtocolViolation) as excinfo:
+            parse_hello_params(hello)
+        assert excinfo.value.code == code
+
+
 class TestSessionProver:
     """The inline (shards=0) prover's per-session work bounds."""
 
@@ -133,10 +163,8 @@ class TestSessionProver:
     def _committed_prover(registry, program):
         entry = registry.lookup(program_hash(program))
         prover, _ = entry.session_prover(FAST.params, b"\x05" * 32, FAST.qap_mode)
-        request = ZaatarArgument(program, FAST).verifier_setup()[2]
-        prover.commit(
-            [[format(c.c1, "x"), format(c.c2, "x")] for c in request.ciphertexts]
-        )
+        # the exchange decodes the commit frame's Enc(r) and sets it here
+        prover.request = ZaatarArgument(program, FAST).verifier_setup()[2]
         return prover
 
     def test_budget_expiring_after_the_solves_stops_before_any_commit(

@@ -2,10 +2,15 @@
 
 import time
 
+import pytest
+
 from repro.argument import (
     ArgumentConfig,
+    RetryPolicy,
+    TranscriptError,
     WorkerPool,
     ZaatarArgument,
+    record_batch,
     run_parallel_batch,
 )
 from repro.pcp import SoundnessParams
@@ -109,6 +114,56 @@ class TestFailureIsolation:
         assert failed.result.num_failed == 1
         result = run_parallel_batch(arg, [[1, 2, 3]], num_workers=1)
         assert result.result.all_accepted
+
+
+class TestRunBatchIsTheEngine:
+    """``run_batch`` and ``record_batch`` are the engine's one-worker
+    case, so they agree with it outcome for outcome, failures included."""
+
+    BATCH = [[1, 2, 3], [1, 2], [2, 3, 4]]  # wrong arity at index 1
+
+    @staticmethod
+    def _outcomes(result):
+        return [
+            (r.index, r.ok, r.accepted, r.commitment_ok, r.pcp_ok, r.output_values,
+             r.error_code, r.error_message, r.attempts, r.record)
+            for r in result.instances
+        ]
+
+    def test_run_batch_matches_the_one_worker_engine(self, sumsq_program):
+        arg = ZaatarArgument(sumsq_program, FAST)
+        inline = arg.run_batch(self.BATCH)
+        engine = run_parallel_batch(
+            arg, self.BATCH, num_workers=1, retry=RetryPolicy.none()
+        ).result
+        assert self._outcomes(inline) == self._outcomes(engine)
+        assert [(r.ok, r.accepted) for r in inline.instances] == [
+            (True, True), (False, False), (True, True)
+        ]
+        assert inline.instances[1].error_code == "bad-request"
+        assert inline.instances[1].attempts == 1
+        assert inline.instances[1].record is None
+        assert inline.instances[0].record.claimed_outputs == [14]
+
+    def test_record_batch_names_the_failed_instance(self, sumsq_program):
+        with pytest.raises(TranscriptError, match=r"instance 1 failed \[bad-request\]"):
+            record_batch(sumsq_program, self.BATCH, FAST)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_fewer_than_one_worker_refused_before_setup(
+        self, sumsq_program, tmp_path, monkeypatch, workers
+    ):
+        arg = ZaatarArgument(sumsq_program, FAST)
+
+        def no_setup(*args, **kwargs):
+            raise AssertionError("the verifier setup ran")
+
+        monkeypatch.setattr(arg, "verifier_setup", no_setup)
+        with pytest.raises(ValueError, match=f"at least 1, got {workers}"):
+            run_parallel_batch(
+                arg, [[1, 2, 3]], num_workers=workers, checkpoint=tmp_path / "ckpt"
+            )
+        assert not (tmp_path / "ckpt").exists()
 
 
 class TestWorkerPool:

@@ -1,5 +1,7 @@
 """Tests for transcript record/replay (deterministic audit)."""
 
+import json
+
 import pytest
 
 from repro.argument import (
@@ -77,6 +79,20 @@ class TestValidation:
             Transcript.from_json(
                 '{"format": "repro-transcript-v1", "seed": "zz"}'
             )
+
+    def test_bad_params_rejected(self, sumsq_program):
+        transcript, _ = record_batch(sumsq_program, [[1, 2, 3]], FAST)
+        data = json.loads(transcript.to_json())
+        data["params"]["rho"] = "many"
+        with pytest.raises(TranscriptError, match="malformed transcript"):
+            Transcript.from_json(json.dumps(data))
+
+    def test_instance_without_commitment_rejected(self, sumsq_program):
+        transcript, _ = record_batch(sumsq_program, [[1, 2, 3]], FAST)
+        data = json.loads(transcript.to_json())
+        del data["instances"][0]["commitment"]
+        with pytest.raises(TranscriptError, match="no commitment"):
+            Transcript.from_json(json.dumps(data))
 
     def test_transcript_is_json_safe_for_large_fields(self, p128):
         from repro.compiler import compile_program

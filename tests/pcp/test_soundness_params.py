@@ -60,3 +60,29 @@ class TestKappaBound:
         weak = SoundnessParams(rho=2)
         strong = SoundnessParams(rho=10)
         assert strong.pcp_error < weak.pcp_error
+
+
+class TestCodec:
+    def test_roundtrip(self):
+        params = SoundnessParams(delta=0.03, rho_lin=5, rho=3)
+        spec = params.encode(b"\x00\xfe")
+        assert spec == {
+            "seed": "00fe",
+            "params": {"delta": 0.03, "rho_lin": 5, "rho": 3},
+        }
+        assert SoundnessParams.decode(spec) == (params, b"\x00\xfe")
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"seed": "00"},
+            {"seed": "zz", "params": {"delta": 0.03, "rho_lin": 5, "rho": 3}},
+            {"seed": "00", "params": {"delta": 0.03, "rho_lin": "x", "rho": 3}},
+            {"seed": "00", "params": {"delta": [1], "rho_lin": 5, "rho": 3}},
+            {"seed": "00", "params": ["delta"]},
+            ["seed"],
+        ],
+    )
+    def test_malformed_raises_what_callers_map(self, spec):
+        with pytest.raises((KeyError, TypeError, ValueError)):
+            SoundnessParams.decode(spec)

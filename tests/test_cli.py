@@ -109,6 +109,17 @@ class TestProveCommand:
         out = capsys.readouterr().out
         assert "engine: 2 resumed from checkpoint" in out
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_fewer_than_one_worker_is_error(self, program_file, capsys, workers):
+        rc = main(
+            ["prove", program_file, "--inputs", "3,4", "--workers", workers,
+             "--rho-lin", "2", "--rho", "1"]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: num_workers must be at least 1, got {workers}\n"
+
     def test_incompatible_checkpoint_is_error(self, program_file, capsys, tmp_path):
         ckpt = str(tmp_path / "ckpt")
         base = ["prove", program_file, "--checkpoint", ckpt,
