@@ -30,7 +30,12 @@ times the pipeline's interpolation step alone at the same shape:
 ``mat_interpolate_newton`` against the route it replaced, per-row
 ``SubproductTree.interpolate`` plus a Taylor shift
 (``h_oracle.TreeShiftInterpolator``).  Under ``--check`` the rows must
-be identical and Newton must win by ``NEWTON_MIN_SPEEDUP``.
+be identical and Newton must win by ``NEWTON_MIN_SPEEDUP``.  Its
+fixed-operand rows time H(t)'s extension step (the stacked 3B rows by
+the kernel 1/l, middle columns kept) at p128 B = 8 and Goldilocks
+B = 1: the product against a pre-transformed ``FixedOperand`` against
+the two-operand product it replaced.  Under ``--check`` the rows must
+be identical and the fixed operand must win by ``FIXED_MIN_SPEEDUP``.
 
 Its commitment section times the commitment round's two exponentiation
 loops, the verifier's Enc(r) and the prover's fold ∏ Enc(r_i)^{u_i},
@@ -109,9 +114,11 @@ NUMPY_NTT_MIN_SIZE = 4096
 #: backend sweep rows where a row's time is mostly fixed per-call cost:
 #: at 8, between the gateway's vector lengths (6 and 12), both backends
 #: run the scalar loops, so the ratio is the numpy dispatch overhead;
-#: 32 is ``NumpyBackend.MIN_VECTOR``, where the uint64 kernel takes
-#: over.  Reported, not gated.
-BACKEND_SMALL_SIZES = (8, 32)
+#: 32 to 256 bracket the uint64 kernels' crossover (numpy ``hadamard``
+#: 0.3x the scalar loop's speed at 32, 0.7-0.8x at 128, 1.04-1.09x at
+#: 256), where ``NumpyBackend.MIN_VECTOR`` hands the vector ops to the
+#: uint64 kernel.  Reported, not gated.
+BACKEND_SMALL_SIZES = (8, 32, 64, 128, 256)
 
 #: under --check, the CRT residue-plane batched product must beat the
 #: object-dtype stacked-NTT route it replaces by at least this factor
@@ -141,6 +148,19 @@ H_MIN_SPEEDUP = 1.5
 #: 2.07-2.13x, best of 3 to 7, on a 2-core Xeon; the margin absorbs CI
 #: noise while still catching a kernel that fell back to per-row work)
 NEWTON_MIN_SPEEDUP = 1.5
+
+#: fixed-operand rows: H(t)'s extension step, the stacked 3B rows of
+#: weighted values (n = 342, LCS m=4) by the 683-wide kernel 1/l,
+#: keeping the n middle columns, as (field, B) pairs; under --check the
+#: product against the pre-transformed ``FixedOperand`` must equal the
+#: two-operand product (kernel repeated per row, every column rebuilt,
+#: then sliced) and beat it by FIXED_MIN_SPEEDUP (measured 1.55-1.95x
+#: on p128 at B = 8 and 1.44-1.74x on Goldilocks at B = 1, best of 3 to
+#: 9, on a 2-core Xeon; the margin absorbs CI noise while still
+#: catching an operand that is transformed again per call)
+FIXED_OPERAND_SHAPES = (("p128", 8), ("goldilocks", 1))
+FIXED_MIN_SPEEDUP = 1.3
+FIXED_MIN_REPS = 9
 
 #: commitment section: (group, field) pairs and vector lengths timed —
 #: the gateway's smallest vector and the p128-b8 proof-vector length
@@ -406,6 +426,7 @@ def _bench_batch(size: int, reps: int, rng: random.Random) -> dict:
         "product": _bench_batch_product(reps, rng),
         "arithmetic": _bench_h_arithmetic(reps, rng),
         "newton": _bench_newton(reps, rng),
+        "fixed_operand": _bench_fixed_operand(reps, rng),
     }
 
 
@@ -483,6 +504,56 @@ def _bench_newton(reps: int, rng: random.Random) -> dict:
         "speedup": seconds["tree_shift"] / seconds["newton"],
         "bit_identical": identical,
     }
+
+
+def _bench_fixed_operand(reps: int, rng: random.Random) -> list[dict]:
+    """H(t)'s extension step: a pre-transformed fixed operand vs two operands.
+
+    One row per ``FIXED_OPERAND_SHAPES`` entry, the two routes timed
+    best of ``FIXED_MIN_REPS`` or ``reps``, whichever is more,
+    alternating: the Goldilocks row takes a few milliseconds, so a
+    best of 3 still carries the host's noise.  The fixed operand's
+    transform is built before timing, as the first batch against a
+    QAP builds it.
+    Empty without numpy: the scalar backend keeps transformed int rows,
+    but the gate measures the numpy kernels.
+    """
+    if not HAVE_NUMPY:
+        return []
+    from repro.poly import FixedOperand, mat_poly_mul
+
+    n = 342
+    rows = []
+    for name, batch in FIXED_OPERAND_SHAPES:
+        field = PrimeField(NAMED_FIELDS[name], check_prime=False, backend="numpy")
+        kernel = field.batch_inv(list(range(1, 2 * n)))
+        weighted = [[rng.randrange(field.p) for _ in range(n)] for _ in range(3 * batch)]
+        operand = FixedOperand([kernel])
+        routes = {
+            "two_operand": lambda: [
+                row[n - 1 : 2 * n - 1]
+                for row in mat_poly_mul(field, weighted, [kernel] * len(weighted))
+            ],
+            "fixed": lambda: mat_poly_mul(field, weighted, operand, cols=(n - 1, 2 * n - 1)),
+        }
+        identical = routes["two_operand"]() == routes["fixed"]()  # builds the form
+        seconds = {route: float("inf") for route in routes}
+        for _ in range(max(reps, FIXED_MIN_REPS)):  # alternate: drift hits both
+            for route, fn in routes.items():
+                seconds[route] = min(seconds[route], _best_of(fn, 1))
+        rows.append(
+            {
+                "modulus": name,
+                "batch": batch,
+                "rows": 3 * batch,
+                "points": n,
+                "two_operand_seconds": seconds["two_operand"],
+                "fixed_seconds": seconds["fixed"],
+                "speedup": seconds["two_operand"] / seconds["fixed"],
+                "bit_identical": identical,
+            }
+        )
+    return rows
 
 
 def _bench_batch_product(reps: int, rng: random.Random) -> dict | None:
@@ -699,6 +770,18 @@ def check(results: dict) -> list[str]:
             f"{where}: only {newton['speedup']:.2f}x over the tree plus "
             f"Taylor shift (need {NEWTON_MIN_SPEEDUP}x)"
         )
+    for row in results["batch"]["fixed_operand"]:
+        where = (
+            f"batch: fixed-operand extension ({row['modulus']}, B={row['batch']}, "
+            f"{row['rows']} rows)"
+        )
+        if not row["bit_identical"]:
+            failures.append(f"{where}: rows differ from the two-operand product")
+        if row["speedup"] < FIXED_MIN_SPEEDUP:
+            failures.append(
+                f"{where}: only {row['speedup']:.2f}x over the two-operand "
+                f"product (need {FIXED_MIN_SPEEDUP}x)"
+            )
     for row in results["commitment"]:
         where = f"commitment: {row['group']} n={row['n']}"
         if not row["bit_identical"]:
@@ -863,6 +946,14 @@ def _report(results: dict) -> None:
         f"{fmt_seconds(newton['newton_seconds'])} — {newton['speedup']:.2f}x, "
         f"bit-identical: {'yes' if newton['bit_identical'] else 'NO'}"
     )
+    for row in batch["fixed_operand"]:
+        print(
+            f"\nH(t) extension step ({row['modulus']}, B={row['batch']}: "
+            f"{row['rows']} rows of {row['points']}): two operands "
+            f"{fmt_seconds(row['two_operand_seconds'])} vs fixed operand "
+            f"{fmt_seconds(row['fixed_seconds'])} — {row['speedup']:.2f}x, "
+            f"bit-identical: {'yes' if row['bit_identical'] else 'NO'}"
+        )
     product = batch.get("product")
     if product is not None:
         print(

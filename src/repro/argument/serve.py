@@ -66,6 +66,7 @@ from ..crypto import CommitmentProver, FieldPRG
 from ..crypto.commitment import CommitRequest, DecommitChallenge
 from ..pcp import SoundnessParams
 from ..pcp import zaatar as zaatar_pcp
+from ..pcp.soundness import RepetitionError
 from ..qap import build_qap
 from . import framing
 from .faults import LinkProfile, ProcessFaultPlan
@@ -112,15 +113,20 @@ def parse_hello_params(hello: dict) -> tuple[SoundnessParams, bytes]:
     """Validate a ``hello`` frame's soundness params and query seed.
 
     Enforces the ``_MAX_RHO`` resource cap before any schedule is
-    derived from the parameters.
+    derived from the parameters.  Repetitions out of range are a
+    ``bad-request``, checked before the ``bad-frame`` that every other
+    decode error is (``RepetitionError`` is a ``ValueError``).
     """
     try:
         params, seed = SoundnessParams.decode(hello)
+        in_range = params.rho_lin <= _MAX_RHO and params.rho <= _MAX_RHO
+    except RepetitionError:
+        in_range = False
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolViolation(
             f"malformed hello parameters: {exc}", code="bad-frame"
         ) from exc
-    if not (1 <= params.rho_lin <= _MAX_RHO and 1 <= params.rho <= _MAX_RHO):
+    if not in_range:
         raise ProtocolViolation(
             f"soundness repetitions out of range (max {_MAX_RHO})",
             code="bad-request",
@@ -1030,12 +1036,20 @@ class GatewayServer:
             )
         self._count(f"gateway.sessions.{entry.name}")
         params, seed = parse_hello_params(hello)
+        qap_mode = hello.get("qap_mode", entry.config.qap_mode)
+        if not isinstance(qap_mode, str):
+            # an unknown name is a bad-request when the QAP is built; a
+            # non-string would reach the per-mode caches as a key
+            raise ProtocolViolation(
+                f"malformed hello: qap_mode must be a string, got {qap_mode!r}",
+                code="bad-frame",
+            )
         ctx = _SessionContext(
             token=os.urandom(16).hex(),
             entry=entry,
             params=params,
             seed=seed,
-            qap_mode=hello.get("qap_mode", entry.config.qap_mode),
+            qap_mode=qap_mode,
             session_id=session_id,
         )
         tracer = None

@@ -91,6 +91,15 @@ def _parse_batch(specs: list[str]) -> list[list[int]] | None:
     return batch
 
 
+def _soundness_params(args: argparse.Namespace) -> SoundnessParams | None:
+    """``--rho-lin``/``--rho`` as params, or None after printing why not."""
+    try:
+        return SoundnessParams(rho_lin=args.rho_lin, rho=args.rho)
+    except ValueError as exc:  # fewer than one repetition
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
 def cmd_prove(args: argparse.Namespace) -> int:
     """``repro prove``: run the batched argument on input vectors.
 
@@ -107,11 +116,9 @@ def cmd_prove(args: argparse.Namespace) -> int:
     batch = _parse_batch(args.inputs)
     if batch is None:
         return 2
-    params = (
-        PAPER_PARAMS
-        if args.paper_soundness
-        else SoundnessParams(rho_lin=args.rho_lin, rho=args.rho)
-    )
+    params = PAPER_PARAMS if args.paper_soundness else _soundness_params(args)
+    if params is None:
+        return 2
     config = ArgumentConfig(params=params, use_commitment=not args.no_commitment)
     argument = ZaatarArgument(program, config)
     try:
@@ -232,7 +239,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
         if remote_addr is None:
             return 2
 
-    params = SoundnessParams(rho_lin=args.rho_lin, rho=args.rho)
+    params = _soundness_params(args)
+    if params is None:
+        return 2
     config = ArgumentConfig(params=params)
     tracer = telemetry.enable()
     try:

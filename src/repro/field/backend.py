@@ -41,9 +41,11 @@ matrix of rows at once — the shape of a Zaatar batch, where one fixed
 QAP proves many instances and the H(t) pipeline is SIMD across the
 *instance* axis.  The stacked NTT reuses one
 :class:`~repro.poly.plan.NTTPlan`'s cached twiddle/permutation arrays
-across all rows.  For moduli without a uint64 kernel, ``mat_polymul``
-lifts batched polynomial products off big-int arithmetic entirely via
-CRT residue planes.
+across all rows.  ``mat_polymul`` runs a batch of polynomial products
+as one array program — stacked uint64 transforms on Goldilocks, CRT
+residue planes (off big-int arithmetic entirely) on every other
+modulus — and can keep a fixed second operand transformed between
+calls; ``mat_schoolbook`` runs tiny many-row products column-wise.
 
 Every backend reports ``backend.<name>.calls`` / ``backend.<name>.elements``
 counters to telemetry, attributed to whichever kernel actually ran
@@ -127,14 +129,27 @@ class FieldBackend:
             registry.inc(self._batch_rows_key, rows)
             registry.inc(self._elems_key, elems)
 
-    def mat_polymul(self, rows_a, rows_b):
-        """Batched per-row polynomial products, or None.
+    def mat_polymul(self, rows_a, rows_b, cols=None, forms=None):
+        """Batched per-row polynomial products by transforms, or None.
 
-        Returns ``rows_a[i] * rows_b[i]`` (full, untrimmed convolution
-        of length ``len(a_i) + len(b_i) - 1``) for every row when this
-        backend has a fast path for the shape, else ``None`` — callers
-        fall back to the transform/poly_mul route.  Inputs must be
-        canonical.  The base implementation has no fast path.
+        Row i is ``rows_a[i] * rows_b[i mod k]``, k = ``len(rows_b)``
+        dividing the batch: the full untrimmed convolution of length
+        ``la + lb - 1``, or its columns ``cols = (lo, hi)``.  ``forms``
+        is a dict in which the backend may keep ``rows_b`` transformed
+        between calls (the rows must then be the same every call), or
+        None.  Returns None when this backend has no fast path for the
+        shape — callers fall back to the transform/poly_mul route.
+        Inputs must be canonical.  The base implementation has no fast
+        path.
+        """
+        return None
+
+    def mat_schoolbook(self, rows_a, rows_b):
+        """Row-wise schoolbook products as one array program, or None.
+
+        Same pairing and full-width results as :meth:`mat_polymul`
+        (all columns).  The base implementation has none; callers
+        multiply row by row.
         """
         return None
 
@@ -474,6 +489,40 @@ class _GoldilocksKernel:
         a = _np.ascontiguousarray(arr[:, scratch["perm"]])
         return self._transform(plan, a, invert).tolist()
 
+    # -- products on stacked transforms ---------------------------------------
+
+    def _forward(self, plan, rows):
+        """Canonical rows zero-padded to ``plan.n``, forward transformed."""
+        arr = self._load_mat(rows, canonical=True)
+        padded = _np.zeros((arr.shape[0], plan.n), dtype=_np.uint64)
+        padded[:, : arr.shape[1]] = arr
+        a = _np.ascontiguousarray(padded[:, self._scratch(plan)["perm"]])
+        self._butterflies(a, self._scratch(plan)["fwd"])
+        return a
+
+    def operand(self, plan, rows):
+        """A product's second operand in the transform domain, read-only."""
+        a = self._forward(plan, rows)
+        a.setflags(write=False)
+        return a
+
+    def polymul(self, plan, rows_a, fb, cols: tuple[int, int]):
+        """Columns ``cols`` of row i of ``rows_a`` times row i mod k of the
+        transformed operand ``fb`` (k rows dividing the batch)."""
+        scratch = self._scratch(plan)
+        n, half = plan.n, plan.n >> 1
+        fa = self._forward(plan, rows_a)
+        prod = self.mulmod(fa.reshape(-1, fb.shape[0], n), fb).reshape(-1, n)
+        a = _np.ascontiguousarray(prod[:, scratch["perm"]])
+        self._butterflies(a, scratch["inv_head"])
+        # the last inverse level, on the kept columns only
+        parts = []
+        for leg, lo, hi in plan.tail_windows(*cols):
+            u = self.mulmod(a[:, lo:hi], scratch["n_inv"])
+            v = self.mulmod(a[:, half + lo : half + hi], scratch["inv_last"][lo:hi])
+            parts.append(self.submod(u, v) if leg else self.addmod(u, v))
+        return _np.concatenate(parts or [a[:, :0]], axis=1).tolist()
+
 
 class _ObjectKernel:
     """Transforms for every modulus without a uint64 kernel.
@@ -567,8 +616,11 @@ class NumpyBackend(FieldBackend):
 
     name = "numpy"
 
-    #: below this many elements the scalar kernels win
-    MIN_VECTOR = 32
+    #: below this many elements the scalar kernels win: on Goldilocks
+    #: the uint64 ``hadamard`` takes 0.7–0.8× the scalar loop's speed at
+    #: 128 elements and 1.04–1.09× at 256 (``bench_kernels.py``'s
+    #: backend sweep, 2-core Xeon); 2-D kernels count every row's elements
+    MIN_VECTOR = 256
     #: below this transform size the scalar butterflies win
     MIN_NTT = 64
 
@@ -686,26 +738,94 @@ class NumpyBackend(FieldBackend):
                 return result
         return self.scalar.mat_ntt(plan, rows, invert)
 
-    def mat_polymul(self, rows_a, rows_b):
-        """CRT residue-plane batched convolution.
+    def mat_polymul(self, rows_a, rows_b, cols=None, forms=None):
+        """Batched convolution with ``rows_b`` transformed as an operand.
 
-        Splits each row into k uint64 residue planes modulo 31-bit NTT
-        primes, convolves every plane with stacked uint64 transforms,
-        and reconstructs exact integer convolutions via Garner/CRT —
-        bit-identical to per-row ``poly_mul`` (see ``repro.field.crt``).
-        Returns None (no fast path) for a modulus with a uint64 kernel,
-        whose stacked transforms are already native, or shapes the CRT
-        path cannot cover.
+        Goldilocks runs stacked uint64 transforms; every other modulus
+        splits each row into k uint64 residue planes modulo 30-bit NTT
+        primes, convolves every plane with stacked uint64 transforms
+        and reconstructs exact integer convolutions via Garner/CRT (see
+        ``repro.field.crt``).  Either route transforms ``rows_b`` once
+        as an operand and runs one product core over ``rows_a``; with
+        ``forms`` the transformed operand is kept there for the next
+        call.  Bit-identical to per-row ``poly_mul``; None for shapes
+        the route cannot cover.
         """
-        if self.u64 is not None:
+        if not rows_a or not rows_b or len(rows_a) % len(rows_b):
             return None
-        from .crt import mat_polymul_crt
+        la, lb = len(rows_a[0]), len(rows_b[0])
+        if la == 0 or lb == 0:
+            return None
+        cols = cols if cols is not None else (0, la + lb - 1)
+        if self.u64 is not None:
+            result = self._u64_polymul(rows_a, rows_b, cols, forms)
+        else:
+            from .crt import crt_operand, mat_polymul_crt
 
-        result = mat_polymul_crt(self.p, rows_a, rows_b)
+            operand = None
+            if forms is not None:
+                operand = forms.get(("crt", la))
+                if operand is None:
+                    operand = crt_operand(self.p, rows_b, la)
+                    if operand is not None:
+                        operand = forms.setdefault(("crt", la), operand)
+            result = mat_polymul_crt(self.p, rows_a, rows_b, cols, operand)
         if result is not None:
             elems = sum(len(r) for r in rows_a) + sum(len(r) for r in rows_b)
             self._tick_batch(len(rows_a), elems)
         return result
+
+    def _u64_polymul(self, rows_a, rows_b, cols, forms):
+        from ..poly.plan import get_ntt_plan  # deferred: import cycle
+        from .prime_field import PrimeField
+
+        size = 2
+        while size < len(rows_a[0]) + len(rows_b[0]) - 1:
+            size <<= 1
+        # plans are keyed by modulus, and every Goldilocks field finds
+        # the same two-adic generator, so this is its fields' own plan
+        plan = get_ntt_plan(PrimeField(self.p, check_prime=False, backend=self), size)
+        try:
+            fb = forms.get(("u64", size)) if forms is not None else None
+            if fb is None:
+                fb = self.u64.operand(plan, rows_b)
+                telemetry.count("poly.ntt_calls", len(rows_b))
+                telemetry.count("poly.ntt_points", len(rows_b) * size)
+                if forms is not None:
+                    fb = forms.setdefault(("u64", size), fb)
+            result = self.u64.polymul(plan, rows_a, fb, cols)
+        except _ScalarFallback:
+            return None
+        telemetry.count("poly.ntt_calls", 2 * len(rows_a))
+        telemetry.count("poly.ntt_points", 2 * len(rows_a) * size)
+        return result
+
+    def mat_schoolbook(self, rows_a, rows_b):
+        """Column-wise schoolbook over object arrays.
+
+        One vectorized multiply-add per coefficient of the shorter
+        operand, across every row at once, and one reduction at the
+        end: the sums of at most ``min(la, lb)`` products stay exact
+        Python ints.  Bit-identical to per-row ``poly_mul``.
+        """
+        if not rows_a or not rows_b or len(rows_a) % len(rows_b):
+            return None
+        a = _np.asarray(rows_a, dtype=object)
+        b = _np.asarray(rows_b, dtype=object)
+        if a.ndim != 2 or b.ndim != 2 or not a.size or not b.size:
+            return None
+        k, (batch, la), lb = b.shape[0], a.shape, b.shape[1]
+        # row i meets operand row i mod k: split the batch into k-row blocks
+        a = a.reshape(batch // k, k, la)
+        out = _np.zeros((batch // k, k, la + lb - 1), dtype=object)
+        if la <= lb:
+            for j in range(la):
+                out[..., j : j + lb] += a[..., j : j + 1] * b
+        else:
+            for j in range(lb):
+                out[..., j : j + la] += a * b[:, j : j + 1]
+        self._tick_batch(batch, a.size + b.size)
+        return (out.reshape(batch, -1) % self.p).tolist()
 
 
 # -- resolution -----------------------------------------------------------------

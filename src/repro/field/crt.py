@@ -38,6 +38,16 @@ recovers the exact integer convolution, so the reduced result equals
 ``poly_mul`` coefficient-for-coefficient — the parity suite pins this
 against the scalar backend (``tests/property/test_backend_parity.py``).
 
+Step 2 splits in two: the second operand is transformed on its own
+(:func:`crt_operand`: forward NTT on every plane, values reduced to
+[0, 2q)), and one core transforms the first operand's rows, multiplies
+pointwise and transforms back.  An operand fixed for many products —
+the H(t) prover's kernels and Newton levels, one per QAP — is
+transformed once and kept; a two-operand product transforms its second
+operand first and runs the same core.  The core can also keep only a
+window of output columns: the inverse transform's last level, Garner
+and the recombination then run on those columns alone.
+
 Entry point: :func:`mat_polymul_crt`, called by
 ``NumpyBackend.mat_polymul`` for every modulus without a uint64
 kernel (all but Goldilocks).  It returns
@@ -308,42 +318,51 @@ def _mont_butterflies(mont: "_Mont", a, tables, *, skip_first: bool = False) -> 
         _np.add(u, two_q, out=view[:, h:])  # … + 2q restores: < 4q
 
 
-def _plane_convolve(mont: "_Mont", plan, ra, rb, size: int):
-    """Stacked cyclic convolution of residue rows on one plane."""
-    batch = ra.shape[0]
-    pa = _np.zeros((batch, size), dtype=_np.uint64)
-    pa[:, : ra.shape[1]] = ra
-    pb = _np.zeros((batch, size), dtype=_np.uint64)
-    pb[:, : rb.shape[1]] = rb
+def _plane_forward(mont: "_Mont", plan, residues, size: int):
+    """Zero-padded residue rows, forward transformed, values in [0, 2q)."""
+    rows, width = residues.shape
+    padded = _np.zeros((rows, size), dtype=_np.uint64)
+    padded[:, :width] = residues
     scratch = _mont_scratch(plan, mont)
-    perm = scratch["perm"]
     # ascontiguousarray: the butterflies mutate through a reshaped view,
     # which column fancy-indexing's non-C-order result would break
-    half = size >> 1
-    two_q = mont.two_q
-    qu = mont.qu
-    fa = _np.ascontiguousarray(pa[:, perm])
-    _mont_butterflies(mont, fa, scratch["fwd"], skip_first=ra.shape[1] <= half)
-    fb = _np.ascontiguousarray(pb[:, perm])
-    _mont_butterflies(mont, fb, scratch["fwd"], skip_first=rb.shape[1] <= half)
-    # lazy outputs are in [0, 4q); one reduction each keeps the
-    # pointwise operands below 2q so their product fits uint64
-    _np.minimum(fa, fa - two_q, out=fa)
-    _np.minimum(fb, fb - two_q, out=fb)
-    prod = mont.mul_lazy(fa, fb)  # carries a uniform R⁻¹ factor …
-    a = _np.ascontiguousarray(prod[:, perm])
+    out = _np.ascontiguousarray(padded[:, scratch["perm"]])
+    _mont_butterflies(mont, out, scratch["fwd"], skip_first=width <= size >> 1)
+    # lazy outputs are in [0, 4q); one reduction keeps a pointwise
+    # operand below 2q so the product fits uint64
+    _np.minimum(out, out - mont.two_q, out=out)
+    return out
+
+
+def _plane_product(mont: "_Mont", plan, residues, fb, cols: tuple[int, int]):
+    """Columns ``cols`` of the cyclic convolutions of residue rows with a
+    transformed operand ``fb`` (k rows, k dividing the row count; row i
+    meets operand row i mod k), canonical."""
+    size = plan.n
+    fa = _plane_forward(mont, plan, residues, size)
+    prod = mont.mul_lazy(fa.reshape(-1, fb.shape[0], size), fb).reshape(-1, size)
+    scratch = _mont_scratch(plan, mont)
+    a = _np.ascontiguousarray(prod[:, scratch["perm"]])  # carries a uniform R⁻¹ …
     _mont_butterflies(mont, a, scratch["inv_head"])
-    # … cancelled here by the doubly-Montgomery tail tables; the lazy
-    # sums (< 4q) canonicalize with two conditional subtractions
-    u = mont.mul_lazy(a[..., :half], scratch["n_inv"])
-    v = mont.mul_lazy(a[..., half:], scratch["inv_last"])
-    s = u + v  # < 4q
-    d = u - v
-    d += two_q  # u − v + 2q ∈ (0, 4q)
-    for lazy, dst in ((s, a[..., :half]), (d, a[..., half:])):
-        _np.minimum(lazy, lazy - two_q, out=lazy)
-        _np.minimum(lazy, lazy - qu, out=dst)
-    return a
+    # … cancelled by the doubly-Montgomery tail tables; the last level
+    # runs on the kept columns only, and its lazy sums (< 4q)
+    # canonicalize with two conditional subtractions
+    half = size >> 1
+    two_q, qu = mont.two_q, mont.qu
+    parts = []
+    for leg, lo, hi in plan.tail_windows(*cols):
+        u = mont.mul_lazy(a[:, lo:hi], scratch["n_inv"])
+        v = mont.mul_lazy(a[:, half + lo : half + hi], scratch["inv_last"][lo:hi])
+        if leg:
+            u -= v
+            u += two_q  # u − v + 2q ∈ (0, 4q)
+        else:
+            u += v  # < 4q
+        _np.minimum(u, u - two_q, out=u)
+        parts.append(_np.minimum(u, u - qu))
+    if len(parts) == 1:
+        return parts[0]
+    return _np.concatenate(parts or [a[:, :0]], axis=1)
 
 
 def _garner_digits(planes: "_PlaneSet", residues: list) -> list:
@@ -405,59 +424,95 @@ def _pair_weights(planes: "_PlaneSet", p: int) -> list:
     return weights
 
 
-def mat_polymul_crt(p: int, rows_a, rows_b):
-    """Batched exact polynomial products mod ``p`` via residue planes.
+class CrtOperand:
+    """A product's second operand, transformed once on every residue plane.
 
-    Returns the full untrimmed convolutions
-    ``[poly_mul(rows_a[i], rows_b[i]) for i]`` as lists of canonical
-    ints, bit-identical to the scalar route — or ``None`` when the fast
-    path does not apply (numpy missing, ragged or empty rows,
-    non-canonical values, convolution longer than ``2^20``).
+    ``arrays[j]`` holds the operand's k rows zero-padded to ``size``,
+    forward transformed on plane ``planes.primes[j]`` and reduced to
+    [0, 2q): the form the pointwise product reads.  The arrays are
+    read-only, because the butterflies run in place and one operand may
+    serve every thread and forked worker of a process.  Built by
+    :func:`crt_operand` for products with rows of one width ``la``.
     """
+
+    __slots__ = ("planes", "size", "width", "la", "arrays")
+
+    def __init__(self, planes: "_PlaneSet", size: int, width: int, la: int, arrays):
+        self.planes = planes
+        self.size = size
+        self.width = width
+        self.la = la
+        self.arrays = tuple(arrays)
+
+
+def crt_operand(p: int, rows_b, la: int) -> "CrtOperand | None":
+    """``rows_b`` transformed for products with ``la``-wide rows mod ``p``,
+    or ``None`` when the planes cannot cover the shape (numpy missing,
+    ragged or empty rows, non-canonical values, convolution longer than
+    ``2^20``)."""
     if _np is None:  # pragma: no cover - exercised via the no-numpy CI job
         return None
-    batch = len(rows_a)
-    if batch == 0 or len(rows_b) != batch:
+    if not rows_b or la < 1:
         return None
-    la = len(rows_a[0])
     lb = len(rows_b[0])
-    if la == 0 or lb == 0:
-        return None
     out_len = la + lb - 1
-    if out_len > MAX_CONV:
+    if lb == 0 or out_len > MAX_CONV:
         return None
-    obj_a = _as_matrix(rows_a, p)
     obj_b = _as_matrix(rows_b, p)
-    if obj_a is None or obj_b is None:
+    if obj_b is None:
         return None
     # every output coefficient is a sum of ≤ min(la, lb) products of
     # values ≤ p − 1; the plane product must strictly dominate it
-    bound = min(la, lb) * (p - 1) ** 2
-    planes = _plane_set_for(bound)
+    planes = _plane_set_for(min(la, lb) * (p - 1) ** 2)
     if planes is None:  # pragma: no cover - needs an astronomical modulus
         return None
+    size = _conv_size(out_len)
+    from ..poly.plan import get_ntt_plan  # deferred: import cycle
+
+    limbs = _limbs(obj_b, _limb_count(p))
+    arrays = []
+    for q, mont, field in zip(planes.primes, planes.monts, planes.fields):
+        arr = _plane_forward(mont, get_ntt_plan(field, size), _fold_plane(limbs, q), size)
+        arr.setflags(write=False)
+        arrays.append(arr)
+    return CrtOperand(planes, size, lb, la, arrays)
+
+
+def _limb_count(p: int) -> int:
+    return max(1, (p.bit_length() + 31) // 32)
+
+
+def _conv_size(out_len: int) -> int:
+    """The transform size for a convolution of ``out_len`` columns."""
     size = 2  # n = 1 plans have no butterfly levels; 2 is the floor
     while size < out_len:
         size <<= 1
+    return size
+
+
+def _convolve(p: int, obj_a, operand: "CrtOperand", cols: tuple[int, int]) -> list:
+    """The one CRT product core: columns ``cols`` of row i of the
+    canonical object matrix ``obj_a`` times operand row i mod k, for a
+    row count that the operand's k rows divide."""
     from ..poly.plan import get_ntt_plan  # deferred: import cycle
 
-    n_limbs = max(1, (p.bit_length() + 31) // 32)
+    planes, size = operand.planes, operand.size
     plans = [get_ntt_plan(field, size) for field in planes.fields]
-    # process the batch in row tiles of ~2^15 elements: a full-batch
-    # (batch × size) working array per plane falls out of L2 at large
-    # sizes and every butterfly pass streams from main memory instead
-    tile = max(4, _TILE_ELEMS // size)
+    n_limbs = _limb_count(p)
     weights = _pair_weights(planes, p)
+    k = operand.arrays[0].shape[0]
+    # process the batch in row tiles of ~2^14 elements, a multiple of k
+    # so every tile meets the whole operand: a full-batch working array
+    # per plane falls out of L2 at large sizes, and every butterfly
+    # pass then streams from main memory instead
+    tile = max(1, max(4, _TILE_ELEMS // size) // k) * k
     result: list = []
-    for lo in range(0, batch, tile):
+    for lo in range(0, obj_a.shape[0], tile):
         limbs_a = _limbs(obj_a[lo : lo + tile], n_limbs)
-        limbs_b = _limbs(obj_b[lo : lo + tile], n_limbs)
-        residues = []
-        for q, mont, plan in zip(planes.primes, planes.monts, plans):
-            conv = _plane_convolve(
-                mont, plan, _fold_plane(limbs_a, q), _fold_plane(limbs_b, q), size
-            )
-            residues.append(conv[:, :out_len])
+        residues = [
+            _plane_product(mont, plan, _fold_plane(limbs_a, q), fb, cols)
+            for q, mont, plan, fb in zip(planes.primes, planes.monts, plans, operand.arrays)
+        ]
         digits = _garner_digits(planes, residues)
         folded = _fold_digit_pairs(planes, digits)
         # weighted recombination mod p — the only big-int arithmetic
@@ -466,6 +521,56 @@ def mat_polymul_crt(p: int, rows_a, rows_b):
         for t in range(1, len(folded)):
             acc += weights[t] * folded[t].astype(object)
         result.extend((acc % p).tolist())
+    return result
+
+
+def mat_polymul_crt(p: int, rows_a, rows_b, cols=None, operand=None):
+    """Batched exact polynomial products mod ``p`` via residue planes.
+
+    Row i is ``rows_a[i]`` times ``rows_b[i mod k]``, where the k rows
+    of ``rows_b`` divide the batch (k = batch pairs the rows one to
+    one).  Returns columns ``cols = (lo, hi)`` of each full untrimmed
+    convolution (all ``la + lb − 1`` by default) as lists of canonical
+    ints, bit-identical to the scalar route — or ``None`` when the fast
+    path does not apply (numpy missing, ragged or empty rows,
+    non-canonical values, convolution longer than ``2^20``, k not
+    dividing the batch).
+
+    ``operand`` is ``rows_b`` already transformed by :func:`crt_operand`
+    for these rows' width, so a fixed operand is transformed once for
+    many calls.  Without one, ``rows_b`` is transformed here, one row
+    tile at a time when it pairs the rows one to one; either way the
+    product runs through the same core.
+    """
+    if _np is None:  # pragma: no cover - exercised via the no-numpy CI job
+        return None
+    batch, k = len(rows_a), len(rows_b)
+    if batch == 0 or k == 0 or batch % k:
+        return None
+    la, lb = len(rows_a[0]), len(rows_b[0])
+    if la == 0 or lb == 0:
+        return None
+    lo, hi = cols if cols is not None else (0, la + lb - 1)
+    obj_a = _as_matrix(rows_a, p)
+    if obj_a is None or obj_a.shape[1] != la:
+        return None
+    if operand is None and k == batch:
+        # one to one: an operand per row tile keeps both operands'
+        # plane arrays cache-resident
+        result = []
+        tile = max(4, _TILE_ELEMS // _conv_size(la + lb - 1))
+        for start in range(0, batch, tile):
+            part = crt_operand(p, rows_b[start : start + tile], la)
+            if part is None or part.width != lb:
+                return None
+            result.extend(_convolve(p, obj_a[start : start + tile], part, (lo, hi)))
+        planes = part.planes
+    else:
+        operand = operand or crt_operand(p, rows_b, la)
+        if operand is None or (operand.la, operand.width) != (la, lb):
+            return None
+        result = _convolve(p, obj_a, operand, (lo, hi))
+        planes = operand.planes
     telemetry.count("crt.mat_polymul")
     telemetry.count("crt.rows", batch)
     telemetry.count("crt.planes", len(planes.primes))

@@ -111,8 +111,10 @@ OPS: tuple[FieldOp, ...] = (
         (OTHER, ROWS, OTHER),
         lambda plan, rows, invert=False: _transform_cost(plan, invert, len(rows)),
     ),
-    # the CRT route's residue-plane op mix has no canonical field.* cost
-    FieldOp("mat_polymul", (ROWS, ROWS), None),
+    # the fast products' residue-plane, fused-transform and object-array
+    # op mixes have no canonical field.* cost
+    FieldOp("mat_polymul", (ROWS, ROWS, OTHER, OTHER), None),
+    FieldOp("mat_schoolbook", (ROWS, ROWS), None),
 )
 
 

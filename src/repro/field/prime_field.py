@@ -282,19 +282,38 @@ class PrimeField:
         """
         return self.backend.mat_ntt(plan, rows, invert)
 
-    def mat_polymul(self, rows_a, rows_b):
-        """Batched per-row polynomial products, or None.
+    def mat_polymul(self, rows_a, rows_b, cols=None, forms=None):
+        """Batched per-row polynomial products by transforms, or None.
 
-        ``rows_a[i] * rows_b[i]`` as full untrimmed convolutions when
-        the backend has a dedicated fast path (the CRT residue-plane
-        route for moduli without a uint64 kernel), else None — callers
-        fall back to transforms or per-row ``poly_mul``.
+        Row i is ``rows_a[i] * rows_b[i mod k]`` for the k rows of
+        ``rows_b`` (k must divide the batch; k = batch pairs the rows
+        one to one): the full untrimmed convolution, or its columns
+        ``cols = (lo, hi)``.  ``forms`` is a dict where the backend may
+        keep ``rows_b`` transformed between calls with the same rows.
+        None unless the backend has a dedicated fast path (stacked
+        uint64 transforms on Goldilocks, CRT residue planes on every
+        other modulus) — callers fall back to transforms or per-row
+        ``poly_mul``.
         """
-        if len(rows_a) != len(rows_b):
+        self._require_tiling(rows_a, rows_b)
+        return self.backend.mat_polymul(rows_a, rows_b, cols, forms)
+
+    def mat_schoolbook(self, rows_a, rows_b):
+        """Row-wise schoolbook products as one array program, or None.
+
+        The pairing and full-width results of :meth:`mat_polymul`; None
+        unless the backend has such a kernel (numpy's column-wise
+        schoolbook) — callers multiply row by row.
+        """
+        self._require_tiling(rows_a, rows_b)
+        return self.backend.mat_schoolbook(rows_a, rows_b)
+
+    def _require_tiling(self, rows_a, rows_b) -> None:
+        k = len(rows_b)
+        if len(rows_a) % k if k else rows_a:
             raise ValueError(
-                f"batch size mismatch: {len(rows_a)} vs {len(rows_b)}"
+                f"batch size mismatch: {len(rows_b)} rows do not tile {len(rows_a)}"
             )
-        return self.backend.mat_polymul(rows_a, rows_b)
 
     # -- roots of unity -------------------------------------------------------
 

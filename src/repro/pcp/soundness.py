@@ -36,13 +36,29 @@ def kappa_bound(delta: float, rho_lin: int, num_constraints: int, field_size: in
     return max(linearity_branch, correction_branch)
 
 
+class RepetitionError(ValueError):
+    """A repetition count below 1: that test would never run."""
+
+
 @dataclass(frozen=True)
 class SoundnessParams:
-    """Repetition counts plus the error bounds they buy."""
+    """Repetition counts plus the error bounds they buy.
+
+    Both counts must be at least 1 (:class:`RepetitionError`, a
+    ``ValueError``, otherwise): with ρ = 0 no PCP repetition runs, and
+    with ρ_lin = 0 a repetition has no linearity tests, so either would
+    accept without checking anything.
+    """
 
     delta: float = 0.0294
     rho_lin: int = 20
     rho: int = 8
+
+    def __post_init__(self) -> None:
+        for name in ("rho_lin", "rho"):
+            value = getattr(self, name)
+            if value < 1:
+                raise RepetitionError(f"{name} must be at least 1, got {value}")
 
     @property
     def kappa(self) -> float:

@@ -1,6 +1,7 @@
 """Polynomial algebra substrate (dense polys, NTT, fast division, interpolation)."""
 
 from .batch import (
+    FixedOperand,
     mat_interpolate_at_roots_of_unity,
     mat_interpolate_newton,
     mat_poly_mul,
@@ -41,6 +42,7 @@ from .plan import (
 )
 
 __all__ = [
+    "FixedOperand",
     "NTTPlan",
     "SubproductTree",
     "barycentric_lagrange_coeffs",

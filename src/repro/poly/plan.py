@@ -166,6 +166,24 @@ class NTTPlan:
             i += 1
         return a
 
+    def tail_windows(self, lo: int, hi: int) -> list[tuple[int, int, int]]:
+        """Where the inverse's last level writes output columns [lo, hi).
+
+        That level turns positions i and i + n/2 (i < n/2) into
+        u + v at column i and u − v at column i + n/2.  Returns
+        ``(leg, start, stop)`` ranges of i, in column order: leg 0
+        (the sums) covers columns [start, stop), leg 1 (the
+        differences) columns [start + n/2, stop + n/2).  A kernel that
+        keeps only some columns runs the last level on these alone.
+        """
+        half = self.n >> 1
+        windows = []
+        if lo < min(hi, half):
+            windows.append((0, lo, min(hi, half)))
+        if max(lo, half) < hi:
+            windows.append((1, max(lo, half) - half, hi - half))
+        return windows
+
 
 # -- the process-wide caches ----------------------------------------------------
 

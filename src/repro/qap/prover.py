@@ -13,9 +13,10 @@ arithmetic mode (σ_j = j, n = |C| + 1 points 0..|C|):
 1. check A_w(j)·B_w(j) = C_w(j) for j = 1..|C|.  D has the distinct
    roots σ_j, so by Claim A.1 this is exactly D | P_w and replaces
    the exact division;
-2. extend A_w, B_w and C_w (degree < n) from 0..|C| to n..2n−1 with
-   one convolution each against the fixed kernel 1/l (Bostan, Gaudry
-   and Schost, SIAM J. Comput. 36(6), 2007);
+2. extend A_w, B_w and C_w (degree < n) from 0..|C| to n..2n−1 by
+   convolution against the fixed kernel 1/l (Bostan, Gaudry and
+   Schost, SIAM J. Comput. 36(6), 2007): one product of the 3B stacked
+   rows, keeping the n columns the extension needs;
 3. form H(n+k)/k! = P_w(n+k)/(D(n+k)·k!) pointwise — D(n+k)·k! is a
    fixed table, so this divides nothing at proof time;
 4. interpolate H by Newton form on the points n..2n−1
@@ -25,6 +26,11 @@ arithmetic mode (σ_j = j, n = |C| + 1 points 0..|C|):
    the up-sweep to monomial coefficients is one stacked product per
    tree level across the whole batch, P = P_L + M_L·P_R, with the
    M_L fixed per QAP (``QAPInstance.h_tables``).
+
+Every second operand above — the kernel 1/l, the differences and each
+level's M_L — is fixed per QAP, so each is a
+:class:`~repro.poly.batch.FixedOperand` that its product route
+transforms once and keeps for every later batch.
 
 That is one interpolation per instance instead of three, and no
 polynomial division; the coefficients are the same field elements.
@@ -143,13 +149,6 @@ def _mat_divide_by_subgroup_vanishing(field, p_rows, m: int):
     ]
 
 
-def _middle_product(field, rows, kernel: list[int]) -> list[list[int]]:
-    """Columns n−1..2n−2 of each width-n row convolved with ``kernel``."""
-    n = len(rows[0])
-    conv = mat_poly_mul(field, rows, [kernel] * len(rows))
-    return [row[n - 1 : 2 * n - 1] for row in conv]
-
-
 def _h_from_evaluations(qap: QAPInstance, evals_a, evals_b, evals_c) -> list:
     """Arithmetic mode: H_w's coefficients (width n) from the values of
     A_w, B_w and C_w at 0..m, or the row's ``ValueError`` (steps 1–4 of
@@ -164,21 +163,20 @@ def _h_from_evaluations(qap: QAPInstance, evals_a, evals_b, evals_c) -> list:
         return h_rows
     tables = qap.h_tables
     rows = len(live)
+    n = len(evals_a[0])
 
     def table(values: list[int]) -> list[list[int]]:
         return [values] * rows
 
     with telemetry.span("qap.multiply", rows=rows):
-        # one B-row product per polynomial keeps the peak at one
-        # (3n−2)-wide matrix; only the n middle columns survive it
-        a_ext, b_ext, c_ext = (
-            _middle_product(
-                field,
-                field.mat_hadamard([evals[i] for i in live], table(tables.weights)),
-                tables.kernel,
-            )
-            for evals in (evals_a, evals_b, evals_c)
+        # A, B and C extended by one 3B-row product against the kernel;
+        # only the n middle columns are rebuilt
+        weighted = field.mat_hadamard(
+            [evals[i] for evals in (evals_a, evals_b, evals_c) for i in live],
+            [tables.weights] * (3 * rows),
         )
+        ext = mat_poly_mul(field, weighted, tables.kernel, cols=(n - 1, 2 * n - 1))
+        a_ext, b_ext, c_ext = ext[:rows], ext[rows : 2 * rows], ext[2 * rows :]
         values = field.mat_sub(
             field.mat_hadamard(field.mat_hadamard(a_ext, b_ext), table(tables.scale)),
             field.mat_hadamard(c_ext, table(tables.point)),

@@ -36,6 +36,7 @@ from .. import telemetry
 from ..constraints import QuadraticSystem
 from ..field import PrimeField
 from ..poly import (
+    FixedOperand,
     SubproductTree,
     get_barycentric_weights,
     newton_levels,
@@ -52,31 +53,39 @@ class HTables:
     """The fixed vectors arithmetic-mode H(t) construction reads.
 
     With n = m + 1 points 0..m, ``repro.qap.prover`` extends A_w, B_w
-    and C_w from their values at 0..m to n..2n−1 with one convolution
-    each, forms H(n+k)/k! there pointwise and interpolates it by Newton
-    form (:func:`~repro.poly.batch.mat_interpolate_newton`).  Everything
-    it multiplies by is a function of (p, n) alone:
+    and C_w from their values at 0..m to n..2n−1 with one stacked
+    convolution, forms H(n+k)/k! there pointwise and interpolates it by
+    Newton form (:func:`~repro.poly.batch.mat_interpolate_newton`).
+    Everything it multiplies by is a function of (p, n) alone:
 
     * ``weights[j]`` — the barycentric weight w_j of point j (the
       shared cache entry behind ``QAPInstance.barycentric_weights``);
-    * ``kernel[l − 1] = 1/l`` for l = 1..2n−1, so that column n−1+k of
-      (f(j)·w_j)_j convolved with it is Σ_j f(j)·w_j/(n+k−j) = f(n+k)/L_k
-      with L_k = (n+k)!/k!;
+    * ``kernel``, one row with ``kernel[l − 1] = 1/l`` for l = 1..2n−1,
+      so that column n−1+k of (f(j)·w_j)_j convolved with it is
+      Σ_j f(j)·w_j/(n+k−j) = f(n+k)/L_k with L_k = (n+k)!/k!;
     * ``scale[k] = (n+k)·L_k/k!`` and ``point[k] = (n+k)/k!``: since
       D(n+k) = L_k/(n+k), H(n+k)/k! = scale[k]·Ã_k·B̃_k − point[k]·C̃_k,
       the values Newton interpolation on n..2n−1 takes;
-    * ``differences[k] = (−1)^k/k!`` — the kernel whose convolution
-      with those values gives H's Newton coefficients;
-    * ``levels`` — the up-sweep's M_L = ∏ (t − x) per level and pair
-      (:func:`~repro.poly.batch.newton_levels` over n..2n−1).
+    * ``differences``, one row with ``differences[k] = (−1)^k/k!`` —
+      the kernel whose convolution with those values gives H's Newton
+      coefficients;
+    * ``levels`` — the up-sweep's M_L = ∏ (t − x), one row per pair, one
+      operand per level (:func:`~repro.poly.batch.newton_levels` over
+      n..2n−1).
+
+    ``kernel``, ``differences`` and each level are the second operands
+    of H(t)'s products, so they are
+    :class:`~repro.poly.batch.FixedOperand` s: their plain ``rows``,
+    plus each route's transform of them, built by the first product
+    that needs it and then kept for every batch against this QAP.
     """
 
     weights: list[int]
-    kernel: list[int]
+    kernel: FixedOperand
     scale: list[int]
     point: list[int]
-    differences: list[int]
-    levels: list[list[list[int]]]
+    differences: FixedOperand
+    levels: list[FixedOperand]
 
 
 @dataclass
@@ -195,7 +204,9 @@ class QAPInstance:
 
         See :class:`HTables`; one ``batch_inv`` of 1..2m+1, O(m)
         products and the Newton levels (a product tree over n..2n−1,
-        one stacked product per level).  Arithmetic mode only.
+        one stacked product per level).  The operands' transforms are
+        left to the first product that needs each, so building the
+        tables transforms nothing.  Arithmetic mode only.
         """
         field = self.field
         p = field.p
@@ -214,11 +225,11 @@ class QAPInstance:
             inv_fact = inv_fact * inv[k] % p
         return HTables(
             weights=self.barycentric_weights,
-            kernel=inv,
+            kernel=FixedOperand([inv]),
             scale=scale,
             point=point,
-            differences=differences,
-            levels=newton_levels(field, n, n),
+            differences=FixedOperand([differences]),
+            levels=[FixedOperand(level) for level in newton_levels(field, n, n)],
         )
 
     @property

@@ -147,6 +147,10 @@ class TestHelloParams:
             ({"params": {"delta": [1], "rho_lin": 2, "rho": 1}}, "bad-frame"),
             ({"params": {"delta": 0.03, "rho_lin": 0, "rho": 1}}, "bad-request"),
             ({"params": {"delta": 0.03, "rho_lin": 2, "rho": 129}}, "bad-request"),
+            # the params refuse zero repetitions with a ValueError, which
+            # must stay a bad-request rather than a malformed frame
+            ({"params": {"delta": 0.03, "rho_lin": 2, "rho": 0}}, "bad-request"),
+            ({"params": {"delta": 0.03, "rho_lin": -1, "rho": 1}}, "bad-request"),
         ],
     )
     def test_bad_params_keep_the_wire_codes(self, sumsq_program, change, code):
@@ -154,6 +158,50 @@ class TestHelloParams:
         with pytest.raises(ProtocolViolation) as excinfo:
             parse_hello_params(hello)
         assert excinfo.value.code == code
+
+
+class TestHelloQapMode:
+    @staticmethod
+    def _hello_reply(address, program, qap_mode):
+        with socket.create_connection(address, timeout=5) as sock:
+            sock.settimeout(30)
+            send_frame(sock, {**hello_frame(program, FAST), "qap_mode": qap_mode})
+            return recv_frame(sock)
+
+    @staticmethod
+    def _settled(gw, name: str) -> int:
+        deadline = time.monotonic() + 5.0
+        while not gw.metrics.counter_value(name) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return gw.metrics.counter_value(name)
+
+    def test_non_string_qap_mode_is_a_bad_frame_at_the_hello(
+        self, registry, sumsq_program
+    ):
+        """A non-string qap_mode would reach the per-mode QAP cache as
+        a key; the hello refuses it, so the ledger never files an
+        ``internal`` error for it."""
+        with GatewayServer(registry) as gw:
+            reply = self._hello_reply(gw.address, sumsq_program, ["x"])
+            assert reply["type"] == "error" and reply["code"] == "bad-frame"
+            assert "qap_mode" in reply["message"]
+            assert self._settled(gw, "session_errors.bad-frame") == 1
+            assert gw.metrics.counter_value("session_errors.internal") == 0
+
+    def test_unknown_qap_mode_stays_a_bad_request(self, registry, sumsq_program):
+        with GatewayServer(registry) as gw:
+            with socket.create_connection(gw.address, timeout=5) as sock:
+                sock.settimeout(30)
+                send_frame(sock, {**hello_frame(sumsq_program, FAST), "qap_mode": "x"})
+                assert recv_frame(sock)["type"] == "hello-ok"
+                _, _, request, _ = ZaatarArgument(sumsq_program, FAST).verifier_setup()
+                enc_r = [[format(c.c1, "x"), format(c.c2, "x")] for c in request.ciphertexts]
+                send_frame(sock, {"type": "commit", "enc_r": enc_r})
+                send_frame(sock, {"type": "inputs", "batch": [hex_list([1, 2, 3])]})
+                reply = recv_frame(sock)
+            assert reply["type"] == "error" and reply["code"] == "bad-request"
+            assert self._settled(gw, "session_errors.bad-request") == 1
+            assert gw.metrics.counter_value("session_errors.internal") == 0
 
 
 class TestSessionProver:

@@ -181,9 +181,11 @@ class TestStatsRequest:
     ):
         verify_remote(sumsq_program, [[1, 2, 3]], server.address, FAST)
         counters = fetch_stats(server.address)["metrics"]["counters"]
-        backend = sumsq_program.field.backend.name
-        assert counters[f"backend.{backend}.calls"] > 0
-        assert counters[f"backend.{backend}.elements"] > 0
+        # the counters name the kernel that ran: every vector of this
+        # tiny program is below NumpyBackend.MIN_VECTOR, so a numpy
+        # field runs them on its scalar kernels too
+        assert counters["backend.scalar.calls"] > 0
+        assert counters["backend.scalar.elements"] > 0
 
 
 class TestConcurrentSessionIsolation:

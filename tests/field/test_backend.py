@@ -151,7 +151,8 @@ class TestNumpyDispatch:
 
     def test_large_vectors_hit_numpy_kernel(self):
         field = _gold(backend="numpy")
-        a = list(range(100))
+        n = NumpyBackend.MIN_VECTOR
+        a = list(range(n))
         tracer = telemetry.enable()
         try:
             with telemetry.span("t"):
@@ -160,11 +161,11 @@ class TestNumpyDispatch:
             telemetry.disable()
         totals = tracer.total_counters()
         assert totals.get("backend.numpy.calls") == 1
-        assert totals.get("backend.numpy.elements") == 100
+        assert totals.get("backend.numpy.elements") == n
 
     def test_results_are_plain_ints(self):
         field = _gold(backend="numpy")
-        a = list(range(100))
+        a = list(range(NumpyBackend.MIN_VECTOR))
         for value in field.vec_add(a, a) + [field.inner_product(a, a)]:
             assert type(value) is int
 

@@ -62,6 +62,21 @@ class TestKappaBound:
         assert strong.pcp_error < weak.pcp_error
 
 
+class TestRepetitions:
+    @pytest.mark.parametrize("field, value", [("rho", 0), ("rho_lin", 0), ("rho", -3)])
+    def test_fewer_than_one_repetition_rejected(self, field, value):
+        """ρ = 0 runs no PCP repetition and ρ_lin = 0 no linearity test,
+        so the params refuse them when built, naming the field."""
+        with pytest.raises(ValueError, match=f"^{field} must be at least 1, got {value}$"):
+            SoundnessParams(**{field: value})
+
+    def test_decoded_zero_repetitions_rejected(self):
+        spec = SoundnessParams(rho_lin=2, rho=1).encode(b"\x01")
+        spec["params"]["rho"] = 0
+        with pytest.raises(ValueError, match="rho must be at least 1"):
+            SoundnessParams.decode(spec)
+
+
 class TestCodec:
     def test_roundtrip(self):
         params = SoundnessParams(delta=0.03, rho_lin=5, rho=3)

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.field import GOLDILOCKS, HAVE_NUMPY, NAMED_FIELDS, PrimeField
+from repro.field import GOLDILOCKS, HAVE_NUMPY, NAMED_FIELDS, NumpyBackend, PrimeField
 from repro.poly.ntt import ntt, ntt_reference
 
 pytestmark = pytest.mark.skipif(
@@ -54,9 +54,14 @@ def _elements(p: int):
     )
 
 
-def _vectors(p: int, min_size: int = 0, max_size: int = 97):
-    # 97 is prime, so drawn lengths are overwhelmingly non-powers of two
-    # and straddle the numpy backend's small-vector cutoff (32)
+#: the numpy backend's small-vector cutoff; vector draws straddle it
+_CUTOFF = NumpyBackend.MIN_VECTOR
+#: a prime above the cutoff, so drawn lengths are overwhelmingly
+#: non-powers of two and straddle it
+_MAX_LEN = 293
+
+
+def _vectors(p: int, min_size: int = 0, max_size: int = _MAX_LEN):
     return st.lists(_elements(p), min_size=min_size, max_size=max_size)
 
 
@@ -93,7 +98,7 @@ def test_batch_inv_parity(name, data):
     scalar, vec = _FIELDS[name]
     p = scalar.p
     values = data.draw(
-        st.lists(st.integers(min_value=1, max_value=p - 1), max_size=97),
+        st.lists(st.integers(min_value=1, max_value=p - 1), max_size=_MAX_LEN),
         label="values",
     )
     got = vec.batch_inv(values)
@@ -160,7 +165,8 @@ def test_mat_elementwise_parity(name, data):
     scalar, vec = _FIELDS[name]
     p = scalar.p
     batch = data.draw(st.integers(min_value=1, max_value=5), label="batch")
-    n = data.draw(st.integers(min_value=1, max_value=64), label="n")
+    # up to 5 × 100 elements, so the matrices straddle the cutoff too
+    n = data.draw(st.integers(min_value=1, max_value=100), label="n")
     a = data.draw(_matrix(p, batch, n), label="a")
     b = data.draw(_matrix(p, batch, n), label="b")
     assert vec.mat_add(a, b) == scalar.mat_add(a, b)
@@ -175,7 +181,7 @@ def test_batch_inv_zero_escape_exception_parity(name):
     the numpy guard and poison the whole prefix-product scan."""
     scalar, vec = _FIELDS[name]
     p = scalar.p
-    values = [(i % (p - 1)) + 1 for i in range(40)]  # ≥ MIN_VECTOR: vector path
+    values = [(i % (p - 1)) + 1 for i in range(_CUTOFF + 8)]  # vector path
     values[17] = p
     with pytest.raises(ZeroDivisionError):
         scalar.batch_inv(values)
@@ -246,7 +252,7 @@ def test_noncanonical_fallback_parity(name, data):
     scalar, vec = _FIELDS[name]
     p = scalar.p
     wild = st.integers(min_value=-2 * p, max_value=2 * p)
-    n = data.draw(st.integers(min_value=33, max_value=70), label="n")
+    n = data.draw(st.integers(min_value=_CUTOFF + 1, max_value=_CUTOFF + 38), label="n")
     a = data.draw(st.lists(wild, min_size=n, max_size=n), label="a")
     b = data.draw(st.lists(wild, min_size=n, max_size=n), label="b")
     c = data.draw(wild, label="c")

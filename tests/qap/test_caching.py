@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.field import NAMED_FIELDS, PrimeField
+from repro.field import HAVE_NUMPY, NAMED_FIELDS, PrimeField
 from repro.poly import poly_from_roots
 from repro.qap import build_qap, compute_h
 
@@ -30,17 +30,20 @@ class TestCachedStructures:
 
     @pytest.mark.parametrize("name", ["goldilocks", "p192"])
     def test_h_tables_match_their_definitions(self, name):
-        """Each QAP's tables come from its own modulus and size."""
+        """Each QAP's tables come from its own modulus and size (the
+        product operands are checked on their plain rows)."""
         field = PrimeField(NAMED_FIELDS[name], check_prime=False)
         qap = build_qap(power_chain(field, 5))
         tables, p, n = qap.h_tables, field.p, qap.h_length
         fact = [math.factorial(k) % p for k in range(n)]
-        assert [l * tables.kernel[l - 1] % p for l in range(1, 2 * n)] == [1] * (2 * n - 1)
+        (kernel,) = tables.kernel.rows
+        (differences,) = tables.differences.rows
+        assert [l * kernel[l - 1] % p for l in range(1, 2 * n)] == [1] * (2 * n - 1)
         assert [x * f % p for x, f in zip(tables.point, fact)] == [n + k for k in range(n)]
         assert [x * f % p for x, f in zip(tables.scale, fact)] == [
             (n + k) * math.factorial(n + k) // math.factorial(k) % p for k in range(n)
         ]
-        assert [x * f % p for x, f in zip(tables.differences, fact)] == [
+        assert [x * f % p for x, f in zip(differences, fact)] == [
             (-1) ** k % p for k in range(n)
         ]
         # levels[d][b] = ∏ (t − x) over the left block's points x = n + j,
@@ -48,8 +51,8 @@ class TestCachedStructures:
         assert len(tables.levels) == (n - 1).bit_length()
         for d, level in enumerate(tables.levels):
             width = 1 << d
-            assert len(level) == -(-n // (2 * width))
-            for b, node in enumerate(level):
+            assert len(level.rows) == -(-n // (2 * width))
+            for b, node in enumerate(level.rows):
                 roots = [n + j for j in range(2 * b * width, (2 * b + 1) * width)]
                 assert node == poly_from_roots(field, roots)
         assert tables.weights == qap.barycentric_weights
@@ -68,6 +71,71 @@ class TestCachedStructures:
         assert qap.subproduct_tree.points == qap.prover_points
         assert qap.prover_points[0] == 0  # σ₀ pinning point
         assert qap.prover_points[1:] == qap.sigma
+
+
+def _operands(tables):
+    return [tables.kernel, tables.differences, *tables.levels]
+
+
+def _cached_arrays(operand) -> list:
+    """Every numpy array an operand keeps for the transform routes."""
+    arrays = []
+    for form in operand.forms.values():
+        for arr in getattr(form, "arrays", [form]):
+            if hasattr(arr, "flags"):
+                arrays.append(arr)
+    return arrays
+
+
+class TestFixedOperands:
+    """H(t)'s fixed operands are transformed by the first product that
+    needs each, then kept, read-only, for every later batch."""
+
+    def test_tables_transform_nothing(self, sumsq_program):
+        """``h_tables`` stays cheap to build (and to warm at gateway
+        registration): no operand is transformed until a product needs it."""
+        qap = build_qap(sumsq_program.quadratic)
+        assert all(not op.forms for op in _operands(qap.h_tables))
+
+    def test_tiny_programs_never_transform(self, sumsq_program):
+        """A program whose products all go row by row pays nothing."""
+        qap = build_qap(sumsq_program.quadratic)
+        for inputs in ([1, 2, 3], [4, 5, 6]):
+            compute_h(qap, sumsq_program.solve(inputs).quadratic_witness)
+        assert all(not op.forms for op in _operands(qap.h_tables))
+
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy absent: no cached arrays")
+    @pytest.mark.parametrize("name", ["goldilocks", "p128"])
+    def test_cached_arrays_read_only_and_unchanged(self, name):
+        """The butterflies run in place, so every kept array must refuse
+        writes, and two batches later its bytes are what the first
+        batch built."""
+        import random
+
+        from repro.apps import ALL_APPS
+        from repro.qap.prover import compute_h_batch
+
+        field = PrimeField(NAMED_FIELDS[name], check_prime=False, backend="numpy")
+        app = ALL_APPS["longest_common_subsequence"]
+        prog = app.compile(field, {"m": 4})
+        qap = build_qap(prog.quadratic)
+        rng = random.Random(3)
+        witnesses = [
+            prog.solve(app.generate_inputs(rng, {"m": 4})).quadratic_witness
+            for _ in range(3)
+        ]
+        first = compute_h_batch(qap, witnesses)
+        operands = _operands(qap.h_tables)
+        snapshot = [[arr.tobytes() for arr in _cached_arrays(op)] for op in operands]
+        assert sum(map(len, snapshot)) >= 3  # kernel, differences, a level
+        for op in operands:
+            for arr in _cached_arrays(op):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[..., 0] = 1
+        assert compute_h_batch(qap, witnesses) == first
+        assert compute_h_batch(qap, witnesses[:1]) == first[:1]
+        assert [[arr.tobytes() for arr in _cached_arrays(op)] for op in operands] == snapshot
 
 
 class TestPaperScaleCompiles:

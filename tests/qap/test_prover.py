@@ -202,11 +202,13 @@ class TestMatchesDivisionOracle:
     @pytest.mark.parametrize("field_name", ["goldilocks", "p128"])
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_batch_sizes_and_backends(self, backend, field_name):
+        """B = 1, 3 and 8: the products' operand tiles, the column-wise
+        levels and the kept operand transforms all change with B."""
         field = PrimeField(NAMED_FIELDS[field_name], check_prime=False, backend=backend)
-        qap, witnesses = self._witnesses(field, "longest_common_subsequence", 3)
+        qap, witnesses = self._witnesses(field, "longest_common_subsequence", 8)
         expected = compute_h_batch_divide(qap, witnesses)
-        assert compute_h_batch(qap, witnesses[:1]) == expected[:1]
-        assert compute_h_batch(qap, witnesses) == expected
+        for batch in (1, 3, 8):
+            assert compute_h_batch(qap, witnesses[:batch]) == expected[:batch]
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_tampered_witness_at_position_1(self, backend):

@@ -120,6 +120,19 @@ class TestProveCommand:
         assert captured.out == ""
         assert captured.err == f"error: num_workers must be at least 1, got {workers}\n"
 
+    @pytest.mark.parametrize("flag", ["--rho", "--rho-lin"])
+    def test_zero_repetitions_is_error(self, program_file, capsys, flag):
+        """One ``error:`` line and exit 2, not a traceback from the
+        verifier's set-up."""
+        args = {"--rho-lin": "2", "--rho": "1", flag: "0"}
+        rc = main(["prove", program_file, "--inputs", "3,4",
+                   *[part for item in args.items() for part in item]])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        name = flag[2:].replace("-", "_")
+        assert captured.err == f"error: {name} must be at least 1, got 0\n"
+
     def test_incompatible_checkpoint_is_error(self, program_file, capsys, tmp_path):
         ckpt = str(tmp_path / "ckpt")
         base = ["prove", program_file, "--checkpoint", ckpt,
