@@ -9,17 +9,20 @@ the CI ``kernel-bench`` job runs; the JSON artifact lands in
 ``benchmarks/out/BENCH_kernels.json``.
 
 It also sweeps the field-arithmetic backends (``repro.field.backend``):
-scalar vs numpy on NTT round-trips, elementwise products, and inner
-products over the 64-bit field, at ``BACKEND_SMALL_SIZES`` and at sizes
-bracketing ``--size``.  Under ``--check`` the backends must agree
-bit-for-bit and the numpy NTT must beat scalar at sizes >= 2^12; the
-sweep lands in ``benchmarks/out/BENCH_backends.json``.
+scalar vs numpy on NTT round-trips, elementwise products, inner
+products and batch inversions over the 64-bit field, at
+``BACKEND_SMALL_SIZES``, ``BACKEND_CROSSOVER_SIZES`` and sizes
+bracketing ``--size``, alternating the two backends.  Under ``--check``
+the backends must agree bit-for-bit and the numpy NTT must beat scalar
+at sizes >= 2^12; the sweep lands in
+``benchmarks/out/BENCH_backends.json``.
 
 It exercises the batch-axis prover path on the 128-bit modulus
 (``benchmarks/out/BENCH_batch.json``): the batched roots-mode H(t)
 pipeline must stay bit-identical to the per-row route, and the CRT
 residue-plane product must beat the object-dtype stacked-NTT route it
-replaces by ``BATCH_MIN_SPEEDUP`` on the fixed gate shape.  Its
+replaces by ``BATCH_MIN_SPEEDUP`` on the fixed gate shape, the two
+routes alternating, best of at least ``BATCH_MIN_REPS`` each.  Its
 arithmetic-mode row times ``compute_h_batch`` (H built from
 evaluations) against the paper's route — interpolate three times,
 multiply, divide — kept as the test oracle
@@ -40,10 +43,17 @@ be identical and the fixed operand must win by ``FIXED_MIN_SPEEDUP``.
 Its commitment section times the commitment round's two exponentiation
 loops, the verifier's Enc(r) and the prover's fold ∏ Enc(r_i)^{u_i},
 at n ∈ ``COMMIT_SIZES`` on the 512-bit groups: the per-element ``pow``
-oracle (``tests/crypto/pow_oracle.py``) against the kernels of
+oracle (``tests/crypto/pow_oracle.py``) against
+``ElGamalKeypair.encrypt_vector`` (two generator-table reads per
+element, using the secret key) and the Pippenger fold of
 ``repro.crypto.multiexp``.  Under ``--check`` the ciphertexts must be
-equal and the kernels must beat the oracle by ``COMMIT_MIN_SPEEDUP`` at
-n = ``COMMIT_GATE_N``; the rows land in ``BENCH_kernels.json``.
+equal and both must beat the oracle by ``COMMIT_MIN_SPEEDUP`` at
+n = ``COMMIT_GATE_N``.  Its decryption rows time ``DECRYPT_COUNT``
+decryptions on each of ``DECRYPT_GROUPS``: the oracle's
+c2 · c1^(P−1−x) against ``ElGamalKeypair.decrypt_to_group``'s
+c2 · (c1⁻¹)^x.  Under ``--check`` the group elements must be equal and
+the key holder's route must win by ``COMMIT_MIN_SPEEDUP``; the rows
+land in ``BENCH_kernels.json``.
 
 Its keystream section times ChaCha20 keystream generation at the
 block counts in ``KEYSTREAM_BLOCKS``: the per-block ``chacha20_block``
@@ -119,6 +129,16 @@ NUMPY_NTT_MIN_SIZE = 4096
 #: 256), where ``NumpyBackend.MIN_VECTOR`` hands the vector ops to the
 #: uint64 kernel.  Reported, not gated.
 BACKEND_SMALL_SIZES = (8, 32, 64, 128, 256)
+#: backend sweep rows bracketing the reductions' later crossovers
+#: (``NumpyBackend.MIN_INNER_PRODUCT`` and ``MIN_BATCH_INV``): the
+#: uint64 ``inner_product`` reaches the scalar loop's speed near 1,024
+#: elements and ``batch_inv`` near 2,048.  Reported, not gated.
+BACKEND_CROSSOVER_SIZES = (512, 1024, 2048, 4096)
+#: the ops the backend sweep times (the keys of ``_bench_backends``' ops)
+BACKEND_OPS = ("ntt_roundtrip", "hadamard", "inner_product", "batch_inv")
+#: the ops it also times on the uint64 kernel alone, whatever length the
+#: numpy backend would route to it from (its crossover against scalar)
+BACKEND_KERNEL_OPS = ("hadamard", "inner_product", "batch_inv")
 
 #: under --check, the CRT residue-plane batched product must beat the
 #: object-dtype stacked-NTT route it replaces by at least this factor
@@ -126,6 +146,10 @@ BACKEND_SMALL_SIZES = (8, 32, 64, 128, 256)
 #: absorbs CI noise while still catching a broken fast path)
 BATCH_MIN_SPEEDUP = 4.0
 BATCH_MIN_BATCH = 32
+#: the two routes alternate, each timed best of at least this many, so
+#: a slow phase of the host hits both (timed one after the other, one
+#: full run read 3.90x where standalone reruns read 4.9-5.8x)
+BATCH_MIN_REPS = 3
 #: product-stage gate shape: p128 operand rows of width BATCH_GATE_M,
 #: BATCH_GATE_BATCH rows per operand (the batch >= BATCH_MIN_BATCH the
 #: issue criterion asks for; the speedup grows with both dimensions)
@@ -167,12 +191,21 @@ FIXED_MIN_REPS = 9
 COMMIT_GROUPS = (("goldilocks-512", "goldilocks"), ("p128-512", "p128"))
 COMMIT_SIZES = (12, 666)
 #: under --check, Enc(r) and the fold must each beat the pow oracle by
-#: at least this factor at n = COMMIT_GATE_N (measured 5.2-6.1x for
-#: Enc(r) and 5.9-7.5x for the fold on a 2-core Xeon; the margin
-#: absorbs CI noise while still catching a kernel that fell back to
-#: per-element work)
+#: at least this factor at n = COMMIT_GATE_N, and decryption on every
+#: DECRYPT_GROUPS row (measured 11.2-15.6x for Enc(r), 4.9-7.5x for the
+#: fold and 2.95-6.33x for decryption, lowest on p128-512, on a 2-core
+#: Xeon; the margin absorbs CI noise while still catching a route that
+#: fell back to per-element or P-sized exponents)
 COMMIT_MIN_SPEEDUP = 2.0
 COMMIT_GATE_N = 666
+#: decryption rows: the groups (with their fields) and the number of
+#: ciphertexts decrypted per timing
+DECRYPT_GROUPS = (
+    ("goldilocks-512", "goldilocks"),
+    ("p128-512", "p128"),
+    ("p128-1024", "p128"),
+)
+DECRYPT_COUNT = 16
 
 #: keystream section: block counts timed — around the kernel's
 #: crossover, and one p128 LCS m=4 query repetition (5,328 16-byte
@@ -302,9 +335,11 @@ def _bench_backends(size: int, reps: int, rng: random.Random) -> dict:
     """Scalar vs numpy field backends on the batch-shaped kernels.
 
     One row per vector size (bracketing ``--size``); each op records
-    both backends' best-of-``reps`` time and whether their outputs are
-    bit-identical.  Runs scalar-only (with ``numpy_seconds: None``)
-    when numpy is absent.
+    both backends' best-of-``reps`` time, alternating, and whether
+    their outputs are bit-identical.  The ``BACKEND_KERNEL_OPS`` also
+    record the uint64 kernel's own time (``kernel_seconds``), which is
+    what the numpy backend's per-op cutoffs are set from.  Runs
+    scalar-only (with ``numpy_seconds: None``) when numpy is absent.
     """
     scalar_field = PrimeField(GOLDILOCKS, check_prime=False, backend="scalar")
     numpy_field = (
@@ -313,35 +348,57 @@ def _bench_backends(size: int, reps: int, rng: random.Random) -> dict:
         else None
     )
     p = scalar_field.p
-    sizes = sorted({*BACKEND_SMALL_SIZES, max(256, size // 4), size, size * 4})
+    sizes = sorted(
+        {*BACKEND_SMALL_SIZES, *BACKEND_CROSSOVER_SIZES, max(256, size // 4), size, size * 4}
+    )
     ops = {
         "ntt_roundtrip": lambda f, a, b: intt(f, ntt(f, a)),
         "hadamard": lambda f, a, b: f.hadamard(a, b),
         "inner_product": lambda f, a, b: f.inner_product(a, b),
+        "batch_inv": lambda f, a, b: f.batch_inv(b),
     }
     rows = []
     for n in sizes:
         a = [rng.randrange(p) for _ in range(n)]
-        b = [rng.randrange(p) for _ in range(n)]
+        b = [rng.randrange(1, p) for _ in range(n)]
         get_ntt_plan(scalar_field, n)  # warm the shared plan out of the timings
         row: dict = {"size": n}
         for name, op in ops.items():
             scalar_out = op(scalar_field, a, b)
-            scalar_seconds = _best_of(lambda: op(scalar_field, a, b), reps)
             entry = {
-                "scalar_seconds": scalar_seconds,
+                "scalar_seconds": None,
                 "numpy_seconds": None,
                 "speedup": None,
                 "bit_identical": None,
             }
-            if numpy_field is not None:
-                numpy_out = op(numpy_field, a, b)
-                numpy_seconds = _best_of(lambda: op(numpy_field, a, b), reps)
-                entry["numpy_seconds"] = numpy_seconds
+            if numpy_field is None:
+                entry["scalar_seconds"] = _best_of(lambda: op(scalar_field, a, b), reps)
+            else:
+                outputs = [op(numpy_field, a, b)]
+                routes = {
+                    "scalar_seconds": lambda: op(scalar_field, a, b),
+                    "numpy_seconds": lambda: op(numpy_field, a, b),
+                }
+                if name in BACKEND_KERNEL_OPS:
+                    kernel = getattr(numpy_field.backend.u64, name)
+                    args = (b,) if name == "batch_inv" else (a, b)
+                    routes["kernel_seconds"] = lambda: kernel(*args)
+                    outputs.append(kernel(*args))
+                seconds = {key: float("inf") for key in routes}
+                for _ in range(reps):  # alternate: drift hits both
+                    for key, fn in routes.items():
+                        seconds[key] = min(seconds[key], _best_of(fn, 1))
+                entry.update(seconds)
+                if "kernel_seconds" in seconds:
+                    entry["kernel_speedup"] = (
+                        seconds["scalar_seconds"] / seconds["kernel_seconds"]
+                    )
+                scalar_seconds = seconds["scalar_seconds"]
+                numpy_seconds = seconds["numpy_seconds"]
                 entry["speedup"] = (
                     scalar_seconds / numpy_seconds if numpy_seconds else float("inf")
                 )
-                entry["bit_identical"] = numpy_out == scalar_out
+                entry["bit_identical"] = all(out == scalar_out for out in outputs)
             row[name] = entry
         rows.append(row)
     return {"numpy_available": HAVE_NUMPY, "sizes": rows}
@@ -593,8 +650,12 @@ def _bench_batch_product(reps: int, rng: random.Random) -> dict | None:
 
     crt_out = mat_poly_mul(field, rows_a, rows_b)  # warm plane tables
     object_out = object_route()  # warm the shared plan
-    crt_seconds = _best_of(lambda: mat_poly_mul(field, rows_a, rows_b), min(reps, 3))
-    object_seconds = _best_of(object_route, min(reps, 2))
+    crt_seconds = object_seconds = float("inf")
+    for _ in range(max(reps, BATCH_MIN_REPS)):  # alternate: drift hits both
+        crt_seconds = min(
+            crt_seconds, _best_of(lambda: mat_poly_mul(field, rows_a, rows_b), 1)
+        )
+        object_seconds = min(object_seconds, _best_of(object_route, 1))
     return {
         "modulus": "p128",
         "m": m,
@@ -609,10 +670,10 @@ def _bench_batch_product(reps: int, rng: random.Random) -> dict | None:
 def _bench_commitment(reps: int, rng: random.Random) -> list[dict]:
     """Enc(r) and the fold: one ``pow`` per exponentiation vs the kernels.
 
-    Each row times one Enc(r) of an n-element vector (a table for the
-    key is built inside every call, as in the protocol) and one fold of
-    those ciphertexts with dense weights.  The group's generator table
-    is built before timing: the process pays for it once.
+    Each row times one Enc(r) of an n-element vector under the
+    verifier's key and one fold of those ciphertexts with dense
+    weights.  The group's generator table is built before timing: the
+    process pays for it once.
     """
     from tests.crypto.pow_oracle import encrypt_vector_pow, inner_product_pow
 
@@ -620,11 +681,12 @@ def _bench_commitment(reps: int, rng: random.Random) -> list[dict]:
     for group_name, field_name in COMMIT_GROUPS:
         group = named_group(group_name)
         field = PrimeField(NAMED_FIELDS[field_name], check_prime=False)
-        public = ElGamalKeypair.generate(group, FieldPRG(field, b"bench", "key")).public
+        keypair = ElGamalKeypair.generate(group, FieldPRG(field, b"bench", "key"))
+        public = keypair.public
         for n in COMMIT_SIZES:
             messages = [rng.randrange(group.order) for _ in range(n)]
             weights = [rng.randrange(1, group.order) for _ in range(n)]
-            cts = public.encrypt_vector(messages, FieldPRG(field, b"bench", "enc"))
+            cts = keypair.encrypt_vector(messages, FieldPRG(field, b"bench", "enc"))
             oracle_cts = encrypt_vector_pow(
                 public, messages, FieldPRG(field, b"bench", "enc")
             )
@@ -634,7 +696,7 @@ def _bench_commitment(reps: int, rng: random.Random) -> list[dict]:
             )
             prg = FieldPRG(field, b"bench", "timing")
             enc_pow = _best_of(lambda: encrypt_vector_pow(public, messages, prg), reps)
-            enc_kernel = _best_of(lambda: public.encrypt_vector(messages, prg), reps)
+            enc_kernel = _best_of(lambda: keypair.encrypt_vector(messages, prg), reps)
             fold_pow = _best_of(lambda: inner_product_pow(group, cts, weights), reps)
             fold_kernel = _best_of(
                 lambda: homomorphic_inner_product(group, cts, weights), reps
@@ -652,6 +714,45 @@ def _bench_commitment(reps: int, rng: random.Random) -> list[dict]:
                     "bit_identical": identical,
                 }
             )
+    return rows
+
+
+def _bench_decryption(reps: int, rng: random.Random) -> list[dict]:
+    """Decryption: c2 · c1^(P−1−x) vs the key holder's c2 · (c1⁻¹)^x.
+
+    Each row decrypts ``DECRYPT_COUNT`` honest ciphertexts of random
+    messages, the two routes alternating, best of ``reps``.
+    """
+    from tests.crypto.pow_oracle import decrypt_pow
+
+    rows = []
+    for group_name, field_name in DECRYPT_GROUPS:
+        group = named_group(group_name)
+        field = PrimeField(NAMED_FIELDS[field_name], check_prime=False)
+        keypair = ElGamalKeypair.generate(group, FieldPRG(field, b"bench", "key"))
+        messages = [rng.randrange(group.order) for _ in range(DECRYPT_COUNT)]
+        cts = keypair.encrypt_vector(messages, FieldPRG(field, b"bench", "dec"))
+        routes = {
+            "pow": lambda: [decrypt_pow(keypair, ct) for ct in cts],
+            "key": lambda: [keypair.decrypt_to_group(ct) for ct in cts],
+        }
+        identical = routes["pow"]() == routes["key"]() == [
+            group.encode(m) for m in messages
+        ]
+        seconds = {route: float("inf") for route in routes}
+        for _ in range(reps):  # alternate: drift hits both
+            for route, fn in routes.items():
+                seconds[route] = min(seconds[route], _best_of(fn, 1))
+        rows.append(
+            {
+                "group": group_name,
+                "count": DECRYPT_COUNT,
+                "pow_seconds": seconds["pow"] / DECRYPT_COUNT,
+                "key_seconds": seconds["key"] / DECRYPT_COUNT,
+                "speedup": seconds["pow"] / seconds["key"],
+                "bit_identical": identical,
+            }
+        )
     return rows
 
 
@@ -701,6 +802,7 @@ def run_bench(size: int, reps: int) -> dict:
         "backends": _bench_backends(size, reps, rng),
         "batch": _bench_batch(size, reps, rng),
         "commitment": _bench_commitment(reps, rng),
+        "decryption": _bench_decryption(reps, rng),
         "keystream": _bench_keystream(reps, rng),
     }
     for label, row in out.items():
@@ -734,7 +836,7 @@ def check(results: dict) -> list[str]:
         failures.append("counters: cold caches produced no plan misses")
     for row in results["backends"]["sizes"]:
         n = row["size"]
-        for op in ("ntt_roundtrip", "hadamard", "inner_product"):
+        for op in BACKEND_OPS:
             entry = row[op]
             if entry["numpy_seconds"] is None:
                 continue  # numpy absent: scalar-only run, nothing to compare
@@ -793,6 +895,15 @@ def check(results: dict) -> list[str]:
                         f"{where}: {op} kernel only {row[f'{op}_speedup']:.2f}x "
                         f"over pow (need {COMMIT_MIN_SPEEDUP}x)"
                     )
+    for row in results["decryption"]:
+        where = f"decryption: {row['group']}"
+        if not row["bit_identical"]:
+            failures.append(f"{where}: c2·(c1⁻¹)^x differs from c2·c1^(P−1−x)")
+        if row["speedup"] < COMMIT_MIN_SPEEDUP:
+            failures.append(
+                f"{where}: key holder's route only {row['speedup']:.2f}x over "
+                f"pow (need {COMMIT_MIN_SPEEDUP}x)"
+            )
     for row in results["keystream"]:
         where = f"keystream: {row['blocks']} blocks"
         if not row["bit_identical"]:
@@ -863,9 +974,25 @@ def _report(results: dict) -> None:
     ]
     print()
     print_table(
-        "commitment round: per-element pow vs fixed-base tables / Pippenger",
+        "commitment round: per-element pow vs the key holder's Enc(r) / Pippenger",
         ["vector", "Enc pow", "Enc kernel", "speedup", "fold pow", "fold kernel",
          "speedup", "identical"],
+        rows,
+    )
+    rows = [
+        [
+            row["group"],
+            fmt_seconds(row["pow_seconds"]),
+            fmt_seconds(row["key_seconds"]),
+            f"{row['speedup']:.2f}x",
+            "yes" if row["bit_identical"] else "NO",
+        ]
+        for row in results["decryption"]
+    ]
+    print()
+    print_table(
+        "decryption (per ciphertext): c2·c1^(P−1−x) vs c2·(c1⁻¹)^x",
+        ["group", "pow", "key holder", "speedup", "identical"],
         rows,
     )
 
@@ -893,21 +1020,24 @@ def _report(results: dict) -> None:
         return
     rows = []
     for row in backends["sizes"]:
-        for op in ("ntt_roundtrip", "hadamard", "inner_product"):
+        for op in BACKEND_OPS:
             entry = row[op]
+            kernel = "kernel_seconds" in entry
             rows.append(
                 [
                     f"{op} n={row['size']}",
                     fmt_seconds(entry["scalar_seconds"]),
                     fmt_seconds(entry["numpy_seconds"]),
                     f"{entry['speedup']:.2f}x",
+                    fmt_seconds(entry["kernel_seconds"]) if kernel else "-",
+                    f"{entry['kernel_speedup']:.2f}x" if kernel else "-",
                     "yes" if entry["bit_identical"] else "NO",
                 ]
             )
     print()
     print_table(
-        "field backends: scalar vs numpy (goldilocks)",
-        ["kernel", "scalar", "numpy", "speedup", "bit-identical"],
+        "field backends: scalar vs numpy (goldilocks), and the uint64 kernel alone",
+        ["kernel", "scalar", "numpy", "speedup", "uint64", "speedup", "bit-identical"],
         rows,
     )
 

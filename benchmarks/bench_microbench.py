@@ -87,7 +87,7 @@ def test_elgamal_encrypt(benchmark):
     group = group_for_field(FIELD_128, paper_scale=True)
     prg = FieldPRG(FIELD_128, b"bench-e")
     keypair = ElGamalKeypair.generate(group, prg)
-    benchmark(keypair.public.encrypt, 123456, prg)
+    benchmark(lambda: keypair.encrypt_vector([123456], prg))
 
 
 def test_elgamal_decrypt(benchmark):
@@ -95,5 +95,5 @@ def test_elgamal_decrypt(benchmark):
     group = group_for_field(FIELD_128, paper_scale=True)
     prg = FieldPRG(FIELD_128, b"bench-d")
     keypair = ElGamalKeypair.generate(group, prg)
-    ct = keypair.public.encrypt(123456, prg)
+    (ct,) = keypair.encrypt_vector([123456], prg)
     benchmark(keypair.decrypt_to_group, ct)

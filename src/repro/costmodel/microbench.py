@@ -74,10 +74,12 @@ def run_microbench(
     """Measure all seven parameters on this machine.
 
     ``e``, ``h`` and ``c`` are what the protocol pays per element: one
-    ``encrypt_vector`` call and one ``homomorphic_inner_product`` call
-    over a vector of ``crypto_reps`` elements, and one ``next_vector``
-    call of ``reps`` elements, each divided by its length (the kernels
-    amortize tables, buckets and keystream blocks over the vector).
+    ``ElGamalKeypair.encrypt_vector`` call and one
+    ``homomorphic_inner_product`` call over a vector of ``crypto_reps``
+    elements, and one ``next_vector`` call of ``reps`` elements, each
+    divided by its length (the kernels amortize buckets and keystream
+    blocks over the vector).  ``d`` is one ``decrypt_to_group``: like
+    ``e``, the verifier's own route, which uses the secret key.
     ``crypto_reps`` is smaller than ``reps`` because modular
     exponentiation is ~10³× slower than a field multiply; the paper's
     1000-rep protocol is retained for the field operations.
@@ -86,15 +88,14 @@ def run_microbench(
         group = group_for_field(field)
     prg = FieldPRG(field, seed, "microbench")
     keypair = ElGamalKeypair.generate(group, prg)
-    public = keypair.public
 
     a = prg.next_nonzero()
     b = prg.next_nonzero()
     messages = prg.next_vector(crypto_reps)
     weights = [prg.next_nonzero() for _ in range(crypto_reps)]
-    cts = public.encrypt_vector(messages, prg)
+    cts = keypair.encrypt_vector(messages, prg)
 
-    e = _timeit(lambda: public.encrypt_vector(messages, prg), 1) / crypto_reps
+    e = _timeit(lambda: keypair.encrypt_vector(messages, prg), 1) / crypto_reps
     d = _timeit(lambda: keypair.decrypt_to_group(cts[0]), crypto_reps)
     h = _timeit(lambda: homomorphic_inner_product(group, cts, weights), 1) / crypto_reps
     f_lazy = _timeit(lambda: field.mul_lazy(a, b), reps)

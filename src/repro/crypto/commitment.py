@@ -96,7 +96,7 @@ class CommitmentVerifier:
     def commit_request(self) -> CommitRequest:
         """Draw the secret r and encrypt it componentwise (once per batch)."""
         self._r = self._prg.next_vector(self.n)
-        return CommitRequest(self._keypair.public.encrypt_vector(self._r, self._prg))
+        return CommitRequest(self._keypair.encrypt_vector(self._r, self._prg))
 
     # -- phase 2: decommit --------------------------------------------------------
 
@@ -105,11 +105,10 @@ class CommitmentVerifier:
         if self._r is None:
             raise RuntimeError("commit_request must run before decommit")
         self._alphas = self._prg.next_vector(len(queries))
-        t = list(self._r)
-        for alpha, q in zip(self._alphas, queries):
+        for q in queries:
             if len(q) != self.n:
                 raise ValueError(f"query length {len(q)} != vector length {self.n}")
-            t = self.field.vec_addmul(t, alpha, q)
+        t = self.field.vec_lincomb(self._r, self._alphas, queries)
         # the challenge shares the caller's query lists; nothing mutates them
         return DecommitChallenge([*queries, t])
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .. import telemetry
 from .groups import SchnorrGroup
-from .multiexp import FixedBaseTable, multi_pow_pair, window_width
+from .multiexp import multi_pow_pair
 from .prg import FieldPRG
 
 
@@ -41,35 +41,19 @@ class ElGamalPublicKey:
     group: SchnorrGroup
     h: int  # g^x
 
-    def encrypt(self, message: int, prg: FieldPRG) -> ElGamalCiphertext:
-        """Encrypt a field element (carried in the exponent)."""
-        return self.encrypt_vector([message], prg)[0]
-
-    def encrypt_vector(self, messages: list[int], prg: FieldPRG) -> list[ElGamalCiphertext]:
-        """Componentwise encryption (the commit request's Enc(r)).
-
-        Draws one k per message, in order, and computes (g^k, g^m · h^k)
-        from the group's generator table and a table for h built for
-        this call (h is fresh per key, so per batch).
-        """
-        group = self.group
-        P, q = group.modulus, group.order
-        n = len(messages)
-        if telemetry.enabled():
-            telemetry.count("crypto.encryptions", n)
-            telemetry.count("crypto.exponentiations", 3 * n)
-        ks = prg.next_below_vector(q, n)
-        g = group.generator_table
-        bits = q.bit_length()
-        h = FixedBaseTable(self.h, P, bits, window_width(n, bits))
-        return [
-            ElGamalCiphertext(g.pow(k), g.pow(m % q) * h.pow(k) % P)
-            for m, k in zip(messages, ks)
-        ]
-
 
 @dataclass(frozen=True)
 class ElGamalKeypair:
+    """The verifier's key: only the key's holder encrypts and decrypts.
+
+    In the commitment the verifier both encrypts r and decrypts the
+    prover's reply, so both operations use x itself.  Because h = g^x
+    and g has order q, g^m · h^k = g^((m + x·k) mod q), and for every
+    c1 ≢ 0 (mod P) Fermat gives c1^(P−1−x) = (c1⁻¹)^x: the same
+    integers as the textbook formulas, from q-bit exponents of fixed
+    or inverted bases.
+    """
+
     public: ElGamalPublicKey
     secret: int
 
@@ -78,13 +62,37 @@ class ElGamalKeypair:
         x = prg.next_below(group.order - 1) + 1
         return cls(ElGamalPublicKey(group, group.encode(x)), x)
 
+    def encrypt_vector(self, messages: list[int], prg: FieldPRG) -> list[ElGamalCiphertext]:
+        """Componentwise encryption (the commit request's Enc(r)).
+
+        Draws one k per message, in order, and computes (g^k, g^m · h^k)
+        as (g^k, g^((m + x·k) mod q)): two reads of the group's
+        generator table per element.
+        """
+        group = self.public.group
+        q = group.order
+        n = len(messages)
+        if telemetry.enabled():
+            telemetry.count("crypto.encryptions", n)
+            telemetry.count("crypto.exponentiations", 3 * n)
+        ks = prg.next_below_vector(q, n)
+        g = group.generator_table.pow
+        x = self.secret
+        return [ElGamalCiphertext(g(k), g((m + x * k) % q)) for m, k in zip(messages, ks)]
+
     def decrypt_to_group(self, ct: ElGamalCiphertext) -> int:
-        """Recover g^m (not m itself — the exponent stays hidden)."""
+        """Recover g^m (not m itself — the exponent stays hidden).
+
+        c2 · (c1⁻¹)^x, which equals c2 · c1^(P−1−x) mod P; a c1 ≡ 0
+        (mod P) has no inverse and decrypts to 0, as 0^(P−1−x) does.
+        """
         if telemetry.enabled():
             telemetry.count("crypto.decryptions")
             telemetry.count("crypto.exponentiations")
         P = self.public.group.modulus
-        return ct.c2 * pow(ct.c1, P - 1 - self.secret, P) % P
+        if ct.c1 % P == 0:
+            return 0
+        return ct.c2 * pow(ct.c1, -self.secret, P) % P
 
 
 def homomorphic_inner_product(

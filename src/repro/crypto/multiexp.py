@@ -2,12 +2,13 @@
 
 Both hot loops of the linear commitment raise many values to
 exponents below the group order, modulo one P: the verifier's Enc(r)
-computes g^k, g^m and h^k per element of r, and the prover's fold
-computes ∏ Enc(r_i)^{u_i}.  One ``pow`` per exponentiation costs about
-``bits`` modular squarings plus a multiplication per window.  At the
-commitment's sizes a modular multiplication costs far more than the
-interpreter's dispatch around it, so the kernels below win by doing
-fewer multiplications, even though they run in Python:
+computes g^k and g^((m + x·k) mod q) per element of r, and the
+prover's fold computes ∏ Enc(r_i)^{u_i}.  One ``pow`` per
+exponentiation costs about ``bits`` modular squarings plus a
+multiplication per window.  At the commitment's sizes a modular
+multiplication costs far more than the interpreter's dispatch around
+it, so the kernels below win by doing fewer multiplications, even
+though they run in Python:
 
 * :class:`FixedBaseTable` stores ``b^(d·2^(i·w))`` for every w-bit
   digit d of every window i.  Then ``b^e`` is one stored entry per
@@ -37,10 +38,9 @@ MAX_WINDOW = 8
 def window_width(n: int, bits: int) -> int:
     """The w ≤ :data:`MAX_WINDOW` minimizing ⌈bits/w⌉·(n + 2^w).
 
-    A table for n exponentiations with ``bits``-bit exponents costs
-    ⌈bits/w⌉·2^w multiplications to build and ⌈bits/w⌉ per use; a
-    Pippenger pass over n bases costs ⌈bits/w⌉ windows of n bucket
-    multiplications plus about 2^w to combine the buckets.
+    A Pippenger pass over n bases with ``bits``-bit scalars costs
+    ⌈bits/w⌉ windows of n bucket multiplications plus about 2^w to
+    combine the buckets.
     """
     return min(
         range(1, MAX_WINDOW + 1), key=lambda w: -(-bits // w) * (n + (1 << w))

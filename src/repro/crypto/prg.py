@@ -15,6 +15,11 @@ import hashlib
 from ..field import PrimeField
 from .chacha import ChaChaStream
 
+try:  # pragma: no cover - exercised via the no-numpy CI job
+    import numpy as _np
+except ImportError:  # pragma: no cover
+    _np = None
+
 
 class FieldPRG:
     """Draws uniform elements of a prime field by rejection sampling."""
@@ -72,18 +77,27 @@ class FieldPRG:
 
         Samples are accepted in stream order while below ``limit``.  When
         some are rejected, only the shortfall is read again, so this
-        consumes exactly the bytes n one-at-a-time draws would.
+        consumes exactly the bytes n one-at-a-time draws would.  With
+        numpy, 8-byte samples (57- to 64-bit moduli, Goldilocks among
+        them) are accepted and reduced as one uint64 array per read.
         """
         out: list[int] = []
         from_bytes = int.from_bytes
+        bulk = width == 8 and _np is not None
         while len(out) < n:
             size = (n - len(out)) * width
             data = self._stream.read(size)
-            out += [
-                raw % modulus
-                for i in range(0, size, width)
-                if (raw := from_bytes(data[i : i + width], "little")) < limit
-            ]
+            if bulk:
+                raw = _np.frombuffer(data, dtype="<u8")
+                if limit < 1 << 64:  # a power-of-two bound rejects nothing
+                    raw = raw[raw < _np.uint64(limit)]
+                out += (raw % _np.uint64(modulus)).tolist()
+            else:
+                out += [
+                    raw % modulus
+                    for i in range(0, size, width)
+                    if (raw := from_bytes(data[i : i + width], "little")) < limit
+                ]
         return out
 
 

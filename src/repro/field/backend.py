@@ -66,6 +66,7 @@ from __future__ import annotations
 import os
 import threading
 import warnings
+from operator import mul
 from typing import Sequence
 
 from .. import telemetry
@@ -179,11 +180,17 @@ class ScalarBackend(FieldBackend):
         p = self.p
         return [c * x % p for x in a]
 
-    def vec_addmul(self, a: Sequence[int], c: int, b: Sequence[int]) -> list[int]:
-        """a + c·b via ``% p`` list comprehension."""
-        self._tick(len(a))
+    def vec_lincomb(self, a: Sequence[int], coeffs: Sequence[int], rows) -> list[int]:
+        """a + Σ coeffs[i]·rows[i]: each column's products summed as
+        Python ints, then one ``% p``."""
+        self._tick(len(a) * len(rows))
         p = self.p
-        return [(x + c * y) % p for x, y in zip(a, b)]
+        if not rows:
+            return [x % p for x in a]
+        return [
+            (x + sum(map(mul, coeffs, column))) % p
+            for x, column in zip(a, zip(*rows))
+        ]
 
     def hadamard(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
         """Componentwise product via ``% p`` list comprehension."""
@@ -284,6 +291,13 @@ class _GoldilocksKernel:
         self.m32 = _np.uint64(0xFFFFFFFF)
         self.s32 = _np.uint64(32)
         self.eps = _np.uint64(2**32 - 1)
+        # vec_lincomb: 16-bit limb shifts, and the weight 2^(16k + 32h)
+        # mod p of limb k times 32-bit half h, shaped (limb, 1, half)
+        self.limb_shifts = _np.arange(0, 64, 16, dtype=_np.uint64)[:, None]
+        self.limb_weights = _np.array(
+            [[[pow(2, 16 * k + 32 * h, self.p) for h in range(2)]] for k in range(4)],
+            dtype=_np.uint64,
+        )
 
     def mulmod(self, a, b):
         m32, s32 = self.m32, self.s32
@@ -344,9 +358,29 @@ class _GoldilocksKernel:
     def vec_scale(self, c, a):
         return self.mulmod(self._load(a, canonical=False), self._scalar_operand(c)).tolist()
 
-    def vec_addmul(self, a, c, b):
-        prod = self.mulmod(self._load(b, canonical=False), self._scalar_operand(c))
-        return self.addmod(self._load(a, canonical=True), prod).tolist()
+    def vec_lincomb(self, a, coeffs, rows):
+        """a + Σ cᵢ·rowsᵢ from eight exact column sums.
+
+        Each cᵢ is split into four 16-bit limbs and each row element
+        into its two 32-bit halves (a little-endian view of the row).
+        One integer matrix product (numpy's own loop, not BLAS) sums
+        limb k × half h over the rows; each sum is below μ·2^48, so it
+        cannot wrap for μ < 2^16 rows.  ``mulmod`` weighs it by
+        2^(16k + 32h) mod p, and the eight weighed sums are added to a.
+        """
+        m = self._load_mat(rows, canonical=False)
+        mu, n = m.shape
+        if mu >= 1 << 16:
+            raise _ScalarFallback()
+        c = self._load(coeffs, canonical=False)
+        limbs = (c >> self.limb_shifts) & _np.uint64(0xFFFF)
+        halves = m.astype("<u8", copy=False).view("<u4")  # lo₀, hi₀, lo₁, hi₁, …
+        sums = (limbs @ halves).reshape(4, n, 2)
+        terms = self.mulmod(sums, self.limb_weights)
+        t = self._load(a, canonical=True)
+        for row in terms.transpose(0, 2, 1).reshape(8, n):
+            t = self.addmod(t, row)
+        return t.tolist()
 
     def hadamard(self, a, b):
         return self.mulmod(self._load(a, canonical=False), self._load(b, canonical=False)).tolist()
@@ -621,6 +655,18 @@ class NumpyBackend(FieldBackend):
     #: 128 elements and 1.04–1.09× at 256 (``bench_kernels.py``'s
     #: backend sweep, 2-core Xeon); 2-D kernels count every row's elements
     MIN_VECTOR = 256
+    #: the uint64 ``inner_product`` runs at 0.67–0.76× the scalar loop's
+    #: speed at 256 elements, 0.95–1.08× at 666 and 0.99–1.21× at 1,024
+    #: (interleaved best of 15, three runs, 2-core Xeon), so the
+    #: prover's 666-element answers stay on the scalar loop
+    MIN_INNER_PRODUCT = 1024
+    #: the uint64 ``batch_inv`` (prefix/suffix scans) runs at 0.36–0.44×
+    #: at 342 elements, 0.72–0.83× at 1,024 and 1.00–1.05× at 2,048
+    #: (same timing)
+    MIN_BATCH_INV = 2048
+    #: ``vec_lincomb`` counts μ rows × n columns: 0.88× at 56 × 12,
+    #: 1.11× at 56 × 18 and 2.6× at 56 × 666 (interleaved best of 25)
+    MIN_LINCOMB = 1024
     #: below this transform size the scalar butterflies win
     MIN_NTT = 64
 
@@ -634,10 +680,10 @@ class NumpyBackend(FieldBackend):
         #: the kernel that runs transforms
         self.kernel = self.u64 or _ObjectKernel(p)
 
-    def _vector(self, op: str, n: int, *args):
+    def _vector(self, op: str, n: int, start: int, *args):
         """1-D ``op`` on the uint64 kernel when the modulus has one and
-        ``n`` reaches ``MIN_VECTOR``, else on the scalar kernels."""
-        if self.u64 is not None and n >= self.MIN_VECTOR:
+        ``n`` reaches ``start``, else on the scalar kernels."""
+        if self.u64 is not None and n >= start:
             try:
                 result = getattr(self.u64, op)(*args)
             except _ScalarFallback:
@@ -649,27 +695,29 @@ class NumpyBackend(FieldBackend):
 
     def vec_add(self, a, b):
         """Componentwise sum."""
-        return self._vector("vec_add", len(a), a, b)
+        return self._vector("vec_add", len(a), self.MIN_VECTOR, a, b)
 
     def vec_scale(self, c, a):
         """Scalar multiple c·a."""
-        return self._vector("vec_scale", len(a), c, a)
+        return self._vector("vec_scale", len(a), self.MIN_VECTOR, c, a)
 
-    def vec_addmul(self, a, c, b):
-        """a + c·b."""
-        return self._vector("vec_addmul", len(a), a, c, b)
+    def vec_lincomb(self, a, coeffs, rows):
+        """a + Σ cᵢ·rowsᵢ via one product of limbs (every row's elements
+        count toward ``MIN_LINCOMB``)."""
+        n = len(a) * len(rows)
+        return self._vector("vec_lincomb", n, self.MIN_LINCOMB, a, coeffs, rows)
 
     def hadamard(self, a, b):
         """Componentwise product."""
-        return self._vector("hadamard", len(a), a, b)
+        return self._vector("hadamard", len(a), self.MIN_VECTOR, a, b)
 
     def inner_product(self, a, b):
         """<a, b> via limb-split partial-product sums."""
-        return self._vector("inner_product", len(a), a, b)
+        return self._vector("inner_product", len(a), self.MIN_INNER_PRODUCT, a, b)
 
     def batch_inv(self, values):
         """Montgomery inversion via prefix/suffix product scans."""
-        return self._vector("batch_inv", len(values), values)
+        return self._vector("batch_inv", len(values), self.MIN_BATCH_INV, values)
 
     def ntt(self, plan, a, invert):
         """Vectorized butterfly levels over the plan's cached arrays."""

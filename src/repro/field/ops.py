@@ -90,10 +90,14 @@ OPS: tuple[FieldOp, ...] = (
     ),
     FieldOp("vec_add", (VEC, VEC), lambda a, b: {"field.add": len(a)}),
     FieldOp("vec_scale", (ELEM, VEC), lambda c, a: {"field.mul": len(a)}),
+    # a + Σ cᵢ·rowsᵢ: one multiply-add per row and column
     FieldOp(
-        "vec_addmul",
-        (VEC, ELEM, VEC),
-        lambda a, c, b: {"field.mul": len(a), "field.add": len(a)},
+        "vec_lincomb",
+        (VEC, VEC, ROWS),
+        lambda a, coeffs, rows: {
+            "field.mul": len(rows) * len(a),
+            "field.add": len(rows) * len(a),
+        },
     ),
     FieldOp("hadamard", (VEC, VEC), lambda a, b: {"field.mul": len(a)}),
     FieldOp(

@@ -224,10 +224,19 @@ class PrimeField:
         """Scalar multiple c·a (fully reduced)."""
         return self.backend.vec_scale(c, a)
 
-    def vec_addmul(self, a: Sequence[int], c: int, b: Sequence[int]) -> list[int]:
-        """a + c·b, the FMA shape used when folding queries together."""
-        self._require_same_length(a, b)
-        return self.backend.vec_addmul(a, c, b)
+    def vec_lincomb(self, a: Sequence[int], coeffs: Sequence[int], rows) -> list[int]:
+        """a + Σ coeffs[i]·rows[i], reduced once per column.
+
+        The verifier's consistency query t = r + Σ αᵢ·qᵢ (§2.2) is this
+        op over every PCP query at once.
+        """
+        if len(coeffs) != len(rows):
+            raise ValueError(
+                f"length mismatch: {len(coeffs)} coefficients vs {len(rows)} rows"
+            )
+        for row in rows:
+            self._require_same_length(a, row)
+        return self.backend.vec_lincomb(a, coeffs, rows)
 
     def hadamard(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
         """Componentwise product (fully reduced)."""

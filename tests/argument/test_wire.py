@@ -47,7 +47,7 @@ class TestCiphertextCodec:
         group = group_for_field(gold)
         prg = FieldPRG(gold, b"codec")
         keypair = ElGamalKeypair.generate(group, prg)
-        cts = keypair.public.encrypt_vector([1, 2, 3], prg)
+        cts = keypair.encrypt_vector([1, 2, 3], prg)
         data = encode_ciphertexts(group, cts)
         assert decode_ciphertexts(group, data) == cts
 
@@ -55,7 +55,7 @@ class TestCiphertextCodec:
         group = group_for_field(gold)  # 512-bit modulus
         prg = FieldPRG(gold, b"codec")
         keypair = ElGamalKeypair.generate(group, prg)
-        ct = keypair.public.encrypt(5, prg)
+        ct = keypair.encrypt_vector([5], prg)[0]
         assert len(encode_ciphertexts(group, [ct])) == 2 * 64
 
     def test_bad_length_rejected(self, gold):

@@ -1,15 +1,22 @@
 """The commitment round computed with one ``pow`` per exponentiation.
 
 This is the reference the exponentiation kernels
-(``repro.crypto.multiexp``) must reproduce integer for integer: the
-parity suite (``tests/property/test_crypto_kernels.py``) and the
+(``repro.crypto.multiexp``) and the key holder's Enc(r) and decryption
+(``ElGamalKeypair``) must reproduce integer for integer: the parity
+suite (``tests/property/test_crypto_kernels.py``) and the
 commitment section of ``benchmarks/bench_kernels.py`` compare against
 it.
 """
 
 from __future__ import annotations
 
-from repro.crypto import ElGamalCiphertext, ElGamalPublicKey, FieldPRG, SchnorrGroup
+from repro.crypto import (
+    ElGamalCiphertext,
+    ElGamalKeypair,
+    ElGamalPublicKey,
+    FieldPRG,
+    SchnorrGroup,
+)
 
 
 def encrypt_pow(public: ElGamalPublicKey, message: int, prg: FieldPRG) -> ElGamalCiphertext:
@@ -27,6 +34,12 @@ def encrypt_vector_pow(
 ) -> list[ElGamalCiphertext]:
     """n scalar encryptions, drawing their k in order."""
     return [encrypt_pow(public, m, prg) for m in messages]
+
+
+def decrypt_pow(keypair: ElGamalKeypair, ct: ElGamalCiphertext) -> int:
+    """Textbook decryption g^m = c2 · c1^(P−1−x) mod P."""
+    P = keypair.public.group.modulus
+    return ct.c2 * pow(ct.c1, P - 1 - keypair.secret, P) % P
 
 
 def inner_product_pow(

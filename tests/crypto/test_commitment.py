@@ -120,6 +120,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             verifier.decommit_challenge([[0] * (n - 1)])
 
+    def test_query_length_error_names_the_length(self, gold, parties):
+        """t is built in one pass over every query, after each query's
+        length is checked, so a short last query is named, not hidden
+        behind a length mismatch of the whole matrix."""
+        verifier, _, _, n = parties()
+        verifier.commit_request()
+        with pytest.raises(ValueError, match=f"query length {n + 1} != vector length {n}"):
+            verifier.decommit_challenge([[0] * n, [1] * n, [0] * (n + 1)])
+
     def test_commit_length_checked(self, gold, parties):
         verifier, prover, _, _ = parties()
         request = verifier.commit_request()

@@ -166,7 +166,22 @@ class TestNumpyDispatch:
     def test_results_are_plain_ints(self):
         field = _gold(backend="numpy")
         a = list(range(NumpyBackend.MIN_VECTOR))
-        for value in field.vec_add(a, a) + [field.inner_product(a, a)]:
+        b = list(range(1, NumpyBackend.MIN_BATCH_INV + 1))
+        c = b[: NumpyBackend.MIN_INNER_PRODUCT]
+        tracer = telemetry.enable()
+        try:
+            with telemetry.span("t"):
+                values = (
+                    field.vec_add(a, a)
+                    + [field.inner_product(c, c)]
+                    + field.batch_inv(b)
+                    + field.vec_lincomb(c, [3], [c])
+                )
+        finally:
+            telemetry.disable()
+        # every op above reached the uint64 kernel
+        assert tracer.total_counters().get("backend.numpy.calls") == 4
+        for value in values:
             assert type(value) is int
 
     def test_mat_kernels_tick_batch_counters(self):
@@ -226,7 +241,7 @@ def _counting_workload(backend_name: str) -> dict[str, float]:
         with telemetry.span("workload"):
             field.vec_add(a, b)
             field.vec_scale(5, a)
-            field.vec_addmul(a, 5, b)
+            field.vec_lincomb(a, [5], [b])
             field.hadamard(a, b)
             field.inner_product(a, b)
             field.batch_inv(b)
@@ -263,9 +278,9 @@ class TestCountingBackendIndependence:
     """CountingField counts per element by the canonical algorithm, so the
     Figure 5 op tables are identical no matter which kernels execute."""
 
-    # n=64 workload above: adds = 64*2 (add/addmul)
+    # n=64 workload above: adds = 64*2 (add/lincomb)
     #   + 64 (inner) + 64*6*2 (two transforms, n·log2 n each) = 960
-    # muls = 64*3 (scale/addmul/hadamard) + 64 (inner) + 3*64 (batch_inv)
+    # muls = 64*3 (scale/lincomb/hadamard) + 64 (inner) + 3*64 (batch_inv)
     #   + 32*6*2 (transform butterflies) + 64 (fused n⁻¹) = 896
     EXPECTED = {"field.add": 960.0, "field.mul": 896.0, "field.inv": 1.0}
 

@@ -72,3 +72,38 @@ def test_checked_twin_skips_operands_that_are_not_elements():
     base = PrimeField(GOLDILOCKS, check_prime=False)
     checked = checked_field(base)
     assert checked.pow(3, base.p + 5) == base.pow(3, base.p + 5)
+
+
+def test_lincomb_is_charged_per_row_and_column():
+    """t = r + Σ αᵢ·qᵢ costs what μ one-row multiply-adds of length n
+    cost: μ·n ``field.mul`` and μ·n ``field.add``, on either backend."""
+    from repro import telemetry
+    from repro.field import HAVE_NUMPY, counting_field
+
+    mu, n = 56, 666
+    for backend in ("scalar", "numpy") if HAVE_NUMPY else ("scalar",):
+        field = counting_field(PrimeField(GOLDILOCKS, check_prime=False, backend=backend))
+        rows = [[(i * n + j) % field.p for j in range(n)] for i in range(mu)]
+        tracer = telemetry.enable()
+        try:
+            with telemetry.span("t"):
+                t = field.vec_lincomb(list(range(n)), list(range(1, mu + 1)), rows)
+        finally:
+            telemetry.disable()
+        totals = tracer.total_counters()
+        assert totals["field.mul"] == mu * n and totals["field.add"] == mu * n
+        assert t == PrimeField(GOLDILOCKS, check_prime=False).vec_lincomb(
+            list(range(n)), list(range(1, mu + 1)), rows
+        )
+
+
+def test_checked_lincomb_rejects_a_noncanonical_coefficient_or_row():
+    checked = checked_field(PrimeField(GOLDILOCKS, check_prime=False))
+    p = checked.p
+    a, row = [1, 2], [3, 4]
+    assert checked.vec_lincomb(a, [p - 1], [row]) == [(1 - 3) % p, (2 - 4) % p]
+    for coeffs, rows in (([p], [row]), ([-1], [row]), ([1], [[3, p]]), ([1, 1], [row, [-4, 0]])):
+        with pytest.raises(ValueError, match="non-canonical"):
+            checked.vec_lincomb(a, coeffs, rows)
+    with pytest.raises(ValueError, match="non-canonical"):
+        checked.vec_lincomb([p, 0], [1], [row])

@@ -10,7 +10,7 @@ class TestElementwise:
         a = [rng.randrange(gold.p) for _ in range(10)]
         b = [rng.randrange(gold.p) for _ in range(10)]
         # subtracting b is adding (−1)·b
-        assert gold.vec_addmul(gold.vec_add(a, b), gold.p - 1, b) == a
+        assert gold.vec_lincomb(gold.vec_add(a, b), [gold.p - 1], [b]) == a
 
     def test_neg(self, gold):
         # negation is scaling by −1
@@ -20,13 +20,19 @@ class TestElementwise:
         assert gold.vec_scale(3, [1, 2]) == [3, 6]
 
     def test_addmul(self, gold):
-        assert gold.vec_addmul([1, 1], 2, [3, 4]) == [7, 9]
+        assert gold.vec_lincomb([1, 1], [2], [[3, 4]]) == [7, 9]
+        assert gold.vec_lincomb([1, 1], [2, 5], [[3, 4], [0, 1]]) == [7, 14]
+        assert gold.vec_lincomb([1, 1], [], []) == [1, 1]
 
     def test_length_mismatch(self, gold):
         with pytest.raises(ValueError):
             gold.vec_add([1], [1, 2])
         with pytest.raises(ValueError):
             gold.hadamard([1], [1, 2])
+        with pytest.raises(ValueError):
+            gold.vec_lincomb([1], [1], [[1, 2]])
+        with pytest.raises(ValueError):
+            gold.vec_lincomb([1], [1, 2], [[1]])
 
 
 class TestProducts:

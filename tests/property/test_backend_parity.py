@@ -8,10 +8,14 @@ backends of each named modulus (goldilocks through p220, so the
 uint64 limb kernel and the object-array butterflies are covered) and
 of 65537, a user-supplied modulus of the kind ``constraints/serialize``
 reads from a program file (2-adicity 16; it takes the same route as
-the big moduli).  The ops are add/scale/addmul/mul/dot/inv, ntt/intt,
+the big moduli).  The ops are add/scale/lincomb/mul/dot/inv, ntt/intt,
 their stacked 2-D forms and the CRT product, with the canonical edge
 values 0, 1, p−1 force-included and non-power-of-two lengths
-throughout the elementwise ops.
+throughout the elementwise ops.  Each op's draws straddle the length
+at which the numpy backend hands it to the uint64 kernel
+(``MIN_VECTOR``, ``MIN_INNER_PRODUCT``, ``MIN_BATCH_INV``,
+``MIN_LINCOMB``); vectors longer than Hypothesis' buffer come from a
+drawn seed with a drawn handful of entries set to the edge values.
 
 Runs are meaningful only with numpy installed; without it the numpy
 backend degrades to scalar and the comparison is vacuous, so the
@@ -19,6 +23,8 @@ module skips.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -65,6 +71,29 @@ def _vectors(p: int, min_size: int = 0, max_size: int = _MAX_LEN):
     return st.lists(_elements(p), min_size=min_size, max_size=max_size)
 
 
+def _seeded(data, n: int, low: int, high: int, edges: list[int], label: str) -> list[int]:
+    """n values from [low, high) off a drawn seed, a drawn handful of
+    them replaced by ``edges``."""
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label=f"{label} seed"))
+    values = [rng.randrange(low, high) for _ in range(n)]
+    if n:
+        patches = data.draw(
+            st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(edges)), max_size=8),
+            label=f"{label} edges",
+        )
+        for index, value in patches:
+            values[index] = value
+    return values
+
+
+def _around(cutoff: int):
+    """Lengths up to ``_MAX_LEN`` or just either side of ``cutoff``."""
+    return st.one_of(
+        st.integers(min_value=0, max_value=_MAX_LEN),
+        st.integers(min_value=cutoff - 3, max_value=cutoff + 37),
+    )
+
+
 @pytest.mark.parametrize("name", _MODULI)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
@@ -76,7 +105,7 @@ def test_elementwise_parity(name, data):
     c = data.draw(_elements(p), label="c")
     assert vec.vec_add(a, b) == scalar.vec_add(a, b)
     assert vec.vec_scale(c, a) == scalar.vec_scale(c, a)
-    assert vec.vec_addmul(a, c, b) == scalar.vec_addmul(a, c, b)
+    assert vec.vec_lincomb(a, [c], [b]) == scalar.vec_lincomb(a, [c], [b])
     assert vec.hadamard(a, b) == scalar.hadamard(a, b)
 
 
@@ -86,9 +115,12 @@ def test_elementwise_parity(name, data):
 def test_inner_product_parity(name, data):
     scalar, vec = _FIELDS[name]
     p = scalar.p
-    a = data.draw(_vectors(p), label="a")
-    b = data.draw(st.lists(_elements(p), min_size=len(a), max_size=len(a)), label="b")
+    n = data.draw(_around(NumpyBackend.MIN_INNER_PRODUCT), label="n")
+    edges = [0, 1, p - 1, p // 2]
+    a = _seeded(data, n, 0, p, edges, "a")
+    b = _seeded(data, n, 0, p, edges, "b")
     assert vec.inner_product(a, b) == scalar.inner_product(a, b)
+    assert scalar.inner_product(a, b) == sum(x * y for x, y in zip(a, b)) % p
 
 
 @pytest.mark.parametrize("name", _MODULI)
@@ -97,10 +129,8 @@ def test_inner_product_parity(name, data):
 def test_batch_inv_parity(name, data):
     scalar, vec = _FIELDS[name]
     p = scalar.p
-    values = data.draw(
-        st.lists(st.integers(min_value=1, max_value=p - 1), max_size=_MAX_LEN),
-        label="values",
-    )
+    n = data.draw(_around(NumpyBackend.MIN_BATCH_INV), label="n")
+    values = _seeded(data, n, 1, p, [1, p - 1, p // 2], "values")
     got = vec.batch_inv(values)
     assert got == scalar.batch_inv(values)
     # agreement with the one-at-a-time inverses, not just cross-backend
@@ -181,7 +211,7 @@ def test_batch_inv_zero_escape_exception_parity(name):
     the numpy guard and poison the whole prefix-product scan."""
     scalar, vec = _FIELDS[name]
     p = scalar.p
-    values = [(i % (p - 1)) + 1 for i in range(_CUTOFF + 8)]  # vector path
+    values = [(i % (p - 1)) + 1 for i in range(NumpyBackend.MIN_BATCH_INV + 8)]
     values[17] = p
     with pytest.raises(ZeroDivisionError):
         scalar.batch_inv(values)
@@ -258,6 +288,92 @@ def test_noncanonical_fallback_parity(name, data):
     c = data.draw(wild, label="c")
     assert vec.vec_add(a, b) == scalar.vec_add(a, b)
     assert vec.vec_scale(c, a) == scalar.vec_scale(c, a)
-    assert vec.vec_addmul(a, c, b) == scalar.vec_addmul(a, c, b)
     assert vec.hadamard(a, b) == scalar.hadamard(a, b)
-    assert vec.inner_product(a, b) == scalar.inner_product(a, b)
+    # the reductions and t reach their kernels only at longer lengths:
+    # values in [p, 2^64) load as uint64 (the kernels reduce them),
+    # negative and wider ones send the call back to the scalar loops
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    loadable = [p, p + 1, 2**64 - 1]
+    unloadable = [-1, -p - 3, 2**64, 3 * p + 2**70]
+    for extra in (loadable, loadable + unloadable):
+        def draw(count):
+            return [rng.choice([*extra, rng.randrange(p)]) for _ in range(count)]
+
+        n = NumpyBackend.MIN_INNER_PRODUCT + rng.randrange(38)
+        a, b = draw(n), draw(n)
+        assert vec.inner_product(a, b) == scalar.inner_product(a, b)
+        rows = [draw(40) for _ in range(30)]
+        coeffs = draw(30)
+        base = [rng.randrange(p) for _ in range(40)]
+        assert vec.vec_lincomb(base, coeffs, rows) == scalar.vec_lincomb(
+            base, coeffs, rows
+        )
+        # a non-canonical base falls back too
+        wild_base = draw(40)
+        assert vec.vec_lincomb(wild_base, coeffs, rows) == scalar.vec_lincomb(
+            wild_base, coeffs, rows
+        )
+
+
+def _lincomb_reference(p: int, a, coeffs, rows) -> list[int]:
+    """a + Σ cᵢ·rowsᵢ, one reduction per multiply-add."""
+    out = [x % p for x in a]
+    for c, row in zip(coeffs, rows):
+        out = [(x + c * y) % p for x, y in zip(out, row)]
+    return out
+
+
+@pytest.mark.parametrize("name", _MODULI)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_lincomb_parity(name, data):
+    """t = r + Σ αᵢ·qᵢ on both backends equals one multiply-add at a
+    time, for μ·n on either side of ``MIN_LINCOMB`` (one row and
+    all-zero rows included)."""
+    scalar, vec = _FIELDS[name]
+    p = scalar.p
+    mu = data.draw(st.integers(min_value=0, max_value=60), label="mu")
+    cutoff = NumpyBackend.MIN_LINCOMB
+    n = data.draw(
+        st.one_of(
+            st.integers(min_value=1, max_value=40),
+            st.integers(min_value=cutoff // max(mu, 1), max_value=cutoff // max(mu, 1) + 3),
+        ),
+        label="n",
+    )
+    edges = [0, 1, p - 1, p // 2]
+    a = _seeded(data, n, 0, p, edges, "a")
+    coeffs = _seeded(data, mu, 0, p, edges, "coeffs")
+    rows = [_seeded(data, n, 0, p, edges, f"row {i}") for i in range(mu)]
+    zeros = data.draw(st.lists(st.integers(0, max(mu - 1, 0)), max_size=3), label="zeros")
+    for i in zeros if mu else []:
+        rows[i] = [0] * n
+    expected = _lincomb_reference(p, a, coeffs, rows)
+    assert vec.vec_lincomb(a, coeffs, rows) == expected
+    assert scalar.vec_lincomb(a, coeffs, rows) == expected
+
+
+@pytest.mark.parametrize("name", _MODULI)
+@pytest.mark.parametrize(
+    "mu, n, fill",
+    [
+        (1, NumpyBackend.MIN_LINCOMB, "max"),  # one row, at the cutoff
+        (56, 666, "max"),  # the goldilocks-b1 shape, every sum at its largest
+        (56, 666, "zero"),  # all-zero rows
+        (56, 12, "max"),  # the gateway's shape, below the cutoff
+        (0, 666, "max"),  # no rows: t = r
+        # too many rows for the limb sums: at p − 1 everywhere they would
+        # pass 2^64 from 65,538 rows, so the kernel must decline
+        ((1 << 16) + 2, 1, "max"),
+    ],
+)
+def test_lincomb_edges(name, mu, n, fill):
+    scalar, vec = _FIELDS[name]
+    p = scalar.p
+    value = p - 1 if fill == "max" else 0
+    a = [p - 1] * n
+    coeffs = [p - 1] * mu
+    rows = [[value] * n for _ in range(mu)]
+    expected = [(p - 1 + mu * (p - 1) * value) % p] * n
+    assert vec.vec_lincomb(a, coeffs, rows) == expected
+    assert scalar.vec_lincomb(a, coeffs, rows) == expected

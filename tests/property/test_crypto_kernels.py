@@ -6,10 +6,11 @@ loop, and the PRG's bulk draws against one draw at a time.
 
 ``repro.crypto.multiexp`` replaces one ``pow`` per exponentiation with
 fixed-base tables (Enc(r), ``encode``, key generation) and a Pippenger
-fold (the prover's ∏ Enc(r_i)^{u_i}).  Transcripts stay byte-identical
-only if every kernel returns exactly the oracle's integers
-(``tests/crypto/pow_oracle.py``), so Hypothesis drives both on all
-four commitment groups:
+fold (the prover's ∏ Enc(r_i)^{u_i}); the verifier's key turns Enc(r)
+into (g^k, g^((m + x·k) mod q)) and decryption into c2 · (c1⁻¹)^x.
+Transcripts stay byte-identical only if every kernel returns exactly
+the oracle's integers (``tests/crypto/pow_oracle.py``), so Hypothesis
+drives both on all four commitment groups:
 
 * weights and messages 0, 1, p−1, values ≥ p, negative values, and
   the all-ones digit patterns 2^(k·w)−1 at the windows the kernels
@@ -21,7 +22,9 @@ four commitment groups:
   cannot assume are subgroup elements: 0, 1, P−1, values ≥ P, negative
   values (``int(…, 16)`` accepts them) and non-subgroup elements;
 * Enc(r) must also leave the PRG exactly where n scalar encryptions
-  leave it, so later verifier draws are unchanged.
+  leave it, so later verifier draws are unchanged;
+* decryption must equal c2 · c1^(P−1−x) for every c1 a peer may send,
+  the multiples of P (which have no inverse) included.
 
 The keystream and PRG sections (after the commitment ones) check that
 ``chacha20_blocks`` equals the per-block loop at every block count up
@@ -29,8 +32,10 @@ to past the crossover and at one p128 query repetition, from counters
 that wrap past 2^32; that any sequence of ``ChaChaStream.read`` sizes
 equals one whole read; and that ``FieldPRG.next_vector`` and
 ``next_below_vector`` equal n scalar draws and leave the PRG where
-those leave it, on all four fields and on a modulus just above 2^63
-that rejects about half of its samples.
+those leave it, on all four fields, on a modulus just above 2^63
+that rejects about half of its samples, and on a 57-bit prime whose
+8-byte samples are reduced mod p; 8-byte samples are checked with
+numpy and with numpy blocked.
 """
 
 from __future__ import annotations
@@ -63,7 +68,7 @@ from repro.crypto.chacha import KERNEL_MIN_BLOCKS
 from repro.crypto.multiexp import MAX_WINDOW, window_width
 from repro.field import GOLDILOCKS, HAVE_NUMPY, P128, P192, P220, PrimeField
 
-from ..crypto.pow_oracle import encrypt_vector_pow, inner_product_pow
+from ..crypto.pow_oracle import decrypt_pow, encrypt_vector_pow, inner_product_pow
 
 GROUPS = {
     g.name: g
@@ -217,12 +222,12 @@ def test_encrypt_vector_matches_pow_oracle(name, data):
         _exponent_edges(group, n),
         8,
     )
-    public = _keypair(group).public
+    keypair = _keypair(group)
     seed = rng.randbytes(16)
     kernel_prg = FieldPRG(_field(group), seed, "enc")
     oracle_prg = FieldPRG(_field(group), seed, "enc")
-    assert public.encrypt_vector(messages, kernel_prg) == encrypt_vector_pow(
-        public, messages, oracle_prg
+    assert keypair.encrypt_vector(messages, kernel_prg) == encrypt_vector_pow(
+        keypair.public, messages, oracle_prg
     )
     # the next verifier draw sees the same stream position
     assert kernel_prg.next_bytes(32) == oracle_prg.next_bytes(32)
@@ -233,14 +238,53 @@ def test_encrypt_vector_matches_pow_oracle_at_proof_length(name):
     group = GROUPS[name]
     rng = random.Random(PROOF_LENGTH)
     messages = [rng.randrange(group.order) for _ in range(PROOF_LENGTH)]
-    messages[:4] = [0, 1, group.order - 1, group.order]
-    public = _keypair(group).public
+    messages[:6] = [0, 1, group.order - 1, group.order, -1, 3 * group.order + 7]
+    keypair = _keypair(group)
     kernel_prg = FieldPRG(_field(group), b"long", "enc")
     oracle_prg = FieldPRG(_field(group), b"long", "enc")
-    assert public.encrypt_vector(messages, kernel_prg) == encrypt_vector_pow(
-        public, messages, oracle_prg
+    assert keypair.encrypt_vector(messages, kernel_prg) == encrypt_vector_pow(
+        keypair.public, messages, oracle_prg
     )
     assert kernel_prg.next_bytes(32) == oracle_prg.next_bytes(32)
+
+
+@pytest.mark.parametrize("name", GROUPS)
+@pytest.mark.parametrize("n", [0, 1, 2, 12])
+def test_encrypt_vector_at_short_lengths(name, n):
+    """Enc(r) as g^((m + x·k) mod q) equals the textbook (g^k, g^m·h^k)
+    at the gateway's lengths, cycling through the reduction edges."""
+    group = GROUPS[name]
+    q = group.order
+    edges = [0, 1, q - 1, -1, -q - 2, q, q + 1, 2 * q - 1]
+    messages = [edges[(i + n) % len(edges)] for i in range(n)]
+    keypair = _keypair(group)
+    kernel_prg = FieldPRG(_field(group), b"short", "enc")
+    oracle_prg = FieldPRG(_field(group), b"short", "enc")
+    assert keypair.encrypt_vector(messages, kernel_prg) == encrypt_vector_pow(
+        keypair.public, messages, oracle_prg
+    )
+    assert kernel_prg.next_bytes(32) == oracle_prg.next_bytes(32)
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_decrypt_matches_pow_oracle(name):
+    """c2 · (c1⁻¹)^x equals c2 · c1^(P−1−x) for every c1 a peer may send,
+    the multiples of P (no inverse; they decrypt to 0) included."""
+    group = GROUPS[name]
+    P = group.modulus
+    keypair = _keypair(group)
+    rng = random.Random(P)
+    c1s = [0, P, -P, 2 * P, 1, P - 1, -1, -P - 3, P + 1, 3 * P + 5, _non_subgroup(group)]
+    c1s += [rng.randrange(P) for _ in range(4)]
+    (honest,) = keypair.encrypt_vector([5], FieldPRG(_field(group), b"dec", "enc"))
+    cts = [honest] + [
+        ElGamalCiphertext(c1, c2)
+        for c1 in c1s
+        for c2 in (rng.randrange(P), 1, 0, -7, P + 2)
+    ]
+    for ct in cts:
+        assert keypair.decrypt_to_group(ct) == decrypt_pow(keypair, ct), ct
+    assert keypair.decrypt_to_group(honest) == group.encode(5)
 
 
 @pytest.mark.parametrize("name", GROUPS)
@@ -367,13 +411,19 @@ def test_stream_reads_equal_one_whole_read(key, nonce, counter, sizes):
 
 #: the smallest prime above 2^63: 8-byte samples, about half rejected
 P_REJECT = 2**63 + 29
+#: the smallest 57-bit prime: 8-byte samples below 255·p are accepted,
+#: so the reduction mod p is what maps them into the field
+P_57 = 2**56 + 81
 _PRG_FIELDS = {
     **{
         params.name: PrimeField(params, check_prime=False)
         for params in (GOLDILOCKS, P128, P192, P220)
     },
     "p63+29": PrimeField(P_REJECT),
+    "p57": PrimeField(P_57),
 }
+#: the fields whose samples are 8 bytes wide (the uint64 route)
+_EIGHT_BYTE = ("goldilocks", "p63+29", "p57")
 
 
 def _prg_pair(field: PrimeField, seed: bytes) -> tuple[FieldPRG, FieldPRG]:
@@ -405,7 +455,10 @@ def test_next_vector_matches_next_element(name, seed, sizes):
 @given(
     seed=st.binary(max_size=16),
     bound=st.one_of(
-        st.sampled_from([1, 2, 7, 256, 2**63 + 1, P_REJECT]), st.integers(1, 2**256)
+        # 2^50 and 2^55 + 3 draw 8-byte samples, and 2^50 divides 2^64,
+        # so nothing is rejected
+        st.sampled_from([1, 2, 7, 256, 2**50, 2**55 + 3, 2**63 + 1, P_REJECT, P_57]),
+        st.integers(1, 2**256),
     ),
     sizes=st.lists(st.integers(0, 400), max_size=4),
 )
@@ -425,6 +478,33 @@ def test_next_vector_at_repetition_length(name):
     bulk, single = _prg_pair(_PRG_FIELDS[name], b"repetition")
     assert bulk.next_vector(8 * 666) == [single.next_element() for _ in range(8 * 666)]
     assert bulk.next_nonzero() == single.next_nonzero()
+
+
+@pytest.mark.parametrize("name", _EIGHT_BYTE)
+@pytest.mark.parametrize("numpy", [True, False], ids=["numpy", "numpy-blocked"])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.binary(max_size=16), sizes=st.lists(st.integers(0, 700), max_size=4))
+def test_eight_byte_samples_match_per_sample_draws(name, numpy, seed, sizes):
+    """8-byte samples are accepted and reduced as one uint64 array per
+    read when numpy is present, and one at a time without it; both give
+    the per-sample draws and leave the stream where they leave it."""
+    from repro.crypto import prg as prg_module
+
+    if numpy and not HAVE_NUMPY:
+        pytest.skip("numpy absent")
+    field = _PRG_FIELDS[name]
+    saved = prg_module._np
+    if not numpy:
+        prg_module._np = None
+    try:
+        bulk, single = _prg_pair(field, seed)
+        for n in sizes:
+            got = bulk.next_vector(n)
+            assert got == [single.next_element() for _ in range(n)]
+            assert all(type(v) is int and 0 <= v < field.p for v in got)
+        assert bulk.next_bytes(64) == single.next_bytes(64)
+    finally:
+        prg_module._np = saved
 
 
 def test_rejections_refill_only_the_shortfall():
