@@ -7,7 +7,8 @@ one session at a time and sheds the rest forces concurrent verifiers
 into busy-shed exponential backoff.  The gateway admits the same load
 into a bounded queue (so the prover core never idles while clients
 sleep out their backoff), dispatches by program hash, and serves every
-session from the registry's pre-warmed artifacts and schedule LRU.
+session from the registry's pre-warmed artifacts.  Every session draws
+its own verifier seed, as a real verifier must.
 
 Scenarios, measured at ``--clients`` concurrent verifiers over
 ``--programs`` hosted programs for ``--duration`` seconds each:
@@ -37,6 +38,8 @@ Standalone::
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import secrets
 import sys
 import threading
 import time
@@ -62,6 +65,12 @@ from repro.compiler import compile_program
 SERVE_MIN_SPEEDUP = 4.0
 
 CONFIG = ArgumentConfig(params=BENCH_PARAMS)
+
+
+def _session_config() -> ArgumentConfig:
+    """CONFIG with a verifier seed of its own: a seed never serves two
+    sessions, since a session's challenge hands the prover its query key."""
+    return dataclasses.replace(CONFIG, seed=secrets.token_bytes(16))
 
 
 def _build_dotp(b):
@@ -111,7 +120,7 @@ def _client_loop(result, stop, program, address, seed):
         start = time.perf_counter()
         try:
             outcome = verify_remote(
-                program, [_inputs_for(program)], address, CONFIG, retry=retry
+                program, [_inputs_for(program)], address, _session_config(), retry=retry
             )
             assert outcome.all_accepted
         except ProtocolViolation as exc:
@@ -183,7 +192,7 @@ def bench_baseline(programs, clients: int, duration: float) -> dict:
     with GatewayServer(registry, max_sessions=1, accept_queue=0) as gateway:
         # prime once so first-session compile noise is out of the window
         verify_remote(
-            programs[0], [_inputs_for(programs[0])], gateway.address, CONFIG
+            programs[0], [_inputs_for(programs[0])], gateway.address, _session_config()
         )
         return run_load([gateway.address], programs, clients, duration)
 
@@ -196,7 +205,7 @@ def bench_per_program_servers(programs, clients: int, duration: float) -> dict:
     ]
     try:
         for prog, server in zip(programs, servers):
-            verify_remote(prog, [_inputs_for(prog)], server.address, CONFIG)
+            verify_remote(prog, [_inputs_for(prog)], server.address, _session_config())
         return run_load(
             [server.address for server in servers], programs, clients, duration
         )
@@ -214,13 +223,9 @@ def bench_gateway(programs, clients: int, duration: float) -> dict:
         registry, max_sessions=clients, accept_queue=2 * clients
     ) as gateway:
         verify_remote(
-            programs[0], [_inputs_for(programs[0])], gateway.address, CONFIG
+            programs[0], [_inputs_for(programs[0])], gateway.address, _session_config()
         )
-        row = run_load([gateway.address], programs, clients, duration)
-        row["schedule_cache_hits"] = gateway.metrics.counter_value(
-            "gateway.schedule_cache_hits"
-        )
-    return row
+        return run_load([gateway.address], programs, clients, duration)
 
 
 def run_bench(clients: int, num_programs: int, duration: float) -> dict:

@@ -15,12 +15,10 @@ Run:  python examples/cheating_prover.py
 
 import random
 
-from repro.argument import ArgumentConfig, ZaatarArgument
+from repro.argument import ArgumentConfig, ZaatarArgument, ZaatarProver
 from repro.compiler import compile_source
-from repro.crypto import CommitmentProver
 from repro.field import PrimeField
 from repro.pcp import SoundnessParams
-from repro.qap import build_proof_vector
 
 SOURCE = """
 input bid[4]
@@ -38,49 +36,52 @@ FIELD = PrimeField.named("goldilocks")
 CONFIG = ArgumentConfig(params=SoundnessParams(rho_lin=3, rho=2))
 
 
-class WrongOutputProver(ZaatarArgument):
+class WrongOutputProver(ZaatarProver):
     """Claims a different auction winner (pays less!)."""
 
-    def prove_instance(self, inputs, setup, stats):
-        sol, c, r, a = super().prove_instance(inputs, setup, stats)
-        sol.y[1] = (sol.y[1] - 5) % FIELD.p  # understate the second price
-        sol.output_values[1] = sol.y[1]
-        return sol, c, r, a
+    def commit(self, request, batch, **kwargs):
+        committed = super().commit(request, batch, **kwargs)
+        # understate the second price
+        return [([winner, (second - 5) % FIELD.p], c) for (winner, second), c in committed]
 
 
-class InconsistentAnswersProver(ZaatarArgument):
+class InconsistentAnswersProver(ZaatarProver):
     """Commits honestly, then answers queries with doctored values."""
 
-    def prove_instance(self, inputs, setup, stats):
-        sol, c, response, answers = super().prove_instance(inputs, setup, stats)
-        response.answers[3] = (response.answers[3] + 1) % FIELD.p
-        return sol, c, response, response.answers
+    def answer(self, challenge):
+        answers = super().answer(challenge)
+        for values in answers:
+            values[3] = (values[3] + 1) % FIELD.p
+        return answers
 
 
-class NonLinearProver(ZaatarArgument):
+class NonLinearProver(ZaatarProver):
     """Answers with a random (consistent) non-linear function."""
 
-    def prove_instance(self, inputs, setup, stats):
-        sol, c, response, answers = super().prove_instance(inputs, setup, stats)
+    def answer(self, challenge):
+        answers = super().answer(challenge)
         rng = random.Random(0)
-        response.answers[:-1] = [
-            rng.randrange(FIELD.p) for _ in response.answers[:-1]
-        ]
-        return sol, c, response, response.answers
+        for values in answers:
+            values[:-1] = [rng.randrange(FIELD.p) for _ in values[:-1]]
+        return answers
 
 
-class WrongFormProver(ZaatarArgument):
+class WrongFormProver(ZaatarProver):
     """Commits to a genuine linear function (z, h') with a bogus h'."""
 
-    def prove_instance(self, inputs, setup, stats):
-        schedule, _, request, challenge = setup
-        sol = self.program.solve(inputs, check=False)
-        vector = build_proof_vector(self.qap, sol.quadratic_witness).vector
-        vector[self.qap.n_prime + 2] = (vector[self.qap.n_prime + 2] + 9) % FIELD.p
-        prover = CommitmentProver(FIELD, self.config.group(FIELD), vector)
-        commitment = prover.commit(request)
-        response = prover.answer(challenge)
-        return sol, commitment, response, response.answers
+    def build(self, *args):
+        built = super().build(*args)
+        at = self.qap.n_prime + 2
+        for _, vector in built:
+            vector[at] = (vector[at] + 9) % FIELD.p
+        return built
+
+
+def argument(prover_type, program):
+    """The argument over ``program`` whose batches run ``prover_type``."""
+    argument = ZaatarArgument(program, CONFIG)
+    argument.prover_type = prover_type
+    return argument
 
 
 def main() -> None:
@@ -100,7 +101,7 @@ def main() -> None:
     ]
     print("\nadversaries:")
     for label, cls in adversaries:
-        result = cls(program, CONFIG).run_batch(bids)
+        result = argument(cls, program).run_batch(bids)
         instance = result.instances[0]
         layer = (
             "commitment consistency"

@@ -86,7 +86,7 @@ def main() -> None:
     print(
         f"network: {tally.verifier_to_prover:,} B to the cloud, "
         f"{tally.prover_to_verifier:,} B back "
-        f"(queries derived from a {tally.components['seed']}-byte seed)"
+        f"(queries derived from a {tally.components['query key']}-byte key)"
     )
 
 

@@ -18,7 +18,7 @@ import random
 
 from repro.apps import FLOYD_WARSHALL
 from repro.apps.floyd_warshall import _infinity
-from repro.argument import ArgumentConfig, ZaatarArgument
+from repro.argument import ArgumentConfig, ZaatarArgument, ZaatarProver
 from repro.field import PrimeField
 from repro.pcp import SoundnessParams
 
@@ -54,12 +54,15 @@ def main() -> None:
     print_matrix("  verified distances:", result.instances[0].output_values, inf)
 
     # A provider that corrupts one distance entry gets caught.
+    class CorruptingProver(ZaatarProver):
+        def commit(self, request, batch, **kwargs):
+            committed = super().commit(request, batch, **kwargs)
+            for y, _ in committed:
+                y[1] = (y[1] + 1) % field.p               # corrupt one route
+            return committed
+
     class TamperingProver(ZaatarArgument):
-        def prove_instance(self, inputs, setup, stats):
-            sol, c, r, a = super().prove_instance(inputs, setup, stats)
-            sol.y[1] = (sol.y[1] + 1) % field.p       # corrupt one route
-            sol.output_values[1] = sol.y[1]
-            return sol, c, r, a
+        prover_type = CorruptingProver
 
     bad = TamperingProver(program, config).run_batch(batch[:1])
     verdict = "REJECTED" if not bad.all_accepted else "accepted (BUG!)"

@@ -31,7 +31,6 @@ from .serve import (
     ProgramRegistry,
     ProverServer,
     RegisteredProgram,
-    SessionProver,
 )
 from .protocol import (
     FAILURE_CODES,
@@ -42,6 +41,7 @@ from .protocol import (
     InstanceResult,
     ProtocolViolation,
     ZaatarArgument,
+    ZaatarProver,
     classify_failure,
 )
 from .stats import BatchStats, PhaseTimer, ProverStats, VerifierStats
@@ -96,7 +96,6 @@ __all__ = [
     "ProtocolViolation",
     "ProverServer",
     "RegisteredProgram",
-    "SessionProver",
     "WorkerPool",
     "fetch_stats",
     "program_hash",
@@ -112,6 +111,7 @@ __all__ = [
     "TranscriptError",
     "VerifierStats",
     "ZaatarArgument",
+    "ZaatarProver",
     "record_batch",
     "replay_transcript",
     "run_parallel_batch",

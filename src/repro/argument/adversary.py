@@ -9,9 +9,12 @@ Verification of Zero-Knowledge Circuits (PAPERS.md) argues this must be
 a *tested invariant*, not an assumption; this module is the standing
 soundness-regression harness that keeps it one.
 
-:class:`AdversarialProver` wraps the honest Zaatar prover and applies
-exactly one seeded mutation from :data:`MUTATION_CATALOG` per instance.
-Each mutation maps onto a §2.2 cheating mode; the test suite
+:class:`AdversarialProver` runs :class:`MutatingProver`, the honest
+:class:`~repro.argument.protocol.ZaatarProver` with exactly one seeded
+mutation from :data:`MUTATION_CATALOG` per instance, applied where it
+belongs: to u or to the claimed outputs as they are built, to the
+commitment in ``commit``, to the answers in ``answer``.  Each
+mutation maps onto a §2.2 cheating mode; the test suite
 (``tests/argument/test_adversary.py``) asserts the verifier rejects
 every one of them, for every seed it runs.  Mutations are deterministic
 in ``(mutation, seed)``, so a rejection regression bisects cleanly.
@@ -22,12 +25,12 @@ The PCP-level counterpart (adversaries below the commitment layer) is
 
 from __future__ import annotations
 
+import functools
 import random
 
 from .. import telemetry
 from ..crypto import CommitmentProver
-from ..qap import build_proof_vector
-from .protocol import ArgumentConfig, ZaatarArgument
+from .protocol import ArgumentConfig, ZaatarArgument, ZaatarProver
 
 #: every supported mutation, with the invariant it attacks
 MUTATION_CATALOG: dict[str, str] = {
@@ -65,8 +68,70 @@ MUTATION_CATALOG: dict[str, str] = {
 MUTATIONS = tuple(sorted(MUTATION_CATALOG))
 
 
+class MutatingProver(ZaatarProver):
+    """The honest prover plus one seeded mutation per instance."""
+
+    def __init__(self, program, qap, config, *, mutation: str, seed: int):
+        super().__init__(program, qap, config)
+        self.mutation = mutation
+        self.seed = seed
+        #: each live instance's mutation stream, by index
+        self.rngs: dict[int, random.Random] = {}
+
+    def build(self, batch, indices, per_stats, check=None) -> list:
+        """The honest (sol, u), then a mutation of u or of the claim."""
+        built = super().build(batch, indices, per_stats, check)
+        p, n_prime, mutation = self.field.p, self.qap.n_prime, self.mutation
+        for input_values, index, entry in zip(batch, indices, built):
+            if isinstance(entry, Exception):
+                continue
+            sol, vector = entry
+            rng = self.rngs[index] = random.Random(
+                f"{mutation}:{self.seed}:{list(input_values)!r}"
+            )
+            telemetry.count("adversary.mutations")
+            telemetry.count(f"adversary.mutations.{mutation}")
+            if mutation in ("tamper-witness", "wrong-h"):
+                witness = mutation == "tamper-witness"  # z's entries, else h's
+                lo, hi = (0, n_prime) if witness else (n_prime, len(vector))
+                at = lo + rng.randrange(hi - lo)
+                vector[at] = (vector[at] + rng.randrange(1, p)) % p
+            elif mutation == "zero-h":
+                vector[n_prime:] = [0] * (len(vector) - n_prime)
+            elif mutation == "tamper-output":
+                y = sol.output_values  # the claim is the prover's word alone
+                at = rng.randrange(len(y))
+                y[at] = (y[at] + rng.randrange(1, p)) % p
+        return built
+
+    def commit(self, request, batch, **kwargs) -> list:
+        """Commit honestly, but ``substitute-commitment`` sends the
+        commitment to a shifted vector in place of u's."""
+        committed = super().commit(request, batch, **kwargs)
+        if self.mutation == "substitute-commitment":
+            p = self.field.p
+            live = [i for i, e in enumerate(committed) if not isinstance(e, Exception)]
+            for i, (index, _, vector) in zip(live, self.committed):
+                shifted = [(v + self.rngs[index].randrange(1, p)) % p for v in vector]
+                other = CommitmentProver(self.field, self.group, shifted)
+                committed[i] = (committed[i][0], other.commit(request))
+        return committed
+
+    def answer(self, challenge) -> list[list[int]]:
+        """Answer honestly, but ``swap-answers`` swaps two answers."""
+        answers = super().answer(challenge)
+        for (index, _, _), values in zip(self.committed, answers):
+            if self.mutation == "swap-answers":
+                rng = self.rngs[index]
+                i, j = rng.randrange(len(values)), rng.randrange(len(values))
+                while j == i or values[i] == values[j]:
+                    j = (j + 1) % len(values)
+                values[i], values[j] = values[j], values[i]
+        return answers
+
+
 class AdversarialProver(ZaatarArgument):
-    """The honest prover plus one seeded mutation per instance.
+    """A :class:`ZaatarArgument` whose prover is a :class:`MutatingProver`.
 
     Drop-in for :class:`~repro.argument.protocol.ZaatarArgument`: run
     it through ``run_batch`` / ``run_parallel_batch`` and check that no
@@ -93,60 +158,6 @@ class AdversarialProver(ZaatarArgument):
                 f"unknown mutation {mutation!r} "
                 f"(catalog: {', '.join(MUTATIONS)})"
             )
-        self.mutation = mutation
-        self.seed = seed
-
-    def _rng(self, input_values) -> random.Random:
-        return random.Random(f"{self.mutation}:{self.seed}:{list(input_values)!r}")
-
-    def prove_instance(self, input_values, setup, stats):
-        """Prove with exactly one mutation applied (see the catalog)."""
-        schedule, _, request, challenge = setup
-        rng = self._rng(input_values)
-        p = self.field.p
-        n_prime = self.qap.n_prime
-        telemetry.count("adversary.mutations")
-        telemetry.count(f"adversary.mutations.{self.mutation}")
-
-        sol = self.program.solve(input_values, check=False)
-        vector = list(build_proof_vector(self.qap, sol.quadratic_witness).vector)
-
-        if self.mutation == "tamper-witness":
-            at = rng.randrange(n_prime)
-            vector[at] = (vector[at] + rng.randrange(1, p)) % p
-        elif self.mutation == "wrong-h":
-            at = n_prime + rng.randrange(len(vector) - n_prime)
-            vector[at] = (vector[at] + rng.randrange(1, p)) % p
-        elif self.mutation == "zero-h":
-            vector[n_prime:] = [0] * (len(vector) - n_prime)
-        elif self.mutation == "tamper-output":
-            at = rng.randrange(len(sol.y))
-            delta = rng.randrange(1, p)
-            sol.y[at] = (sol.y[at] + delta) % p
-            # keep the externally-claimed outputs consistent with the
-            # tampered PCP claim (both are the prover's word)
-            if sol.output_values:
-                out_at = at % len(sol.output_values)
-                sol.output_values[out_at] = (
-                    sol.output_values[out_at] + delta
-                ) % p
-
-        prover = CommitmentProver(self.field, self.config.group(self.field), vector)
-
-        if self.mutation == "substitute-commitment":
-            shifted = [(v + rng.randrange(1, p)) % p for v in vector]
-            other = CommitmentProver(self.field, self.config.group(self.field), shifted)
-            commitment = other.commit(request)
-        else:
-            commitment = prover.commit(request)
-        response = prover.answer(challenge)
-
-        if self.mutation == "swap-answers":
-            answers = response.answers
-            i = rng.randrange(len(answers))
-            j = rng.randrange(len(answers))
-            while j == i or answers[i] == answers[j]:
-                j = (j + 1) % len(answers)
-            answers[i], answers[j] = answers[j], answers[i]
-
-        return sol, commitment, response, response.answers
+        self.prover_type = functools.partial(
+            MutatingProver, mutation=mutation, seed=seed
+        )

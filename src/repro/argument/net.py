@@ -5,25 +5,27 @@ local network" (§5.1).  This module is the verifier's half of that
 deployment: a client that drives the batched protocol over
 length-prefixed JSON frames (:mod:`repro.argument.framing`) against a
 prover server (:mod:`repro.argument.serve`).  The transport uses the
-§A.1 seed optimization — the verifier ships a 32-byte seed and the
-consistency query; the prover regenerates the PCP schedule locally.
+§A.1 seed optimization — the verifier ships the 32-byte query key K_q
+and the consistency query t; the prover regenerates the PCP schedule
+from K_q locally.
 
 Message flow per session (verifier is the client and drives):
 
-    C→S  hello      program hash, field, soundness params, query seed
+    C→S  hello      program hash, soundness params, QAP mode
     S→C  hello-ok   (or error: unknown program / hash mismatch)
     C→S  commit     Enc(r), componentwise
     C→S  inputs     the batch's input vectors
     S→C  outputs    per instance: y and the commitment e_i
-    C→S  challenge  the consistency query t  (queries come from the seed)
+    C→S  challenge  the query key K_q and the consistency query t
     S→C  answers    per instance: answers to every query + t
     C    verdicts   commitment consistency + all Fig-10 checks
 
-Soundness note: the prover's commitments are received *before* the
-challenge is sent, preserving the commit-then-query order the
-commitment's binding argument needs; the PCP queries themselves are
-public-coin, so the prover knowing them early (via the seed) is
-exactly the standard model (§A.1 derives them from a shared seed).
+Soundness note: a prover that knew τ before it commits could fit its h
+to it, and one that knew the α's could move its answers and correct
+π(t).  So K_q = SHA-256(seed ‖ 0 ‖ "queries"), which yields the
+queries and nothing else, first crosses the wire in the challenge,
+after every commitment (§A.1's seed replaces the queries *in the
+decommit message*); the rest of the seed never leaves the verifier.
 
 Robustness (docs/NETWORKING.md has the full failure-mode matrix):
 ``verify_remote`` separates the connect timeout from the read deadline
@@ -41,6 +43,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import secrets
 import socket
 import time
 from dataclasses import dataclass
@@ -49,6 +52,7 @@ from typing import Callable, Iterator, Sequence
 from .. import telemetry
 from ..compiler import CompiledProgram
 from ..constraints import quadratic_to_json
+from ..crypto import query_key
 from . import framing
 from .framing import (
     expect,
@@ -231,6 +235,10 @@ def verify_remote(
     saw the consistency query t once could answer adaptively on a
     rerun).  Any post-commit failure raises ``ProtocolViolation``.
 
+    With no ``config`` the call draws a fresh verifier seed: one
+    session's challenge hands the prover its seed's K_q, so a seed must
+    never serve two.  Pin ``config.seed`` only for reproducible runs.
+
     ``socket_wrapper`` (e.g. ``FaultPlan.wrap`` from
     ``repro.argument.faults``) wraps each new connection — the
     fault-injection hook.
@@ -245,7 +253,7 @@ def verify_remote(
     ``max_trace_bytes`` (or structurally malformed) is rejected as
     ``ProtocolViolation[bad-frame]``.
     """
-    config = config or ArgumentConfig()
+    config = config or ArgumentConfig(seed=secrets.token_bytes(16))
     if not config.use_commitment:
         raise ValueError("the network protocol requires the commitment layer")
     retry = retry or RetryPolicy()
@@ -357,12 +365,12 @@ def hello_frame(program: CompiledProgram, config: ArgumentConfig) -> dict:
     """The ``hello`` frame that opens a session of ``program``.
 
     Names the program by its canonical hash and carries the soundness
-    parameters, QAP mode and query seed of ``config``.
+    parameters and QAP mode of ``config``, never its seed.
     """
     return {
         "type": "hello",
         "program": program_hash(program),
-        **config.params.encode(config.seed),
+        **config.params.encode(),
         "qap_mode": config.qap_mode,
     }
 
@@ -426,14 +434,14 @@ def _drive_session(
     outputs = require(expect(recv_frame(sock), "outputs"), "instances")
     if not isinstance(outputs, list) or len(outputs) != len(batch_inputs):
         raise ProtocolViolation("instance count mismatch in outputs")
-    # queries are seed-derived on both sides; only t ships.  Past this
-    # send the prover may have seen t, so no disconnect — resume token
-    # or not — is ever recoverable again.
+    # every commitment is in, so the prover may now learn the queries
+    # (their key K_q) and t.  Past this send it may have seen both, so
+    # no disconnect — resume token or not — is ever recoverable again.
     if resume is not None:
         resume.challenge_sent = True
-    send_frame(
-        sock, {"type": "challenge", "t": hex_list(challenge.queries[-1])}
-    )
+    key = query_key(config.seed).hex()
+    t = hex_list(challenge.queries[-1])
+    send_frame(sock, {"type": "challenge", "key": key, "t": t})
     answers_frame = expect(recv_frame(sock), "answers")
     answers_msg = require(answers_frame, "instances")
     if not isinstance(answers_msg, list) or len(answers_msg) != len(batch_inputs):

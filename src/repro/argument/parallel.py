@@ -80,15 +80,8 @@ def _fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def _instance_record(entry) -> InstanceRecord:
-    """The record of one proved ``prove_batch`` entry: the claim the
-    verifier checks (the solution's x and y) and the prover's messages."""
-    sol, commitment, _, answers = entry
-    return InstanceRecord(list(sol.x), list(sol.y), commitment, list(answers))
-
-
 def _prove_one(
-    argument: ZaatarArgument, setup, index: int, input_values: Sequence[int]
+    argument: ZaatarArgument, request, challenge, index: int, input_values
 ) -> tuple:
     """Prove one instance in a forked worker, as a one-row batch.
 
@@ -101,12 +94,12 @@ def _prove_one(
     mark = tracer.mark() if tracer is not None else 0
     stats = ProverStats()
     (entry,) = argument.prove_batch(
-        [input_values], setup, indices=[index], per_stats=[stats]
+        [input_values], request, challenge, indices=[index], per_stats=[stats]
     )
     if isinstance(entry, Exception):
         raise entry
     spans = tracer.records_since(mark) if tracer is not None else None
-    return "ok", _instance_record(entry), stats, spans
+    return "ok", entry, stats, spans
 
 
 def worker_tasks(conn) -> Iterator:
@@ -123,20 +116,21 @@ def worker_tasks(conn) -> Iterator:
 
 
 def _prove_worker(
-    argument: ZaatarArgument, setup, plan: ProcessFaultPlan | None, conn
+    argument: ZaatarArgument, request, challenge, plan: ProcessFaultPlan | None, conn
 ) -> None:
     """Worker loop: prove tasks from the pipe until it stops.
 
-    Every outcome — success or classified failure — goes back as the
-    task's one reply; nothing escapes as an exception (a raise here
-    would kill the worker and turn a per-instance problem into a pool
-    problem).
+    The worker holds what the prover receives, Enc(r) and the decommit
+    challenge, never the verifier's set-up.  Every outcome — success or
+    classified failure — goes back as the task's one reply; nothing
+    escapes as an exception (a raise here would kill the worker and
+    turn a per-instance problem into a pool problem).
     """
     for index, attempt, input_values in worker_tasks(conn):
         try:
             if plan is not None:
                 plan.apply(index, attempt)
-            reply = _prove_one(argument, setup, index, input_values)
+            reply = _prove_one(argument, request, challenge, index, input_values)
         except Exception as exc:  # noqa: BLE001 - report, keep serving
             reply = ("err", classify_failure(exc), f"{type(exc).__name__}: {exc}")
         conn.send(reply)
@@ -491,14 +485,14 @@ class _Engine:
             per_stats = [ProverStats() for _ in proving]
             entries = self.argument.prove_batch(
                 [state.inputs for state in proving],
-                self.setup,
+                *self.setup[2:],  # Enc(r) and the challenge: all a prover gets
                 indices=[state.index for state in proving],
                 per_stats=per_stats,
             )
             for state, entry, stats in zip(proving, entries, per_stats):
                 self.last_prove_done = time.monotonic()
                 if not isinstance(entry, Exception):
-                    self.handle_success(state, _instance_record(entry), stats)
+                    self.handle_success(state, entry, stats)
                 elif self.handle_failure(
                     state, classify_failure(entry), f"{type(entry).__name__}: {entry}"
                 ):
@@ -514,8 +508,8 @@ class _Engine:
         worker forks its replacement.
         """
         pool = WorkerPool(
-            functools.partial(
-                _prove_worker, self.argument, self.setup, self.process_faults
+            functools.partial(  # a worker holds Enc(r) and the challenge only
+                _prove_worker, self.argument, *self.setup[2:], self.process_faults
             ),
             min(num_workers, len(states)),
         )

@@ -8,9 +8,10 @@
 2.  V generates the PCP query schedule once (amortized over the batch)
     and the commitment material once (Enc(r) and the consistency
     challenge).
-3.  Per instance: P solves the constraints (executes Ψ), builds the
-    proof vector u = (z, h), commits, answers every query; V checks
-    the commitment consistency and all PCP tests.
+3.  P (:class:`ZaatarProver`) solves the constraints (executes Ψ),
+    builds each proof vector u = (z, h) and commits to it under Enc(r);
+    only then does it get the challenge, and it answers every query.
+    V checks the commitment consistency and all PCP tests per instance.
 
 ``GingerArgument`` is the same composition over Ginger's PCP and
 (z, z⊗z) proof — the executable baseline (only usable at small sizes;
@@ -19,7 +20,7 @@ the paper itself falls back to the cost model at benchmark scale).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .. import telemetry
@@ -31,7 +32,7 @@ from ..crypto import (
     SchnorrGroup,
     group_for_field,
 )
-from ..crypto.commitment import DecommitResponse
+from ..crypto.commitment import CommitRequest, DecommitChallenge, DecommitResponse
 from ..pcp import SoundnessParams, TEST_PARAMS
 from ..pcp import ginger as ginger_pcp
 from ..pcp import zaatar as zaatar_pcp
@@ -253,82 +254,123 @@ class BatchResult:
         return FailureSummary(total=self.num_failed, by_code=by_code)
 
 
-def solve_and_build(
-    program: CompiledProgram,
-    qap: QAPInstance,
-    batch_inputs: Sequence[Sequence[int]],
-    *,
-    indices: Sequence[int] | None = None,
-    per_stats: Sequence[ProverStats] | None = None,
-    after_solve: Callable[[int, object], None] | None = None,
-) -> list:
-    """Solve every input, then build each live instance's proof vector
-    u = (z, h) with one ``compute_h_batch`` call for the whole batch.
+class ZaatarProver:
+    """The Zaatar prover: the wire's two steps, fed only what the wire carries.
 
-    Returns one entry per input: ``(sol, u)``, or the exception its
-    solve or its division raised (failure isolation).  ``indices``
-    name the inputs in spans (default 0..B−1); ``per_stats`` receive
-    their phase clocks.  ``after_solve(position, sol_or_exception)``
-    runs after each solve, outside the isolation, so it can abort the
-    whole call before the next solve and before H(t) (the gateway's
-    fail-fast and session budget).
+    :meth:`commit` takes Enc(r) and the inputs and returns each claimed
+    output and commitment to u = (z, h); then :meth:`answer` takes the
+    challenge (the queries and t).  Of its config it keeps only the
+    commitment group, so nothing it holds yields the queries before the
+    challenge, nor ever the commitment's key, r or α's.  Every Zaatar
+    proof runs it; a cheater overrides a step, or :meth:`build` for u.
 
-    Spans: one ``prover.solve_constraints`` per input (attr ``index``),
-    then one shared ``prover.construct_u`` (attrs ``batch_size`` and
-    ``indices``) whose clocks are split evenly across the batch — the
-    shares ``BatchStats.from_trace`` rebuilds from the span.
+    Spans (attr ``index``): ``prover.solve_constraints`` per input, one
+    ``prover.construct_u`` (attrs ``batch_size``, ``indices``; clocks
+    split evenly), ``prover.instance`` around each ``prover.crypto_ops``,
+    then ``prover.answer_queries`` per instance.
     """
-    batch = len(batch_inputs)
-    if not batch:
-        return []
-    indices = list(range(batch)) if indices is None else list(indices)
-    if per_stats is None:
-        per_stats = [ProverStats() for _ in range(batch)]
-    results: list = []
-    for position, (values, index, stats) in enumerate(
-        zip(batch_inputs, indices, per_stats)
+
+    def __init__(
+        self, program: CompiledProgram, qap: QAPInstance, config: ArgumentConfig
     ):
-        try:
-            with PhaseTimer(stats).phase("solve_constraints", index=index):
-                results.append(program.solve(values, check=False))
-        except Exception as exc:  # noqa: BLE001 - isolate bad instances
-            results.append(exc)
-        if after_solve is not None:
-            after_solve(position, results[-1])
-    live = [i for i, sol in enumerate(results) if not isinstance(sol, Exception)]
-    shared = ProverStats()
-    with PhaseTimer(shared).phase("construct_u", batch_size=batch, indices=indices):
-        h_rows = compute_h_batch(qap, [results[i].quadratic_witness for i in live])
-    for i, h in zip(live, h_rows):
-        sol = results[i]
-        z = list(sol.quadratic_witness[1 : qap.n_prime + 1])
-        results[i] = h if isinstance(h, Exception) else (sol, z + h)
-    cpu_share = shared.construct_u / batch
-    wall_share = shared.wall["construct_u"] / batch
-    for stats in per_stats:
-        stats.construct_u += cpu_share
-        stats.wall["construct_u"] = stats.wall.get("construct_u", 0.0) + wall_share
-    return results
+        self.program = program
+        self.qap = qap
+        self.field = program.field
+        #: the commitment group; None without the commitment layer
+        self.group = config.group(self.field) if config.use_commitment else None
+        #: (index, phase clocks, u) of each committed instance, in batch order
+        self.committed: list[tuple[int, ProverStats, list[int]]] = []
 
+    def commit(
+        self,
+        request: CommitRequest | None,
+        batch: Sequence[Sequence[int]],
+        *,
+        indices: Sequence[int] | None = None,
+        per_stats: Sequence[ProverStats] | None = None,
+        check: Callable[[int, object], None] | None = None,
+    ) -> list:
+        """Step one: per input ``(y, commitment)`` (None without the
+        commitment layer) or the exception its solve, H(t) or fold raised.
 
-def _commit_and_answer(
-    field, config: ArgumentConfig, vector, queries, request, challenge, timer: PhaseTimer
-):
-    """One proof vector's commitment round: commit to u under Enc(r),
-    then answer every query plus the consistency query t.
+        ``indices`` name the inputs in spans (default 0..B−1) and
+        ``per_stats`` get their clocks.  ``check(position, outcome)``
+        runs after each solve and before each fold; raising aborts the
+        step (the gateway's fail-fast and session budget).
+        """
+        indices = list(range(len(batch))) if indices is None else list(indices)
+        per_stats = per_stats or [ProverStats() for _ in batch]
+        results = self.build(batch, indices, per_stats, check)
+        self.committed = []
+        for position, (index, stats) in enumerate(zip(indices, per_stats)):
+            if check is not None:
+                check(position, results[position])
+            if isinstance(results[position], Exception):
+                continue
+            sol, u = results[position]
+            commitment = None
+            try:
+                if self.group is not None:
+                    with telemetry.span("prover.instance", index=index):
+                        with PhaseTimer(stats).phase("crypto_ops"):
+                            prover = CommitmentProver(self.field, self.group, u)
+                            commitment = prover.commit(request)
+            except Exception as exc:  # noqa: BLE001 - isolate bad instances
+                results[position] = exc
+                continue
+            self.committed.append((index, stats, u))
+            results[position] = (sol.output_values, commitment)
+        return results
 
-    Without the commitment layer the PCP queries are answered directly.
-    Returns ``(commitment, response, answers)``.
-    """
-    if not config.use_commitment:
-        with timer.phase("answer_queries"):
-            return None, None, [field.inner_product(q, vector) for q in queries]
-    prover = CommitmentProver(field, config.group(field), vector)
-    with timer.phase("crypto_ops"):
-        commitment = prover.commit(request)
-    with timer.phase("answer_queries"):
-        response = prover.answer(challenge)
-    return commitment, response, response.answers
+    def build(self, batch, indices, per_stats, check=None) -> list:
+        """``(sol, u)`` or the exception per input: every solve, then
+        every live h from one ``compute_h_batch`` call."""
+        results: list = []
+        for position, (values, index, stats) in enumerate(
+            zip(batch, indices, per_stats)
+        ):
+            try:
+                with PhaseTimer(stats).phase("solve_constraints", index=index):
+                    results.append(self.program.solve(values, check=False))
+            except Exception as exc:  # noqa: BLE001 - isolate bad instances
+                results.append(exc)
+            if check is not None:
+                check(position, results[-1])
+        if not results:
+            return results
+        live = [i for i, sol in enumerate(results) if not isinstance(sol, Exception)]
+        shared = ProverStats()
+        with PhaseTimer(shared).phase(
+            "construct_u", batch_size=len(results), indices=list(indices)
+        ):
+            h_rows = compute_h_batch(
+                self.qap, [results[i].quadratic_witness for i in live]
+            )
+        for i, h in zip(live, h_rows):
+            z = results[i].quadratic_witness[1 : self.qap.n_prime + 1]
+            results[i] = h if isinstance(h, Exception) else (results[i], z + h)
+        for stats in per_stats:
+            stats.construct_u += shared.construct_u / len(results)
+            stats.wall["construct_u"] = stats.wall.get("construct_u", 0.0) + (
+                shared.wall["construct_u"] / len(results)
+            )
+        return results
+
+    def answer(self, challenge: DecommitChallenge) -> list[list[int]]:
+        """Step two: π(q) for every query of ``challenge`` (t last), per
+        committed instance in batch order; raises before any commit."""
+        if not self.committed:
+            raise ProtocolViolation("answer before commit: no instance is committed")
+        answers = []
+        for index, stats, u in self.committed:
+            with PhaseTimer(stats).phase("answer_queries", index=index):
+                if self.group is None:
+                    inner = self.field.inner_product
+                    answers.append([inner(q, u) for q in challenge.queries])
+                else:
+                    prover = CommitmentProver(self.field, self.group, u)
+                    answers.append(prover.answer(challenge).answers)
+        return answers
 
 
 def check_instance(setup, commitment, answers: Sequence[int], x, y):
@@ -351,6 +393,12 @@ def check_instance(setup, commitment, answers: Sequence[int], x, y):
 class ZaatarArgument:
     """One compiled program + config, runnable on batches of inputs."""
 
+    #: what proves each batch: called as ``prover_type(program, qap,
+    #: config)``.  The override hook: a cheating prover (the adversary
+    #: harness, ``examples/``, the tests) is a :class:`ZaatarProver`
+    #: subclass named here.
+    prover_type: Callable[..., ZaatarProver] = ZaatarProver
+
     def __init__(self, program: CompiledProgram, config: ArgumentConfig | None = None):
         self.program = program
         self.config = config or ArgumentConfig()
@@ -360,25 +408,26 @@ class ZaatarArgument:
     # -- verifier setup (amortized) ---------------------------------------------
 
     def verifier_setup(self, stats: VerifierStats | None = None):
-        """Generate the query schedule + commitment material for a batch."""
+        """``(schedule, commitment verifier, Enc(r), challenge)`` for a
+        batch.  Only the commitment verifier holds the key, r and the
+        α's; without the commitment layer it and Enc(r) are None and the
+        challenge is the bare queries."""
         cfg = self.config
         timer = PhaseTimer(stats) if stats is not None else None
         prg = FieldPRG(self.field, cfg.seed, "queries")
 
         def _generate():
             schedule = zaatar_pcp.generate_schedule(self.qap, cfg.params, prg)
-            commitment_verifier = None
-            request = None
-            challenge = None
-            if cfg.use_commitment:
-                commitment_verifier = CommitmentVerifier(
-                    self.field,
-                    cfg.group(self.field),
-                    len(schedule.queries[0]),
-                    FieldPRG(self.field, cfg.seed, "commitment"),
-                )
-                request = commitment_verifier.commit_request()
-                challenge = commitment_verifier.decommit_challenge(schedule.queries)
+            if not cfg.use_commitment:
+                return schedule, None, None, DecommitChallenge(schedule.queries)
+            commitment_verifier = CommitmentVerifier(
+                self.field,
+                cfg.group(self.field),
+                len(schedule.queries[0]),
+                FieldPRG(self.field, cfg.seed, "commitment"),
+            )
+            request = commitment_verifier.commit_request()
+            challenge = commitment_verifier.decommit_challenge(schedule.queries)
             return schedule, commitment_verifier, request, challenge
 
         if timer is None:
@@ -388,91 +437,53 @@ class ZaatarArgument:
 
     # -- prover ------------------------------------------------------------------
 
-    def prove_instance(self, input_values: Sequence[int], setup, stats: ProverStats):
-        """Prove one instance: a one-row batch, and the override hook.
-
-        Subclasses that misbehave on purpose (the adversary harness,
-        the cheating provers in ``examples/`` and the tests) override
-        this; :meth:`prove_batch` then sends every instance through the
-        override.  An override may call this to get the honest
-        ``(sol, commitment, response, answers)`` and tamper with it.
-        """
-        (entry,) = self._prove_rows([input_values], setup, [0], [stats])
-        if isinstance(entry, Exception):
-            raise entry
-        return entry
+    def prover(self) -> ZaatarProver:
+        """A fresh :attr:`prover_type` for one batch, built from a copy of
+        the config without the seed: the seed stays with the verifier."""
+        return self.prover_type(self.program, self.qap, replace(self.config, seed=b""))
 
     def prove_batch(
         self,
         batch_inputs: Sequence[Sequence[int]],
-        setup,
+        request: CommitRequest | None,
+        challenge: DecommitChallenge,
         *,
         indices: Sequence[int] | None = None,
         per_stats: Sequence[ProverStats] | None = None,
-    ):
-        """The Zaatar prover, at every batch size (B = 1 included).
+    ) -> list:
+        """One :meth:`prover`'s two steps under a ``prover.batch`` span
+        (attr ``size``): commit to every input, then answer ``challenge``.
 
-        Solves each input, builds h for every live instance with one
-        ``compute_h_batch`` call (one NTT plan and, on big moduli, one
-        CRT convolution for the whole batch), then commits and answers
-        per instance.  An instance's messages do not depend on its
-        batchmates: a batch of B gives the same bytes as B batches of 1.
-
-        Returns one entry per input: the ``(sol, commitment, response,
-        answers)`` tuple, or the exception that instance raised
-        (failure isolation — batchmates are unaffected).  ``indices``
-        name the inputs in spans (default 0..B−1); ``per_stats``
-        receive each instance's phase clocks.
-
-        Span layout: a ``prover.batch`` span (attr ``size``) wraps one
-        ``prover.solve_constraints`` per input (attr ``index``), one
-        shared ``prover.construct_u`` (attrs ``batch_size`` and
-        ``indices``; its clocks are split evenly across the batch),
-        then one ``prover.instance`` per live instance (attr ``index``)
-        around its ``prover.crypto_ops`` and ``prover.answer_queries``.
-        When a subclass overrides :meth:`prove_instance`, each input
-        instead gets one ``prover.instance`` span around the override.
+        Returns per input its
+        :class:`~repro.argument.transcript.InstanceRecord`, or the
+        exception it raised (a step that raises fails all it ran).  An
+        instance's messages do not depend on its batchmates.
+        ``indices`` and ``per_stats`` go to :meth:`ZaatarProver.commit`.
         """
-        batch = len(batch_inputs)
-        indices = list(range(batch)) if indices is None else list(indices)
-        if per_stats is None:
-            per_stats = [ProverStats() for _ in range(batch)]
-        with telemetry.span("prover.batch", size=batch):
-            if type(self).prove_instance is ZaatarArgument.prove_instance:
-                return self._prove_rows(batch_inputs, setup, indices, per_stats)
-            results: list = []
-            for values, index, stats in zip(batch_inputs, indices, per_stats):
-                try:
-                    with telemetry.span("prover.instance", index=index):
-                        results.append(self.prove_instance(values, setup, stats))
-                except Exception as exc:  # noqa: BLE001 - isolate bad instances
-                    results.append(exc)
-            return results
+        from .transcript import InstanceRecord  # local: it imports this module
 
-    def _prove_rows(self, batch_inputs, setup, indices, per_stats) -> list:
-        """The honest prover: solve, one H(t) pass, commit and answer."""
-        schedule, _, request, challenge = setup
-        results = solve_and_build(
-            self.program, self.qap, batch_inputs, indices=indices, per_stats=per_stats
-        )
-        for i, entry in enumerate(results):
-            if isinstance(entry, Exception):
-                continue
-            sol, vector = entry
+        with telemetry.span("prover.batch", size=len(batch_inputs)):
             try:
-                with telemetry.span("prover.instance", index=indices[i]):
-                    results[i] = (sol,) + _commit_and_answer(
-                        self.field,
-                        self.config,
-                        vector,
-                        schedule.queries,
-                        request,
-                        challenge,
-                        PhaseTimer(per_stats[i]),
-                    )
-            except Exception as exc:  # noqa: BLE001 - isolate bad instances
-                results[i] = exc
-        return results
+                prover = self.prover()
+                entries = prover.commit(
+                    request, batch_inputs, indices=indices, per_stats=per_stats
+                )
+            except Exception as exc:  # noqa: BLE001 - a failed step fails its batch
+                return [exc] * len(batch_inputs)
+            live = [i for i, e in enumerate(entries) if not isinstance(e, Exception)]
+            try:
+                answers = prover.answer(challenge) if live else []
+            except Exception as exc:  # noqa: BLE001 - fails every committed instance
+                answers = [exc] * len(live)
+            for i, reply in zip(live, answers):
+                y, commitment = entries[i]
+                x = [v % self.field.p for v in batch_inputs[i]]
+                entries[i] = (
+                    reply
+                    if isinstance(reply, Exception)
+                    else InstanceRecord(x, list(y), commitment, list(reply))
+                )
+            return entries
 
     # -- full batch ------------------------------------------------------------------
 
@@ -540,22 +551,23 @@ class GingerArgument:
                         sol = self.program.solve(input_values, check=False)
                     with ptimer.phase("construct_u"):
                         vector = build_ginger_proof(gsys, sol.ginger_witness)
-                    commitment, response, answers = _commit_and_answer(
-                        self.field,
-                        cfg,
-                        vector,
-                        schedule.queries,
-                        request,
-                        challenge,
-                        ptimer,
-                    )
+                    if cfg.use_commitment:
+                        group = cfg.group(self.field)
+                        prover = CommitmentProver(self.field, group, vector)
+                        with ptimer.phase("crypto_ops"):
+                            commitment = prover.commit(request)
+                        with ptimer.phase("answer_queries"):
+                            response = prover.answer(challenge)
+                    else:
+                        with ptimer.phase("answer_queries"):
+                            inner = self.field.inner_product
+                            pcp_answers = [inner(q, vector) for q in schedule.queries]
                 with timer.phase("per_instance"):
                     if cfg.use_commitment:
                         commit_ok = commitment_verifier.verify(commitment, response)
-                        pcp_answers = answers[:-1]
+                        pcp_answers = response.answers[:-1]
                     else:
                         commit_ok = True
-                        pcp_answers = answers
                     pcp_result = ginger_pcp.check_answers(
                         schedule, pcp_answers, sol.input_values, sol.output_values
                     )

@@ -12,16 +12,17 @@ over *many* verifiers and *many* outsourced computations at once; the
   **pre-warms** each program's proving artifacts (the QAP's
   barycentric weights and the tables the prover's H(t) construction
   multiplies by) so the first session pays
-  compile-time costs zero times, and keeps a small LRU of seed-derived
-  query schedules (repeat verifiers with a stable seed skip schedule
-  regeneration entirely).
+  compile-time costs zero times.  Query schedules are not kept: each
+  session's comes from the query key its challenge carries, so it is
+  derived in the ``answer`` step, after the session has committed.
 * **Session sharding** — one exchange drives every session's frames;
-  its ``prove`` and ``answer`` steps run on the handler thread with
-  ``shards = 0``, and with ``shards > 0`` on one process from a
-  :class:`~repro.argument.parallel.WorkerPool` (the crash-surviving
-  fork pool the batch engine also runs on, leased for whole sessions
-  because the commitment provers built in the ``prove`` step must
-  survive into the ``answer`` step).  A worker that dies mid-session
+  its ``prove`` and ``answer`` steps (the two steps of one
+  :class:`~repro.argument.protocol.ZaatarProver`) run on the handler
+  thread with ``shards = 0``, and with ``shards > 0`` on one process
+  from a :class:`~repro.argument.parallel.WorkerPool` (the
+  crash-surviving fork pool the batch engine also runs on, leased for
+  whole sessions because the prover that commits in the ``prove`` step
+  must survive into the ``answer`` step).  A worker that dies mid-session
   becomes a structured, retryable ``internal`` error frame for that one
   client; the pool forks a replacement and ``gateway.worker_deaths``
   counts it.  A shard abandoned mid-step (the session budget ran out)
@@ -54,15 +55,15 @@ import random
 import socket
 import threading
 import time
-from collections import Counter, OrderedDict
+from collections import Counter
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .. import telemetry
 from ..telemetry import metrics as metrics_mod
 from ..compiler import CompiledProgram
-from ..crypto import CommitmentProver, FieldPRG
+from ..crypto import FieldPRG
 from ..crypto.commitment import CommitRequest, DecommitChallenge
 from ..pcp import SoundnessParams
 from ..pcp import zaatar as zaatar_pcp
@@ -84,8 +85,8 @@ from .parallel import WorkerPool, worker_tasks
 from .protocol import (
     ArgumentConfig,
     ProtocolViolation,
+    ZaatarProver,
     classify_failure,
-    solve_and_build,
 )
 
 #: cap on the repetition counts a client may request; the paper's
@@ -97,10 +98,6 @@ _MAX_RHO = 128
 #: root so a chatty trace can never dwarf the protocol payload
 _MAX_TRACE_BYTES = 1_000_000
 
-#: seed-derived query schedules kept per program (LRU); one entry per
-#: distinct (qap_mode, params, seed) a verifier population uses
-_SCHEDULE_CACHE = 32
-
 #: deterministic fault-plan "attempt" index for each shard step, so a
 #: test can kill a worker precisely between ``prove`` and ``answer``
 _FAULT_STEP = {"prove": 1, "answer": 2}
@@ -109,8 +106,8 @@ _FAULT_STEP = {"prove": 1, "answer": 2}
 _DRAIN_SECONDS = 10.0
 
 
-def parse_hello_params(hello: dict) -> tuple[SoundnessParams, bytes]:
-    """Validate a ``hello`` frame's soundness params and query seed.
+def parse_hello_params(hello: dict) -> SoundnessParams:
+    """Validate a ``hello`` frame's soundness params.
 
     Enforces the ``_MAX_RHO`` resource cap before any schedule is
     derived from the parameters.  Repetitions out of range are a
@@ -118,7 +115,7 @@ def parse_hello_params(hello: dict) -> tuple[SoundnessParams, bytes]:
     decode error is (``RepetitionError`` is a ``ValueError``).
     """
     try:
-        params, seed = SoundnessParams.decode(hello)
+        params = SoundnessParams.decode_params(hello)
         in_range = params.rho_lin <= _MAX_RHO and params.rho <= _MAX_RHO
     except RepetitionError:
         in_range = False
@@ -131,7 +128,7 @@ def parse_hello_params(hello: dict) -> tuple[SoundnessParams, bytes]:
             f"soundness repetitions out of range (max {_MAX_RHO})",
             code="bad-request",
         )
-    return params, seed
+    return params
 
 
 def _send_error(conn, code: str, message: str, **fields) -> None:
@@ -170,17 +167,6 @@ def _bound_poke(sock_family, address) -> tuple[socket.socket, tuple, tuple]:
 # -- prover-side session state machine ----------------------------------------
 
 
-@contextmanager
-def _instance_errors(index: int) -> Iterator[None]:
-    """Map an instance's input-shaped failure onto ``bad-request``."""
-    try:
-        yield
-    except (ValueError, TypeError, KeyError, IndexError) as exc:
-        raise ProtocolViolation(
-            f"cannot prove instance {index}: {exc}", code="bad-request"
-        ) from exc
-
-
 def _budget_check(budget: float | None) -> None:
     """``deadline`` once the session's wall-clock budget has run out.
 
@@ -198,107 +184,15 @@ def _decode_commit(enc_r) -> CommitRequest:
     return CommitRequest(unhex_ciphertexts(enc_r, what="commit enc_r"))
 
 
-class SessionProver:
-    """The prover half of one session, detached from any transport.
-
-    Holds exactly the state a session accumulates between frames — the
-    registry's QAP and seed-derived query schedule, the decoded commit
-    request, and the per-instance commitment provers — and exposes the
-    two server-side protocol steps: :meth:`prove` (commit + inputs →
-    outputs payload) and :meth:`answer` (challenge → answers payload).
-    Inputs and outputs use the wire encoding (hex strings).
-
-    Failures raise :class:`ProtocolViolation` with the structured code
-    vocabulary; the transport owner turns them into error frames.
-    """
-
-    def __init__(self, program: CompiledProgram, config: ArgumentConfig, qap, schedule):
-        self.program = program
-        self.config = config
-        self.field = program.field
-        self.qap = qap
-        self.schedule = schedule
-        #: the commit frame's Enc(r); the gateway decodes it when the
-        #: frame arrives, so a malformed commit is answered at once
-        self.request: CommitRequest | None = None
-        self._provers: list[CommitmentProver] = []
-
-    def prove(
-        self,
-        batch_spec,
-        *,
-        budget_check: Callable[[], None] | None = None,
-    ) -> list[dict]:
-        """Run every instance of the batch; returns the outputs payload.
-
-        ``batch_spec`` is the inputs frame's batch, still wire-encoded;
-        the commit request must be held first.  The batch takes the
-        in-process prover's solve → ``compute_h_batch`` core
-        (``solve_and_build``), then each instance commits.  The first
-        instance that cannot be proved fails the session with
-        ``bad-request`` at once (a failed solve before any later solve
-        or H(t)).  ``budget_check`` (if given) runs before each
-        instance's solve, before H(t) and before each instance's commit
-        so a session wall-clock budget can abort a long batch mid-way.
-        """
-        request = self.request
-        if request is None:
-            raise ProtocolViolation("prove before commit", code="internal")
-        if not isinstance(batch_spec, list):
-            raise ProtocolViolation("inputs 'batch' must be a list", code="bad-frame")
-        batch = [
-            unhex_list(x, what="input vector", p=self.field.p) for x in batch_spec
-        ]
-        check = budget_check or (lambda: None)
-
-        def after_solve(index: int, sol) -> None:
-            if isinstance(sol, Exception):
-                with _instance_errors(index):
-                    raise sol
-            check()
-
-        check()
-        built = solve_and_build(
-            self.program, self.qap, batch, after_solve=after_solve
-        )
-        group = self.config.group(self.field)
-        outputs_payload = []
-        for index, entry in enumerate(built):
-            check()
-            with _instance_errors(index):
-                if isinstance(entry, Exception):
-                    raise entry
-                sol, vector = entry
-                prover = CommitmentProver(self.field, group, vector)
-                with telemetry.span("prover.instance", index=index):
-                    with telemetry.span("prover.crypto_ops"):
-                        commitment = prover.commit(request)
-            self._provers.append(prover)
-            outputs_payload.append(
-                {
-                    "y": hex_list(sol.output_values),
-                    "commitment": [format(commitment.c1, "x"), format(commitment.c2, "x")],
-                }
-            )
-        return outputs_payload
-
-    def answer(self, t_spec) -> list[list[str]]:
-        """Answer the decommit challenge; returns the answers payload."""
-        t = unhex_list(t_spec, what="consistency query", p=self.field.p)
-        if len(t) != len(self.schedule.queries[0]):
-            raise ProtocolViolation(
-                f"consistency query length {len(t)} != proof vector "
-                f"length {len(self.schedule.queries[0])}",
-                code="bad-request",
-            )
-        # the schedule's lists are shared, not copied: answering only reads them
-        challenge = DecommitChallenge([*self.schedule.queries, t])
-        answers_payload = []
-        with telemetry.span("prover.answer_queries", instances=len(self._provers)):
-            for prover in self._provers:
-                response = prover.answer(challenge)
-                answers_payload.append(hex_list(response.answers))
-        return answers_payload
+def _decode_key(spec) -> bytes:
+    """The challenge frame's query key K_q: 32 bytes, in hex."""
+    try:
+        key = bytes.fromhex(spec)
+    except (TypeError, ValueError):
+        key = b""
+    if len(key) != 32:
+        raise ProtocolViolation("malformed challenge key", code="bad-frame")
+    return key
 
 
 # -- program registry ---------------------------------------------------------
@@ -314,7 +208,6 @@ class RegisteredProgram:
         self.name = program.name
         self._lock = threading.Lock()
         self._qaps: dict = {}
-        self._schedules: OrderedDict = OrderedDict()
 
     def warm(self, qap_mode: str | None = None) -> "RegisteredProgram":
         """Build the QAP and touch every lazily-computed artifact a
@@ -347,36 +240,6 @@ class RegisteredProgram:
             with self._lock:
                 qap = self._qaps.setdefault(qap_mode, built)
         return qap
-
-    def schedule(self, qap_mode: str, params: SoundnessParams, seed: bytes):
-        """The seed-derived query schedule, LRU-cached.
-
-        Returns ``(schedule, cache_hit)``.  Safe to share across
-        sessions: schedules are pure data, derived deterministically
-        from (QAP, params, seed) and only ever read afterwards.
-        """
-        key = (qap_mode, params.delta, params.rho_lin, params.rho, seed)
-        with self._lock:
-            if key in self._schedules:
-                self._schedules.move_to_end(key)
-                return self._schedules[key], True
-        qap = self.qap(qap_mode)
-        sched = zaatar_pcp.generate_schedule(
-            qap, params, FieldPRG(self.program.field, seed, "queries")
-        )
-        with self._lock:
-            self._schedules[key] = sched
-            while len(self._schedules) > _SCHEDULE_CACHE:
-                self._schedules.popitem(last=False)
-        return sched, False
-
-    def session_prover(
-        self, params: SoundnessParams, seed: bytes, qap_mode: str
-    ) -> tuple[SessionProver, bool]:
-        """A fresh per-session prover over the cached QAP + schedule."""
-        sched, hit = self.schedule(qap_mode, params, seed)
-        prover = SessionProver(self.program, self.config, self.qap(qap_mode), sched)
-        return prover, hit
 
 
 class ProgramRegistry:
@@ -431,46 +294,88 @@ class _SessionSteps:
 
     :meth:`run` is the one step function: the handler thread calls it
     with ``shards=0``, and with ``shards > 0`` a shard worker calls it
-    for the session that leased it.  The :class:`SessionProver` that
-    ``prove`` builds is held until ``answer`` finishes it, one session
-    at a time.
+    for the session that leased it.  The :class:`ZaatarProver` that
+    commits in ``prove`` is held, with the session's params, until
+    ``answer`` finishes it, one session at a time.
     """
 
     def __init__(self, registry: ProgramRegistry):
         self.registry = registry
-        self.prover: SessionProver | None = None
+        self.session: tuple[ZaatarProver, SoundnessParams] | None = None
 
     def run(self, kind: str, payload):
         """Run one step; its result is the next frame's payload.
 
-        ``prove`` takes ``(program hash, params, seed, qap_mode,
-        request, batch, budget)`` and returns the outputs payload and
-        whether the query schedule came from the registry's LRU;
-        ``answer`` takes the challenge's ``t`` and returns the answers
+        ``prove`` takes ``(program hash, params, qap_mode, request,
+        batch, budget)`` and returns the outputs payload; ``answer``
+        takes the challenge's ``(K_q, t)`` and returns the answers
         payload.
         """
-        prover, self.prover = self.prover, None
+        session, self.session = self.session, None
         if kind == "prove":
-            phash, params, seed, qap_mode, request, batch_spec, budget = payload
+            phash, params, qap_mode, request, batch_spec, budget = payload
             entry = self.registry.lookup(phash)
             if entry is None:  # gateway validated; a forked registry re-checks
                 raise ProtocolViolation(
                     f"unknown program {str(phash)[:16]}", code="unknown-program"
                 )
-            prover, cache_hit = entry.session_prover(params, seed, qap_mode)
-            prover.request = request
-            outputs = prover.prove(
-                batch_spec, budget_check=functools.partial(_budget_check, budget)
-            )
-            self.prover = prover
-            return outputs, cache_hit
+            prover = ZaatarProver(entry.program, entry.qap(qap_mode), entry.config)
+            outputs = self._prove(prover, request, batch_spec, budget)
+            self.session = (prover, params)
+            return outputs
         if kind == "answer":
-            if prover is None:
+            if session is None:
                 raise ProtocolViolation(
                     "answer step without a live prove step", code="internal"
                 )
-            return prover.answer(payload)
+            return self._answer(*session, *payload)
         raise ProtocolViolation(f"unknown session step {kind!r}", code="internal")
+
+    @staticmethod
+    def _prove(prover, request, batch_spec, budget) -> list[dict]:
+        """Commit to the inputs frame's batch, still wire-encoded.  The
+        first unprovable instance fails the session at once, before any
+        later solve or H(t); the budget is checked between the steps."""
+        if not isinstance(batch_spec, list):
+            raise ProtocolViolation("inputs 'batch' must be a list", code="bad-frame")
+        if not batch_spec:
+            raise ProtocolViolation("inputs 'batch' is empty", code="bad-request")
+        p = prover.field.p
+        batch = [unhex_list(x, what="input vector", p=p) for x in batch_spec]
+
+        def check(index: int, outcome) -> None:
+            if isinstance(outcome, Exception):  # coded as the batch engine codes it
+                raise ProtocolViolation(
+                    f"cannot prove instance {index}: {outcome}",
+                    code=classify_failure(outcome),
+                ) from outcome
+            _budget_check(budget)
+
+        _budget_check(budget)
+        outputs = []
+        for index, entry in enumerate(prover.commit(request, batch, check=check)):
+            check(index, entry)
+            y, commitment = entry
+            pair = [format(commitment.c1, "x"), format(commitment.c2, "x")]
+            outputs.append({"y": hex_list(y), "commitment": pair})
+        return outputs
+
+    @staticmethod
+    def _answer(prover, params, key: bytes, t: list[int]) -> list[list[str]]:
+        """Derive the queries from K_q, now that every commitment is out
+        (the ``prover.schedule`` span), and answer them and t."""
+        length = prover.qap.proof_vector_length
+        if len(t) != length:
+            raise ProtocolViolation(
+                f"consistency query length {len(t)} != proof vector length {length}",
+                code="bad-request",
+            )
+        with telemetry.span("prover.schedule"):
+            prg = FieldPRG.from_key(prover.field, key)
+            schedule = zaatar_pcp.generate_schedule(prover.qap, params, prg)
+        # the schedule's lists are shared, not copied: answering only reads them
+        answers = prover.answer(DecommitChallenge([*schedule.queries, t]))
+        return [hex_list(values) for values in answers]
 
 
 def _shard_worker_main(
@@ -484,8 +389,8 @@ def _shard_worker_main(
     of that trace and its span records ride back with the reply.  Every
     outcome is the task's one reply — an exception here would kill the
     shard and turn one bad session into a pool problem.  Fork
-    inheritance gives each shard the registry (its pre-warmed artifacts
-    and its own copy of the schedule LRU) for free.
+    inheritance gives each shard the registry (its pre-warmed artifacts)
+    for free.
     """
     steps = _SessionSteps(registry)
     for kind, session_id, trace_id, payload in worker_tasks(conn):
@@ -498,7 +403,7 @@ def _shard_worker_main(
             records = tracer.records_since(0) if tracer else None
             reply = ("ok", result, records)
         except Exception as exc:  # noqa: BLE001 - report, keep serving
-            steps.prover = None
+            steps.session = None
             reply = ("err", classify_failure(exc), f"{type(exc).__name__}: {exc}")
         conn.send(reply)
 
@@ -533,7 +438,6 @@ class _SessionContext:
     token: str
     entry: RegisteredProgram
     params: SoundnessParams
-    seed: bytes
     qap_mode: str
     session_id: int
     expires_at: float = 0.0
@@ -1035,7 +939,7 @@ class GatewayServer:
                 code="unknown-program",
             )
         self._count(f"gateway.sessions.{entry.name}")
-        params, seed = parse_hello_params(hello)
+        params = parse_hello_params(hello)
         qap_mode = hello.get("qap_mode", entry.config.qap_mode)
         if not isinstance(qap_mode, str):
             # an unknown name is a bad-request when the QAP is built; a
@@ -1048,7 +952,6 @@ class GatewayServer:
             token=os.urandom(16).hex(),
             entry=entry,
             params=params,
-            seed=seed,
             qap_mode=qap_mode,
             session_id=session_id,
         )
@@ -1196,13 +1099,14 @@ class GatewayServer:
 
         In one of the program's slots: send the greeting, read the
         commit (decoding its Enc(r) as it arrives), the inputs and the
-        challenge, and write the outputs and answers.  The ``prove`` and
-        ``answer`` steps go to :meth:`_SessionSteps.run`: directly with
-        ``shards=0``, else on a shard worker leased before the greeting
-        and released on the way out.  A park releases it too: nothing of
-        the session reaches the worker before the commit, so a resume
-        simply leases again.  A traced session records under its own
-        tracer and ships the records in the answers frame.
+        challenge (K_q and t), and write the outputs and answers.  The
+        ``prove`` and ``answer`` steps go to :meth:`_SessionSteps.run`:
+        directly with ``shards=0``, else on a shard worker leased before
+        the greeting and released on the way out.  A park releases it
+        too: nothing of the session reaches the worker before the
+        commit, so a resume simply leases again.  A traced session
+        records under its own tracer and ships the records in the
+        answers frame.
         """
         bind = telemetry.thread_tracer(tracer) if tracer is not None else nullcontext()
         with self._program_slot(ctx.entry), bind:
@@ -1228,21 +1132,24 @@ class GatewayServer:
                 prove_payload = (
                     ctx.entry.hash,
                     ctx.params,
-                    ctx.seed,
                     ctx.qap_mode,
                     request,
                     batch_spec,
                     budget,
                 )
-                outputs, cache_hit = step("prove", prove_payload)
-                self._count(
-                    "gateway.schedule_cache_hits" if cache_hit
-                    else "gateway.schedule_cache_misses"
-                )
+                outputs = step("prove", prove_payload)
                 send_frame(conn, {"type": "outputs", "instances": outputs})
-                t_spec = require(expect(recv_frame(conn), "challenge"), "t")
+                challenge = expect(recv_frame(conn), "challenge")
+                key = _decode_key(require(challenge, "key"))
+                t = unhex_list(
+                    require(challenge, "t"),
+                    what="consistency query",
+                    p=ctx.entry.program.field.p,
+                )
                 _budget_check(budget)
-                answers = step("answer", t_spec)
+                answers = step("answer", (key, t))
+                # every answer step derives its own schedule: a miss
+                self._count("gateway.schedule_cache_misses")
             finally:
                 if worker is not None:
                     self._pool.release(worker)

@@ -159,15 +159,15 @@ class BatchStats:
     def from_trace(cls, trace) -> "BatchStats":
         """Rebuild batch stats from a trace (``telemetry.Trace``).
 
-        ``ZaatarArgument.prove_batch`` leaves three kinds of prover
-        span, at every batch size:
+        ``ZaatarProver``'s two steps leave three kinds of prover span,
+        at every batch size:
 
-        - a ``prover.instance`` span per instance (attr ``index``),
-          whose subtree is that instance's stats — the crypto phases,
-          or everything a ``prove_instance`` override did.  One nested
-          in another counts once, with its outermost ancestor;
-        - ``prover.solve_constraints`` spans outside any instance
-          subtree, carrying ``index``;
+        - a ``prover.instance`` span per committed instance (attr
+          ``index``), whose subtree is that instance's stats (its
+          ``prover.crypto_ops``, or everything a cheating prover timed
+          inside it);
+        - ``prover.solve_constraints`` and ``prover.answer_queries``
+          spans outside any instance subtree, carrying ``index``;
         - one ``prover.construct_u`` span per batch outside any
           instance subtree, carrying the batch's ``indices`` — its
           clocks are split evenly across them, exactly the ``cpu/B`` /
@@ -178,13 +178,9 @@ class BatchStats:
         order (a resumed batch yields only the re-proved instances).
         """
         by_index: dict[int, ProverStats] = {}
-        subtrees = {s.span_id: trace.subtree(s) for s in trace.find("prover.instance")}
-        nested = {s.span_id for tree in subtrees.values() for s in tree[1:]}
         claimed: set[int] = set()
         for span in trace.find("prover.instance"):
-            if span.span_id in nested:
-                continue
-            subtree = subtrees[span.span_id]
+            subtree = trace.subtree(span)
             claimed.update(s.span_id for s in subtree)
             idx = span.attrs.get("index", len(by_index))
             by_index.setdefault(idx, ProverStats()).merge(
@@ -196,10 +192,11 @@ class BatchStats:
             setattr(stats, phase, getattr(stats, phase) + cpu)
             stats.wall[phase] = stats.wall.get(phase, 0.0) + wall
 
-        for span in trace.find("prover.solve_constraints"):
-            idx = span.attrs.get("index")
-            if span.span_id not in claimed and idx is not None:
-                add(idx, "solve_constraints", span.cpu_seconds, span.wall_seconds)
+        for phase in ("solve_constraints", "answer_queries"):
+            for span in trace.find(f"{PROVER_PREFIX}.{phase}"):
+                idx = span.attrs.get("index")
+                if span.span_id not in claimed and idx is not None:
+                    add(idx, phase, span.cpu_seconds, span.wall_seconds)
         for span in trace.find("prover.construct_u"):
             indices = span.attrs.get("indices")
             if span.span_id in claimed or not indices:

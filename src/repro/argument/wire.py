@@ -5,10 +5,11 @@ random seed from which V and P derive the PCP queries pseudorandomly."
 This module implements both transports over a byte-level wire format:
 
 * ``full`` — every query vector ships explicitly (the naive baseline);
-* ``seeded`` — V ships only the ChaCha seed; P regenerates the entire
-  query schedule with ``generate_schedule`` (which is deterministic in
-  the seed), and the only vectors that must travel are Enc(r) and the
-  consistency query t (they depend on V's secret randomness).
+* ``seeded`` — V ships only the 32-byte query key K_q; P regenerates
+  the entire query schedule with ``generate_schedule`` (which is
+  deterministic in the key), and the only vectors that must travel are
+  Enc(r) and the consistency query t (they depend on V's secret
+  randomness).  K_q and t ship together, after P has committed.
 
 Field elements are fixed-width little-endian; ciphertexts are two
 group elements at the group modulus width.  ``NetworkTally`` records
@@ -127,7 +128,8 @@ def transport_costs(
     tallied; the verifier's decision is computed from the *decoded*
     bytes, so the roundtrip is honest.  Returns (tally, all_accepted).
     """
-    from ..crypto import FieldPRG
+    from ..crypto import FieldPRG, query_key
+    from ..crypto.commitment import DecommitChallenge
     from ..pcp import zaatar as zaatar_pcp
     from .protocol import check_instance
 
@@ -142,47 +144,52 @@ def transport_costs(
     if not cfg.use_commitment:
         raise ValueError("transport accounting requires the commitment layer")
 
-    # --- V → P, once per batch -------------------------------------------
+    # --- V → P, commit: Enc(r) once per batch, then the inputs -----------
     group = cfg.group(field)
     tally.send_v_to_p("Enc(r)", len(encode_ciphertexts(group, request.ciphertexts)))
+    prover = argument.prover()
+    committed = prover.commit(request, batch_inputs)
+    commitment_bytes = []
+    for input_values, entry in zip(batch_inputs, committed):
+        if isinstance(entry, Exception):
+            raise entry
+        tally.send_v_to_p("inputs x", len(encode_elements(field, list(input_values))))
+        tally.send_p_to_v("outputs y", len(encode_elements(field, entry[0])))
+        commitment_bytes.append(encode_ciphertexts(group, [entry[1]]))
+        tally.send_p_to_v("commitment e", len(commitment_bytes[-1]))
+
+    # --- V → P, decommit: the queries and t, once per batch ---------------
+    t = challenge.queries[-1]
     if mode == "full":
         for q in challenge.queries:
             tally.send_v_to_p("queries", len(encode_elements(field, q)))
+        received = challenge
     else:
-        # the seed regenerates every PCP query; only the consistency
-        # query t (a function of V's secret r and α) must travel
-        tally.send_v_to_p("seed", 32)
-        tally.send_v_to_p(
-            "consistency query t", len(encode_elements(field, challenge.queries[-1]))
+        # the key regenerates every PCP query; only the consistency
+        # query t (a function of V's secret r and α) must travel with it
+        key = query_key(cfg.seed)
+        tally.send_v_to_p("query key", len(key))
+        tally.send_v_to_p("consistency query t", len(encode_elements(field, t)))
+        prover_schedule = zaatar_pcp.generate_schedule(
+            argument.qap, cfg.params, FieldPRG.from_key(field, key)
         )
         # prover-side rederivation must agree with the verifier's schedule
-        prover_prg = FieldPRG(field, cfg.seed, "queries")
-        prover_schedule = zaatar_pcp.generate_schedule(
-            argument.qap, cfg.params, prover_prg
-        )
         assert prover_schedule.queries == schedule.queries
+        received = DecommitChallenge([*prover_schedule.queries, t])
 
-    # --- per instance ------------------------------------------------------
+    # --- P → V, per instance: the answers; V decodes and checks ------------
     all_ok = True
-    proved = argument.prove_batch(batch_inputs, setup)
-    for input_values, entry in zip(batch_inputs, proved):
-        if isinstance(entry, Exception):
-            raise entry
-        sol, commitment, response, _ = entry
-        tally.send_v_to_p("inputs x", len(encode_elements(field, list(input_values))))
-        tally.send_p_to_v("outputs y", len(encode_elements(field, sol.y)))
-        commitment_bytes = encode_ciphertexts(group, [commitment])
-        tally.send_p_to_v("commitment e", len(commitment_bytes))
-        answer_bytes = encode_elements(field, response.answers)
+    for input_values, (y, _), e_bytes, answers in zip(
+        batch_inputs, committed, commitment_bytes, prover.answer(received)
+    ):
+        answer_bytes = encode_elements(field, answers)
         tally.send_p_to_v("answers", len(answer_bytes))
-
-        # verifier decodes and checks
         commit_ok, pcp = check_instance(
             setup,
-            decode_ciphertexts(group, commitment_bytes)[0],
+            decode_ciphertexts(group, e_bytes)[0],
             decode_elements(field, answer_bytes),
-            sol.x,
-            sol.y,
+            [v % field.p for v in input_values],
+            y,
         )
         all_ok = all_ok and commit_ok and pcp.accepted
     return tally, all_ok

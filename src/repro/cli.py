@@ -23,8 +23,10 @@ writes a JSONL trace — see docs/OBSERVABILITY.md for how to read it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import random
+import secrets
 import sys
 import time
 from pathlib import Path
@@ -54,9 +56,23 @@ def _field(name: str) -> PrimeField:
     return PrimeField.named(name)
 
 
+class ProgramFileError(Exception):
+    """A program file that cannot be read or compiled (exit 2)."""
+
+
 def _load_program(path: str, field: PrimeField, bit_width: int):
-    source = Path(path).read_text()
-    return compile_source(field, source, name=Path(path).stem, bit_width=bit_width)
+    try:
+        source = Path(path).read_text()
+        return compile_source(field, source, name=Path(path).stem, bit_width=bit_width)
+    except OSError as exc:
+        raise ProgramFileError(f"cannot read program {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # LangSyntaxError, undecodable or output-less source
+        raise ProgramFileError(f"cannot compile program {path}: {exc}") from exc
+
+
+def _fresh_seed(config: ArgumentConfig) -> ArgumentConfig:
+    """``config`` with a verifier seed for one wire session alone."""
+    return dataclasses.replace(config, seed=secrets.token_bytes(16))
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
@@ -250,7 +266,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
         ):
             if remote_addr is not None:
                 try:
-                    net_result = verify_remote(program, batch, remote_addr, config)
+                    net_result = verify_remote(
+                        program, batch, remote_addr, _fresh_seed(config)
+                    )
                 except (ProtocolViolation, OSError) as exc:
                     print(
                         f"error: remote verification against "
@@ -267,7 +285,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
                     with telemetry.span("wire.loopback"):
                         with ProverServer(program, config) as server:
                             net_result = verify_remote(
-                                program, batch, server.address, config
+                                program, batch, server.address, _fresh_seed(config)
                             )
                         accepted = accepted and net_result.all_accepted
     finally:
@@ -1127,7 +1145,11 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ProgramFileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -24,7 +24,7 @@ from .groups import (
     group_for_field,
     named_group,
 )
-from .prg import FieldPRG
+from .prg import FieldPRG, query_key
 
 __all__ = [
     "ChaChaStream",
@@ -48,5 +48,6 @@ __all__ = [
     "group_for_field",
     "homomorphic_inner_product",
     "named_group",
+    "query_key",
     "run_commitment_round",
 ]

@@ -2,10 +2,11 @@
 
 The cost-model parameter ``c`` (§5.1) is "the cost of pseudorandomly
 generating an element in F"; this module is the thing being measured.
-Both parties instantiate a ``FieldPRG`` from the same seed to derive
+Both parties instantiate a ``FieldPRG`` from the same key to derive
 identical query vectors without shipping them over the network
 (§A.1, network costs: "a random seed from which V and P derive the PCP
-queries pseudorandomly").
+queries pseudorandomly").  The prover gets only that stream's key,
+:func:`query_key`, in the decommit challenge, never the seed.
 """
 
 from __future__ import annotations
@@ -35,6 +36,14 @@ class FieldPRG:
         self._sample_bytes = (field.p.bit_length() + 7) // 8
         self._mask = (1 << (self._sample_bytes * 8)) - 1
         self._limit = self._mask + 1 - ((self._mask + 1) % field.p)
+
+    @classmethod
+    def from_key(cls, field: PrimeField, key: bytes) -> "FieldPRG":
+        """The stream that ``key`` keys: ``from_key(field, query_key(seed))``
+        draws what ``FieldPRG(field, seed, "queries")`` does."""
+        prg = cls(field, b"")
+        prg._stream = ChaChaStream(key)
+        return prg
 
     def next_element(self) -> int:
         """One uniform draw from [0, p)."""
@@ -107,6 +116,11 @@ def _below_sampling(bound: int) -> tuple[int, int]:
     nbytes = (bound.bit_length() + 15) // 8
     space = 1 << (nbytes * 8)
     return nbytes, space - (space % bound)
+
+
+def query_key(seed: bytes | str | int) -> bytes:
+    """K_q = SHA-256(seed ‖ 0 ‖ "queries"), the query stream's key."""
+    return _derive_key(seed, "queries")
 
 
 def _derive_key(seed: bytes | str | int, domain: str) -> bytes:

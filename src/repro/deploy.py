@@ -31,6 +31,8 @@ schema-stamped via :func:`repro.benchgate.bench_metadata` so
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import os
 import random
 import socket
@@ -148,6 +150,7 @@ def _verifier_main(
     program,
     config: ArgumentConfig,
     batches: list[list[list[int]]],
+    cell_key: str,
     link_kwargs: dict,
     seed: int,
     deadlines: Deadlines,
@@ -206,7 +209,11 @@ def _verifier_main(
                 program,
                 batches[index],
                 address,
-                config,
+                # a seed of its own per session: a session's challenge
+                # hands the prover its seed's query key
+                dataclasses.replace(config, seed=hashlib.sha256(
+                    f"verifier:{seed}:{cell_key}:{slot}:{index}".encode()
+                ).digest()),
                 retry=RetryPolicy(
                     max_attempts=4, base_delay=0.3, seed=seed * 31 + slot
                 ),
@@ -283,7 +290,8 @@ def run_cell(
         proc = ctx.Process(
             target=_verifier_main,
             args=(slot, start, plans[slot], gw.address, program, config,
-                  batches[slot], link_kwargs, seed, deadlines, queue),
+                  batches[slot], cell.key, link_kwargs, seed, deadlines,
+                  queue),
             daemon=True,
         )
         proc.start()

@@ -97,7 +97,8 @@ def test_batched_prover_answers_identical_p192():
 
     def answers(backend, rows):
         arg = ZaatarArgument(_named_program("p192", backend), cfg)
-        return [entry[3] for entry in arg.prove_batch(rows, arg.verifier_setup())]
+        _, _, request, challenge = arg.verifier_setup()
+        return [rec.answers for rec in arg.prove_batch(rows, request, challenge)]
 
     alone = [answers("scalar", [values])[0] for values in batch]
     for backend in ("scalar", "numpy"):

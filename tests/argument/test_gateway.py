@@ -21,11 +21,14 @@ from repro.argument import (
     program_hash,
     verify_remote,
 )
+from repro.argument import serve as serve_mod
 from repro.argument.framing import hex_list
 from repro.argument.net import hello_frame, recv_frame, send_frame
 from repro.argument.serve import parse_hello_params
 from repro.compiler import compile_program
+from repro.crypto import query_key
 from repro.pcp import SoundnessParams
+from repro.telemetry import Trace
 
 FAST = ArgumentConfig(params=SoundnessParams(rho_lin=2, rho=1))
 NO_RETRY = RetryPolicy.none()
@@ -52,7 +55,8 @@ def registry(sumsq_program, affine_program):
 
 def _raw_session(address, program, setup, batch):
     """Drive one untraced session frame by frame with a fixed verifier
-    ``setup``; returns the gateway's outputs and answers frames."""
+    ``setup`` (drawn from ``FAST.seed``); returns the gateway's outputs
+    and answers frames."""
     _, _, request, challenge = setup
     with socket.create_connection(address, timeout=5) as sock:
         sock.settimeout(30)
@@ -62,7 +66,14 @@ def _raw_session(address, program, setup, batch):
         send_frame(sock, {"type": "commit", "enc_r": enc_r})
         send_frame(sock, {"type": "inputs", "batch": [hex_list(x) for x in batch]})
         outputs = recv_frame(sock)
-        send_frame(sock, {"type": "challenge", "t": hex_list(challenge.queries[-1])})
+        send_frame(
+            sock,
+            {
+                "type": "challenge",
+                "key": query_key(FAST.seed).hex(),
+                "t": hex_list(challenge.queries[-1]),
+            },
+        )
         return outputs, recv_frame(sock)
 
 
@@ -114,14 +125,6 @@ class TestRegistry:
         # roots mode interpolates by inverse NTTs: no tree there either
         assert "subproduct_tree" not in vars(entry.warm("roots").qap("roots"))
 
-    def test_schedule_cache_hits_on_repeat_seed(self, registry, sumsq_program):
-        entry = registry.lookup(program_hash(sumsq_program))
-        params = FAST.params
-        _, hit_first = entry.schedule(FAST.qap_mode, params, b"\x01" * 32)
-        _, hit_again = entry.schedule(FAST.qap_mode, params, b"\x01" * 32)
-        _, hit_other = entry.schedule(FAST.qap_mode, params, b"\x02" * 32)
-        assert (hit_first, hit_again, hit_other) == (False, True, False)
-
     def test_empty_registry_rejected(self):
         with pytest.raises(ValueError, match="no programs"):
             GatewayServer(ProgramRegistry())
@@ -132,18 +135,14 @@ class TestHelloParams:
     keeps its own error codes and its resource cap."""
 
     def test_hello_frame_roundtrips(self, sumsq_program):
-        assert parse_hello_params(hello_frame(sumsq_program, FAST)) == (
-            FAST.params,
-            FAST.seed,
-        )
+        assert parse_hello_params(hello_frame(sumsq_program, FAST)) == FAST.params
 
     @pytest.mark.parametrize(
         "change, code",
         [
             ({"params": None}, "bad-frame"),
-            ({"seed": "not hex"}, "bad-frame"),
-            # an unhashable delta used to pass the hello and fail the
-            # session as ``internal`` in the schedule cache
+            ({"params": {"delta": 0.03, "rho_lin": 2}}, "bad-frame"),
+            # an unhashable delta must fail the hello, not the session
             ({"params": {"delta": [1], "rho_lin": 2, "rho": 1}}, "bad-frame"),
             ({"params": {"delta": 0.03, "rho_lin": 0, "rho": 1}}, "bad-request"),
             ({"params": {"delta": 0.03, "rho_lin": 2, "rho": 129}}, "bad-request"),
@@ -205,15 +204,15 @@ class TestHelloQapMode:
 
 
 class TestSessionProver:
-    """The inline (shards=0) prover's per-session work bounds."""
+    """The inline (shards=0) prove step's per-session work bounds."""
 
     @staticmethod
-    def _committed_prover(registry, program):
-        entry = registry.lookup(program_hash(program))
-        prover, _ = entry.session_prover(FAST.params, b"\x05" * 32, FAST.qap_mode)
-        # the exchange decodes the commit frame's Enc(r) and sets it here
-        prover.request = ZaatarArgument(program, FAST).verifier_setup()[2]
-        return prover
+    def _prove(registry, program, batch):
+        """One prove step, as the exchange runs it once the commit
+        frame's Enc(r) is decoded."""
+        request = ZaatarArgument(program, FAST).verifier_setup()[2]
+        payload = (program_hash(program), FAST.params, FAST.qap_mode, request, batch, None)
+        return serve_mod._SessionSteps(registry).run("prove", payload)
 
     def test_budget_expiring_after_the_solves_stops_before_any_commit(
         self, registry, sumsq_program, monkeypatch
@@ -228,16 +227,16 @@ class TestSessionProver:
             expired.append(True)  # the budget runs out during H(t)
             return rows
 
-        def budget_check():
+        def budget_check(budget):
             if expired:
                 raise ProtocolViolation("budget exhausted", code="deadline")
 
         monkeypatch.setattr(protocol_mod, "compute_h_batch", compute_h_then_expire)
-        prover = self._committed_prover(registry, sumsq_program)
+        monkeypatch.setattr(serve_mod, "_budget_check", budget_check)
         batch = [["1", "2", "3"], ["2", "2", "2"], ["3", "1", "4"]]
         with telemetry.session() as tracer:
             with pytest.raises(ProtocolViolation) as excinfo:
-                prover.prove(batch, budget_check=budget_check)
+                self._prove(registry, sumsq_program, batch)
         assert excinfo.value.code == "deadline"
         assert len(tracer.find("prover.solve_constraints")) == 3
         assert len(tracer.find("prover.construct_u")) == 1
@@ -246,14 +245,20 @@ class TestSessionProver:
     def test_unprovable_instance_fails_before_later_solves_and_h(
         self, registry, sumsq_program
     ):
-        prover = self._committed_prover(registry, sumsq_program)
         batch = [["1", "2"], ["2", "2", "2"], ["3", "1", "4"]]  # wrong arity first
         with telemetry.session() as tracer:
             with pytest.raises(ProtocolViolation, match="instance 0") as excinfo:
-                prover.prove(batch)
+                self._prove(registry, sumsq_program, batch)
         assert excinfo.value.code == "bad-request"
         assert len(tracer.find("prover.solve_constraints")) == 1
         assert not tracer.find("prover.construct_u")
+
+    def test_empty_batch_is_a_bad_request(self, registry, sumsq_program):
+        """A prover answers only what it committed, so a batch of no
+        instances is refused at the prove step, not after the challenge."""
+        with pytest.raises(ProtocolViolation, match="empty") as excinfo:
+            self._prove(registry, sumsq_program, [])
+        assert excinfo.value.code == "bad-request"
 
 
 class TestMultiProgramDispatch:
@@ -287,17 +292,29 @@ class TestMultiProgramDispatch:
         assert gw.metrics.counter_value("gateway.unknown_program") == 1
 
     @pytest.mark.parametrize("shards", [0, 1])
-    def test_repeat_seed_hits_schedule_cache(self, sumsq_program, shards):
-        """The prove step reports its schedule lookup in both proving
-        modes: a fresh registry misses once, then hits on the repeat."""
+    def test_every_answer_step_derives_its_schedule(self, sumsq_program, shards):
+        """No schedule outlives its session: in both proving modes each
+        answer step derives its own from K_q, under ``prover.schedule``
+        in the session's subtree, and counts one miss."""
         registry = ProgramRegistry()
         registry.register(sumsq_program, FAST)
         with GatewayServer(registry, shards=shards) as gw:
-            verify_remote(sumsq_program, [[1, 1, 1]], gw.address, FAST)
-            verify_remote(sumsq_program, [[2, 2, 2]], gw.address, FAST)
+            with telemetry.session() as tracer:
+                for values in ([1, 1, 1], [2, 2, 2]):
+                    verify_remote(sumsq_program, [values], gw.address)
         count = gw.metrics.counter_value
-        assert count("gateway.schedule_cache_misses") == 1
-        assert count("gateway.schedule_cache_hits") == 1
+        assert count("gateway.schedule_cache_misses") == 2
+        assert count("gateway.schedule_cache_hits") == 0
+        trace = Trace.from_tracer(tracer)
+        for session in trace.find("wire.prover_session"):
+            names = [s.name for s in trace.subtree(session)]
+            assert names.count("prover.schedule") == 1
+            # derived after every commitment, before any answer
+            assert (
+                names.index("prover.crypto_ops")
+                < names.index("prover.schedule")
+                < names.index("prover.answer_queries")
+            )
 
     def test_stats_frame_lists_every_program(self, registry, sumsq_program):
         with GatewayServer(registry, max_sessions=3, shards=0) as gw:

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.argument import ArgumentConfig, GingerArgument, ZaatarArgument
+from repro.argument import (
+    ArgumentConfig,
+    GingerArgument,
+    ZaatarArgument,
+    ZaatarProver,
+)
 from repro.pcp import SoundnessParams
 
 FAST = ArgumentConfig(params=SoundnessParams(rho_lin=2, rho=1))
@@ -43,25 +48,28 @@ class TestZaatarBatch:
 
 class TestZaatarCheating:
     def test_tampered_output_claim_rejected(self, gold, sumsq_program):
+        class OutputBumper(ZaatarProver):
+            def commit(self, request, batch, **kwargs):
+                committed = super().commit(request, batch, **kwargs)
+                return [([(y[0] + 1) % gold.p], c) for y, c in committed]
+
         class CheatingProver(ZaatarArgument):
-            def prove_instance(self, inputs, setup, stats):
-                sol, c, r, a = super().prove_instance(inputs, setup, stats)
-                sol.y[0] = (sol.y[0] + 1) % gold.p
-                sol.output_values[0] = sol.y[0]
-                return sol, c, r, a
+            prover_type = OutputBumper
 
         result = CheatingProver(sumsq_program, FAST).run_batch([[1, 2, 3]])
         assert not result.all_accepted
         assert not result.instances[0].pcp_ok
 
     def test_tampered_answers_fail_commitment(self, gold, sumsq_program):
+        class AnswerBumper(ZaatarProver):
+            def answer(self, challenge):
+                answers = super().answer(challenge)
+                for values in answers:
+                    values[0] = (values[0] + 1) % gold.p
+                return answers
+
         class AnswerTamperer(ZaatarArgument):
-            def prove_instance(self, inputs, setup, stats):
-                sol, c, response, answers = super().prove_instance(
-                    inputs, setup, stats
-                )
-                response.answers[0] = (response.answers[0] + 1) % gold.p
-                return sol, c, response, response.answers
+            prover_type = AnswerBumper
 
         result = AnswerTamperer(sumsq_program, FAST).run_batch([[1, 2, 3]])
         assert not result.all_accepted
@@ -70,15 +78,15 @@ class TestZaatarCheating:
     def test_one_bad_instance_in_batch(self, gold, sumsq_program):
         """Only the cheated instance is rejected; honest ones still pass."""
 
-        class SelectiveCheat(ZaatarArgument):
-            count = 0
+        class SecondBumper(ZaatarProver):
+            def commit(self, request, batch, **kwargs):
+                committed = super().commit(request, batch, **kwargs)
+                y, c = committed[1]
+                committed[1] = ([(y[0] + 1) % gold.p], c)
+                return committed
 
-            def prove_instance(self, inputs, setup, stats):
-                sol, c, r, a = super().prove_instance(inputs, setup, stats)
-                type(self).count += 1
-                if type(self).count == 2:
-                    sol.y[0] = (sol.y[0] + 1) % gold.p
-                return sol, c, r, a
+        class SelectiveCheat(ZaatarArgument):
+            prover_type = SecondBumper
 
         result = SelectiveCheat(sumsq_program, FAST).run_batch(
             [[1, 1, 1], [2, 2, 2], [3, 3, 3]]

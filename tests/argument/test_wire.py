@@ -77,18 +77,18 @@ class TestTransport:
         assert ok
 
     def test_seeded_much_cheaper_than_full(self, sumsq_program):
-        """§A.1's optimization: the seed replaces all PCP queries.
+        """§A.1's optimization: the query key replaces all PCP queries.
 
         Enc(r) ships in both modes (it depends on V's secret r), so the
         comparison is on the query traffic itself: all explicit queries
-        vs seed + the single consistency query t.
+        vs the query key + the single consistency query t.
         """
         arg_full = ZaatarArgument(sumsq_program, FAST)
         full, _ = transport_costs(arg_full, [[1, 2, 3]], mode="full")
         arg_seeded = ZaatarArgument(sumsq_program, FAST)
         seeded, _ = transport_costs(arg_seeded, [[1, 2, 3]], mode="seeded")
         seeded_queries = (
-            seeded.components["seed"] + seeded.components["consistency query t"]
+            seeded.components["query key"] + seeded.components["consistency query t"]
         )
         assert seeded_queries < full.components["queries"] / 5
         assert seeded.verifier_to_prover < full.verifier_to_prover
@@ -98,10 +98,11 @@ class TestTransport:
     def test_components_labeled(self, sumsq_program):
         arg = ZaatarArgument(sumsq_program, FAST)
         tally, _ = transport_costs(arg, [[1, 2, 3]], mode="seeded")
-        assert "seed" in tally.components
+        assert "query key" in tally.components
+        assert "seed" not in tally.components
         assert "consistency query t" in tally.components
         assert "Enc(r)" in tally.components
-        assert tally.components["seed"] == 32
+        assert tally.components["query key"] == 32
 
     def test_unknown_mode_rejected(self, sumsq_program):
         arg = ZaatarArgument(sumsq_program, FAST)

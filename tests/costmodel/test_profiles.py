@@ -47,16 +47,15 @@ class TestOpCountAgreement:
         arg = ZaatarArgument(
             sumsq_program, ArgumentConfig(params=SoundnessParams(rho_lin=2, rho=1))
         )
-        setup = arg.verifier_setup()
-        _, commitment_verifier, _, _ = setup
-        from repro.argument.stats import ProverStats
+        _, commitment_verifier, request, challenge = arg.verifier_setup()
+        from repro.crypto.commitment import DecommitResponse
 
         with telemetry.session() as tracer:
             for i, inputs in enumerate([[1, 1, 1], [2, 2, 2], [3, 3, 3]], start=1):
-                sol, commitment, response, _ = arg.prove_instance(
-                    inputs, setup, ProverStats()
+                (record,) = arg.prove_batch([inputs], request, challenge)
+                commitment_verifier.verify(
+                    record.commitment, DecommitResponse(record.answers)
                 )
-                commitment_verifier.verify(commitment, response)
                 # Figure 3: one `d` per instance
                 assert tracer.total_counters()["crypto.decryptions"] == i
 

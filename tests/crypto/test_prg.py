@@ -1,6 +1,8 @@
 """Unit tests for the ChaCha-backed field-element PRG."""
 
-from repro.crypto import FieldPRG
+import hashlib
+
+from repro.crypto import FieldPRG, query_key
 
 
 class TestDeterminism:
@@ -13,6 +15,17 @@ class TestDeterminism:
         a = FieldPRG(gold, b"seed", "queries")
         b = FieldPRG(gold, b"seed", "commitment")
         assert a.next_vector(10) != b.next_vector(10)
+
+    def test_query_key_reproduces_the_query_stream(self, gold, p128):
+        """The prover keys its stream with K_q alone and draws exactly
+        what the verifier's seeded ``"queries"`` stream draws."""
+        seed = b"verifier-seed"
+        assert query_key(seed) == hashlib.sha256(seed + b"\x00queries").digest()
+        for field in (gold, p128):
+            seeded = FieldPRG(field, seed, "queries")
+            keyed = FieldPRG.from_key(field, query_key(seed))
+            assert keyed.next_vector(40) == seeded.next_vector(40)
+            assert keyed.next_nonzero() == seeded.next_nonzero()
 
     def test_seed_types(self, gold):
         # int, str, bytes seeds are all accepted and deterministic

@@ -10,12 +10,15 @@ not a satisfying assignment — then V rejects the proof with probability
 
 import pytest
 
-from repro.argument import ArgumentConfig, ZaatarArgument
-from repro.crypto import CommitmentProver
+from repro.argument import ArgumentConfig, ZaatarArgument, ZaatarProver
 from repro.pcp import SoundnessParams
-from repro.qap import build_proof_vector
 
 CFG = ArgumentConfig(params=SoundnessParams(rho_lin=3, rho=2))
+
+
+def running(prover_type):
+    """A ZaatarArgument subclass whose every batch runs ``prover_type``."""
+    return type("Cheating", (ZaatarArgument,), {"prover_type": prover_type})
 
 
 @pytest.fixture(scope="module")
@@ -27,22 +30,16 @@ class TestCommitmentMisbehaviour:
     def test_commit_then_answer_different_function(self, gold, honest, sumsq_program):
         """Commits to u but answers queries with u' ≠ u."""
 
-        class SwitchingProver(ZaatarArgument):
-            def prove_instance(self, inputs, setup, stats):
-                schedule, _, request, challenge = setup
-                sol = self.program.solve(inputs, check=False)
-                proof = build_proof_vector(self.qap, sol.quadratic_witness)
-                vector = proof.vector
-                committed = CommitmentProver(gold, self.config.group(gold), vector)
-                commitment = committed.commit(request)
+        class SwitchingProver(ZaatarProver):
+            def answer(self, challenge):
                 # answer with a shifted vector
-                other = CommitmentProver(
-                    gold, self.config.group(gold), [(v + 1) % gold.p for v in vector]
-                )
-                response = other.answer(challenge)
-                return sol, commitment, response, response.answers
+                self.committed = [
+                    (index, stats, [(v + 1) % gold.p for v in u])
+                    for index, stats, u in self.committed
+                ]
+                return super().answer(challenge)
 
-        result = SwitchingProver(sumsq_program, CFG).run_batch([[1, 2, 3]])
+        result = running(SwitchingProver)(sumsq_program, CFG).run_batch([[1, 2, 3]])
         assert not result.instances[0].commitment_ok
         assert not result.all_accepted
 
@@ -51,18 +48,15 @@ class TestNonLinearFunction:
     def test_random_answers_rejected(self, gold, sumsq_program):
         import random as _random
 
-        class RandomAnswerProver(ZaatarArgument):
-            def prove_instance(self, inputs, setup, stats):
-                sol, c, response, answers = super().prove_instance(
-                    inputs, setup, stats
-                )
+        class RandomAnswerProver(ZaatarProver):
+            def answer(self, challenge):
                 rnd = _random.Random(0)
-                response.answers[:] = [
-                    rnd.randrange(gold.p) for _ in response.answers
+                return [
+                    [rnd.randrange(gold.p) for _ in values]
+                    for values in super().answer(challenge)
                 ]
-                return sol, c, response, response.answers
 
-        result = RandomAnswerProver(sumsq_program, CFG).run_batch([[1, 2, 3]])
+        result = running(RandomAnswerProver)(sumsq_program, CFG).run_batch([[1, 2, 3]])
         assert not result.all_accepted
 
 
@@ -70,19 +64,15 @@ class TestWrongFormLinearFunction:
     def test_inconsistent_h_rejected(self, gold, sumsq_program):
         """Linear function (z, h') where h' is not P_w/D."""
 
-        class WrongHProver(ZaatarArgument):
-            def prove_instance(self, inputs, setup, stats):
-                schedule, _, request, challenge = setup
-                sol = self.program.solve(inputs, check=False)
-                proof = build_proof_vector(self.qap, sol.quadratic_witness)
-                vector = proof.vector
-                vector[self.qap.n_prime] = (vector[self.qap.n_prime] + 3) % gold.p
-                prover = CommitmentProver(gold, self.config.group(gold), vector)
-                commitment = prover.commit(request)
-                response = prover.answer(challenge)
-                return sol, commitment, response, response.answers
+        class WrongHProver(ZaatarProver):
+            def build(self, *args):
+                built = super().build(*args)
+                for _, vector in built:
+                    at = self.qap.n_prime
+                    vector[at] = (vector[at] + 3) % gold.p
+                return built
 
-        result = WrongHProver(sumsq_program, CFG).run_batch([[1, 2, 3]])
+        result = running(WrongHProver)(sumsq_program, CFG).run_batch([[1, 2, 3]])
         # commitment is consistent (it IS a linear function) but the
         # PCP's divisibility test fails
         assert result.instances[0].commitment_ok
@@ -93,19 +83,14 @@ class TestUnsatisfyingAssignment:
     def test_valid_proof_for_wrong_claim_rejected(self, gold, sumsq_program):
         """z' satisfies C(X=x', Y=y') for different x'/y' than claimed."""
 
-        class ReplayProver(ZaatarArgument):
-            def prove_instance(self, inputs, setup, stats):
-                # prove a DIFFERENT instance but claim this one's inputs
-                schedule, _, request, challenge = setup
-                other = self.program.solve([9, 9, 9], check=False)
-                sol = self.program.solve(inputs, check=False)
-                proof = build_proof_vector(self.qap, other.quadratic_witness)
-                prover = CommitmentProver(gold, self.config.group(gold), proof.vector)
-                commitment = prover.commit(request)
-                response = prover.answer(challenge)
-                return sol, commitment, response, response.answers
+        class ReplayProver(ZaatarProver):
+            def build(self, batch, *args):
+                # prove a DIFFERENT instance but claim this one's outputs
+                other = super().build([[9, 9, 9]] * len(batch), *args)
+                claims = [self.program.solve(inputs, check=False) for inputs in batch]
+                return [(sol, u) for sol, (_, u) in zip(claims, other)]
 
-        result = ReplayProver(sumsq_program, CFG).run_batch([[1, 2, 3]])
+        result = running(ReplayProver)(sumsq_program, CFG).run_batch([[1, 2, 3]])
         assert result.instances[0].commitment_ok
         assert not result.instances[0].pcp_ok
 
@@ -115,10 +100,10 @@ class TestRepetitionStrength:
         weak = ArgumentConfig(params=SoundnessParams(rho_lin=1, rho=1))
         strong = ArgumentConfig(params=SoundnessParams(rho_lin=4, rho=3))
 
-        class Cheat(ZaatarArgument):
-            def prove_instance(self, inputs, setup, stats):
-                sol, c, r, a = super().prove_instance(inputs, setup, stats)
-                sol.y[0] = (sol.y[0] + 1) % gold.p
-                return sol, c, r, a
+        class OutputBumper(ZaatarProver):
+            def commit(self, request, batch, **kwargs):
+                committed = super().commit(request, batch, **kwargs)
+                return [([(y[0] + 1) % gold.p], c) for y, c in committed]
 
+        Cheat = running(OutputBumper)
         assert not Cheat(sumsq_program, strong).run_batch([[1, 2, 3]]).all_accepted

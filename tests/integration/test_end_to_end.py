@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.apps import ALL_APPS
-from repro.argument import ArgumentConfig, ZaatarArgument
+from repro.argument import ArgumentConfig, ZaatarArgument, ZaatarProver
 from repro.field import P128, PrimeField
 from repro.pcp import SoundnessParams
 
@@ -43,11 +43,13 @@ class TestZaatarOnEveryApp:
         sizes = TINY_SIZES[app.name]
         prog = app.compile(gold, sizes)
 
+        class OutputBumper(ZaatarProver):
+            def commit(self, request, batch, **kwargs):
+                committed = super().commit(request, batch, **kwargs)
+                return [([(y[0] + 1) % gold.p, *y[1:]], c) for y, c in committed]
+
         class Cheat(ZaatarArgument):
-            def prove_instance(self, inputs, setup, stats):
-                sol, c, r, a = super().prove_instance(inputs, setup, stats)
-                sol.y[0] = (sol.y[0] + 1) % gold.p
-                return sol, c, r, a
+            prover_type = OutputBumper
 
         result = Cheat(prog, FAST).run_batch([app.generate_inputs(rng, sizes)])
         assert not result.all_accepted

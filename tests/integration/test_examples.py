@@ -42,7 +42,7 @@ class TestFastExamples:
         assert "root_finding_bisection" in out
 
     def test_cheating_prover(self):
-        """Each cheat overrides ``prove_instance``; every one must be
+        """Each cheat overrides a ``ZaatarProver`` step; every one must be
         rejected, by the layer the demo names."""
         out = run_example("cheating_prover.py")
         assert "[ACCEPTED]" in out  # the honest prover
@@ -57,7 +57,7 @@ class TestFastExamples:
             assert f"REJECTED by {layer}" in line, line
 
     def test_verified_shortest_paths(self):
-        """The honest batch verifies; the ``prove_instance`` override
+        """The honest batch verifies; the ``ZaatarProver`` override
         that corrupts one distance is rejected."""
         out = run_example("verified_shortest_paths.py")
         assert "verified 3 topologies" in out

@@ -33,61 +33,64 @@ def argument(sumsq_program):
 @pytest.fixture(scope="module")
 def honest_run(argument):
     setup = argument.verifier_setup()
-    from repro.argument.stats import ProverStats
-
-    sol, commitment, response, answers = argument.prove_instance(
-        [1, 2, 3], setup, ProverStats()
-    )
-    return setup, sol, commitment, response, answers
+    _, _, request, challenge = setup
+    (record,) = argument.prove_batch([[1, 2, 3]], request, challenge)
+    response = DecommitResponse(record.answers)
+    return setup, record, record.commitment, response, record.answers
 
 
 class TestCorruptedCommitment:
     def test_bitflipped_ciphertext_rejected(self, gold, argument, honest_run):
-        setup, sol, commitment, response, _ = honest_run
+        setup, record, commitment, response, _ = honest_run
         _, verifier, _, _ = setup
         flipped = ElGamalCiphertext(commitment.c1 ^ 1, commitment.c2)
         assert not verifier.verify(flipped, response)
 
     def test_swapped_components_rejected(self, gold, argument, honest_run):
-        setup, sol, commitment, response, _ = honest_run
+        setup, record, commitment, response, _ = honest_run
         _, verifier, _, _ = setup
         swapped = ElGamalCiphertext(commitment.c2, commitment.c1)
         assert not verifier.verify(swapped, response)
 
     def test_identity_ciphertext_rejected(self, gold, argument, honest_run):
-        setup, sol, commitment, response, _ = honest_run
+        setup, record, commitment, response, _ = honest_run
         _, verifier, _, _ = setup
         assert not verifier.verify(ElGamalCiphertext(1, 1), response)
 
 
 class TestMalformedAnswers:
     def test_truncated_answers_raise(self, gold, argument, honest_run):
-        setup, sol, commitment, response, answers = honest_run
+        setup, record, commitment, response, answers = honest_run
         schedule, verifier, _, _ = setup
         with pytest.raises(ValueError):
             verifier.verify(commitment, DecommitResponse(answers[:3]))
 
     def test_truncated_pcp_answers_raise(self, gold, argument, honest_run):
-        setup, sol, _, _, answers = honest_run
+        setup, record, _, _, answers = honest_run
         schedule = setup[0]
         with pytest.raises(ValueError):
-            zaatar_pcp.check_answers(schedule, answers[: len(schedule.queries) - 1], sol.x, sol.y)
+            zaatar_pcp.check_answers(
+                schedule,
+                answers[: len(schedule.queries) - 1],
+                record.input_values,
+                record.claimed_outputs,
+            )
 
     def test_all_zero_answers_rejected(self, gold, argument, honest_run):
-        setup, sol, commitment, _, answers = honest_run
+        setup, record, commitment, _, answers = honest_run
         schedule, verifier, _, _ = setup
         zeros = DecommitResponse([0] * len(answers))
         # either the commitment check or the PCP must reject
         commit_ok = verifier.verify(commitment, zeros)
         pcp_ok = zaatar_pcp.check_answers(
-            schedule, zeros.answers[:-1], sol.x, sol.y
+            schedule, zeros.answers[:-1], record.input_values, record.claimed_outputs
         ).accepted
         assert not (commit_ok and pcp_ok)
 
 
 class TestWireCorruption:
     def test_flipped_byte_in_answers_detected(self, gold, argument, honest_run):
-        setup, sol, commitment, response, answers = honest_run
+        setup, record, commitment, response, answers = honest_run
         schedule, verifier, _, _ = setup
         data = bytearray(encode_elements(gold, response.answers))
         data[5] ^= 0xFF

@@ -14,6 +14,7 @@ from repro.argument import (
     BatchStats,
     ProverServer,
     ZaatarArgument,
+    ZaatarProver,
     verify_remote,
 )
 from repro.argument.parallel import run_parallel_batch
@@ -44,8 +45,9 @@ def counted_program():
 
 class TestTraceShape:
     def test_span_taxonomy_and_counters(self, counted_program):
-        """The prove_batch taxonomy: per-instance solves, one shared
-        construct_u, then per-instance crypto under prover.instance."""
+        """The prover's taxonomy: per-instance solves, one shared
+        construct_u, the commitments under prover.instance, then the
+        answers, each tagged with its instance."""
         with telemetry.session() as tracer:
             result = ZaatarArgument(counted_program, FAST).run_batch([[1, 2, 3], [4, 5, 6]])
         assert result.all_accepted
@@ -66,8 +68,15 @@ class TestTraceShape:
         assert [s.attrs["index"] for s in instances] == [0, 1]
         for inst in instances:
             names = [s.name for s in trace.subtree(inst)]
-            assert "prover.crypto_ops" in names
-            assert "prover.answer_queries" in names
+            assert names == ["prover.instance", "prover.crypto_ops"]
+        # every answer comes after every commitment, outside the instances
+        answers = trace.find("prover.answer_queries")
+        assert [s.attrs["index"] for s in answers] == [0, 1]
+        assert all(s.parent_id == batch_span.span_id for s in answers)
+        order = [s.name for s in trace.subtree(batch_span)]
+        assert order.index("prover.answer_queries") > max(
+            i for i, name in enumerate(order) if name == "prover.crypto_ops"
+        )
 
         assert len(trace.find("verifier.query_setup")) == 1
         assert len(trace.find("verifier.per_instance")) == 2
@@ -96,7 +105,9 @@ class TestTraceShape:
         (inst,) = trace.find("prover.instance")
         assert inst.attrs["index"] == 0
         inst_names = {s.name for s in trace.subtree(inst)}
-        assert {"prover.crypto_ops", "prover.answer_queries"} <= inst_names
+        assert inst_names == {"prover.instance", "prover.crypto_ops"}
+        (answer,) = trace.find("prover.answer_queries")
+        assert answer.attrs["index"] == 0
 
     def test_field_counters_attributed_to_prover_phases(self, counted_program):
         with telemetry.session() as tracer:
@@ -126,9 +137,16 @@ def _resumed_inline_run(argument, rows, directory):
     return pr.result, tracer, [3, 4, 5]
 
 
+class _PassThroughSteps(ZaatarProver):
+    def commit(self, request, batch, **kwargs):
+        return super().commit(request, batch, **kwargs)
+
+    def answer(self, challenge):
+        return super().answer(challenge)
+
+
 class _PassThroughProver(ZaatarArgument):
-    def prove_instance(self, input_values, setup, stats):
-        return super().prove_instance(input_values, setup, stats)
+    prover_type = _PassThroughSteps
 
 
 class TestStatsEquivalence:
@@ -160,8 +178,7 @@ class TestStatsEquivalence:
                 ).run_batch(rows),
                 [0, 1, 2],
             ),
-            # an override that wraps the honest one-row prover: its
-            # prover.instance spans nest, and must count once
+            # a prover that overrides both steps and calls the honest ones
             "override calling super": lambda: traced(
                 lambda: _PassThroughProver(counted_program, FAST).run_batch(rows),
                 [0, 1, 2],

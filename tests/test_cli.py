@@ -28,6 +28,38 @@ def program_file(tmp_path):
     return str(path)
 
 
+class TestProgramFileErrors:
+    """A program file that cannot be read or compiled is one ``error:``
+    line naming it and exit 2, for every command that loads one."""
+
+    COMMANDS = [
+        ["compile"],
+        ["prove", "--inputs", "3,4"],
+        ["trace", "--inputs", "3,4", "--no-net"],
+        ["check"],
+    ]
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_missing_file(self, tmp_path, capsys, command):
+        missing = str(tmp_path / "nosuch.zr")
+        assert main([command[0], missing, *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: cannot read program {missing}: No such file or directory\n"
+        )
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_syntax_error(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.zr"
+        path.write_text("input x[2]\noutput y\ny = x[0] *\n")
+        assert main([command[0], str(path), *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot compile program {path}: ")
+        assert captured.err.count("\n") == 1
+
+
 class TestCompileCommand:
     def test_prints_stats(self, program_file, capsys):
         assert main(["compile", program_file]) == 0
