@@ -63,6 +63,20 @@ counter that wraps past 2^32 inside the longest read.  Under
 must beat the loop by ``KEYSTREAM_MIN_SPEEDUP`` at
 ``KEYSTREAM_GATE_BLOCKS`` blocks (one p128 query repetition); the rows
 land in ``BENCH_kernels.json``.  Without numpy the section is skipped.
+Its PRG rows time ``FieldPRG.next_vector`` on Goldilocks at
+``PRG_READ_SIZES`` samples, the per-sample loop against the uint64
+path, from replayed keystream bytes: the sweep behind
+``BULK_MIN_SAMPLES``.  Under ``--check`` the draws must be identical.
+
+Its query-path rows time the schedule, t and the answers at
+``PAPER_PARAMS`` on LCS m = 4, p128 at B = 8 and Goldilocks at B = 1
+(``QUERY_PATH_SHAPES``): the embedded route, 992 full-length queries,
+t over all of them and one inner product per query (the oracle,
+``tests/pcp/query_oracle.py``), against the base-row route,
+``generate_schedule``, ``decommit_challenge`` and
+``CommitmentProver.answer``.  Under ``--check`` t and every answer must
+be equal and the base rows must win by ``QUERY_PATH_MIN_SPEEDUP`` over
+the three stages together; the rows land in ``BENCH_kernels.json``.
 
 Standalone::
 
@@ -134,11 +148,10 @@ BACKEND_SMALL_SIZES = (8, 32, 64, 128, 256)
 #: uint64 ``inner_product`` reaches the scalar loop's speed near 1,024
 #: elements and ``batch_inv`` near 2,048.  Reported, not gated.
 BACKEND_CROSSOVER_SIZES = (512, 1024, 2048, 4096)
-#: the ops the backend sweep times (the keys of ``_bench_backends``' ops)
+#: the ops the backend sweep times (the keys of ``_bench_backends``' ops),
+#: each also on the uint64 kernel alone, whatever length the numpy
+#: backend would route to it from (its crossover against scalar)
 BACKEND_OPS = ("ntt_roundtrip", "hadamard", "inner_product", "batch_inv")
-#: the ops it also times on the uint64 kernel alone, whatever length the
-#: numpy backend would route to it from (its crossover against scalar)
-BACKEND_KERNEL_OPS = ("hadamard", "inner_product", "batch_inv")
 
 #: under --check, the CRT residue-plane batched product must beat the
 #: object-dtype stacked-NTT route it replaces by at least this factor
@@ -217,6 +230,18 @@ KEYSTREAM_BLOCKS = (1, 2, 4, 8, 1332)
 #: that fell back to per-block work)
 KEYSTREAM_MIN_SPEEDUP = 10.0
 KEYSTREAM_GATE_BLOCKS = 1332
+
+#: ``FieldPRG.next_vector`` read lengths (Goldilocks samples) timed on
+#: the per-sample loop and on the uint64 path: the sweep that sets
+#: ``repro.crypto.prg.BULK_MIN_SAMPLES``.  Reported, not gated.
+PRG_READ_SIZES = (1, 4, 8, 16, 32, 128, 666)
+
+#: the query path at the paper's parameters (ρ_lin = 20, ρ = 8, LCS
+#: m = 4): (modulus, batch size) per row, the perfbench workloads' shapes
+QUERY_PATH_SHAPES = (("p128", 8), ("goldilocks", 1))
+#: under --check, the base-row route must beat the embedded queries by
+#: this factor on the schedule, t and answers together
+QUERY_PATH_MIN_SPEEDUP = 2.5
 
 
 def _best_of(fn, reps: int) -> float:
@@ -336,9 +361,9 @@ def _bench_backends(size: int, reps: int, rng: random.Random) -> dict:
 
     One row per vector size (bracketing ``--size``); each op records
     both backends' best-of-``reps`` time, alternating, and whether
-    their outputs are bit-identical.  The ``BACKEND_KERNEL_OPS`` also
-    record the uint64 kernel's own time (``kernel_seconds``), which is
-    what the numpy backend's per-op cutoffs are set from.  Runs
+    their outputs are bit-identical.  Every op also records the uint64
+    kernel's own time (``kernel_seconds``), which is what the numpy
+    backend's per-op cutoffs are set from.  Runs
     scalar-only (with ``numpy_seconds: None``) when numpy is absent.
     """
     scalar_field = PrimeField(GOLDILOCKS, check_prime=False, backend="scalar")
@@ -379,20 +404,22 @@ def _bench_backends(size: int, reps: int, rng: random.Random) -> dict:
                     "scalar_seconds": lambda: op(scalar_field, a, b),
                     "numpy_seconds": lambda: op(numpy_field, a, b),
                 }
-                if name in BACKEND_KERNEL_OPS:
-                    kernel = getattr(numpy_field.backend.u64, name)
+                u64 = numpy_field.backend.u64
+                if name == "ntt_roundtrip":
+                    plan = get_ntt_plan(numpy_field, n)
+                    kernel = lambda: u64.ntt(plan, u64.ntt(plan, a, False), True)  # noqa: E731
+                else:
+                    method = getattr(u64, name)
                     args = (b,) if name == "batch_inv" else (a, b)
-                    routes["kernel_seconds"] = lambda: kernel(*args)
-                    outputs.append(kernel(*args))
+                    kernel = lambda: method(*args)  # noqa: E731
+                routes["kernel_seconds"] = kernel
+                outputs.append(kernel())
                 seconds = {key: float("inf") for key in routes}
                 for _ in range(reps):  # alternate: drift hits both
                     for key, fn in routes.items():
                         seconds[key] = min(seconds[key], _best_of(fn, 1))
                 entry.update(seconds)
-                if "kernel_seconds" in seconds:
-                    entry["kernel_speedup"] = (
-                        seconds["scalar_seconds"] / seconds["kernel_seconds"]
-                    )
+                entry["kernel_speedup"] = seconds["scalar_seconds"] / seconds["kernel_seconds"]
                 scalar_seconds = seconds["scalar_seconds"]
                 numpy_seconds = seconds["numpy_seconds"]
                 entry["speedup"] = (
@@ -792,6 +819,152 @@ def _bench_keystream(reps: int, rng: random.Random) -> list[dict]:
     return rows
 
 
+def _bench_prg_reads(reps: int) -> list[dict]:
+    """``next_vector(n)`` on the per-sample loop vs the uint64 path.
+
+    The keystream is generated before timing and replayed, so a row
+    times what the two paths do with the bytes, not ChaCha20.  The two
+    paths alternate, best of ``reps`` rounds of 20 reads.  Empty
+    without numpy.
+    """
+    if not HAVE_NUMPY:
+        return []
+    from repro.crypto import prg as prg_module
+
+    field = PrimeField(GOLDILOCKS, check_prime=False)
+    saved = prg_module.BULK_MIN_SAMPLES
+    paths = {"loop": 1 << 62, "bulk": 0}
+
+    class Replay:
+        def __init__(self, data: bytes):
+            self.data, self.at = data, 0
+
+        def read(self, n: int) -> bytes:
+            self.at += n
+            return self.data[self.at - n : self.at]
+
+    def reader(n: int, rounds: int):
+        prg = FieldPRG(field, b"bench", "reads")
+        prg._stream = Replay(FieldPRG(field, b"bench").next_bytes(16 * n * rounds))
+        return prg
+
+    rows = []
+    try:
+        for n in PRG_READ_SIZES:
+            drawn, seconds = {}, {path: float("inf") for path in paths}
+            for _ in range(reps):
+                for path, cutoff in paths.items():
+                    prg_module.BULK_MIN_SAMPLES = cutoff
+                    prg = reader(n, 21)
+                    drawn[path] = prg.next_vector(n)
+                    seconds[path] = min(seconds[path], _best_of(lambda: prg.next_vector(n), 20))
+            rows.append(
+                {
+                    "samples": n,
+                    "loop_seconds": seconds["loop"],
+                    "bulk_seconds": seconds["bulk"],
+                    "bulk_speedup": seconds["loop"] / seconds["bulk"],
+                    "bit_identical": drawn["loop"] == drawn["bulk"],
+                }
+            )
+    finally:
+        prg_module.BULK_MIN_SAMPLES = saved
+    return rows
+
+
+def _bench_query_path(reps: int, rng: random.Random) -> list[dict]:
+    """The query path at the paper's parameters: embedded queries vs base rows.
+
+    One row per ``QUERY_PATH_SHAPES`` entry, LCS m = 4 at
+    ``PAPER_PARAMS``: the schedule, t and B instances' answers, timed
+    stage by stage on each route, the routes alternating, best of
+    ``reps`` per stage.  The embedded route is the oracle
+    (``tests/pcp/query_oracle.py``): 992 full-length queries, t over all
+    of them and one inner product per query.  The base-row route is
+    ``generate_schedule``, ``CommitmentVerifier.decommit_challenge`` and
+    ``CommitmentProver.answer``.  Both use one r, one α per query (the
+    verifier's) and the same proof vectors.  Enc(r) is not on this path
+    and is not timed.  Empty without numpy: the gate measures the numpy
+    kernels.
+    """
+    if not HAVE_NUMPY:
+        return []
+    from repro.apps import LCS
+    from repro.crypto import CommitmentProver, CommitmentVerifier, group_for_field
+    from repro.pcp import PAPER_PARAMS
+    from repro.pcp import zaatar as zaatar_pcp
+    from repro.qap import build_qap
+    from tests.pcp import query_oracle
+
+    seed = b"bench-query-path"
+    rows = []
+    for name, batch in QUERY_PATH_SHAPES:
+        field = PrimeField(NAMED_FIELDS[name], check_prime=False, backend="numpy")
+        qap = build_qap(LCS.compile(field, {"m": 4}).quadratic)
+        group = group_for_field(field)
+        r = [rng.randrange(field.p) for _ in range(qap.proof_vector_length)]
+        us = [[rng.randrange(field.p) for _ in r] for _ in range(batch)]
+
+        def verifier():
+            made = CommitmentVerifier(field, group, len(r), FieldPRG(field, seed, "c"))
+            made._r = r  # Enc(r) is not on the query path
+            return made
+
+        def base_rows(clock):
+            start = time.perf_counter()
+            prg = FieldPRG(field, seed, "queries")
+            schedule = zaatar_pcp.generate_schedule(qap, PAPER_PARAMS, prg)
+            made = verifier()
+            scheduled = time.perf_counter()
+            challenge = made.decommit_challenge(schedule.basis)
+            folded = time.perf_counter()
+            answers = [CommitmentProver(field, group, u).answer(challenge).answers for u in us]
+            done = time.perf_counter()
+            for stage, seconds in zip(
+                ("schedule", "t", "answers"), (scheduled - start, folded - scheduled, done - folded)
+            ):
+                clock[stage] = min(clock.get(stage, float("inf")), seconds)
+            return challenge.t, answers, made._alphas
+
+        alphas = base_rows({})[2]
+
+        def embedded(clock):
+            start = time.perf_counter()
+            prg = FieldPRG(field, seed, "queries")
+            queries = query_oracle.embedded_queries(qap, PAPER_PARAMS, prg)
+            scheduled = time.perf_counter()
+            t = query_oracle.consistency_query(field, r, alphas, queries)
+            folded = time.perf_counter()
+            answers = [query_oracle.answers(field, queries, t, u) for u in us]
+            done = time.perf_counter()
+            for stage, seconds in zip(
+                ("schedule", "t", "answers"), (scheduled - start, folded - scheduled, done - folded)
+            ):
+                clock[stage] = min(clock.get(stage, float("inf")), seconds)
+            return t, answers, alphas
+
+        clocks = {"embedded": {}, "base_rows": {}}
+        outputs = {}
+        for _ in range(max(reps, 2)):  # alternate: drift hits both
+            outputs["embedded"] = embedded(clocks["embedded"])
+            outputs["base_rows"] = base_rows(clocks["base_rows"])
+        totals = {route: sum(clock.values()) for route, clock in clocks.items()}
+        rows.append(
+            {
+                "modulus": name,
+                "batch": batch,
+                "queries": len(alphas),
+                "embedded_seconds": clocks["embedded"],
+                "base_rows_seconds": clocks["base_rows"],
+                "embedded_total_seconds": totals["embedded"],
+                "base_rows_total_seconds": totals["base_rows"],
+                "speedup": totals["embedded"] / totals["base_rows"],
+                "bit_identical": outputs["embedded"][:2] == outputs["base_rows"][:2],
+            }
+        )
+    return rows
+
+
 def run_bench(size: int, reps: int) -> dict:
     rng = random.Random(0xC0DE)
     out = {
@@ -804,6 +977,8 @@ def run_bench(size: int, reps: int) -> dict:
         "commitment": _bench_commitment(reps, rng),
         "decryption": _bench_decryption(reps, rng),
         "keystream": _bench_keystream(reps, rng),
+        "prg_reads": _bench_prg_reads(reps),
+        "query_path": _bench_query_path(reps, rng),
     }
     for label, row in out.items():
         if label == "backends":
@@ -915,6 +1090,21 @@ def check(results: dict) -> list[str]:
                 f"{where}: kernel only {row['speedup']:.2f}x over the "
                 f"per-block loop (need {KEYSTREAM_MIN_SPEEDUP}x)"
             )
+    for row in results["prg_reads"]:
+        if not row["bit_identical"]:
+            failures.append(
+                f"prg reads: {row['samples']} samples differ between the "
+                "per-sample loop and the uint64 path"
+            )
+    for row in results["query_path"]:
+        where = f"query path: {row['modulus']} B={row['batch']} ({row['queries']} queries)"
+        if not row["bit_identical"]:
+            failures.append(f"{where}: t or answers differ from the embedded queries")
+        if row["speedup"] < QUERY_PATH_MIN_SPEEDUP:
+            failures.append(
+                f"{where}: base rows only {row['speedup']:.2f}x over the "
+                f"embedded queries (need {QUERY_PATH_MIN_SPEEDUP}x)"
+            )
     product = results["batch"]["product"]
     if product is not None:
         if not product["bit_identical"]:
@@ -1011,6 +1201,53 @@ def _report(results: dict) -> None:
         print_table(
             "ChaCha20 keystream: per-block loop vs multi-block kernel",
             ["read", "loop", "kernel", "speedup", "identical"],
+            rows,
+        )
+
+    if results["prg_reads"]:
+        rows = [
+            [
+                f"{row['samples']} samples",
+                fmt_seconds(row["loop_seconds"]),
+                fmt_seconds(row["bulk_seconds"]),
+                f"{row['bulk_speedup']:.2f}x",
+                "yes" if row["bit_identical"] else "NO",
+            ]
+            for row in results["prg_reads"]
+        ]
+        print()
+        print_table(
+            "FieldPRG.next_vector (goldilocks): per-sample loop vs uint64 path",
+            ["read", "loop", "uint64", "speedup", "identical"],
+            rows,
+        )
+
+    if results["query_path"]:
+        rows = []
+        for row in results["query_path"]:
+            for stage in ("schedule", "t", "answers"):
+                rows.append(
+                    [
+                        f"{row['modulus']} B={row['batch']} {stage}",
+                        fmt_seconds(row["embedded_seconds"][stage]),
+                        fmt_seconds(row["base_rows_seconds"][stage]),
+                        f"{row['embedded_seconds'][stage] / row['base_rows_seconds'][stage]:.2f}x",
+                        "",
+                    ]
+                )
+            rows.append(
+                [
+                    f"{row['modulus']} B={row['batch']} total",
+                    fmt_seconds(row["embedded_total_seconds"]),
+                    fmt_seconds(row["base_rows_total_seconds"]),
+                    f"{row['speedup']:.2f}x",
+                    "yes" if row["bit_identical"] else "NO",
+                ]
+            )
+        print()
+        print_table(
+            "query path at PAPER_PARAMS (LCS m=4): embedded queries vs base rows",
+            ["stage", "embedded", "base rows", "speedup", "identical"],
             rows,
         )
 

@@ -440,7 +440,7 @@ def _drive_session(
     if resume is not None:
         resume.challenge_sent = True
     key = query_key(config.seed).hex()
-    t = hex_list(challenge.queries[-1])
+    t = hex_list(challenge.t)
     send_frame(sock, {"type": "challenge", "key": key, "t": t})
     answers_frame = expect(recv_frame(sock), "answers")
     answers_msg = require(answers_frame, "instances")

@@ -32,7 +32,12 @@ from ..crypto import (
     SchnorrGroup,
     group_for_field,
 )
-from ..crypto.commitment import CommitRequest, DecommitChallenge, DecommitResponse
+from ..crypto.commitment import (
+    CommitRequest,
+    DecommitChallenge,
+    DecommitResponse,
+    QueryBasis,
+)
 from ..pcp import SoundnessParams, TEST_PARAMS
 from ..pcp import ginger as ginger_pcp
 from ..pcp import zaatar as zaatar_pcp
@@ -357,16 +362,16 @@ class ZaatarProver:
         return results
 
     def answer(self, challenge: DecommitChallenge) -> list[list[int]]:
-        """Step two: π(q) for every query of ``challenge`` (t last), per
-        committed instance in batch order; raises before any commit."""
+        """Step two: π(q) for every query of ``challenge`` (π(t) last), per
+        committed instance in batch order, each from one product of the
+        base rows per half of u; raises before any commit."""
         if not self.committed:
             raise ProtocolViolation("answer before commit: no instance is committed")
         answers = []
         for index, stats, u in self.committed:
             with PhaseTimer(stats).phase("answer_queries", index=index):
                 if self.group is None:
-                    inner = self.field.inner_product
-                    answers.append([inner(q, u) for q in challenge.queries])
+                    answers.append(challenge.basis.answer(u))
                 else:
                     prover = CommitmentProver(self.field, self.group, u)
                     answers.append(prover.answer(challenge).answers)
@@ -419,15 +424,15 @@ class ZaatarArgument:
         def _generate():
             schedule = zaatar_pcp.generate_schedule(self.qap, cfg.params, prg)
             if not cfg.use_commitment:
-                return schedule, None, None, DecommitChallenge(schedule.queries)
+                return schedule, None, None, DecommitChallenge(schedule.basis)
             commitment_verifier = CommitmentVerifier(
                 self.field,
                 cfg.group(self.field),
-                len(schedule.queries[0]),
+                self.qap.proof_vector_length,
                 FieldPRG(self.field, cfg.seed, "commitment"),
             )
             request = commitment_verifier.commit_request()
-            challenge = commitment_verifier.decommit_challenge(schedule.queries)
+            challenge = commitment_verifier.decommit_challenge(schedule.basis)
             return schedule, commitment_verifier, request, challenge
 
         if timer is None:
@@ -528,17 +533,19 @@ class GingerArgument:
         with timer.phase("query_setup"):
             prg = FieldPRG(self.field, cfg.seed, "ginger-queries")
             schedule = ginger_pcp.generate_schedule(gsys, cfg.params, prg)
+            # Ginger's queries are flat: each is its own full-length base row
+            basis = QueryBasis.flat(self.field, schedule.queries)
             commitment_verifier = None
             request = challenge = None
             if cfg.use_commitment:
                 commitment_verifier = CommitmentVerifier(
                     self.field,
                     cfg.group(self.field),
-                    len(schedule.queries[0]),
+                    ginger_pcp.proof_length(gsys),
                     FieldPRG(self.field, cfg.seed, "ginger-commitment"),
                 )
                 request = commitment_verifier.commit_request()
-                challenge = commitment_verifier.decommit_challenge(schedule.queries)
+                challenge = commitment_verifier.decommit_challenge(basis)
 
         results: list[InstanceResult] = []
         batch = BatchStats(batch_size=len(batch_inputs), verifier=verifier_stats)
@@ -560,8 +567,7 @@ class GingerArgument:
                             response = prover.answer(challenge)
                     else:
                         with ptimer.phase("answer_queries"):
-                            inner = self.field.inner_product
-                            pcp_answers = [inner(q, vector) for q in schedule.queries]
+                            pcp_answers = basis.answer(vector)
                 with timer.phase("per_instance"):
                     if cfg.use_commitment:
                         commit_ok = commitment_verifier.verify(commitment, response)

@@ -373,8 +373,7 @@ class _SessionSteps:
         with telemetry.span("prover.schedule"):
             prg = FieldPRG.from_key(prover.field, key)
             schedule = zaatar_pcp.generate_schedule(prover.qap, params, prg)
-        # the schedule's lists are shared, not copied: answering only reads them
-        answers = prover.answer(DecommitChallenge([*schedule.queries, t]))
+        answers = prover.answer(DecommitChallenge(schedule.basis, t))
         return [hex_list(values) for values in answers]
 
 

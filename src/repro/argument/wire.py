@@ -159,9 +159,9 @@ def transport_costs(
         tally.send_p_to_v("commitment e", len(commitment_bytes[-1]))
 
     # --- V → P, decommit: the queries and t, once per batch ---------------
-    t = challenge.queries[-1]
+    t = challenge.t
     if mode == "full":
-        for q in challenge.queries:
+        for q in [*schedule.queries(), t]:
             tally.send_v_to_p("queries", len(encode_elements(field, q)))
         received = challenge
     else:
@@ -174,8 +174,8 @@ def transport_costs(
             argument.qap, cfg.params, FieldPRG.from_key(field, key)
         )
         # prover-side rederivation must agree with the verifier's schedule
-        assert prover_schedule.queries == schedule.queries
-        received = DecommitChallenge([*prover_schedule.queries, t])
+        assert prover_schedule.basis.same_rows(schedule.basis)
+        received = DecommitChallenge(prover_schedule.basis, t)
 
     # --- P → V, per instance: the answers; V decodes and checks ------------
     all_ok = True

@@ -7,6 +7,7 @@ from .commitment import (
     CommitRequest,
     DecommitChallenge,
     DecommitResponse,
+    QueryBasis,
     run_commitment_round,
 )
 from .elgamal import (
@@ -41,6 +42,7 @@ __all__ = [
     "GROUP_P128_1024",
     "GROUP_P128_512",
     "GROUP_P220_1024",
+    "QueryBasis",
     "SchnorrGroup",
     "chacha20_block",
     "chacha20_blocks",

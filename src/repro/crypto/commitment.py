@@ -9,7 +9,8 @@ argument (§2.2, "Linear commitment"):
    answer as a different function without guessing r).
 2. **Multidecommit.**  V sends the PCP queries q_1..q_μ in the clear
    plus a consistency query t = r + Σ αᵢ·qᵢ for secret random αᵢ.
-   P answers every query by inner product with its proof vector.
+   P answers every query by inner product with its proof vector
+   (:class:`QueryBasis`: each base row once, then the sums).
    V decrypts e to g^(π(r)) and accepts the answers only if
 
        g^(π(t) − Σ αᵢ·π(qᵢ)) == g^(π(r)).
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .. import telemetry
-from ..field import PrimeField
+from ..field import PrimeField, WordRows
 from .elgamal import (
     ElGamalCiphertext,
     ElGamalKeypair,
@@ -48,11 +49,95 @@ class CommitRequest:
     ciphertexts: list[ElGamalCiphertext]
 
 
+@dataclass(eq=False)
+class QueryBasis:
+    """PCP queries as sums of base rows, each row on one side of u.
+
+    u is cut into consecutive sides of ``lengths`` (z and h for
+    Zaatar); ``sides[s]`` holds the base rows of side s (int lists, or
+    :class:`WordRows`), and query i is the sum of the base rows
+    ``recipes[i]`` names, by their index in the concatenation of the
+    sides, and zero on every other side.  A Zaatar query is one fresh
+    linearity row or the sum of two rows on z or on h (§A.2); a flat
+    query list is one side whose every row is its own query
+    (:meth:`flat`).  Nothing here builds a full-length query unless
+    :meth:`queries` is asked to.
+    """
+
+    field: PrimeField
+    lengths: tuple[int, ...]
+    sides: tuple
+    recipes: list[tuple[int, ...]]
+
+    @classmethod
+    def flat(cls, field: PrimeField, queries: Sequence[Sequence[int]]) -> "QueryBasis":
+        """Each of ``queries`` as its own full-length base row."""
+        length = len(queries[0]) if queries else 0
+        return cls(field, (length,), (queries,), [(i,) for i in range(len(queries))])
+
+    @property
+    def num_queries(self) -> int:
+        """How many queries the recipes make."""
+        return len(self.recipes)
+
+    def answer(self, u: Sequence[int]) -> list[int]:
+        """π(q) for every query, in recipe order: one ``mat_vec`` of
+        each side's base rows with its slice of u, then one addition per
+        derived answer."""
+        base: list[int] = []
+        offset = 0
+        for rows, length in zip(self.sides, self.lengths):
+            base += self.field.mat_vec(rows, u[offset : offset + length])
+            offset += length
+        p = self.field.p
+        return [
+            base[r[0]] if len(r) == 1 else sum(base[j] for j in r) % p
+            for r in self.recipes
+        ]
+
+    def fold(self, coeffs: Sequence[int]) -> list[list[int]]:
+        """Per side, each base row's Σ of ``coeffs[i]`` over the queries
+        i that name it, reduced: Σ cᵢ·qᵢ is these times the rows."""
+        folded = [0] * sum(len(rows) for rows in self.sides)
+        for c, recipe in zip(coeffs, self.recipes):
+            for j in recipe:
+                folded[j] += c
+        p = self.field.p
+        out, start = [], 0
+        for rows in self.sides:
+            out.append([c % p for c in folded[start : start + len(rows)]])
+            start += len(rows)
+        return out
+
+    def queries(self) -> list[list[int]]:
+        """Every query as a full-length vector (for oracles, tests and
+        the full transport's byte count)."""
+        embedded = []
+        offset, total = 0, sum(self.lengths)
+        for rows, length in zip(self.sides, self.lengths):
+            for row in rows:
+                embedded.append([0] * offset + list(row) + [0] * (total - offset - length))
+            offset += length
+        p = self.field.p
+        return [
+            [sum(column) % p for column in zip(*(embedded[j] for j in recipe))]
+            for recipe in self.recipes
+        ]
+
+    def same_rows(self, other: "QueryBasis") -> bool:
+        """Whether ``other`` has these sides, base rows and recipes."""
+        if self.lengths != other.lengths or self.recipes != other.recipes:
+            return False
+        return all(list(a) == list(b) for a, b in zip(self.sides, other.sides))
+
+
 @dataclass
 class DecommitChallenge:
-    """V → P: the PCP queries plus the consistency query t (last)."""
+    """V → P: the PCP queries, as base rows, and the consistency query t
+    (None without the commitment layer)."""
 
-    queries: list[list[int]]
+    basis: QueryBasis
+    t: list[int] | None = None
 
 
 @dataclass
@@ -100,17 +185,33 @@ class CommitmentVerifier:
 
     # -- phase 2: decommit --------------------------------------------------------
 
-    def decommit_challenge(self, queries: Sequence[Sequence[int]]) -> DecommitChallenge:
-        """Append the consistency query t = r + Σ αᵢ·qᵢ to the PCP queries."""
+    def decommit_challenge(self, basis: QueryBasis) -> DecommitChallenge:
+        """The PCP queries and the consistency query t = r + Σ αᵢ·qᵢ.
+
+        Each αᵢ is folded onto the base rows its query sums, so t is
+        r plus one ``vec_lincomb`` of each side's base rows.
+        """
         if self._r is None:
             raise RuntimeError("commit_request must run before decommit")
-        self._alphas = self._prg.next_vector(len(queries))
-        for q in queries:
-            if len(q) != self.n:
-                raise ValueError(f"query length {len(q)} != vector length {self.n}")
-        t = self.field.vec_lincomb(self._r, self._alphas, queries)
-        # the challenge shares the caller's query lists; nothing mutates them
-        return DecommitChallenge([*queries, t])
+        total = sum(basis.lengths)
+        for rows, length in zip(basis.sides, basis.lengths):
+            widths = [rows.width] if isinstance(rows, WordRows) else list(map(len, rows))
+            for width in [length, *widths]:
+                # a row of one side stands for a query this long
+                if width + total - length != self.n:
+                    raise ValueError(
+                        f"query length {width + total - length} != vector length {self.n}"
+                    )
+        self._alphas = self._prg.next_vector(basis.num_queries)
+        t: list[int] = []
+        offset = 0
+        for rows, length, coeffs in zip(
+            basis.sides, basis.lengths, basis.fold(self._alphas)
+        ):
+            t += self.field.vec_lincomb(self._r[offset : offset + length], coeffs, rows)
+            offset += length
+        # the challenge shares the caller's base rows; nothing mutates them
+        return DecommitChallenge(basis, t)
 
     def verify(self, commitment: ElGamalCiphertext, response: DecommitResponse) -> bool:
         """Consistency test in the exponent; True iff the answers bind to
@@ -154,8 +255,10 @@ class CommitmentProver:
         return homomorphic_inner_product(self.group, request.ciphertexts, self.u)
 
     def answer(self, challenge: DecommitChallenge) -> DecommitResponse:
-        """π applied to every challenge query by inner product."""
-        answers = [self.field.inner_product(q, self.u) for q in challenge.queries]
+        """π applied to every challenge query, from its base rows'
+        answers, then π(t)."""
+        answers = challenge.basis.answer(self.u)
+        answers.append(self.field.inner_product(challenge.t, self.u))
         telemetry.count("crypto.decommit_answers", len(answers))
         return DecommitResponse(answers)
 
@@ -163,7 +266,7 @@ class CommitmentProver:
 def run_commitment_round(
     verifier: CommitmentVerifier,
     prover: CommitmentProver,
-    queries: Sequence[Sequence[int]],
+    queries: QueryBasis,
 ) -> tuple[bool, list[int]]:
     """Drive one full Commit + Multidecommit exchange.
 

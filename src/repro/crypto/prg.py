@@ -21,6 +21,11 @@ try:  # pragma: no cover - exercised via the no-numpy CI job
 except ImportError:  # pragma: no cover
     _np = None
 
+#: reads of fewer samples than this take the per-sample loop even when
+#: the uint64 path applies: that path costs a few µs per read, so it
+#: loses below about 16 samples (``bench_kernels.py``'s PRG rows)
+BULK_MIN_SAMPLES = 16
+
 
 class FieldPRG:
     """Draws uniform elements of a prime field by rejection sampling."""
@@ -36,6 +41,15 @@ class FieldPRG:
         self._sample_bytes = (field.p.bit_length() + 7) // 8
         self._mask = (1 << (self._sample_bytes * 8)) - 1
         self._limit = self._mask + 1 - ((self._mask + 1) % field.p)
+        # when a sample is whole 64-bit words and the limit is p itself,
+        # an accepted sample is already canonical: its words are p's
+        # words compared most significant first (see ``next_words``)
+        words, rest = divmod(self._sample_bytes, 8)
+        self._p_words = (
+            [(field.p >> (64 * j)) & (2**64 - 1) for j in reversed(range(words))]
+            if _np is not None and not rest and self._limit == field.p
+            else None
+        )
 
     @classmethod
     def from_key(cls, field: PrimeField, key: bytes) -> "FieldPRG":
@@ -64,6 +78,32 @@ class FieldPRG:
         in one keystream read (plus one per refill)."""
         return self._samples(n, self._sample_bytes, self._limit, self.field.p)
 
+    def next_words(self, n: int):
+        """n uniform elements as an (n, w) uint64 array of each one's w
+        little-endian 64-bit words, drawn and rejected exactly as
+        ``next_vector(n)`` draws them, with no int in between.
+
+        None without numpy, or when an accepted sample still needs a
+        reduction: the sample is not whole words, or the rejection limit
+        is a multiple of p above p itself (p220's is 16·p).
+        """
+        if self._p_words is None:
+            return None
+        w = len(self._p_words)
+        parts, got = [_np.empty((0, w), dtype=_np.uint64)], 0
+        while got < n:
+            data = self._stream.read((n - got) * 8 * w)
+            raw = _np.frombuffer(data, dtype="<u8").reshape(-1, w)
+            below = _np.zeros(len(raw), dtype=bool)
+            equal = _np.ones(len(raw), dtype=bool)
+            for j, limit in zip(reversed(range(w)), self._p_words):
+                word = raw[:, j]
+                below |= equal & (word < _np.uint64(limit))
+                equal &= word == _np.uint64(limit)
+            parts.append(raw[below])
+            got += len(parts[-1])
+        return _np.concatenate(parts)
+
     def next_bytes(self, n: int) -> bytes:
         """Raw keystream bytes (for non-field randomness)."""
         return self._stream.read(n)
@@ -87,16 +127,16 @@ class FieldPRG:
         Samples are accepted in stream order while below ``limit``.  When
         some are rejected, only the shortfall is read again, so this
         consumes exactly the bytes n one-at-a-time draws would.  With
-        numpy, 8-byte samples (57- to 64-bit moduli, Goldilocks among
-        them) are accepted and reduced as one uint64 array per read.
+        numpy, reads of at least :data:`BULK_MIN_SAMPLES` 8-byte samples
+        (57- to 64-bit moduli, Goldilocks among them) are accepted and
+        reduced as one uint64 array.
         """
         out: list[int] = []
         from_bytes = int.from_bytes
-        bulk = width == 8 and _np is not None
         while len(out) < n:
             size = (n - len(out)) * width
             data = self._stream.read(size)
-            if bulk:
+            if width == 8 and _np is not None and n - len(out) >= BULK_MIN_SAMPLES:
                 raw = _np.frombuffer(data, dtype="<u8")
                 if limit < 1 << 64:  # a power-of-two bound rejects nothing
                     raw = raw[raw < _np.uint64(limit)]

@@ -6,6 +6,8 @@ from .backend import (
     FieldBackend,
     NumpyBackend,
     ScalarBackend,
+    WordRows,
+    element_words,
     resolve_backend,
 )
 from .counting import CountingField, counting_field
@@ -30,6 +32,8 @@ __all__ = [
     "PLANE_TWO_ADICITY",
     "mat_polymul_crt",
     "ScalarBackend",
+    "WordRows",
+    "element_words",
     "resolve_backend",
     "FieldParams",
     "GOLDILOCKS",

@@ -23,10 +23,12 @@ Two backends exist:
     reduction);
   - every other modulus (the 128/192/220-bit fields, and any modulus
     a user supplies) runs transforms as butterflies over
-    ``object``-dtype arrays and batched polynomial products on CRT
-    residue planes (``repro.field.crt``); its elementwise ops, dot
-    products and inversions stay on the scalar kernels, which measure
-    faster than object arrays there.
+    ``object``-dtype arrays, batched polynomial products on CRT
+    residue planes (``repro.field.crt``), and ``mat_vec`` and
+    ``vec_lincomb`` over :class:`WordRows` as exact uint64 limb
+    products; its other elementwise ops, dot products and inversions
+    stay on the scalar kernels, which measure faster than object
+    arrays there.
 
 Selection order: an explicit ``PrimeField(backend=...)`` argument, the
 ``REPRO_FIELD_BACKEND`` environment variable (``scalar`` / ``numpy`` /
@@ -66,6 +68,7 @@ from __future__ import annotations
 import os
 import threading
 import warnings
+from collections import abc
 from operator import mul
 from typing import Sequence
 
@@ -90,6 +93,70 @@ class _ScalarFallback(Exception):
     """Internal: a numpy kernel declining an input it cannot handle
     exactly (non-canonical or unconvertible values); the dispatching
     backend retries on the scalar kernel, which is tolerant."""
+
+
+def element_words(p: int) -> int:
+    """64-bit words per element of the field of modulus ``p``."""
+    return (p.bit_length() + 63) // 64
+
+
+class WordRows(abc.Sequence):
+    """Equal-length rows of field elements held as one uint64 array.
+
+    ``words`` has shape (rows, n, w): each element's w little-endian
+    64-bit words.  A keystream draw whose accepted samples are already
+    canonical yields this layout with no int in between
+    (``FieldPRG.next_words``), and it is the layout the numpy limb
+    kernels (``mat_vec``, ``vec_lincomb``) read.  To every other reader
+    it is a sequence of int lists, built once on first use.
+    """
+
+    __slots__ = ("words", "_lists")
+
+    def __init__(self, words):
+        self.words = words
+        self._lists: list[list[int]] | None = None
+
+    @classmethod
+    def from_ints(cls, rows: Sequence[Sequence[int]], w: int) -> "WordRows":
+        """Equal-length rows of non-negative ints below 2^(64w) as words."""
+        shape = (len(rows), len(rows[0]) if rows else 0, w)
+        if w == 1:
+            return cls(_np.asarray(rows, dtype=_np.uint64).reshape(shape))
+        width = 8 * w
+        data = b"".join(v.to_bytes(width, "little") for row in rows for v in row)
+        return cls(_np.frombuffer(data, dtype="<u8").reshape(shape))
+
+    @classmethod
+    def stack(cls, parts: Sequence["WordRows"]) -> "WordRows":
+        """The rows of ``parts``, in order, as one block."""
+        return cls(_np.concatenate([part.words for part in parts]))
+
+    @property
+    def width(self) -> int:
+        """Elements per row."""
+        return self.words.shape[1]
+
+    def __len__(self) -> int:
+        return self.words.shape[0]
+
+    def __getitem__(self, index):
+        return self.lists()[index]
+
+    def lists(self) -> list[list[int]]:
+        """The rows as int lists (built on the first call, then kept)."""
+        if self._lists is None:
+            count, n, w = self.words.shape
+            if w == 1:
+                self._lists = self.words[:, :, 0].tolist()
+            else:
+                data, width = self.words.tobytes(), 8 * w
+                flat = [
+                    int.from_bytes(data[i : i + width], "little")
+                    for i in range(0, len(data), width)
+                ]
+                self._lists = [flat[i * n : (i + 1) * n] for i in range(count)]
+        return self._lists
 
 
 class FieldBackend:
@@ -205,6 +272,13 @@ class ScalarBackend(FieldBackend):
         for x, y in zip(a, b):
             acc += x * y
         return acc % self.p
+
+    def mat_vec(self, rows, v: Sequence[int]) -> list[int]:
+        """<row, v> per row: the products summed as Python ints, one
+        ``% p`` per row."""
+        self._tick_batch(len(rows), len(rows) * len(v))
+        p = self.p
+        return [sum(map(mul, row, v)) % p for row in rows]
 
     def batch_inv(self, values: Sequence[int]) -> list[int]:
         """Montgomery's trick: one inversion + 3n sequential muls."""
@@ -345,6 +419,10 @@ class _GoldilocksKernel:
 
     def _load_mat(self, rows, *, canonical: bool):
         """List of equal-length rows → (batch × n) uint64 array."""
+        if isinstance(rows, WordRows):  # one word per element, canonical
+            if rows.words.shape[2] != 1:
+                raise _ScalarFallback()
+            return rows.words[:, :, 0]
         arr = self._load(rows, canonical=canonical)
         if arr.ndim != 2:
             raise _ScalarFallback()
@@ -381,6 +459,28 @@ class _GoldilocksKernel:
         for row in terms.transpose(0, 2, 1).reshape(8, n):
             t = self.addmod(t, row)
         return t.tolist()
+
+    def mat_vec(self, rows, v):
+        """<row, v> per row from eight exact sums per row.
+
+        The transpose of :meth:`vec_lincomb`'s product: each row element
+        is split into four 16-bit limbs and each vᵢ into its two 32-bit
+        halves, one integer matrix product sums limb k × half h along
+        every row (below n·2^48, so no wrap for n < 2^16), and
+        ``mulmod`` weighs the sums by 2^(16k + 32h) mod p.
+        """
+        m = self._load_mat(rows, canonical=False)
+        count, n = m.shape
+        if n >= 1 << 16:
+            raise _ScalarFallback()
+        limbs = _np.ascontiguousarray(m).view("<u2").reshape(count, n, 4)
+        halves = self._load(v, canonical=False).view("<u4").reshape(n, 2)
+        sums = limbs.transpose(0, 2, 1) @ halves.astype(_np.uint64)  # (count, 4, 2)
+        terms = self.mulmod(sums, self.limb_weights[:, 0, :]).reshape(count, 8)
+        out = terms[:, 0]
+        for k in range(1, 8):
+            out = self.addmod(out, terms[:, k])
+        return out.tolist()
 
     def hadamard(self, a, b):
         return self.mulmod(self._load(a, canonical=False), self._load(b, canonical=False)).tolist()
@@ -558,6 +658,75 @@ class _GoldilocksKernel:
         return _np.concatenate(parts or [a[:, :0]], axis=1).tolist()
 
 
+def _int_words(values: Sequence[int], w: int):
+    """Non-negative ints below 2^(64w) → an (n, w) uint64 word array."""
+    width = 8 * w
+    try:
+        data = b"".join(v.to_bytes(width, "little") for v in values)
+    except (OverflowError, AttributeError, TypeError) as exc:
+        raise _ScalarFallback() from exc
+    return _np.frombuffer(data, dtype="<u8").reshape(len(values), w)
+
+
+def _limb_values(sums) -> list[int]:
+    """The exact integers Σ sums[..., k, h]·2^(16k + 32h), one per
+    leading index.  Sums of equal weight are added first, then carried
+    into 16-bit digits, and each row of digits becomes one Python int.
+    The callers keep every sum below 2^63 / (2w), so neither the adds
+    nor a carry can wrap."""
+    limbs, halves = sums.shape[-2:]
+    sums = sums.reshape(-1, limbs, halves)
+    count, width = sums.shape[0], limbs + 2 * (halves - 1)
+    shifted = _np.zeros((count, width), dtype=_np.uint64)
+    for h in range(halves):
+        shifted[:, 2 * h : 2 * h + limbs] += sums[:, :, h]
+    digits = _np.empty((count, width + 4), dtype=_np.uint16)
+    carry = _np.zeros(count, dtype=_np.uint64)
+    for s in range(width):
+        total = shifted[:, s] + carry
+        digits[:, s] = total & _np.uint64(0xFFFF)
+        carry = total >> _np.uint64(16)
+    digits[:, width:] = carry.astype("<u8").view("<u2").reshape(count, 4)
+    data, step = digits.astype("<u2", copy=False).tobytes(), 2 * (width + 4)
+    return [int.from_bytes(data[i : i + step], "little") for i in range(0, len(data), step)]
+
+
+class _LimbKernel:
+    """Exact products of multi-word elements, for every modulus.
+
+    Operands held as :class:`WordRows` are split into 16-bit limbs or
+    32-bit halves by viewing their words, with no int conversion; one
+    integer matrix product (numpy's own loop, not BLAS) sums limb k ×
+    half h, and each output's sums are recombined as one Python int
+    and reduced once.  A limb × half product is below 2^48, so the
+    sums stay exact while the summed length times the 2w halves stays
+    below 2^15.
+    """
+
+    def __init__(self, p: int):
+        self.p = p
+        self.w = element_words(p)
+
+    def mat_vec(self, rows: WordRows, v):
+        count, n, w = rows.words.shape
+        if w != self.w or n * 2 * w >= 1 << 15:
+            raise _ScalarFallback()
+        limbs = _np.ascontiguousarray(rows.words).view("<u2")  # (count, n, 4w)
+        halves = _int_words(v, w).view("<u4").astype(_np.uint64)  # (n, 2w)
+        p = self.p
+        return [x % p for x in _limb_values(limbs.transpose(0, 2, 1) @ halves)]
+
+    def vec_lincomb(self, a, coeffs, rows: WordRows):
+        count, n, w = rows.words.shape
+        if w != self.w or count * 2 * w >= 1 << 15:
+            raise _ScalarFallback()
+        limbs = _int_words(coeffs, w).view("<u2").T.astype(_np.uint64)  # (4w, count)
+        halves = _np.ascontiguousarray(rows.words).view("<u4").reshape(count, n * 2 * w)
+        sums = (limbs @ halves).reshape(4 * w, n, 2 * w).transpose(1, 0, 2)
+        p = self.p
+        return [(x + y) % p for x, y in zip(a, _limb_values(sums))]
+
+
 class _ObjectKernel:
     """Transforms for every modulus without a uint64 kernel.
 
@@ -667,8 +836,19 @@ class NumpyBackend(FieldBackend):
     #: ``vec_lincomb`` counts μ rows × n columns: 0.88× at 56 × 12,
     #: 1.11× at 56 × 18 and 2.6× at 56 × 666 (interleaved best of 25)
     MIN_LINCOMB = 1024
-    #: below this transform size the scalar butterflies win
+    #: ``mat_vec`` counts rows × n elements, like ``MIN_LINCOMB``
+    MIN_MAT_VEC = 1024
+    #: below this transform size the scalar butterflies beat the object
+    #: butterflies
     MIN_NTT = 64
+    #: below this many points, counting every row of a stacked
+    #: transform, they beat the uint64 butterflies: one round trip runs
+    #: at 0.35× at 64 points, 0.63× at 128 and 1.26–1.39× at 256
+    #: (``bench_kernels.py``'s backend sweep, uint64 kernel alone), and
+    #: a stack crosses over near 256 points whatever its row length
+    #: (8 × 8 0.40×, 16 × 8 0.91×, 32 × 8 1.21×, 3 × 64 0.87×,
+    #: 8 × 64 1.96×)
+    MIN_NTT_U64 = 256
 
     def __init__(self, p: int):
         if not HAVE_NUMPY:
@@ -679,13 +859,25 @@ class NumpyBackend(FieldBackend):
         self.u64 = _GoldilocksKernel() if p == _GOLDILOCKS_P else None
         #: the kernel that runs transforms
         self.kernel = self.u64 or _ObjectKernel(p)
+        #: the products over :class:`WordRows` of any other modulus
+        self.limbs = _LimbKernel(p) if self.u64 is None else None
 
-    def _vector(self, op: str, n: int, start: int, *args):
-        """1-D ``op`` on the uint64 kernel when the modulus has one and
-        ``n`` reaches ``start``, else on the scalar kernels."""
-        if self.u64 is not None and n >= start:
+    def _transforms_on_kernel(self, plan, rows: int) -> bool:
+        """Whether ``rows`` stacked transforms of ``plan`` run on
+        ``kernel``: the uint64 cutoff counts every row's points, the
+        object one each transform's."""
+        if self.u64 is not None:
+            return rows * plan.n >= self.MIN_NTT_U64
+        return plan.n >= self.MIN_NTT
+
+    def _vector(self, op: str, n: int, start: int, *args, kernel=None):
+        """1-D ``op`` on ``kernel`` (default: the uint64 kernel, when the
+        modulus has one) when ``n`` reaches ``start``, else on the scalar
+        kernels."""
+        kernel = kernel or self.u64
+        if kernel is not None and n >= start:
             try:
-                result = getattr(self.u64, op)(*args)
+                result = getattr(kernel, op)(*args)
             except _ScalarFallback:
                 pass
             else:
@@ -703,9 +895,26 @@ class NumpyBackend(FieldBackend):
 
     def vec_lincomb(self, a, coeffs, rows):
         """a + Σ cᵢ·rowsᵢ via one product of limbs (every row's elements
-        count toward ``MIN_LINCOMB``)."""
+        count toward ``MIN_LINCOMB``); on a modulus without the uint64
+        kernel, :class:`WordRows` take the limb kernel."""
         n = len(a) * len(rows)
-        return self._vector("vec_lincomb", n, self.MIN_LINCOMB, a, coeffs, rows)
+        kernel = self.limbs if isinstance(rows, WordRows) else None
+        return self._vector("vec_lincomb", n, self.MIN_LINCOMB, a, coeffs, rows, kernel=kernel)
+
+    def mat_vec(self, rows, v):
+        """<row, v> per row via one product of limbs, on the uint64
+        kernel or, for :class:`WordRows`, the limb kernel."""
+        n = len(rows) * len(v)
+        kernel = self.u64 or (self.limbs if isinstance(rows, WordRows) else None)
+        if kernel is not None and n >= self.MIN_MAT_VEC:
+            try:
+                result = kernel.mat_vec(rows, v)
+            except _ScalarFallback:
+                pass
+            else:
+                self._tick_batch(len(rows), n)
+                return result
+        return self.scalar.mat_vec(rows, v)
 
     def hadamard(self, a, b):
         """Componentwise product."""
@@ -721,7 +930,7 @@ class NumpyBackend(FieldBackend):
 
     def ntt(self, plan, a, invert):
         """Vectorized butterfly levels over the plan's cached arrays."""
-        if plan.n >= self.MIN_NTT:
+        if self._transforms_on_kernel(plan, 1):
             try:
                 result = self.kernel.ntt(plan, a, invert)
             except _ScalarFallback:
@@ -776,7 +985,7 @@ class NumpyBackend(FieldBackend):
 
     def mat_ntt(self, plan, rows, invert):
         """Stacked transforms sharing one plan's cached twiddles."""
-        if rows and plan.n >= self.MIN_NTT:
+        if rows and self._transforms_on_kernel(plan, len(rows)):
             try:
                 result = self.kernel.mat_ntt(plan, rows, invert)
             except _ScalarFallback:

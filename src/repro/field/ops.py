@@ -100,6 +100,15 @@ OPS: tuple[FieldOp, ...] = (
         },
     ),
     FieldOp("hadamard", (VEC, VEC), lambda a, b: {"field.mul": len(a)}),
+    # one inner product per row
+    FieldOp(
+        "mat_vec",
+        (ROWS, VEC),
+        lambda rows, v: {
+            "field.mul": len(rows) * len(v),
+            "field.add": len(rows) * len(v),
+        },
+    ),
     FieldOp(
         "transform",
         (OTHER, VEC, OTHER),

@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .backend import FieldBackend, resolve_backend
+from .backend import FieldBackend, WordRows, resolve_backend
 from .ops import ELEM, ROWS, VEC, FieldOp, derive, parameters
 from .params import FieldParams, field_params
 
@@ -234,9 +234,26 @@ class PrimeField:
             raise ValueError(
                 f"length mismatch: {len(coeffs)} coefficients vs {len(rows)} rows"
             )
-        for row in rows:
-            self._require_same_length(a, row)
+        self._require_row_length(rows, len(a))
         return self.backend.vec_lincomb(a, coeffs, rows)
+
+    def mat_vec(self, rows, v: Sequence[int]) -> list[int]:
+        """<row, v> for every row, each reduced once.
+
+        An honest prover answers the PCP's base query rows with this op
+        on each half of its proof vector (one product per side).
+        """
+        self._require_row_length(rows, len(v))
+        return self.backend.mat_vec(rows, v)
+
+    def _require_row_length(self, rows, n: int) -> None:
+        if isinstance(rows, WordRows):
+            if len(rows) and rows.width != n:
+                raise ValueError(f"length mismatch: {n} vs {rows.width}")
+            return
+        for row in rows:
+            if len(row) != n:
+                raise ValueError(f"length mismatch: {n} vs {len(row)}")
 
     def hadamard(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
         """Componentwise product (fully reduced)."""

@@ -13,27 +13,25 @@ Per repetition (ρ of them):
 
 Query *generation* is instance-independent; only the A_τ/B_τ/C_τ
 aggregates involve the instance's (x, y), so one schedule serves a
-whole batch (§2.2).  The schedule keeps every query embedded in
-full-proof-vector coordinates (z-part ++ h-part) because the
-commitment layer binds one linear function over the concatenation.
+whole batch (§2.2).  Only 4·ρ_lin rows per repetition are fresh (q₅
+and q₆ on z, q₈ and q₉ on h); every other query is a sum (q₇ = q₅ +
+q₆, q₁₀ = q₈ + q₉, q₁–q₄ a circuit vector plus the first q₅ or q₈),
+and each is zero on one of z or h.  So the schedule keeps the base
+rows, z's and h's, and each query's recipe (a
+:class:`~repro.crypto.commitment.QueryBasis`), and no query is built
+in full-proof-vector coordinates unless :meth:`ZaatarSchedule.queries`
+is asked for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Sequence
 
+from ..crypto.commitment import QueryBasis
 from ..crypto.prg import FieldPRG
-from ..field import PrimeField
-from ..qap import (
-    CircuitQueries,
-    QAPInstance,
-    circuit_queries,
-    embed_h_query,
-    embed_z_query,
-    instance_scalars,
-)
+from ..field import NumpyBackend, WordRows, element_words
+from ..qap import CircuitQueries, QAPInstance, circuit_queries, instance_scalars
 from .oracle import LinearOracle
 from .soundness import SoundnessParams
 
@@ -64,17 +62,63 @@ class ZaatarRepetition:
 
 @dataclass
 class ZaatarSchedule:
-    """One batch's worth of queries plus the metadata to check answers."""
+    """One batch's queries, as base rows, plus the metadata to check answers.
+
+    ``basis`` holds every repetition's fresh z rows then its q_a, q_b,
+    q_c (length n′), every repetition's fresh h rows then its q_d
+    (length |C| + 1), and each query's recipe; the repetitions index
+    the queries, in the order the answers come.
+    """
 
     qap: QAPInstance
     params: SoundnessParams
-    queries: list[list[int]]
+    basis: QueryBasis
     repetitions: list[ZaatarRepetition]
 
     @property
     def num_queries(self) -> int:
         """ρ·ℓ' total queries in this schedule."""
-        return len(self.queries)
+        return self.basis.num_queries
+
+    def queries(self) -> list[list[int]]:
+        """Every query in full-proof-vector coordinates (z-part ++
+        h-part), built on request: for oracles, the full transport's
+        byte count and tests.  No proving or verifying path calls it."""
+        return self.basis.queries()
+
+
+def _linearity_rows(field, prg: FieldPRG, rho_lin: int, n_prime: int, h_len: int):
+    """One repetition's 4·ρ_lin fresh rows in one draw, sliced q5, q6,
+    q8, q9 per iteration (the order is part of every transcript):
+    ``(z rows, h rows)``, q5 and q6 alternating, then q8 and q9.
+
+    On the numpy backend, a field whose accepted samples are canonical
+    draws straight into :class:`WordRows`; otherwise int lists.
+    """
+    count = rho_lin * 2 * (n_prime + h_len)
+    words = prg.next_words(count) if isinstance(field.backend, NumpyBackend) else None
+    if words is not None:
+        w = words.shape[1]
+        draw = words.reshape(rho_lin, 2 * (n_prime + h_len), w)
+        z = draw[:, : 2 * n_prime].reshape(2 * rho_lin, n_prime, w)
+        h = draw[:, 2 * n_prime :].reshape(2 * rho_lin, h_len, w)
+        return WordRows(z), WordRows(h)
+    flat = prg.next_vector(count)
+    z, h = [], []
+    step = 2 * (n_prime + h_len)
+    for it in range(rho_lin):
+        at = it * step
+        z += [flat[at : at + n_prime], flat[at + n_prime : at + 2 * n_prime]]
+        at += 2 * n_prime
+        h += [flat[at : at + h_len], flat[at + h_len : at + 2 * h_len]]
+    return z, h
+
+
+def _stack(parts: list):
+    """One side's base rows from its per-repetition blocks."""
+    if isinstance(parts[0], WordRows):
+        return WordRows.stack(parts)
+    return [row for part in parts for row in part]
 
 
 def generate_schedule(
@@ -84,40 +128,30 @@ def generate_schedule(
     field = qap.field
     n_prime = qap.n_prime
     h_len = qap.h_length
-    queries: list[list[int]] = []
+    rho_lin = params.rho_lin
+    # base-row indices: z rows first (2ρ_lin fresh + 3 circuit rows per
+    # repetition), then h rows (2ρ_lin fresh + q_d per repetition)
+    z_per_rep, h_per_rep = 2 * rho_lin + 3, 2 * rho_lin + 1
+    z_parts: list = []
+    h_parts: list = []
+    recipes: list[tuple[int, ...]] = []
     repetitions: list[ZaatarRepetition] = []
 
-    def push(q: list[int]) -> int:
-        queries.append(q)
-        return len(queries) - 1
+    def push(*rows: int) -> int:
+        recipes.append(rows)
+        return len(recipes) - 1
 
-    for _ in range(params.rho):
+    for rep in range(params.rho):
+        z0 = rep * z_per_rep
+        h0 = params.rho * z_per_rep + rep * h_per_rep
+        fresh_z, fresh_h = _linearity_rows(field, prg, rho_lin, n_prime, h_len)
         lin_z: list[LinearityTriple] = []
         lin_h: list[LinearityTriple] = []
-        idx_q5 = idx_q8 = -1
-        first_q5: list[int] = []
-        first_q8: list[int] = []
-        # this repetition's 4·ρ_lin linearity vectors in one draw, sliced
-        # q5, q6, q8, q9 per iteration (the order is part of every transcript)
-        draws = iter(prg.next_vector(params.rho_lin * 2 * (n_prime + h_len)))
-        for it in range(params.rho_lin):
-            q5 = list(islice(draws, n_prime))
-            q6 = list(islice(draws, n_prime))
-            q7 = field.vec_add(q5, q6)
-            i5 = push(embed_z_query(qap, q5))
-            i6 = push(embed_z_query(qap, q6))
-            i7 = push(embed_z_query(qap, q7))
-            lin_z.append(LinearityTriple(i5, i6, i7))
-            q8 = list(islice(draws, h_len))
-            q9 = list(islice(draws, h_len))
-            q10 = field.vec_add(q8, q9)
-            i8 = push(embed_h_query(qap, q8))
-            i9 = push(embed_h_query(qap, q9))
-            i10 = push(embed_h_query(qap, q10))
-            lin_h.append(LinearityTriple(i8, i9, i10))
-            if it == 0:
-                idx_q5, first_q5 = i5, q5
-                idx_q8, first_q8 = i8, q8
+        for it in range(rho_lin):
+            q5, q6 = z0 + 2 * it, z0 + 2 * it + 1
+            lin_z.append(LinearityTriple(push(q5), push(q6), push(q5, q6)))
+            q8, q9 = h0 + 2 * it, h0 + 2 * it + 1
+            lin_h.append(LinearityTriple(push(q8), push(q9), push(q8, q9)))
 
         # τ must avoid the interpolation points (probability ~ |C|/|F|;
         # retry on the astronomically rare collision).
@@ -128,24 +162,35 @@ def generate_schedule(
                 break
             except ValueError:
                 continue
-        idx_q1 = push(embed_z_query(qap, field.vec_add(circuit.qa, first_q5)))
-        idx_q2 = push(embed_z_query(qap, field.vec_add(circuit.qb, first_q5)))
-        idx_q3 = push(embed_z_query(qap, field.vec_add(circuit.qc, first_q5)))
-        idx_q4 = push(embed_h_query(qap, field.vec_add(circuit.qd, first_q8)))
+        circuit_z = [circuit.qa, circuit.qb, circuit.qc]
+        circuit_h = [circuit.qd]
+        if isinstance(fresh_z, WordRows):
+            w = element_words(field.p)
+            circuit_z = WordRows.from_ints(circuit_z, w)
+            circuit_h = WordRows.from_ints(circuit_h, w)
+        z_parts += [fresh_z, circuit_z]
+        h_parts += [fresh_h, circuit_h]
+        qa = z0 + 2 * rho_lin
         repetitions.append(
             ZaatarRepetition(
                 lin_z=lin_z,
                 lin_h=lin_h,
-                idx_q5=idx_q5,
-                idx_q8=idx_q8,
-                idx_q1=idx_q1,
-                idx_q2=idx_q2,
-                idx_q3=idx_q3,
-                idx_q4=idx_q4,
+                idx_q5=lin_z[0].first,
+                idx_q8=lin_h[0].first,
+                idx_q1=push(qa, z0),
+                idx_q2=push(qa + 1, z0),
+                idx_q3=push(qa + 2, z0),
+                idx_q4=push(h0 + 2 * rho_lin, h0),
                 circuit=circuit,
             )
         )
-    return ZaatarSchedule(qap=qap, params=params, queries=queries, repetitions=repetitions)
+    basis = QueryBasis(
+        field,
+        (n_prime, h_len),
+        (_stack(z_parts), _stack(h_parts)),
+        recipes,
+    )
+    return ZaatarSchedule(qap=qap, params=params, basis=basis, repetitions=repetitions)
 
 
 @dataclass(frozen=True)
@@ -168,9 +213,9 @@ def check_answers(
     qap = schedule.qap
     field = qap.field
     p = field.p
-    if len(answers) != len(schedule.queries):
+    if len(answers) != schedule.num_queries:
         raise ValueError(
-            f"expected {len(schedule.queries)} answers, got {len(answers)}"
+            f"expected {schedule.num_queries} answers, got {len(answers)}"
         )
     for rep in schedule.repetitions:
         for triples in (rep.lin_z, rep.lin_h):
@@ -202,5 +247,5 @@ def run_pcp(
     oracle with a committed prover.
     """
     schedule = generate_schedule(qap, params, prg)
-    answers = [oracle.query(q) for q in schedule.queries]
+    answers = [oracle.query(q) for q in schedule.queries()]
     return check_answers(schedule, answers, x, y)

@@ -39,8 +39,9 @@ by D(t) = t^m − 1 is one add.
 
 ``build_proof_vector`` assembles u = (z, h), the two linear functions
 π_z, π_h of §3, as one flat vector (the commitment layer treats them
-as a single linear function over F^(|Z|+|C|+1) with queries embedded
-by ``embed_z_query`` / ``embed_h_query``).
+as a single linear function over F^(|Z|+|C|+1); a query on one side is
+zero on the other, so the schedule keeps it as that side's row, and
+``embed_z_query`` / ``embed_h_query`` lift one to full length).
 """
 
 from __future__ import annotations

@@ -258,7 +258,7 @@ class AlphaAwareProver(ZaatarProver):
 
     def answer(self, challenge):
         answers = super().answer(challenge)
-        queries = challenge.queries[:-1]
+        queries = challenge.basis.queries()
         rebuilt = CommitmentVerifier(
             self.field,
             self.group,
@@ -266,7 +266,7 @@ class AlphaAwareProver(ZaatarProver):
             FieldPRG(self.field, self.seed, "commitment"),
         )
         rebuilt.commit_request()
-        rebuilt.decommit_challenge(queries)
+        rebuilt.decommit_challenge(challenge.basis)
         alphas = rebuilt._alphas
         p, n_prime = self.field.p, self.qap.n_prime
         per_rep = 6 * PAPER_PARAMS.rho_lin + 4

@@ -34,13 +34,13 @@ class TestSeedSeparation:
         )
         sched_a = a.verifier_setup()[0]
         sched_b = b.verifier_setup()[0]
-        assert sched_a.queries != sched_b.queries
+        assert sched_a.queries() != sched_b.queries()
 
     def test_same_seed_same_schedule(self, sumsq_program):
         cfg = ArgumentConfig(params=SoundnessParams(rho_lin=2, rho=1), seed=b"x")
         s1 = ZaatarArgument(sumsq_program, cfg).verifier_setup()[0]
         s2 = ZaatarArgument(sumsq_program, cfg).verifier_setup()[0]
-        assert s1.queries == s2.queries
+        assert s1.queries() == s2.queries()
 
     def test_both_seeds_verify(self, sumsq_program):
         for seed in (b"alpha", b"beta"):

@@ -71,7 +71,7 @@ def _raw_session(address, program, setup, batch):
             {
                 "type": "challenge",
                 "key": query_key(FAST.seed).hex(),
-                "t": hex_list(challenge.queries[-1]),
+                "t": hex_list(challenge.t),
             },
         )
         return outputs, recv_frame(sock)

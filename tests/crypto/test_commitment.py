@@ -7,6 +7,7 @@ from repro.crypto import (
     CommitmentProver,
     CommitmentVerifier,
     FieldPRG,
+    QueryBasis,
     group_for_field,
     run_commitment_round,
 )
@@ -31,7 +32,7 @@ class TestHonestRun:
     def test_accepts_and_returns_answers(self, gold, parties, rng):
         verifier, prover, u, n = parties()
         queries = [[rng.randrange(gold.p) for _ in range(n)] for _ in range(3)]
-        ok, answers = run_commitment_round(verifier, prover, queries)
+        ok, answers = run_commitment_round(verifier, prover, QueryBasis.flat(gold, queries))
         assert ok
         assert answers == [gold.inner_product(q, u) for q in queries]
 
@@ -41,7 +42,7 @@ class TestHonestRun:
         group = verifier.group
         request = verifier.commit_request()
         queries = [[rng.randrange(gold.p) for _ in range(n)] for _ in range(2)]
-        challenge = verifier.decommit_challenge(queries)
+        challenge = verifier.decommit_challenge(QueryBasis.flat(gold, queries))
         for shift in range(3):  # three different proof vectors
             vec = [(v + shift) % gold.p for v in u]
             prover = CommitmentProver(gold, group, vec)
@@ -53,7 +54,7 @@ class TestHonestRun:
         verifier, prover, u, n = parties()
         queries = [[rng.randrange(gold.p) for _ in range(n)]]
         with telemetry.session() as tracer:
-            run_commitment_round(verifier, prover, queries)
+            run_commitment_round(verifier, prover, QueryBasis.flat(gold, queries))
         totals = tracer.total_counters()
         assert totals["crypto.encryptions"] == n       # e per vector entry
         assert totals["crypto.decryptions"] == 1       # d per instance
@@ -74,7 +75,7 @@ class TestCheatingProvers:
         queries = [[rng.randrange(gold.p) for _ in range(n)] for _ in range(2)]
         request = verifier.commit_request()
         commitment = prover.commit(request)
-        challenge = verifier.decommit_challenge(queries)
+        challenge = verifier.decommit_challenge(QueryBasis.flat(gold, queries))
         assert not verifier.verify(commitment, prover.answer(challenge))
 
     def test_tampered_consistency_answer_rejected(self, gold, parties, rng):
@@ -82,7 +83,7 @@ class TestCheatingProvers:
         queries = [[rng.randrange(gold.p) for _ in range(n)]]
         request = verifier.commit_request()
         commitment = prover.commit(request)
-        challenge = verifier.decommit_challenge(queries)
+        challenge = verifier.decommit_challenge(QueryBasis.flat(gold, queries))
         response = prover.answer(challenge)
         response.answers[-1] = (response.answers[-1] + 1) % gold.p
         assert not verifier.verify(commitment, response)
@@ -94,7 +95,7 @@ class TestCheatingProvers:
         request = verifier.commit_request()
         commitment = prover.commit(request)
         other = CommitmentProver(gold, verifier.group, [(v + 1) % gold.p for v in u])
-        challenge = verifier.decommit_challenge(queries)
+        challenge = verifier.decommit_challenge(QueryBasis.flat(gold, queries))
         assert not verifier.verify(commitment, other.answer(challenge))
 
 
@@ -108,7 +109,7 @@ class TestValidation:
     def test_phase_order_enforced(self, gold, parties):
         verifier, prover, u, n = parties()
         with pytest.raises(RuntimeError):
-            verifier.decommit_challenge([[0] * n])
+            verifier.decommit_challenge(QueryBasis.flat(gold, [[0] * n]))
         request = verifier.commit_request()
         commitment = prover.commit(request)
         with pytest.raises(RuntimeError):
@@ -118,7 +119,7 @@ class TestValidation:
         verifier, _, _, n = parties()
         verifier.commit_request()
         with pytest.raises(ValueError):
-            verifier.decommit_challenge([[0] * (n - 1)])
+            verifier.decommit_challenge(QueryBasis.flat(gold, [[0] * (n - 1)]))
 
     def test_query_length_error_names_the_length(self, gold, parties):
         """t is built in one pass over every query, after each query's
@@ -127,7 +128,7 @@ class TestValidation:
         verifier, _, _, n = parties()
         verifier.commit_request()
         with pytest.raises(ValueError, match=f"query length {n + 1} != vector length {n}"):
-            verifier.decommit_challenge([[0] * n, [1] * n, [0] * (n + 1)])
+            verifier.decommit_challenge(QueryBasis.flat(gold, [[0] * n, [1] * n, [0] * (n + 1)]))
 
     def test_commit_length_checked(self, gold, parties):
         verifier, prover, _, _ = parties()

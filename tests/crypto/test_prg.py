@@ -2,7 +2,11 @@
 
 import hashlib
 
+import pytest
+
 from repro.crypto import FieldPRG, query_key
+from repro.crypto.prg import BULK_MIN_SAMPLES
+from repro.field import NAMED_FIELDS, PrimeField
 
 
 class TestDeterminism:
@@ -53,6 +57,29 @@ class TestRange:
         assert all(0 <= v < p128.p for v in values)
         # 128-bit draws should essentially never repeat
         assert len(set(values)) == 50
+
+
+    @pytest.mark.parametrize("name", sorted(NAMED_FIELDS))
+    def test_every_field_draws_canonical_elements(self, name):
+        """p220's limit is a multiple of p above p, so its samples must be
+        reduced; every other named field's accepted samples already are."""
+        field = PrimeField(NAMED_FIELDS[name], check_prime=False)
+        values = FieldPRG(field, b"range").next_vector(300)
+        assert all(0 <= v < field.p for v in values)
+        assert len(set(values)) == 300
+
+
+class TestShortReads:
+    @pytest.mark.parametrize(
+        "n", [1, BULK_MIN_SAMPLES - 1, BULK_MIN_SAMPLES, BULK_MIN_SAMPLES + 1, 200]
+    )
+    def test_either_side_of_the_bulk_cutoff(self, gold, n):
+        """Below ``BULK_MIN_SAMPLES`` a read takes the per-sample loop, at
+        and above it the uint64 path; both draw what one-at-a-time draws
+        do, and leave the stream at the same place."""
+        bulk, single = FieldPRG(gold, b"short"), FieldPRG(gold, b"short")
+        assert bulk.next_vector(n) == [single.next_element() for _ in range(n)]
+        assert bulk.next_vector(3) == [single.next_element() for _ in range(3)]
 
 
 class TestUniformityRoughly:

@@ -184,6 +184,35 @@ class TestNumpyDispatch:
         for value in values:
             assert type(value) is int
 
+    def test_uint64_cutoffs_count_every_row(self):
+        """A Goldilocks transform stack reaches the uint64 kernel from
+        ``MIN_NTT_U64`` points over all its rows, whatever each row's
+        length, and ``mat_vec`` from ``MIN_MAT_VEC`` elements; below,
+        the scalar kernels run."""
+        field = _gold(backend="numpy")
+        half = NumpyBackend.MIN_NTT_U64 // 2
+        plan = get_ntt_plan(field, half)
+        row = [(7 * j + 1) % field.p for j in range(half)]
+        width = NumpyBackend.MIN_MAT_VEC // 8
+        rows = [[(i + j) % field.p for j in range(width)] for i in range(8)]
+        cases = [
+            (lambda: field.transform(plan, list(row)), "scalar"),
+            (lambda: field.mat_transform(plan, [row]), "scalar"),
+            (lambda: field.mat_transform(plan, [row, row]), "numpy"),
+            (lambda: field.mat_vec(rows[:7], rows[0]), "scalar"),
+            (lambda: field.mat_vec(rows, rows[0]), "numpy"),
+        ]
+        for run, backend in cases:
+            tracer = telemetry.enable()
+            try:
+                with telemetry.span("t"):
+                    run()
+            finally:
+                telemetry.disable()
+            totals = tracer.total_counters()
+            ran = {key.split(".")[1] for key in totals if key.startswith("backend.")}
+            assert ran == {backend}
+
     def test_mat_kernels_tick_batch_counters(self):
         field = _gold(backend="numpy")
         rows = [[(i * j + 1) % field.p for j in range(64)] for i in range(4)]

@@ -71,7 +71,7 @@ class TestMalformedAnswers:
         with pytest.raises(ValueError):
             zaatar_pcp.check_answers(
                 schedule,
-                answers[: len(schedule.queries) - 1],
+                answers[: schedule.num_queries - 1],
                 record.input_values,
                 record.claimed_outputs,
             )
@@ -126,7 +126,7 @@ class TestStaleSchedule:
         params = SoundnessParams(rho_lin=2, rho=1)
         s1 = zaatar_pcp.generate_schedule(qap, params, FieldPRG(gold, b"seed-one", "q"))
         s2 = zaatar_pcp.generate_schedule(qap, params, FieldPRG(gold, b"seed-two", "q"))
-        answers_for_s1 = [gold.inner_product(q, proof.vector) for q in s1.queries]
+        answers_for_s1 = [gold.inner_product(q, proof.vector) for q in s1.queries()]
         assert zaatar_pcp.check_answers(s1, answers_for_s1, sol.x, sol.y).accepted
         assert not zaatar_pcp.check_answers(s2, answers_for_s1, sol.x, sol.y).accepted
 

@@ -28,7 +28,7 @@ class TestSchedule:
     def test_queries_are_full_length(self, setup, gold):
         qap, _, _ = setup
         schedule = zaatar.generate_schedule(qap, PARAMS, FieldPRG(gold, b"s"))
-        assert all(len(q) == qap.proof_vector_length for q in schedule.queries)
+        assert all(len(q) == qap.proof_vector_length for q in schedule.queries())
 
     def test_deterministic_from_seed(self, setup, gold):
         """V and P must derive identical queries from a shared seed
@@ -36,27 +36,29 @@ class TestSchedule:
         qap, _, _ = setup
         s1 = zaatar.generate_schedule(qap, PARAMS, FieldPRG(gold, b"shared"))
         s2 = zaatar.generate_schedule(qap, PARAMS, FieldPRG(gold, b"shared"))
-        assert s1.queries == s2.queries
+        assert s1.queries() == s2.queries()
 
     def test_linearity_triples_sum(self, setup, gold):
         qap, _, _ = setup
         schedule = zaatar.generate_schedule(qap, PARAMS, FieldPRG(gold, b"s"))
+        queries = schedule.queries()
         p = gold.p
         for rep in schedule.repetitions:
             for t in rep.lin_z + rep.lin_h:
-                q5 = schedule.queries[t.first]
-                q6 = schedule.queries[t.second]
-                q7 = schedule.queries[t.total]
+                q5 = queries[t.first]
+                q6 = queries[t.second]
+                q7 = queries[t.total]
                 assert all((a + b - c) % p == 0 for a, b, c in zip(q5, q6, q7))
 
     def test_self_correction_structure(self, setup, gold):
         """q1 − q5 must equal the raw circuit query qa."""
         qap, _, _ = setup
         schedule = zaatar.generate_schedule(qap, PARAMS, FieldPRG(gold, b"s"))
+        queries = schedule.queries()
         p = gold.p
         rep = schedule.repetitions[0]
-        q1 = schedule.queries[rep.idx_q1]
-        q5 = schedule.queries[rep.idx_q5]
+        q1 = queries[rep.idx_q1]
+        q5 = queries[rep.idx_q5]
         raw = [(a - b) % p for a, b in zip(q1, q5)]
         assert raw[: qap.n_prime] == rep.circuit.qa
 

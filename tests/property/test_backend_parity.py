@@ -9,12 +9,13 @@ uint64 limb kernel and the object-array butterflies are covered) and
 of 65537, a user-supplied modulus of the kind ``constraints/serialize``
 reads from a program file (2-adicity 16; it takes the same route as
 the big moduli).  The ops are add/scale/lincomb/mul/dot/inv, ntt/intt,
-their stacked 2-D forms and the CRT product, with the canonical edge
+their stacked 2-D forms, the CRT product and the product of rows with
+a vector (``mat_vec``, on int rows and on :class:`WordRows`), with the canonical edge
 values 0, 1, p−1 force-included and non-power-of-two lengths
 throughout the elementwise ops.  Each op's draws straddle the length
 at which the numpy backend hands it to the uint64 kernel
 (``MIN_VECTOR``, ``MIN_INNER_PRODUCT``, ``MIN_BATCH_INV``,
-``MIN_LINCOMB``); vectors longer than Hypothesis' buffer come from a
+``MIN_LINCOMB``, ``MIN_MAT_VEC``); vectors longer than Hypothesis' buffer come from a
 drawn seed with a drawn handful of entries set to the edge values.
 
 Runs are meaningful only with numpy installed; without it the numpy
@@ -30,7 +31,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.field import GOLDILOCKS, HAVE_NUMPY, NAMED_FIELDS, NumpyBackend, PrimeField
+from repro.field import (
+    GOLDILOCKS,
+    HAVE_NUMPY,
+    NAMED_FIELDS,
+    NumpyBackend,
+    PrimeField,
+    WordRows,
+    element_words,
+)
 from repro.poly.ntt import ntt, ntt_reference
 
 pytestmark = pytest.mark.skipif(
@@ -377,3 +386,72 @@ def test_lincomb_edges(name, mu, n, fill):
     expected = [(p - 1 + mu * (p - 1) * value) % p] * n
     assert vec.vec_lincomb(a, coeffs, rows) == expected
     assert scalar.vec_lincomb(a, coeffs, rows) == expected
+
+
+def _mat_vec_reference(p: int, rows, v) -> list[int]:
+    """<row, v> per row, one reduction per multiply-add."""
+    out = []
+    for row in rows:
+        acc = 0
+        for x, y in zip(row, v):
+            acc = (acc + x * y) % p
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_FIELDS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_mat_vec_parity(name, data):
+    """The base rows' answers on both backends, from int rows and from
+    :class:`WordRows`, equal one multiply-add at a time: zero, one and
+    odd row counts, lengths zero, small and either side of
+    ``MIN_MAT_VEC``.  ``vec_lincomb`` over the same :class:`WordRows`
+    (t's fold) is checked alongside."""
+    scalar, vec = _FIELDS[name]
+    p = scalar.p
+    count = data.draw(
+        st.one_of(st.sampled_from([0, 1]), st.integers(0, 30).map(lambda k: 2 * k + 1)),
+        label="count",
+    )
+    cutoff = NumpyBackend.MIN_MAT_VEC // max(count, 1)
+    n = data.draw(
+        st.one_of(st.integers(0, 40), st.integers(max(cutoff - 2, 0), cutoff + 3)),
+        label="n",
+    )
+    edges = [0, 1, p - 1, p // 2]
+    v = _seeded(data, n, 0, p, edges, "v")
+    rows = [_seeded(data, n, 0, p, edges, f"row {i}") for i in range(count)]
+    words = WordRows.from_ints(rows, element_words(p))
+    expected = _mat_vec_reference(p, rows, v)
+    for field in (scalar, vec):
+        assert field.mat_vec(rows, v) == expected
+        assert field.mat_vec(words, v) == expected
+    a = _seeded(data, n, 0, p, edges, "a")
+    coeffs = _seeded(data, count, 0, p, edges, "coeffs")
+    expected = _lincomb_reference(p, a, coeffs, rows)
+    for field in (scalar, vec):
+        assert field.vec_lincomb(a, coeffs, words) == expected
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_FIELDS))
+@pytest.mark.parametrize(
+    "count, n",
+    [
+        (22, 333),  # goldilocks-b1's z rows, every sum at its largest
+        (344, 342),  # a paper-parameter side
+        (1, 8200),  # n·2w ≥ 2^15 for w ≥ 2: the multi-word limb kernel declines
+    ],
+)
+def test_mat_vec_edges(name, count, n):
+    scalar, vec = _FIELDS[name]
+    p = scalar.p
+    rows = [[p - 1] * n for _ in range(count)]
+    words = WordRows.from_ints(rows, element_words(p))
+    expected = [n * (p - 1) * (p - 1) % p] * count
+    for field in (scalar, vec):
+        assert field.mat_vec(rows, [p - 1] * n) == expected
+        assert field.mat_vec(words, [p - 1] * n) == expected
+    expected = [(p - 1 + count * (p - 1) * (p - 1)) % p] * n
+    for field in (scalar, vec):
+        assert field.vec_lincomb([p - 1] * n, [p - 1] * count, words) == expected
