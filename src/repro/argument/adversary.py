@@ -148,11 +148,6 @@ class AdversarialProver(ZaatarArgument):
         seed: int = 0,
     ):
         super().__init__(program, config)
-        if not self.config.use_commitment:
-            raise ValueError(
-                "the adversary harness attacks the committed protocol; "
-                "use_commitment must stay on"
-            )
         if mutation not in MUTATION_CATALOG:
             raise ValueError(
                 f"unknown mutation {mutation!r} "

@@ -4,9 +4,10 @@ A long batch run loses everything when the driving process dies unless
 completed instances are durably recorded.  ``BatchCheckpoint`` appends
 one JSONL record per *finished* instance (ok or failed) to
 ``<dir>/batch.ckpt.jsonl`` behind a header that pins everything the
-run's determinism depends on: the program hash, the verifier seed (all
-query/commitment randomness derives from it), the soundness parameters,
-the QAP mode, and a digest of the batch inputs.  Resuming validates the
+run's determinism depends on: the program hash, the argument's config
+(:meth:`~repro.argument.protocol.ArgumentConfig.encode` with the
+verifier seed, from which all query/commitment randomness derives),
+and a digest of the batch inputs.  Resuming validates the
 header — a checkpoint from a different program, seed, or batch is
 refused loudly — then replays the recorded outcomes and proves only the
 missing instances.
@@ -33,14 +34,10 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING
 
-from ..pcp import SoundnessParams
+from .protocol import ArgumentConfig, InstanceResult, ZaatarArgument
 from .stats import ProverStats
 from .transcript import InstanceRecord, Transcript
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .protocol import InstanceResult, ZaatarArgument
 
 #: changes whenever a record's keys do (v2: the transcript's instance
 #: record replaced v1's ``x``/``y``); ``begin`` refuses any other format
@@ -70,27 +67,23 @@ class BatchCheckpoint:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def begin(self, argument: "ZaatarArgument", batch_inputs) -> dict[int, dict]:
+    def begin(self, argument: ZaatarArgument, batch_inputs) -> dict[int, dict]:
         """Open the checkpoint for this run.
 
         A fresh directory gets a header written; an existing checkpoint
-        is validated against the run (program hash, seed, params, QAP
-        mode, commitment flag, batch digest) and its completed instance
-        records are returned, keyed by batch index.  Incompatible
+        is validated against the run (program hash, config with its
+        seed, batch digest) and its completed instance records are
+        returned, keyed by batch index.  Incompatible
         checkpoints raise :class:`CheckpointError` rather than silently
         mixing two runs' proofs.
         """
         from .net import program_hash  # local: avoid import cycle
 
-        cfg = argument.config
         header = {
             "type": "header",
             "format": CHECKPOINT_FORMAT,
             "program": program_hash(argument.program),
-            **cfg.params.encode(cfg.seed),
-            "qap_mode": cfg.qap_mode,
-            "paper_scale_crypto": cfg.paper_scale_crypto,
-            "use_commitment": cfg.use_commitment,
+            **argument.config.encode(seed=True),
             "batch_digest": batch_digest(argument.field, batch_inputs),
             "batch_size": len(batch_inputs),
         }
@@ -163,7 +156,7 @@ class BatchCheckpoint:
 # -- record <-> result bridging ------------------------------------------------
 
 
-def instance_record(result: "InstanceResult") -> dict:
+def instance_record(result: InstanceResult) -> dict:
     """Serialize one finished instance; an ok one with its
     :class:`~repro.argument.transcript.InstanceRecord`, which is what
     makes resumed transcripts possible."""
@@ -193,10 +186,8 @@ def instance_record(result: "InstanceResult") -> dict:
     return record
 
 
-def result_from_record(record: dict) -> "InstanceResult":
+def result_from_record(record: dict) -> InstanceResult:
     """Rebuild the structured outcome a recorded instance produced."""
-    from .protocol import InstanceResult  # local: avoid import cycle
-
     try:
         index = int(record["index"])
         attempts = int(record.get("attempts", 1))
@@ -231,10 +222,9 @@ def transcript_from_checkpoint(
 ) -> Transcript:
     """A completed checkpoint as a replayable session transcript.
 
-    Every instance must be present and ``ok``, and its record must
-    carry a commitment — i.e. the run finished with the commitment
-    layer on.  The records are read back with the transcript's own
-    instance codec, so the result is byte-identical to the transcript
+    Every instance must be present and ``ok``.  The records are read
+    back with the transcript's own instance codec, so the result is
+    byte-identical to the transcript
     :func:`~repro.argument.transcript.record_batch` records for an
     uninterrupted run with the same config.
     """
@@ -257,20 +247,11 @@ def transcript_from_checkpoint(
             )
         try:
             instances.append(InstanceRecord.from_json(record))
-            if instances[-1].commitment is None:
-                raise ValueError("no commitment")
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(
                 f"instance {index} lacks transcript material: {exc}"
             ) from exc
     try:
-        params, seed = SoundnessParams.decode(header)
-        return Transcript(
-            seed=seed,
-            params=params,
-            qap_mode=header["qap_mode"],
-            paper_scale_crypto=header["paper_scale_crypto"],
-            instances=instances,
-        )
+        return Transcript(ArgumentConfig.decode(header, seed=True), instances)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint header: {exc}") from exc

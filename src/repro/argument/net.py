@@ -11,7 +11,7 @@ from K_q locally.
 
 Message flow per session (verifier is the client and drives):
 
-    C→S  hello      program hash, soundness params, QAP mode
+    C→S  hello      program hash, the config without its seed
     S→C  hello-ok   (or error: unknown program / hash mismatch)
     C→S  commit     Enc(r), componentwise
     C→S  inputs     the batch's input vectors
@@ -254,8 +254,6 @@ def verify_remote(
     ``ProtocolViolation[bad-frame]``.
     """
     config = config or ArgumentConfig(seed=secrets.token_bytes(16))
-    if not config.use_commitment:
-        raise ValueError("the network protocol requires the commitment layer")
     retry = retry or RetryPolicy()
     deadlines = deadlines or Deadlines()
     with telemetry.span("verifier.query_setup"):
@@ -364,15 +362,10 @@ def verify_remote(
 def hello_frame(program: CompiledProgram, config: ArgumentConfig) -> dict:
     """The ``hello`` frame that opens a session of ``program``.
 
-    Names the program by its canonical hash and carries the soundness
-    parameters and QAP mode of ``config``, never its seed.
+    Names the program by its canonical hash and carries ``config``
+    (soundness parameters, QAP mode and group size), never its seed.
     """
-    return {
-        "type": "hello",
-        "program": program_hash(program),
-        **config.params.encode(),
-        "qap_mode": config.qap_mode,
-    }
+    return {"type": "hello", "program": program_hash(program), **config.encode()}
 
 
 def _drive_session(

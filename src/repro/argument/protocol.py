@@ -142,21 +142,61 @@ class ProtocolViolation(RuntimeError):
         return self.code not in NON_RETRYABLE_CODES
 
 
-@dataclass
+@dataclass(frozen=True)
 class ArgumentConfig:
-    """Protocol knobs shared by both systems."""
+    """The protocol configuration: soundness parameters, QAP mode,
+    commitment group and the verifier's seed.
+
+    :meth:`encode` and :meth:`decode` are its one JSON codec:
+    transcripts and checkpoint headers carry it with the seed, and a
+    ``hello`` frame without it (the seed never reaches a prover).
+    """
 
     params: SoundnessParams = dataclass_field(default_factory=lambda: TEST_PARAMS)
     qap_mode: str = "arithmetic"
     paper_scale_crypto: bool = False
     seed: bytes = b"zaatar-argument"
-    #: skip the ElGamal layer entirely (PCP-only runs for benches that
-    #: study the proof encoding in isolation)
-    use_commitment: bool = True
 
     def group(self, field) -> SchnorrGroup:
         """The commitment group matching this config and field."""
         return group_for_field(field, paper_scale=self.paper_scale_crypto)
+
+    def encode(self, *, seed: bool = False) -> dict:
+        """``{"seed": hex (when asked), "params": {"delta", "rho_lin",
+        "rho"}, "qap_mode", "paper_scale_crypto"}``."""
+        p = self.params
+        return {
+            **({"seed": self.seed.hex()} if seed else {}),
+            "params": {"delta": p.delta, "rho_lin": p.rho_lin, "rho": p.rho},
+            "qap_mode": self.qap_mode,
+            "paper_scale_crypto": self.paper_scale_crypto,
+        }
+
+    @classmethod
+    def decode(cls, spec, *, seed: bool = False) -> "ArgumentConfig":
+        """Inverse of :meth:`encode`; without ``seed`` the config's seed
+        is empty, as a prover's is.
+
+        Raises ``KeyError``, ``TypeError`` or ``ValueError`` on
+        malformed input (``RepetitionError``, a ``ValueError``, when a
+        count is below 1); each caller maps them onto its own error.
+        """
+        params = spec["params"]
+        qap_mode, paper_scale = spec["qap_mode"], spec["paper_scale_crypto"]
+        if not isinstance(qap_mode, str):
+            raise TypeError(f"qap_mode must be a string, got {qap_mode!r}")
+        if not isinstance(paper_scale, bool):
+            raise TypeError(f"paper_scale_crypto must be a bool, got {paper_scale!r}")
+        return cls(
+            params=SoundnessParams(
+                delta=float(params["delta"]),
+                rho_lin=int(params["rho_lin"]),
+                rho=int(params["rho"]),
+            ),
+            qap_mode=qap_mode,
+            paper_scale_crypto=paper_scale,
+            seed=bytes.fromhex(spec["seed"]) if seed else b"",
+        )
 
 
 @dataclass
@@ -281,22 +321,21 @@ class ZaatarProver:
         self.program = program
         self.qap = qap
         self.field = program.field
-        #: the commitment group; None without the commitment layer
-        self.group = config.group(self.field) if config.use_commitment else None
+        self.group = config.group(self.field)
         #: (index, phase clocks, u) of each committed instance, in batch order
         self.committed: list[tuple[int, ProverStats, list[int]]] = []
 
     def commit(
         self,
-        request: CommitRequest | None,
+        request: CommitRequest,
         batch: Sequence[Sequence[int]],
         *,
         indices: Sequence[int] | None = None,
         per_stats: Sequence[ProverStats] | None = None,
         check: Callable[[int, object], None] | None = None,
     ) -> list:
-        """Step one: per input ``(y, commitment)`` (None without the
-        commitment layer) or the exception its solve, H(t) or fold raised.
+        """Step one: per input ``(y, commitment)`` or the exception its
+        solve, H(t) or fold raised.
 
         ``indices`` name the inputs in spans (default 0..B−1) and
         ``per_stats`` get their clocks.  ``check(position, outcome)``
@@ -313,13 +352,11 @@ class ZaatarProver:
             if isinstance(results[position], Exception):
                 continue
             sol, u = results[position]
-            commitment = None
             try:
-                if self.group is not None:
-                    with telemetry.span("prover.instance", index=index):
-                        with PhaseTimer(stats).phase("crypto_ops"):
-                            prover = CommitmentProver(self.field, self.group, u)
-                            commitment = prover.commit(request)
+                with telemetry.span("prover.instance", index=index):
+                    with PhaseTimer(stats).phase("crypto_ops"):
+                        prover = CommitmentProver(self.field, self.group, u)
+                        commitment = prover.commit(request)
             except Exception as exc:  # noqa: BLE001 - isolate bad instances
                 results[position] = exc
                 continue
@@ -370,11 +407,8 @@ class ZaatarProver:
         answers = []
         for index, stats, u in self.committed:
             with PhaseTimer(stats).phase("answer_queries", index=index):
-                if self.group is None:
-                    answers.append(challenge.basis.answer(u))
-                else:
-                    prover = CommitmentProver(self.field, self.group, u)
-                    answers.append(prover.answer(challenge).answers)
+                prover = CommitmentProver(self.field, self.group, u)
+                answers.append(prover.answer(challenge).answers)
         return answers
 
 
@@ -382,15 +416,12 @@ def check_instance(setup, commitment, answers: Sequence[int], x, y):
     """One instance's verifier checks: the commitment consistency test,
     then every PCP test (Fig. 10) on the answers it vouches for.
 
-    ``setup`` is :meth:`ZaatarArgument.verifier_setup`'s tuple; with the
-    commitment layer off, the answers go straight to the PCP tests.
+    ``setup`` is :meth:`ZaatarArgument.verifier_setup`'s tuple.
     Returns ``(commitment_ok, pcp_result)``.  Malformed answers raise
     ``ValueError`` or ``IndexError``; each caller maps that onto its own
     error.
     """
     schedule, commitment_verifier, _, _ = setup
-    if commitment_verifier is None:
-        return True, zaatar_pcp.check_answers(schedule, answers, x, y)
     commit_ok = commitment_verifier.verify(commitment, DecommitResponse(list(answers)))
     return commit_ok, zaatar_pcp.check_answers(schedule, answers[:-1], x, y)
 
@@ -415,16 +446,13 @@ class ZaatarArgument:
     def verifier_setup(self, stats: VerifierStats | None = None):
         """``(schedule, commitment verifier, Enc(r), challenge)`` for a
         batch.  Only the commitment verifier holds the key, r and the
-        α's; without the commitment layer it and Enc(r) are None and the
-        challenge is the bare queries."""
+        α's."""
         cfg = self.config
         timer = PhaseTimer(stats) if stats is not None else None
         prg = FieldPRG(self.field, cfg.seed, "queries")
 
         def _generate():
             schedule = zaatar_pcp.generate_schedule(self.qap, cfg.params, prg)
-            if not cfg.use_commitment:
-                return schedule, None, None, DecommitChallenge(schedule.basis)
             commitment_verifier = CommitmentVerifier(
                 self.field,
                 cfg.group(self.field),
@@ -450,7 +478,7 @@ class ZaatarArgument:
     def prove_batch(
         self,
         batch_inputs: Sequence[Sequence[int]],
-        request: CommitRequest | None,
+        request: CommitRequest,
         challenge: DecommitChallenge,
         *,
         indices: Sequence[int] | None = None,
@@ -535,17 +563,15 @@ class GingerArgument:
             schedule = ginger_pcp.generate_schedule(gsys, cfg.params, prg)
             # Ginger's queries are flat: each is its own full-length base row
             basis = QueryBasis.flat(self.field, schedule.queries)
-            commitment_verifier = None
-            request = challenge = None
-            if cfg.use_commitment:
-                commitment_verifier = CommitmentVerifier(
-                    self.field,
-                    cfg.group(self.field),
-                    ginger_pcp.proof_length(gsys),
-                    FieldPRG(self.field, cfg.seed, "ginger-commitment"),
-                )
-                request = commitment_verifier.commit_request()
-                challenge = commitment_verifier.decommit_challenge(basis)
+            group = cfg.group(self.field)
+            commitment_verifier = CommitmentVerifier(
+                self.field,
+                group,
+                ginger_pcp.proof_length(gsys),
+                FieldPRG(self.field, cfg.seed, "ginger-commitment"),
+            )
+            request = commitment_verifier.commit_request()
+            challenge = commitment_verifier.decommit_challenge(basis)
 
         results: list[InstanceResult] = []
         batch = BatchStats(batch_size=len(batch_inputs), verifier=verifier_stats)
@@ -558,24 +584,18 @@ class GingerArgument:
                         sol = self.program.solve(input_values, check=False)
                     with ptimer.phase("construct_u"):
                         vector = build_ginger_proof(gsys, sol.ginger_witness)
-                    if cfg.use_commitment:
-                        group = cfg.group(self.field)
-                        prover = CommitmentProver(self.field, group, vector)
-                        with ptimer.phase("crypto_ops"):
-                            commitment = prover.commit(request)
-                        with ptimer.phase("answer_queries"):
-                            response = prover.answer(challenge)
-                    else:
-                        with ptimer.phase("answer_queries"):
-                            pcp_answers = basis.answer(vector)
+                    prover = CommitmentProver(self.field, group, vector)
+                    with ptimer.phase("crypto_ops"):
+                        commitment = prover.commit(request)
+                    with ptimer.phase("answer_queries"):
+                        response = prover.answer(challenge)
                 with timer.phase("per_instance"):
-                    if cfg.use_commitment:
-                        commit_ok = commitment_verifier.verify(commitment, response)
-                        pcp_answers = response.answers[:-1]
-                    else:
-                        commit_ok = True
+                    commit_ok = commitment_verifier.verify(commitment, response)
                     pcp_result = ginger_pcp.check_answers(
-                        schedule, pcp_answers, sol.input_values, sol.output_values
+                        schedule,
+                        response.answers[:-1],
+                        sol.input_values,
+                        sol.output_values,
                     )
             except Exception as exc:  # noqa: BLE001 - isolate bad instances
                 results.append(record_instance_failure(index, exc))

@@ -106,8 +106,8 @@ _FAULT_STEP = {"prove": 1, "answer": 2}
 _DRAIN_SECONDS = 10.0
 
 
-def parse_hello_params(hello: dict) -> SoundnessParams:
-    """Validate a ``hello`` frame's soundness params.
+def hello_config(hello: dict) -> ArgumentConfig:
+    """The session's config, decoded from its ``hello`` frame.
 
     Enforces the ``_MAX_RHO`` resource cap before any schedule is
     derived from the parameters.  Repetitions out of range are a
@@ -115,20 +115,19 @@ def parse_hello_params(hello: dict) -> SoundnessParams:
     decode error is (``RepetitionError`` is a ``ValueError``).
     """
     try:
-        params = SoundnessParams.decode_params(hello)
+        config = ArgumentConfig.decode(hello)
+        params = config.params
         in_range = params.rho_lin <= _MAX_RHO and params.rho <= _MAX_RHO
     except RepetitionError:
         in_range = False
     except (KeyError, TypeError, ValueError) as exc:
-        raise ProtocolViolation(
-            f"malformed hello parameters: {exc}", code="bad-frame"
-        ) from exc
+        raise ProtocolViolation(f"malformed hello: {exc}", code="bad-frame") from exc
     if not in_range:
         raise ProtocolViolation(
             f"soundness repetitions out of range (max {_MAX_RHO})",
             code="bad-request",
         )
-    return params
+    return config
 
 
 def _send_error(conn, code: str, message: str, **fields) -> None:
@@ -199,7 +198,11 @@ def _decode_key(spec) -> bytes:
 
 
 class RegisteredProgram:
-    """One hosted program plus its pre-warmed proving artifacts."""
+    """One hosted program plus its pre-warmed proving artifacts.
+
+    ``config`` only names the QAP mode :meth:`warm` builds: each
+    session proves under the config its ``hello`` carries.
+    """
 
     def __init__(self, program: CompiledProgram, config: ArgumentConfig):
         self.program = program
@@ -295,8 +298,8 @@ class _SessionSteps:
     :meth:`run` is the one step function: the handler thread calls it
     with ``shards=0``, and with ``shards > 0`` a shard worker calls it
     for the session that leased it.  The :class:`ZaatarProver` that
-    commits in ``prove`` is held, with the session's params, until
-    ``answer`` finishes it, one session at a time.
+    commits in ``prove`` is held, with the session's soundness params,
+    until ``answer`` finishes it, one session at a time.
     """
 
     def __init__(self, registry: ProgramRegistry):
@@ -306,22 +309,24 @@ class _SessionSteps:
     def run(self, kind: str, payload):
         """Run one step; its result is the next frame's payload.
 
-        ``prove`` takes ``(program hash, params, qap_mode, request,
-        batch, budget)`` and returns the outputs payload; ``answer``
+        ``prove`` takes ``(program hash, config, request, batch,
+        budget)`` and proves under that config (its QAP mode and
+        commitment group); it returns the outputs payload.  ``answer``
         takes the challenge's ``(K_q, t)`` and returns the answers
         payload.
         """
         session, self.session = self.session, None
         if kind == "prove":
-            phash, params, qap_mode, request, batch_spec, budget = payload
+            phash, config, request, batch_spec, budget = payload
             entry = self.registry.lookup(phash)
             if entry is None:  # gateway validated; a forked registry re-checks
                 raise ProtocolViolation(
                     f"unknown program {str(phash)[:16]}", code="unknown-program"
                 )
-            prover = ZaatarProver(entry.program, entry.qap(qap_mode), entry.config)
+            qap = entry.qap(config.qap_mode)
+            prover = ZaatarProver(entry.program, qap, config)
             outputs = self._prove(prover, request, batch_spec, budget)
-            self.session = (prover, params)
+            self.session = (prover, config.params)
             return outputs
         if kind == "answer":
             if session is None:
@@ -429,15 +434,14 @@ class _SessionContext:
     """What one session carries through the exchange (and into a park).
 
     Everything needed to continue the protocol on a later connection:
-    the resume token, the registry entry and the hello's validated
-    parameters.  A session parks only while it awaits the commit,
-    before any prove step, so it carries no prover state.
+    the resume token, the registry entry and the config the hello
+    carried.  A session parks only while it awaits the commit, before
+    any prove step, so it carries no prover state.
     """
 
     token: str
     entry: RegisteredProgram
-    params: SoundnessParams
-    qap_mode: str
+    config: ArgumentConfig
     session_id: int
     expires_at: float = 0.0
 
@@ -938,20 +942,10 @@ class GatewayServer:
                 code="unknown-program",
             )
         self._count(f"gateway.sessions.{entry.name}")
-        params = parse_hello_params(hello)
-        qap_mode = hello.get("qap_mode", entry.config.qap_mode)
-        if not isinstance(qap_mode, str):
-            # an unknown name is a bad-request when the QAP is built; a
-            # non-string would reach the per-mode caches as a key
-            raise ProtocolViolation(
-                f"malformed hello: qap_mode must be a string, got {qap_mode!r}",
-                code="bad-frame",
-            )
         ctx = _SessionContext(
             token=os.urandom(16).hex(),
             entry=entry,
-            params=params,
-            qap_mode=qap_mode,
+            config=hello_config(hello),
             session_id=session_id,
         )
         tracer = None
@@ -1128,14 +1122,7 @@ class GatewayServer:
                 batch_spec = require(expect(recv_frame(conn), "inputs"), "batch")
                 if isinstance(batch_spec, list):
                     self.metrics.observe("session_batch_size", len(batch_spec))
-                prove_payload = (
-                    ctx.entry.hash,
-                    ctx.params,
-                    ctx.qap_mode,
-                    request,
-                    batch_spec,
-                    budget,
-                )
+                prove_payload = (ctx.entry.hash, ctx.config, request, batch_spec, budget)
                 outputs = step("prove", prove_payload)
                 send_frame(conn, {"type": "outputs", "instances": outputs})
                 challenge = expect(recv_frame(conn), "challenge")

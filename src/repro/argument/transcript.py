@@ -10,9 +10,10 @@ recorded prover messages can regenerate the verifier's entire state
 and re-run every check bit-for-bit.  That is the right primitive for
 dispute resolution and for regression-testing deployed provers.
 
-A transcript stores: the config (seed, soundness parameters, QAP mode),
-the claimed inputs/outputs, and the prover's messages (commitment +
-answers) per instance — everything as JSON-safe hex strings.
+A transcript stores the config (:meth:`ArgumentConfig.encode` with the
+seed), the claimed inputs/outputs, and the prover's messages
+(commitment + answers) per instance — everything as JSON-safe hex
+strings.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 
 from ..compiler import CompiledProgram
 from ..crypto.elgamal import ElGamalCiphertext
-from ..pcp import SoundnessParams
 from .framing import hex_list
 from .protocol import ArgumentConfig, ZaatarArgument, check_instance
 
@@ -44,37 +44,31 @@ class InstanceRecord:
 
     Transcripts store one per instance, the batch engine carries one on
     every proved :class:`~repro.argument.protocol.InstanceResult`, and
-    checkpoints write it with :meth:`to_json`.  ``commitment`` is None
-    only when the commitment layer is off, which transcripts refuse.
+    checkpoints write it with :meth:`to_json`.
     """
 
     input_values: list[int]
     claimed_outputs: list[int]
-    commitment: ElGamalCiphertext | None
+    commitment: ElGamalCiphertext
     answers: list[int]
 
     def to_json(self) -> dict:
         """The JSON-safe form: every value a hex string."""
-        record = {
+        return {
             "inputs": hex_list(self.input_values),
             "outputs": hex_list(self.claimed_outputs),
+            "commitment": hex_list([self.commitment.c1, self.commitment.c2]),
+            "answers": hex_list(self.answers),
         }
-        if self.commitment is not None:
-            record["commitment"] = hex_list([self.commitment.c1, self.commitment.c2])
-        record["answers"] = hex_list(self.answers)
-        return record
 
     @classmethod
     def from_json(cls, record: dict) -> "InstanceRecord":
         """Inverse of :meth:`to_json`; raises ``KeyError``, ``TypeError``
         or ``ValueError`` on malformed input."""
-        commitment = record.get("commitment")
-        if commitment is not None:
-            commitment = ElGamalCiphertext(*_unhex(commitment))
         return cls(
             input_values=_unhex(record["inputs"]),
             claimed_outputs=_unhex(record["outputs"]),
-            commitment=commitment,
+            commitment=ElGamalCiphertext(*_unhex(record["commitment"])),
             answers=_unhex(record["answers"]),
         )
 
@@ -88,10 +82,7 @@ class InstanceRecord:
 
 @dataclass
 class Transcript:
-    seed: bytes
-    params: SoundnessParams
-    qap_mode: str
-    paper_scale_crypto: bool
+    config: ArgumentConfig
     instances: list[InstanceRecord]
 
     # -- JSON ------------------------------------------------------------------
@@ -101,9 +92,7 @@ class Transcript:
         return json.dumps(
             {
                 "format": TRANSCRIPT_FORMAT,
-                **self.params.encode(self.seed),
-                "qap_mode": self.qap_mode,
-                "paper_scale_crypto": self.paper_scale_crypto,
+                **self.config.encode(seed=True),
                 "instances": [rec.to_json() for rec in self.instances],
             }
         )
@@ -117,16 +106,9 @@ class Transcript:
         if payload.get("format") != TRANSCRIPT_FORMAT:
             raise TranscriptError(f"unexpected format {payload.get('format')!r}")
         try:
-            params, seed = SoundnessParams.decode(payload)
-            instances = [InstanceRecord.from_json(rec) for rec in payload["instances"]]
-            if any(rec.commitment is None for rec in instances):
-                raise ValueError("an instance has no commitment")
             return cls(
-                seed=seed,
-                params=params,
-                qap_mode=payload["qap_mode"],
-                paper_scale_crypto=payload["paper_scale_crypto"],
-                instances=instances,
+                config=ArgumentConfig.decode(payload, seed=True),
+                instances=[InstanceRecord.from_json(rec) for rec in payload["instances"]],
             )
         except (KeyError, ValueError, TypeError) as exc:
             raise TranscriptError(f"malformed transcript: {exc}") from exc
@@ -147,8 +129,6 @@ def record_batch(
     :class:`TranscriptError` naming the instance and its code.
     """
     config = config or ArgumentConfig()
-    if not config.use_commitment:
-        raise ValueError("transcripts require the commitment layer")
     result = ZaatarArgument(program, config).run_batch(batch_inputs)
     for instance in result.instances:
         if not instance.ok:
@@ -157,11 +137,7 @@ def record_batch(
                 f"{instance.error_message}"
             )
     transcript = Transcript(
-        seed=config.seed,
-        params=config.params,
-        qap_mode=config.qap_mode,
-        paper_scale_crypto=config.paper_scale_crypto,
-        instances=[instance.record for instance in result.instances],
+        config=config, instances=[instance.record for instance in result.instances]
     )
     return transcript, result.all_accepted
 
@@ -175,13 +151,7 @@ def replay_transcript(program: CompiledProgram, transcript: Transcript) -> list[
     by the PCP checks are recomputed from the recorded inputs/outputs
     in canonical order.
     """
-    config = ArgumentConfig(
-        params=transcript.params,
-        qap_mode=transcript.qap_mode,
-        paper_scale_crypto=transcript.paper_scale_crypto,
-        seed=transcript.seed,
-    )
-    setup = ZaatarArgument(program, config).verifier_setup()
+    setup = ZaatarArgument(program, transcript.config).verifier_setup()
     verdicts: list[bool] = []
     for rec in transcript.instances:
         commit_ok, pcp = rec.check(setup, program.field.p)

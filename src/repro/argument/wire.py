@@ -141,8 +141,6 @@ def transport_costs(
 
     setup = argument.verifier_setup()
     schedule, _, request, challenge = setup
-    if not cfg.use_commitment:
-        raise ValueError("transport accounting requires the commitment layer")
 
     # --- V → P, commit: Enc(r) once per batch, then the inputs -----------
     group = cfg.group(field)

@@ -47,6 +47,7 @@ from .argument import (
 )
 from .compiler import compile_source
 from .costmodel import run_microbench
+from .crypto import group_for_field
 from .deploy import LINK_PROFILES
 from .field import NAMED_FIELDS, PrimeField, counting_field
 from .pcp import PAPER_PARAMS, SoundnessParams
@@ -56,8 +57,25 @@ def _field(name: str) -> PrimeField:
     return PrimeField.named(name)
 
 
-class ProgramFileError(Exception):
+class UsageError(Exception):
+    """A command line that cannot run as given (exit 2)."""
+
+
+class ProgramFileError(UsageError):
     """A program file that cannot be read or compiled (exit 2)."""
+
+
+def _argument_field(name: str) -> PrimeField:
+    """The field ``name``, if the argument runs over it: its commitment
+    group must have order |F|."""
+    field = _field(name)
+    try:
+        group_for_field(field)
+    except KeyError:
+        raise UsageError(
+            f"field {name} has no commitment group, so no argument runs over it"
+        ) from None
+    return field
 
 
 def _load_program(path: str, field: PrimeField, bit_width: int):
@@ -124,7 +142,7 @@ def cmd_prove(args: argparse.Namespace) -> int:
     outcomes instead of aborting the batch, and a killed
     ``--checkpoint`` run resumes without re-proving finished instances.
     """
-    field = _field(args.field)
+    field = _argument_field(args.field)
     program = _load_program(args.program, field, args.bit_width)
     if not args.inputs:
         print("error: provide at least one --inputs vector", file=sys.stderr)
@@ -135,7 +153,7 @@ def cmd_prove(args: argparse.Namespace) -> int:
     params = PAPER_PARAMS if args.paper_soundness else _soundness_params(args)
     if params is None:
         return 2
-    config = ArgumentConfig(params=params, use_commitment=not args.no_commitment)
+    config = ArgumentConfig(params=params)
     argument = ZaatarArgument(program, config)
     try:
         engine = run_parallel_batch(
@@ -220,7 +238,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     """
     # the counting field is the opt-in field-op instrumentation: the
     # program is compiled against it, so every solve/answer counts
-    field = counting_field(_field(args.field))
+    field = counting_field(_argument_field(args.field))
     if args.app:
         registry = _trace_app_registry()
         if args.app not in registry:
@@ -484,7 +502,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     over HTTP as a Prometheus-style plaintext page (``/json`` for the
     snapshot form that ``repro top`` renders).
     """
-    field = _field(args.field)
+    field = _argument_field(args.field)
     registry = ProgramRegistry()
     for path in [args.program, *args.registry]:
         registry.register(_load_program(path, field, args.bit_width), ArgumentConfig())
@@ -716,7 +734,7 @@ def cmd_deploy(args: argparse.Namespace) -> int:
     from .benchgate import bench_metadata
     from .deploy import grid_cells, run_grid
 
-    field = _field(args.field)
+    field = _argument_field(args.field)
     registry = _trace_app_registry()
     if args.app not in registry:
         print(
@@ -819,7 +837,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="use the paper's production parameters (rho_lin=20, rho=8; slow)",
     )
-    p_prove.add_argument("--no-commitment", action="store_true")
     p_prove.add_argument(
         "--workers",
         type=int,
@@ -1147,7 +1164,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ProgramFileError as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -145,11 +145,15 @@ class ChaChaStream:
 
         The blocks a read needs come from one :func:`chacha20_blocks`
         call when numpy is present and they number at least
-        :data:`KERNEL_MIN_BLOCKS`, else from the per-block loop.
+        :data:`KERNEL_MIN_BLOCKS`, else from the per-block loop.  The
+        kernel also buffers :data:`KERNEL_MIN_BLOCKS` blocks past the
+        read, so the short read that often follows a long one (a
+        schedule's τ after its linearity draw) is served from the buffer.
         """
         chunks = [self._buffer] if self._buffer else []
         blocks = -(-(n - len(self._buffer)) // 64)
         if blocks >= KERNEL_MIN_BLOCKS and _np is not None:
+            blocks += KERNEL_MIN_BLOCKS
             chunks.append(chacha20_blocks(self._key, self._counter, self._nonce, blocks))
             self._counter = (self._counter + blocks) & _MASK
         else:

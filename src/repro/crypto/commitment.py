@@ -133,11 +133,10 @@ class QueryBasis:
 
 @dataclass
 class DecommitChallenge:
-    """V → P: the PCP queries, as base rows, and the consistency query t
-    (None without the commitment layer)."""
+    """V → P: the PCP queries, as base rows, and the consistency query t."""
 
     basis: QueryBasis
-    t: list[int] | None = None
+    t: list[int]
 
 
 @dataclass

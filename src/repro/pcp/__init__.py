@@ -16,7 +16,6 @@ from .soundness import (
     delta_star,
     kappa_bound,
 )
-from .tuning import TuningResult, optimize_params, query_volume
 from .zaatar import CheckResult, ZaatarSchedule, check_answers, generate_schedule, run_pcp
 
 __all__ = [
@@ -29,9 +28,6 @@ __all__ = [
     "SoundnessParams",
     "TEST_PARAMS",
     "TargetedCheatOracle",
-    "TuningResult",
-    "optimize_params",
-    "query_volume",
     "VectorOracle",
     "ZaatarSchedule",
     "check_answers",

@@ -94,36 +94,6 @@ class SoundnessParams:
         """PCP error plus commitment error — the full argument bound."""
         return self.pcp_error + self.commitment_error(field_size, num_queries)
 
-    def encode(self, seed: bytes | None = None) -> dict:
-        """These params as JSON, with a query seed when one is given:
-        transcripts and checkpoint headers carry ``{"seed": hex,
-        "params": {"delta", "rho_lin", "rho"}}``, and ``hello`` frames
-        the ``params`` member alone (the seed never reaches a prover)."""
-        spec = {
-            "params": {"delta": self.delta, "rho_lin": self.rho_lin, "rho": self.rho}
-        }
-        return spec if seed is None else {"seed": seed.hex(), **spec}
-
-    @classmethod
-    def decode(cls, spec) -> tuple["SoundnessParams", bytes]:
-        """``(params, seed)`` from :meth:`encode`'s JSON with a seed.
-
-        Raises ``KeyError``, ``TypeError`` or ``ValueError`` on
-        malformed input; each caller maps them onto its own error.
-        """
-        return cls.decode_params(spec), bytes.fromhex(spec["seed"])
-
-    @classmethod
-    def decode_params(cls, spec) -> "SoundnessParams":
-        """The params alone from :meth:`encode`'s JSON (a ``hello``
-        frame's); raises as :meth:`decode` does."""
-        params = spec["params"]
-        return cls(
-            delta=float(params["delta"]),
-            rho_lin=int(params["rho_lin"]),
-            rho=int(params["rho"]),
-        )
-
 
 #: the paper's production parameters: κ ≈ 0.177, so the PCP soundness
 #: error is κ^ρ ≈ 9.5·10⁻⁷, for 992 queries per proof

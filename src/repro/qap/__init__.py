@@ -4,8 +4,6 @@ from .prover import (
     QAPProof,
     build_proof_vector,
     compute_h,
-    embed_h_query,
-    embed_z_query,
     witness_poly_evaluations,
 )
 from .qap import QAPInstance, build_qap
@@ -27,8 +25,6 @@ __all__ = [
     "compute_h",
     "InstanceScalars",
     "divisibility_check",
-    "embed_h_query",
     "instance_scalars",
-    "embed_z_query",
     "witness_poly_evaluations",
 ]

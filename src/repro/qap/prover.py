@@ -40,8 +40,7 @@ by D(t) = t^m − 1 is one add.
 ``build_proof_vector`` assembles u = (z, h), the two linear functions
 π_z, π_h of §3, as one flat vector (the commitment layer treats them
 as a single linear function over F^(|Z|+|C|+1); a query on one side is
-zero on the other, so the schedule keeps it as that side's row, and
-``embed_z_query`` / ``embed_h_query`` lift one to full length).
+zero on the other, so the schedule keeps it as that side's row).
 """
 
 from __future__ import annotations
@@ -239,17 +238,3 @@ def build_proof_vector(qap: QAPInstance, witness: Sequence[int]) -> QAPProof:
     """u = (z, h) from a full canonical assignment (witness[0] == 1)."""
     z = list(witness[1 : qap.n_prime + 1])
     return QAPProof(z=z, h=compute_h(qap, witness))
-
-
-def embed_z_query(qap: QAPInstance, q: Sequence[int]) -> list[int]:
-    """Lift a πz query (length |Z|) into full-proof-vector coordinates."""
-    if len(q) != qap.n_prime:
-        raise ValueError(f"z-query length {len(q)} != {qap.n_prime}")
-    return list(q) + [0] * qap.h_length
-
-
-def embed_h_query(qap: QAPInstance, q: Sequence[int]) -> list[int]:
-    """Lift a πh query (length |C|+1) into full-proof-vector coordinates."""
-    if len(q) != qap.h_length:
-        raise ValueError(f"h-query length {len(q)} != {qap.h_length}")
-    return [0] * qap.n_prime + list(q)

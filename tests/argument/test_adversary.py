@@ -62,11 +62,6 @@ class TestCatalog:
         with pytest.raises(ValueError, match="unknown mutation"):
             AdversarialProver(sumsq_program, FAST, mutation="frobnicate")
 
-    def test_requires_commitment_layer(self, sumsq_program):
-        bare = ArgumentConfig(params=FAST.params, use_commitment=False)
-        with pytest.raises(ValueError, match="use_commitment"):
-            AdversarialProver(sumsq_program, bare, mutation="tamper-witness")
-
 
 class TestEveryMutationRejected:
     @pytest.mark.parametrize("mutation", MUTATIONS)

@@ -26,8 +26,11 @@ from repro.argument import (
 )
 from repro.argument.checkpoint import CHECKPOINT_FILENAME
 from repro.compiler import compile_program
+from repro.crypto import FieldPRG
 from repro.field import GOLDILOCKS, HAVE_NUMPY, NAMED_FIELDS, PrimeField
-from repro.pcp import SoundnessParams
+from repro.pcp import SoundnessParams, zaatar
+from repro.qap import build_qap
+from repro.qap.prover import compute_h_batch
 
 from ..conftest import build_sum_of_squares
 
@@ -89,16 +92,22 @@ def test_batched_prover_transcripts_byte_identical(name):
 
 
 def test_batched_prover_answers_identical_p192():
-    """p192 has no commitment group, so transcripts cannot cover it;
-    compare the raw PCP query answers of each input proved alone and
-    inside a batch of 3 instead."""
-    cfg = ArgumentConfig(params=FAST.params, use_commitment=False)
+    """p192 has no commitment group, so no argument runs over it;
+    compare its raw PCP answers instead: each input's u = (z, h), with h
+    from ``compute_h_batch`` alone and inside a batch of 3, answered by
+    the schedule's base rows."""
     batch = BATCH[:3]
 
     def answers(backend, rows):
-        arg = ZaatarArgument(_named_program("p192", backend), cfg)
-        _, _, request, challenge = arg.verifier_setup()
-        return [rec.answers for rec in arg.prove_batch(rows, request, challenge)]
+        program = _named_program("p192", backend)
+        qap = build_qap(program.quadratic)
+        prg = FieldPRG(program.field, FAST.seed, "queries")
+        basis = zaatar.generate_schedule(qap, FAST.params, prg).basis
+        witnesses = [program.solve(values).quadratic_witness for values in rows]
+        return [
+            basis.answer(w[1 : qap.n_prime + 1] + h)
+            for w, h in zip(witnesses, compute_h_batch(qap, witnesses))
+        ]
 
     alone = [answers("scalar", [values])[0] for values in batch]
     for backend in ("scalar", "numpy"):

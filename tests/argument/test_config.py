@@ -11,7 +11,6 @@ class TestDefaults:
         cfg = ArgumentConfig()
         assert cfg.params == TEST_PARAMS
         assert cfg.qap_mode == "arithmetic"
-        assert cfg.use_commitment
 
     def test_group_selection(self, gold, p128):
         cfg = ArgumentConfig()

@@ -1,5 +1,6 @@
 """Tests for the multi-tenant prover gateway (repro.argument.serve)."""
 
+import dataclasses
 import socket
 import threading
 import time
@@ -24,11 +25,13 @@ from repro.argument import (
 from repro.argument import serve as serve_mod
 from repro.argument.framing import hex_list
 from repro.argument.net import hello_frame, recv_frame, send_frame
-from repro.argument.serve import parse_hello_params
+from repro.argument.serve import hello_config
 from repro.compiler import compile_program
 from repro.crypto import query_key
 from repro.pcp import SoundnessParams
 from repro.telemetry import Trace
+
+from ..conftest import build_sum_of_squares
 
 FAST = ArgumentConfig(params=SoundnessParams(rho_lin=2, rho=1))
 NO_RETRY = RetryPolicy.none()
@@ -131,11 +134,12 @@ class TestRegistry:
 
 
 class TestHelloParams:
-    """The gateway decodes a hello's params with the shared codec but
-    keeps its own error codes and its resource cap."""
+    """The gateway decodes a hello into the session's config with the
+    config's codec but keeps its own error codes and its resource cap."""
 
     def test_hello_frame_roundtrips(self, sumsq_program):
-        assert parse_hello_params(hello_frame(sumsq_program, FAST)) == FAST.params
+        config = hello_config(hello_frame(sumsq_program, FAST))
+        assert config == dataclasses.replace(FAST, seed=b"")
 
     @pytest.mark.parametrize(
         "change, code",
@@ -150,13 +154,34 @@ class TestHelloParams:
             # must stay a bad-request rather than a malformed frame
             ({"params": {"delta": 0.03, "rho_lin": 2, "rho": 0}}, "bad-request"),
             ({"params": {"delta": 0.03, "rho_lin": -1, "rho": 1}}, "bad-request"),
+            ({"paper_scale_crypto": "true"}, "bad-frame"),
+            ({"qap_mode": ["x"]}, "bad-frame"),
         ],
     )
     def test_bad_params_keep_the_wire_codes(self, sumsq_program, change, code):
         hello = {**hello_frame(sumsq_program, FAST), **change}
         with pytest.raises(ProtocolViolation) as excinfo:
-            parse_hello_params(hello)
+            hello_config(hello)
         assert excinfo.value.code == code
+
+
+class TestSessionConfig:
+    """A session proves under the config its hello carries, group
+    included, not under the one its program was registered with."""
+
+    @pytest.mark.parametrize("shards", [0, 1])
+    def test_paper_scale_verifier_against_a_default_registration(self, p128, shards):
+        program = compile_program(p128, build_sum_of_squares(), name="sumsq")
+        registry = ProgramRegistry()
+        registry.register(program, ArgumentConfig())
+        paper = ArgumentConfig(params=FAST.params, paper_scale_crypto=True)
+        with GatewayServer(registry, shards=shards) as gw:
+            result = verify_remote(
+                program, [[1, 2, 3], [4, 5, 6]], gw.address, paper, retry=NO_RETRY
+            )
+        verdicts = [(r.accepted, r.commitment_ok, r.pcp_ok) for r in result.instances]
+        assert verdicts == [(True, True, True)] * 2
+        assert [r.output_values for r in result.instances] == [[14], [77]]
 
 
 class TestHelloQapMode:
@@ -211,7 +236,7 @@ class TestSessionProver:
         """One prove step, as the exchange runs it once the commit
         frame's Enc(r) is decoded."""
         request = ZaatarArgument(program, FAST).verifier_setup()[2]
-        payload = (program_hash(program), FAST.params, FAST.qap_mode, request, batch, None)
+        payload = (program_hash(program), FAST, request, batch, None)
         return serve_mod._SessionSteps(registry).run("prove", payload)
 
     def test_budget_expiring_after_the_solves_stops_before_any_commit(

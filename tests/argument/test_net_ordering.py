@@ -133,7 +133,13 @@ class TestQueryKeyOrder:
             if f["type"] == "hello"
         ]
         for hello in (built, sent):
-            assert set(hello) == {"type", "program", "params", "qap_mode"}
+            assert set(hello) == {
+                "type",
+                "program",
+                "params",
+                "qap_mode",
+                "paper_scale_crypto",
+            }
             text = json.dumps(hello)
             assert not any(value in text for value in secrets_hex)
 

@@ -11,9 +11,6 @@ from repro.argument import (
 from repro.pcp import SoundnessParams
 
 FAST = ArgumentConfig(params=SoundnessParams(rho_lin=2, rho=1))
-FAST_NO_CRYPTO = ArgumentConfig(
-    params=SoundnessParams(rho_lin=2, rho=1), use_commitment=False
-)
 
 
 class TestZaatarBatch:
@@ -32,12 +29,6 @@ class TestZaatarBatch:
         mean = stats.mean_prover()
         assert mean.e2e > 0
         assert mean.crypto_ops > 0  # commitment enabled
-
-    def test_no_commitment_mode(self, sumsq_program):
-        arg = ZaatarArgument(sumsq_program, FAST_NO_CRYPTO)
-        result = arg.run_batch([[1, 2, 3]])
-        assert result.all_accepted
-        assert result.stats.mean_prover().crypto_ops == 0
 
     def test_roots_mode(self, sumsq_program):
         cfg = ArgumentConfig(

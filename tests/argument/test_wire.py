@@ -109,14 +109,6 @@ class TestTransport:
         with pytest.raises(ValueError):
             transport_costs(arg, [[1, 2, 3]], mode="quantum")
 
-    def test_requires_commitment(self, sumsq_program):
-        cfg = ArgumentConfig(
-            params=SoundnessParams(rho_lin=2, rho=1), use_commitment=False
-        )
-        arg = ZaatarArgument(sumsq_program, cfg)
-        with pytest.raises(ValueError):
-            transport_costs(arg, [[1, 2, 3]])
-
     def test_total_is_sum(self, sumsq_program):
         arg = ZaatarArgument(sumsq_program, FAST)
         tally, _ = transport_costs(arg, [[1, 2, 3]], mode="seeded")

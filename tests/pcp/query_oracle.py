@@ -3,6 +3,8 @@
 This is the route ``repro.pcp.zaatar`` and ``repro.crypto.commitment``
 replaced with base rows, kept as the reference they must reproduce:
 
+* :func:`embed_z_query` and :func:`embed_h_query` lift a query on one
+  half of u = (z, h) to full length, zero on the other half;
 * :func:`embedded_queries` draws a schedule's queries exactly as the
   schedule does (4·ρ_lin fresh vectors per repetition in one draw, then
   τ) and builds every one of the ρ·(6ρ_lin + 4) queries as a list of
@@ -17,8 +19,23 @@ and the query-path rows of ``benchmarks/bench_kernels.py`` time it.
 from __future__ import annotations
 
 from itertools import islice
+from typing import Sequence
 
-from repro.qap import circuit_queries, embed_h_query, embed_z_query
+from repro.qap import circuit_queries
+
+
+def embed_z_query(qap, q: Sequence[int]) -> list[int]:
+    """Lift a πz query (length |Z|) into full-proof-vector coordinates."""
+    if len(q) != qap.n_prime:
+        raise ValueError(f"z-query length {len(q)} != {qap.n_prime}")
+    return list(q) + [0] * qap.h_length
+
+
+def embed_h_query(qap, q: Sequence[int]) -> list[int]:
+    """Lift a πh query (length |C|+1) into full-proof-vector coordinates."""
+    if len(q) != qap.h_length:
+        raise ValueError(f"h-query length {len(q)} != {qap.h_length}")
+    return [0] * qap.n_prime + list(q)
 
 
 def embedded_queries(qap, params, prg) -> list[list[int]]:

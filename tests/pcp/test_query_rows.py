@@ -10,16 +10,16 @@ the base-row route to it, element for element.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 
 from repro.apps import ALL_APPS
 from repro.argument import ZaatarArgument
 from repro.crypto import FieldPRG
+from repro.crypto import chacha
 from repro.crypto import prg as prg_module
 from repro.field import HAVE_NUMPY, NAMED_FIELDS, PrimeField, WordRows
-from repro.pcp import SoundnessParams, zaatar
+from repro.pcp import PAPER_PARAMS, TEST_PARAMS, SoundnessParams, zaatar
 from repro.qap import build_qap
 from tests.integration.test_end_to_end import FAST, TINY_SIZES
 from tests.pcp import query_oracle
@@ -56,22 +56,20 @@ def test_t_and_answers_equal_the_per_query_route(app_name, backend, batch_size):
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("app_name", sorted(TINY_SIZES))
 def test_answers_without_the_commitment_layer(app_name, backend):
+    """The PCP's own answers, from the base rows alone, are one inner
+    product per embedded query."""
     app, sizes = ALL_APPS[app_name], TINY_SIZES[app_name]
     field = _field("goldilocks", backend)
-    config = replace(FAST, use_commitment=False)
-    argument = ZaatarArgument(app.compile(field, sizes), config)
-    _, _, request, challenge = argument.verifier_setup()
-    assert challenge.t is None
+    argument = ZaatarArgument(app.compile(field, sizes), FAST)
+    schedule, _, request, _ = argument.verifier_setup()
     queries = query_oracle.embedded_queries(
-        argument.qap, config.params, FieldPRG(field, config.seed, "queries")
+        argument.qap, FAST.params, FieldPRG(field, FAST.seed, "queries")
     )
     batch = [app.generate_inputs(random.Random(app_name), sizes) for _ in range(2)]
     prover = argument.prover()
     prover.commit(request, batch)
-    expected = [
-        [field.inner_product(q, u) for q in queries] for _, _, u in prover.committed
-    ]
-    assert prover.answer(challenge) == expected
+    for _, _, u in prover.committed:
+        assert schedule.basis.answer(u) == [field.inner_product(q, u) for q in queries]
 
 
 @pytest.fixture(scope="module")
@@ -154,3 +152,20 @@ def test_word_draws_reject_exactly_at_p(name):
     words = draws["next_words"]
     values = [sum(int(x) << (64 * j) for j, x in enumerate(row)) for row in words]
     assert values == draws["next_vector"] == accepted
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="without numpy every block is per-block")
+@pytest.mark.parametrize("params", [TEST_PARAMS, PAPER_PARAMS], ids=["test", "paper"])
+@pytest.mark.parametrize("name", sorted(NAMED_FIELDS))
+def test_schedule_runs_no_per_block_chacha(lcs_qaps, name, params, monkeypatch):
+    """With numpy, a schedule's every keystream block comes from the
+    kernel: the short τ draw after each linearity draw reads blocks the
+    kernel buffered past it, not a pure-Python ``chacha20_block``."""
+    calls = []
+    block = chacha.chacha20_block
+    monkeypatch.setattr(
+        chacha, "chacha20_block", lambda *args: calls.append(args) or block(*args)
+    )
+    qap = lcs_qaps[name, "numpy"]
+    zaatar.generate_schedule(qap, params, FieldPRG(qap.field, b"blocks", "queries"))
+    assert calls == []

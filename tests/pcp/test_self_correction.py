@@ -22,10 +22,10 @@ from repro.qap import (
     build_qap,
     circuit_queries,
     divisibility_check,
-    embed_h_query,
-    embed_z_query,
     instance_scalars,
 )
+
+from .query_oracle import embed_h_query, embed_z_query
 
 PARAMS = SoundnessParams(rho_lin=3, rho=2)
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.argument import ArgumentConfig
 from repro.pcp import PAPER_PARAMS, SoundnessParams, delta_star, kappa_bound
 
 
@@ -71,33 +72,42 @@ class TestRepetitions:
             SoundnessParams(**{field: value})
 
     def test_decoded_zero_repetitions_rejected(self):
-        spec = SoundnessParams(rho_lin=2, rho=1).encode(b"\x01")
+        config = ArgumentConfig(params=SoundnessParams(rho_lin=2, rho=1), seed=b"\x01")
+        spec = config.encode(seed=True)
         spec["params"]["rho"] = 0
         with pytest.raises(ValueError, match="rho must be at least 1"):
-            SoundnessParams.decode(spec)
+            ArgumentConfig.decode(spec, seed=True)
+
+
+#: the rest of an encoded config, around the params under test
+_MODES = {"qap_mode": "arithmetic", "paper_scale_crypto": False}
 
 
 class TestCodec:
+    """The params travel as JSON inside :meth:`ArgumentConfig.encode`."""
+
     def test_roundtrip(self):
         params = SoundnessParams(delta=0.03, rho_lin=5, rho=3)
-        spec = params.encode(b"\x00\xfe")
+        config = ArgumentConfig(params=params, seed=b"\x00\xfe")
+        spec = config.encode(seed=True)
         assert spec == {
             "seed": "00fe",
             "params": {"delta": 0.03, "rho_lin": 5, "rho": 3},
+            **_MODES,
         }
-        assert SoundnessParams.decode(spec) == (params, b"\x00\xfe")
+        assert ArgumentConfig.decode(spec, seed=True) == config
 
     @pytest.mark.parametrize(
         "spec",
         [
-            {"seed": "00"},
-            {"seed": "zz", "params": {"delta": 0.03, "rho_lin": 5, "rho": 3}},
-            {"seed": "00", "params": {"delta": 0.03, "rho_lin": "x", "rho": 3}},
-            {"seed": "00", "params": {"delta": [1], "rho_lin": 5, "rho": 3}},
-            {"seed": "00", "params": ["delta"]},
+            {"seed": "00", **_MODES},
+            {"seed": "zz", "params": {"delta": 0.03, "rho_lin": 5, "rho": 3}, **_MODES},
+            {"seed": "00", "params": {"delta": 0.03, "rho_lin": "x", "rho": 3}, **_MODES},
+            {"seed": "00", "params": {"delta": [1], "rho_lin": 5, "rho": 3}, **_MODES},
+            {"seed": "00", "params": ["delta"], **_MODES},
             ["seed"],
         ],
     )
     def test_malformed_raises_what_callers_map(self, spec):
         with pytest.raises((KeyError, TypeError, ValueError)):
-            SoundnessParams.decode(spec)
+            ArgumentConfig.decode(spec, seed=True)

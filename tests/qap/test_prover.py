@@ -11,13 +11,12 @@ from repro.qap import (
     build_proof_vector,
     build_qap,
     compute_h,
-    embed_h_query,
-    embed_z_query,
     witness_poly_evaluations,
 )
 from repro.qap.prover import compute_h_batch
 
 from ..integration.test_end_to_end import TINY_SIZES
+from ..pcp.query_oracle import embed_h_query, embed_z_query
 from .h_oracle import compute_h_batch_divide
 from .test_edge_cases import single_constraint_system
 from .test_qap import power_chain

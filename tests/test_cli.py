@@ -94,13 +94,12 @@ class TestProveCommand:
         assert f"y=[{reference(5, 6)}]  [ACCEPTED]" in out
         assert "prover per instance" in out
 
-    def test_no_commitment_mode(self, program_file, capsys):
-        rc = main(
-            ["prove", program_file, "--inputs", "2,2", "--no-commitment",
-             "--rho-lin", "2", "--rho", "1"]
+    def test_field_without_a_commitment_group_is_error(self, program_file, capsys):
+        rc = main(["prove", program_file, "--field", "p192", "--inputs", "3,4"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "error: field p192 has no commitment group"
         )
-        assert rc == 0
-        assert f"y=[{reference(2, 2)}]" in capsys.readouterr().out
 
     def test_missing_inputs_is_error(self, program_file, capsys):
         assert main(["prove", program_file]) == 2
@@ -214,6 +213,18 @@ class TestTraceCommand:
         main(["trace", program_file, "--inputs", "1,1", "--no-net",
               "--out", str(tmp_path / "t.jsonl")])
         assert not telemetry.enabled()
+
+    def test_field_without_a_commitment_group_is_error(
+        self, program_file, capsys, tmp_path
+    ):
+        out_path = tmp_path / "t.jsonl"
+        rc = main(["trace", program_file, "--field", "p192", "--inputs", "3,4",
+                   "--no-net", "--out", str(out_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "error: field p192 has no commitment group"
+        )
+        assert not out_path.exists()
 
     def test_unknown_app_is_error(self, tmp_path):
         assert main(["trace", "--app", "nope"]) == 2
