@@ -56,13 +56,18 @@ the key holder's route must win by ``COMMIT_MIN_SPEEDUP``; the rows
 land in ``BENCH_kernels.json``.
 
 Its keystream section times ChaCha20 keystream generation at the
-block counts in ``KEYSTREAM_BLOCKS``: the per-block ``chacha20_block``
-loop against the multi-block numpy kernel ``chacha20_blocks``, from a
-counter that wraps past 2^32 inside the longest read.  Under
-``--check`` the bytes must be identical at every count and the kernel
-must beat the loop by ``KEYSTREAM_MIN_SPEEDUP`` at
-``KEYSTREAM_GATE_BLOCKS`` blocks (one p128 query repetition); the rows
-land in ``BENCH_kernels.json``.  Without numpy the section is skipped.
+block counts in ``KEYSTREAM_BLOCKS``, the three routes alternating: the
+RFC 8439 per-block loop (``tests/crypto/chacha_oracle.py``), the
+packed-int route ``chacha20_packed`` and the numpy kernel
+``chacha20_blocks``, from a counter that wraps past 2^32 inside the
+longer reads.  Under ``--check`` the bytes must be identical at every
+count, the packed route must beat the loop by ``PACKED_MIN_SPEEDUP``
+at ``PACKED_GATE_BLOCKS``, the kernel must beat it by
+``KEYSTREAM_MIN_SPEEDUP`` at ``KEYSTREAM_GATE_BLOCKS`` blocks (one
+p128 query repetition), and ``KERNEL_MIN_BLOCKS`` must sit where the
+packed and kernel lines cross, within ``CROSSOVER_MARGIN``; the rows
+land in ``BENCH_kernels.json``.  Without numpy the kernel's entries
+are None and only its gates are skipped.
 Its PRG rows time ``FieldPRG.next_vector`` on Goldilocks at
 ``PRG_READ_SIZES`` samples, the per-sample loop against the uint64
 path, from replayed keystream bytes: the sweep behind
@@ -104,11 +109,12 @@ from repro import telemetry
 from repro.crypto import (
     ElGamalKeypair,
     FieldPRG,
-    chacha20_block,
     chacha20_blocks,
+    chacha20_packed,
     homomorphic_inner_product,
     named_group,
 )
+from repro.crypto.chacha import KERNEL_MIN_BLOCKS
 from repro.field import GOLDILOCKS, HAVE_NUMPY, NAMED_FIELDS, PrimeField
 from repro.poly import (
     SubproductTree,
@@ -220,16 +226,28 @@ DECRYPT_GROUPS = (
 )
 DECRYPT_COUNT = 16
 
-#: keystream section: block counts timed — around the kernel's
-#: crossover, and one p128 LCS m=4 query repetition (5,328 16-byte
-#: samples = 1,332 blocks)
-KEYSTREAM_BLOCKS = (1, 2, 4, 8, 1332)
+#: keystream section: block counts timed — short reads, counts on both
+#: sides of the packed route's crossover with the numpy kernel
+#: (``repro.crypto.chacha.KERNEL_MIN_BLOCKS``), and one p128 LCS m=4
+#: query repetition (5,328 16-byte samples = 1,332 blocks)
+KEYSTREAM_BLOCKS = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 1332)
 #: under --check, the kernel must beat the per-block loop by at least
 #: this factor at KEYSTREAM_GATE_BLOCKS (measured ~200x on a 2-core
 #: Xeon; the margin absorbs CI noise while still catching a kernel
 #: that fell back to per-block work)
 KEYSTREAM_MIN_SPEEDUP = 10.0
 KEYSTREAM_GATE_BLOCKS = 1332
+#: under --check, the packed route must beat the per-block loop by at
+#: least this factor at each of PACKED_GATE_BLOCKS (measured 2.46–2.47x
+#: at one block and 4.32–4.49x at two on a 2-core Xeon)
+PACKED_MIN_SPEEDUP = 2.0
+PACKED_GATE_BLOCKS = (1, 2)
+#: under --check, KERNEL_MIN_BLOCKS must sit where the sweep's packed
+#: and kernel lines cross: below it the packed route, and from it on
+#: the kernel, may be slower than the other by at most this factor
+#: (five sweeps read packed/kernel 0.83–0.96 at 48 blocks and
+#: 1.05–1.10 at 64, so a tighter test would read noise)
+CROSSOVER_MARGIN = 1.25
 
 #: ``FieldPRG.next_vector`` read lengths (Goldilocks samples) timed on
 #: the per-sample loop and on the uint64 path: the sweep that sets
@@ -784,36 +802,47 @@ def _bench_decryption(reps: int, rng: random.Random) -> list[dict]:
 
 
 def _bench_keystream(reps: int, rng: random.Random) -> list[dict]:
-    """ChaCha20 keystream: the per-block loop vs one multi-block call.
+    """ChaCha20 keystream: the per-block oracle loop, the packed route
+    and the numpy kernel, at every count in ``KEYSTREAM_BLOCKS``.
 
-    The counter starts just below 2^32, so the longest read wraps it
-    the way ``ChaChaStream`` does.  Empty when numpy is absent.
+    The routes alternate for ``reps`` rounds, each round timing the
+    best of max(2, 64 // blocks) calls per route (the loop past 64
+    blocks: one call, in two rounds).  The counter starts just below
+    2^32, so the longer reads wrap it the way ``ChaChaStream`` does.
+    Without numpy the kernel's entries are None.
     """
-    if not HAVE_NUMPY:
-        return []
+    from tests.crypto.chacha_oracle import block_loop
+
     key, nonce = rng.randbytes(32), rng.randbytes(12)
     counter = 2**32 - 100
-
-    def loop(blocks: int) -> bytes:
-        return b"".join(
-            chacha20_block(key, (counter + j) & 0xFFFFFFFF, nonce)
-            for j in range(blocks)
-        )
-
     rows = []
     for blocks in KEYSTREAM_BLOCKS:
-        identical = chacha20_blocks(key, counter, nonce, blocks) == loop(blocks)
-        loop_seconds = _best_of(lambda: loop(blocks), min(reps, 2) if blocks > 64 else reps)
-        kernel_seconds = _best_of(
-            lambda: chacha20_blocks(key, counter, nonce, blocks), reps
-        )
+        routes = {
+            "loop": lambda: block_loop(key, counter, nonce, blocks),
+            "packed": lambda: chacha20_packed(key, counter, nonce, blocks),
+        }
+        if HAVE_NUMPY:
+            routes["kernel"] = lambda: chacha20_blocks(key, counter, nonce, blocks)
+        outputs = {route: fn() for route, fn in routes.items()}
+        seconds = {route: float("inf") for route in routes}
+        calls = max(2, 64 // blocks)  # per round: short reads are noisy
+        for rep in range(reps):  # alternate: drift hits every route
+            for route, fn in routes.items():
+                if route != "loop" or blocks <= 64:
+                    seconds[route] = min(seconds[route], _best_of(fn, calls))
+                elif rep < 2:  # tens of ms per call
+                    seconds[route] = min(seconds[route], _best_of(fn, 1))
+        kernel = seconds.get("kernel")
         rows.append(
             {
                 "blocks": blocks,
-                "loop_seconds": loop_seconds,
-                "kernel_seconds": kernel_seconds,
-                "speedup": loop_seconds / kernel_seconds,
-                "bit_identical": identical,
+                "loop_seconds": seconds["loop"],
+                "packed_seconds": seconds["packed"],
+                "kernel_seconds": kernel,
+                "packed_speedup": seconds["loop"] / seconds["packed"],
+                "speedup": seconds["loop"] / kernel if kernel else None,
+                "packed_over_kernel": seconds["packed"] / kernel if kernel else None,
+                "bit_identical": len(set(outputs.values())) == 1,
             }
         )
     return rows
@@ -1079,17 +1108,7 @@ def check(results: dict) -> list[str]:
                 f"{where}: key holder's route only {row['speedup']:.2f}x over "
                 f"pow (need {COMMIT_MIN_SPEEDUP}x)"
             )
-    for row in results["keystream"]:
-        where = f"keystream: {row['blocks']} blocks"
-        if not row["bit_identical"]:
-            failures.append(f"{where}: kernel bytes differ from the per-block loop")
-        if row["blocks"] == KEYSTREAM_GATE_BLOCKS and (
-            row["speedup"] < KEYSTREAM_MIN_SPEEDUP
-        ):
-            failures.append(
-                f"{where}: kernel only {row['speedup']:.2f}x over the "
-                f"per-block loop (need {KEYSTREAM_MIN_SPEEDUP}x)"
-            )
+    failures += _check_keystream(results["keystream"])
     for row in results["prg_reads"]:
         if not row["bit_identical"]:
             failures.append(
@@ -1119,6 +1138,40 @@ def check(results: dict) -> list[str]:
                 f"batch: CRT product at m={product['m']} "
                 f"batch={product['batch']} only {product['speedup']:.2f}x "
                 f"over the object-dtype route (need {BATCH_MIN_SPEEDUP}x)"
+            )
+    return failures
+
+
+def _check_keystream(rows: list[dict]) -> list[str]:
+    """Equal bytes on every route; the kernel's and the packed route's
+    floors over the loop; ``KERNEL_MIN_BLOCKS`` where the lines cross."""
+    failures = []
+    for row in rows:
+        where = f"keystream: {row['blocks']} blocks"
+        if not row["bit_identical"]:
+            failures.append(f"{where}: the routes' bytes differ from the per-block loop")
+        if row["blocks"] in PACKED_GATE_BLOCKS and row["packed_speedup"] < PACKED_MIN_SPEEDUP:
+            failures.append(
+                f"{where}: packed route only {row['packed_speedup']:.2f}x over the "
+                f"per-block loop (need {PACKED_MIN_SPEEDUP}x)"
+            )
+        ratio = row["packed_over_kernel"]
+        if ratio is None:
+            continue  # numpy absent: no kernel to gate or to cross
+        if row["blocks"] == KEYSTREAM_GATE_BLOCKS and row["speedup"] < KEYSTREAM_MIN_SPEEDUP:
+            failures.append(
+                f"{where}: kernel only {row['speedup']:.2f}x over the "
+                f"per-block loop (need {KEYSTREAM_MIN_SPEEDUP}x)"
+            )
+        if row["blocks"] < KERNEL_MIN_BLOCKS and ratio > CROSSOVER_MARGIN:
+            failures.append(
+                f"{where}: packed route {ratio:.2f}x the kernel's time below "
+                f"KERNEL_MIN_BLOCKS = {KERNEL_MIN_BLOCKS} (allowed {CROSSOVER_MARGIN}x)"
+            )
+        if row["blocks"] >= KERNEL_MIN_BLOCKS and 1 / ratio > CROSSOVER_MARGIN:
+            failures.append(
+                f"{where}: kernel {1 / ratio:.2f}x the packed route's time from "
+                f"KERNEL_MIN_BLOCKS = {KERNEL_MIN_BLOCKS} on (allowed {CROSSOVER_MARGIN}x)"
             )
     return failures
 
@@ -1186,23 +1239,27 @@ def _report(results: dict) -> None:
         rows,
     )
 
-    if results["keystream"]:
-        rows = [
-            [
-                f"{row['blocks']} blocks",
-                fmt_seconds(row["loop_seconds"]),
-                fmt_seconds(row["kernel_seconds"]),
-                f"{row['speedup']:.2f}x",
-                "yes" if row["bit_identical"] else "NO",
-            ]
-            for row in results["keystream"]
+    rows = [
+        [
+            f"{row['blocks']} blocks",
+            fmt_seconds(row["loop_seconds"]),
+            fmt_seconds(row["packed_seconds"]),
+            f"{row['packed_speedup']:.2f}x",
+            fmt_seconds(row["kernel_seconds"]) if row["kernel_seconds"] else "-",
+            f"{row['speedup']:.2f}x" if row["speedup"] else "-",
+            f"{row['packed_over_kernel']:.2f}" if row["packed_over_kernel"] else "-",
+            "yes" if row["bit_identical"] else "NO",
         ]
-        print()
-        print_table(
-            "ChaCha20 keystream: per-block loop vs multi-block kernel",
-            ["read", "loop", "kernel", "speedup", "identical"],
-            rows,
-        )
+        for row in results["keystream"]
+    ]
+    print()
+    print_table(
+        "ChaCha20 keystream: per-block loop vs packed ints vs numpy kernel "
+        f"(KERNEL_MIN_BLOCKS = {KERNEL_MIN_BLOCKS})",
+        ["read", "loop", "packed", "speedup", "kernel", "speedup", "packed/kernel",
+         "identical"],
+        rows,
+    )
 
     if results["prg_reads"]:
         rows = [

@@ -158,8 +158,17 @@ class ArgumentConfig:
     seed: bytes = b"zaatar-argument"
 
     def group(self, field) -> SchnorrGroup:
-        """The commitment group matching this config and field."""
-        return group_for_field(field, paper_scale=self.paper_scale_crypto)
+        """The commitment group matching this config and field.
+
+        Raises ``ValueError`` naming the field when it has no group of
+        order |F|: the argument always commits, so it cannot run there.
+        """
+        try:
+            return group_for_field(field, paper_scale=self.paper_scale_crypto)
+        except KeyError:
+            raise ValueError(
+                f"field {field.name} has no commitment group, so no argument runs over it"
+            ) from None
 
     def encode(self, *, seed: bool = False) -> dict:
         """``{"seed": hex (when asked), "params": {"delta", "rho_lin",
@@ -439,6 +448,7 @@ class ZaatarArgument:
         self.program = program
         self.config = config or ArgumentConfig()
         self.field = program.field
+        self.config.group(self.field)  # a field with no commitment group fails here
         self.qap: QAPInstance = build_qap(program.quadratic, mode=self.config.qap_mode)
 
     # -- verifier setup (amortized) ---------------------------------------------
@@ -545,6 +555,7 @@ class GingerArgument:
         self.program = program
         self.config = config or ArgumentConfig()
         self.field = program.field
+        self.config.group(self.field)  # a field with no commitment group fails here
 
     def run_batch(self, batch_inputs: Sequence[Sequence[int]]) -> BatchResult:
         """Prove and verify a batch under the Ginger baseline."""

@@ -262,9 +262,12 @@ class ProgramRegistry:
         """Host ``program``; pre-warms its artifacts unless ``warm=False``.
 
         Re-registering the same program replaces its entry (same hash,
-        possibly new config).
+        possibly new config).  A program over a field with no commitment
+        group raises ``ValueError``: no session could prove it.
         """
-        entry = RegisteredProgram(program, config or ArgumentConfig())
+        config = config or ArgumentConfig()
+        config.group(program.field)
+        entry = RegisteredProgram(program, config)
         if warm:
             entry.warm()
         with self._lock:

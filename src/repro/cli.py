@@ -47,7 +47,6 @@ from .argument import (
 )
 from .compiler import compile_source
 from .costmodel import run_microbench
-from .crypto import group_for_field
 from .deploy import LINK_PROFILES
 from .field import NAMED_FIELDS, PrimeField, counting_field
 from .pcp import PAPER_PARAMS, SoundnessParams
@@ -70,11 +69,9 @@ def _argument_field(name: str) -> PrimeField:
     group must have order |F|."""
     field = _field(name)
     try:
-        group_for_field(field)
-    except KeyError:
-        raise UsageError(
-            f"field {name} has no commitment group, so no argument runs over it"
-        ) from None
+        ArgumentConfig().group(field)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     return field
 
 

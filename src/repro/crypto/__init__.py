@@ -1,6 +1,6 @@
 """Cryptographic substrate: ChaCha PRG, ElGamal, linear commitment."""
 
-from .chacha import ChaChaStream, chacha20_block, chacha20_blocks, chacha20_encrypt
+from .chacha import ChaChaStream, chacha20_blocks, chacha20_packed
 from .commitment import (
     CommitmentProver,
     CommitmentVerifier,
@@ -44,9 +44,8 @@ __all__ = [
     "GROUP_P220_1024",
     "QueryBasis",
     "SchnorrGroup",
-    "chacha20_block",
     "chacha20_blocks",
-    "chacha20_encrypt",
+    "chacha20_packed",
     "group_for_field",
     "homomorphic_inner_product",
     "named_group",

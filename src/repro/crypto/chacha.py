@@ -6,16 +6,20 @@ a copy of the seed is what travels to the prover instead of full query
 vectors (§A.1, "network costs").  This implementation follows RFC 8439
 (20 rounds, 32-byte key, 12-byte nonce, 32-bit block counter).
 
-Two routes produce the same keystream, bit for bit:
+Two routes produce the same keystream, bit for bit, and both equal
+the RFC 8439 block function (``tests/crypto/chacha_oracle.py``):
 
-* :func:`chacha20_block`, one 64-byte block in pure Python — the RFC
-  reference, and the only route when numpy is absent;
-* :func:`chacha20_blocks`, any number of consecutive blocks at once on
-  numpy ``uint32`` arrays.  The state is held as four rows of shape
-  (4 × blocks) — words 0–3, 4–7, 8–11 and 12–15 — so one ufunc runs a
-  step of four quarter-rounds over every block.  Its fixed cost is
-  worth about :data:`KERNEL_MIN_BLOCKS` per-block calls, so
-  :class:`ChaChaStream` takes it only for reads at least that long.
+* :func:`chacha20_packed`, any number of consecutive blocks on packed
+  Python ints: each row of the state (words 0–3, 4–7, 8–11, 12–15)
+  is one int with a 64-bit lane per word and block, so one int op
+  runs a step of four quarter-rounds for every block.  It costs about
+  40 µs for one block and grows with the block count; it is the only
+  route when numpy is absent.
+* :func:`chacha20_blocks`, the same on numpy ``uint32`` arrays of
+  shape (4 × blocks) per row.  Its ~420 ufunc calls cost about as much
+  whatever the length, so :class:`ChaChaStream` takes it only for
+  reads of at least :data:`KERNEL_MIN_BLOCKS` blocks, where it starts
+  to beat the packed route.
 """
 
 from __future__ import annotations
@@ -29,25 +33,11 @@ except ImportError:  # pragma: no cover
 
 _MASK = 0xFFFFFFFF
 
-#: reads needing fewer blocks than this run the per-block loop: the
-#: kernel costs about as much as 3–4 ``chacha20_block`` calls whatever
-#: its length (docs/PERFORMANCE.md, "Bulk keystream")
-KERNEL_MIN_BLOCKS = 4
-
-
-def _rotl32(v: int, c: int) -> int:
-    return ((v << c) & _MASK) | (v >> (32 - c))
-
-
-def _quarter_round(state: list[int], a: int, b: int, c: int, d: int) -> None:
-    state[a] = (state[a] + state[b]) & _MASK
-    state[d] = _rotl32(state[d] ^ state[a], 16)
-    state[c] = (state[c] + state[d]) & _MASK
-    state[b] = _rotl32(state[b] ^ state[c], 12)
-    state[a] = (state[a] + state[b]) & _MASK
-    state[d] = _rotl32(state[d] ^ state[a], 8)
-    state[c] = (state[c] + state[d]) & _MASK
-    state[b] = _rotl32(state[b] ^ state[c], 7)
+#: reads needing fewer blocks than this run on packed ints, longer ones
+#: on the numpy kernel: where the two routes' times cross
+#: (``benchmarks/bench_kernels.py``'s keystream sweep; docs/PERFORMANCE.md,
+#: "Bulk keystream")
+KERNEL_MIN_BLOCKS = 56
 
 
 _CONSTANTS = (0x61707865, 0x3320646E, 0x79622D32, 0x6B206574)  # "expand 32-byte k"
@@ -60,25 +50,74 @@ def _check_key_nonce(key: bytes, nonce: bytes) -> None:
         raise ValueError("ChaCha20 nonce must be 12 bytes")
 
 
-def chacha20_block(key: bytes, counter: int, nonce: bytes) -> bytes:
-    """One 64-byte ChaCha20 keystream block (RFC 8439 §2.3)."""
+#: one lane's mask bytes, little-endian: a 32-bit word under 32 zero
+#: guard bits; ``_PAD`` packs a word into its lane
+_LANE = b"\xff\xff\xff\xff\x00\x00\x00\x00"
+_PAD = struct.Struct("<Q")
+
+
+def chacha20_packed(key: bytes, counter: int, nonce: bytes, count: int) -> bytes:
+    """``count`` consecutive keystream blocks from ``counter`` (packed ints).
+
+    Rows a, b, c and d of the state (words 0–3, 4–7, 8–11, 12–15) are
+    one Python int each, with one 64-bit lane per word and block: lane
+    ``i·count + j`` holds word i of block j in its low 32 bits, under 32
+    zero guard bits.  So one int op runs a step of four quarter-rounds
+    for every block: an add is ``(x + y) & mask``, whose carry lands in
+    the guard bits; a rotation is ``((x << c) | (x >> (32 − c))) & mask``,
+    whose spill out of each word lands in guard bits too; and the
+    diagonal round rotates rows b, c and d left by 1, 2 and 3 words,
+    which moves every block's lanes together.  Equal to
+    :func:`chacha20_blocks`, and to the RFC 8439 block function at
+    ``(counter + j) mod 2^32`` for j = 0 … count−1, concatenated.
+    """
     _check_key_nonce(key, nonce)
-    state = list(_CONSTANTS)
-    state += list(struct.unpack("<8I", key))
-    state.append(counter & _MASK)
-    state += list(struct.unpack("<3I", nonce))
-    working = list(state)
+    if count <= 0:
+        return b""
+    lanes = 4 * count
+    one, two, three = 64 * count, 128 * count, 192 * count  # word offsets, in bits
+    mask = int.from_bytes(_LANE * lanes, "little")
+    spread = [_PAD.pack(w) * count for w in _CONSTANTS + struct.unpack("<8I", key)]
+    a0, b0, c0 = (
+        int.from_bytes(b"".join(spread[r : r + 4]), "little") for r in (0, 4, 8)
+    )
+    counters = struct.pack(f"<{count}Q", *[(counter + j) & _MASK for j in range(count)])
+    d0 = int.from_bytes(
+        counters + b"".join([_PAD.pack(w) * count for w in struct.unpack("<3I", nonce)]),
+        "little",
+    )
+    a, b, c, d = a0, b0, c0, d0
     for _ in range(10):
-        _quarter_round(working, 0, 4, 8, 12)
-        _quarter_round(working, 1, 5, 9, 13)
-        _quarter_round(working, 2, 6, 10, 14)
-        _quarter_round(working, 3, 7, 11, 15)
-        _quarter_round(working, 0, 5, 10, 15)
-        _quarter_round(working, 1, 6, 11, 12)
-        _quarter_round(working, 2, 7, 8, 13)
-        _quarter_round(working, 3, 4, 9, 14)
-    out = [(w + s) & _MASK for w, s in zip(working, state)]
-    return struct.pack("<16I", *out)
+        # column round, then the diagonal round with rows b, c and d
+        # rotated left by 1, 2 and 3 words; each half ends by rotating
+        # them on (into the diagonals) or back
+        for left, right in ((one, three), (three, one)):
+            a = (a + b) & mask
+            d ^= a
+            d = ((d << 16) | (d >> 16)) & mask
+            c = (c + d) & mask
+            b ^= c
+            b = ((b << 12) | (b >> 20)) & mask
+            a = (a + b) & mask
+            d ^= a
+            d = ((d << 8) | (d >> 24)) & mask
+            c = (c + d) & mask
+            b ^= c
+            b = ((b << 7) | (b >> 25)) & mask
+            b = (b >> left) | ((b << right) & mask)
+            c = (c >> two) | ((c << two) & mask)
+            d = (d >> right) | ((d << left) & mask)
+    rows = ((a + a0) & mask, (b + b0) & mask, (c + c0) & mask, (d + d0) & mask)
+    # word k of block j is lane k·count + j of the rows laid end to end,
+    # and its bytes are the lane's low four; the output is block after
+    # block, so each word's lanes are copied to a stride of 16 words
+    raw = b"".join([row.to_bytes(8 * lanes, "little") for row in rows])
+    words = memoryview(raw).cast("I")[::2]
+    out = bytearray(16 * lanes)
+    blocks = memoryview(out).cast("I")
+    for k in range(16):
+        blocks[k::16] = words[k * count : (k + 1) * count]
+    return bytes(out)
 
 
 if _np is not None:
@@ -96,12 +135,12 @@ if _np is not None:
 def chacha20_blocks(key: bytes, counter: int, nonce: bytes, count: int) -> bytes:
     """``count`` consecutive keystream blocks from ``counter`` (numpy).
 
-    Equal to ``chacha20_block(key, (counter + j) mod 2^32, nonce)`` for
-    j = 0 … count−1, concatenated: the counter wraps as the
-    per-block route's does.
+    Equal to :func:`chacha20_packed`, and to the RFC 8439 block
+    function at ``(counter + j) mod 2^32`` for j = 0 … count−1,
+    concatenated: the counter wraps mod 2^32.
     """
     if _np is None:
-        raise RuntimeError("chacha20_blocks needs numpy; chacha20_block does not")
+        raise RuntimeError("chacha20_blocks needs numpy; chacha20_packed does not")
     _check_key_nonce(key, nonce)
     if count <= 0:
         return b""
@@ -145,10 +184,12 @@ class ChaChaStream:
 
         The blocks a read needs come from one :func:`chacha20_blocks`
         call when numpy is present and they number at least
-        :data:`KERNEL_MIN_BLOCKS`, else from the per-block loop.  The
-        kernel also buffers :data:`KERNEL_MIN_BLOCKS` blocks past the
-        read, so the short read that often follows a long one (a
-        schedule's τ after its linearity draw) is served from the buffer.
+        :data:`KERNEL_MIN_BLOCKS`, else from :func:`chacha20_packed`
+        (without numpy, in calls of at most :data:`KERNEL_MIN_BLOCKS`
+        blocks).  The kernel also buffers :data:`KERNEL_MIN_BLOCKS`
+        blocks past the read, so the short read that often follows a
+        long one (a schedule's τ after its linearity draw) is served
+        from the buffer.
         """
         chunks = [self._buffer] if self._buffer else []
         blocks = -(-(n - len(self._buffer)) // 64)
@@ -157,16 +198,11 @@ class ChaChaStream:
             chunks.append(chacha20_blocks(self._key, self._counter, self._nonce, blocks))
             self._counter = (self._counter + blocks) & _MASK
         else:
-            for _ in range(blocks):
-                chunks.append(chacha20_block(self._key, self._counter, self._nonce))
-                self._counter = (self._counter + 1) & _MASK
+            while blocks > 0:
+                step = min(blocks, KERNEL_MIN_BLOCKS)
+                chunks.append(chacha20_packed(self._key, self._counter, self._nonce, step))
+                self._counter = (self._counter + step) & _MASK
+                blocks -= step
         data = b"".join(chunks)
         self._buffer = data[n:]
         return data[:n]
-
-
-def chacha20_encrypt(key: bytes, nonce: bytes, plaintext: bytes, counter: int = 1) -> bytes:
-    """XOR a message with the keystream (encryption == decryption)."""
-    stream = ChaChaStream(key, nonce, counter)
-    ks = stream.read(len(plaintext))
-    return bytes(a ^ b for a, b in zip(plaintext, ks))

@@ -154,18 +154,22 @@ def test_word_draws_reject_exactly_at_p(name):
     assert values == draws["next_vector"] == accepted
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="without numpy every block is per-block")
+@pytest.mark.skipif(not HAVE_NUMPY, reason="without numpy every block is packed")
 @pytest.mark.parametrize("params", [TEST_PARAMS, PAPER_PARAMS], ids=["test", "paper"])
 @pytest.mark.parametrize("name", sorted(NAMED_FIELDS))
 def test_schedule_runs_no_per_block_chacha(lcs_qaps, name, params, monkeypatch):
     """With numpy, a schedule's every keystream block comes from the
-    kernel: the short τ draw after each linearity draw reads blocks the
-    kernel buffered past it, not a pure-Python ``chacha20_block``."""
+    kernel: each repetition's linearity draw is one kernel call, and the
+    short τ draw after it reads blocks the kernel buffered past it, so
+    the short-read route (``chacha20_packed``) never runs."""
     calls = []
-    block = chacha.chacha20_block
-    monkeypatch.setattr(
-        chacha, "chacha20_block", lambda *args: calls.append(args) or block(*args)
-    )
+    for route in ("chacha20_packed", "chacha20_blocks"):
+        fn = getattr(chacha, route)
+        monkeypatch.setattr(
+            chacha,
+            route,
+            lambda *args, _fn=fn, _route=route: calls.append(_route) or _fn(*args),
+        )
     qap = lcs_qaps[name, "numpy"]
     zaatar.generate_schedule(qap, params, FieldPRG(qap.field, b"blocks", "queries"))
-    assert calls == []
+    assert calls == ["chacha20_blocks"] * params.rho

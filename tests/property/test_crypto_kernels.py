@@ -1,8 +1,9 @@
 """Parity suite: the crypto kernels against their one-at-a-time oracles.
 
 The commitment kernels are checked against the per-element ``pow``
-oracle, the keystream kernel against the per-block ``chacha20_block``
-loop, and the PRG's bulk draws against one draw at a time.
+oracle, the keystream routes against the RFC 8439 block function one
+block at a time (``tests/crypto/chacha_oracle.py``), and the PRG's bulk
+draws against one draw at a time.
 
 ``repro.crypto.multiexp`` replaces one ``pow`` per exponentiation with
 fixed-base tables (Enc(r), ``encode``, key generation) and a Pippenger
@@ -27,10 +28,14 @@ drives both on all four commitment groups:
   the multiples of P (which have no inverse) included.
 
 The keystream and PRG sections (after the commitment ones) check that
-``chacha20_blocks`` equals the per-block loop at every block count up
-to past the crossover and at one p128 query repetition, from counters
-that wrap past 2^32; that any sequence of ``ChaChaStream.read`` sizes
-equals one whole read; and that ``FieldPRG.next_vector`` and
+the packed-int route ``chacha20_packed`` and the numpy kernel
+``chacha20_blocks`` equal the block loop at every block count up to
+past the crossover ``KERNEL_MIN_BLOCKS`` and at one p128 query
+repetition, from counters that wrap past 2^32; that any sequence of
+``ChaChaStream.read`` sizes equals one whole read, and returns the
+same bytes with numpy and without it; that each read takes the route
+the crossover names, and without numpy runs in calls of at most
+``KERNEL_MIN_BLOCKS`` blocks; and that ``FieldPRG.next_vector`` and
 ``next_below_vector`` equal n scalar draws and leave the PRG where
 those leave it, on all four fields, on a modulus just above 2^63
 that rejects about half of its samples, and on a 57-bit prime whose
@@ -40,6 +45,7 @@ numpy and with numpy blocked.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import random
@@ -60,14 +66,16 @@ from repro.crypto import (
     ElGamalKeypair,
     FieldPRG,
     SchnorrGroup,
-    chacha20_block,
     chacha20_blocks,
+    chacha20_packed,
     homomorphic_inner_product,
 )
+from repro.crypto import chacha
 from repro.crypto.chacha import KERNEL_MIN_BLOCKS
 from repro.crypto.multiexp import MAX_WINDOW, window_width
 from repro.field import GOLDILOCKS, HAVE_NUMPY, P128, P192, P220, PrimeField
 
+from ..crypto.chacha_oracle import block_loop
 from ..crypto.pow_oracle import decrypt_pow, encrypt_vector_pow, inner_product_pow
 
 GROUPS = {
@@ -350,12 +358,32 @@ _nonces = st.binary(min_size=12, max_size=12)
 _counters = st.one_of(
     st.integers(2**32 - 2 * REPETITION_BLOCKS, 2**32 - 1), st.integers(0, 2**32 - 1)
 )
+#: counters a read of up to KERNEL_MIN_BLOCKS + 8 blocks wraps from
+_wrapping = st.integers(2**32 - KERNEL_MIN_BLOCKS - 8, 2**32 - 1)
 
 
-def _block_loop(key: bytes, counter: int, nonce: bytes, count: int) -> bytes:
-    return b"".join(
-        chacha20_block(key, (counter + j) & 0xFFFFFFFF, nonce) for j in range(count)
+@pytest.mark.parametrize("count", range(KERNEL_MIN_BLOCKS + 9))
+@settings(max_examples=10, deadline=None)
+@given(key=_keys, nonce=_nonces, counter=st.one_of(_wrapping, _counters))
+def test_keystream_packed_matches_block_loop(count, key, nonce, counter):
+    assert chacha20_packed(key, counter, nonce, count) == block_loop(
+        key, counter, nonce, count
     )
+
+
+@settings(max_examples=2, deadline=None)
+@given(key=_keys, nonce=_nonces, counter=_counters)
+def test_keystream_packed_matches_block_loop_at_repetition(key, nonce, counter):
+    assert chacha20_packed(key, counter, nonce, REPETITION_BLOCKS) == block_loop(
+        key, counter, nonce, REPETITION_BLOCKS
+    )
+
+
+def test_keystream_packed_wraps_the_counter():
+    key, nonce = bytes(range(32)), bytes(range(12))
+    stream = chacha20_packed(key, 2**32 - 2, nonce, 4)
+    assert stream[:128] == block_loop(key, 2**32 - 2, nonce, 2)
+    assert stream[128:] == block_loop(key, 0, nonce, 2)
 
 
 @needs_numpy
@@ -363,7 +391,7 @@ def _block_loop(key: bytes, counter: int, nonce: bytes, count: int) -> bytes:
 @settings(max_examples=10, deadline=None)
 @given(key=_keys, nonce=_nonces, counter=_counters)
 def test_keystream_kernel_matches_block_loop(count, key, nonce, counter):
-    assert chacha20_blocks(key, counter, nonce, count) == _block_loop(
+    assert chacha20_blocks(key, counter, nonce, count) == block_loop(
         key, counter, nonce, count
     )
 
@@ -372,7 +400,7 @@ def test_keystream_kernel_matches_block_loop(count, key, nonce, counter):
 @settings(max_examples=2, deadline=None)
 @given(key=_keys, nonce=_nonces, counter=_counters)
 def test_keystream_kernel_matches_block_loop_at_repetition(key, nonce, counter):
-    assert chacha20_blocks(key, counter, nonce, REPETITION_BLOCKS) == _block_loop(
+    assert chacha20_blocks(key, counter, nonce, REPETITION_BLOCKS) == block_loop(
         key, counter, nonce, REPETITION_BLOCKS
     )
 
@@ -381,7 +409,16 @@ def test_keystream_kernel_matches_block_loop_at_repetition(key, nonce, counter):
 def test_keystream_kernel_wraps_the_counter():
     key, nonce = bytes(range(32)), bytes(range(12))
     stream = chacha20_blocks(key, 2**32 - 2, nonce, 4)
-    assert stream[128:] == _block_loop(key, 0, nonce, 2)
+    assert stream[128:] == block_loop(key, 0, nonce, 2)
+
+
+#: read sizes in bytes: short ones, and ones within two blocks of the
+#: crossover, so reads land on either route and on the buffer
+_read_sizes = st.one_of(
+    st.integers(0, 200),
+    st.integers(64 * (KERNEL_MIN_BLOCKS - 2), 64 * (KERNEL_MIN_BLOCKS + 2)),
+    st.integers(200, 64 * (KERNEL_MIN_BLOCKS + 8)),
+)
 
 
 @settings(max_examples=25, deadline=None)
@@ -389,10 +426,7 @@ def test_keystream_kernel_wraps_the_counter():
     key=_keys,
     nonce=_nonces,
     counter=_counters,
-    sizes=st.lists(
-        st.one_of(st.integers(0, 200), st.integers(200, 64 * (KERNEL_MIN_BLOCKS + 4))),
-        max_size=10,
-    ),
+    sizes=st.lists(_read_sizes, max_size=10),
 )
 def test_stream_reads_equal_one_whole_read(key, nonce, counter, sizes):
     pieces = ChaChaStream(key, nonce, counter)
@@ -404,7 +438,72 @@ def test_stream_reads_equal_one_whole_read(key, nonce, counter, sizes):
     after = pieces.read(100)
     assert after == whole.read(100)
     blocks = -(-(total + 100) // 64)
-    assert data + after == _block_loop(key, counter, nonce, blocks)[: total + 100]
+    assert data + after == block_loop(key, counter, nonce, blocks)[: total + 100]
+
+
+@contextlib.contextmanager
+def _without_numpy():
+    """``repro.crypto.chacha`` as it runs where numpy is not installed."""
+    saved, chacha._np = chacha._np, None
+    try:
+        yield
+    finally:
+        chacha._np = saved
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    key=_keys,
+    nonce=_nonces,
+    counter=st.one_of(_wrapping, _counters),
+    sizes=st.lists(_read_sizes, min_size=1, max_size=6),
+)
+def test_stream_reads_agree_without_numpy(key, nonce, counter, sizes):
+    """The same read sequence returns the same bytes on every route mix."""
+    with_numpy = ChaChaStream(key, nonce, counter)
+    expected = [with_numpy.read(n) for n in sizes]
+    with _without_numpy():
+        without = ChaChaStream(key, nonce, counter)
+        assert [without.read(n) for n in sizes] == expected
+
+
+def _record_routes(monkeypatch) -> list[tuple[str, int]]:
+    """Record ``(route, blocks)`` for every keystream call from now on."""
+    calls: list[tuple[str, int]] = []
+    for route in ("chacha20_packed", "chacha20_blocks"):
+        fn = getattr(chacha, route)
+        monkeypatch.setattr(
+            chacha,
+            route,
+            lambda *args, _fn=fn, _route=route: calls.append((_route, args[3])) or _fn(*args),
+        )
+    return calls
+
+
+def test_stream_without_numpy_reads_in_chunks(monkeypatch):
+    """Without numpy a long read runs the packed route in calls of at
+    most ``KERNEL_MIN_BLOCKS`` blocks."""
+    calls = _record_routes(monkeypatch)
+    blocks = 3 * KERNEL_MIN_BLOCKS + 5
+    with _without_numpy():
+        data = ChaChaStream(bytes(32)).read(64 * blocks)
+    assert calls == [("chacha20_packed", KERNEL_MIN_BLOCKS)] * 3 + [("chacha20_packed", 5)]
+    assert data == block_loop(bytes(32), 0, bytes(12), blocks)
+
+
+@needs_numpy
+def test_stream_routes_each_read(monkeypatch):
+    """With numpy, a read of fewer than ``KERNEL_MIN_BLOCKS`` blocks is
+    one packed call and a longer one one kernel call, which buffers
+    ``KERNEL_MIN_BLOCKS`` blocks past it for the reads that follow."""
+    calls = _record_routes(monkeypatch)
+    stream = ChaChaStream(bytes(32))
+    stream.read(64 * (KERNEL_MIN_BLOCKS - 1))
+    assert calls == [("chacha20_packed", KERNEL_MIN_BLOCKS - 1)]
+    stream.read(64 * KERNEL_MIN_BLOCKS)
+    assert calls[1:] == [("chacha20_blocks", 2 * KERNEL_MIN_BLOCKS)]
+    stream.read(64 * KERNEL_MIN_BLOCKS)  # all buffered
+    assert len(calls) == 2
 
 
 # -- field PRG ----------------------------------------------------------------
