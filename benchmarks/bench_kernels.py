@@ -40,15 +40,22 @@ B = 1: the product against a pre-transformed ``FixedOperand`` against
 the two-operand product it replaced.  Under ``--check`` the rows must
 be identical and the fixed operand must win by ``FIXED_MIN_SPEEDUP``.
 
-Its commitment section times the commitment round's two exponentiation
-loops, the verifier's Enc(r) and the prover's fold ∏ Enc(r_i)^{u_i},
-at n ∈ ``COMMIT_SIZES`` on the 512-bit groups: the per-element ``pow``
+Its commitment section times the verifier's Enc(r) at
+n ∈ ``COMMIT_SIZES`` on the 512-bit groups: the per-element ``pow``
 oracle (``tests/crypto/pow_oracle.py``) against
 ``ElGamalKeypair.encrypt_vector`` (two generator-table reads per
-element, using the secret key) and the Pippenger fold of
-``repro.crypto.multiexp``.  Under ``--check`` the ciphertexts must be
-equal and both must beat the oracle by ``COMMIT_MIN_SPEEDUP`` at
-n = ``COMMIT_GATE_N``.  Its decryption rows time ``DECRYPT_COUNT``
+element, using the secret key).  Under ``--check`` the ciphertexts
+must be equal and the kernel must beat the oracle by
+``COMMIT_MIN_SPEEDUP`` at n = ``COMMIT_GATE_N``.  Its fold section
+times the prover's fold ∏ Enc(r_i)^{u_i} on each of ``FOLD_GROUPS``,
+with dense weights at n ∈ ``FOLD_SIZES`` and with a real LCS m = 4
+proof vector: ``repro.crypto.multiexp``'s Bos–Coster and Pippenger
+routes, alternating, and the ``pow`` oracle up to
+``FOLD_ORACLE_MAX_N``.  Under ``--check`` every route's pair must be
+equal, the fold must beat the oracle by ``COMMIT_MIN_SPEEDUP`` at
+n = ``COMMIT_GATE_N`` on dense weights, and ``PIPPENGER_MIN_TERMS``
+must sit where ``FOLD_CROSSOVER_GROUP``'s dense lines cross, within
+``CROSSOVER_MARGIN``.  Its decryption rows time ``DECRYPT_COUNT``
 decryptions on each of ``DECRYPT_GROUPS``: the oracle's
 c2 · c1^(P−1−x) against ``ElGamalKeypair.decrypt_to_group``'s
 c2 · (c1⁻¹)^x.  Under ``--check`` the group elements must be equal and
@@ -107,6 +114,7 @@ from _harness import FIELD, RESULTS, emit_results, fmt_seconds, print_table
 
 from repro import telemetry
 from repro.crypto import (
+    ElGamalCiphertext,
     ElGamalKeypair,
     FieldPRG,
     chacha20_blocks,
@@ -114,6 +122,7 @@ from repro.crypto import (
     homomorphic_inner_product,
     named_group,
 )
+from repro.crypto import multiexp
 from repro.crypto.chacha import KERNEL_MIN_BLOCKS
 from repro.field import GOLDILOCKS, HAVE_NUMPY, NAMED_FIELDS, PrimeField
 from repro.poly import (
@@ -210,13 +219,34 @@ FIXED_MIN_REPS = 9
 COMMIT_GROUPS = (("goldilocks-512", "goldilocks"), ("p128-512", "p128"))
 COMMIT_SIZES = (12, 666)
 #: under --check, Enc(r) and the fold must each beat the pow oracle by
-#: at least this factor at n = COMMIT_GATE_N, and decryption on every
+#: at least this factor at n = COMMIT_GATE_N (the fold on every
+#: FOLD_GROUPS row of dense weights), and decryption on every
 #: DECRYPT_GROUPS row (measured 11.2-15.6x for Enc(r), 4.9-7.5x for the
 #: fold and 2.95-6.33x for decryption, lowest on p128-512, on a 2-core
 #: Xeon; the margin absorbs CI noise while still catching a route that
 #: fell back to per-element or P-sized exponents)
 COMMIT_MIN_SPEEDUP = 2.0
 COMMIT_GATE_N = 666
+#: fold section: the groups (with their fields) and the lengths of the
+#: dense-weight rows — the gateway's two programs (5 and 11 nonzero
+#: weights), a ladder through LCS m = 4's nonzero count (458) and proof
+#: length (666), the five apps' shortest and longest proof vectors
+#: (1,446 and 10,851), and 2,048 (``PIPPENGER_MIN_TERMS``) and 4,096
+#: between them
+FOLD_GROUPS = (
+    ("goldilocks-512", "goldilocks"),
+    ("p128-512", "p128"),
+    ("p128-1024", "p128"),
+)
+FOLD_SIZES = (5, 11, 29, 64, 128, 256, 458, 666, 1446, 2048, 4096, 10851)
+#: the group whose dense rows set PIPPENGER_MIN_TERMS, and which the
+#: crossover gate holds to it: one constant serves every group, and the
+#: others cross elsewhere (Bos–Coster stays ahead at 1024 bits up to
+#: 10,851 terms; on goldilocks-512 the routes tie from 1,446 to 4,096)
+FOLD_CROSSOVER_GROUP = "p128-512"
+#: the pow oracle is timed and compared only up to this length: one
+#: oracle fold of 1,446 terms takes seconds at 1024 bits
+FOLD_ORACLE_MAX_N = 666
 #: decryption rows: the groups (with their fields) and the number of
 #: ciphertexts decrypted per timing
 DECRYPT_GROUPS = (
@@ -246,7 +276,9 @@ PACKED_GATE_BLOCKS = (1, 2)
 #: and kernel lines cross: below it the packed route, and from it on
 #: the kernel, may be slower than the other by at most this factor
 #: (five sweeps read packed/kernel 0.83–0.96 at 48 blocks and
-#: 1.05–1.10 at 64, so a tighter test would read noise)
+#: 1.05–1.10 at 64, so a tighter test would read noise); the fold's
+#: PIPPENGER_MIN_TERMS is held to the same margin between Bos–Coster
+#: and Pippenger
 CROSSOVER_MARGIN = 1.25
 
 #: ``FieldPRG.next_vector`` read lengths (Goldilocks samples) timed on
@@ -713,14 +745,14 @@ def _bench_batch_product(reps: int, rng: random.Random) -> dict | None:
 
 
 def _bench_commitment(reps: int, rng: random.Random) -> list[dict]:
-    """Enc(r) and the fold: one ``pow`` per exponentiation vs the kernels.
+    """Enc(r): one ``pow`` per exponentiation vs the key holder's tables.
 
     Each row times one Enc(r) of an n-element vector under the
-    verifier's key and one fold of those ciphertexts with dense
-    weights.  The group's generator table is built before timing: the
-    process pays for it once.
+    verifier's key.  The group's generator table is built before
+    timing: the process pays for it once.  The fold has its own
+    section (``_bench_fold``).
     """
-    from tests.crypto.pow_oracle import encrypt_vector_pow, inner_product_pow
+    from tests.crypto.pow_oracle import encrypt_vector_pow
 
     rows = []
     for group_name, field_name in COMMIT_GROUPS:
@@ -730,22 +762,13 @@ def _bench_commitment(reps: int, rng: random.Random) -> list[dict]:
         public = keypair.public
         for n in COMMIT_SIZES:
             messages = [rng.randrange(group.order) for _ in range(n)]
-            weights = [rng.randrange(1, group.order) for _ in range(n)]
             cts = keypair.encrypt_vector(messages, FieldPRG(field, b"bench", "enc"))
             oracle_cts = encrypt_vector_pow(
                 public, messages, FieldPRG(field, b"bench", "enc")
             )
-            folded = homomorphic_inner_product(group, cts, weights)
-            identical = cts == oracle_cts and folded == inner_product_pow(
-                group, cts, weights
-            )
             prg = FieldPRG(field, b"bench", "timing")
             enc_pow = _best_of(lambda: encrypt_vector_pow(public, messages, prg), reps)
             enc_kernel = _best_of(lambda: keypair.encrypt_vector(messages, prg), reps)
-            fold_pow = _best_of(lambda: inner_product_pow(group, cts, weights), reps)
-            fold_kernel = _best_of(
-                lambda: homomorphic_inner_product(group, cts, weights), reps
-            )
             rows.append(
                 {
                     "group": group_name,
@@ -753,10 +776,93 @@ def _bench_commitment(reps: int, rng: random.Random) -> list[dict]:
                     "enc_pow_seconds": enc_pow,
                     "enc_kernel_seconds": enc_kernel,
                     "enc_speedup": enc_pow / enc_kernel,
-                    "fold_pow_seconds": fold_pow,
-                    "fold_kernel_seconds": fold_kernel,
-                    "fold_speedup": fold_pow / fold_kernel,
-                    "bit_identical": identical,
+                    "bit_identical": cts == oracle_cts,
+                }
+            )
+    return rows
+
+
+def _lcs_proof_vector(field_name: str, rng: random.Random) -> list[int]:
+    """One LCS m = 4 proof vector u = (z, h): what the benchmark folds."""
+    from repro.apps import LCS
+    from repro.qap import build_proof_vector, build_qap
+
+    field = PrimeField(NAMED_FIELDS[field_name], check_prime=False)
+    program = LCS.compile(field, {"m": 4})
+    witness = program.solve(LCS.generate_inputs(rng, {"m": 4})).quadratic_witness
+    return build_proof_vector(build_qap(program.quadratic), witness).vector
+
+
+def _bench_fold(reps: int, rng: random.Random) -> list[dict]:
+    """The prover's fold ∏ Enc(r_i)^{u_i}: Bos–Coster vs Pippenger vs pow.
+
+    One row per ``FOLD_GROUPS`` entry and length in ``FOLD_SIZES`` with
+    dense weights (uniform in [1, q)), and one per group with a real LCS
+    m = 4 proof vector over its field (a sparse z half of small values,
+    a dense h half).  The ciphertext components are uniform residues:
+    the fold's cost does not depend on subgroup membership.  Each route
+    is timed from the call's bases and scalars, so both pay
+    ``nonzero_terms``; the two routes alternate for ``reps`` rounds,
+    each round the best of max(1, 256 // n) calls.  The pow oracle
+    (``tests/crypto/pow_oracle.py``) is timed alongside up to
+    ``FOLD_ORACLE_MAX_N``, once per round.
+    """
+    from tests.crypto.pow_oracle import inner_product_pow
+
+    lcs = {name: _lcs_proof_vector(name, rng) for name in {f for _, f in FOLD_GROUPS}}
+    rows = []
+    for group_name, field_name in FOLD_GROUPS:
+        group = named_group(group_name)
+        P, q, bits = group.modulus, group.order, group.order.bit_length()
+        cases = [("dense", [rng.randrange(1, q) for _ in range(n)]) for n in FOLD_SIZES]
+        cases.append(("lcs", lcs[field_name]))
+        for kind, weights in cases:
+            n = len(weights)
+            cts = [
+                ElGamalCiphertext(rng.randrange(P), rng.randrange(P)) for _ in range(n)
+            ]
+            bases = [(ct.c1, ct.c2) for ct in cts]
+            routes = {
+                "bos_coster": lambda: ElGamalCiphertext(
+                    *multiexp.bos_coster_pair(
+                        *multiexp.nonzero_terms(bases, weights, P, bits), P
+                    )
+                ),
+                "pippenger": lambda: ElGamalCiphertext(
+                    *multiexp.pippenger_pair(
+                        *multiexp.nonzero_terms(bases, weights, P, bits), P, bits
+                    )
+                ),
+            }
+            if n <= FOLD_ORACLE_MAX_N:
+                routes["pow"] = lambda: inner_product_pow(group, cts, weights)
+            outputs = {route: fn() for route, fn in routes.items()}
+            outputs["fold"] = homomorphic_inner_product(group, cts, weights)
+            calls = max(1, 256 // n)
+            seconds = {route: float("inf") for route in routes}
+            for _ in range(reps):  # alternate: drift hits every route
+                for route, fn in routes.items():
+                    seconds[route] = min(
+                        seconds[route], _best_of(fn, 1 if route == "pow" else calls)
+                    )
+            terms = len(multiexp.nonzero_terms(bases, weights, P, bits)[2])
+            route = "bos_coster" if terms < multiexp.PIPPENGER_MIN_TERMS else "pippenger"
+            oracle = seconds.get("pow")
+            rows.append(
+                {
+                    "group": group_name,
+                    "weights": kind,
+                    "n": n,
+                    "terms": terms,
+                    "route": route,
+                    "pow_seconds": oracle,
+                    "bos_coster_seconds": seconds["bos_coster"],
+                    "pippenger_seconds": seconds["pippenger"],
+                    "bos_coster_over_pippenger": (
+                        seconds["bos_coster"] / seconds["pippenger"]
+                    ),
+                    "speedup": oracle / seconds[route] if oracle else None,
+                    "bit_identical": len(set(outputs.values())) == 1,
                 }
             )
     return rows
@@ -1004,6 +1110,7 @@ def run_bench(size: int, reps: int) -> dict:
         "backends": _bench_backends(size, reps, rng),
         "batch": _bench_batch(size, reps, rng),
         "commitment": _bench_commitment(reps, rng),
+        "fold": _bench_fold(reps, rng),
         "decryption": _bench_decryption(reps, rng),
         "keystream": _bench_keystream(reps, rng),
         "prg_reads": _bench_prg_reads(reps),
@@ -1091,14 +1198,13 @@ def check(results: dict) -> list[str]:
     for row in results["commitment"]:
         where = f"commitment: {row['group']} n={row['n']}"
         if not row["bit_identical"]:
-            failures.append(f"{where}: kernel ciphertexts differ from the pow oracle")
-        if row["n"] == COMMIT_GATE_N:
-            for op in ("enc", "fold"):
-                if row[f"{op}_speedup"] < COMMIT_MIN_SPEEDUP:
-                    failures.append(
-                        f"{where}: {op} kernel only {row[f'{op}_speedup']:.2f}x "
-                        f"over pow (need {COMMIT_MIN_SPEEDUP}x)"
-                    )
+            failures.append(f"{where}: Enc(r) ciphertexts differ from the pow oracle")
+        if row["n"] == COMMIT_GATE_N and row["enc_speedup"] < COMMIT_MIN_SPEEDUP:
+            failures.append(
+                f"{where}: Enc(r) only {row['enc_speedup']:.2f}x over pow "
+                f"(need {COMMIT_MIN_SPEEDUP}x)"
+            )
+    failures += _check_fold(results["fold"])
     for row in results["decryption"]:
         where = f"decryption: {row['group']}"
         if not row["bit_identical"]:
@@ -1138,6 +1244,39 @@ def check(results: dict) -> list[str]:
                 f"batch: CRT product at m={product['m']} "
                 f"batch={product['batch']} only {product['speedup']:.2f}x "
                 f"over the object-dtype route (need {BATCH_MIN_SPEEDUP}x)"
+            )
+    return failures
+
+
+def _check_fold(rows: list[dict]) -> list[str]:
+    """Equal pairs on every route; the fold's floor over pow at
+    ``COMMIT_GATE_N``; ``PIPPENGER_MIN_TERMS`` where the Bos–Coster and
+    Pippenger lines of ``FOLD_CROSSOVER_GROUP``'s dense rows cross."""
+    failures = []
+    crossover = multiexp.PIPPENGER_MIN_TERMS
+    for row in rows:
+        where = f"fold: {row['group']} {row['weights']} n={row['n']} ({row['terms']} terms)"
+        if not row["bit_identical"]:
+            failures.append(f"{where}: the routes' pairs differ")
+        if row["weights"] != "dense":
+            continue
+        if row["n"] == COMMIT_GATE_N and row["speedup"] < COMMIT_MIN_SPEEDUP:
+            failures.append(
+                f"{where}: fold only {row['speedup']:.2f}x over pow "
+                f"(need {COMMIT_MIN_SPEEDUP}x)"
+            )
+        ratio = row["bos_coster_over_pippenger"]
+        if row["group"] != FOLD_CROSSOVER_GROUP:
+            continue
+        if row["terms"] < crossover and ratio > CROSSOVER_MARGIN:
+            failures.append(
+                f"{where}: Bos–Coster {ratio:.2f}x Pippenger's time below "
+                f"PIPPENGER_MIN_TERMS = {crossover} (allowed {CROSSOVER_MARGIN}x)"
+            )
+        if row["terms"] >= crossover and 1 / ratio > CROSSOVER_MARGIN:
+            failures.append(
+                f"{where}: Pippenger {1 / ratio:.2f}x Bos–Coster's time from "
+                f"PIPPENGER_MIN_TERMS = {crossover} on (allowed {CROSSOVER_MARGIN}x)"
             )
     return failures
 
@@ -1208,17 +1347,35 @@ def _report(results: dict) -> None:
             fmt_seconds(row["enc_pow_seconds"]),
             fmt_seconds(row["enc_kernel_seconds"]),
             f"{row['enc_speedup']:.2f}x",
-            fmt_seconds(row["fold_pow_seconds"]),
-            fmt_seconds(row["fold_kernel_seconds"]),
-            f"{row['fold_speedup']:.2f}x",
             "yes" if row["bit_identical"] else "NO",
         ]
         for row in results["commitment"]
     ]
     print()
     print_table(
-        "commitment round: per-element pow vs the key holder's Enc(r) / Pippenger",
-        ["vector", "Enc pow", "Enc kernel", "speedup", "fold pow", "fold kernel",
+        "Enc(r): per-element pow vs the key holder's generator table",
+        ["vector", "pow", "kernel", "speedup", "identical"],
+        rows,
+    )
+    rows = [
+        [
+            f"{row['group']} {row['weights']} n={row['n']}",
+            str(row["terms"]),
+            fmt_seconds(row["pow_seconds"]) if row["pow_seconds"] else "-",
+            fmt_seconds(row["bos_coster_seconds"]),
+            fmt_seconds(row["pippenger_seconds"]),
+            f"{row['bos_coster_over_pippenger']:.2f}",
+            row["route"],
+            f"{row['speedup']:.2f}x" if row["speedup"] else "-",
+            "yes" if row["bit_identical"] else "NO",
+        ]
+        for row in results["fold"]
+    ]
+    print()
+    print_table(
+        "fold: per-element pow vs Bos–Coster vs Pippenger "
+        f"(PIPPENGER_MIN_TERMS = {multiexp.PIPPENGER_MIN_TERMS})",
+        ["vector", "terms", "pow", "Bos–Coster", "Pippenger", "BC/Pip", "route",
          "speedup", "identical"],
         rows,
     )

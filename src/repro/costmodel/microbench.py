@@ -77,8 +77,9 @@ def run_microbench(
     ``ElGamalKeypair.encrypt_vector`` call and one
     ``homomorphic_inner_product`` call over a vector of ``crypto_reps``
     elements, and one ``next_vector`` call of ``reps`` elements, each
-    divided by its length (the kernels amortize buckets and keystream
-    blocks over the vector).  ``d`` is one ``decrypt_to_group``: like
+    divided by its length (the kernels amortize table reads, the
+    fold's heap steps and keystream blocks over the vector, so ``h``
+    depends on the vector's length and weights).  ``d`` is one ``decrypt_to_group``: like
     ``e``, the verifier's own route, which uses the secret key.
     ``crypto_reps`` is smaller than ``reps`` because modular
     exponentiation is ~10³× slower than a field multiply; the paper's

@@ -103,9 +103,11 @@ def homomorphic_inner_product(
     Each term is the cost-model parameter ``h`` ("ciphertext add plus
     multiply", §5.1); the prover pays one ``h`` per entry of the proof
     vector (Figure 3, "Issue responses").  Zero weights are skipped,
-    matching what an optimized prover does for sparse vectors.  The
-    terms are folded together by one Pippenger pass over both
-    ciphertext components (``multiexp.multi_pow_pair``).
+    matching what an optimized prover does for sparse vectors, and the
+    rest are reduced mod q.  ``multiexp.multi_pow_pair`` folds the
+    terms over both ciphertext components at once: Bos–Coster's heap
+    method below ``multiexp.PIPPENGER_MIN_TERMS`` terms (every fold the
+    benchmarks run), Pippenger's buckets from it on.
     """
     if len(ciphertexts) != len(weights):
         raise ValueError("ciphertext/weight length mismatch")

@@ -14,12 +14,20 @@ though they run in Python:
   digit d of every window i.  Then ``b^e`` is one stored entry per
   digit of e, multiplied together: ⌈bits/w⌉ − 1 multiplications and no
   squarings.
-* :func:`multi_pow_pair` is Pippenger's bucket method for
-  ∏ x_j^{s_j}.  Per w-bit window it multiplies each base into the
+* :func:`multi_pow_pair` folds ∏ x_j^{s_j} for a pair of base
+  vectors that share one set of scalars, the two components of an
+  ElGamal ciphertext, so each step of either route drives both
+  products.  Below :data:`PIPPENGER_MIN_TERMS` nonzero scalars it runs
+  Bos–Coster's heap method: it keeps a max-heap of the scalars,
+  divides the largest by the runner-up, multiplies the runner-up's
+  bases by the top's bases raised to the quotient (a plain
+  multiplication when the quotient is 1, the usual case) and re-keys
+  the top with the remainder.  Each run of equal scalars therefore
+  folds with one multiplication per term, and the last entry costs one
+  ``pow`` per component.  From the constant on it runs Pippenger's
+  bucket method: per w-bit window it multiplies each base into the
   bucket of its digit, then combines the buckets with two running
-  products.  A pair of base vectors shares one set of scalars, so
-  each scalar's digits are extracted once and drive both products:
-  the two components of an ElGamal ciphertext.
+  products.
 
 Both return exactly the integers ``pow`` returns, for any integer
 bases (including 0, negative values and values ≥ P), so transcripts
@@ -28,7 +36,14 @@ do not depend on which route computed them.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heapreplace
 from typing import Sequence
+
+#: a fold with fewer nonzero scalars runs Bos–Coster, one with at least
+#: this many Pippenger: where ``bench_kernels.py``'s fold sweep crosses
+#: on dense 128-bit scalars at 512 bits (Bos–Coster/Pippenger 0.82–1.13
+#: at 1,446 terms, 1.00–1.06 at 2,048, 1.02–1.22 at 4,096 and 10,851)
+PIPPENGER_MIN_TERMS = 2048
 
 #: widest window any table uses, to bound memory: a 512-bit group with
 #: a 128-bit order keeps 16·256 entries (~0.4 MB) at this width
@@ -96,11 +111,77 @@ def multi_pow_pair(
 ) -> tuple[int, int]:
     """(∏ a_j^{s_j}, ∏ b_j^{s_j}) mod ``modulus`` for ``bases`` (a_j, b_j).
 
-    Scalars must lie in [0, 2^bits).  The result equals starting from 1
-    and multiplying in ``pow(a_j, s_j, modulus)`` (likewise for b) one
-    term at a time, reducing after each.
+    The result equals starting from 1 and multiplying in
+    ``pow(a_j, s_j, modulus)`` (likewise for b) one term at a time,
+    reducing after each.  Every scalar must lie in [0, 2^bits), or
+    :class:`ValueError` is raised.  The count of nonzero scalars picks
+    the route (:data:`PIPPENGER_MIN_TERMS`).
     """
-    P = modulus
+    terms = nonzero_terms(bases, scalars, modulus, bits)
+    if len(terms[2]) < PIPPENGER_MIN_TERMS:
+        return bos_coster_pair(*terms, modulus)
+    return pippenger_pair(*terms, modulus, bits)
+
+
+def nonzero_terms(
+    bases: Sequence[tuple[int, int]], scalars: Sequence[int], modulus: int, bits: int
+) -> tuple[list[int], list[int], list[int]]:
+    """The routes' input: each nonzero scalar's two bases, reduced mod P
+    so that no route multiplies a component at the size it was sent,
+    and the scalar, as three parallel lists.
+
+    Raises :class:`ValueError` for a scalar outside [0, 2^bits).
+    """
+    limit = 1 << bits
+    firsts, seconds, nonzero = [], [], []
+    for (a, b), s in zip(bases, scalars):
+        if not 0 <= s < limit:
+            raise ValueError(f"scalar {s} outside [0, 2^{bits})")
+        if s:
+            firsts.append(a % modulus)
+            seconds.append(b % modulus)
+            nonzero.append(s)
+    return firsts, seconds, nonzero
+
+
+def bos_coster_pair(
+    firsts: list[int], seconds: list[int], scalars: list[int], P: int
+) -> tuple[int, int]:
+    """Bos–Coster over positive ``scalars``; overwrites both base lists.
+
+    Each step rewrites x^a·y^b (a ≥ b, the two largest scalars) as
+    x^(a mod b)·(y·x^(a div b))^b, so the heap's scalars shrink like
+    Euclid's remainders while the product stays the same.
+    """
+    if not scalars:
+        return 1, 1
+    heap = [(-s, index) for index, s in enumerate(scalars)]  # a max-heap
+    heapify(heap)
+    while len(heap) > 1:
+        top, i = heap[0]
+        # the runner-up is the root's child with the larger scalar
+        runner_up, j = heap[1] if len(heap) == 2 or heap[1] < heap[2] else heap[2]
+        # both keys negative: the quotient is a div b, the remainder −(a mod b)
+        quotient, remainder = divmod(top, runner_up)
+        if quotient == 1:
+            firsts[j] = firsts[j] * firsts[i] % P
+            seconds[j] = seconds[j] * seconds[i] % P
+        else:
+            firsts[j] = firsts[j] * pow(firsts[i], quotient, P) % P
+            seconds[j] = seconds[j] * pow(seconds[i], quotient, P) % P
+        if remainder:
+            heapreplace(heap, (remainder, i))
+        else:
+            heappop(heap)
+    top, i = heap[0]
+    return pow(firsts[i], -top, P), pow(seconds[i], -top, P)
+
+
+def pippenger_pair(
+    firsts: list[int], seconds: list[int], scalars: list[int], P: int, bits: int
+) -> tuple[int, int]:
+    """Pippenger's bucket method, one w-bit window at a time; reads its
+    lists without changing them."""
     width = window_width(len(scalars), bits)
     count = -(-bits // width)
     size = 1 << width
@@ -109,7 +190,7 @@ def multi_pow_pair(
     for i in reversed(range(count)):
         buckets1 = [1] * size
         buckets2 = [1] * size
-        for (a, b), ds in zip(bases, digit_rows):
+        for a, b, ds in zip(firsts, seconds, digit_rows):
             d = ds[i]
             if d:
                 buckets1[d] = buckets1[d] * a % P

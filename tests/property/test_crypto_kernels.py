@@ -6,19 +6,27 @@ block at a time (``tests/crypto/chacha_oracle.py``), and the PRG's bulk
 draws against one draw at a time.
 
 ``repro.crypto.multiexp`` replaces one ``pow`` per exponentiation with
-fixed-base tables (Enc(r), ``encode``, key generation) and a Pippenger
-fold (the prover's ∏ Enc(r_i)^{u_i}); the verifier's key turns Enc(r)
-into (g^k, g^((m + x·k) mod q)) and decryption into c2 · (c1⁻¹)^x.
-Transcripts stay byte-identical only if every kernel returns exactly
-the oracle's integers (``tests/crypto/pow_oracle.py``), so Hypothesis
-drives both on all four commitment groups:
+fixed-base tables (Enc(r), ``encode``, key generation) and a fold (the
+prover's ∏ Enc(r_i)^{u_i}) that runs Bos–Coster's heap method below
+``PIPPENGER_MIN_TERMS`` nonzero weights and Pippenger's buckets from
+it on; the verifier's key turns Enc(r) into (g^k, g^((m + x·k) mod q))
+and decryption into c2 · (c1⁻¹)^x.  Transcripts stay byte-identical
+only if every kernel returns exactly the oracle's integers
+(``tests/crypto/pow_oracle.py``), so Hypothesis drives both on all
+four commitment groups:
 
-* weights and messages 0, 1, p−1, values ≥ p, negative values, and
-  the all-ones digit patterns 2^(k·w)−1 at the windows the kernels
-  pick;
-* vector lengths 0, 1, 2, every length where the chosen window
-  widens, and 666 (the p128-b8 proof-vector length), plus all-zero
-  weight vectors;
+* weights and messages 0, 1, p−1, values ≥ p, negative values, the
+  all-ones digit patterns 2^(k·w)−1 at the windows the kernels pick,
+  and weight shapes that stress a heap method (all equal, a Fibonacci
+  tail, powers of two, one weight near q among tiny ones, consecutive
+  values, halvings);
+* fold lengths 0, 1, 2, 5 and 11 (the gateway's folds), 666 (the
+  p128-b8 proof-vector length), the crossover's three lengths and the
+  ladder of window changes through ``homomorphic_inner_product``,
+  every length where Pippenger's window widens on its route alone,
+  and all-zero weight vectors; which route serves each length, that each step takes
+  ``pow`` only for a quotient above 1, that only residues are
+  multiplied, and that a scalar outside [0, 2^bits) is refused;
 * ciphertext components a gateway prover reads off the wire and
   cannot assume are subgroup elements: 0, 1, P−1, values ≥ P, negative
   values (``int(…, 16)`` accepts them) and non-subgroup elements;
@@ -72,7 +80,8 @@ from repro.crypto import (
 )
 from repro.crypto import chacha
 from repro.crypto.chacha import KERNEL_MIN_BLOCKS
-from repro.crypto.multiexp import MAX_WINDOW, window_width
+from repro.crypto import multiexp
+from repro.crypto.multiexp import MAX_WINDOW, PIPPENGER_MIN_TERMS, window_width
 from repro.field import GOLDILOCKS, HAVE_NUMPY, P128, P192, P220, PrimeField
 
 from ..crypto.chacha_oracle import block_loop
@@ -89,6 +98,8 @@ _FIELDS = {
 
 #: the proof-vector length of the p128-b8 benchmark workload
 PROOF_LENGTH = 666
+#: the fold lengths of the gateway's two programs (dotp and horner)
+GATEWAY_LENGTHS = (5, 11)
 
 
 def _field(group: SchnorrGroup) -> PrimeField:
@@ -114,15 +125,48 @@ def _non_subgroup(group: SchnorrGroup) -> int:
 
 
 def _exponent_edges(group: SchnorrGroup, n: int) -> list[int]:
-    """Weights/messages at the reduction edges and at the digit edges of
-    the window a length-n vector picks and of the generator table's."""
+    """Weights/messages at the reduction edges, at the digit edges of
+    the window a length-n vector picks and of the generator table's, and
+    the values of the heap shapes (``_weight_shapes``)."""
     q, bits = group.order, _bits(group)
     digit_edges = [
         (1 << (k * w)) - 1
         for w in {window_width(n, bits), MAX_WINDOW}
         for k in range(1, -(-bits // w) + 1)
     ]
-    return [0, 1, 2, q - 1, q, q + 1, 2 * q - 1, 3 * q + 5, -1, -q - 2] + digit_edges
+    shape_values = sorted({w for shape in _weight_shapes(q, 4).values() for w in shape})
+    return [
+        0, 1, 2, q - 1, q, q + 1, 2 * q - 1, 3 * q + 5, -1, -q - 2,
+        *digit_edges, *shape_values,
+    ]
+
+
+def _fibonacci_below(q: int) -> list[int]:
+    """1, 2, 3, 5, 8, … up to the largest Fibonacci number below q."""
+    fib = [1, 2]
+    while fib[-1] + fib[-2] < q:
+        fib.append(fib[-1] + fib[-2])
+    return fib
+
+
+def _weight_shapes(q: int, n: int) -> dict[str, list[int]]:
+    """Length-n weight vectors that stress a heap method: all equal
+    (every step a plain multiplication), a Fibonacci tail (every
+    quotient 1 but the last), powers of two and halvings (quotients of
+    2), one weight near q among tiny ones (one huge quotient) and
+    consecutive values (remainders of 1)."""
+    fib, bits = _fibonacci_below(q), q.bit_length()
+    return {
+        "equal": [q - 2] * n,
+        "fibonacci": [fib[-1 - i % len(fib)] for i in range(n)],
+        "powers_of_two": [1 << (bits - 2 - i % (bits - 1)) for i in range(n)],
+        "near_q": [q - 1 if i == 0 else i % 3 + 1 for i in range(n)],
+        "consecutive": [q - 1 - i for i in range(n)],
+        "halvings": [(q - 1) >> (i % bits) or 1 for i in range(n)],
+    }
+
+
+WEIGHT_SHAPES = tuple(_weight_shapes(2**64, 0))
 
 
 def _component_edges(group: SchnorrGroup) -> list[int]:
@@ -165,8 +209,13 @@ def _ciphertexts(data, group: SchnorrGroup, n: int) -> list[ElGamalCiphertext]:
 
 
 def _weights(data, group: SchnorrGroup, n: int) -> list[int]:
+    """Dense weights or a heap shape, a handful set to edge values."""
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
-    weights = [rng.randrange(1, group.order) for _ in range(n)]
+    shape = data.draw(st.sampled_from(["dense", *WEIGHT_SHAPES]))
+    if shape == "dense":
+        weights = [rng.randrange(1, group.order) for _ in range(n)]
+    else:
+        weights = _weight_shapes(group.order, n)[shape]
     return _patched(data, weights, _exponent_edges(group, n), 12)
 
 
@@ -175,10 +224,15 @@ LONG = 64
 
 
 def _fold_cases(long: bool) -> list[tuple[str, int]]:
-    """(group, n): 0, 1, 2, every window change and the proof length."""
+    """(group, n): 0, 1, 2, the gateway's lengths, the proof length, the
+    crossover's three lengths, and the ladder of lengths at which
+    Pippenger's window would widen (Bos–Coster folds them all)."""
     cases = []
     for name, group in GROUPS.items():
-        lengths = {0, 1, 2, PROOF_LENGTH, *_window_changes(_bits(group))}
+        lengths = {
+            0, 1, 2, *GATEWAY_LENGTHS, PROOF_LENGTH, *_window_changes(_bits(group)),
+            PIPPENGER_MIN_TERMS - 1, PIPPENGER_MIN_TERMS, PIPPENGER_MIN_TERMS + 1,
+        }
         cases += [(name, n) for n in sorted(lengths) if (n > LONG) == long]
     return cases
 
@@ -204,6 +258,181 @@ def test_fold_matches_pow_oracle(name, n, data):
 @given(data=st.data())
 def test_fold_matches_pow_oracle_long(name, n, data):
     _check_fold(name, n, data)
+
+
+@pytest.mark.parametrize("name", GROUPS)
+@pytest.mark.parametrize("shape", WEIGHT_SHAPES)
+@pytest.mark.parametrize("n", [2, *GATEWAY_LENGTHS, 64])
+def test_fold_weight_shapes(name, shape, n):
+    """Each heap shape, unpatched, on wire-edge and random components."""
+    group = GROUPS[name]
+    rng = random.Random(n)
+    components = _component_edges(group)
+    components += [rng.randrange(group.modulus) for _ in range(2 * n)]
+    cts = [
+        ElGamalCiphertext(components[i % len(components)], components[-1 - i])
+        for i in range(n)
+    ]
+    weights = _weight_shapes(group.order, n)[shape]
+    assert homomorphic_inner_product(group, cts, weights) == inner_product_pow(
+        group, cts, weights
+    )
+
+
+def _pippenger_cases(long: bool) -> list[tuple[str, int]]:
+    """(group, n): every length at which Pippenger's window widens."""
+    return [
+        (name, n)
+        for name, group in GROUPS.items()
+        for n in _window_changes(_bits(group))
+        if (n > LONG) == long
+    ]
+
+
+def _check_pippenger(name: str, n: int, data) -> None:
+    """Pippenger's route alone, at lengths only a direct call reaches:
+    ``multi_pow_pair`` hands it no fold shorter than the crossover."""
+    group = GROUPS[name]
+    P, q, bits = group.modulus, group.order, _bits(group)
+    cts = _ciphertexts(data, group, n)
+    # n nonzero weights, so the route picks the window of length n
+    weights = [w % q or 1 for w in _weights(data, group, n)]
+    terms = multiexp.nonzero_terms([(ct.c1, ct.c2) for ct in cts], weights, P, bits)
+    assert len(terms[2]) == n
+    got = multiexp.pippenger_pair(*terms, P, bits)
+    assert ElGamalCiphertext(*got) == inner_product_pow(group, cts, weights)
+
+
+@pytest.mark.parametrize("name, n", _pippenger_cases(long=False))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_pippenger_matches_pow_oracle_at_window_changes(name, n, data):
+    _check_pippenger(name, n, data)
+
+
+@pytest.mark.parametrize("name, n", _pippenger_cases(long=True))
+@settings(max_examples=1, deadline=None)
+@given(data=st.data())
+def test_pippenger_matches_pow_oracle_at_window_changes_long(name, n, data):
+    _check_pippenger(name, n, data)
+
+
+def _record_fold_routes(monkeypatch) -> list[tuple[str, int]]:
+    """Record ``(route, terms)`` for every fold from now on; the routes
+    themselves do not run."""
+    calls: list[tuple[str, int]] = []
+    for route in ("bos_coster_pair", "pippenger_pair"):
+        monkeypatch.setattr(
+            multiexp,
+            route,
+            lambda *args, _route=route: calls.append((_route, len(args[2]))) or (1, 1),
+        )
+    return calls
+
+
+def test_fold_routes_each_length(monkeypatch):
+    """Bos–Coster serves a fold of fewer than ``PIPPENGER_MIN_TERMS``
+    nonzero weights and Pippenger one of at least that many; zero
+    weights do not count."""
+    calls = _record_fold_routes(monkeypatch)
+    P, bits = GROUP_P128_512.modulus, _bits(GROUP_P128_512)
+    below = [0, 1, *GATEWAY_LENGTHS, PROOF_LENGTH, PIPPENGER_MIN_TERMS - 1]
+    above = [PIPPENGER_MIN_TERMS, PIPPENGER_MIN_TERMS + 1]
+    for n in below + above:
+        multiexp.multi_pow_pair([(2, 3)] * n, [1] * n, P, bits)
+    # six zero weights leave one term short of the crossover
+    zeros = [0] * 6 + [1] * (PIPPENGER_MIN_TERMS - 1)
+    multiexp.multi_pow_pair([(2, 3)] * len(zeros), zeros, P, bits)
+    assert calls == (
+        [("bos_coster_pair", n) for n in below]
+        + [("pippenger_pair", n) for n in above]
+        + [("bos_coster_pair", PIPPENGER_MIN_TERMS - 1)]
+    )
+
+
+def _count_pows(monkeypatch) -> list[int]:
+    """Record the exponent of every ``pow`` the kernels call from now on."""
+    exponents: list[int] = []
+    monkeypatch.setattr(
+        multiexp,
+        "pow",
+        lambda base, e, m: exponents.append(e) or pow(base, e, m),
+        raising=False,
+    )
+    return exponents
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_bos_coster_takes_pow_only_for_quotients_above_one(name, monkeypatch):
+    """A run of equal weights folds by multiplications alone, so the
+    last entry's two ``pow`` calls are all it takes; consecutive
+    Fibonacci numbers divide with quotient 1 at every step but the last
+    (2 by 1), which adds one ``pow`` per component."""
+    group = GROUPS[name]
+    P, q, bits = group.modulus, group.order, _bits(group)
+    rng = random.Random(q)
+    bases = [(rng.randrange(P), rng.randrange(P)) for _ in range(40)]
+    exponents = _count_pows(monkeypatch)
+    for shape, pows in (("equal", [q - 2] * 2), ("fibonacci", [2, 2, 1, 1])):
+        weights = _weight_shapes(q, 40)[shape]
+        folded = multiexp.multi_pow_pair(bases, weights, P, bits)
+        assert sorted(exponents, reverse=True) == pows, shape
+        exponents.clear()
+        cts = [ElGamalCiphertext(a, b) for a, b in bases]
+        assert ElGamalCiphertext(*folded) == inner_product_pow(group, cts, weights)
+
+
+class _Sent(int):
+    """A component as read off the wire, which records every use in a
+    multiplication or ``pow``; ``x % P`` returns a plain int."""
+
+    uses: list[str] = []
+
+    def __mul__(self, other):
+        _Sent.uses.append("mul")
+        return int(self) * other
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e, m=None):
+        _Sent.uses.append("pow")
+        return pow(int(self), e, m)
+
+
+@pytest.mark.parametrize("n", [1, 3, PIPPENGER_MIN_TERMS])
+def test_fold_multiplies_only_residues(n):
+    """Each component is reduced mod P once, before either route runs,
+    so a peer's oversized component costs one reduction and is never
+    multiplied at the size it was sent."""
+    group = GROUP_GOLDILOCKS_512
+    P, bits = group.modulus, _bits(group)
+    sent = [_Sent(P * (1 << 4096) + 5 + i) for i in range(n)]
+    scalars = [1 + i % 7 for i in range(n)]
+    _Sent.uses.clear()
+    folded = multiexp.multi_pow_pair(list(zip(sent, sent)), scalars, P, bits)
+    assert _Sent.uses == []
+    expected = 1
+    for i, s in enumerate(scalars):
+        expected = expected * pow(5 + i, s, P) % P
+    assert folded == (expected, expected)
+
+
+@pytest.mark.parametrize("n", [3, PIPPENGER_MIN_TERMS])
+@pytest.mark.parametrize("bits", [64, 128])
+def test_fold_refuses_scalars_outside_the_range(n, bits):
+    """Both routes refuse a scalar outside [0, 2^bits) and accept the
+    range's top."""
+    P = 2**127 - 1
+    bases = [(3, 5)] * n
+    for bad in (1 << bits, (1 << bits) + 7, -1, -5):
+        for at in (0, n - 1):
+            scalars = [2] * n
+            scalars[at] = bad
+            with pytest.raises(ValueError, match="outside"):
+                multiexp.multi_pow_pair(bases, scalars, P, bits)
+    top = (1 << bits) - 1
+    folded = multiexp.multi_pow_pair(bases, [top] + [1] * (n - 1), P, bits)
+    assert folded == (pow(3, top + n - 1, P), pow(5, top + n - 1, P))
 
 
 @pytest.mark.parametrize("name", GROUPS)
