@@ -103,24 +103,25 @@ def homomorphic_inner_product(
     Each term is the cost-model parameter ``h`` ("ciphertext add plus
     multiply", §5.1); the prover pays one ``h`` per entry of the proof
     vector (Figure 3, "Issue responses").  Zero weights are skipped,
-    matching what an optimized prover does for sparse vectors, and the
-    rest are reduced mod q.  ``multiexp.multi_pow_pair`` folds the
-    terms over both ciphertext components at once: Bos–Coster's heap
-    method below ``multiexp.PIPPENGER_MIN_TERMS`` terms (every fold the
-    benchmarks run), Pippenger's buckets from it on.
+    matching what an optimized prover does for sparse vectors.
+    ``multiexp.multi_pow_pair`` reads the weights reduced mod q, keeps
+    one entry per nonzero one and folds both ciphertext components at
+    once: Bos–Coster's heap method below ``multiexp.PIPPENGER_MIN_TERMS``
+    terms (every perfbench and gateway fold), Pippenger's buckets from
+    it on (the figure benches' apps at their default sizes).
     """
     if len(ciphertexts) != len(weights):
         raise ValueError("ciphertext/weight length mismatch")
-    q = group.order
-    bases = []
-    scalars = []
-    for ct, w in zip(ciphertexts, weights):
-        if w:
-            bases.append((ct.c1, ct.c2))
-            scalars.append(w % q)
     if telemetry.enabled():
-        telemetry.count("crypto.ciphertext_ops", len(scalars))
-        telemetry.count("crypto.exponentiations", 2 * len(scalars))
+        terms = sum(1 for w in weights if w)
+        telemetry.count("crypto.ciphertext_ops", terms)
+        telemetry.count("crypto.exponentiations", 2 * terms)
+    q = group.order
     return ElGamalCiphertext(
-        *multi_pow_pair(bases, scalars, group.modulus, q.bit_length())
+        *multi_pow_pair(
+            ((ct.c1, ct.c2) for ct in ciphertexts),
+            (w % q for w in weights),
+            group.modulus,
+            q.bit_length(),
+        )
     )

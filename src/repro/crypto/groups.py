@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from ..field import GOLDILOCKS, P128, P220, PrimeField
-from .multiexp import MAX_WINDOW, FixedBaseTable
+from .multiexp import FixedBaseTable
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class SchnorrGroup:
 
     @cached_property
     def generator_table(self) -> FixedBaseTable:
-        """Fixed-base table for g at the widest window, built on first use.
+        """Fixed-base table for g, built on first use.
 
         Every g^x of the commitment (key generation, Enc, ``encode``)
         reads it, so one build serves the process.  The table is built
@@ -53,9 +53,7 @@ class SchnorrGroup:
         so threads racing on the first use each get a complete table; a
         racing double build stores one of the identical copies.
         """
-        return FixedBaseTable(
-            self.generator, self.modulus, self.order.bit_length(), MAX_WINDOW
-        )
+        return FixedBaseTable(self.generator, self.modulus, self.order.bit_length())
 
 
 #: 512-bit group of order GOLDILOCKS (test configurations).

@@ -10,10 +10,9 @@ multiplication costs far more than the interpreter's dispatch around
 it, so the kernels below win by doing fewer multiplications, even
 though they run in Python:
 
-* :class:`FixedBaseTable` stores ``b^(d·2^(i·w))`` for every w-bit
-  digit d of every window i.  Then ``b^e`` is one stored entry per
-  digit of e, multiplied together: ⌈bits/w⌉ − 1 multiplications and no
-  squarings.
+* :class:`FixedBaseTable` stores ``b^(d·2^(8i))`` for every byte d of
+  every window i.  Then ``b^e`` is one stored entry per byte of e,
+  multiplied together: ⌈bits/8⌉ − 1 multiplications and no squarings.
 * :func:`multi_pow_pair` folds ∏ x_j^{s_j} for a pair of base
   vectors that share one set of scalars, the two components of an
   ElGamal ciphertext, so each step of either route drives both
@@ -25,8 +24,8 @@ though they run in Python:
   the top with the remainder.  Each run of equal scalars therefore
   folds with one multiplication per term, and the last entry costs one
   ``pow`` per component.  From the constant on it runs Pippenger's
-  bucket method: per w-bit window it multiplies each base into the
-  bucket of its digit, then combines the buckets with two running
+  bucket method: per byte of the scalars it multiplies each base into
+  the bucket of its digit, then combines the buckets with two running
   products.
 
 Both return exactly the integers ``pow`` returns, for any integer
@@ -37,77 +36,61 @@ do not depend on which route computed them.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heapreplace
-from typing import Sequence
+from typing import Iterable
 
 #: a fold with fewer nonzero scalars runs Bos–Coster, one with at least
-#: this many Pippenger: where ``bench_kernels.py``'s fold sweep crosses
-#: on dense 128-bit scalars at 512 bits (Bos–Coster/Pippenger 0.82–1.13
-#: at 1,446 terms, 1.00–1.06 at 2,048, 1.02–1.22 at 4,096 and 10,851)
-PIPPENGER_MIN_TERMS = 2048
+#: this many Pippenger.  Set from real proof vectors on goldilocks-512,
+#: the group the figure benches fold on (``bench_kernels.py``'s fold
+#: section): Bos–Coster's time over Pippenger's reads 0.82–0.86 at 482
+#: terms (LCS m = 4), 0.90 at 753, 0.95–1.01 from 1,061 to 2,689 and
+#: 1.02–1.40 at 7,251–7,307.  The constant sits where the routes start
+#: to tie: every perfbench and gateway fold (at most 482 terms) runs
+#: Bos–Coster, and the five apps' default proof vectors (1,061–7,307
+#: terms) run Pippenger.
+PIPPENGER_MIN_TERMS = 1024
 
-#: widest window any table uses, to bound memory: a 512-bit group with
-#: a 128-bit order keeps 16·256 entries (~0.4 MB) at this width
-MAX_WINDOW = 8
-
-
-def window_width(n: int, bits: int) -> int:
-    """The w ≤ :data:`MAX_WINDOW` minimizing ⌈bits/w⌉·(n + 2^w).
-
-    A Pippenger pass over n bases with ``bits``-bit scalars costs
-    ⌈bits/w⌉ windows of n bucket multiplications plus about 2^w to
-    combine the buckets.
-    """
-    return min(
-        range(1, MAX_WINDOW + 1), key=lambda w: -(-bits // w) * (n + (1 << w))
-    )
-
-
-def digits(e: int, width: int, count: int) -> Sequence[int]:
-    """The ``count`` base-2^width digits of ``e``, least significant first.
-
-    ``e`` must lie in [0, 2^(width·count)).
-    """
-    if width == 8:
-        return e.to_bytes(count, "little")
-    mask = (1 << width) - 1
-    return [(e >> shift) & mask for shift in range(0, width * count, width)]
+#: digit width of the tables and of Pippenger's buckets, so a digit is
+#: one byte of the scalar.  A 512-bit group with a 128-bit order keeps
+#: 16·256 entries (~0.4 MB) per table.  For a Pippenger pass over n
+#: ≥ PIPPENGER_MIN_TERMS scalars of the groups' 64, 128 or 220 bits, 8
+#: also minimizes the cost ⌈bits/w⌉·(n + 2^w) over every w ≤ 8.
+WINDOW = 8
 
 
 class FixedBaseTable:
-    """Windowed powers of one base: ``rows[i][d] = base^(d·2^(i·width))``.
+    """Byte-windowed powers of one base: ``rows[i][d] = base^(d·2^(8i))``.
 
     Exponents passed to :meth:`pow` must lie in [0, 2^bits).  A table
     is immutable once built, so threads may share it.
     """
 
-    __slots__ = ("modulus", "width", "count", "rows")
+    __slots__ = ("modulus", "count", "rows")
 
-    def __init__(self, base: int, modulus: int, bits: int, width: int):
+    def __init__(self, base: int, modulus: int, bits: int):
         self.modulus = modulus
-        self.width = width
-        self.count = -(-bits // width)
+        self.count = -(-bits // WINDOW)
         rows = []
         b = base % modulus
         for _ in range(self.count):
             row = [1, b]
-            for _ in range(2, 1 << width):
+            for _ in range(2, 1 << WINDOW):
                 row.append(row[-1] * b % modulus)
             rows.append(row)
-            b = row[-1] * b % modulus  # base^(2^(width·(i+1)))
+            b = row[-1] * b % modulus  # base^(2^(8·(i+1)))
         self.rows = rows
 
     def pow(self, e: int) -> int:
         """``pow(base, e, modulus)``."""
         P = self.modulus
         acc = 1
-        for row, d in zip(self.rows, digits(e, self.width, self.count)):
+        for row, d in zip(self.rows, e.to_bytes(self.count, "little")):
             if d:
                 acc = acc * row[d] % P
         return acc
 
 
 def multi_pow_pair(
-    bases: Sequence[tuple[int, int]], scalars: Sequence[int], modulus: int, bits: int
+    bases: Iterable[tuple[int, int]], scalars: Iterable[int], modulus: int, bits: int
 ) -> tuple[int, int]:
     """(∏ a_j^{s_j}, ∏ b_j^{s_j}) mod ``modulus`` for ``bases`` (a_j, b_j).
 
@@ -124,7 +107,7 @@ def multi_pow_pair(
 
 
 def nonzero_terms(
-    bases: Sequence[tuple[int, int]], scalars: Sequence[int], modulus: int, bits: int
+    bases: Iterable[tuple[int, int]], scalars: Iterable[int], modulus: int, bits: int
 ) -> tuple[list[int], list[int], list[int]]:
     """The routes' input: each nonzero scalar's two bases, reduced mod P
     so that no route multiplies a component at the size it was sent,
@@ -180,12 +163,11 @@ def bos_coster_pair(
 def pippenger_pair(
     firsts: list[int], seconds: list[int], scalars: list[int], P: int, bits: int
 ) -> tuple[int, int]:
-    """Pippenger's bucket method, one w-bit window at a time; reads its
-    lists without changing them."""
-    width = window_width(len(scalars), bits)
-    count = -(-bits // width)
-    size = 1 << width
-    digit_rows = [digits(s, width, count) for s in scalars]
+    """Pippenger's bucket method, one byte of the scalars at a time;
+    reads its lists without changing them."""
+    count = -(-bits // WINDOW)
+    size = 1 << WINDOW
+    digit_rows = [s.to_bytes(count, "little") for s in scalars]
     acc1 = acc2 = 1
     for i in reversed(range(count)):
         buckets1 = [1] * size

@@ -16,17 +16,15 @@ only if every kernel returns exactly the oracle's integers
 four commitment groups:
 
 * weights and messages 0, 1, p−1, values ≥ p, negative values, the
-  all-ones digit patterns 2^(k·w)−1 at the windows the kernels pick,
-  and weight shapes that stress a heap method (all equal, a Fibonacci
-  tail, powers of two, one weight near q among tiny ones, consecutive
-  values, halvings);
+  all-ones byte patterns 2^(8k)−1, and weight shapes that stress a
+  heap method (all equal, a Fibonacci tail, powers of two, one weight
+  near q among tiny ones, consecutive values, halvings);
 * fold lengths 0, 1, 2, 5 and 11 (the gateway's folds), 666 (the
-  p128-b8 proof-vector length), the crossover's three lengths and the
-  ladder of window changes through ``homomorphic_inner_product``,
-  every length where Pippenger's window widens on its route alone,
-  and all-zero weight vectors; which route serves each length, that each step takes
-  ``pow`` only for a quotient above 1, that only residues are
-  multiplied, and that a scalar outside [0, 2^bits) is refused;
+  p128-b8 proof-vector length), the crossover's three lengths and a
+  ladder of lengths below it, and all-zero weight vectors; which route serves
+  each length, that each step takes ``pow`` only for a quotient above
+  1, that only residues are multiplied, and that a scalar outside
+  [0, 2^bits) is refused;
 * ciphertext components a gateway prover reads off the wire and
   cannot assume are subgroup elements: 0, 1, P−1, values ≥ P, negative
   values (``int(…, 16)`` accepts them) and non-subgroup elements;
@@ -81,7 +79,7 @@ from repro.crypto import (
 from repro.crypto import chacha
 from repro.crypto.chacha import KERNEL_MIN_BLOCKS
 from repro.crypto import multiexp
-from repro.crypto.multiexp import MAX_WINDOW, PIPPENGER_MIN_TERMS, window_width
+from repro.crypto.multiexp import PIPPENGER_MIN_TERMS, WINDOW
 from repro.field import GOLDILOCKS, HAVE_NUMPY, P128, P192, P220, PrimeField
 
 from ..crypto.chacha_oracle import block_loop
@@ -110,30 +108,16 @@ def _bits(group: SchnorrGroup) -> int:
     return group.order.bit_length()
 
 
-def _window_changes(bits: int) -> list[int]:
-    """Every length at which the chosen window widens, up to the widest."""
-    changes, n = [], 0
-    while window_width(n, bits) < MAX_WINDOW:
-        n += 1
-        if window_width(n, bits) != window_width(n - 1, bits):
-            changes.append(n)
-    return changes
-
-
 def _non_subgroup(group: SchnorrGroup) -> int:
     return next(x for x in itertools.count(2) if not group.contains(x))
 
 
 def _exponent_edges(group: SchnorrGroup, n: int) -> list[int]:
-    """Weights/messages at the reduction edges, at the digit edges of
-    the window a length-n vector picks and of the generator table's, and
-    the values of the heap shapes (``_weight_shapes``)."""
+    """Weights/messages at the reduction edges, at the byte edges that
+    the tables and Pippenger's buckets read, and the values of the heap
+    shapes (``_weight_shapes``)."""
     q, bits = group.order, _bits(group)
-    digit_edges = [
-        (1 << (k * w)) - 1
-        for w in {window_width(n, bits), MAX_WINDOW}
-        for k in range(1, -(-bits // w) + 1)
-    ]
+    digit_edges = [(1 << (k * WINDOW)) - 1 for k in range(1, -(-bits // WINDOW) + 1)]
     shape_values = sorted({w for shape in _weight_shapes(q, 4).values() for w in shape})
     return [
         0, 1, 2, q - 1, q, q + 1, 2 * q - 1, 3 * q + 5, -1, -q - 2,
@@ -223,14 +207,23 @@ def _weights(data, group: SchnorrGroup, n: int) -> list[int]:
 LONG = 64
 
 
+#: per group, a ladder of lengths below the crossover: those at which
+#: the window w ≤ 8 minimizing ⌈bits/w⌉·(n + 2^w) widens
+_LADDERS = {
+    "goldilocks-512": (14, 54, 145, 449),
+    "p128-512": (16, 54, 145, 342, 555),
+    "p128-1024": (16, 54, 145, 342, 555),
+    "p220-1024": (16, 49, 138, 346, 769),
+}
+
+
 def _fold_cases(long: bool) -> list[tuple[str, int]]:
     """(group, n): 0, 1, 2, the gateway's lengths, the proof length, the
-    crossover's three lengths, and the ladder of lengths at which
-    Pippenger's window would widen (Bos–Coster folds them all)."""
+    ladder, and the crossover's three lengths."""
     cases = []
-    for name, group in GROUPS.items():
+    for name in GROUPS:
         lengths = {
-            0, 1, 2, *GATEWAY_LENGTHS, PROOF_LENGTH, *_window_changes(_bits(group)),
+            0, 1, 2, *GATEWAY_LENGTHS, PROOF_LENGTH, *_LADDERS[name],
             PIPPENGER_MIN_TERMS - 1, PIPPENGER_MIN_TERMS, PIPPENGER_MIN_TERMS + 1,
         }
         cases += [(name, n) for n in sorted(lengths) if (n > LONG) == long]
@@ -277,44 +270,6 @@ def test_fold_weight_shapes(name, shape, n):
     assert homomorphic_inner_product(group, cts, weights) == inner_product_pow(
         group, cts, weights
     )
-
-
-def _pippenger_cases(long: bool) -> list[tuple[str, int]]:
-    """(group, n): every length at which Pippenger's window widens."""
-    return [
-        (name, n)
-        for name, group in GROUPS.items()
-        for n in _window_changes(_bits(group))
-        if (n > LONG) == long
-    ]
-
-
-def _check_pippenger(name: str, n: int, data) -> None:
-    """Pippenger's route alone, at lengths only a direct call reaches:
-    ``multi_pow_pair`` hands it no fold shorter than the crossover."""
-    group = GROUPS[name]
-    P, q, bits = group.modulus, group.order, _bits(group)
-    cts = _ciphertexts(data, group, n)
-    # n nonzero weights, so the route picks the window of length n
-    weights = [w % q or 1 for w in _weights(data, group, n)]
-    terms = multiexp.nonzero_terms([(ct.c1, ct.c2) for ct in cts], weights, P, bits)
-    assert len(terms[2]) == n
-    got = multiexp.pippenger_pair(*terms, P, bits)
-    assert ElGamalCiphertext(*got) == inner_product_pow(group, cts, weights)
-
-
-@pytest.mark.parametrize("name, n", _pippenger_cases(long=False))
-@settings(max_examples=8, deadline=None)
-@given(data=st.data())
-def test_pippenger_matches_pow_oracle_at_window_changes(name, n, data):
-    _check_pippenger(name, n, data)
-
-
-@pytest.mark.parametrize("name, n", _pippenger_cases(long=True))
-@settings(max_examples=1, deadline=None)
-@given(data=st.data())
-def test_pippenger_matches_pow_oracle_at_window_changes_long(name, n, data):
-    _check_pippenger(name, n, data)
 
 
 def _record_fold_routes(monkeypatch) -> list[tuple[str, int]]:
@@ -569,8 +524,8 @@ def test_generator_table_first_use_race():
         e: pow(group.generator, e, group.modulus) for e in exponents
     }
     table = group.generator_table
-    assert len(table.rows) == -(-_bits(group) // MAX_WINDOW)
-    assert all(len(row) == 1 << MAX_WINDOW for row in table.rows)
+    assert len(table.rows) == -(-_bits(group) // WINDOW)
+    assert all(len(row) == 1 << WINDOW for row in table.rows)
 
 
 # -- keystream ----------------------------------------------------------------
