@@ -5,9 +5,9 @@ The paper's testbed "connect[s] the verifier and the prover to a local
 network" (§5.1).  This demo runs the prover as a server (here in a
 background thread; in production, another machine), has the verifier
 drive a batched session over the socket, and reports the traffic —
-with the §A.1 seed optimization, the verifier uploads Enc(r), the
-consistency query, and its inputs; the full PCP query schedule never
-crosses the wire.
+with the §A.1 seed optimization, the verifier uploads Enc(r), its
+inputs, and a challenge of the 32-byte query key plus the consistency
+query; the full PCP query schedule never crosses the wire.
 
 Run:  python examples/remote_prover.py
 """
@@ -59,8 +59,9 @@ def main() -> None:
 
         print(
             f"\ntraffic: {result.bytes_sent:,} B uploaded "
-            f"(Enc(r) + inputs + one consistency query; PCP queries come "
-            f"from the shared seed), {result.bytes_received:,} B downloaded"
+            f"(Enc(r) + inputs + one consistency query; PCP queries derive "
+            f"from the query key sent with it), {result.bytes_received:,} B "
+            f"downloaded"
         )
 
 

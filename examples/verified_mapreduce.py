@@ -13,13 +13,19 @@ the shard's max-frequency bucket.  A reduce phase (summing histograms)
 runs locally at the verifier — it is linear-time in the mapper
 outputs, which the verifier already touches (§5.4).
 
+The map phase runs as one session against a prover server (here on
+loopback), and the demo reports the bytes that crossed the socket.
+
 Run:  python examples/verified_mapreduce.py
 """
 
 import random
 
-from repro.argument import ArgumentConfig, ZaatarArgument, transport_costs
+from repro import telemetry
+from repro.argument import ArgumentConfig, ProverServer, verify_remote
+from repro.argument.framing import HEADER
 from repro.compiler import Builder, compile_program, is_equal, less_than, select
+from repro.crypto import query_key
 from repro.field import PrimeField
 from repro.pcp import SoundnessParams
 
@@ -60,9 +66,14 @@ def main() -> None:
         [rng.randrange(BUCKETS) for _ in range(SHARD_LEN)] for _ in range(NUM_SHARDS)
     ]
 
+    # the cloud proves Ψ on every shard; the verifier drives one session,
+    # traced for its frame bytes (no span records ride in the answers)
     config = ArgumentConfig(params=SoundnessParams(rho_lin=2, rho=1))
-    argument = ZaatarArgument(mapper, config)
-    result = argument.run_batch(shards)
+    with telemetry.session() as tracer:
+        with ProverServer(mapper, config) as cloud:
+            result = verify_remote(
+                mapper, shards, cloud.address, config, collect_trace=False
+            )
     assert result.all_accepted
 
     print(f"\nmap phase: {NUM_SHARDS} shards verified in one batch")
@@ -78,15 +89,14 @@ def main() -> None:
     expected = [sum(s.count(k) for s in shards) for k in range(BUCKETS)]
     assert totals == expected
 
-    # network accounting for the whole job, seed-optimized transport
-    tally, ok = transport_costs(
-        ZaatarArgument(mapper, config), shards, mode="seeded"
-    )
-    assert ok
+    # the whole job's traffic: the queries derive from the key K_q,
+    # which travels with the consistency query t in the challenge frame
+    challenge = tracer.total_counters()["net.bytes_sent.challenge"] + HEADER.size
     print(
-        f"network: {tally.verifier_to_prover:,} B to the cloud, "
-        f"{tally.prover_to_verifier:,} B back "
-        f"(queries derived from a {tally.components['query key']}-byte key)"
+        f"network: {result.bytes_sent:,} B to the cloud, "
+        f"{result.bytes_received:,} B back (queries derived from a "
+        f"{len(query_key(config.seed))}-byte key, sent with t in a "
+        f"{challenge:,}-byte challenge)"
     )
 
 

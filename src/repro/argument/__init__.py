@@ -51,14 +51,6 @@ from .transcript import (
     record_batch,
     replay_transcript,
 )
-from .wire import (
-    NetworkTally,
-    decode_ciphertexts,
-    decode_elements,
-    encode_ciphertexts,
-    encode_elements,
-    transport_costs,
-)
 
 __all__ = [
     "AdversarialProver",
@@ -90,7 +82,6 @@ __all__ = [
     "choose_encoding",
     "InstanceResult",
     "NetworkBatchResult",
-    "NetworkTally",
     "ParallelBatchResult",
     "ProgramRegistry",
     "ProtocolViolation",
@@ -100,11 +91,6 @@ __all__ = [
     "fetch_stats",
     "program_hash",
     "verify_remote",
-    "decode_ciphertexts",
-    "decode_elements",
-    "encode_ciphertexts",
-    "encode_elements",
-    "transport_costs",
     "PhaseTimer",
     "ProverStats",
     "Transcript",

@@ -221,7 +221,6 @@ def verify_remote(
     deadlines: Deadlines | None = None,
     socket_wrapper: Callable | None = None,
     collect_trace: bool | None = None,
-    max_trace_bytes: int = _MAX_CLIENT_TRACE_BYTES,
 ) -> NetworkBatchResult:
     """Drive a full batched session against a remote prover server.
 
@@ -250,8 +249,8 @@ def verify_remote(
     trace --remote`` renders one tree across both processes.  The
     default (None) turns it on exactly when telemetry is enabled
     here.  A returned ``trace`` payload larger than
-    ``max_trace_bytes`` (or structurally malformed) is rejected as
-    ``ProtocolViolation[bad-frame]``.
+    ``_MAX_CLIENT_TRACE_BYTES`` (or structurally malformed) is rejected
+    as ``ProtocolViolation[bad-frame]``.
     """
     config = config or ArgumentConfig(seed=secrets.token_bytes(16))
     retry = retry or RetryPolicy()
@@ -287,7 +286,6 @@ def verify_remote(
                     committed,
                     remote_span=remote_span,
                     collect_trace=collect_trace,
-                    max_trace_bytes=max_trace_bytes,
                     resume=session,
                 )
             return NetworkBatchResult(
@@ -363,7 +361,9 @@ def hello_frame(program: CompiledProgram, config: ArgumentConfig) -> dict:
     """The ``hello`` frame that opens a session of ``program``.
 
     Names the program by its canonical hash and carries ``config``
-    (soundness parameters, QAP mode and group size), never its seed.
+    (soundness parameters, QAP mode and ``paper_scale_crypto``), never
+    its seed.  The flag picks the commitment group only on p128;
+    Goldilocks and p220 have one group each, whatever the flag says.
     """
     return {"type": "hello", "program": program_hash(program), **config.encode()}
 
@@ -377,7 +377,6 @@ def _drive_session(
     committed: list[bool],
     remote_span=None,
     collect_trace: bool | None = None,
-    max_trace_bytes: int = _MAX_CLIENT_TRACE_BYTES,
     resume: _ResumeState | None = None,
 ) -> list[InstanceResult]:
     """One connection's worth of the client protocol (no retry logic)."""
@@ -439,9 +438,7 @@ def _drive_session(
     answers_msg = require(answers_frame, "instances")
     if not isinstance(answers_msg, list) or len(answers_msg) != len(batch_inputs):
         raise ProtocolViolation("instance count mismatch in answers")
-    _adopt_session_trace(
-        answers_frame.get("trace"), tracer, remote_span, max_trace_bytes
-    )
+    _adopt_session_trace(answers_frame.get("trace"), tracer, remote_span)
 
     results: list[InstanceResult] = []
     verify_span = telemetry.start_span(
@@ -477,9 +474,7 @@ def _drive_session(
     return results
 
 
-def _adopt_session_trace(
-    trace_payload, tracer, remote_span, max_trace_bytes: int
-) -> None:
+def _adopt_session_trace(trace_payload, tracer, remote_span) -> None:
     """Stitch server-returned span records under the client's span.
 
     The payload is peer-supplied: structurally malformed or oversized
@@ -493,10 +488,10 @@ def _adopt_session_trace(
         raise ProtocolViolation(
             "answers 'trace' must be a list of span records", code="bad-frame"
         )
-    if len(json.dumps(trace_payload)) > max_trace_bytes:
+    if len(json.dumps(trace_payload)) > _MAX_CLIENT_TRACE_BYTES:
         raise ProtocolViolation(
             f"oversized trace payload ({len(trace_payload)} spans over "
-            f"{max_trace_bytes}-byte limit)",
+            f"{_MAX_CLIENT_TRACE_BYTES}-byte limit)",
             code="bad-frame",
         )
     if tracer is None:

@@ -97,6 +97,11 @@ _MAX_RHO = 128
 #: frame: past this the span records are dropped down to the session
 #: root so a chatty trace can never dwarf the protocol payload
 _MAX_TRACE_BYTES = 1_000_000
+#: how long a sharded session waits for a free shard before it is shed
+#: as ``busy``
+_LEASE_TIMEOUT = 30.0
+#: depth of the accept token bucket that ``accept_rate`` refills
+_ACCEPT_BURST = 8
 
 #: deterministic fault-plan "attempt" index for each shard step, so a
 #: test can kill a worker precisely between ``prove`` and ``answer``
@@ -483,13 +488,10 @@ class GatewayServer:
         accept_queue: int = 16,
         per_program_sessions: int | None = None,
         deadlines: Deadlines | None = None,
-        lease_timeout: float = 30.0,
         resume_timeout: float = 30.0,
         accept_rate: float | None = None,
-        accept_burst: int = 8,
         link: LinkProfile | None = None,
         trace_sessions: bool = True,
-        max_trace_bytes: int = _MAX_TRACE_BYTES,
         metrics_seed: int = 0,
         process_faults: ProcessFaultPlan | None = None,
     ):
@@ -501,13 +503,10 @@ class GatewayServer:
         self.accept_queue = max(0, accept_queue)
         self.per_program_sessions = per_program_sessions
         self.deadlines = deadlines or Deadlines(read=120.0)
-        self.lease_timeout = lease_timeout
         self.resume_timeout = resume_timeout
         self.accept_rate = accept_rate
-        self.accept_burst = max(1, accept_burst)
         self.link = link
         self.trace_sessions = trace_sessions
-        self.max_trace_bytes = max_trace_bytes
         self.process_faults = process_faults
         self._sock = socket.create_server(
             (host, port), backlog=max(self.max_sessions + self.accept_queue, 8)
@@ -531,7 +530,7 @@ class GatewayServer:
         self._parked_lock = threading.Lock()
         self._reaper: threading.Thread | None = None
         self._storm_rng = random.Random(metrics_seed)
-        self._bucket_level = float(self.accept_burst)
+        self._bucket_level = float(_ACCEPT_BURST)
         self._bucket_at = time.monotonic()
         # the first program doubles as the headline identity, as in the
         # stats frame, so `repro top` and the exposition's info line name it
@@ -702,7 +701,7 @@ class GatewayServer:
                     conn,
                     "storm",
                     f"reconnect storm: accepts paced to "
-                    f"{self.accept_rate:.1f}/s (burst {self.accept_burst})",
+                    f"{self.accept_rate:.1f}/s (burst {_ACCEPT_BURST})",
                     round(period * (0.5 + 1.5 * self._storm_rng.random()), 3),
                 )
                 continue
@@ -753,7 +752,7 @@ class GatewayServer:
         now = time.monotonic()
         with self._lock:
             self._bucket_level = min(
-                float(self.accept_burst),
+                float(_ACCEPT_BURST),
                 self._bucket_level + (now - self._bucket_at) * self.accept_rate,
             )
             self._bucket_at = now
@@ -1150,9 +1149,9 @@ class GatewayServer:
         send_frame(conn, frame)
 
     def _bounded_trace(self, tracer: telemetry.Tracer) -> list[dict]:
-        """Span records capped at ``max_trace_bytes`` (root survives)."""
+        """Span records capped at ``_MAX_TRACE_BYTES`` (root survives)."""
         records = tracer.records_since(0)
-        if len(json.dumps(records)) > self.max_trace_bytes:
+        if len(json.dumps(records)) > _MAX_TRACE_BYTES:
             root = records[-1]
             root.setdefault("attrs", {})["trace_truncated"] = len(records) - 1
             records = [root]
@@ -1160,7 +1159,7 @@ class GatewayServer:
 
     def _lease(self, budget: float | None):
         """A shard for the session's steps; ``busy`` if none frees in time."""
-        timeout = self.lease_timeout
+        timeout = _LEASE_TIMEOUT
         if budget is not None:
             timeout = min(timeout, max(budget - time.monotonic(), 0))
         with self.metrics.time("gateway.lease_wait_seconds"):

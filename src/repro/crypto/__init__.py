@@ -8,7 +8,6 @@ from .commitment import (
     DecommitChallenge,
     DecommitResponse,
     QueryBasis,
-    run_commitment_round,
 )
 from .elgamal import (
     ElGamalCiphertext,
@@ -50,5 +49,4 @@ __all__ = [
     "homomorphic_inner_product",
     "named_group",
     "query_key",
-    "run_commitment_round",
 ]

@@ -111,7 +111,7 @@ class QueryBasis:
 
     def queries(self) -> list[list[int]]:
         """Every query as a full-length vector (for oracles, tests and
-        the full transport's byte count)."""
+        the network ablation's full challenge)."""
         embedded = []
         offset, total = 0, sum(self.lengths)
         for rows, length in zip(self.sides, self.lengths):
@@ -123,12 +123,6 @@ class QueryBasis:
             [sum(column) % p for column in zip(*(embedded[j] for j in recipe))]
             for recipe in self.recipes
         ]
-
-    def same_rows(self, other: "QueryBasis") -> bool:
-        """Whether ``other`` has these sides, base rows and recipes."""
-        if self.lengths != other.lengths or self.recipes != other.recipes:
-            return False
-        return all(list(a) == list(b) for a, b in zip(self.sides, other.sides))
 
 
 @dataclass
@@ -260,22 +254,3 @@ class CommitmentProver:
         answers.append(self.field.inner_product(challenge.t, self.u))
         telemetry.count("crypto.decommit_answers", len(answers))
         return DecommitResponse(answers)
-
-
-def run_commitment_round(
-    verifier: CommitmentVerifier,
-    prover: CommitmentProver,
-    queries: QueryBasis,
-) -> tuple[bool, list[int]]:
-    """Drive one full Commit + Multidecommit exchange.
-
-    Returns (consistency_ok, pcp_answers).  Callers still have to run
-    the PCP checks on the answers; this function only establishes that
-    the answers came from *some* fixed linear function.
-    """
-    request = verifier.commit_request()
-    commitment = prover.commit(request)
-    challenge = verifier.decommit_challenge(queries)
-    response = prover.answer(challenge)
-    ok = verifier.verify(commitment, response)
-    return ok, response.answers[:-1]

@@ -29,7 +29,6 @@ from .interpolate import (
     barycentric_weights,
     barycentric_weights_arithmetic,
     interpolate_at_roots_of_unity,
-    interpolate_lagrange_naive,
 )
 from .multiply import mul_strategy, poly_mul
 from .ntt import intt, max_ntt_size, ntt, ntt_mul, ntt_reference
@@ -53,7 +52,6 @@ __all__ = [
     "get_barycentric_weights",
     "get_ntt_plan",
     "interpolate_at_roots_of_unity",
-    "interpolate_lagrange_naive",
     "intt",
     "is_zero",
     "mat_interpolate_at_roots_of_unity",

@@ -175,33 +175,6 @@ class SubproductTree:
         return trim(polys[0])
 
 
-def interpolate_lagrange_naive(
-    field: PrimeField, points: Sequence[int], values: Sequence[int]
-) -> list[int]:
-    """O(n²) Lagrange interpolation; reference implementation for tests."""
-    if len(points) != len(values):
-        raise ValueError("points/values length mismatch")
-    p = field.p
-    n = len(points)
-    result: list[int] = []
-    for i in range(n):
-        # numerator poly ∏_{k≠i} (t - x_k), scaled by y_i / ∏ (x_i - x_k)
-        num = [1]
-        denom = 1
-        for k in range(n):
-            if k == i:
-                continue
-            num = poly_mul(field, num, [(-points[k]) % p, 1])
-            denom = denom * (points[i] - points[k]) % p
-        scale = values[i] * field.inv(denom) % p
-        term = [c * scale % p for c in num]
-        if len(result) < len(term):
-            result += [0] * (len(term) - len(result))
-        for j, c in enumerate(term):
-            result[j] = (result[j] + c) % p
-    return trim(result)
-
-
 def interpolate_at_roots_of_unity(
     field: PrimeField, values: Sequence[int]
 ) -> list[int]:

@@ -272,17 +272,6 @@ class QAPInstance:
         """1/m — the roots-mode Lagrange scale factor, inverted once."""
         return self.field.inv(self.m % self.field.p)
 
-    def divisor_at(self, tau: int) -> int:
-        """D(τ).  Arithmetic mode: D(τ) = ℓ(τ)/τ with one division
-        (§A.3); roots mode: τ^m − 1."""
-        p = self.field.p
-        if self.mode == "roots":
-            return (pow(tau, self.m, p) - 1) % p
-        acc = 1
-        for s in self.sigma:
-            acc = acc * ((tau - s) % p) % p
-        return acc
-
 
 def build_qap(system: QuadraticSystem, *, mode: str = "arithmetic") -> QAPInstance:
     """Construct the QAP for a canonical quadratic system."""

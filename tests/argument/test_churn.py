@@ -30,6 +30,7 @@ from repro.argument import (
     RetryPolicy,
     verify_remote,
 )
+from repro.argument import serve as serve_mod
 from repro.argument.net import hello_frame, recv_frame, send_frame
 from repro.pcp import SoundnessParams
 
@@ -329,8 +330,9 @@ class TestResume:
 
 
 class TestStormAdmission:
-    def test_token_bucket_sheds_a_reconnect_storm(self, registry):
-        with _gateway(registry, accept_rate=2.0, accept_burst=2) as gw:
+    def test_token_bucket_sheds_a_reconnect_storm(self, registry, monkeypatch):
+        monkeypatch.setattr(serve_mod, "_ACCEPT_BURST", 2)
+        with _gateway(registry, accept_rate=2.0) as gw:
             refusals = []
             socks = []
             for _ in range(8):

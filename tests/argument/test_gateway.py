@@ -654,15 +654,13 @@ class TestSharding:
             assert result.all_accepted
             assert gw._pool.alive == 1
 
-    def test_shard_lease_starvation_sheds_busy(self, registry, sumsq_program):
+    def test_shard_lease_starvation_sheds_busy(
+        self, registry, sumsq_program, monkeypatch
+    ):
         """With every shard leased out, a session is shed with ``busy``
         (plus a hint) instead of hanging on the lease."""
-        with GatewayServer(
-            registry,
-            shards=1,
-            max_sessions=2,
-            lease_timeout=0.2,
-        ) as gw:
+        monkeypatch.setattr(serve_mod, "_LEASE_TIMEOUT", 0.2)
+        with GatewayServer(registry, shards=1, max_sessions=2) as gw:
             # pin the only shard: drive a session up to the inputs frame
             # so its handler holds the lease while proving
             sock = socket.create_connection(gw.address, timeout=5)

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from repro import telemetry
 from repro.argument import (
     ArgumentConfig,
     Deadlines,
@@ -18,6 +19,7 @@ from repro.argument import (
     program_hash,
     verify_remote,
 )
+from repro.argument.framing import HEADER
 from repro.argument.net import recv_frame, send_frame
 from repro.compiler import compile_program
 from repro.pcp import SoundnessParams
@@ -100,6 +102,34 @@ class TestRemoteVerification:
         assert abs(r_many.bytes_sent - r_few.bytes_sent) < 200
         # ...while the answers scale with the query count
         assert r_many.bytes_received > 2 * r_few.bytes_received
+
+    def test_frame_bytes_sum_to_the_session_totals(self, sumsq_program):
+        """Each frame type's ``net.bytes_sent.<type>`` counter plus its
+        4-byte header sums, per direction, to ``NetworkBatchResult``'s
+        totals: the network ablation counts bytes by this identity."""
+        with telemetry.session() as tracer:
+            with ProverServer(sumsq_program, FAST) as srv:
+                result = verify_remote(
+                    sumsq_program,
+                    [[1, 2, 3], [4, 5, 6]],
+                    srv.address,
+                    FAST,
+                    collect_trace=False,
+                )
+        # read after close(): the server's session span keeps its
+        # counters until it ends
+        counters = tracer.total_counters()
+        assert result.all_accepted and result.attempts == 1
+        assert HEADER.size == 4
+        # both parties count into this process's tracer, one frame a type
+        assert counters["net.frames_sent"] == 7
+        assert counters["net.bytes_sent"] == result.bytes_sent + result.bytes_received
+
+        def framed(*types):
+            return sum(counters[f"net.bytes_sent.{t}"] + HEADER.size for t in types)
+
+        assert framed("hello", "commit", "inputs", "challenge") == result.bytes_sent
+        assert framed("hello-ok", "outputs", "answers") == result.bytes_received
 
     def test_sequential_sessions_build_the_qap_once(
         self, sumsq_program, monkeypatch

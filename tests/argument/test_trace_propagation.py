@@ -16,6 +16,8 @@ from repro.argument import (
     program_hash,
     verify_remote,
 )
+from repro.argument import net as net_mod
+from repro.argument import serve as serve_mod
 from repro.argument.net import recv_frame, send_frame
 from repro.pcp import SoundnessParams
 from repro.telemetry import Trace
@@ -103,9 +105,10 @@ class TestStitchedTraces:
 
 
 class TestTracePayloadBounds:
-    def test_server_truncates_oversized_trace(self, sumsq_program):
+    def test_server_truncates_oversized_trace(self, sumsq_program, monkeypatch):
         """A tiny server budget keeps only the session root, flagged."""
-        with ProverServer(sumsq_program, FAST, max_trace_bytes=200) as srv:
+        monkeypatch.setattr(serve_mod, "_MAX_TRACE_BYTES", 200)
+        with ProverServer(sumsq_program, FAST) as srv:
             with telemetry.session() as tracer:
                 result = verify_remote(
                     sumsq_program, [[1, 2, 3]], srv.address, FAST
@@ -117,16 +120,13 @@ class TestTracePayloadBounds:
         # the dropped children never arrive
         assert tracer.find("prover.instance") == []
 
-    def test_client_rejects_oversized_trace_payload(self, sumsq_program, server):
+    def test_client_rejects_oversized_trace_payload(
+        self, sumsq_program, server, monkeypatch
+    ):
+        monkeypatch.setattr(net_mod, "_MAX_CLIENT_TRACE_BYTES", 50)
         with telemetry.session():
             with pytest.raises(ProtocolViolation) as excinfo:
-                verify_remote(
-                    sumsq_program,
-                    [[1, 2, 3]],
-                    server.address,
-                    FAST,
-                    max_trace_bytes=50,
-                )
+                verify_remote(sumsq_program, [[1, 2, 3]], server.address, FAST)
         assert excinfo.value.code == "bad-frame"
 
     def test_client_rejects_malformed_trace_payload(self, sumsq_program):
@@ -135,10 +135,10 @@ class TestTracePayloadBounds:
 
         tracer = telemetry.Tracer()
         with pytest.raises(ProtocolViolation) as excinfo:
-            _adopt_session_trace({"not": "a list"}, tracer, None, 1_000_000)
+            _adopt_session_trace({"not": "a list"}, tracer, None)
         assert excinfo.value.code == "bad-frame"
         with pytest.raises(ProtocolViolation) as excinfo:
-            _adopt_session_trace([{"no": "id"}], tracer, None, 1_000_000)
+            _adopt_session_trace([{"no": "id"}], tracer, None)
         assert excinfo.value.code == "bad-frame"
 
 

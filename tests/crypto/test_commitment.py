@@ -9,9 +9,23 @@ from repro.crypto import (
     FieldPRG,
     QueryBasis,
     group_for_field,
-    run_commitment_round,
 )
 from repro.crypto.commitment import DecommitResponse
+
+
+def run_commitment_round(verifier, prover, queries):
+    """Drive one full Commit + Multidecommit exchange.
+
+    Returns (consistency_ok, pcp_answers).  Callers still have to run
+    the PCP checks on the answers; this only establishes that the
+    answers came from *some* fixed linear function.
+    """
+    request = verifier.commit_request()
+    commitment = prover.commit(request)
+    challenge = verifier.decommit_challenge(queries)
+    response = prover.answer(challenge)
+    ok = verifier.verify(commitment, response)
+    return ok, response.answers[:-1]
 
 
 @pytest.fixture

@@ -1,10 +1,10 @@
 """Smoke tests: the fast examples must run clean end to end.
 
 Examples are documentation that executes; letting them rot defeats the
-point.  Only the quick ones run here (the clustering and mapreduce
-demos take tens of seconds and are exercised manually / by CI's long
-lane)."""
+point.  Every example but the clustering demo, which forks a pool of
+prover workers, runs here; each takes about a second."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -55,6 +55,27 @@ class TestFastExamples:
         ):
             line = next(line for line in out.splitlines() if label in line)
             assert f"REJECTED by {layer}" in line, line
+
+    def test_verified_mapreduce(self):
+        """The map phase runs as one loopback session; its traffic line
+        reports the socket's bytes and the challenge frame's."""
+        out = run_example("verified_mapreduce.py")
+        assert "map phase: 5 shards verified" in out
+        assert "total histogram" in out
+        assert re.search(
+            r"network: [\d,]+ B to the cloud, [\d,]+ B back \(queries derived "
+            r"from a 32-byte key, sent with t in a [\d,]+-byte challenge\)",
+            out,
+        ), out
+
+    def test_remote_prover(self):
+        out = run_example("remote_prover.py")
+        assert out.count("[ACCEPTED]") == 2
+        assert re.search(
+            r"traffic: [\d,]+ B uploaded \(.*PCP queries derive from the query "
+            r"key sent with it\), [\d,]+ B downloaded",
+            out,
+        ), out
 
     def test_verified_shortest_paths(self):
         """The honest batch verifies; the ``ZaatarProver`` override

@@ -8,15 +8,9 @@ error, never a silent accept or an unhandled crash deep in the stack.
 
 import pytest
 
-from repro.argument import (
-    ArgumentConfig,
-    ZaatarArgument,
-    decode_ciphertexts,
-    decode_elements,
-    encode_ciphertexts,
-    encode_elements,
-)
-from repro.crypto import FieldPRG, group_for_field
+from repro.argument import ArgumentConfig, ProtocolViolation, ZaatarArgument
+from repro.argument.framing import hex_list, unhex_ciphertexts, unhex_list
+from repro.crypto import FieldPRG
 from repro.crypto.commitment import DecommitResponse
 from repro.crypto.elgamal import ElGamalCiphertext
 from repro.pcp import SoundnessParams
@@ -88,30 +82,43 @@ class TestMalformedAnswers:
         assert not (commit_ok and pcp_ok)
 
 
-class TestWireCorruption:
-    def test_flipped_byte_in_answers_detected(self, gold, argument, honest_run):
-        setup, record, commitment, response, answers = honest_run
-        schedule, verifier, _, _ = setup
-        data = bytearray(encode_elements(gold, response.answers))
-        data[5] ^= 0xFF
-        try:
-            corrupted = decode_elements(gold, bytes(data))
-        except ValueError:
-            return  # decoder caught it — acceptable outcome
-        commit_ok = verifier.verify(commitment, DecommitResponse(corrupted))
-        assert not commit_ok
+def _flips(digits: str):
+    """``digits`` with one byte's bit flipped, at each position in turn:
+    the low bit (mostly another hex digit, for the verifier to reject)
+    and the 0x40 bit (never a hex digit, for the decoder to refuse)."""
+    for i, ch in enumerate(digits):
+        for bit in (0x01, 0x40):
+            yield digits[:i] + chr(ord(ch) ^ bit) + digits[i + 1 :]
 
-    def test_flipped_byte_in_ciphertext_detected(self, gold, argument, honest_run):
+
+class TestWireCorruption:
+    """One flipped byte in the frame encoding (``hex_list``) of the
+    answers or the commitment: the decoder raises ``bad-frame`` or the
+    verifier rejects."""
+
+    def test_flipped_byte_in_answers_detected(self, gold, honest_run):
+        setup, _, commitment, _, answers = honest_run
+        verifier = setup[1]
+        first, *rest = hex_list(answers)
+        for flipped in _flips(first):
+            try:
+                corrupted = unhex_list([flipped, *rest], what="answers", p=gold.p)
+            except ProtocolViolation as exc:
+                assert exc.code == "bad-frame"
+                continue
+            assert not verifier.verify(commitment, DecommitResponse(corrupted))
+
+    def test_flipped_byte_in_ciphertext_detected(self, honest_run):
         setup, _, commitment, response, _ = honest_run
-        _, verifier, _, _ = setup
-        group = argument.config.group(gold)
-        data = bytearray(encode_ciphertexts(group, [commitment]))
-        data[0] ^= 0x01
-        try:
-            corrupted = decode_ciphertexts(group, bytes(data))[0]
-        except ValueError:
-            return
-        assert not verifier.verify(corrupted, response)
+        verifier = setup[1]
+        c1, c2 = hex_list([commitment.c1, commitment.c2])
+        for flipped in _flips(c1):
+            try:
+                (corrupted,) = unhex_ciphertexts([[flipped, c2]], what="commitment")
+            except ProtocolViolation as exc:
+                assert exc.code == "bad-frame"
+                continue
+            assert not verifier.verify(corrupted, response)
 
 
 class TestStaleSchedule:

@@ -8,11 +8,12 @@ from repro.poly import (
     barycentric_weights,
     barycentric_weights_arithmetic,
     interpolate_at_roots_of_unity,
-    interpolate_lagrange_naive,
     ntt,
     poly_eval,
     trim,
 )
+
+from ..qap.h_oracle import interpolate_lagrange_naive
 
 
 class TestSubproductTree:

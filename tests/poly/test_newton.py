@@ -15,14 +15,17 @@ from repro import telemetry
 from repro.field import GOLDILOCKS, HAVE_NUMPY, NAMED_FIELDS, PrimeField
 from repro.poly import (
     SubproductTree,
-    interpolate_lagrange_naive,
     mat_interpolate_newton,
     newton_levels,
     pad_rows,
     poly_eval,
 )
 
-from ..qap.h_oracle import TreeShiftInterpolator, newton_inputs
+from ..qap.h_oracle import (
+    TreeShiftInterpolator,
+    interpolate_lagrange_naive,
+    newton_inputs,
+)
 
 #: without numpy a numpy request degrades to the scalar kernels
 BACKENDS = ("scalar", "numpy") if HAVE_NUMPY else ("scalar",)

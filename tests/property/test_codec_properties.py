@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.argument import decode_elements, encode_elements
+from repro.argument.framing import hex_list, unhex_list
 from repro.crypto.chacha import ChaChaStream
 from repro.field import GOLDILOCKS, P128, PrimeField
 
@@ -17,24 +17,6 @@ gold_elements = st.lists(
 p128_elements = st.lists(
     st.integers(min_value=0, max_value=P128F.p - 1), max_size=20
 )
-
-
-@settings(max_examples=50)
-@given(gold_elements)
-def test_element_codec_roundtrip_gold(values):
-    assert decode_elements(GOLD, encode_elements(GOLD, values)) == values
-
-
-@settings(max_examples=30)
-@given(p128_elements)
-def test_element_codec_roundtrip_p128(values):
-    assert decode_elements(P128F, encode_elements(P128F, values)) == values
-
-
-@settings(max_examples=30)
-@given(gold_elements)
-def test_encoding_length_is_deterministic(values):
-    assert len(encode_elements(GOLD, values)) == 8 * len(values)
 
 
 @settings(max_examples=30)
@@ -72,12 +54,11 @@ def test_chacha_stream_chunking_invariant(key, chunk_sizes):
 
 
 @settings(max_examples=25)
-@given(
-    st.lists(
-        st.integers(min_value=0, max_value=GOLD.p - 1), min_size=1, max_size=30
-    )
-)
-def test_transcript_hex_roundtrip(values):
-    """The hex encoding used by transcripts/net frames is lossless."""
-    encoded = [format(v, "x") for v in values]
-    assert [int(v, 16) for v in encoded] == values
+@given(gold_elements, p128_elements)
+def test_transcript_hex_roundtrip(gold_values, p128_values):
+    """The hex encoding of transcripts and net frames is lossless, and
+    the decoder reduces a peer's non-canonical value mod p."""
+    for field, values in ((GOLD, gold_values), (P128F, p128_values)):
+        assert unhex_list(hex_list(values), p=field.p) == values
+        shifted = hex_list(v + field.p for v in values)
+        assert unhex_list(shifted, p=field.p) == values

@@ -12,6 +12,10 @@ replaced inside the pipeline (subproduct tree plus Taylor shift), the
 reference for ``repro.poly.batch.mat_interpolate_newton`` at the
 prover's shape (``tests/poly/test_newton.py`` and the kernel bench);
 ``newton_inputs`` builds that kernel's inputs from their definitions.
+
+``interpolate_lagrange_naive`` (O(n²) Lagrange) and ``divisor_at``
+(D(τ) from the σ's) are the from-definition references for the tree,
+Newton form, the verifier's barycentric weights and the prover's h.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from repro.poly import (
     newton_levels,
     pad_rows,
     poly_div_exact,
+    poly_mul,
     trim,
 )
 from repro.poly.divide import _NEWTON_CUTOFF
@@ -106,3 +111,41 @@ def newton_inputs(field, rows):
     differences = [(-1) ** k * f % p for k, f in enumerate(inv_fact)]
     scaled = [field.hadamard(row, inv_fact) for row in rows]
     return scaled, differences, newton_levels(field, n, n)
+
+
+def interpolate_lagrange_naive(field, points, values) -> list[int]:
+    """O(n²) Lagrange interpolation: the polynomial through
+    (points[i], values[i]), from the definition."""
+    if len(points) != len(values):
+        raise ValueError("points/values length mismatch")
+    p = field.p
+    n = len(points)
+    result: list[int] = []
+    for i in range(n):
+        # numerator poly ∏_{k≠i} (t - x_k), scaled by y_i / ∏ (x_i - x_k)
+        num = [1]
+        denom = 1
+        for k in range(n):
+            if k == i:
+                continue
+            num = poly_mul(field, num, [(-points[k]) % p, 1])
+            denom = denom * (points[i] - points[k]) % p
+        scale = values[i] * field.inv(denom) % p
+        term = [c * scale % p for c in num]
+        if len(result) < len(term):
+            result += [0] * (len(term) - len(result))
+        for j, c in enumerate(term):
+            result[j] = (result[j] + c) % p
+    return trim(result)
+
+
+def divisor_at(qap, tau: int) -> int:
+    """D(τ) of ``qap``: ∏ (τ − σ_j) in arithmetic mode, τ^m − 1 in
+    roots mode."""
+    p = qap.field.p
+    if qap.mode == "roots":
+        return (pow(tau, qap.m, p) - 1) % p
+    acc = 1
+    for s in qap.sigma:
+        acc = acc * ((tau - s) % p) % p
+    return acc

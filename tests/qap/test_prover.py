@@ -17,7 +17,7 @@ from repro.qap.prover import compute_h_batch
 
 from ..integration.test_end_to_end import TINY_SIZES
 from ..pcp.query_oracle import embed_h_query, embed_z_query
-from .h_oracle import compute_h_batch_divide
+from .h_oracle import compute_h_batch_divide, divisor_at
 from .test_edge_cases import single_constraint_system
 from .test_qap import power_chain
 
@@ -69,7 +69,7 @@ class TestComputeH:
         # reconstruct P_w via interpolation-free spot checks:
         for _ in range(4):
             tau = rng.randrange(qap.m + 2, field.p)
-            d_tau = qap.divisor_at(tau)
+            d_tau = divisor_at(qap, tau)
             h_tau = poly_eval(field, h, tau)
             # P_w(τ) = A_w(τ)·B_w(τ) − C_w(τ), computed from queries
             from repro.qap import circuit_queries, instance_scalars

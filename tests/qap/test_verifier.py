@@ -47,7 +47,9 @@ class TestQueryShape:
     def test_queries_equal_lagrange_sums(self, setup, rng):
         """q_a[i-1] must equal A_i(τ) — cross-check against direct
         Lagrange interpolation of the sparse column."""
-        from repro.poly import interpolate_lagrange_naive, poly_eval
+        from repro.poly import poly_eval
+
+        from .h_oracle import interpolate_lagrange_naive
 
         qap, _, _ = setup
         field = qap.field
